@@ -36,18 +36,6 @@ taskDemand(const CoreTask &t, GHz f, GHz fmax, double latency_ns,
     return d;
 }
 
-GBps
-totalDemand(const std::vector<CoreTask> &tasks, GHz f, GHz fmax,
-            double latency_ns, const MemSystemPerf &mem)
-{
-    GBps total = 0.0;
-    for (const auto &t : tasks) {
-        Demand d = taskDemand(t, f, fmax, latency_ns, mem);
-        total += d.read + d.write;
-    }
-    return total;
-}
-
 /** Reset an out-param WindowPerf, keeping its vectors' capacity. */
 void
 clearPerf(WindowPerf &out)
@@ -60,21 +48,28 @@ clearPerf(WindowPerf &out)
     out.saturated = false;
 }
 
+/**
+ * Fill @p out at the solved latency. The bandwidth constraint counts as
+ * binding when the in-order sum of the per-task traffic exceeds 85% of
+ * @p cap_eff.
+ */
 void
 fill(const std::vector<CoreTask> &tasks, GHz f, GHz fmax, double latency_ns,
-     const MemSystemPerf &mem, bool saturated, WindowPerf &out)
+     const MemSystemPerf &mem, GBps cap_eff, WindowPerf &out)
 {
     out.latencyNs = latency_ns;
-    out.saturated = saturated;
     out.ips.reserve(tasks.size());
     out.taskTraffic.reserve(tasks.size());
+    GBps total = 0.0;
     for (const auto &t : tasks) {
         Demand d = taskDemand(t, f, fmax, latency_ns, mem);
         out.ips.push_back(d.ips);
         out.taskTraffic.push_back(d.read + d.write);
         out.totalRead += d.read;
         out.totalWrite += d.write;
+        total += d.read + d.write;
     }
+    out.saturated = total / cap_eff > 0.85;
 }
 
 } // namespace
@@ -120,40 +115,87 @@ solvePerfWindow(const std::vector<CoreTask> &tasks, GHz freq, GHz fmax,
     }
 
     // Self-consistent queueing fixed point: the effective miss latency is
-    //   L = L0 * (1 + k * rho / (1 - rho)),  rho = D(L) / cap_eff
+    //   L = implied(L) = L0 * (1 + k * rho / (1 - rho)),
+    //   rho = min(D(L) / cap_eff, rho_max)
     // D(L) is strictly decreasing in L, so
-    //   f(L) = L - L0 * (1 + k * rho(L) / (1 - rho(L)))
+    //   g(L) = L - implied(L)
     // is strictly increasing and has a unique root. Delivered throughput
     // is continuous in demand: far below saturation L ~= L0; when demand
     // exceeds the cap, rho -> 1 and delivery approaches the cap from
     // below, with memory-bound tasks absorbing the queueing latency while
     // compute-bound tasks keep their rate.
+    //
+    // Task i's demand is c_i / (b_i + a_i * L), with b_i = cpiCore,
+    // a_i = mpki/1000 * f * (1 - mlpOverlap) and
+    // c_i = f*1e9 * mpki/1000 * lineBytes * (1 + spec_i + writeFrac),
+    // so D(L) and D'(L) cost one divide per task and
+    // g'(L) = 1 - L0 * k * rho'(L) / (1 - rho)^2 >= 1 (rho' = 0 where the
+    // clamp holds). The root is found by Newton's method inside a bracket:
+    // - [L0, implied(L0)] always brackets it. g(L0) <= 0 because the
+    //   implied latency is never below L0, and implied() is
+    //   non-increasing, so implied(implied(L0)) <= implied(L0), i.e.
+    //   g(implied(L0)) >= 0. Zero demand gives g(L0) == 0 and L = L0.
+    // - Newton starts at L0. Where the clamp does not hold, implied() is
+    //   convex and g concave, so steps from below the root approach it
+    //   monotonically and stay inside the bracket.
+    // - Where rho is clamped at rho_max, implied() is flat at
+    //   implied(L0), so a step taken there lands at implied(L0), on or
+    //   past the upper end of the bracket. That step, and any other that
+    //   leaves the open bracket, falls back to the bracket midpoint.
+    // The iteration stops once the step or the bracket is within 1e-15
+    // of L; the iteration cap only bounds non-finite inputs.
     const double l0 = mem.idleLatencyNs;
     const double qk = mem.queueFactor;
     const double rho_max = 0.9999;
-    auto implied = [&](double latency) {
-        double rho = std::min(
-            totalDemand(tasks, freq, fmax, latency, mem) / cap_eff,
-            rho_max);
-        return l0 * (1.0 + qk * rho / (1.0 - rho));
+    const double f_milli = freq / 1000.0; // folds mpki's per-kilo scale
+    const double f_ratio = freq / fmax;
+    // c_i's task-independent factor, over cap_eff: rho = sum * this.
+    const double rho_per_demand =
+        f_milli * 1e9 * mem.lineBytes / bytesPerGB / cap_eff;
+    // implied(L), with dimplied/dL stored in @p slope.
+    auto implied = [&](double latency, double &slope) {
+        double sum = 0.0;
+        double dsum = 0.0;
+        for (const auto &t : tasks) {
+            double a = t.mpki * f_milli * (1.0 - t.mlpOverlap);
+            double c = t.mpki * (1.0 + t.specFrac * f_ratio + t.writeFrac);
+            double q = 1.0 / (t.cpiCore + a * latency);
+            double d = c * q;
+            sum += d;
+            dsum += d * a * q;
+        }
+        double rho = sum * rho_per_demand;
+        double drho = -dsum * rho_per_demand;
+        if (rho > rho_max) {
+            rho = rho_max;
+            drho = 0.0;
+        }
+        double u = 1.0 / (1.0 - rho);
+        slope = l0 * qk * drho * u * u;
+        return l0 * (1.0 + qk * rho * u);
     };
 
+    double slope = 0.0;
     double lo = l0;
-    double hi = std::max(l0 * 2.0, implied(l0));
-    while (hi < implied(hi) && hi < l0 * 1e7)
-        hi *= 2.0;
-    for (int i = 0; i < 60; ++i) {
-        double mid = 0.5 * (lo + hi);
-        if (mid < implied(mid)) {
-            lo = mid;
+    double hi = implied(l0, slope);
+    double l = l0;
+    double g = l0 - hi;
+    for (int i = 0; i < 100 && g != 0.0; ++i) {
+        if (g < 0.0) {
+            lo = l;
         } else {
-            hi = mid;
+            hi = l;
         }
+        double next = l - g / (1.0 - slope);
+        if (!(next > lo && next < hi))
+            next = 0.5 * (lo + hi);
+        double step = std::abs(next - l);
+        l = next;
+        if (step <= 1e-15 * l || hi - lo <= 1e-15 * l)
+            break;
+        g = l - implied(l, slope);
     }
-    double l = hi;
-    bool saturated =
-        totalDemand(tasks, freq, fmax, l, mem) / cap_eff > 0.85;
-    fill(tasks, freq, fmax, l, mem, saturated, out);
+    fill(tasks, freq, fmax, l, mem, cap_eff, out);
 }
 
 } // namespace memtherm

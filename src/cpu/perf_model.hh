@@ -10,10 +10,11 @@
  *
  * where the effective memory latency L is the idle latency when the memory
  * system is unsaturated, and otherwise the unique latency at which total
- * demanded throughput equals the sustainable bandwidth (found by
- * bisection — memory-bound tasks absorb the queueing latency, compute-
- * bound tasks keep their rate, which is the qualitative behavior of a real
- * bandwidth-shared memory system).
+ * demanded throughput equals the sustainable bandwidth (found by a
+ * bracketed Newton iteration on the queueing fixed point — memory-bound
+ * tasks absorb the queueing latency, compute-bound tasks keep their rate,
+ * which is the qualitative behavior of a real bandwidth-shared memory
+ * system).
  */
 
 #ifndef MEMTHERM_CPU_PERF_MODEL_HH

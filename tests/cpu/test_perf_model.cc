@@ -1,13 +1,22 @@
 /**
  * @file
- * Unit and property tests for the analytic performance model.
+ * Unit and property tests for the analytic performance model, plus a
+ * differential test of the solver against a bisection reference (the
+ * PerfModelOracle suite, run as the `test_perf_model_oracle` ctest under
+ * the `property` label).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <iterator>
 #include <limits>
+#include <string>
+#include <vector>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "cpu/perf_model.hh"
 
 namespace memtherm
@@ -205,6 +214,155 @@ INSTANTIATE_TEST_SUITE_P(
     Grid, PerfSweep,
     ::testing::Combine(::testing::Values(0.8, 1.6, 2.8, 3.2),
                        ::testing::Values(3.2, 6.4, 12.8, 19.2, 25.6)));
+
+/**
+ * Reference solver for the differential test below: the original
+ * algorithm, which doubles an upper bracket until it holds the queueing
+ * fixed point and then runs 60 fixed bisection steps, re-evaluating every
+ * task's demand at each step.
+ */
+WindowPerf
+bisectionReference(const std::vector<CoreTask> &tasks, GHz freq, GHz fmax,
+                   GBps cap, const MemSystemPerf &mem)
+{
+    struct Demand
+    {
+        double ips;
+        GBps read;
+        GBps write;
+    };
+    auto task_demand = [&](const CoreTask &t, double latency_ns) {
+        double stall_cpi =
+            t.mpki / 1000.0 * latency_ns * freq * (1.0 - t.mlpOverlap);
+        Demand d;
+        d.ips = freq * 1e9 / (t.cpiCore + stall_cpi);
+        double miss_rate = d.ips * t.mpki / 1000.0;
+        double spec = t.specFrac * (freq / fmax);
+        d.read = miss_rate * mem.lineBytes * (1.0 + spec) / bytesPerGB;
+        d.write = miss_rate * mem.lineBytes * t.writeFrac / bytesPerGB;
+        return d;
+    };
+    auto total_demand = [&](double latency_ns) {
+        GBps total = 0.0;
+        for (const auto &t : tasks) {
+            Demand d = task_demand(t, latency_ns);
+            total += d.read + d.write;
+        }
+        return total;
+    };
+
+    WindowPerf out;
+    if (tasks.empty())
+        return out;
+    GBps cap_eff = std::min(cap, mem.peakBandwidth * mem.maxUtilization);
+    if (cap_eff <= 1e-9) {
+        out.latencyNs = kInf;
+        out.saturated = true;
+        for (const auto &t : tasks) {
+            out.ips.push_back(t.mpki <= 0.0 ? freq * 1e9 / t.cpiCore : 0.0);
+            out.taskTraffic.push_back(0.0);
+        }
+        return out;
+    }
+
+    const double l0 = mem.idleLatencyNs;
+    const double qk = mem.queueFactor;
+    const double rho_max = 0.9999;
+    auto implied = [&](double latency) {
+        double rho = std::min(total_demand(latency) / cap_eff, rho_max);
+        return l0 * (1.0 + qk * rho / (1.0 - rho));
+    };
+    double lo = l0;
+    double hi = std::max(l0 * 2.0, implied(l0));
+    while (hi < implied(hi) && hi < l0 * 1e7)
+        hi *= 2.0;
+    for (int i = 0; i < 60; ++i) {
+        double mid = 0.5 * (lo + hi);
+        if (mid < implied(mid)) {
+            lo = mid;
+        } else {
+            hi = mid;
+        }
+    }
+    out.latencyNs = hi;
+    out.saturated = total_demand(hi) / cap_eff > 0.85;
+    for (const auto &t : tasks) {
+        Demand d = task_demand(t, hi);
+        out.ips.push_back(d.ips);
+        out.taskTraffic.push_back(d.read + d.write);
+        out.totalRead += d.read;
+        out.totalWrite += d.write;
+    }
+    return out;
+}
+
+/** |a - b| within @p rel of the larger magnitude (exact when both are 0). */
+::testing::AssertionResult
+relNear(const char *what, double a, double b, double rel = 1e-12)
+{
+    if (std::abs(a - b) <= rel * std::max(std::abs(a), std::abs(b)))
+        return ::testing::AssertionSuccess();
+    return ::testing::AssertionFailure()
+           << what << ": " << a << " vs reference " << b << " (rel diff "
+           << std::abs(a - b) / std::max(std::abs(a), std::abs(b)) << ")";
+}
+
+/**
+ * Differential property: over seeded random task sets, operating points,
+ * DTM caps and refresh-derated memory systems, the Newton solver agrees
+ * with the bisection reference to 1e-12 relative in every output, decides
+ * `saturated` identically, and reproduces the shut-down path exactly.
+ */
+TEST(PerfModelOracle, NewtonMatchesBisectionReference)
+{
+    const double caps[] = {kInf, 0.0, 1e-6, 0.5, 6.4, 19.2};
+    const GHz fmax = 3.2;
+    Rng rng(0x5eed0f1e7ULL);
+    WindowPerf got;
+    for (int n = 0; n < 20000; ++n) {
+        SCOPED_TRACE("case " + std::to_string(n));
+        std::vector<CoreTask> tasks(1 + rng.below(8));
+        for (auto &t : tasks) {
+            t.cpiCore = rng.uniform(0.3, 2.0);
+            t.mpki = rng.uniform() < 0.15 ? 0.0 : rng.uniform(0.0, 150.0);
+            t.writeFrac = rng.uniform(0.0, 0.6);
+            t.specFrac = rng.uniform(0.0, 0.3);
+            t.mlpOverlap = rng.uniform(0.0, 0.99);
+        }
+        GHz freq = rng.uniform() < 0.5 ? fmax : rng.uniform(0.4, fmax);
+        GBps cap = caps[rng.below(std::size(caps))];
+        // The refresh derate: bandwidth lost to refresh and AL-DRAM
+        // latency multipliers scale the memory system every window.
+        MemSystemPerf mem;
+        if (rng.uniform() < 0.5) {
+            mem.peakBandwidth *= 1.0 - rng.uniform(0.0, 0.1);
+            mem.idleLatencyNs *= rng.uniform(0.85, 1.0);
+        }
+
+        WindowPerf want = bisectionReference(tasks, freq, fmax, cap, mem);
+        solvePerfWindow(tasks, freq, fmax, cap, mem, got);
+        ASSERT_EQ(got.ips.size(), tasks.size());
+        ASSERT_EQ(got.taskTraffic.size(), tasks.size());
+        ASSERT_EQ(got.saturated, want.saturated);
+        if (std::isinf(want.latencyNs)) {
+            // Shut-down path: bit-exact.
+            EXPECT_EQ(got.latencyNs, want.latencyNs);
+            EXPECT_EQ(got.ips, want.ips);
+            EXPECT_EQ(got.taskTraffic, want.taskTraffic);
+            EXPECT_EQ(got.totalRead, 0.0);
+            EXPECT_EQ(got.totalWrite, 0.0);
+            continue;
+        }
+        ASSERT_TRUE(relNear("latencyNs", got.latencyNs, want.latencyNs));
+        for (std::size_t i = 0; i < tasks.size(); ++i) {
+            ASSERT_TRUE(relNear("ips", got.ips[i], want.ips[i]));
+            ASSERT_TRUE(
+                relNear("taskTraffic", got.taskTraffic[i], want.taskTraffic[i]));
+        }
+        ASSERT_TRUE(relNear("totalRead", got.totalRead, want.totalRead));
+        ASSERT_TRUE(relNear("totalWrite", got.totalWrite, want.totalWrite));
+    }
+}
 
 } // namespace
 } // namespace memtherm
