@@ -66,10 +66,96 @@ pick(Rng &rng, const std::vector<T> &v)
     return v[rng.below(v.size())];
 }
 
+/** A catalog organization or an inline {channels, dimms} pair. */
+MemoryOrgSpec
+randomOrg(Rng &rng)
+{
+    MemoryOrgSpec o;
+    if (rng.uniform() < 0.5)
+        o.name = pick(rng, memoryOrgNames());
+    else
+        o.org = MemoryOrgConfig{1 + static_cast<int>(rng.below(8)),
+                                1 + static_cast<int>(rng.below(8))};
+    return o;
+}
+
+/** A catalog shape or an inline share vector. */
+TrafficShapeSpec
+randomShape(Rng &rng)
+{
+    TrafficShapeSpec t;
+    if (rng.uniform() < 0.5) {
+        t.name = pick(rng, trafficShapeNames());
+    } else {
+        const std::size_t n = 1 + rng.below(4);
+        for (std::size_t i = 0; i < n; ++i)
+            t.shares.push_back(rng.uniform());
+    }
+    return t;
+}
+
+/**
+ * A catalog refresh model or an inline band table; latency_mult is the
+ * serializer's omitted default (1) about half the time.
+ */
+RefreshSpec
+randomRefresh(Rng &rng)
+{
+    RefreshSpec r;
+    if (rng.uniform() < 0.5) {
+        r.name = pick(rng, refreshModelNames());
+    } else {
+        const std::size_t n = 1 + rng.below(3);
+        for (std::size_t i = 0; i < n; ++i) {
+            RefreshBand b;
+            b.minTemp = rng.uniform(-20.0, 120.0);
+            b.bwFraction = rng.uniform();
+            b.dramPower = rng.uniform(0.0, 2.0);
+            if (rng.uniform() < 0.5)
+                b.latencyMult = rng.uniform(0.5, 1.5);
+            r.bands.push_back(b);
+        }
+    }
+    return r;
+}
+
+/** A catalog thermal model or an inline grid, with or without weights. */
+ThermalModelSpec
+randomThermal(Rng &rng)
+{
+    ThermalModelSpec t;
+    if (rng.uniform() < 0.5) {
+        t.name = pick(rng, thermalModelNames());
+    } else {
+        BankGridConfig g{1 + static_cast<int>(rng.below(4)),
+                         1 + static_cast<int>(rng.below(4)),
+                         {}};
+        if (rng.uniform() < 0.5)
+            for (int c = 0; c < g.cells(); ++c)
+                g.weights.push_back(rng.uniform());
+        t.grid = g;
+    }
+    return t;
+}
+
+/** One to three draws of @p gen. */
+template <typename Gen>
+auto
+randomAxis(Rng &rng, Gen gen)
+{
+    std::vector<decltype(gen(rng))> out;
+    const std::size_t n = 1 + rng.below(3);
+    for (std::size_t i = 0; i < n; ++i)
+        out.push_back(gen(rng));
+    return out;
+}
+
 /**
  * A structurally valid random spec: catalog names come from the real
  * registries (fromJson stores them; resolution happens at lower()), so
- * the round-trip exercises every member the serializer knows.
+ * the round-trip exercises every member the serializer knows — every
+ * config member and every sweep axis, name-or-inline values in both
+ * forms.
  */
 ScenarioSpec
 randomSpec(Rng &rng)
@@ -87,45 +173,34 @@ randomSpec(Rng &rng)
         s.ambient = pick(rng, ambientNames());
         if (rng.uniform() < 0.3)
             s.emergencyLevels = pick(rng, emergencyLevelNames());
-        if (rng.uniform() < 0.3) {
-            if (rng.uniform() < 0.5) {
-                s.memoryOrg.name = pick(rng, memoryOrgNames());
-            } else {
-                s.memoryOrg.org =
-                    MemoryOrgConfig{1 + static_cast<int>(rng.below(8)),
-                                    1 + static_cast<int>(rng.below(8))};
-            }
-        }
-        if (rng.uniform() < 0.3) {
-            if (rng.uniform() < 0.5) {
-                s.trafficShape.name = pick(rng, trafficShapeNames());
-            } else {
-                s.trafficShape.shares = {rng.uniform(), rng.uniform()};
-            }
-        }
         if (rng.uniform() < 0.3)
-            s.refresh.name = pick(rng, refreshModelNames());
-        if (rng.uniform() < 0.3) {
-            if (rng.uniform() < 0.5) {
-                s.thermalModel.name = pick(rng, thermalModelNames());
-            } else {
-                BankGridConfig g{1 + static_cast<int>(rng.below(4)),
-                                 1 + static_cast<int>(rng.below(4)),
-                                 {}};
-                if (rng.uniform() < 0.5)
-                    for (int c = 0; c < g.cells(); ++c)
-                        g.weights.push_back(rng.uniform());
-                s.thermalModel.grid = g;
-            }
-        }
+            s.dvfs = pick(rng, DvfsRegistry::instance().names());
+        if (rng.uniform() < 0.3)
+            s.memoryOrg = randomOrg(rng);
+        if (rng.uniform() < 0.3)
+            s.trafficShape = randomShape(rng);
+        if (rng.uniform() < 0.3)
+            s.refresh = randomRefresh(rng);
+        if (rng.uniform() < 0.3)
+            s.thermalModel = randomThermal(rng);
         if (rng.uniform() < 0.2)
             s.trace = "traces/" + std::to_string(rng.next()) + ".trace";
         if (rng.uniform() < 0.4)
             s.tInlet = rng.uniform(20.0, 60.0);
+        if (rng.uniform() < 0.2)
+            s.remapInterval = rng.uniform(0.01, 2.0);
+        if (rng.uniform() < 0.2)
+            s.remapHysteresis = rng.uniform(0.0, 5.0);
         if (rng.uniform() < 0.3)
             s.sensorNoiseSigma = rng.uniform();
+        if (rng.uniform() < 0.2)
+            s.sensorQuant = rng.uniform(0.0, 2.0);
         if (rng.uniform() < 0.3) // JSON numbers: keep within 2^53
             s.sensorSeed = rng.below(1ULL << 50);
+        if (rng.uniform() < 0.2)
+            s.sweepMemoryOrg = randomAxis(rng, randomOrg);
+        if (rng.uniform() < 0.2)
+            s.sweepTrafficShape = randomAxis(rng, randomShape);
         if (rng.uniform() < 0.25)
             s.sweepTInlet = {rng.uniform(20.0, 60.0),
                              rng.uniform(20.0, 60.0)};
@@ -134,14 +209,17 @@ randomSpec(Rng &rng)
         if (rng.uniform() < 0.2)
             s.sweepCooling = {pick(rng, coolingNames())};
         if (rng.uniform() < 0.2)
-            s.sweepRefresh = {RefreshSpec{pick(rng, refreshModelNames()),
-                                          {}}};
-        if (rng.uniform() < 0.2) {
-            ThermalModelSpec t;
-            t.grid = BankGridConfig{2, 2, {}};
-            s.sweepThermalModel = {
-                ThermalModelSpec{pick(rng, thermalModelNames()), {}}, t};
-        }
+            s.sweepSensorNoise = {rng.uniform(), rng.uniform()};
+        if (rng.uniform() < 0.2)
+            s.sweepDtmInterval = {rng.uniform(0.005, 0.2)};
+        if (rng.uniform() < 0.2)
+            s.sweepEmergencyLevels = {pick(rng, emergencyLevelNames())};
+        if (rng.uniform() < 0.2)
+            s.sweepDvfs = {pick(rng, DvfsRegistry::instance().names())};
+        if (rng.uniform() < 0.2)
+            s.sweepRefresh = randomAxis(rng, randomRefresh);
+        if (rng.uniform() < 0.2)
+            s.sweepThermalModel = randomAxis(rng, randomThermal);
     }
     if (rng.uniform() < 0.4)
         s.copiesPerApp = 1 + static_cast<int>(rng.below(6));
