@@ -69,6 +69,85 @@ TEST(SpecHash, StableAndSensitive)
     EXPECT_NE(scenarioSpecHash(edited), h);
 }
 
+/**
+ * A spec that sets every config member and every sweep axis, with the
+ * name-or-inline axes in both forms, so the pin below covers every
+ * member toJson can emit and the order it emits them in.
+ */
+ScenarioSpec
+maximalSpec()
+{
+    ScenarioSpec s;
+    s.name = "maximal";
+    s.description = "every knob and axis";
+    s.cooling = "FDHS_1.0";
+    s.ambient = "integrated";
+    s.emergencyLevels = "ch4";
+    s.dvfs = "simulated_cmp";
+    s.memoryOrg = {"", MemoryOrgConfig{2, 8}};
+    s.trafficShape = {"", {0.5, 0.25, 0.25}};
+    s.refresh = {"", {{20.0, 0.05, 0.1, 1.0}, {85.0, 0.1, 0.2, 1.25}}};
+    s.thermalModel = {"", BankGridConfig{2, 2, {0.4, 0.3, 0.2, 0.1}}};
+    s.trace = "traces/w1.trace";
+    s.tInlet = 46.5;
+    s.copiesPerApp = 2;
+    s.instrScale = 0.25;
+    s.maxSimTime = 1234.5;
+    s.dtmInterval = 0.02;
+    s.remapInterval = 0.1;
+    s.remapHysteresis = 1.5;
+    s.sensorNoiseSigma = 0.3;
+    s.sensorQuant = 0.25;
+    s.sensorSeed = 9007199254740992ULL; // 2^53
+    s.workloads = {"W1", "swimx4"};
+    s.policies = {"No-limit", "DTM-TS"};
+    s.sweepMemoryOrg = {{"2x4", {}}, {"", MemoryOrgConfig{3, 5}}};
+    s.sweepTrafficShape = {{"hot_dimm0", {}}, {"", {0.75, 0.25}}};
+    s.sweepCooling = {"AOHS_1.0", "FDHS_3.0"};
+    s.sweepTInlet = {38.0, 44.5};
+    s.sweepCopies = {1, 3};
+    s.sweepSensorNoise = {0.0, 0.5};
+    s.sweepDtmInterval = {0.01, 0.05};
+    s.sweepEmergencyLevels = {"ch4", "pe1950"};
+    s.sweepDvfs = {"simulated_cmp", "xeon5160"};
+    s.sweepRefresh = {{"ddr2_2x", {}}, {"", {{0.0, 0.02, 0.05, 0.8}}}};
+    s.sweepThermalModel = {{"bank_grid", {}},
+                           {"", BankGridConfig{3, 1, {}}}};
+    return s;
+}
+
+TEST(SpecHash, PinnedCanonicalBytes)
+{
+    // scenarioSpecHash fingerprints toJson().dump(0), and --resume
+    // refuses a stream whose header hash differs, so any change to the
+    // serialized bytes of an existing spec (a member reordered, a
+    // default emitted) must fail here rather than strand every stream
+    // on disk. The literals were recorded from the committed examples.
+    const std::vector<std::pair<std::string, std::string>> pinned = {
+        {"bank_hotspot", "8587a55f4b924fad"},
+        {"ch4_baseline", "ae4c680cd6d94ed4"},
+        {"datacenter_ambient", "3d939ab2f22b3c61"},
+        {"dtm_sensitivity", "8f14c0c2d9d2dd43"},
+        {"fan_failure", "a04ef5793d6f324e"},
+        {"hot_dimm", "457e9af3f1738248"},
+        {"hot_dimm_remap", "750efe068da68e12"},
+        {"memory_org", "d84475e4c3ffd1b1"},
+        {"policy_sweep", "f290bb1f43de27f4"},
+        {"refresh_runaway", "860796118a73613f"},
+        {"sensor_noise", "0513a2947b5904c3"},
+    };
+    for (const auto &[name, hash] : pinned) {
+        const ScenarioSpec spec = ScenarioSpec::load(
+            std::string(MEMTHERM_SOURCE_DIR) + "/examples/scenarios/" +
+            name + ".json");
+        EXPECT_EQ(scenarioSpecHash(spec), hash) << name;
+    }
+    const ScenarioSpec max = maximalSpec();
+    EXPECT_EQ(scenarioSpecHash(max), "3fce3f67c0aeb9fe")
+        << max.toJson().dump(2);
+    EXPECT_EQ(ScenarioSpec::fromJson(max.toJson()), max);
+}
+
 TEST(ShardSpec, ParseAcceptsWellFormedSlices)
 {
     ShardSpec s = ShardSpec::parse("2/3");
