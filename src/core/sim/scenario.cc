@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <array>
+#include <climits>
 #include <cmath>
 #include <cstdlib>
 #include <limits>
@@ -67,12 +68,26 @@ memberNumber(const Json &obj, const std::string &key)
     return v.asNumber();
 }
 
+/**
+ * FatalError unless lo <= @p v <= hi: checked before any integer cast,
+ * which is undefined behavior for a double outside the target range.
+ */
+void
+checkRange(double v, double lo, double hi, const std::string &what)
+{
+    if (!(v >= lo && v <= hi)) {
+        fatal("scenario: " + what + " must be within [" + numStr(lo) +
+              ", " + numStr(hi) + "] (got " + numStr(v) + ")");
+    }
+}
+
 int
 memberInt(const Json &obj, const std::string &key)
 {
     double v = memberNumber(obj, key);
     if (v != std::floor(v))
         fatal("scenario: member '" + key + "' must be an integer");
+    checkRange(v, INT_MIN, INT_MAX, "member '" + key + "'");
     return static_cast<int>(v);
 }
 
@@ -1399,6 +1414,9 @@ ScenarioSpec::fromJson(const Json &j)
             if (v != std::floor(v) || v < 0.0)
                 fatal("scenario: 'sensor_seed' must be a non-negative "
                       "integer");
+            // 2^53: the largest range whose integers a JSON double
+            // holds exactly.
+            checkRange(v, 0.0, 9007199254740992.0, "'sensor_seed'");
             s.sensorSeed = static_cast<std::uint64_t>(v);
         }
     }
@@ -1453,6 +1471,8 @@ ScenarioSpec::fromJson(const Json &j)
                     fatal("scenario: sweep.copies_per_app must contain "
                           "integers");
                 }
+                checkRange(v, INT_MIN, INT_MAX,
+                           "sweep.copies_per_app value");
                 s.sweepCopies.push_back(static_cast<int>(v));
             }
         }

@@ -9,6 +9,7 @@
 
 #include <gtest/gtest.h>
 
+#include <climits>
 #include <cmath>
 #include <limits>
 #include <string>
@@ -402,6 +403,52 @@ TEST(ScenarioSpec, MemoryOrgParsesNamesAndInlineObjects)
     empty_entry.sweepMemoryOrg.push_back(MemoryOrgSpec{});
     EXPECT_THROW(empty_entry.toJson(), FatalError);
     EXPECT_THROW(empty_entry.lower(), FatalError);
+}
+
+TEST(ScenarioSpec, ParserRejectsOutOfRangeIntegers)
+{
+    // Integer members are range-checked before the cast: a double
+    // outside the target type would otherwise cast with undefined
+    // behavior (a garbage seed, or a wrapped count in the diagnostic).
+    auto expectParseError = [](const std::string &text,
+                               const std::string &message) {
+        try {
+            (void)ScenarioSpec::fromJson(Json::parse(text));
+            FAIL() << "expected FatalError for " << text;
+        } catch (const FatalError &e) {
+            EXPECT_EQ(std::string(e.what()), "fatal: " + message) << text;
+        }
+    };
+    expectParseError(R"({"config": {"sensor_seed": 1e30}})",
+                     "scenario: 'sensor_seed' must be within "
+                     "[0, 9007199254740992] (got 1e+30)");
+    expectParseError(R"({"config": {"sensor_seed": 9007199254740994}})",
+                     "scenario: 'sensor_seed' must be within "
+                     "[0, 9007199254740992] (got 9007199254740994)");
+    expectParseError(
+        R"({"config": {"memory_org": {"channels": 4294967298, "dimms": 4}}})",
+        "scenario: member 'channels' must be within "
+        "[-2147483648, 2147483647] (got 4294967298)");
+    expectParseError(
+        R"({"sweep": {"thermal_model": [{"grid_x": 4294967298, "grid_z": 2}]}})",
+        "scenario: member 'grid_x' must be within "
+        "[-2147483648, 2147483647] (got 4294967298)");
+    expectParseError(R"({"config": {"copies_per_app": -1e10}})",
+                     "scenario: member 'copies_per_app' must be within "
+                     "[-2147483648, 2147483647] (got -10000000000)");
+    expectParseError(R"({"sweep": {"copies_per_app": [2, 4294967297]}})",
+                     "scenario: sweep.copies_per_app value must be within "
+                     "[-2147483648, 2147483647] (got 4294967297)");
+
+    // The range ends themselves still parse, exactly.
+    ScenarioSpec s = ScenarioSpec::fromJson(Json::parse(R"({
+        "config": {"sensor_seed": 9007199254740992,
+                   "memory_org": {"channels": 2147483647,
+                                  "dimms": -2147483648}}
+    })"));
+    EXPECT_EQ(s.sensorSeed, 9007199254740992ULL);
+    EXPECT_EQ(*s.memoryOrg.org, (MemoryOrgConfig{INT_MAX, INT_MIN}));
+    EXPECT_EQ(ScenarioSpec::fromJson(s.toJson()), s);
 }
 
 TEST(ScenarioSpec, RejectsNonFiniteSweepValuesAndOverrides)
