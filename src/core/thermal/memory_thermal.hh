@@ -29,11 +29,18 @@
 
 #include "core/power/power_model.hh"
 #include "core/thermal/bank_grid.hh"
-#include "core/thermal/dimm_thermal.hh"
 #include "core/thermal/thermal_batch.hh"
+#include "core/thermal/thermal_params.hh"
 
 namespace memtherm
 {
+
+/** Temperatures of one DIMM's two hot spots. */
+struct DimmTemps
+{
+    Celsius amb = 0.0;
+    Celsius dram = 0.0;
+};
 
 /**
  * Physical organization of the FBDIMM subsystem (Table 4.1 defaults).

@@ -25,13 +25,6 @@ RcNode::advance(Celsius stable, Seconds dt)
     return temp;
 }
 
-double
-RcNode::decayFor(Seconds dt) const
-{
-    panicIfNot(dt >= 0.0, "RcNode: negative time step");
-    return 1.0 - std::exp(-dt / rc);
-}
-
 Seconds
 RcNode::timeToReach(Celsius target, Celsius stable) const
 {

@@ -48,22 +48,6 @@ class RcNode
     Celsius advance(Celsius stable, Seconds dt);
 
     /**
-     * Decay factor 1 - exp(-dt / tau) for a step of dt, without
-     * advancing. Callers stepping many nodes at one dt (e.g.
-     * DimmThermalModel) can compute factors once and reuse them via
-     * advanceWith().
-     */
-    double decayFor(Seconds dt) const;
-
-    /** Advance using a factor precomputed by decayFor(). */
-    Celsius
-    advanceWith(Celsius stable, double decay)
-    {
-        temp += (stable - temp) * decay;
-        return temp;
-    }
-
-    /**
      * Closed-form time for this node to move from its current temperature
      * to @p target while the stable temperature is held at @p stable.
      * Returns +inf when the target is unreachable (not strictly between

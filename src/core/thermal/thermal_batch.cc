@@ -79,7 +79,7 @@ ThermalBatchState::ensureDecay(Seconds dt)
     if (dt == cachedDt)
         return;
     cachedDt = dt;
-    // Same arithmetic as RcNode::decayFor, one evaluation per lane per
+    // Same decay as RcNode::advance, one evaluation per lane per
     // distinct dt instead of one memo per node.
     for (int l = 0; l < nLanes; ++l) {
         decayAmbV[l] = 1.0 - std::exp(-dt / tauAmbV[l]);
