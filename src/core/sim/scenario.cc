@@ -1,11 +1,13 @@
 #include "core/sim/scenario.hh"
 
 #include <algorithm>
-#include <array>
 #include <climits>
 #include <cmath>
+#include <concepts>
 #include <cstdlib>
+#include <functional>
 #include <limits>
+#include <type_traits>
 #include <utility>
 
 #include "common/logging.hh"
@@ -100,80 +102,102 @@ memberString(const Json &obj, const std::string &key)
     return v.asString();
 }
 
-std::vector<std::string>
-stringList(const Json &v, const std::string &key)
+/** The array member @p key, of strings or numbers (FatalError else). */
+template <typename T>
+std::vector<T>
+listOf(const Json &v, const std::string &key)
 {
+    constexpr bool str = std::is_same_v<T, std::string>;
+    const std::string kind = str ? "strings" : "numbers";
     if (!v.isArray())
-        fatal("scenario: member '" + key + "' must be an array of strings");
-    std::vector<std::string> out;
+        fatal("scenario: member '" + key + "' must be an array of " + kind);
+    std::vector<T> out;
     for (const Json &e : v.asArray()) {
-        if (!e.isString())
-            fatal("scenario: member '" + key + "' must contain strings");
-        out.push_back(e.asString());
+        if (str ? !e.isString() : !e.isNumber())
+            fatal("scenario: member '" + key + "' must contain " + kind);
+        if constexpr (str)
+            out.push_back(e.asString());
+        else
+            out.push_back(e.asNumber());
     }
     return out;
 }
 
-std::vector<double>
-numberList(const Json &v, const std::string &key)
-{
-    if (!v.isArray())
-        fatal("scenario: member '" + key + "' must be an array of numbers");
-    std::vector<double> out;
-    for (const Json &e : v.asArray()) {
-        if (!e.isNumber())
-            fatal("scenario: member '" + key + "' must contain numbers");
-        out.push_back(e.asNumber());
-    }
-    return out;
-}
-
+template <typename T>
 Json
-toJsonList(const std::vector<std::string> &v)
+toJsonList(const std::vector<T> &v)
 {
     Json a = Json::array();
-    for (const auto &s : v)
-        a.push(s);
-    return a;
-}
-
-Json
-toJsonList(const std::vector<double> &v)
-{
-    Json a = Json::array();
-    for (double x : v)
+    for (const T &x : v)
         a.push(x);
     return a;
 }
 
-Json
-orgToJson(const MemoryOrgSpec &o)
+/** "a|b|c": the label form of a number list ("|" is not reserved). */
+std::string
+joinNumbers(const std::vector<double> &v)
 {
-    if (!o.name.empty())
-        return Json(o.name);
-    // A default-constructed spec means "keep the base organization" and
-    // has no serialized form — callers filter those out; reaching here
-    // with one (e.g. an empty sweep entry) is a spec bug, not UB.
-    if (!o.org)
-        fatal("scenario: empty memory organization");
+    std::string out;
+    for (double x : v) {
+        if (!out.empty())
+            out += "|";
+        out += numStr(x);
+    }
+    return out;
+}
+
+Json
+traceJson(const TimeSeries &t)
+{
     Json j = Json::object();
-    j.set("channels", o.org->nChannels);
-    j.set("dimms", o.org->nDimmsPerChannel);
+    j.set("period_s", t.period());
+    j.set("values", toJsonList(t.values()));
     return j;
 }
 
-/** Parse a memory organization: a catalog name or {channels, dimms}. */
-MemoryOrgSpec
-orgFromJson(const Json &v, const std::string &where)
+// --- the four inline forms ------------------------------------------------
+
+/**
+ * The per-type half of CatalogOrInline, keyed by its inline member type:
+ * its JSON form (an object for an optional member, an array for a
+ * vector), label, catalog lookup and inline bounds check. The rest — the
+ * string-or-inline codec, empty(), "name wins" — is shared.
+ *
+ *  - noun: what the value is called in errors ("scenario: <noun> ...");
+ *  - one/many: the accepted JSON forms of one value / of a sweep array.
+ */
+template <typename Inline>
+struct InlineForm;
+
+/** Shares that must be finite, non-negative and sum to 1 within 1e-9. */
+void
+checkDistribution(const std::vector<double> &v, const std::string &what)
 {
-    MemoryOrgSpec s;
-    if (v.isString()) {
-        s.name = v.asString();
-        if (s.name.empty())
-            fatal("scenario: " + where + " name must not be empty");
-        return s;
+    double sum = 0.0;
+    for (double x : v) {
+        if (!std::isfinite(x))
+            fatal(what + " must be finite");
+        if (x < 0.0)
+            fatal(what + " must not be negative");
+        sum += x;
     }
-    if (v.isObject()) {
+    if (std::abs(sum - 1.0) >= 1e-9)
+        fatal(what + " must sum to 1 (got " + numStr(sum) + ")");
+}
+
+template <>
+struct InlineForm<std::optional<MemoryOrgConfig>>
+{
+    static constexpr const char *noun = "memory organization";
+    static constexpr const char *one =
+        "a catalog name or a {channels, dimms} object";
+    static constexpr const char *many =
+        "catalog names or {channels, dimms} objects";
+    static constexpr auto lookup = memoryOrgByName;
+
+    static MemoryOrgConfig
+    parse(const Json &v, const std::string &where)
+    {
         checkMembers(v, where, {"channels", "dimms"});
         if (!v.find("channels") || !v.find("dimms")) {
             fatal("scenario: " + where +
@@ -182,96 +206,92 @@ orgFromJson(const Json &v, const std::string &where)
         MemoryOrgConfig o;
         o.nChannels = memberInt(v, "channels");
         o.nDimmsPerChannel = memberInt(v, "dimms");
-        s.org = o;
-        return s;
+        return o;
     }
-    fatal("scenario: " + where +
-          " must be a catalog name or a {channels, dimms} object");
-}
 
-Json
-shapeToJson(const TrafficShapeSpec &t)
-{
-    if (!t.name.empty())
-        return Json(t.name);
-    // A default-constructed spec means "keep uniform interleave" and has
-    // no serialized form — callers filter those out; reaching here with
-    // one (e.g. an empty sweep entry) is a spec bug, not UB.
-    if (t.shares.empty())
-        fatal("scenario: empty traffic shape");
-    return toJsonList(t.shares);
-}
-
-/** Parse a traffic shape: a catalog name or an inline share vector. */
-TrafficShapeSpec
-shapeFromJson(const Json &v, const std::string &where)
-{
-    TrafficShapeSpec s;
-    if (v.isString()) {
-        s.name = v.asString();
-        if (s.name.empty())
-            fatal("scenario: " + where + " name must not be empty");
-        return s;
+    static Json
+    toJson(const std::optional<MemoryOrgConfig> &o)
+    {
+        Json j = Json::object();
+        j.set("channels", o->nChannels);
+        j.set("dimms", o->nDimmsPerChannel);
+        return j;
     }
-    if (v.isArray()) {
-        s.shares = numberList(v, where);
-        if (s.shares.empty()) {
-            fatal("scenario: " + where +
-                  " share vector must not be empty");
+
+    static std::string
+    label(const std::optional<MemoryOrgConfig> &o)
+    {
+        return std::to_string(o->nChannels) + "x" +
+               std::to_string(o->nDimmsPerChannel);
+    }
+
+    static MemoryOrgConfig
+    check(const std::optional<MemoryOrgConfig> &o, const std::string &what)
+    {
+        if (o->nChannels < 1 || o->nDimmsPerChannel < 1)
+            fatal(what + " must have >= 1 channel and >= 1 DIMM per channel");
+        return *o;
+    }
+};
+
+template <>
+struct InlineForm<std::vector<double>>
+{
+    static constexpr const char *noun = "traffic shape";
+    static constexpr const char *one =
+        "a catalog shape name or an array of per-DIMM shares";
+    static constexpr const char *many =
+        "catalog shape names or per-DIMM share vectors";
+    static constexpr auto lookup = trafficShapeByName;
+
+    static std::vector<double>
+    parse(const Json &v, const std::string &where)
+    {
+        std::vector<double> shares = listOf<double>(v, where);
+        if (shares.empty())
+            fatal("scenario: " + where + " share vector must not be empty");
+        return shares;
+    }
+
+    static Json toJson(const std::vector<double> &s) { return toJsonList(s); }
+
+    static std::string label(const std::vector<double> &s)
+    {
+        return joinNumbers(s);
+    }
+
+    static std::vector<double>
+    check(const std::vector<double> &shares, const std::string &what,
+          int n_dimms)
+    {
+        checkDistribution(shares, what + " shares");
+        if (static_cast<int>(shares.size()) != n_dimms) {
+            fatal(what + " has " + std::to_string(shares.size()) +
+                  " share(s) but the memory organization has " +
+                  std::to_string(n_dimms) + " DIMM(s) per channel");
         }
-        return s;
+        return shares;
     }
-    fatal("scenario: " + where +
-          " must be a catalog shape name or an array of per-DIMM shares");
-}
+};
 
-Json
-bandToJson(const RefreshBand &b)
+template <>
+struct InlineForm<std::vector<RefreshBand>>
 {
-    Json j = Json::object();
-    j.set("min_temp", b.minTemp);
-    j.set("bw_fraction", b.bwFraction);
-    j.set("dram_power_w", b.dramPower);
-    // latency_mult defaults to 1 on parse, so omitting the default
-    // keeps the round trip lossless and the common case terse.
-    if (b.latencyMult != 1.0)
-        j.set("latency_mult", b.latencyMult);
-    return j;
-}
+    static constexpr const char *noun = "refresh model";
+    static constexpr const char *one =
+        "a catalog refresh model name or an array of "
+        "{min_temp, bw_fraction, dram_power_w[, latency_mult]} bands";
+    static constexpr const char *many =
+        "catalog refresh model names or band tables";
+    static constexpr auto lookup = refreshModelByName;
 
-Json
-refreshToJson(const RefreshSpec &r)
-{
-    if (!r.name.empty())
-        return Json(r.name);
-    // A default-constructed spec means "no refresh feedback" and has no
-    // serialized form — callers filter those out; reaching here with
-    // one (e.g. an empty sweep entry) is a spec bug, not UB.
-    if (r.bands.empty())
-        fatal("scenario: empty refresh model");
-    Json a = Json::array();
-    for (const RefreshBand &b : r.bands)
-        a.push(bandToJson(b));
-    return a;
-}
-
-/** Parse a refresh model: a catalog name or an inline band table. */
-RefreshSpec
-refreshFromJson(const Json &v, const std::string &where)
-{
-    RefreshSpec s;
-    if (v.isString()) {
-        s.name = v.asString();
-        if (s.name.empty())
-            fatal("scenario: " + where + " name must not be empty");
-        return s;
-    }
-    if (v.isArray()) {
+    static std::vector<RefreshBand>
+    parse(const Json &v, const std::string &where)
+    {
+        std::vector<RefreshBand> bands;
         for (const Json &e : v.asArray()) {
-            if (!e.isObject()) {
-                fatal("scenario: " + where +
-                      " bands must be objects");
-            }
+            if (!e.isObject())
+                fatal("scenario: " + where + " bands must be objects");
             checkMembers(e, where + " band",
                          {"min_temp", "bw_fraction", "dram_power_w",
                           "latency_mult"});
@@ -287,280 +307,745 @@ refreshFromJson(const Json &v, const std::string &where)
             b.dramPower = memberNumber(e, "dram_power_w");
             if (e.find("latency_mult"))
                 b.latencyMult = memberNumber(e, "latency_mult");
-            s.bands.push_back(b);
+            bands.push_back(b);
         }
-        if (s.bands.empty()) {
-            fatal("scenario: " + where +
-                  " band table must not be empty");
+        if (bands.empty())
+            fatal("scenario: " + where + " band table must not be empty");
+        return bands;
+    }
+
+    static Json
+    toJson(const std::vector<RefreshBand> &bands)
+    {
+        Json a = Json::array();
+        for (const RefreshBand &b : bands) {
+            Json j = Json::object();
+            j.set("min_temp", b.minTemp);
+            j.set("bw_fraction", b.bwFraction);
+            j.set("dram_power_w", b.dramPower);
+            // latency_mult defaults to 1 on parse, so omitting the
+            // default keeps the round trip lossless and the common case
+            // terse.
+            if (b.latencyMult != 1.0)
+                j.set("latency_mult", b.latencyMult);
+            a.push(std::move(j));
         }
-        return s;
+        return a;
     }
-    fatal("scenario: " + where +
-          " must be a catalog refresh model name or an array of "
-          "{min_temp, bw_fraction, dram_power_w[, latency_mult]} bands");
-}
 
-Json
-thermalModelToJson(const ThermalModelSpec &t)
-{
-    if (!t.name.empty())
-        return Json(t.name);
-    // A default-constructed spec means "the lumped per-DIMM model" and
-    // has no serialized form — callers filter those out; reaching here
-    // with one (e.g. an empty sweep entry) is a spec bug, not UB.
-    if (!t.grid)
-        fatal("scenario: empty thermal model");
-    Json j = Json::object();
-    j.set("grid_x", t.grid->x);
-    j.set("grid_z", t.grid->z);
-    if (!t.grid->weights.empty())
-        j.set("bank_weights", toJsonList(t.grid->weights));
-    return j;
-}
-
-/** Parse a thermal model: a catalog name or an inline grid object. */
-ThermalModelSpec
-thermalModelFromJson(const Json &v, const std::string &where)
-{
-    ThermalModelSpec s;
-    if (v.isString()) {
-        s.name = v.asString();
-        if (s.name.empty())
-            fatal("scenario: " + where + " name must not be empty");
-        return s;
+    /** "minTemp:bwFraction:dramPower[:latencyMult]" joined with "|". */
+    static std::string
+    label(const std::vector<RefreshBand> &bands)
+    {
+        std::string out;
+        for (const RefreshBand &b : bands) {
+            if (!out.empty())
+                out += "|";
+            out += numStr(b.minTemp) + ":" + numStr(b.bwFraction) + ":" +
+                   numStr(b.dramPower);
+            if (b.latencyMult != 1.0)
+                out += ":" + numStr(b.latencyMult);
+        }
+        return out;
     }
-    if (v.isObject()) {
+
+    static RefreshModel
+    check(const std::vector<RefreshBand> &bands, const std::string &what)
+    {
+        for (const RefreshBand &b : bands) {
+            if (!std::isfinite(b.minTemp) || !std::isfinite(b.bwFraction) ||
+                !std::isfinite(b.dramPower) || !std::isfinite(b.latencyMult))
+                fatal(what + " bands must be finite");
+            if (b.bwFraction < 0.0 || b.bwFraction >= 1.0)
+                fatal(what + " bw_fraction must be in [0, 1)");
+            if (b.dramPower < 0.0)
+                fatal(what + " dram_power_w must be >= 0");
+            if (b.latencyMult <= 0.0)
+                fatal(what + " latency_mult must be > 0");
+        }
+        for (std::size_t i = 1; i < bands.size(); ++i) {
+            if (!(bands[i].minTemp > bands[i - 1].minTemp))
+                fatal(what + " bands must have strictly increasing min_temp");
+        }
+        return RefreshModel{bands};
+    }
+};
+
+template <>
+struct InlineForm<std::optional<BankGridConfig>>
+{
+    static constexpr const char *noun = "thermal model";
+    static constexpr const char *one =
+        "a catalog thermal model name or a "
+        "{grid_x, grid_z[, bank_weights]} object";
+    static constexpr const char *many =
+        "catalog thermal model names or "
+        "{grid_x, grid_z[, bank_weights]} objects";
+    static constexpr auto lookup = thermalModelByName;
+
+    static BankGridConfig
+    parse(const Json &v, const std::string &where)
+    {
         checkMembers(v, where, {"grid_x", "grid_z", "bank_weights"});
-        if (!v.find("grid_x") || !v.find("grid_z")) {
-            fatal("scenario: " + where +
-                  " needs both 'grid_x' and 'grid_z'");
-        }
+        if (!v.find("grid_x") || !v.find("grid_z"))
+            fatal("scenario: " + where + " needs both 'grid_x' and 'grid_z'");
         BankGridConfig g;
         g.x = memberInt(v, "grid_x");
         g.z = memberInt(v, "grid_z");
         if (v.find("bank_weights")) {
             g.weights =
-                numberList(v.at("bank_weights"), where + " bank_weights");
+                listOf<double>(v.at("bank_weights"), where + " bank_weights");
         }
-        s.grid = std::move(g);
-        return s;
+        return g;
     }
-    fatal("scenario: " + where +
-          " must be a catalog thermal model name or a "
-          "{grid_x, grid_z[, bank_weights]} object");
+
+    static Json
+    toJson(const std::optional<BankGridConfig> &g)
+    {
+        Json j = Json::object();
+        j.set("grid_x", g->x);
+        j.set("grid_z", g->z);
+        if (!g->weights.empty())
+            j.set("bank_weights", toJsonList(g->weights));
+        return j;
+    }
+
+    /** "<x>x<z>", with the bank weights appended after ":" when set. */
+    static std::string
+    label(const std::optional<BankGridConfig> &g)
+    {
+        std::string out = std::to_string(g->x) + "x" + std::to_string(g->z);
+        if (!g->weights.empty())
+            out += ":" + joinNumbers(g->weights);
+        return out;
+    }
+
+    static ThermalModelConfig
+    check(const std::optional<BankGridConfig> &g, const std::string &what)
+    {
+        if (g->x < 1 || g->z < 1)
+            fatal(what + " grid dimensions must be >= 1");
+        if (g->cells() > 1024) {
+            fatal(what + " has " + std::to_string(g->cells()) +
+                  " cells per DIMM; the limit is 1024");
+        }
+        if (!g->weights.empty() &&
+            g->weights.size() != static_cast<std::size_t>(g->cells())) {
+            fatal(what + " has " + std::to_string(g->weights.size()) +
+                  " bank weight(s) but the grid has " +
+                  std::to_string(g->cells()) + " cell(s)");
+        }
+        if (!g->weights.empty())
+            checkDistribution(g->weights, what + " bank weights");
+        return ThermalModelConfig{g};
+    }
+};
+
+} // namespace
+
+template <typename Inline, typename Resolved, typename... Context>
+std::string
+CatalogOrInline<Inline, Resolved, Context...>::label() const
+{
+    if (!name.empty())
+        return name;
+    return hasValue() ? InlineForm<Inline>::label(value) : "";
 }
 
-Json
-traceJson(const TimeSeries &t)
+template <typename Inline, typename Resolved, typename... Context>
+Resolved
+CatalogOrInline<Inline, Resolved, Context...>::resolve(
+    Context... context) const
 {
-    Json j = Json::object();
-    j.set("period_s", t.period());
-    Json vals = Json::array();
-    for (double v : t.values())
-        vals.push(v);
-    j.set("values", std::move(vals));
-    return j;
+    using Form = InlineForm<Inline>;
+    if (!name.empty())
+        return Form::lookup(name, context...);
+    if (!hasValue())
+        fatal(std::string("scenario: empty ") + Form::noun);
+    return Form::check(value,
+                       std::string("scenario: ") + Form::noun + " " + label(),
+                       context...);
+}
+
+template struct CatalogOrInline<std::optional<MemoryOrgConfig>,
+                                MemoryOrgConfig>;
+template struct CatalogOrInline<std::vector<double>, std::vector<double>,
+                                int>;
+template struct CatalogOrInline<std::vector<RefreshBand>, RefreshModel>;
+template struct CatalogOrInline<std::optional<BankGridConfig>,
+                                ThermalModelConfig>;
+
+namespace
+{
+
+// --- table entry values, by type ------------------------------------------
+
+template <typename T>
+constexpr bool isCatalogOrInline = false;
+template <typename I, typename R, typename... C>
+constexpr bool isCatalogOrInline<CatalogOrInline<I, R, C...>> = true;
+
+/** Whether a config member is set (a std::optional, or non-empty). */
+template <typename M>
+bool
+isSet(const M &m)
+{
+    if constexpr (requires { m.has_value(); })
+        return m.has_value();
+    else
+        return !m.empty();
+}
+
+/** A set config member's value. */
+template <typename M>
+const auto &
+valueOf(const M &m)
+{
+    if constexpr (requires { m.has_value(); })
+        return *m;
+    else
+        return m;
+}
+
+template <typename M>
+using ValueOf = std::decay_t<decltype(valueOf(std::declval<const M &>()))>;
+
+/** A value's sweep-label coordinate (exact: shortest round trip). */
+template <typename E>
+std::string
+labelOf(const E &v)
+{
+    if constexpr (std::is_same_v<E, std::string>)
+        return v;
+    else if constexpr (isCatalogOrInline<E>)
+        return v.label();
+    else if constexpr (std::is_integral_v<E>)
+        return std::to_string(v);
+    else
+        return numStr(v);
+}
+
+template <typename E>
+Json
+encode(const E &v)
+{
+    if constexpr (isCatalogOrInline<E>) {
+        using Form = InlineForm<decltype(v.value)>;
+        if (!v.name.empty())
+            return Json(v.name);
+        // A default-constructed value means "keep the base value" and
+        // has no serialized form — callers filter those out; reaching
+        // here with one (e.g. an empty sweep entry) is a spec bug.
+        if (!v.hasValue())
+            fatal(std::string("scenario: empty ") + Form::noun);
+        return Form::toJson(v.value);
+    } else {
+        return Json(v);
+    }
+}
+
+/** Parse a name-or-inline value: a non-empty catalog name or inline. */
+template <typename E>
+E
+nameOrInline(const Json &v, const std::string &where)
+{
+    using Form = InlineForm<decltype(E::value)>;
+    constexpr bool object = requires(E e) { e.value.has_value(); };
+    E out;
+    if (v.isString()) {
+        out.name = v.asString();
+        if (out.name.empty())
+            fatal("scenario: " + where + " name must not be empty");
+    } else if (object ? v.isObject() : v.isArray()) {
+        out.value = Form::parse(v, where);
+    } else {
+        fatal("scenario: " + where + " must be " + Form::one);
+    }
+    return out;
+}
+
+/** Parse the `config` member @p key. */
+template <typename E>
+E
+decode(const Json &cfg, const std::string &key)
+{
+    if constexpr (std::is_same_v<E, std::string>) {
+        return memberString(cfg, key);
+    } else if constexpr (std::is_same_v<E, int>) {
+        return memberInt(cfg, key);
+    } else if constexpr (std::is_same_v<E, std::uint64_t>) {
+        const double v = memberNumber(cfg, key);
+        if (v != std::floor(v) || v < 0.0)
+            fatal("scenario: '" + key + "' must be a non-negative integer");
+        // 2^53: the largest range whose integers a JSON double holds
+        // exactly.
+        checkRange(v, 0.0, 9007199254740992.0, "'" + key + "'");
+        return static_cast<std::uint64_t>(v);
+    } else if constexpr (isCatalogOrInline<E>) {
+        return nameOrInline<E>(cfg.at(key), "'config." + key + "'");
+    } else {
+        return memberNumber(cfg, key);
+    }
+}
+
+/** Parse the array of axis @p key's sweep values. */
+template <typename E>
+std::vector<E>
+decodeList(const Json &a, const std::string &key)
+{
+    const std::string where = "sweep." + key;
+    if constexpr (std::is_same_v<E, std::string>) {
+        return listOf<std::string>(a, where);
+    } else if constexpr (std::is_same_v<E, int>) {
+        std::vector<int> out;
+        for (double v : listOf<double>(a, where)) {
+            if (v != std::floor(v))
+                fatal("scenario: " + where + " must contain integers");
+            checkRange(v, INT_MIN, INT_MAX, where + " value");
+            out.push_back(static_cast<int>(v));
+        }
+        return out;
+    } else if constexpr (isCatalogOrInline<E>) {
+        if (!a.isArray()) {
+            fatal("scenario: '" + where + "' must be an array of " +
+                  InlineForm<decltype(E::value)>::many);
+        }
+        std::vector<E> out;
+        for (const Json &e : a.asArray())
+            out.push_back(nameOrInline<E>(e, "'" + where + "' entry"));
+        return out;
+    } else {
+        return listOf<double>(a, where);
+    }
+}
+
+// --- values that resolve against the rest of the spec ----------------------
+
+/** One memory organization a grid visits, as errors name it. */
+struct OrgPoint
+{
+    MemoryOrgConfig org;
+    std::string desc;
+};
+
+/** What a value resolves against besides itself. */
+struct ResolveContext
+{
+    const ScenarioSpec &spec;
+    std::string where;   ///< "config.<key>" or "sweep.<key> entry"
+    const OrgPoint &org; ///< the organization a traffic shape must fit
+};
+
+/**
+ * The organizations a traffic shape must fit: the sweep axis, else the
+ * scalar override, else the base configuration's chain.
+ */
+std::vector<OrgPoint>
+orgPoints(const ScenarioSpec &s)
+{
+    std::vector<OrgPoint> out;
+    for (const MemoryOrgSpec &o : s.sweepMemoryOrg) {
+        out.push_back({o.resolve(), "sweep.memory_org organization '" +
+                                        o.label() + "'"});
+    }
+    if (out.empty() && !s.memoryOrg.empty()) {
+        out.push_back({s.memoryOrg.resolve(),
+                       "config.memory_org organization '" +
+                           s.memoryOrg.label() + "'"});
+    }
+    if (out.empty()) {
+        const MemoryOrgSpec def{"", SimConfig{}.org};
+        out.push_back({*def.value,
+                       "the base organization (" + def.label() + ")"});
+    }
+    return out;
+}
+
+/**
+ * A traffic shape's share vector on one organization the grid visits.
+ * Resolving per organization checks an inline vector's arity against
+ * each one up front, with an error that names both axes.
+ */
+std::vector<double>
+resolveShape(const TrafficShapeSpec &shape, const ResolveContext &ctx)
+{
+    const MemoryOrgConfig &org = ctx.org.org;
+    // Named shapes fit any chain; empty specs fail in resolve().
+    const std::size_t n = shape.name.empty() ? shape.value.size() : 0;
+    if (n && static_cast<int>(n) != org.nDimmsPerChannel) {
+        specError(ctx.spec, ctx.where + " '" + shape.label() + "' has " +
+                                std::to_string(n) + " share(s) but " +
+                                ctx.org.desc + " has " +
+                                std::to_string(org.nDimmsPerChannel) +
+                                " DIMM(s) per channel");
+    }
+    return shape.resolve(org.nDimmsPerChannel);
+}
+
+/** A DVFS table, checked against the Chapter 4 CDVFS schemes. */
+DvfsTable
+resolveDvfs(const std::string &name, const ResolveContext &ctx)
+{
+    DvfsTable t = DvfsRegistry::instance().byName(name);
+    // Keep the CDVFS schemes honest: their action tables select
+    // operating points 0..3.
+    const auto &p = ctx.spec.policies;
+    if (t.levels() < 4 &&
+        (std::count(p.begin(), p.end(), "DTM-CDVFS") ||
+         std::count(p.begin(), p.end(), "DTM-CDVFS+PID"))) {
+        specError(ctx.spec, "DVFS table '" + name + "' has " +
+                                std::to_string(t.levels()) +
+                                " levels; DTM-CDVFS selects levels 0..3");
+    }
+    return t;
+}
+
+// --- the axis table ---------------------------------------------------------
+
+/** What a table entry declares besides its members (see forEachAxis). */
+struct AxisDef
+{
+    const char *key;              ///< JSON member in `config` and `sweep`
+    const char *prefix = nullptr; ///< label coordinate; null: knob only
+    int pos = 0;                  ///< 1-based label/odometer position
+    /// Error when a platform scenario sets the knob or sweeps the axis.
+    const char *platformReject = nullptr;
+    /// Names the base configuration (cooling, ambient): serialized
+    /// whenever there is no platform, even at its default, and fixed by
+    /// a platform.
+    bool baseName = false;
+    bool path = false; ///< a file path: an empty string fails to parse
+    /// Lower bound of numeric values, knob and sweep alike (doubles are
+    /// also checked finite).
+    double min = -std::numeric_limits<double>::infinity();
+    bool exclusive = false;
+    /// Duplicate sweep values compare by label, unless sameAs is set:
+    /// then by *resolved* value, the error adding "(same <sameAs> as
+    /// '<other>')" when the labels differ.
+    const char *dupNoun = "value";
+    const char *sameAs = nullptr;
+    /// Values resolve once per organization the grid visits (a traffic
+    /// shape's share vector depends on the DIMM count).
+    bool perOrg = false;
+};
+
+const char *const kPlatformDvfs =
+    "platform scenarios fix the DVFS table and derive the emergency "
+    "ladders from the platform; remove the dvfs/emergency_levels members "
+    "and sweeps";
+const char *const kPlatformRemap =
+    "platform scenarios use the testbed's measured traffic distribution, "
+    "so remap policies have nothing to redistribute; remove the "
+    "remap_interval/remap_hysteresis members";
+
+/**
+ * The table: calls @p f(axis, knob, sweep, resolve, apply) for every
+ * `config` knob, in member order — the serialization order that
+ * scenarioSpecHash fingerprints. knob and sweep are ScenarioSpec member
+ * pointers (sweep nullptr: the knob does not sweep). resolve turns a
+ * value into what apply (a callable or a SimConfig member) writes into
+ * a grid point's configuration; nullptr resolve is the value itself (or
+ * its CatalogOrInline::resolve()), nullptr apply leaves the knob to
+ * hand-written code.
+ */
+template <typename F>
+void
+forEachAxis(F &&f)
+{
+    using S = ScenarioSpec;
+    using C = SimConfig;
+    // A cooling name is looked up when a grid point rebuilds its base
+    // configuration from it (lower() checks the base name up front).
+    f(AxisDef{.key = "cooling", .prefix = "cooling=", .pos = 3,
+              .platformReject = "platform scenarios fix the cooling setup; "
+                                "remove the cooling sweep",
+              .baseName = true},
+      &S::cooling, &S::sweepCooling,
+      [](const std::string &n, const ResolveContext &ctx) {
+          return std::pair{n, ctx.spec.ambient == "integrated"};
+      },
+      [](C &c, const std::pair<std::string, bool> &p) {
+          c = makeCh4Config(coolingByName(p.first), p.second);
+      });
+    f(AxisDef{.key = "ambient", .baseName = true}, &S::ambient, nullptr,
+      nullptr, nullptr);
+    f(AxisDef{.key = "emergency_levels", .prefix = "levels=", .pos = 8,
+              .platformReject = kPlatformDvfs},
+      &S::emergencyLevels, &S::sweepEmergencyLevels, emergencyLevelsByName,
+      &C::emergencyLevels);
+    f(AxisDef{.key = "dvfs", .prefix = "dvfs=", .pos = 9,
+              .platformReject = kPlatformDvfs},
+      &S::dvfs, &S::sweepDvfs, resolveDvfs, &C::dvfs);
+    f(AxisDef{.key = "memory_org", .prefix = "org=", .pos = 1,
+              .platformReject = "platform scenarios fix the memory "
+                                "organization (the testbed hardware fixes "
+                                "its DIMM population); remove the "
+                                "memory_org member and sweep",
+              .dupNoun = "organization", .sameAs = "organization"},
+      &S::memoryOrg, &S::sweepMemoryOrg, nullptr, &C::org);
+    // Shapes that coincide under *any* organization collide: distinctly
+    // named shapes that match on one chain (front_heavy and linear_taper
+    // on two DIMMs; every shape on one) would duplicate a measurement
+    // the sweep presents as two distributions.
+    f(AxisDef{.key = "traffic_shape", .prefix = "shape=", .pos = 2,
+              .platformReject = "platform scenarios use the testbed's "
+                                "measured traffic distribution; remove the "
+                                "traffic_shape member and sweep",
+              .dupNoun = "shape", .sameAs = "shares", .perOrg = true},
+      &S::trafficShape, &S::sweepTrafficShape, resolveShape,
+      &C::trafficShares);
+    f(AxisDef{.key = "refresh", .prefix = "refresh=", .pos = 10,
+              .platformReject = "platform scenarios measure the testbed's "
+                                "real DRAM, refresh included; remove the "
+                                "refresh member and sweep",
+              .dupNoun = "model", .sameAs = "model"},
+      &S::refresh, &S::sweepRefresh, nullptr, &C::refresh);
+    f(AxisDef{.key = "thermal_model", .prefix = "thermal=", .pos = 11,
+              .platformReject = "platform scenarios measure the testbed's "
+                                "real DIMMs at DIMM granularity; remove the "
+                                "thermal_model member and sweep",
+              .dupNoun = "model", .sameAs = "thermal model"},
+      &S::thermalModel, &S::sweepThermalModel,
+      [](const ThermalModelSpec &t) { return t.resolve().grid; },
+      &C::bankGrid);
+    f(AxisDef{.key = "trace",
+              .platformReject = "platform scenarios use the testbed's "
+                                "measured traffic distribution; remove the "
+                                "trace member",
+              .path = true},
+      &S::trace, nullptr, nullptr, nullptr);
+    f(AxisDef{.key = "t_inlet", .prefix = "inlet=", .pos = 4}, &S::tInlet,
+      &S::sweepTInlet, nullptr,
+      [](C &c, double v) { c.ambient.tInlet = v; });
+    f(AxisDef{.key = "copies_per_app", .prefix = "copies=", .pos = 5,
+              .min = 1},
+      &S::copiesPerApp, &S::sweepCopies, nullptr, &C::copiesPerApp);
+    f(AxisDef{.key = "instr_scale", .min = 0, .exclusive = true},
+      &S::instrScale, nullptr, nullptr, &C::instrScale);
+    f(AxisDef{.key = "max_sim_time", .min = 0, .exclusive = true},
+      &S::maxSimTime, nullptr, nullptr, &C::maxSimTime);
+    f(AxisDef{.key = "dtm_interval", .prefix = "dtm=", .pos = 7, .min = 0,
+              .exclusive = true},
+      &S::dtmInterval, &S::sweepDtmInterval, nullptr, &C::dtmInterval);
+    f(AxisDef{.key = "remap_interval", .platformReject = kPlatformRemap,
+              .min = 0, .exclusive = true},
+      &S::remapInterval, nullptr, nullptr, &C::remapInterval);
+    f(AxisDef{.key = "remap_hysteresis", .platformReject = kPlatformRemap,
+              .min = 0},
+      &S::remapHysteresis, nullptr, nullptr, &C::remapHysteresis);
+    f(AxisDef{.key = "sensor_noise_sigma", .prefix = "noise=", .pos = 6,
+              .min = 0},
+      &S::sensorNoiseSigma, &S::sweepSensorNoise, nullptr,
+      &C::sensorNoiseSigma);
+    f(AxisDef{.key = "sensor_quant", .min = 0}, &S::sensorQuant, nullptr,
+      nullptr, &C::sensorQuant);
+    f(AxisDef{.key = "sensor_seed"}, &S::sensorSeed, nullptr, nullptr,
+      &C::sensorSeed);
+}
+
+/** forEachAxis over the sweep axes only, in label/odometer order. */
+template <typename F>
+void
+forEachSweep(F &&f)
+{
+    for (int pos = 1, found = 1; found; ++pos) {
+        found = 0;
+        forEachAxis([&](const AxisDef &a, auto knob, auto sweep, auto... rest) {
+            if constexpr (!std::is_null_pointer_v<decltype(sweep)>) {
+                if (a.pos == pos) {
+                    found = 1;
+                    f(a, knob, sweep, rest...);
+                }
+            }
+        });
+    }
+}
+
+/** Whether @p s sets the knob (a base name: whenever off a platform). */
+template <typename M>
+bool
+present(const ScenarioSpec &s, const AxisDef &a, M ScenarioSpec::*knob)
+{
+    return a.baseName ? s.platform.empty() : isSet(s.*knob);
+}
+
+/** The sweep values of axis @p sweep (none for a knob-only entry). */
+template <typename Sweep>
+std::size_t
+sweepSize(const ScenarioSpec &s, Sweep sweep)
+{
+    if constexpr (std::is_null_pointer_v<Sweep>)
+        return 0;
+    else
+        return (s.*sweep).size();
+}
+
+/**
+ * The finite/bounds passes, in the order lower() runs them: integer
+ * entries report after the real-valued ones.
+ */
+enum class Check
+{
+    Finite,   ///< config members must be finite
+    Bound,    ///< real-valued config members must honor the lower bound
+    IntBound, ///< integer config members must honor the lower bound
+    Sweep,    ///< real-valued sweep values: finite and the bound
+    IntSweep, ///< integer sweep values: the bound
+};
+
+template <typename M, typename Sweep>
+void
+checkAxis(const ScenarioSpec &s, const AxisDef &a, Check pass,
+          M ScenarioSpec::*knob, Sweep sweep)
+{
+    using E = ValueOf<M>;
+    if constexpr (std::is_arithmetic_v<E>) {
+        const bool ints = pass == Check::IntBound || pass == Check::IntSweep;
+        if (pass != Check::Finite && ints != std::is_integral_v<E>)
+            return;
+        const std::string key = a.key;
+        auto below = [&](double v) {
+            return a.exclusive ? v <= a.min : v < a.min;
+        };
+        auto bound = [&] {
+            return std::string(a.exclusive ? "> " : ">= ") + numStr(a.min);
+        };
+        if (pass < Check::Sweep && isSet(s.*knob)) {
+            const double v = static_cast<double>(valueOf(s.*knob));
+            if (pass == Check::Finite && !std::isfinite(v))
+                specError(s, key + " must be finite");
+            if (pass != Check::Finite && below(v))
+                specError(s, key + " must be " + bound());
+        }
+        if constexpr (!std::is_null_pointer_v<Sweep>) {
+            // The integer axis keeps its historical wording.
+            const std::string what =
+                ints ? key + " sweep values" : "sweep." + key + " values";
+            for (E v : pass >= Check::Sweep ? s.*sweep : std::vector<E>{}) {
+                if (!std::isfinite(static_cast<double>(v)))
+                    specError(s, what + " must be finite");
+                if (below(static_cast<double>(v)))
+                    specError(s, what + " must be " + bound());
+            }
+        }
+    }
+}
+
+/**
+ * An entry's values resolved for one organization (none: for every
+ * one), as writes into a grid point's configuration: the config
+ * member's (null when unset), then one per sweep value.
+ */
+struct Resolved
+{
+    std::optional<MemoryOrgConfig> org;
+    std::function<void(SimConfig &)> base;
+    std::vector<std::function<void(SimConfig &)>> sweep;
+};
+
+/**
+ * Reject the first sweep value that resolves like an earlier one;
+ * @p resolved holds the values of @p sweep, resolved on @p op.
+ */
+template <typename E, typename R>
+void
+rejectResolvedDuplicates(const ScenarioSpec &s, const AxisDef &a,
+                         const std::vector<E> &sweep,
+                         const std::vector<R> &resolved, const OrgPoint &op)
+{
+    for (std::size_t i = 0; i < resolved.size(); ++i) {
+        for (std::size_t j = 0; j < i; ++j) {
+            if (!(resolved[i] == resolved[j]))
+                continue;
+            const std::string x = labelOf(sweep[i]), y = labelOf(sweep[j]);
+            std::string what = "duplicate sweep." + std::string(a.key) + " " +
+                               a.dupNoun + " '" + x + "'";
+            if (x != y) {
+                what += " (same " + std::string(a.sameAs) + " as '" + y + "'";
+                if (a.perOrg)
+                    what += " under " + op.desc;
+                what += ")";
+            }
+            specError(s, what);
+        }
+    }
+}
+
+/**
+ * Resolve an entry's config member and sweep values up front (catalog
+ * lookups throw listing the valid keys; inline values check their
+ * bounds), rejecting sweep values that resolve alike when the entry
+ * compares resolved values.
+ */
+template <typename M, typename Sweep, typename Resolve, typename Apply>
+std::vector<Resolved>
+resolveAxis(const ScenarioSpec &s, const AxisDef &a, M ScenarioSpec::*knob,
+            Sweep sweep, Resolve resolve, Apply apply)
+{
+    using E = ValueOf<M>;
+    std::vector<Resolved> out;
+    if constexpr (!std::is_null_pointer_v<Apply>) {
+        const std::string key = a.key;
+        const auto orgs = a.perOrg ? orgPoints(s) : std::vector<OrgPoint>(1);
+        for (const OrgPoint &op : orgs) {
+            auto one = [&](const E &v, const std::string &where) {
+                if constexpr (std::is_null_pointer_v<Resolve>) {
+                    if constexpr (isCatalogOrInline<E>)
+                        return v.resolve();
+                    else
+                        return v;
+                } else if constexpr (std::is_invocable_v<Resolve, const E &>) {
+                    return resolve(v);
+                } else {
+                    return resolve(v, ResolveContext{s, where, op});
+                }
+            };
+            using R = decltype(one(std::declval<const E &>(), ""));
+            auto bind = [&](R r) -> std::function<void(SimConfig &)> {
+                return [apply, r = std::move(r)](SimConfig &c) {
+                    if constexpr (std::is_member_object_pointer_v<Apply>)
+                        c.*apply = r;
+                    else
+                        apply(c, r);
+                };
+            };
+            Resolved &res = out.emplace_back();
+            if (a.perOrg)
+                res.org = op.org;
+            if (present(s, a, knob))
+                res.base = bind(one(valueOf(s.*knob), "config." + key));
+            if constexpr (!std::is_null_pointer_v<Sweep>) {
+                std::vector<R> vals;
+                for (const E &v : s.*sweep)
+                    vals.push_back(one(v, "sweep." + key + " entry"));
+                if constexpr (std::equality_comparable<R>) {
+                    if (a.sameAs)
+                        rejectResolvedDuplicates(s, a, s.*sweep, vals, op);
+                }
+                for (R &r : vals)
+                    res.sweep.push_back(bind(std::move(r)));
+            }
+        }
+    }
+    return out;
 }
 
 } // namespace
 
-std::string
-MemoryOrgSpec::label() const
+std::vector<std::string>
+scenarioConfigKeys()
 {
-    if (!name.empty())
-        return name;
-    if (org) {
-        return std::to_string(org->nChannels) + "x" +
-               std::to_string(org->nDimmsPerChannel);
-    }
-    return "";
-}
-
-MemoryOrgConfig
-MemoryOrgSpec::resolve() const
-{
-    if (!name.empty())
-        return memoryOrgByName(name);
-    if (!org)
-        fatal("scenario: empty memory organization");
-    if (org->nChannels < 1 || org->nDimmsPerChannel < 1) {
-        fatal("scenario: memory organization " + label() +
-              " must have >= 1 channel and >= 1 DIMM per channel");
-    }
-    return *org;
-}
-
-std::string
-TrafficShapeSpec::label() const
-{
-    if (!name.empty())
-        return name;
-    // '|' keeps the coordinate free of ',' and '=', which the sweep
-    // label grammar reserves for separating coordinates.
-    std::string out;
-    for (double s : shares) {
-        if (!out.empty())
-            out += "|";
-        out += numStr(s);
-    }
+    std::vector<std::string> out;
+    forEachAxis([&](const AxisDef &a, auto...) { out.push_back(a.key); });
     return out;
 }
 
-std::vector<double>
-TrafficShapeSpec::resolve(int n_dimms) const
+std::vector<std::string>
+scenarioSweepKeys()
 {
-    if (!name.empty())
-        return trafficShapeByName(name, n_dimms);
-    if (shares.empty())
-        fatal("scenario: empty traffic shape");
-    double sum = 0.0;
-    for (double s : shares) {
-        if (!std::isfinite(s)) {
-            fatal("scenario: traffic shape " + label() +
-                  " shares must be finite");
-        }
-        if (s < 0.0) {
-            fatal("scenario: traffic shape " + label() +
-                  " shares must not be negative");
-        }
-        sum += s;
-    }
-    if (std::abs(sum - 1.0) >= 1e-9) {
-        fatal("scenario: traffic shape " + label() +
-              " shares must sum to 1 (got " + numStr(sum) + ")");
-    }
-    if (static_cast<int>(shares.size()) != n_dimms) {
-        fatal("scenario: traffic shape " + label() + " has " +
-              std::to_string(shares.size()) +
-              " share(s) but the memory organization has " +
-              std::to_string(n_dimms) + " DIMM(s) per channel");
-    }
-    return shares;
-}
-
-std::string
-RefreshSpec::label() const
-{
-    if (!name.empty())
-        return name;
-    // '|' between bands and ':' within keep the coordinate free of ','
-    // and '=', which the sweep label grammar reserves.
-    std::string out;
-    for (const RefreshBand &b : bands) {
-        if (!out.empty())
-            out += "|";
-        out += numStr(b.minTemp) + ":" + numStr(b.bwFraction) + ":" +
-               numStr(b.dramPower);
-        if (b.latencyMult != 1.0)
-            out += ":" + numStr(b.latencyMult);
-    }
+    std::vector<std::string> out;
+    forEachSweep([&](const AxisDef &a, auto...) { out.push_back(a.key); });
     return out;
-}
-
-RefreshModel
-RefreshSpec::resolve() const
-{
-    if (!name.empty())
-        return refreshModelByName(name);
-    if (bands.empty())
-        fatal("scenario: empty refresh model");
-    for (const RefreshBand &b : bands) {
-        if (!std::isfinite(b.minTemp) || !std::isfinite(b.bwFraction) ||
-            !std::isfinite(b.dramPower) || !std::isfinite(b.latencyMult)) {
-            fatal("scenario: refresh model " + label() +
-                  " bands must be finite");
-        }
-        if (b.bwFraction < 0.0 || b.bwFraction >= 1.0) {
-            fatal("scenario: refresh model " + label() +
-                  " bw_fraction must be in [0, 1)");
-        }
-        if (b.dramPower < 0.0) {
-            fatal("scenario: refresh model " + label() +
-                  " dram_power_w must be >= 0");
-        }
-        if (b.latencyMult <= 0.0) {
-            fatal("scenario: refresh model " + label() +
-                  " latency_mult must be > 0");
-        }
-    }
-    for (std::size_t i = 1; i < bands.size(); ++i) {
-        if (!(bands[i].minTemp > bands[i - 1].minTemp)) {
-            fatal("scenario: refresh model " + label() +
-                  " bands must have strictly increasing min_temp");
-        }
-    }
-    RefreshModel m;
-    m.bands = bands;
-    return m;
-}
-
-std::string
-ThermalModelSpec::label() const
-{
-    if (!name.empty())
-        return name;
-    if (!grid)
-        return "";
-    // ':' and '|' keep the coordinate free of ',' and '=', which the
-    // sweep label grammar reserves for separating coordinates.
-    std::string out =
-        std::to_string(grid->x) + "x" + std::to_string(grid->z);
-    if (!grid->weights.empty()) {
-        out += ":";
-        for (std::size_t i = 0; i < grid->weights.size(); ++i) {
-            if (i)
-                out += "|";
-            out += numStr(grid->weights[i]);
-        }
-    }
-    return out;
-}
-
-ThermalModelConfig
-ThermalModelSpec::resolve() const
-{
-    if (!name.empty())
-        return thermalModelByName(name);
-    if (!grid)
-        fatal("scenario: empty thermal model");
-    if (grid->x < 1 || grid->z < 1) {
-        fatal("scenario: thermal model " + label() +
-              " grid dimensions must be >= 1");
-    }
-    if (grid->cells() > 1024) {
-        fatal("scenario: thermal model " + label() + " has " +
-              std::to_string(grid->cells()) +
-              " cells per DIMM; the limit is 1024");
-    }
-    if (!grid->weights.empty()) {
-        if (grid->weights.size() !=
-            static_cast<std::size_t>(grid->cells())) {
-            fatal("scenario: thermal model " + label() + " has " +
-                  std::to_string(grid->weights.size()) +
-                  " bank weight(s) but the grid has " +
-                  std::to_string(grid->cells()) + " cell(s)");
-        }
-        double sum = 0.0;
-        for (double w : grid->weights) {
-            if (!std::isfinite(w)) {
-                fatal("scenario: thermal model " + label() +
-                      " bank weights must be finite");
-            }
-            if (w < 0.0) {
-                fatal("scenario: thermal model " + label() +
-                      " bank weights must not be negative");
-            }
-            sum += w;
-        }
-        if (std::abs(sum - 1.0) >= 1e-9) {
-            fatal("scenario: thermal model " + label() +
-                  " bank weights must sum to 1 (got " + numStr(sum) +
-                  ")");
-        }
-    }
-    ThermalModelConfig m;
-    m.grid = grid;
-    return m;
 }
 
 std::size_t
@@ -595,71 +1080,25 @@ ScenarioSpec::lower() const
     for (const auto &n : workloads)
         ws.push_back(workloadByName(n));
 
-    const bool onPlatform = !platform.empty();
     std::optional<Platform> plat;
-    if (onPlatform) {
+    if (!platform.empty()) {
         plat = platformByName(platform);
-        if (!sweepCooling.empty()) {
-            specError(*this, "platform scenarios fix the cooling setup; "
-                             "remove the cooling sweep");
-        }
-        if (cooling != ScenarioSpec{}.cooling ||
-            ambient != ScenarioSpec{}.ambient) {
-            specError(*this,
-                      "platform scenarios fix cooling and ambient; remove "
-                      "those members");
-        }
-        if (!emergencyLevels.empty() || !sweepEmergencyLevels.empty() ||
-            !dvfs.empty() || !sweepDvfs.empty()) {
-            specError(*this,
-                      "platform scenarios fix the DVFS table and derive "
-                      "the emergency ladders from the platform; remove the "
-                      "dvfs/emergency_levels members and sweeps");
-        }
-        if (!memoryOrg.empty() || !sweepMemoryOrg.empty()) {
-            specError(*this,
-                      "platform scenarios fix the memory organization "
-                      "(the testbed hardware fixes its DIMM population); "
-                      "remove the memory_org member and sweep");
-        }
-        if (!trafficShape.empty() || !sweepTrafficShape.empty()) {
-            specError(*this,
-                      "platform scenarios use the testbed's measured "
-                      "traffic distribution; remove the traffic_shape "
-                      "member and sweep");
-        }
-        if (!refresh.empty() || !sweepRefresh.empty()) {
-            specError(*this,
-                      "platform scenarios measure the testbed's real "
-                      "DRAM, refresh included; remove the refresh "
-                      "member and sweep");
-        }
-        if (!thermalModel.empty() || !sweepThermalModel.empty()) {
-            specError(*this,
-                      "platform scenarios measure the testbed's real "
-                      "DIMMs at DIMM granularity; remove the "
-                      "thermal_model member and sweep");
-        }
-        if (!trace.empty()) {
-            specError(*this,
-                      "platform scenarios use the testbed's measured "
-                      "traffic distribution; remove the trace member");
-        }
-        if (remapInterval || remapHysteresis) {
-            specError(*this,
-                      "platform scenarios use the testbed's measured "
-                      "traffic distribution, so remap policies have "
-                      "nothing to redistribute; remove the "
-                      "remap_interval/remap_hysteresis members");
-        }
+        forEachAxis([&](const AxisDef &a, auto knob, auto sweep, auto...) {
+            if (a.platformReject &&
+                (present(*this, a, knob) || sweepSize(*this, sweep)))
+                specError(*this, a.platformReject);
+            // The platform supplies the base names; only the defaults
+            // may stand.
+            if (a.baseName && this->*knob != ScenarioSpec{}.*knob) {
+                specError(*this, "platform scenarios fix cooling and "
+                                 "ambient; remove those members");
+            }
+        });
         const auto valid = platformPolicyNames();
         for (const auto &p : policies) {
-            bool known = false;
-            for (const auto &v : valid)
-                known |= (v == p);
-            if (!known) {
+            if (std::find(valid.begin(), valid.end(), p) == valid.end()) {
                 specError(*this, "unknown platform policy '" + p +
-                                 "' (valid: " + joinNames(valid) + ")");
+                                     "' (valid: " + joinNames(valid) + ")");
             }
         }
     } else {
@@ -670,46 +1109,22 @@ ScenarioSpec::lower() const
         for (const auto &p : policies) {
             if (!reg.contains(p)) {
                 specError(*this, "unknown policy '" + p + "' (valid: " +
-                                 joinNames(reg.names()) + ")");
+                                     joinNames(reg.names()) + ")");
             }
         }
     }
 
-    // --- scalar override sanity: non-finite values would otherwise be
-    // indistinguishable from "keep the base value" downstream -----------
-    auto checkFinite = [&](const std::optional<double> &v,
-                           const char *what) {
-        if (v && !std::isfinite(*v))
-            specError(*this, std::string(what) + " must be finite");
-    };
-    checkFinite(tInlet, "t_inlet");
-    checkFinite(instrScale, "instr_scale");
-    checkFinite(maxSimTime, "max_sim_time");
-    checkFinite(dtmInterval, "dtm_interval");
-    checkFinite(remapInterval, "remap_interval");
-    checkFinite(remapHysteresis, "remap_hysteresis");
-    checkFinite(sensorNoiseSigma, "sensor_noise_sigma");
-    checkFinite(sensorQuant, "sensor_quant");
-    if (instrScale && *instrScale <= 0.0)
-        specError(*this, "instr_scale must be > 0");
-    if (maxSimTime && *maxSimTime <= 0.0)
-        specError(*this, "max_sim_time must be > 0");
-    if (dtmInterval && *dtmInterval <= 0.0)
-        specError(*this, "dtm_interval must be > 0");
-    if (remapInterval && *remapInterval <= 0.0)
-        specError(*this, "remap_interval must be > 0");
-    if (remapHysteresis && *remapHysteresis < 0.0)
-        specError(*this, "remap_hysteresis must be >= 0");
-    if (sensorNoiseSigma && *sensorNoiseSigma < 0.0)
-        specError(*this, "sensor_noise_sigma must be >= 0");
-    if (sensorQuant && *sensorQuant < 0.0)
-        specError(*this, "sensor_quant must be >= 0");
-    if (copiesPerApp && *copiesPerApp < 1)
-        specError(*this, "copies_per_app must be >= 1");
+    // Scalar sanity: non-finite values would otherwise be
+    // indistinguishable from "keep the base value" downstream.
+    for (Check pass : {Check::Finite, Check::Bound, Check::IntBound}) {
+        forEachAxis([&](const AxisDef &a, auto knob, auto sweep, auto...) {
+            checkAxis(*this, a, pass, knob, sweep);
+        });
+    }
 
-    // --- trace vs modeled traffic: the trace IS the measured per-DIMM
-    // distribution, so an analytic shape alongside it could only be
-    // silently ignored or silently override the measurement. -------------
+    // The trace IS the measured per-DIMM distribution, so an analytic
+    // shape alongside it could only be silently ignored or silently
+    // override the measurement.
     if (!trace.empty() &&
         (!trafficShape.empty() || !sweepTrafficShape.empty())) {
         specError(*this,
@@ -717,34 +1132,18 @@ ScenarioSpec::lower() const
                   "remove the traffic_shape member and sweep");
     }
 
-    // --- sweep axis sanity ---------------------------------------------
-    auto checkSweep = [&](const std::vector<double> &vals, const char *axis,
-                          double min, bool exclusive) {
-        for (double v : vals) {
-            if (!std::isfinite(v)) {
-                specError(*this, std::string("sweep.") + axis +
-                                     " values must be finite");
-            }
-            if (exclusive ? v <= min : v < min) {
-                specError(*this, std::string("sweep.") + axis +
-                                     " values must be " +
-                                     (exclusive ? "> " : ">= ") +
-                                     numStr(min));
-            }
-        }
-    };
-    checkSweep(sweepTInlet, "t_inlet",
-               -std::numeric_limits<double>::max(), false);
-    checkSweep(sweepSensorNoise, "sensor_noise_sigma", 0.0, false);
-    checkSweep(sweepDtmInterval, "dtm_interval", 0.0, true);
-    for (int c : sweepCopies)
-        if (c < 1)
-            specError(*this, "copies_per_app sweep values must be >= 1");
+    for (Check pass : {Check::Sweep, Check::IntSweep}) {
+        forEachSweep([&](const AxisDef &a, auto knob, auto sweep, auto...) {
+            checkAxis(*this, a, pass, knob, sweep);
+        });
+    }
 
-    // --- duplicates: SuiteResults is keyed [workload][policy] and sweep
+    // Duplicates: SuiteResults is keyed [workload][policy] and sweep
     // points are keyed by label, so a duplicate anywhere would silently
-    // clobber a result. Numeric axes compare by their label rendering,
-    // which is exact (shortest-round-trip formatting). -------------------
+    // clobber a result. Label-compared axes use their label rendering,
+    // which is exact (shortest-round-trip formatting); the name-or-inline
+    // axes compare *resolved* values below, so a catalog name and an
+    // equal inline spelling cannot collapse onto one sweep point.
     auto rejectDuplicates = [&](const std::vector<std::string> &keys,
                                 const std::string &what) {
         for (std::size_t i = 0; i < keys.size(); ++i)
@@ -753,239 +1152,42 @@ ScenarioSpec::lower() const
                     specError(*this,
                               "duplicate " + what + " '" + keys[i] + "'");
     };
-    auto numKeys = [](const std::vector<double> &v) {
-        std::vector<std::string> out;
-        for (double x : v)
-            out.push_back(numStr(x));
-        return out;
-    };
-    auto intKeys = [](const std::vector<int> &v) {
-        std::vector<std::string> out;
-        for (int x : v)
-            out.push_back(std::to_string(x));
-        return out;
-    };
     rejectDuplicates(workloads, "workload");
     rejectDuplicates(policies, "policy");
-    rejectDuplicates(sweepCooling, "sweep.cooling value");
-    rejectDuplicates(numKeys(sweepTInlet), "sweep.t_inlet value");
-    rejectDuplicates(intKeys(sweepCopies), "sweep.copies_per_app value");
-    rejectDuplicates(numKeys(sweepSensorNoise),
-                     "sweep.sensor_noise_sigma value");
-    rejectDuplicates(numKeys(sweepDtmInterval), "sweep.dtm_interval value");
-    rejectDuplicates(sweepEmergencyLevels, "sweep.emergency_levels value");
-    rejectDuplicates(sweepDvfs, "sweep.dvfs value");
+    std::vector<std::string> prefixes;
+    std::vector<std::vector<std::string>> labels;
+    forEachSweep([&](const AxisDef &a, auto, auto sweep, auto...) {
+        prefixes.push_back(a.prefix);
+        auto &axis = labels.emplace_back();
+        for (const auto &v : this->*sweep)
+            axis.push_back(labelOf(v));
+        if (!a.sameAs)
+            rejectDuplicates(axis, "sweep." + std::string(a.key) + " " +
+                                       a.dupNoun);
+    });
 
-    // --- memory organizations: resolve up front (catalog lookup throws
-    // listing the valid keys; inline pairs reject non-positive counts)
-    // and compare by the *resolved* organization, so "ch4_4x4" and an
-    // inline {4, 4} cannot silently collapse onto one sweep point. ------
-    std::optional<MemoryOrgConfig> baseOrg;
-    if (!memoryOrg.empty())
-        baseOrg = memoryOrg.resolve();
-    std::vector<MemoryOrgConfig> sweepOrgs;
-    sweepOrgs.reserve(sweepMemoryOrg.size());
-    for (const auto &o : sweepMemoryOrg)
-        sweepOrgs.push_back(o.resolve());
-    for (std::size_t i = 0; i < sweepOrgs.size(); ++i) {
-        for (std::size_t j = 0; j < i; ++j) {
-            if (sweepOrgs[i] == sweepOrgs[j]) {
-                std::string what = "duplicate sweep.memory_org "
-                                   "organization '" +
-                                   sweepMemoryOrg[i].label() + "'";
-                if (sweepMemoryOrg[i].label() != sweepMemoryOrg[j].label())
-                    what += " (same organization as '" +
-                            sweepMemoryOrg[j].label() + "')";
-                specError(*this, what);
-            }
-        }
-    }
-
-    // --- traffic shapes: resolve against every organization the grid
-    // can visit (the sweep axis, else the scalar override, else the
-    // base configuration's chain). Resolving per organization checks an
-    // inline vector's arity against each one up front — the error names
-    // both axes — and rejects two swept shapes that resolve to the same
-    // share vector under any organization, matching the memory_org
-    // axis's resolved-value semantics: same-label entries would clobber
-    // a result key, and distinctly-named coincidences (front_heavy and
-    // linear_taper on a two-DIMM chain; every shape on a one-DIMM
-    // chain) would silently duplicate a measurement the sweep presents
-    // as two distinct distributions. ----------------------------------
-    struct OrgPoint
-    {
-        MemoryOrgConfig org;
-        std::string desc;
-    };
-    std::vector<OrgPoint> orgPoints;
-    if (!sweepOrgs.empty()) {
-        for (std::size_t i = 0; i < sweepOrgs.size(); ++i) {
-            orgPoints.push_back({sweepOrgs[i],
-                                 "sweep.memory_org organization '" +
-                                     sweepMemoryOrg[i].label() + "'"});
-        }
-    } else if (baseOrg) {
-        orgPoints.push_back({*baseOrg,
-                             "config.memory_org organization '" +
-                                 memoryOrg.label() + "'"});
-    } else {
-        MemoryOrgConfig def = SimConfig{}.org;
-        orgPoints.push_back(
-            {def, "the base organization (" +
-                      std::to_string(def.nChannels) + "x" +
-                      std::to_string(def.nDimmsPerChannel) + ")"});
-    }
-    auto checkShapeArity = [&](const TrafficShapeSpec &shape,
-                               const std::string &what,
-                               const OrgPoint &op) {
-        // Named shapes fit any chain; empty specs fail in resolve().
-        if (!shape.name.empty() || shape.shares.empty())
-            return;
-        if (static_cast<int>(shape.shares.size()) !=
-            op.org.nDimmsPerChannel) {
-            specError(*this,
-                      what + " '" + shape.label() + "' has " +
-                          std::to_string(shape.shares.size()) +
-                          " share(s) but " + op.desc + " has " +
-                          std::to_string(op.org.nDimmsPerChannel) +
-                          " DIMM(s) per channel");
-        }
-    };
-    std::vector<std::vector<double>> baseShapeByOrg(orgPoints.size());
-    std::vector<std::vector<std::vector<double>>> sweepShapesByOrg(
-        orgPoints.size());
-    for (std::size_t oi = 0; oi < orgPoints.size(); ++oi) {
-        const OrgPoint &op = orgPoints[oi];
-        if (!trafficShape.empty()) {
-            checkShapeArity(trafficShape, "config.traffic_shape", op);
-            baseShapeByOrg[oi] =
-                trafficShape.resolve(op.org.nDimmsPerChannel);
-        }
-        auto &resolved = sweepShapesByOrg[oi];
-        resolved.reserve(sweepTrafficShape.size());
-        for (const auto &sh : sweepTrafficShape) {
-            checkShapeArity(sh, "sweep.traffic_shape entry", op);
-            resolved.push_back(sh.resolve(op.org.nDimmsPerChannel));
-        }
-        for (std::size_t i = 0; i < resolved.size(); ++i) {
-            for (std::size_t j = 0; j < i; ++j) {
-                if (resolved[i] == resolved[j]) {
-                    std::string what =
-                        "duplicate sweep.traffic_shape shape '" +
-                        sweepTrafficShape[i].label() + "'";
-                    if (sweepTrafficShape[i].label() !=
-                        sweepTrafficShape[j].label()) {
-                        what += " (same shares as '" +
-                                sweepTrafficShape[j].label() +
-                                "' under " + op.desc + ")";
-                    }
-                    specError(*this, what);
-                }
-            }
-        }
-    }
-
-    // --- resolve ladder and DVFS names up front (throws listing the
-    // valid keys), and keep the Chapter 4 CDVFS schemes honest: their
-    // action tables select operating points 0..3. ------------------------
-    const bool usesCdvfs = [&] {
-        for (const auto &p : policies)
-            if (p == "DTM-CDVFS" || p == "DTM-CDVFS+PID")
-                return true;
-        return false;
-    }();
-    auto checkDvfsName = [&](const std::string &name) {
-        DvfsTable t = DvfsRegistry::instance().byName(name);
-        if (usesCdvfs && t.levels() < 4) {
-            specError(*this, "DVFS table '" + name + "' has " +
-                                 std::to_string(t.levels()) +
-                                 " levels; DTM-CDVFS selects levels 0..3");
-        }
-    };
-    // Resolution doubles as the validity check, and the resolved values
-    // are reused across every grid point below.
-    std::optional<EmergencyLevels> baseLadder;
-    if (!emergencyLevels.empty())
-        baseLadder = emergencyLevelsByName(emergencyLevels);
-    std::vector<EmergencyLevels> sweepLadders;
-    sweepLadders.reserve(sweepEmergencyLevels.size());
-    for (const auto &n : sweepEmergencyLevels)
-        sweepLadders.push_back(emergencyLevelsByName(n));
-    std::optional<DvfsTable> baseDvfs;
-    if (!dvfs.empty()) {
-        checkDvfsName(dvfs);
-        baseDvfs = DvfsRegistry::instance().byName(dvfs);
-    }
-    std::vector<DvfsTable> sweepTables;
-    sweepTables.reserve(sweepDvfs.size());
-    for (const auto &n : sweepDvfs) {
-        checkDvfsName(n);
-        sweepTables.push_back(DvfsRegistry::instance().byName(n));
-    }
-
-    // --- refresh models: resolve up front (catalog lookup throws
-    // listing the valid keys; inline band tables validate bounds and
-    // ordering) and compare by the *resolved* model, so "none" and a
-    // differently-spelled equivalent cannot silently collapse onto one
-    // sweep point. -----------------------------------------------------
-    std::optional<RefreshModel> baseRefresh;
-    if (!refresh.empty())
-        baseRefresh = refresh.resolve();
-    std::vector<RefreshModel> sweepRefreshModels;
-    sweepRefreshModels.reserve(sweepRefresh.size());
-    for (const auto &r : sweepRefresh)
-        sweepRefreshModels.push_back(r.resolve());
-    for (std::size_t i = 0; i < sweepRefreshModels.size(); ++i) {
-        for (std::size_t j = 0; j < i; ++j) {
-            if (sweepRefreshModels[i] == sweepRefreshModels[j]) {
-                std::string what = "duplicate sweep.refresh model '" +
-                                   sweepRefresh[i].label() + "'";
-                if (sweepRefresh[i].label() != sweepRefresh[j].label())
-                    what += " (same model as '" +
-                            sweepRefresh[j].label() + "')";
-                specError(*this, what);
-            }
-        }
-    }
-
-    // --- thermal models: resolve up front (catalog lookup throws
-    // listing the valid keys; inline grids validate dimensions and
-    // weights) and compare by the *resolved* model, so "bank_grid" and
-    // an inline {4, 2} grid cannot silently collapse onto one sweep
-    // point. -------------------------------------------------------------
-    std::optional<ThermalModelConfig> baseThermal;
-    if (!thermalModel.empty())
-        baseThermal = thermalModel.resolve();
-    std::vector<ThermalModelConfig> sweepThermalModels;
-    sweepThermalModels.reserve(sweepThermalModel.size());
-    for (const auto &t : sweepThermalModel)
-        sweepThermalModels.push_back(t.resolve());
-    for (std::size_t i = 0; i < sweepThermalModels.size(); ++i) {
-        for (std::size_t j = 0; j < i; ++j) {
-            if (sweepThermalModels[i] == sweepThermalModels[j]) {
-                std::string what =
-                    "duplicate sweep.thermal_model model '" +
-                    sweepThermalModel[i].label() + "'";
-                if (sweepThermalModel[i].label() !=
-                    sweepThermalModel[j].label()) {
-                    what += " (same thermal model as '" +
-                            sweepThermalModel[j].label() + "')";
-                }
-                specError(*this, what);
-            }
-        }
-    }
+    // Resolve every value up front, sweep axes first and in sweep order;
+    // the grid points below apply the results in table order, each
+    // entry's sweep coordinate else its config member.
+    std::vector<std::vector<Resolved>> swept;
+    forEachSweep([&](const AxisDef &a, auto... members) {
+        swept.push_back(resolveAxis(*this, a, members...));
+    });
+    std::vector<std::pair<int, std::vector<Resolved>>> applies;
+    forEachAxis([&](const AxisDef &a, auto... members) {
+        applies.emplace_back(a.pos, a.pos ? std::move(swept[a.pos - 1])
+                                          : resolveAxis(*this, a, members...));
+    });
 
     // A trace decodes into the per-bank heat weights, so inline
     // bank_weights alongside one could only fight the measurement.
     if (!trace.empty()) {
-        auto hasWeights = [](const ThermalModelConfig &m) {
-            return m.grid && !m.grid->weights.empty();
+        auto hasWeights = [](const ThermalModelSpec &t) {
+            return t.name.empty() && t.value && !t.value->weights.empty();
         };
-        bool inlineWeights = baseThermal && hasWeights(*baseThermal);
-        for (const auto &m : sweepThermalModels)
-            inlineWeights |= hasWeights(m);
-        if (inlineWeights) {
+        if (hasWeights(thermalModel) ||
+            std::any_of(sweepThermalModel.begin(), sweepThermalModel.end(),
+                        hasWeights)) {
             specError(*this,
                       "'trace' supplies the per-bank activity weights; "
                       "remove the thermal model's bank_weights");
@@ -998,141 +1200,39 @@ ScenarioSpec::lower() const
     if (!trace.empty())
         traceRecords = loadTrace(trace);
 
-    // --- the grid: an odometer over the eleven axes, last axis fastest.
-    // An empty axis contributes one "keep the base value" slot (a null
-    // coordinate below), so no in-band sentinel value can be swallowed.
-    const std::array<std::size_t, 11> dim = {
-        std::max<std::size_t>(sweepMemoryOrg.size(), 1),
-        std::max<std::size_t>(sweepTrafficShape.size(), 1),
-        std::max<std::size_t>(sweepCooling.size(), 1),
-        std::max<std::size_t>(sweepTInlet.size(), 1),
-        std::max<std::size_t>(sweepCopies.size(), 1),
-        std::max<std::size_t>(sweepSensorNoise.size(), 1),
-        std::max<std::size_t>(sweepDtmInterval.size(), 1),
-        std::max<std::size_t>(sweepEmergencyLevels.size(), 1),
-        std::max<std::size_t>(sweepDvfs.size(), 1),
-        std::max<std::size_t>(sweepRefresh.size(), 1),
-        std::max<std::size_t>(sweepThermalModel.size(), 1),
-    };
-    std::array<std::size_t, 11> ix{};
+    // The grid: an odometer over the sweep axes, last axis fastest. An
+    // empty axis contributes one "keep the base value" slot.
+    std::vector<std::size_t> dim, ix(labels.size());
+    for (const auto &l : labels)
+        dim.push_back(std::max<std::size_t>(l.size(), 1));
+    const SimConfig base = plat ? plat->sim : SimConfig{};
+    std::size_t nRuns = 0;
     for (;;) {
-        auto coord = [&](const auto &axis,
-                         std::size_t a) -> const auto * {
-            return axis.empty() ? nullptr : &axis[ix[a]];
-        };
-        const MemoryOrgSpec *orgSpec = coord(sweepMemoryOrg, 0);
-        const TrafficShapeSpec *shapeSpec = coord(sweepTrafficShape, 1);
-        const std::string *coolName = coord(sweepCooling, 2);
-        const double *inlet = coord(sweepTInlet, 3);
-        const int *copies = coord(sweepCopies, 4);
-        const double *noise = coord(sweepSensorNoise, 5);
-        const double *dtm = coord(sweepDtmInterval, 6);
-        const std::string *ladder = coord(sweepEmergencyLevels, 7);
-        const std::string *dvfsName = coord(sweepDvfs, 8);
-        const RefreshSpec *refreshSpec = coord(sweepRefresh, 9);
-        const ThermalModelSpec *thermalSpec = coord(sweepThermalModel, 10);
-        // Shapes resolve per organization point (orgPoints mirrors the
-        // org axis when it sweeps, else has the single base entry).
-        const std::size_t orgIdx = sweepOrgs.empty() ? 0 : ix[0];
-
         LoweredScenario::Point pt;
-
-        std::vector<std::string> parts;
-        if (orgSpec)
-            parts.push_back("org=" + orgSpec->label());
-        if (shapeSpec)
-            parts.push_back("shape=" + shapeSpec->label());
-        if (coolName)
-            parts.push_back("cooling=" + *coolName);
-        if (inlet)
-            parts.push_back("inlet=" + numStr(*inlet));
-        if (copies)
-            parts.push_back("copies=" + std::to_string(*copies));
-        if (noise)
-            parts.push_back("noise=" + numStr(*noise));
-        if (dtm)
-            parts.push_back("dtm=" + numStr(*dtm));
-        if (ladder)
-            parts.push_back("levels=" + *ladder);
-        if (dvfsName)
-            parts.push_back("dvfs=" + *dvfsName);
-        if (refreshSpec)
-            parts.push_back("refresh=" + refreshSpec->label());
-        if (thermalSpec)
-            parts.push_back("thermal=" + thermalSpec->label());
-        if (parts.empty()) {
+        for (std::size_t k = 0; k < labels.size(); ++k) {
+            if (labels[k].empty())
+                continue;
+            if (!pt.label.empty())
+                pt.label += ",";
+            pt.label += prefixes[k] + labels[k][ix[k]];
+        }
+        if (pt.label.empty())
             pt.label = "base";
-        } else {
-            for (const auto &part : parts) {
-                if (!pt.label.empty())
-                    pt.label += ",";
-                pt.label += part;
+
+        // Table order: the cooling entry (first) rebuilds the base
+        // configuration, and the organization precedes the traffic
+        // shape resolved for it.
+        SimConfig cfg = base;
+        for (const auto &[pos, resolved] : applies) {
+            for (const Resolved &r : resolved) {
+                if (r.org && *r.org != cfg.org)
+                    continue;
+                if (!r.sweep.empty())
+                    r.sweep[ix[pos - 1]](cfg);
+                else if (r.base)
+                    r.base(cfg);
             }
         }
-
-        SimConfig cfg;
-        if (onPlatform) {
-            cfg = plat->sim;
-        } else {
-            cfg = makeCh4Config(coolingByName(coolName ? *coolName
-                                                       : cooling),
-                                ambient == "integrated");
-        }
-
-        // Spec-level overrides, then sweep coordinates
-        // (an axis supersedes the scalar member).
-        if (baseOrg)
-            cfg.org = *baseOrg;
-        if (!trafficShape.empty())
-            cfg.trafficShares = baseShapeByOrg[orgIdx];
-        if (tInlet)
-            cfg.ambient.tInlet = *tInlet;
-        if (copiesPerApp)
-            cfg.copiesPerApp = *copiesPerApp;
-        if (instrScale)
-            cfg.instrScale = *instrScale;
-        if (maxSimTime)
-            cfg.maxSimTime = *maxSimTime;
-        if (dtmInterval)
-            cfg.dtmInterval = *dtmInterval;
-        if (remapInterval)
-            cfg.remapInterval = *remapInterval;
-        if (remapHysteresis)
-            cfg.remapHysteresis = *remapHysteresis;
-        if (sensorNoiseSigma)
-            cfg.sensorNoiseSigma = *sensorNoiseSigma;
-        if (sensorQuant)
-            cfg.sensorQuant = *sensorQuant;
-        if (sensorSeed)
-            cfg.sensorSeed = *sensorSeed;
-        if (baseLadder)
-            cfg.emergencyLevels = *baseLadder;
-        if (baseDvfs)
-            cfg.dvfs = *baseDvfs;
-        if (baseRefresh)
-            cfg.refresh = *baseRefresh;
-        if (baseThermal)
-            cfg.bankGrid = baseThermal->grid;
-        if (orgSpec)
-            cfg.org = sweepOrgs[ix[0]];
-        if (shapeSpec)
-            cfg.trafficShares = sweepShapesByOrg[orgIdx][ix[1]];
-        if (inlet)
-            cfg.ambient.tInlet = *inlet;
-        if (copies)
-            cfg.copiesPerApp = *copies;
-        if (noise)
-            cfg.sensorNoiseSigma = *noise;
-        if (dtm)
-            cfg.dtmInterval = *dtm;
-        if (ladder)
-            cfg.emergencyLevels = sweepLadders[ix[7]];
-        if (dvfsName)
-            cfg.dvfs = sweepTables[ix[8]];
-        if (refreshSpec)
-            cfg.refresh = sweepRefreshModels[ix[9]];
-        if (thermalSpec)
-            cfg.bankGrid = sweepThermalModels[ix[10]].grid;
 
         // A trace decodes against the point's organization and grid:
         // per-DIMM shares always, per-bank heat weights when the
@@ -1145,7 +1245,6 @@ ScenarioSpec::lower() const
             if (cfg.bankGrid)
                 cfg.bankGrid->weights = std::move(prof.bankWeights);
         }
-
         // The simulator panics on a decision period below its trace
         // window; report it as a configuration error instead.
         if (cfg.dtmInterval < cfg.window) {
@@ -1181,18 +1280,24 @@ ScenarioSpec::lower() const
         }
 
         pt.cfg = cfg;
+        if (plat)
+            plat->sim = cfg;
         pt.runs.reserve(ws.size() * policies.size());
-        if (onPlatform) {
-            Platform p = *plat;
-            p.sim = cfg;
-            for (const Workload &w : ws)
-                for (const auto &pol : policies)
-                    pt.runs.push_back(ch5EngineRun(p, w, pol));
-        } else {
-            for (const Workload &w : ws)
-                for (const auto &pol : policies)
-                    pt.runs.push_back({cfg, w, pol, {}});
-        }
+        for (const Workload &w : ws)
+            for (const auto &pol : policies)
+                pt.runs.push_back(plat ? ch5EngineRun(*plat, w, pol)
+                                       : ExperimentEngine::Run{cfg, w, pol, {}});
+
+        // Equivalence classes over the global run order (see the header's
+        // LoweredScenario::classes contract): the runs were just emitted
+        // workload-major with the policy fastest, which is exactly the
+        // contiguity the classes assert. ch5EngineRun specializes the
+        // config per policy (SR1500AL "No-limit" runs at a 26 C room
+        // ambient), so platform runs never share a prefix.
+        const std::size_t width = plat ? 1 : policies.size();
+        for (std::size_t r = 0; r < pt.runs.size(); r += width)
+            out.classes.push_back({nRuns + r, width});
+        nRuns += pt.runs.size();
         out.points.push_back(std::move(pt));
 
         // Advance the odometer; carry out of axis 0 means we are done.
@@ -1204,28 +1309,6 @@ ScenarioSpec::lower() const
         }
         if (k == 0)
             break;
-    }
-
-    // Equivalence classes over the global run order (see the header's
-    // LoweredScenario::classes contract). Lowering just emitted the runs
-    // workload-major with the policy fastest, which is exactly the
-    // contiguity the classes assert.
-    {
-        std::size_t base = 0;
-        const std::size_t n_pol = policies.size();
-        for (const auto &pt : out.points) {
-            if (onPlatform) {
-                // ch5EngineRun specializes the config per policy
-                // (SR1500AL "No-limit" runs at a 26 C room ambient), so
-                // platform runs never share a prefix.
-                for (std::size_t r = 0; r < pt.runs.size(); ++r)
-                    out.classes.push_back({base + r, 1});
-            } else {
-                for (std::size_t w = 0; w < ws.size(); ++w)
-                    out.classes.push_back({base + w * n_pol, n_pol});
-            }
-            base += pt.runs.size();
-        }
     }
     return out;
 }
@@ -1241,44 +1324,10 @@ ScenarioSpec::toJson() const
         j.set("platform", platform);
 
     Json cfg = Json::object();
-    if (platform.empty()) {
-        cfg.set("cooling", cooling);
-        cfg.set("ambient", ambient);
-    }
-    if (!emergencyLevels.empty())
-        cfg.set("emergency_levels", emergencyLevels);
-    if (!dvfs.empty())
-        cfg.set("dvfs", dvfs);
-    if (!memoryOrg.empty())
-        cfg.set("memory_org", orgToJson(memoryOrg));
-    if (!trafficShape.empty())
-        cfg.set("traffic_shape", shapeToJson(trafficShape));
-    if (!refresh.empty())
-        cfg.set("refresh", refreshToJson(refresh));
-    if (!thermalModel.empty())
-        cfg.set("thermal_model", thermalModelToJson(thermalModel));
-    if (!trace.empty())
-        cfg.set("trace", trace);
-    if (tInlet)
-        cfg.set("t_inlet", *tInlet);
-    if (copiesPerApp)
-        cfg.set("copies_per_app", *copiesPerApp);
-    if (instrScale)
-        cfg.set("instr_scale", *instrScale);
-    if (maxSimTime)
-        cfg.set("max_sim_time", *maxSimTime);
-    if (dtmInterval)
-        cfg.set("dtm_interval", *dtmInterval);
-    if (remapInterval)
-        cfg.set("remap_interval", *remapInterval);
-    if (remapHysteresis)
-        cfg.set("remap_hysteresis", *remapHysteresis);
-    if (sensorNoiseSigma)
-        cfg.set("sensor_noise_sigma", *sensorNoiseSigma);
-    if (sensorQuant)
-        cfg.set("sensor_quant", *sensorQuant);
-    if (sensorSeed)
-        cfg.set("sensor_seed", static_cast<double>(*sensorSeed));
+    forEachAxis([&](const AxisDef &a, auto knob, auto...) {
+        if (present(*this, a, knob))
+            cfg.set(a.key, encode(valueOf(this->*knob)));
+    });
     if (!cfg.asObject().empty())
         j.set("config", std::move(cfg));
 
@@ -1286,48 +1335,14 @@ ScenarioSpec::toJson() const
     j.set("policies", toJsonList(policies));
 
     Json sweep = Json::object();
-    if (!sweepMemoryOrg.empty()) {
-        Json a = Json::array();
-        for (const auto &o : sweepMemoryOrg)
-            a.push(orgToJson(o));
-        sweep.set("memory_org", std::move(a));
-    }
-    if (!sweepTrafficShape.empty()) {
-        Json a = Json::array();
-        for (const auto &t : sweepTrafficShape)
-            a.push(shapeToJson(t));
-        sweep.set("traffic_shape", std::move(a));
-    }
-    if (!sweepCooling.empty())
-        sweep.set("cooling", toJsonList(sweepCooling));
-    if (!sweepTInlet.empty())
-        sweep.set("t_inlet", toJsonList(sweepTInlet));
-    if (!sweepCopies.empty()) {
-        Json a = Json::array();
-        for (int c : sweepCopies)
-            a.push(c);
-        sweep.set("copies_per_app", std::move(a));
-    }
-    if (!sweepSensorNoise.empty())
-        sweep.set("sensor_noise_sigma", toJsonList(sweepSensorNoise));
-    if (!sweepDtmInterval.empty())
-        sweep.set("dtm_interval", toJsonList(sweepDtmInterval));
-    if (!sweepEmergencyLevels.empty())
-        sweep.set("emergency_levels", toJsonList(sweepEmergencyLevels));
-    if (!sweepDvfs.empty())
-        sweep.set("dvfs", toJsonList(sweepDvfs));
-    if (!sweepRefresh.empty()) {
-        Json a = Json::array();
-        for (const auto &r : sweepRefresh)
-            a.push(refreshToJson(r));
-        sweep.set("refresh", std::move(a));
-    }
-    if (!sweepThermalModel.empty()) {
-        Json a = Json::array();
-        for (const auto &t : sweepThermalModel)
-            a.push(thermalModelToJson(t));
-        sweep.set("thermal_model", std::move(a));
-    }
+    forEachSweep([&](const AxisDef &a, auto, auto values, auto...) {
+        if ((this->*values).empty())
+            return;
+        Json arr = Json::array();
+        for (const auto &v : this->*values)
+            arr.push(encode(v));
+        sweep.set(a.key, std::move(arr));
+    });
     if (!sweep.asObject().empty())
         j.set("sweep", std::move(sweep));
 
@@ -1354,165 +1369,35 @@ ScenarioSpec::fromJson(const Json &j)
     if (const Json *cfg = j.find("config")) {
         if (!cfg->isObject())
             fatal("scenario: 'config' must be an object");
-        checkMembers(*cfg, "'config'",
-                     {"cooling", "ambient", "emergency_levels", "dvfs",
-                      "memory_org", "traffic_shape", "refresh",
-                      "thermal_model", "trace", "t_inlet",
-                      "copies_per_app", "instr_scale", "max_sim_time",
-                      "dtm_interval", "remap_interval", "remap_hysteresis",
-                      "sensor_noise_sigma", "sensor_quant",
-                      "sensor_seed"});
-        if (cfg->find("cooling"))
-            s.cooling = memberString(*cfg, "cooling");
-        if (cfg->find("ambient"))
-            s.ambient = memberString(*cfg, "ambient");
-        if (cfg->find("emergency_levels"))
-            s.emergencyLevels = memberString(*cfg, "emergency_levels");
-        if (cfg->find("dvfs"))
-            s.dvfs = memberString(*cfg, "dvfs");
-        if (cfg->find("memory_org")) {
-            s.memoryOrg =
-                orgFromJson(cfg->at("memory_org"), "'config.memory_org'");
-        }
-        if (cfg->find("traffic_shape")) {
-            s.trafficShape = shapeFromJson(cfg->at("traffic_shape"),
-                                           "'config.traffic_shape'");
-        }
-        if (cfg->find("refresh")) {
-            s.refresh =
-                refreshFromJson(cfg->at("refresh"), "'config.refresh'");
-        }
-        if (cfg->find("thermal_model")) {
-            s.thermalModel = thermalModelFromJson(
-                cfg->at("thermal_model"), "'config.thermal_model'");
-        }
-        if (cfg->find("trace")) {
-            s.trace = memberString(*cfg, "trace");
-            if (s.trace.empty())
-                fatal("scenario: 'trace' path must not be empty");
-        }
-        if (cfg->find("t_inlet"))
-            s.tInlet = memberNumber(*cfg, "t_inlet");
-        if (cfg->find("copies_per_app"))
-            s.copiesPerApp = memberInt(*cfg, "copies_per_app");
-        if (cfg->find("instr_scale"))
-            s.instrScale = memberNumber(*cfg, "instr_scale");
-        if (cfg->find("max_sim_time"))
-            s.maxSimTime = memberNumber(*cfg, "max_sim_time");
-        if (cfg->find("dtm_interval"))
-            s.dtmInterval = memberNumber(*cfg, "dtm_interval");
-        if (cfg->find("remap_interval"))
-            s.remapInterval = memberNumber(*cfg, "remap_interval");
-        if (cfg->find("remap_hysteresis"))
-            s.remapHysteresis = memberNumber(*cfg, "remap_hysteresis");
-        if (cfg->find("sensor_noise_sigma"))
-            s.sensorNoiseSigma = memberNumber(*cfg, "sensor_noise_sigma");
-        if (cfg->find("sensor_quant"))
-            s.sensorQuant = memberNumber(*cfg, "sensor_quant");
-        if (cfg->find("sensor_seed")) {
-            double v = memberNumber(*cfg, "sensor_seed");
-            if (v != std::floor(v) || v < 0.0)
-                fatal("scenario: 'sensor_seed' must be a non-negative "
-                      "integer");
-            // 2^53: the largest range whose integers a JSON double
-            // holds exactly.
-            checkRange(v, 0.0, 9007199254740992.0, "'sensor_seed'");
-            s.sensorSeed = static_cast<std::uint64_t>(v);
-        }
+        checkMembers(*cfg, "'config'", scenarioConfigKeys());
+        forEachAxis([&](const AxisDef &a, auto knob, auto...) {
+            if (!cfg->find(a.key))
+                return;
+            s.*knob = decode<ValueOf<std::decay_t<decltype(s.*knob)>>>(
+                *cfg, a.key);
+            if (a.path && !isSet(s.*knob)) {
+                fatal("scenario: '" + std::string(a.key) +
+                      "' path must not be empty");
+            }
+        });
     }
 
     if (j.find("workloads"))
-        s.workloads = stringList(j.at("workloads"), "workloads");
+        s.workloads = listOf<std::string>(j.at("workloads"), "workloads");
     if (j.find("policies"))
-        s.policies = stringList(j.at("policies"), "policies");
+        s.policies = listOf<std::string>(j.at("policies"), "policies");
 
     if (const Json *sweep = j.find("sweep")) {
         if (!sweep->isObject())
             fatal("scenario: 'sweep' must be an object");
-        checkMembers(*sweep, "'sweep'",
-                     {"memory_org", "traffic_shape", "cooling", "t_inlet",
-                      "copies_per_app", "sensor_noise_sigma",
-                      "dtm_interval", "emergency_levels", "dvfs",
-                      "refresh", "thermal_model"});
-        if (sweep->find("memory_org")) {
-            const Json &a = sweep->at("memory_org");
-            if (!a.isArray()) {
-                fatal("scenario: 'sweep.memory_org' must be an array of "
-                      "catalog names or {channels, dimms} objects");
+        checkMembers(*sweep, "'sweep'", scenarioSweepKeys());
+        forEachSweep([&](const AxisDef &a, auto, auto values, auto...) {
+            if (const Json *arr = sweep->find(a.key)) {
+                s.*values = decodeList<
+                    typename std::decay_t<decltype(s.*values)>::value_type>(
+                    *arr, a.key);
             }
-            for (const Json &e : a.asArray()) {
-                s.sweepMemoryOrg.push_back(
-                    orgFromJson(e, "'sweep.memory_org' entry"));
-            }
-        }
-        if (sweep->find("traffic_shape")) {
-            const Json &a = sweep->at("traffic_shape");
-            if (!a.isArray()) {
-                fatal("scenario: 'sweep.traffic_shape' must be an array "
-                      "of catalog shape names or per-DIMM share vectors");
-            }
-            for (const Json &e : a.asArray()) {
-                s.sweepTrafficShape.push_back(
-                    shapeFromJson(e, "'sweep.traffic_shape' entry"));
-            }
-        }
-        if (sweep->find("cooling")) {
-            s.sweepCooling =
-                stringList(sweep->at("cooling"), "sweep.cooling");
-        }
-        if (sweep->find("t_inlet")) {
-            s.sweepTInlet =
-                numberList(sweep->at("t_inlet"), "sweep.t_inlet");
-        }
-        if (sweep->find("copies_per_app")) {
-            for (double v : numberList(sweep->at("copies_per_app"),
-                                       "sweep.copies_per_app")) {
-                if (v != std::floor(v)) {
-                    fatal("scenario: sweep.copies_per_app must contain "
-                          "integers");
-                }
-                checkRange(v, INT_MIN, INT_MAX,
-                           "sweep.copies_per_app value");
-                s.sweepCopies.push_back(static_cast<int>(v));
-            }
-        }
-        if (sweep->find("sensor_noise_sigma")) {
-            s.sweepSensorNoise = numberList(
-                sweep->at("sensor_noise_sigma"), "sweep.sensor_noise_sigma");
-        }
-        if (sweep->find("dtm_interval")) {
-            s.sweepDtmInterval =
-                numberList(sweep->at("dtm_interval"), "sweep.dtm_interval");
-        }
-        if (sweep->find("emergency_levels")) {
-            s.sweepEmergencyLevels = stringList(
-                sweep->at("emergency_levels"), "sweep.emergency_levels");
-        }
-        if (sweep->find("dvfs"))
-            s.sweepDvfs = stringList(sweep->at("dvfs"), "sweep.dvfs");
-        if (sweep->find("refresh")) {
-            const Json &a = sweep->at("refresh");
-            if (!a.isArray()) {
-                fatal("scenario: 'sweep.refresh' must be an array of "
-                      "catalog refresh model names or band tables");
-            }
-            for (const Json &e : a.asArray()) {
-                s.sweepRefresh.push_back(
-                    refreshFromJson(e, "'sweep.refresh' entry"));
-            }
-        }
-        if (sweep->find("thermal_model")) {
-            const Json &a = sweep->at("thermal_model");
-            if (!a.isArray()) {
-                fatal("scenario: 'sweep.thermal_model' must be an array "
-                      "of catalog thermal model names or "
-                      "{grid_x, grid_z[, bank_weights]} objects");
-            }
-            for (const Json &e : a.asArray()) {
-                s.sweepThermalModel.push_back(thermalModelFromJson(
-                    e, "'sweep.thermal_model' entry"));
-            }
-        }
+        });
     }
     return s;
 }

@@ -5,17 +5,32 @@
  * A ScenarioSpec is a serializable description of one experiment: the
  * base configuration (by catalog names — cooling, ambient model, or a
  * Chapter 5 platform), override knobs, the workload and policy name
- * lists, and optional sweep axes (memory organization, per-DIMM traffic
- * shape, cooling, inlet temperature, batch depth, sensor noise, DTM
- * decision interval, emergency ladder, DVFS operating table,
- * temperature-coupled refresh model, thermal model resolution) whose
- * cross product spans a configuration grid.
- * Specs lower to ExperimentEngine run lists and round-trip losslessly
- * through JSON, so an experiment is data (a scenario file fed to the
- * `memtherm` CLI), not a hand-written binary.
+ * lists, and up to eleven sweep axes whose cross product spans a
+ * configuration grid. Specs lower to ExperimentEngine run lists and
+ * round-trip losslessly through JSON, so an experiment is data (a
+ * scenario file fed to the `memtherm` CLI), not a hand-written binary.
+ * Every name resolves through core/sim/registry.hh, so a typo reports
+ * the valid keys instead of aborting.
  *
- * Every name in a spec resolves through core/sim/registry.hh, so a typo
- * reports the valid keys instead of aborting.
+ * One static table in scenario.cc (forEachAxis) drives the layer: an
+ * AxisDef entry per `config` knob, in `config` member order, and the
+ * entries with a label prefix are the sweep axes. An entry holds the
+ * knob's JSON key, its ScenarioSpec members, its sweep position and
+ * label prefix, the platform-rejection message, the numeric bound, the
+ * duplicate rule (equal labels, or equal *resolved* values for the
+ * name-or-inline axes), and how a value resolves (checks that need the
+ * rest of the spec, like the CDVFS table depth, live there) and is
+ * applied to a SimConfig. lower(), toJson() and fromJson() loop over the
+ * table. Only the rules that span axes are written out by hand: a trace
+ * against traffic shapes and inline bank weights, the per-point
+ * decision-period nesting, and the platform policy lineup.
+ *
+ * Adding a knob or axis: add its ScenarioSpec member(s) (a std::optional
+ * scalar, or a CatalogOrInline for a name-or-inline value, plus a vector
+ * of values for an axis), add one entry to the table in scenario.cc
+ * (the next sweep position and a label prefix if it sweeps), and
+ * document it in docs/scenarios.md. Validation, labels, the odometer and
+ * the JSON codec follow from the entry.
  */
 
 #ifndef MEMTHERM_CORE_SIM_SCENARIO_HH
@@ -69,142 +84,67 @@ struct LoweredScenario
 };
 
 /**
- * One memory organization a spec names: a catalog entry
- * (registry.hh memoryOrgNames(), e.g. "ch4_4x4" or "2x4") or an inline
- * {channels, dimms} pair for organizations the catalog lacks. A
- * default-constructed value means "keep the base configuration's
- * organization". When both a name and an inline pair are set, the name
- * wins (the serialized form never carries both).
+ * A value a spec names either by catalog name (registry.hh) or inline,
+ * for values the catalog lacks. A default-constructed value means "keep
+ * the base configuration's value". When both a name and an inline value
+ * are set, the name wins (the serialized form never carries both).
+ *
+ * @tparam Inline   the inline form: a std::optional, or a vector whose
+ *                  empty state means "unset"
+ * @tparam Resolved what resolve() yields
+ * @tparam Context  what resolution needs besides the value (a traffic
+ *                  shape's DIMM count)
  */
-struct MemoryOrgSpec
+template <typename Inline, typename Resolved, typename... Context>
+struct CatalogOrInline
 {
-    std::string name;                   ///< catalog name; empty -> inline
-    std::optional<MemoryOrgConfig> org; ///< inline organization
+    std::string name; ///< catalog name; empty -> inline
+    Inline value;     ///< inline value
 
-    bool operator==(const MemoryOrgSpec &) const = default;
+    bool operator==(const CatalogOrInline &) const = default;
 
-    bool empty() const { return name.empty() && !org; }
+    bool
+    hasValue() const
+    {
+        if constexpr (requires { value.has_value(); })
+            return value.has_value();
+        else
+            return !value.empty();
+    }
 
-    /** Sweep-label coordinate: the catalog name, or "<c>x<d>" inline. */
-    std::string label() const;
+    bool empty() const { return name.empty() && !hasValue(); }
 
     /**
-     * The organization this spec denotes: catalog lookup (FatalError
-     * listing the valid keys) or the inline pair (FatalError when a
-     * count is non-positive).
-     */
-    MemoryOrgConfig resolve() const;
-};
-
-/**
- * One per-DIMM traffic shape a spec names: a catalog entry
- * (registry.hh trafficShapeNames(), e.g. "hot_dimm0") or an inline
- * share vector for distributions the catalog lacks. A
- * default-constructed value means "keep uniform address interleave".
- * Catalog shapes are parameterized by the DIMM count, so they fit any
- * memory organization; an inline vector's arity must match the
- * resolved organization's DIMMs per channel. When both a name and
- * shares are set, the name wins (the serialized form never carries
- * both).
- */
-struct TrafficShapeSpec
-{
-    std::string name;           ///< catalog name; empty -> inline
-    std::vector<double> shares; ///< inline per-DIMM share vector
-
-    bool operator==(const TrafficShapeSpec &) const = default;
-
-    bool empty() const { return name.empty() && shares.empty(); }
-
-    /** Sweep-label coordinate: the catalog name, or "s0|s1|..." inline. */
-    std::string label() const;
-
-    /**
-     * The share vector this spec denotes for an @p n_dimms chain:
-     * catalog lookup (FatalError listing the valid keys) or the
-     * validated inline vector (FatalError on negative or non-finite
-     * shares, a sum off 1 by more than 1e-9, or an arity mismatch).
-     */
-    std::vector<double> resolve(int n_dimms) const;
-};
-
-/**
- * One temperature-coupled refresh model a spec names: a catalog entry
- * (registry.hh refreshModelNames() — "none", "ddr2_2x", "aldram") or an
- * inline band table for models the catalog lacks. A default-constructed
- * value means "no refresh feedback", and so does the catalog's "none"
- * (a run with `refresh: "none"` is bit-identical to one with the knob
- * unset). When both a name and bands are set, the name wins (the
- * serialized form never carries both).
- */
-struct RefreshSpec
-{
-    std::string name;               ///< catalog name; empty -> inline
-    std::vector<RefreshBand> bands; ///< inline band table
-
-    bool operator==(const RefreshSpec &) const = default;
-
-    bool empty() const { return name.empty() && bands.empty(); }
-
-    /**
-     * Sweep-label coordinate: the catalog name, or the bands rendered
-     * "minTemp:bwFraction:dramPower[:latencyMult]" joined with "|"
-     * inline (":" and "|" keep the coordinate free of the label
-     * grammar's reserved "," and "=").
+     * Sweep-label coordinate: the catalog name, or the inline value
+     * rendered free of the label grammar's reserved "," and "="
+     * (docs/scenarios.md lists each form).
      */
     std::string label() const;
 
     /**
-     * The refresh model this spec denotes: catalog lookup (FatalError
-     * listing the valid keys) or the validated inline band table
-     * (FatalError on non-finite values, a bw_fraction outside [0, 1), a
-     * negative dram_power_w, a non-positive latency_mult, or band
-     * floors not strictly increasing).
+     * The value this spec denotes: the catalog lookup (FatalError listing
+     * the valid keys) or the validated inline value (FatalError naming
+     * the broken bound).
      */
-    RefreshModel resolve() const;
+    Resolved resolve(Context... context) const;
 };
 
-/**
- * One thermal-model resolution a spec names: a catalog entry
- * (registry.hh thermalModelNames() — "lumped", "bank_grid") or an
- * inline {grid_x, grid_z[, bank_weights]} object for grids the catalog
- * lacks. A default-constructed value means "the lumped per-DIMM model",
- * and so does the catalog's "lumped" (a run with
- * `thermal_model: "lumped"` is bit-identical to one with the knob
- * unset). When both a name and an inline grid are set, the name wins
- * (the serialized form never carries both).
- */
-struct ThermalModelSpec
-{
-    std::string name;                   ///< catalog name; empty -> inline
-    std::optional<BankGridConfig> grid; ///< inline grid
-
-    bool operator==(const ThermalModelSpec &) const = default;
-
-    bool empty() const { return name.empty() && !grid; }
-
-    /**
-     * Sweep-label coordinate: the catalog name, or "<x>x<z>" inline
-     * (with the bank weights appended "w0|w1|..." after ":" when the
-     * inline grid carries them — ":" and "|" keep the coordinate free
-     * of the label grammar's reserved "," and "=").
-     */
-    std::string label() const;
-
-    /**
-     * The thermal model this spec denotes: catalog lookup (FatalError
-     * listing the valid keys) or the validated inline grid (FatalError
-     * on non-positive dimensions, more than 1024 cells, or bank weights
-     * of the wrong arity, non-finite, negative, or summing off 1 by
-     * more than 1e-9). The lumped model is grid == std::nullopt.
-     */
-    ThermalModelConfig resolve() const;
-};
+// The four name-or-inline values; docs/scenarios.md lists each inline
+// form's bounds. A traffic shape resolves for an n-DIMM chain.
+using MemoryOrgSpec =
+    CatalogOrInline<std::optional<MemoryOrgConfig>, MemoryOrgConfig>;
+using TrafficShapeSpec =
+    CatalogOrInline<std::vector<double>, std::vector<double>, int>;
+using RefreshSpec = CatalogOrInline<std::vector<RefreshBand>, RefreshModel>;
+using ThermalModelSpec =
+    CatalogOrInline<std::optional<BankGridConfig>, ThermalModelConfig>;
 
 /**
  * Declarative description of an experiment. Field defaults mirror the
  * Chapter 4 platform; std::nullopt means "keep the base configuration's
  * value" (makeCh4Config's, or the platform's when `platform` is set).
+ * A platform scenario rejects the knobs its testbed fixes or measures;
+ * the axis table in scenario.cc gives each rejection with its reason.
  */
 struct ScenarioSpec
 {
@@ -224,34 +164,18 @@ struct ScenarioSpec
     std::string ambient = "isolated"; ///< "isolated" or "integrated"
 
     /// Emergency-ladder catalog name for the leveled Chapter 4 schemes
-    /// (empty = the Table 4.3 ladder). Rejected for platform scenarios.
+    /// (empty = the Table 4.3 ladder).
     std::string emergencyLevels;
     /// DvfsRegistry table name (empty = the base configuration's table).
-    /// Rejected for platform scenarios.
     std::string dvfs;
 
-    /// Memory organization (catalog name or inline {channels, dimms});
-    /// empty keeps the base organization. Rejected for platform
-    /// scenarios (the testbed hardware fixes its DIMM population).
-    MemoryOrgSpec memoryOrg;
-
-    /// Per-DIMM traffic shape (catalog name or inline share vector);
-    /// empty keeps uniform address interleave. Shapes resolve against
-    /// each grid point's memory organization. Rejected for platform
-    /// scenarios (the testbed's traffic distribution is measured, not
-    /// modeled).
+    MemoryOrgSpec memoryOrg; ///< empty keeps the base organization
+    /// Per-DIMM traffic shape; empty keeps uniform address interleave.
+    /// Shapes resolve against each grid point's memory organization.
     TrafficShapeSpec trafficShape;
-
-    /// Temperature-coupled DRAM refresh/timing model (catalog name or
-    /// inline band table); empty — like the catalog's "none" — disables
-    /// the feedback edge. Rejected for platform scenarios (the
-    /// testbed's DRAM refreshes for real).
-    RefreshSpec refresh;
-
-    /// Thermal model resolution (catalog name or inline grid object);
-    /// empty — like the catalog's "lumped" — keeps the paper's lumped
-    /// per-DIMM model. Rejected for platform scenarios (the testbed
-    /// measures its real DIMMs at DIMM granularity).
+    RefreshSpec refresh; ///< empty disables the refresh feedback edge
+    /// Thermal model resolution; empty keeps the paper's lumped per-DIMM
+    /// model.
     ThermalModelSpec thermalModel;
 
     /// Path to a memory-access trace file (dram/trace.hh) whose decoded
@@ -263,7 +187,6 @@ struct ScenarioSpec
     /// trace supplies them). Relative paths resolve against the
     /// process's working directory. Empty keeps the modeled shapes; a
     /// trace-free run is bit-identical to builds that predate traces.
-    /// Rejected for platform scenarios.
     std::string trace;
 
     std::optional<double> tInlet;          ///< system inlet override (C)
@@ -273,11 +196,9 @@ struct ScenarioSpec
     std::optional<double> dtmInterval;     ///< policy decision period (s)
     /// Remap decision period (s) for the traffic-remap policy family;
     /// must be >= the simulator window and a whole multiple of the
-    /// effective dtm_interval at every grid point. Rejected for
-    /// platform scenarios (no modeled traffic distribution to remap).
+    /// effective dtm_interval at every grid point.
     std::optional<double> remapInterval;
-    /// DTM-remap-hyst release band (C) below the TDPs. Rejected for
-    /// platform scenarios.
+    /// DTM-remap-hyst release band (C) below the TDPs.
     std::optional<double> remapHysteresis;
     std::optional<double> sensorNoiseSigma;
     std::optional<double> sensorQuant;
@@ -326,6 +247,12 @@ struct ScenarioSpec
     /** Write a scenario file. */
     void save(const std::string &path) const;
 };
+
+/** JSON member names of the scenario `config` object, in member order. */
+std::vector<std::string> scenarioConfigKeys();
+
+/** JSON member names of the `sweep` axes, in label/odometer order. */
+std::vector<std::string> scenarioSweepKeys();
 
 /**
  * One failed run of a scenario grid, identified well enough to debug

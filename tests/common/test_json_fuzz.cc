@@ -74,8 +74,8 @@ randomOrg(Rng &rng)
     if (rng.uniform() < 0.5)
         o.name = pick(rng, memoryOrgNames());
     else
-        o.org = MemoryOrgConfig{1 + static_cast<int>(rng.below(8)),
-                                1 + static_cast<int>(rng.below(8))};
+        o.value = MemoryOrgConfig{1 + static_cast<int>(rng.below(8)),
+                                  1 + static_cast<int>(rng.below(8))};
     return o;
 }
 
@@ -89,7 +89,7 @@ randomShape(Rng &rng)
     } else {
         const std::size_t n = 1 + rng.below(4);
         for (std::size_t i = 0; i < n; ++i)
-            t.shares.push_back(rng.uniform());
+            t.value.push_back(rng.uniform());
     }
     return t;
 }
@@ -113,7 +113,7 @@ randomRefresh(Rng &rng)
             b.dramPower = rng.uniform(0.0, 2.0);
             if (rng.uniform() < 0.5)
                 b.latencyMult = rng.uniform(0.5, 1.5);
-            r.bands.push_back(b);
+            r.value.push_back(b);
         }
     }
     return r;
@@ -133,7 +133,7 @@ randomThermal(Rng &rng)
         if (rng.uniform() < 0.5)
             for (int c = 0; c < g.cells(); ++c)
                 g.weights.push_back(rng.uniform());
-        t.grid = g;
+        t.value = g;
     }
     return t;
 }

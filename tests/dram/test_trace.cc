@@ -355,7 +355,7 @@ TEST(TraceScenario, TraceDrivesSharesAndBankWeights)
     ScenarioSpec shaped = s;
     shaped.trace.clear();
     shaped.thermalModel = {};
-    shaped.trafficShape.shares = {1.0, 0.0, 0.0, 0.0};
+    shaped.trafficShape.value = {1.0, 0.0, 0.0, 0.0};
     LoweredScenario low2 = shaped.lower();
     EXPECT_EQ(low2.points[0].cfg.trafficShares, cfg.trafficShares);
 }

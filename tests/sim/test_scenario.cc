@@ -368,8 +368,8 @@ TEST(ScenarioSpec, MemoryOrgParsesNamesAndInlineObjects)
     EXPECT_EQ(s.memoryOrg.name, "2x4");
     ASSERT_EQ(s.sweepMemoryOrg.size(), 2u);
     EXPECT_EQ(s.sweepMemoryOrg[0].name, "1x4");
-    ASSERT_TRUE(s.sweepMemoryOrg[1].org.has_value());
-    EXPECT_EQ(*s.sweepMemoryOrg[1].org, (MemoryOrgConfig{2, 8}));
+    ASSERT_TRUE(s.sweepMemoryOrg[1].value.has_value());
+    EXPECT_EQ(*s.sweepMemoryOrg[1].value, (MemoryOrgConfig{2, 8}));
     EXPECT_EQ(s.sweepMemoryOrg[1].label(), "2x8");
 
     // Lossless round-trip, inline objects included.
@@ -430,7 +430,8 @@ TEST(ScenarioSpec, ParserRejectsOutOfRangeIntegers)
         "scenario: member 'channels' must be within "
         "[-2147483648, 2147483647] (got 4294967298)");
     expectParseError(
-        R"({"sweep": {"thermal_model": [{"grid_x": 4294967298, "grid_z": 2}]}})",
+        R"({"sweep": {"thermal_model":
+                          [{"grid_x": 4294967298, "grid_z": 2}]}})",
         "scenario: member 'grid_x' must be within "
         "[-2147483648, 2147483647] (got 4294967298)");
     expectParseError(R"({"config": {"copies_per_app": -1e10}})",
@@ -447,7 +448,7 @@ TEST(ScenarioSpec, ParserRejectsOutOfRangeIntegers)
                                   "dimms": -2147483648}}
     })"));
     EXPECT_EQ(s.sensorSeed, 9007199254740992ULL);
-    EXPECT_EQ(*s.memoryOrg.org, (MemoryOrgConfig{INT_MAX, INT_MIN}));
+    EXPECT_EQ(*s.memoryOrg.value, (MemoryOrgConfig{INT_MAX, INT_MIN}));
     EXPECT_EQ(ScenarioSpec::fromJson(s.toJson()), s);
 }
 
@@ -1289,7 +1290,7 @@ TEST(ScenarioSpec, TrafficShapeParsesNamesAndInlineVectors)
     EXPECT_EQ(s.trafficShape.name, "hot_dimm0");
     ASSERT_EQ(s.sweepTrafficShape.size(), 2u);
     EXPECT_EQ(s.sweepTrafficShape[0].name, "linear_taper");
-    EXPECT_EQ(s.sweepTrafficShape[1].shares,
+    EXPECT_EQ(s.sweepTrafficShape[1].value,
               (std::vector<double>{0.7, 0.1, 0.1, 0.1}));
     EXPECT_EQ(s.sweepTrafficShape[1].label(), "0.7|0.1|0.1|0.1");
 

@@ -447,7 +447,7 @@ TEST(BankGridScenario, CatalogAndSweepLowering)
 
     ScenarioSpec s = tinySpec();
     ThermalModelSpec inline_grid;
-    inline_grid.grid = BankGridConfig{2, 2, {0.7, 0.1, 0.1, 0.1}};
+    inline_grid.value = BankGridConfig{2, 2, {0.7, 0.1, 0.1, 0.1}};
     s.sweepThermalModel = {ThermalModelSpec{"lumped", {}},
                            ThermalModelSpec{"bank_grid", {}},
                            inline_grid};
@@ -478,15 +478,15 @@ TEST(BankGridScenario, SpecValidationErrors)
     };
     ThermalModelSpec bad;
     expectFatal(bad, "empty thermal model");
-    bad.grid = BankGridConfig{0, 2, {}};
+    bad.value = BankGridConfig{0, 2, {}};
     expectFatal(bad, "grid dimensions must be >= 1");
-    bad.grid = BankGridConfig{64, 64, {}};
+    bad.value = BankGridConfig{64, 64, {}};
     expectFatal(bad, "the limit is 1024");
-    bad.grid = BankGridConfig{2, 2, {0.5, 0.5}};
+    bad.value = BankGridConfig{2, 2, {0.5, 0.5}};
     expectFatal(bad, "2 bank weight(s) but the grid has 4 cell(s)");
-    bad.grid = BankGridConfig{1, 2, {0.5, -0.5}};
+    bad.value = BankGridConfig{1, 2, {0.5, -0.5}};
     expectFatal(bad, "must not be negative");
-    bad.grid = BankGridConfig{1, 2, {0.5, 0.4}};
+    bad.value = BankGridConfig{1, 2, {0.5, 0.4}};
     expectFatal(bad, "must sum to 1");
     // Unknown catalog names list the valid keys.
     ThermalModelSpec typo;
@@ -531,7 +531,7 @@ TEST(BankGridScenario, LoweringConflictsAreFatal)
     // collide by *resolved* model.
     ScenarioSpec dup = tinySpec();
     ThermalModelSpec inline_default;
-    inline_default.grid = BankGridConfig{4, 2, {}};
+    inline_default.value = BankGridConfig{4, 2, {}};
     dup.sweepThermalModel = {ThermalModelSpec{"bank_grid", {}},
                              inline_default};
     expectLowerFatal(dup, "same thermal model as 'bank_grid'");
@@ -542,8 +542,8 @@ TEST(BankGridScenario, LoweringConflictsAreFatal)
     t.trafficShape.name = "hot_dimm0";
     expectLowerFatal(t, "remove the traffic_shape member");
     t.trafficShape = {};
-    t.thermalModel.grid = BankGridConfig{4, 2, {0.65, 0.05, 0.05, 0.05,
-                                                0.05, 0.05, 0.05, 0.05}};
+    t.thermalModel.value = BankGridConfig{4, 2, {0.65, 0.05, 0.05, 0.05,
+                                                 0.05, 0.05, 0.05, 0.05}};
     expectLowerFatal(t, "remove the thermal model's bank_weights");
 }
 
@@ -552,10 +552,9 @@ TEST(BankGridScenario, ThermalModelRoundTripsThroughJson)
     ScenarioSpec s = tinySpec();
     s.thermalModel.name = "bank_grid";
     ThermalModelSpec inline_grid;
-    inline_grid.grid = BankGridConfig{2, 4, {}};
+    inline_grid.value = BankGridConfig{2, 4, {}};
     ThermalModelSpec weighted;
-    weighted.grid =
-        BankGridConfig{1, 2, {0.75, 0.25}};
+    weighted.value = BankGridConfig{1, 2, {0.75, 0.25}};
     s.sweepThermalModel = {ThermalModelSpec{"lumped", {}}, inline_grid,
                            weighted};
 
