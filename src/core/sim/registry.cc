@@ -28,6 +28,34 @@ joinNames(const std::vector<std::string> &names)
     return out;
 }
 
+const std::vector<CatalogListing> &
+catalogListings()
+{
+    static const std::vector<CatalogListing> listings = {
+        {"policies", [] { return PolicyRegistry::instance().names(); }},
+        {"workloads", workloadNames,
+         "<app>x<n> (homogeneous batch, e.g. swimx4)"},
+        {"coolings", coolingNames},
+        {"ambients", ambientNames},
+        {"platforms", platformNames},
+        {"emergency_levels", emergencyLevelNames},
+        {"dvfs", [] { return DvfsRegistry::instance().names(); }},
+        {"memory_orgs", memoryOrgNames,
+         "{channels, dimms} (inline organization, e.g. "
+         "{\"channels\": 2, \"dimms\": 8})"},
+        {"traffic_shapes", trafficShapeNames,
+         "[s0, s1, ...] (inline per-DIMM share vector summing to 1, e.g. "
+         "[0.5, 0.3, 0.1, 0.1])"},
+        {"refresh_models", refreshModelNames,
+         "[{min_temp, bw_fraction, dram_power_w[, latency_mult]}, ...] "
+         "(inline band table, ascending min_temp)"},
+        {"thermal_models", thermalModelNames,
+         "{grid_x, grid_z[, bank_weights]} (inline per-DIMM bank grid, "
+         "e.g. {\"grid_x\": 4, \"grid_z\": 2})"},
+    };
+    return listings;
+}
+
 // --- policies ---------------------------------------------------------------
 
 namespace

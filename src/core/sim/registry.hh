@@ -309,6 +309,21 @@ std::vector<std::string> emergencyLevelNames();
 std::optional<EmergencyLevels> tryEmergencyLevels(const std::string &name);
 EmergencyLevels emergencyLevelsByName(const std::string &name);
 
+/**
+ * One catalog `memtherm list` prints: its keyword, its valid names and,
+ * for catalogs that also accept other spellings (inline values, "<app>x<n>"
+ * batches), a one-line hint printed after the names.
+ */
+struct CatalogListing
+{
+    const char *keyword;
+    std::vector<std::string> (*names)();
+    const char *hint = nullptr; ///< null: the names are the whole catalog
+};
+
+/** Every catalog `memtherm list` knows, in usage order. */
+const std::vector<CatalogListing> &catalogListings();
+
 /** "a, b, c" — the key lists used in registry diagnostics. */
 std::string joinNames(const std::vector<std::string> &names);
 

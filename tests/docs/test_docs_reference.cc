@@ -17,6 +17,7 @@
 #include <vector>
 
 #include "core/sim/registry.hh"
+#include "core/sim/scenario.hh"
 
 #ifndef MEMTHERM_SOURCE_DIR
 #error "tests need MEMTHERM_SOURCE_DIR (set by CMakeLists.txt)"
@@ -56,39 +57,23 @@ TEST(DocsReference, ScenariosManualCoversEveryCatalogName)
     const std::string doc = readFile("docs/scenarios.md");
     ASSERT_FALSE(doc.empty());
 
-    expectMentions(doc, "docs/scenarios.md",
-                   PolicyRegistry::instance().names(), "policy");
-    expectMentions(doc, "docs/scenarios.md",
-                   DvfsRegistry::instance().names(), "dvfs");
-    expectMentions(doc, "docs/scenarios.md", coolingNames(), "cooling");
-    expectMentions(doc, "docs/scenarios.md", ambientNames(), "ambient");
-    expectMentions(doc, "docs/scenarios.md", workloadNames(), "workload");
-    expectMentions(doc, "docs/scenarios.md", platformNames(), "platform");
-    expectMentions(doc, "docs/scenarios.md", memoryOrgNames(),
-                   "memory organization");
-    expectMentions(doc, "docs/scenarios.md", trafficShapeNames(),
-                   "traffic shape");
-    expectMentions(doc, "docs/scenarios.md", emergencyLevelNames(),
-                   "emergency ladder");
-    expectMentions(doc, "docs/scenarios.md", refreshModelNames(),
-                   "refresh model");
-    expectMentions(doc, "docs/scenarios.md", thermalModelNames(),
-                   "thermal model");
+    for (const CatalogListing &c : catalogListings())
+        expectMentions(doc, "docs/scenarios.md", c.names(), c.keyword);
 }
 
 TEST(DocsReference, ScenariosManualCoversEverySweepAxisAndKnob)
 {
     const std::string doc = readFile("docs/scenarios.md");
-    // The sweep axes and config members of the JSON schema
-    // (ScenarioSpec::fromJson's checkMembers lists).
-    for (const char *key :
-         {"memory_org", "traffic_shape", "cooling", "t_inlet",
-          "copies_per_app", "sensor_noise_sigma", "dtm_interval",
-          "remap_interval", "remap_hysteresis", "emergency_levels",
-          "dvfs", "instr_scale", "max_sim_time", "sensor_quant",
-          "sensor_seed", "ambient", "platform", "workloads", "policies",
-          "sweep", "refresh", "schema_version", "thermal_model",
-          "trace", "grid_x", "grid_z", "bank_weights"}) {
+    // Every config member and sweep axis of the scenario table, plus
+    // the document members and inline-object members outside it.
+    std::vector<std::string> keys = scenarioConfigKeys();
+    for (const std::string &k : scenarioSweepKeys())
+        keys.push_back(k);
+    for (const char *k : {"platform", "workloads", "policies", "sweep",
+                          "schema_version", "grid_x", "grid_z",
+                          "bank_weights"})
+        keys.push_back(k);
+    for (const std::string &key : keys) {
         EXPECT_NE(doc.find(key), std::string::npos)
             << "docs/scenarios.md does not mention member '" << key << "'";
     }
@@ -104,12 +89,9 @@ TEST(DocsReference, CliManualCoversEverySubcommandAndListCatalog)
         EXPECT_NE(doc.find(cmd), std::string::npos)
             << "docs/cli.md does not document '" << cmd << "'";
     }
-    for (const char *catalog :
-         {"policies", "workloads", "coolings", "ambients", "platforms",
-          "emergency_levels", "dvfs", "memory_orgs", "traffic_shapes",
-          "refresh_models", "thermal_models"}) {
-        EXPECT_NE(doc.find(catalog), std::string::npos)
-            << "docs/cli.md does not mention list catalog '" << catalog
+    for (const CatalogListing &c : catalogListings()) {
+        EXPECT_NE(doc.find(c.keyword), std::string::npos)
+            << "docs/cli.md does not mention list catalog '" << c.keyword
             << "'";
     }
     // Summary-table columns with non-obvious semantics must stay

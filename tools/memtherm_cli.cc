@@ -59,6 +59,16 @@ using namespace memtherm;
 namespace
 {
 
+/** The `memtherm list` catalog keywords joined with @p sep. */
+std::string
+listKeywords(const char *sep)
+{
+    std::string out;
+    for (const CatalogListing &c : catalogListings())
+        out += (out.empty() ? "" : sep) + std::string(c.keyword);
+    return out;
+}
+
 int
 usage(std::ostream &os, int rc)
 {
@@ -104,9 +114,9 @@ usage(std::ostream &os, int rc)
           "      --csv <file>     also write the flat per-run rows as CSV\n"
           "      --quiet          suppress the summary tables\n"
           "  memtherm validate <scenario.json>...\n"
-          "  memtherm list policies|workloads|coolings|ambients|platforms"
-          "|emergency_levels|dvfs|memory_orgs|traffic_shapes"
-          "|refresh_models|thermal_models\n"
+          "  memtherm list "
+       << listKeywords("|")
+       << "\n"
           "  memtherm trace gen -o <file> [options]\n"
           "      --pattern <p>    linear (default) or random address\n"
           "                       stream, a la gem5 PyTrafficGen\n"
@@ -127,54 +137,18 @@ cmdList(const std::vector<std::string> &args)
     if (args.size() != 1)
         return usage(std::cerr, 1);
     const std::string &what = args[0];
-    std::vector<std::string> names;
-    if (what == "policies")
-        names = PolicyRegistry::instance().names();
-    else if (what == "workloads")
-        names = workloadNames();
-    else if (what == "coolings")
-        names = coolingNames();
-    else if (what == "ambients")
-        names = ambientNames();
-    else if (what == "platforms")
-        names = platformNames();
-    else if (what == "emergency_levels")
-        names = emergencyLevelNames();
-    else if (what == "dvfs")
-        names = DvfsRegistry::instance().names();
-    else if (what == "memory_orgs")
-        names = memoryOrgNames();
-    else if (what == "traffic_shapes")
-        names = trafficShapeNames();
-    else if (what == "refresh_models")
-        names = refreshModelNames();
-    else if (what == "thermal_models")
-        names = thermalModelNames();
-    else {
-        std::cerr << "memtherm list: unknown catalog '" << what
-                  << "' (valid: policies, workloads, coolings, ambients, "
-                     "platforms, emergency_levels, dvfs, memory_orgs, "
-                     "traffic_shapes, refresh_models, thermal_models)\n";
-        return 1;
+    for (const CatalogListing &c : catalogListings()) {
+        if (what != c.keyword)
+            continue;
+        for (const auto &n : c.names())
+            std::cout << n << '\n';
+        if (c.hint)
+            std::cout << c.hint << '\n';
+        return 0;
     }
-    for (const auto &n : names)
-        std::cout << n << '\n';
-    if (what == "workloads")
-        std::cout << "<app>x<n> (homogeneous batch, e.g. swimx4)\n";
-    if (what == "memory_orgs")
-        std::cout << "{channels, dimms} (inline organization, e.g. "
-                     "{\"channels\": 2, \"dimms\": 8})\n";
-    if (what == "traffic_shapes")
-        std::cout << "[s0, s1, ...] (inline per-DIMM share vector summing "
-                     "to 1, e.g. [0.5, 0.3, 0.1, 0.1])\n";
-    if (what == "refresh_models")
-        std::cout << "[{min_temp, bw_fraction, dram_power_w[, "
-                     "latency_mult]}, ...] (inline band table, "
-                     "ascending min_temp)\n";
-    if (what == "thermal_models")
-        std::cout << "{grid_x, grid_z[, bank_weights]} (inline per-DIMM "
-                     "bank grid, e.g. {\"grid_x\": 4, \"grid_z\": 2})\n";
-    return 0;
+    std::cerr << "memtherm list: unknown catalog '" << what
+              << "' (valid: " << listKeywords(", ") << ")\n";
+    return 1;
 }
 
 int
