@@ -632,8 +632,17 @@ struct OrgPoint
 struct ResolveContext
 {
     const ScenarioSpec &spec;
-    std::string where;   ///< "config.<key>" or "sweep.<key> entry"
+    const char *key;
+    bool swept;          ///< a sweep entry, else the config member
     const OrgPoint &org; ///< the organization a traffic shape must fit
+
+    /** How errors name the value. */
+    std::string
+    where() const
+    {
+        return swept ? "sweep." + std::string(key) + " entry"
+                     : "config." + std::string(key);
+    }
 };
 
 /**
@@ -673,7 +682,7 @@ resolveShape(const TrafficShapeSpec &shape, const ResolveContext &ctx)
     // Named shapes fit any chain; empty specs fail in resolve().
     const std::size_t n = shape.name.empty() ? shape.value.size() : 0;
     if (n && static_cast<int>(n) != org.nDimmsPerChannel) {
-        specError(ctx.spec, ctx.where + " '" + shape.label() + "' has " +
+        specError(ctx.spec, ctx.where() + " '" + shape.label() + "' has " +
                                 std::to_string(n) + " share(s) but " +
                                 ctx.org.desc + " has " +
                                 std::to_string(org.nDimmsPerChannel) +
@@ -903,7 +912,14 @@ checkAxis(const ScenarioSpec &s, const AxisDef &a, Check pass,
         const bool ints = pass == Check::IntBound || pass == Check::IntSweep;
         if (pass != Check::Finite && ints != std::is_integral_v<E>)
             return;
-        const std::string key = a.key;
+        auto fail = [&](bool swept, const std::string &rule) {
+            const std::string key = a.key;
+            // The integer axis keeps its historical wording.
+            specError(s, (!swept ? key
+                          : ints ? key + " sweep values"
+                                 : "sweep." + key + " values") +
+                             " must be " + rule);
+        };
         auto below = [&](double v) {
             return a.exclusive ? v <= a.min : v < a.min;
         };
@@ -913,19 +929,18 @@ checkAxis(const ScenarioSpec &s, const AxisDef &a, Check pass,
         if (pass < Check::Sweep && isSet(s.*knob)) {
             const double v = static_cast<double>(valueOf(s.*knob));
             if (pass == Check::Finite && !std::isfinite(v))
-                specError(s, key + " must be finite");
+                fail(false, "finite");
             if (pass != Check::Finite && below(v))
-                specError(s, key + " must be " + bound());
+                fail(false, bound());
         }
         if constexpr (!std::is_null_pointer_v<Sweep>) {
-            // The integer axis keeps its historical wording.
-            const std::string what =
-                ints ? key + " sweep values" : "sweep." + key + " values";
-            for (E v : pass >= Check::Sweep ? s.*sweep : std::vector<E>{}) {
-                if (!std::isfinite(static_cast<double>(v)))
-                    specError(s, what + " must be finite");
-                if (below(static_cast<double>(v)))
-                    specError(s, what + " must be " + bound());
+            if (pass >= Check::Sweep) {
+                for (E v : s.*sweep) {
+                    if (!std::isfinite(static_cast<double>(v)))
+                        fail(true, "finite");
+                    if (below(static_cast<double>(v)))
+                        fail(true, bound());
+                }
             }
         }
     }
@@ -985,10 +1000,13 @@ resolveAxis(const ScenarioSpec &s, const AxisDef &a, M ScenarioSpec::*knob,
     using E = ValueOf<M>;
     std::vector<Resolved> out;
     if constexpr (!std::is_null_pointer_v<Apply>) {
-        const std::string key = a.key;
-        const auto orgs = a.perOrg ? orgPoints(s) : std::vector<OrgPoint>(1);
-        for (const OrgPoint &op : orgs) {
-            auto one = [&](const E &v, const std::string &where) {
+        if (!present(s, a, knob) && !sweepSize(s, sweep))
+            return out;
+        static const std::vector<OrgPoint> anyOrg(1);
+        const std::vector<OrgPoint> perOrg = a.perOrg ? orgPoints(s)
+                                                      : std::vector<OrgPoint>{};
+        for (const OrgPoint &op : a.perOrg ? perOrg : anyOrg) {
+            auto one = [&](const E &v, bool swept) {
                 if constexpr (std::is_null_pointer_v<Resolve>) {
                     if constexpr (isCatalogOrInline<E>)
                         return v.resolve();
@@ -997,10 +1015,10 @@ resolveAxis(const ScenarioSpec &s, const AxisDef &a, M ScenarioSpec::*knob,
                 } else if constexpr (std::is_invocable_v<Resolve, const E &>) {
                     return resolve(v);
                 } else {
-                    return resolve(v, ResolveContext{s, where, op});
+                    return resolve(v, ResolveContext{s, a.key, swept, op});
                 }
             };
-            using R = decltype(one(std::declval<const E &>(), ""));
+            using R = decltype(one(std::declval<const E &>(), false));
             auto bind = [&](R r) -> std::function<void(SimConfig &)> {
                 return [apply, r = std::move(r)](SimConfig &c) {
                     if constexpr (std::is_member_object_pointer_v<Apply>)
@@ -1013,11 +1031,11 @@ resolveAxis(const ScenarioSpec &s, const AxisDef &a, M ScenarioSpec::*knob,
             if (a.perOrg)
                 res.org = op.org;
             if (present(s, a, knob))
-                res.base = bind(one(valueOf(s.*knob), "config." + key));
+                res.base = bind(one(valueOf(s.*knob), false));
             if constexpr (!std::is_null_pointer_v<Sweep>) {
                 std::vector<R> vals;
                 for (const E &v : s.*sweep)
-                    vals.push_back(one(v, "sweep." + key + " entry"));
+                    vals.push_back(one(v, true));
                 if constexpr (std::equality_comparable<R>) {
                     if (a.sameAs)
                         rejectResolvedDuplicates(s, a, s.*sweep, vals, op);
@@ -1032,20 +1050,26 @@ resolveAxis(const ScenarioSpec &s, const AxisDef &a, M ScenarioSpec::*knob,
 
 } // namespace
 
-std::vector<std::string>
+const std::vector<std::string> &
 scenarioConfigKeys()
 {
-    std::vector<std::string> out;
-    forEachAxis([&](const AxisDef &a, auto...) { out.push_back(a.key); });
-    return out;
+    static const std::vector<std::string> keys = [] {
+        std::vector<std::string> out;
+        forEachAxis([&](const AxisDef &a, auto...) { out.push_back(a.key); });
+        return out;
+    }();
+    return keys;
 }
 
-std::vector<std::string>
+const std::vector<std::string> &
 scenarioSweepKeys()
 {
-    std::vector<std::string> out;
-    forEachSweep([&](const AxisDef &a, auto...) { out.push_back(a.key); });
-    return out;
+    static const std::vector<std::string> keys = [] {
+        std::vector<std::string> out;
+        forEachSweep([&](const AxisDef &a, auto...) { out.push_back(a.key); });
+        return out;
+    }();
+    return keys;
 }
 
 std::size_t
@@ -1154,26 +1178,32 @@ ScenarioSpec::lower() const
     };
     rejectDuplicates(workloads, "workload");
     rejectDuplicates(policies, "policy");
-    std::vector<std::string> prefixes;
+    const std::size_t nAxes = scenarioSweepKeys().size();
+    std::vector<const char *> prefixes;
     std::vector<std::vector<std::string>> labels;
+    prefixes.reserve(nAxes);
+    labels.reserve(nAxes);
     forEachSweep([&](const AxisDef &a, auto, auto sweep, auto...) {
         prefixes.push_back(a.prefix);
         auto &axis = labels.emplace_back();
         for (const auto &v : this->*sweep)
             axis.push_back(labelOf(v));
-        if (!a.sameAs)
+        if (!a.sameAs && axis.size() > 1) {
             rejectDuplicates(axis, "sweep." + std::string(a.key) + " " +
                                        a.dupNoun);
+        }
     });
 
     // Resolve every value up front, sweep axes first and in sweep order;
     // the grid points below apply the results in table order, each
     // entry's sweep coordinate else its config member.
     std::vector<std::vector<Resolved>> swept;
+    std::vector<std::pair<int, std::vector<Resolved>>> applies;
+    swept.reserve(nAxes);
+    applies.reserve(scenarioConfigKeys().size());
     forEachSweep([&](const AxisDef &a, auto... members) {
         swept.push_back(resolveAxis(*this, a, members...));
     });
-    std::vector<std::pair<int, std::vector<Resolved>>> applies;
     forEachAxis([&](const AxisDef &a, auto... members) {
         applies.emplace_back(a.pos, a.pos ? std::move(swept[a.pos - 1])
                                           : resolveAxis(*this, a, members...));
@@ -1205,7 +1235,6 @@ ScenarioSpec::lower() const
     std::vector<std::size_t> dim, ix(labels.size());
     for (const auto &l : labels)
         dim.push_back(std::max<std::size_t>(l.size(), 1));
-    const SimConfig base = plat ? plat->sim : SimConfig{};
     std::size_t nRuns = 0;
     for (;;) {
         LoweredScenario::Point pt;
@@ -1214,7 +1243,8 @@ ScenarioSpec::lower() const
                 continue;
             if (!pt.label.empty())
                 pt.label += ",";
-            pt.label += prefixes[k] + labels[k][ix[k]];
+            pt.label += prefixes[k];
+            pt.label += labels[k][ix[k]];
         }
         if (pt.label.empty())
             pt.label = "base";
@@ -1222,7 +1252,7 @@ ScenarioSpec::lower() const
         // Table order: the cooling entry (first) rebuilds the base
         // configuration, and the organization precedes the traffic
         // shape resolved for it.
-        SimConfig cfg = base;
+        SimConfig cfg = plat ? plat->sim : SimConfig{};
         for (const auto &[pos, resolved] : applies) {
             for (const Resolved &r : resolved) {
                 if (r.org && *r.org != cfg.org)
@@ -1280,13 +1310,15 @@ ScenarioSpec::lower() const
         }
 
         pt.cfg = cfg;
-        if (plat)
-            plat->sim = cfg;
+        std::optional<Platform> pointPlat = plat;
+        if (pointPlat)
+            pointPlat->sim = cfg;
         pt.runs.reserve(ws.size() * policies.size());
         for (const Workload &w : ws)
             for (const auto &pol : policies)
-                pt.runs.push_back(plat ? ch5EngineRun(*plat, w, pol)
-                                       : ExperimentEngine::Run{cfg, w, pol, {}});
+                pt.runs.push_back(pointPlat
+                                      ? ch5EngineRun(*pointPlat, w, pol)
+                                      : ExperimentEngine::Run{cfg, w, pol, {}});
 
         // Equivalence classes over the global run order (see the header's
         // LoweredScenario::classes contract): the runs were just emitted

@@ -249,10 +249,10 @@ struct ScenarioSpec
 };
 
 /** JSON member names of the scenario `config` object, in member order. */
-std::vector<std::string> scenarioConfigKeys();
+const std::vector<std::string> &scenarioConfigKeys();
 
 /** JSON member names of the `sweep` axes, in label/odometer order. */
-std::vector<std::string> scenarioSweepKeys();
+const std::vector<std::string> &scenarioSweepKeys();
 
 /**
  * One failed run of a scenario grid, identified well enough to debug
