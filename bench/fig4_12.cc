@@ -18,7 +18,7 @@ main()
         SimConfig cfg = ch4Config(cooling, true);
         std::vector<std::string> policies{"No-limit", "DTM-TS", "DTM-BW",
                                           "DTM-ACG", "DTM-CDVFS"};
-        SuiteResults r = runSuite(cfg, cpu2000Mixes(), policies);
+        SuiteResults r = engine().runSuite(cfg, cpu2000Mixes(), policies);
         printNormalized(
             "Fig 4.12 — normalized running time, integrated model (" +
                 cooling.name() + ")",

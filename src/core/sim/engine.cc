@@ -1,7 +1,8 @@
 #include "core/sim/engine.hh"
 
-#include <atomic>
+#include <algorithm>
 #include <chrono>
+#include <cmath>
 #include <cstdlib>
 #include <exception>
 
@@ -95,81 +96,10 @@ ExperimentEngine::execute(const Run &r, ThermalSimulator::Scratch &s)
 void
 ExperimentEngine::run(const std::vector<Run> &runs, RunSink &sink)
 {
-    using clock = std::chrono::steady_clock;
-
-    // The first exception a *sink call* throws; run failures go through
-    // sink.onFailure and never abort the batch.
-    std::exception_ptr sink_error;
-
-    // Serializes sink invocations (the RunSink contract) and guards
-    // sink_error. In inline mode the calling thread is the only caller,
-    // but the lock is cheap and keeps one code path.
-    std::mutex sink_mtx;
-    auto deliver = [&](std::size_t i, SimResult &&r, double wall_s,
-                       std::exception_ptr err) {
-        std::lock_guard<std::mutex> lock(sink_mtx);
-        try {
-            if (err)
-                sink.onFailure(i, err);
-            else
-                sink.onResult(i, std::move(r), wall_s);
-        } catch (...) {
-            if (!sink_error)
-                sink_error = std::current_exception();
-        }
-    };
-    auto one = [&](std::size_t i, ThermalSimulator::Scratch &s) {
-        const auto t0 = clock::now();
-        SimResult r;
-        std::exception_ptr err;
-        try {
-            r = execute(runs[i], s);
-        } catch (...) {
-            err = std::current_exception();
-        }
-        const double wall_s =
-            std::chrono::duration<double>(clock::now() - t0).count();
-        deliver(i, std::move(r), wall_s, err);
-    };
-
-    if (workers.empty()) {
-        ThermalSimulator::Scratch scratch;
-        for (std::size_t i = 0; i < runs.size(); ++i)
-            one(i, scratch);
-        if (sink_error)
-            std::rethrow_exception(sink_error);
-        return;
-    }
-
-    // Completion state lives on this frame; `done` is guarded by
-    // done_mtx (not an atomic) so run() cannot observe the batch as
-    // finished before the last worker has released the mutex — i.e.
-    // before it is done touching done_cv/done_mtx. An atomic counter
-    // would let run() return (and destroy these objects) between a
-    // worker's increment and its notify.
-    std::size_t done = 0;
-    std::mutex done_mtx;
-    std::condition_variable done_cv;
-
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        for (std::size_t i = 0; i < runs.size(); ++i) {
-            queue.emplace_back([&, i](ThermalSimulator::Scratch &s) {
-                one(i, s);
-                std::lock_guard<std::mutex> dlock(done_mtx);
-                if (++done == runs.size())
-                    done_cv.notify_all();
-            });
-        }
-    }
-    wake.notify_all();
-
-    {
-        std::unique_lock<std::mutex> lock(done_mtx);
-        done_cv.wait(lock, [&] { return done == runs.size(); });
-    }
-    if (sink_error)
-        std::rethrow_exception(sink_error);
+    std::vector<RunClass> singletons(runs.size());
+    for (std::size_t i = 0; i < runs.size(); ++i)
+        singletons[i] = RunClass{i, 1};
+    runBatched(runs, singletons, 1, sink);
 }
 
 void
@@ -207,7 +137,13 @@ ExperimentEngine::runBatched(const std::vector<Run> &runs,
             chunks.push_back(
                 Chunk{c.first + off, std::min(width, c.count - off)});
 
+    // The first exception a *sink call* throws; run failures go through
+    // sink.onFailure and never abort the batch.
     std::exception_ptr sink_error;
+
+    // Serializes sink invocations (the RunSink contract) and guards
+    // sink_error and agg. In inline mode the calling thread is the only
+    // caller, but the lock is cheap and keeps one code path.
     std::mutex sink_mtx;
     BatchStats agg;
     auto deliver = [&](std::size_t i, SimResult &&r, double wall_s,
@@ -240,10 +176,13 @@ ExperimentEngine::runBatched(const std::vector<Run> &runs,
                 std::chrono::duration<double>(clock::now() - t0).count();
             // A lone run shares nothing; count its windows so the hit
             // rate reflects the whole grid, not just batched chunks.
+            // runningTime accumulates window steps, so round the ratio
+            // to the whole window count a batched lane would credit.
             const double w =
                 err ? 0.0
-                    : r.runningTime /
-                          std::max(runs[ch.first].cfg.window, 1e-12);
+                    : std::round(r.runningTime /
+                                 std::max(runs[ch.first].cfg.window,
+                                          1e-12));
             deliver(ch.first, std::move(r), wall_s, err);
             if (stats && w > 0.0) {
                 std::lock_guard<std::mutex> lock(sink_mtx);
@@ -308,6 +247,12 @@ ExperimentEngine::runBatched(const std::vector<Run> &runs,
         for (const Chunk &ch : chunks)
             oneChunk(ch, scratch);
     } else {
+        // Completion state lives on this frame; `done` is guarded by
+        // done_mtx (not an atomic) so this call cannot observe the batch
+        // as finished before the last worker has released the mutex —
+        // i.e. before it is done touching done_cv/done_mtx. An atomic
+        // counter would let it return (and destroy these objects)
+        // between a worker's increment and its notify.
         std::size_t done = 0;
         std::mutex done_mtx;
         std::condition_variable done_cv;

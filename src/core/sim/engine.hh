@@ -6,9 +6,8 @@
  * configuration) simulations — each run owns its simulator, thermal
  * state, and sensor RNG stream, so runs never share mutable state and
  * the suite is embarrassingly parallel. The engine fans runs out over a
- * fixed-size thread pool and collects results keyed exactly as the
- * serial runSuite() always did, so parallel and serial execution
- * produce bit-identical SuiteResults.
+ * fixed-size thread pool and collects results keyed by input order,
+ * so parallel and serial execution produce bit-identical SuiteResults.
  *
  * Thread count resolution (in priority order):
  *  1. the explicit constructor argument, when > 0;
@@ -66,8 +65,8 @@ using GridResults = std::vector<SuiteResults>;
  * mid-grid crash with every completed run already persisted.
  *
  * A sink that throws does not abort the batch: the remaining runs still
- * execute, and the first sink exception is rethrown from run() after
- * the batch drains (a full disk should not discard in-flight work).
+ * execute, and the first sink exception is rethrown after the batch
+ * drains (a full disk should not discard in-flight work).
  */
 class RunSink
 {
@@ -135,32 +134,33 @@ class ExperimentEngine
     static int defaultThreads();
 
     /**
-     * Streaming primitive: execute all runs, handing each result (or
-     * failure) to @p sink as it completes. Sink invocations are
-     * serialized; see RunSink. This is the form every other entry point
-     * is built on — the engine itself never owns a result vector.
-     */
-    void run(const std::vector<Run> &runs, RunSink &sink);
-
-    /**
-     * Batched streaming primitive: like run(runs, sink), but runs
+     * Execute all runs, handing each result (or failure) to @p sink as it
+     * completes; sink invocations are serialized (see RunSink). Runs
      * within one RunClass execute through ThermalSimulator::runBatch in
      * chunks of up to @p batch_width lanes, sharing their simulated
-     * prefix. Results are bit-identical to run() per run — batching is
-     * purely an execution strategy. @p classes must tile [0, runs.size())
-     * in order, and every class's runs must share config + workload
-     * (only the policy may differ); violating that is the caller's bug
-     * and produces wrong results, which is why only the scenario layer
-     * constructs classes. Chunks of one run fall back to the scalar
-     * path. A failure while building one run's policy fails only that
-     * run; a failure inside a batched simulation fails every run of the
-     * chunk (their shared state is poisoned). @p batch_width < 1 means
-     * "whole class in one chunk". @p stats, when non-null, accumulates
-     * the batch counters across all chunks.
+     * prefix; a chunk of one run takes the scalar path, so width 1 (or
+     * all-singleton classes) is scalar execution. @p batch_width < 1
+     * means "whole class in one chunk". Results are bit-identical to
+     * scalar execution per run — batching is purely a strategy.
+     *
+     * This is the engine's only dispatcher: every other entry point
+     * forwards here, and the engine itself never owns a result vector.
+     *
+     * @p classes must tile [0, runs.size()) in order, and every class's
+     * runs must share config + workload (only the policy may differ);
+     * violating that is the caller's bug and produces wrong results,
+     * which is why only the scenario layer constructs multi-run classes.
+     * A failure while building one run's policy fails only that run; a
+     * failure inside a batched simulation fails every run of the chunk
+     * (their shared state is poisoned). @p stats, when non-null,
+     * accumulates the batch counters across all chunks.
      */
     void runBatched(const std::vector<Run> &runs,
                     const std::vector<RunClass> &classes, int batch_width,
                     RunSink &sink, BatchStats *stats = nullptr);
+
+    /** Scalar streaming: runBatched() with one singleton class per run. */
+    void run(const std::vector<Run> &runs, RunSink &sink);
 
     /**
      * Collecting convenience wrapper: execute all runs; results are
@@ -175,8 +175,7 @@ class ExperimentEngine
     std::vector<SimResult> run(const std::vector<Run> &runs);
 
     /**
-     * Parallel equivalent of the serial runSuite(): every
-     * (workload, policy-name) pair under one configuration, keyed
+     * Every (workload, policy-name) pair under one configuration, keyed
      * result[workload][policy].
      */
     SuiteResults runSuite(const SimConfig &cfg,

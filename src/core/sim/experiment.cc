@@ -1,7 +1,6 @@
 #include "core/sim/experiment.hh"
 
 #include "common/logging.hh"
-#include "core/sim/engine.hh"
 #include "core/sim/registry.hh"
 
 namespace memtherm
@@ -22,17 +21,6 @@ ch4PolicyNames(bool with_pid)
         return {"DTM-TS", "DTM-BW", "DTM-ACG", "DTM-CDVFS"};
     return {"DTM-TS",  "DTM-BW",    "DTM-BW+PID",    "DTM-ACG",
             "DTM-ACG+PID", "DTM-CDVFS", "DTM-CDVFS+PID"};
-}
-
-SuiteResults
-runSuite(const SimConfig &cfg, const std::vector<Workload> &workloads,
-         const std::vector<std::string> &policy_names)
-{
-    // Thin wrapper over the parallel engine (thread count from
-    // MEMTHERM_THREADS or the hardware); results are bit-identical to
-    // the historical serial loop for any thread count.
-    ExperimentEngine engine;
-    return engine.runSuite(cfg, workloads, policy_names);
 }
 
 double

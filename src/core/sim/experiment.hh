@@ -1,7 +1,8 @@
 /**
  * @file
- * Experiment drivers shared by the bench harness and tests: policy
- * factories, suite runners, and paper-style normalizations.
+ * Experiment helpers shared by the bench harness and tests: policy
+ * factories, suite results, and paper-style normalizations. Suites run
+ * through ExperimentEngine (core/sim/engine.hh).
  */
 
 #ifndef MEMTHERM_CORE_SIM_EXPERIMENT_HH
@@ -39,17 +40,6 @@ std::vector<std::string> ch4PolicyNames(bool with_pid = true);
  * Results of one suite: result[workload][policy].
  */
 using SuiteResults = std::map<std::string, std::map<std::string, SimResult>>;
-
-/**
- * Run every (workload, policy-name) pair under one configuration.
- *
- * Thin wrapper over ExperimentEngine (core/sim/engine.hh): runs fan out
- * over a thread pool sized by MEMTHERM_THREADS (default: hardware
- * concurrency), with results bit-identical to serial execution.
- */
-SuiteResults runSuite(const SimConfig &cfg,
-                      const std::vector<Workload> &workloads,
-                      const std::vector<std::string> &policy_names);
 
 /**
  * Normalized metric helper: value(workload,policy) / value(workload,base).

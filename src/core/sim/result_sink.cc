@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdlib>
 #include <filesystem>
+#include <numeric>
+#include <optional>
 #include <utility>
 
 #include "common/logging.hh"
@@ -68,8 +70,8 @@ whatOf(std::exception_ptr err)
 
 /**
  * The lowered grid's index geometry: global run k lives at point
- * k / (W*P), workload (k % (W*P)) / P, policy k % P — the same layout
- * runScenario() uses, so stream indices mean the same run everywhere.
+ * k / (W*P), workload (k % (W*P)) / P, policy k % P — the lowering
+ * order, so document, stream and merge indices mean the same run.
  */
 struct GridIndex
 {
@@ -81,9 +83,11 @@ struct GridIndex
         perPoint = workloads.size() * policies.size();
     }
 
+    std::size_t size() const { return pointLabels.size() * perPoint; }
+    std::size_t pointIndex(std::size_t k) const { return k / perPoint; }
     const std::string &point(std::size_t k) const
     {
-        return pointLabels[k / perPoint];
+        return pointLabels[pointIndex(k)];
     }
     const std::string &workload(std::size_t k) const
     {
@@ -377,67 +381,188 @@ namespace
 {
 
 /**
- * Sink behind runScenarioStream(): persists each result/failure the
- * moment it arrives, mapping the engine's filtered batch index back to
- * the global grid index the stream speaks.
+ * MEMTHERM_FAULT_FAIL_RUN=<k>: replace global run k's policy factory
+ * with one that throws. No-op when unset, out of range or malformed.
  */
-class StreamWriteSink : public RunSink
+void
+applyFaultInjection(std::vector<ExperimentEngine::Run> &runs)
+{
+    const char *env = std::getenv("MEMTHERM_FAULT_FAIL_RUN");
+    if (!env)
+        return;
+    char *end = nullptr;
+    unsigned long k = std::strtoul(env, &end, 10);
+    if (end == env || *end != '\0') {
+        warn("MEMTHERM_FAULT_FAIL_RUN='" + std::string(env) +
+             "' is not a run index; ignoring");
+        return;
+    }
+    if (k >= runs.size())
+        return;
+    runs[k].factory = [k](const SimConfig &,
+                          const std::string &) -> std::unique_ptr<DtmPolicy> {
+        fatal("injected failure (MEMTHERM_FAULT_FAIL_RUN=" +
+              std::to_string(k) + ")");
+    };
+}
+
+/**
+ * What the one scenario runner (runGrid) feeds: the document collector
+ * behind runScenario() or the JSONL writer behind runScenarioStream().
+ * This base maps the engine's indices back to global grid indices and
+ * records each failure as a RunError, once for both outputs; engine
+ * calls are serialized (RunSink contract).
+ */
+class GridSink : public RunSink
 {
   public:
-    StreamWriteSink(JsonlResultWriter &writer, const GridIndex &grid,
-                    std::vector<std::size_t> global, bool traces)
-        : writer(writer), grid(grid), global(std::move(global)),
-          traces(traces)
+    /** The lowered grid's geometry; set by runGrid() before select(). */
+    std::optional<GridIndex> grid;
+    std::vector<std::size_t> global; ///< engine index -> global index
+    std::vector<RunError> failures;  ///< sorted by index after runGrid()
+
+    /** Nothing has run yet: the global indices to execute, ascending. */
+    virtual std::vector<std::size_t> select() = 0;
+
+    void onResult(std::size_t i, SimResult &&r, double wall_s) final
     {
+        result(global[i], std::move(r), wall_s);
     }
 
-    void onResult(std::size_t i, SimResult &&r, double wall_s) override
+    void onFailure(std::size_t i, std::exception_ptr err) final
     {
         const std::size_t k = global[i];
-        writer.appendResult(k, grid.point(k), grid.workload(k),
-                            grid.policy(k), r, wall_s, traces);
-    }
-
-    void onFailure(std::size_t i, std::exception_ptr err) override
-    {
-        const std::size_t k = global[i];
-        RunError e;
-        e.index = k;
-        e.point = grid.point(k);
-        e.workload = grid.workload(k);
-        e.policy = grid.policy(k);
-        e.error = whatOf(err);
-        writer.appendError(k, e.point, e.workload, e.policy, e.error);
+        RunError e{k, grid->point(k), grid->workload(k), grid->policy(k),
+                   whatOf(err)};
+        failed(e);
         failures.push_back(std::move(e));
     }
 
-    JsonlResultWriter &writer;
-    const GridIndex &grid;
-    std::vector<std::size_t> global; ///< batch index -> global index
-    bool traces;
-    std::vector<RunError> failures;
+  protected:
+    virtual void result(std::size_t k, SimResult &&r, double wall_s) = 0;
+    virtual void failed(const RunError &) {}
 };
 
-} // namespace
-
-StreamRunStats
-runScenarioStream(const ScenarioSpec &spec, ExperimentEngine &engine,
-                  const StreamRunOptions &opts)
+/**
+ * The one scenario runner behind runScenario(), runScenarioBatched()
+ * and runScenarioStream(): lower the spec, flatten its points into the
+ * global run list, inject MEMTHERM_FAULT_FAIL_RUN on the *full* list
+ * (so an injected index names the same run under every shard/resume
+ * shape), execute the subset @p sink selects, and map each engine
+ * index back to its global index.
+ *
+ * Classes are recomputed over the subset: consecutive survivors of one
+ * lowered class form one class, so a shard or a resumed remainder still
+ * shares prefixes among the class-mates it holds. @p width is the
+ * engine's chunk width (1 = scalar, < 1 = one chunk per class).
+ */
+void
+runGrid(const ScenarioSpec &spec, ExperimentEngine &engine, int width,
+        GridSink &sink, BatchStats *stats)
 {
     LoweredScenario low = spec.lower();
-    GridIndex grid(low);
-
     std::vector<ExperimentEngine::Run> all;
     all.reserve(low.totalRuns());
-    for (const auto &pt : low.points)
-        for (const auto &r : pt.runs)
-            all.push_back(r);
-    // Inject on the full list, before shard/resume filtering, so an
-    // injected index names the same run under every invocation shape.
+    for (auto &pt : low.points)
+        for (auto &r : pt.runs)
+            all.push_back(std::move(r));
     applyFaultInjection(all);
 
-    StreamRunStats stats;
-    stats.totalRuns = all.size();
+    sink.grid.emplace(low);
+    panicIfNot(all.size() == sink.grid->size(),
+               "runGrid: lowered runs do not match the grid geometry");
+    sink.global = sink.select();
+
+    std::vector<ExperimentEngine::Run> todo;
+    std::vector<ExperimentEngine::RunClass> classes;
+    todo.reserve(sink.global.size());
+    std::size_t c = 0;                     // lowered class of run k
+    std::size_t open = low.classes.size(); // ... of classes.back()
+    for (std::size_t j = 0; j < sink.global.size(); ++j) {
+        const std::size_t k = sink.global[j];
+        panicIfNot(k < all.size() && (j == 0 || k > sink.global[j - 1]),
+                   "runGrid: selection must be ascending global indices");
+        while (k >= low.classes[c].first + low.classes[c].count)
+            ++c;
+        if (c == open) {
+            ++classes.back().count;
+        } else {
+            classes.push_back({j, 1});
+            open = c;
+        }
+        todo.push_back(std::move(all[k]));
+    }
+
+    engine.runBatched(todo, classes, width, sink, stats);
+
+    // Completion order is nondeterministic; sort for stable output.
+    std::sort(sink.failures.begin(), sink.failures.end(),
+              [](const RunError &a, const RunError &b) {
+                  return a.index < b.index;
+              });
+}
+
+/** runScenario()'s sink: every run, results kept by global index. */
+class DocumentSink : public GridSink
+{
+  public:
+    std::vector<std::size_t> select() override
+    {
+        results.resize(grid->size());
+        std::vector<std::size_t> every(grid->size());
+        std::iota(every.begin(), every.end(), std::size_t{0});
+        return every;
+    }
+
+    std::vector<std::optional<SimResult>> results;
+
+  protected:
+    void result(std::size_t k, SimResult &&r, double) override
+    {
+        results[k] = std::move(r);
+    }
+};
+
+/**
+ * runScenarioStream()'s sink: selects this shard's runs the stream has
+ * not completed (validating a resumed stream's header first), then
+ * persists each result/failure the moment it arrives.
+ */
+class StreamWriteSink : public GridSink
+{
+  public:
+    StreamWriteSink(const ScenarioSpec &spec, const StreamRunOptions &opts,
+                    StreamRunStats &stats)
+        : spec(spec), opts(opts), stats(stats)
+    {
+    }
+
+    std::vector<std::size_t> select() override;
+
+  protected:
+    void result(std::size_t k, SimResult &&r, double wall_s) override
+    {
+        writer->appendResult(k, grid->point(k), grid->workload(k),
+                             grid->policy(k), r, wall_s, opts.traces);
+    }
+
+    void failed(const RunError &e) override
+    {
+        writer->appendError(e.index, e.point, e.workload, e.policy, e.error);
+    }
+
+  private:
+    const ScenarioSpec &spec;
+    const StreamRunOptions &opts;
+    StreamRunStats &stats;
+    std::optional<JsonlResultWriter> writer;
+};
+
+std::vector<std::size_t>
+StreamWriteSink::select()
+{
+    const std::size_t total = grid->size();
+    stats.totalRuns = total;
 
     std::error_code ec;
     const bool exists = std::filesystem::exists(opts.path, ec) && !ec;
@@ -447,7 +572,7 @@ runScenarioStream(const ScenarioSpec &spec, ExperimentEngine &engine,
 
     // Which global indices already hold a result. Errored indices stay
     // absent — a resume retries them (most failures are environmental).
-    std::vector<bool> completed(all.size(), false);
+    std::vector<bool> completed(total, false);
     std::size_t cleanSize = 0;
     if (opts.resume && nonEmpty) {
         StreamScan scan = scanStream(opts.path, /*keep_results=*/false);
@@ -458,10 +583,10 @@ runScenarioStream(const ScenarioSpec &spec, ExperimentEngine &engine,
                   scan.specHash + ", scenario hashes to " + want +
                   "); refusing to mix results from different scenarios");
         }
-        if (scan.totalRuns != all.size()) {
+        if (scan.totalRuns != total) {
             fatal("stream '" + opts.path + "': header says " +
                   std::to_string(scan.totalRuns) + " runs but the "
-                  "scenario lowers to " + std::to_string(all.size()));
+                  "scenario lowers to " + std::to_string(total));
         }
         if (!(scan.shard == opts.shard)) {
             fatal("stream '" + opts.path + "': header shard " +
@@ -482,12 +607,10 @@ runScenarioStream(const ScenarioSpec &spec, ExperimentEngine &engine,
               "empty; pass --resume to continue it or remove it to "
               "start over");
     }
-    const bool resuming = opts.resume && nonEmpty;
 
     // This shard's slice, minus what the stream already has.
-    std::vector<ExperimentEngine::Run> todo;
     std::vector<std::size_t> global;
-    for (std::size_t k = 0; k < all.size(); ++k) {
+    for (std::size_t k = 0; k < total; ++k) {
         if (!opts.shard.owns(k))
             continue;
         ++stats.shardRuns;
@@ -495,23 +618,61 @@ runScenarioStream(const ScenarioSpec &spec, ExperimentEngine &engine,
             ++stats.skipped;
             continue;
         }
-        todo.push_back(all[k]);
         global.push_back(k);
     }
-    stats.executed = todo.size();
+    stats.executed = global.size();
 
-    JsonlResultWriter writer =
-        resuming ? JsonlResultWriter(opts.path, cleanSize)
-                 : JsonlResultWriter(opts.path, spec, all.size(),
-                                     opts.shard, opts.traces);
+    if (opts.resume && nonEmpty)
+        writer.emplace(opts.path, cleanSize);
+    else
+        writer.emplace(opts.path, spec, total, opts.shard, opts.traces);
+    return global;
+}
 
-    StreamWriteSink sink(writer, grid, std::move(global), opts.traces);
-    engine.run(todo, sink);
+} // namespace
 
-    std::sort(sink.failures.begin(), sink.failures.end(),
-              [](const RunError &a, const RunError &b) {
-                  return a.index < b.index;
-              });
+ScenarioResults
+runScenarioBatched(const ScenarioSpec &spec, ExperimentEngine &engine,
+                   int batch_width, BatchStats *stats)
+{
+    DocumentSink sink;
+    runGrid(spec, engine, batch_width, sink, stats);
+
+    ScenarioResults out;
+    out.scenario = spec.name;
+    const GridIndex &grid = *sink.grid;
+    for (const std::string &label : grid.pointLabels)
+        out.points.push_back({label, {}});
+    for (std::size_t k = 0; k < sink.results.size(); ++k) {
+        if (sink.results[k])
+            out.points[grid.pointIndex(k)]
+                .suite[grid.workload(k)][grid.policy(k)] =
+                std::move(*sink.results[k]);
+    }
+    out.errors = std::move(sink.failures);
+    return out;
+}
+
+ScenarioResults
+runScenario(const ScenarioSpec &spec, ExperimentEngine &engine)
+{
+    return runScenarioBatched(spec, engine, 1);
+}
+
+ScenarioResults
+runScenario(const ScenarioSpec &spec)
+{
+    ExperimentEngine engine;
+    return runScenario(spec, engine);
+}
+
+StreamRunStats
+runScenarioStream(const ScenarioSpec &spec, ExperimentEngine &engine,
+                  const StreamRunOptions &opts)
+{
+    StreamRunStats stats;
+    StreamWriteSink sink(spec, opts, stats);
+    runGrid(spec, engine, opts.batchWidth, sink, &stats.batch);
     stats.failed = sink.failures.size();
     stats.failures = std::move(sink.failures);
     return stats;

@@ -19,7 +19,11 @@
  *  - runScenarioStream() orchestrates checkpoint/resume (`--resume`
  *    skips already-completed grid indices) and deterministic sharding
  *    (`--shard i/N` partitions the global run list so N machines split
- *    one scenario file).
+ *    one scenario file). It shares one runner with runScenario() and
+ *    runScenarioBatched() (scenario.hh, defined here): lower, flatten,
+ *    inject faults, execute a subset of the global runs, and map the
+ *    engine's indices back — so batching (`--batch`) composes with
+ *    streams, shards and resume alike.
  *  - mergeStreams() folds shard/resume streams back into the canonical
  *    results JSON, bit-identical to what an uninterrupted unsharded
  *    `memtherm run -o` writes.
@@ -34,7 +38,9 @@
  * Fault injection for tests: MEMTHERM_FAULT_AFTER_RUN=<k> makes the
  * writer simulate a hard crash (std::_Exit) immediately after the k-th
  * result line of this process is on disk; MEMTHERM_FAULT_FAIL_RUN=<k>
- * (scenario.hh) makes global run #k throw.
+ * makes global run #k of every scenario run throw (its policy factory
+ * is replaced; injected on the full lowered list, before shard/resume
+ * filtering, so the index names the same run everywhere).
  */
 
 #ifndef MEMTHERM_CORE_SIM_RESULT_SINK_HH
@@ -186,6 +192,9 @@ struct StreamRunOptions
     bool resume = false;  ///< continue an existing stream
     ShardSpec shard;      ///< this invocation's slice of the grid
     bool traces = false;  ///< embed full traces in result lines
+    /// Engine chunk width (`--batch`): 1 = scalar, < 1 = one chunk per
+    /// class. Records stay per run whatever the width.
+    int batchWidth = 1;
 };
 
 /** What one runScenarioStream() invocation did. */
@@ -197,14 +206,18 @@ struct StreamRunStats
     std::size_t executed = 0;  ///< runs executed by this invocation
     std::size_t failed = 0;    ///< of those, how many failed
     std::vector<RunError> failures; ///< this invocation's failures
+    BatchStats batch; ///< prefix-sharing counters of the executed runs
 };
 
 /**
  * Execute a scenario with streaming results: lower the grid, filter to
  * this shard (and, on resume, to indices the stream has not completed),
- * and append each result to the stream as it finishes. On resume the
- * header's spec hash, total run count, shard, and traces flag must all
- * match — FatalError otherwise; failed indices are retried. A resume
+ * and append each result to the stream as it finishes. Class-mates that
+ * survive the filter still share their prefix at opts.batchWidth; a
+ * crash loses at most the chunks in flight, which a resume reruns. On
+ * resume the header's spec hash, total run count, shard, and traces
+ * flag must all match — FatalError otherwise; failed indices are
+ * retried. A resume
  * of a missing or empty stream file starts fresh (so unattended
  * restart loops can always pass --resume).
  */

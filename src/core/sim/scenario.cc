@@ -4,7 +4,6 @@
 #include <climits>
 #include <cmath>
 #include <concepts>
-#include <cstdlib>
 #include <functional>
 #include <limits>
 #include <type_traits>
@@ -1444,141 +1443,6 @@ void
 ScenarioSpec::save(const std::string &path) const
 {
     toJson().save(path);
-}
-
-void
-applyFaultInjection(std::vector<ExperimentEngine::Run> &runs)
-{
-    const char *env = std::getenv("MEMTHERM_FAULT_FAIL_RUN");
-    if (!env)
-        return;
-    char *end = nullptr;
-    unsigned long k = std::strtoul(env, &end, 10);
-    if (end == env || *end != '\0') {
-        warn("MEMTHERM_FAULT_FAIL_RUN='" + std::string(env) +
-             "' is not a run index; ignoring");
-        return;
-    }
-    if (k >= runs.size())
-        return;
-    runs[k].factory = [k](const SimConfig &,
-                          const std::string &) -> std::unique_ptr<DtmPolicy> {
-        fatal("injected failure (MEMTHERM_FAULT_FAIL_RUN=" +
-              std::to_string(k) + ")");
-    };
-}
-
-namespace
-{
-
-/**
- * Sink behind runScenario(): positional results plus per-run failure
- * records, so one throwing run cannot discard the rest of the grid.
- */
-class ScenarioCollectSink : public RunSink
-{
-  public:
-    explicit ScenarioCollectSink(std::size_t n) : results(n), ok(n, false)
-    {
-    }
-
-    void onResult(std::size_t i, SimResult &&r, double) override
-    {
-        results[i] = std::move(r);
-        ok[i] = true;
-    }
-
-    void onFailure(std::size_t i, std::exception_ptr err) override
-    {
-        std::string what = "unknown error";
-        try {
-            std::rethrow_exception(err);
-        } catch (const std::exception &e) {
-            what = e.what();
-        } catch (...) {
-        }
-        failures.emplace_back(i, what);
-    }
-
-    std::vector<SimResult> results;
-    std::vector<bool> ok;
-    std::vector<std::pair<std::size_t, std::string>> failures;
-};
-
-/**
- * Shared body of runScenario()/runScenarioBatched(): lower, execute
- * (scalar when @p batch_width is 0, batched otherwise), assemble.
- */
-ScenarioResults
-runScenarioImpl(const ScenarioSpec &spec, ExperimentEngine &engine,
-                int batch_width, BatchStats *stats)
-{
-    LoweredScenario low = spec.lower();
-
-    std::vector<ExperimentEngine::Run> all;
-    all.reserve(low.totalRuns());
-    for (const auto &pt : low.points)
-        for (const auto &r : pt.runs)
-            all.push_back(r);
-    applyFaultInjection(all);
-
-    ScenarioCollectSink sink(all.size());
-    if (batch_width == 0)
-        engine.run(all, sink);
-    else
-        engine.runBatched(all, low.classes, batch_width, sink, stats);
-
-    ScenarioResults out;
-    out.scenario = spec.name;
-    std::size_t k = 0;
-    for (const auto &pt : low.points) {
-        ScenarioResults::Point rp;
-        rp.label = pt.label;
-        for (const auto &w : low.workloads)
-            for (const auto &p : low.policies) {
-                if (sink.ok[k])
-                    rp.suite[w][p] = std::move(sink.results[k]);
-                ++k;
-            }
-        out.points.push_back(std::move(rp));
-    }
-    // Failure records carry the full grid coordinate; completion order
-    // is nondeterministic, so sort by index for stable output.
-    std::sort(sink.failures.begin(), sink.failures.end());
-    for (const auto &[i, what] : sink.failures) {
-        const std::size_t per_point = low.workloads.size() *
-                                      low.policies.size();
-        RunError e;
-        e.index = i;
-        e.point = low.points[i / per_point].label;
-        e.workload = low.workloads[(i % per_point) / low.policies.size()];
-        e.policy = low.policies[i % low.policies.size()];
-        e.error = what;
-        out.errors.push_back(std::move(e));
-    }
-    return out;
-}
-
-} // namespace
-
-ScenarioResults
-runScenario(const ScenarioSpec &spec, ExperimentEngine &engine)
-{
-    return runScenarioImpl(spec, engine, 0, nullptr);
-}
-
-ScenarioResults
-runScenario(const ScenarioSpec &spec)
-{
-    ExperimentEngine engine;
-    return runScenario(spec, engine);
-}
-
-ScenarioResults
-runScenarioBatched(const ScenarioSpec &spec, ExperimentEngine &engine,
-                   int batch_width, BatchStats *stats)
-{
-    return runScenarioImpl(spec, engine, batch_width, stats);
 }
 
 Json

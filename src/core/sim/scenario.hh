@@ -289,21 +289,13 @@ struct ScenarioResults
 };
 
 /**
- * Fault-injection hook for crash/failure testing: when the
- * MEMTHERM_FAULT_FAIL_RUN environment variable holds a global run
- * index, that run's policy factory is replaced with one that throws.
- * Applied to the *full* lowered run list (before any shard/resume
- * filtering), so the injected index means the same run everywhere.
- * No-op when the variable is unset or malformed.
- */
-void applyFaultInjection(std::vector<ExperimentEngine::Run> &runs);
-
-/**
  * Execute a scenario on an engine. Results are bit-identical to hand
  * the same runs to ExperimentEngine directly (the spec only *describes*
  * the runs; the engine's determinism guarantees do the rest). A run
  * that throws becomes a RunError in the returned results; every other
- * run's result is still delivered.
+ * run's result is still delivered. This is runScenarioBatched() at
+ * width 1; both are defined in core/sim/result_sink.cc, sharing one
+ * runner with runScenarioStream().
  */
 ScenarioResults runScenario(const ScenarioSpec &spec,
                             ExperimentEngine &engine);

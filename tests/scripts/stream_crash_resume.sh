@@ -2,7 +2,7 @@
 # End-to-end crash/resume check against the real CLI binary: a run
 # killed mid-grid by fault injection (plus a torn trailing line, as a
 # kill mid-append would leave) must resume to results bit-identical to
-# an uninterrupted run.
+# an uninterrupted run, with and without --batch.
 #
 # Usage: stream_crash_resume.sh <memtherm-binary> <source-dir> <workdir>
 set -euo pipefail
@@ -14,7 +14,8 @@ SCENARIO="$SRC/examples/scenarios/dtm_sensitivity.json"
 
 mkdir -p "$WORK"
 cd "$WORK"
-rm -f full.json full.jsonl crash.jsonl resumed.json
+rm -f full.json full.jsonl crash.jsonl resumed.json bcrash.jsonl \
+    bresumed.json
 
 "$CLI" run "$SCENARIO" --copies 1 --threads 2 -o full.json --quiet
 
@@ -48,4 +49,18 @@ case "$out" in
     ;;
 esac
 
-echo "PASS: crash + torn tail resumed to bit-identical results"
+# Again at --batch 4: a crash loses at most the chunks in flight, and
+# the (batched) resume reruns them to the same bytes.
+rc=0
+MEMTHERM_FAULT_AFTER_RUN=3 "$CLI" run "$SCENARIO" --copies 1 --threads 2 \
+    --batch 4 --stream bcrash.jsonl --quiet || rc=$?
+if [ "$rc" -ne 86 ]; then
+    echo "FAIL: expected batched injected-crash exit code 86, got $rc" >&2
+    exit 1
+fi
+"$CLI" run "$SCENARIO" --copies 1 --threads 2 --batch 4 \
+    --stream bcrash.jsonl --resume -o bresumed.json --quiet
+cmp full.json bresumed.json
+
+echo "PASS: crash + torn tail resumed to bit-identical results" \
+    "(scalar and --batch 4)"

@@ -468,5 +468,35 @@ TEST(Scenario, RunScenarioBatchedMatchesScalar)
     EXPECT_GT(stats.hitRate(), 0.0);
 }
 
+/**
+ * Width 0 ("< 1 = one chunk per class") batches the whole class: the
+ * same results and the same batch counters as a width equal to the
+ * policy count — not a silent fall-back to scalar execution.
+ */
+TEST(Scenario, RunScenarioBatchedWidthZeroIsOneChunkPerClass)
+{
+    ScenarioSpec spec;
+    spec.name = "width_zero";
+    spec.workloads = {"W1"};
+    spec.policies = {"No-limit", "DTM-TS", "DTM-BW", "DTM-ACG"};
+    spec.copiesPerApp = 1;
+    spec.sensorNoiseSigma = 0.25;
+    spec.sensorSeed = 77;
+    spec.sweepTInlet = {38.0, 50.0};
+
+    ExperimentEngine engine(1);
+    BatchStats zero, full;
+    const ScenarioResults a = runScenarioBatched(spec, engine, 0, &zero);
+    const ScenarioResults b = runScenarioBatched(
+        spec, engine, static_cast<int>(spec.policies.size()), &full);
+
+    EXPECT_EQ(toJson(a, true).dump(), toJson(b, true).dump());
+    EXPECT_GT(zero.logicalWindows, 0.0);
+    EXPECT_GT(zero.hitRate(), 0.0);
+    EXPECT_EQ(zero.logicalWindows, full.logicalWindows);
+    EXPECT_EQ(zero.simulatedWindows, full.simulatedWindows);
+    EXPECT_EQ(zero.forks, full.forks);
+}
+
 } // namespace
 } // namespace memtherm

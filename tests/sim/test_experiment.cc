@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
+#include "core/sim/engine.hh"
 #include "core/sim/experiment.hh"
 
 namespace memtherm
@@ -36,7 +37,9 @@ TEST(Experiment, SuiteAndNormalization)
     SimConfig cfg = makeCh4Config(coolingAohs15(), false);
     cfg.copiesPerApp = 4;
     std::vector<Workload> ws{workloadMix("W1")};
-    SuiteResults r = runSuite(cfg, ws, {"No-limit", "DTM-TS", "DTM-ACG"});
+    ExperimentEngine engine;
+    SuiteResults r =
+        engine.runSuite(cfg, ws, {"No-limit", "DTM-TS", "DTM-ACG"});
     ASSERT_EQ(r.size(), 1u);
     ASSERT_EQ(r.at("W1").size(), 3u);
 

@@ -407,6 +407,129 @@ TEST(ResultStream, StreamBytesAreIndependentOfThreadCount)
                 mergeStreams({parallel4.path}).results);
 }
 
+/**
+ * 2 inlet points x 1 workload x 5 policies. Round-robin 3-way sharding
+ * leaves the pairs (policy 0, 3) and (1, 4) of a class in one shard;
+ * this order pairs policies whose decisions agree here (No-limit with
+ * DTM-TS, DTM-BW with DTM-CDVFS), so the shards share prefixes too.
+ */
+ScenarioSpec
+batchySpec()
+{
+    ScenarioSpec spec = tinySpec();
+    spec.name = "sink_batch_test";
+    spec.policies = {"No-limit", "DTM-BW", "DTM-ACG", "DTM-TS",
+                     "DTM-CDVFS"};
+    return spec;
+}
+
+/**
+ * Batched streams: a 3-way sharding, with one shard crashed by
+ * MEMTHERM_FAULT_AFTER_RUN and resumed, merges to exactly the scalar
+ * document's bytes, and the shards' logical windows add up to the
+ * unsharded batched run's.
+ */
+TEST(ResultStream, BatchedShardsCrashResumeMergeToScalarBytes)
+{
+    const ScenarioSpec spec = batchySpec();
+    ExperimentEngine engine(1);
+    const std::string scalar = toJson(runScenario(spec, engine)).dump();
+
+    for (int width : {1, 3, 0}) {
+        const std::string tag = "w" + std::to_string(width);
+        BatchStats whole;
+        (void)runScenarioBatched(spec, engine, width, &whole);
+        if (width != 1) {
+            EXPECT_LT(whole.simulatedWindows, whole.logicalWindows) << tag;
+        }
+
+        std::vector<std::string> paths;
+        double logical = 0.0, simulated = 0.0;
+        for (int i = 1; i <= 3; ++i) {
+            StreamRunOptions opts;
+            opts.path = tmpPath("batch_" + tag + "_shard" +
+                                std::to_string(i) + ".jsonl");
+            opts.shard = {i, 3};
+            opts.batchWidth = width;
+            const StreamRunStats st = runScenarioStream(spec, engine, opts);
+            EXPECT_EQ(st.failed, 0u) << tag;
+            logical += st.batch.logicalWindows;
+            simulated += st.batch.simulatedWindows;
+            paths.push_back(opts.path);
+        }
+        EXPECT_EQ(logical, whole.logicalWindows) << tag;
+        if (width != 1) { // class-mates left in one shard still share
+            EXPECT_LT(simulated, logical) << tag;
+        }
+        EXPECT_EQ(mergeStreams(paths).results.dump(), scalar) << tag;
+
+        // Shard 2 again, killed after its first persisted result.
+        StreamRunOptions crash;
+        crash.path = tmpPath("batch_" + tag + "_crash.jsonl");
+        crash.shard = {2, 3};
+        crash.batchWidth = width;
+        EXPECT_EXIT(
+            {
+                setenv("MEMTHERM_FAULT_AFTER_RUN", "1", 1);
+                ExperimentEngine child(1);
+                runScenarioStream(spec, child, crash);
+            },
+            ::testing::ExitedWithCode(86), "")
+            << tag;
+        ASSERT_EQ(scanStream(crash.path, false).records.size(), 1u) << tag;
+
+        crash.resume = true;
+        const StreamRunStats resumed = runScenarioStream(spec, engine, crash);
+        EXPECT_EQ(resumed.skipped, 1u) << tag;
+        EXPECT_EQ(resumed.executed, resumed.shardRuns - 1) << tag;
+        paths[1] = crash.path;
+        EXPECT_EQ(mergeStreams(paths).results.dump(), scalar) << tag;
+    }
+}
+
+/**
+ * MEMTHERM_FAULT_FAIL_RUN under batching fails exactly the injected
+ * run; its class-mates still batch and complete, and a resume heals the
+ * stream to the scalar document.
+ */
+TEST(ResultStream, InjectedFailureUnderBatchingSparesClassMates)
+{
+    const ScenarioSpec spec = batchySpec();
+    ExperimentEngine engine(2);
+    const std::string scalar = toJson(runScenario(spec, engine)).dump();
+
+    for (int width : {1, 3, 0}) {
+        const std::string tag = "w" + std::to_string(width);
+        setenv("MEMTHERM_FAULT_FAIL_RUN", "1", 1);
+        const ScenarioResults direct =
+            runScenarioBatched(spec, engine, width);
+        StreamRunOptions opts;
+        opts.path = tmpPath("batch_fault_" + tag + ".jsonl");
+        opts.batchWidth = width;
+        StreamRunStats st = runScenarioStream(spec, engine, opts);
+        unsetenv("MEMTHERM_FAULT_FAIL_RUN");
+
+        ASSERT_EQ(direct.errors.size(), 1u) << tag;
+        EXPECT_EQ(direct.errors[0].index, 1u) << tag;
+        EXPECT_EQ(direct.errors[0].policy, "DTM-BW") << tag;
+        std::size_t completed = 0;
+        for (const auto &pt : direct.points)
+            for (const auto &[w, by_policy] : pt.suite)
+                completed += by_policy.size();
+        EXPECT_EQ(completed, 9u) << tag;
+
+        EXPECT_EQ(st.executed, 10u) << tag;
+        ASSERT_EQ(st.failures.size(), 1u) << tag;
+        EXPECT_EQ(st.failures[0].index, 1u) << tag;
+
+        opts.resume = true;
+        st = runScenarioStream(spec, engine, opts);
+        EXPECT_EQ(st.executed, 1u) << tag;
+        EXPECT_EQ(st.failed, 0u) << tag;
+        EXPECT_EQ(mergeStreams({opts.path}).results.dump(), scalar) << tag;
+    }
+}
+
 TEST(OnlineAggregator, MatchesAnyFeedOrder)
 {
     struct Row

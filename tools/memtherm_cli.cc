@@ -28,7 +28,8 @@
  * per finished run (core/sim/result_sink.hh), `--resume` continues an
  * interrupted stream, `--shard i/N` splits one grid across machines,
  * and `merge` folds the streams back into the canonical results JSON —
- * bit-identical to an uninterrupted `run -o`. A failed run becomes an
+ * bit-identical to an uninterrupted `run -o`; `--batch k` shares
+ * simulated prefixes in either output mode. A failed run becomes an
  * error record (named in the failure summary, nonzero exit) while the
  * rest of the grid streams on. Every file this tool writes (`run -o`,
  * `report --csv`, merged results) lands via write-to-temp-then-rename,
@@ -91,8 +92,8 @@ usage(std::ostream &os, int rc)
           "                       copies sweep (quick looks, smoke tests)\n"
           "      --batch <k>      execute runs that differ only by policy\n"
           "                       in lockstep batches of up to k lanes,\n"
-          "                       sharing their simulated prefix (not\n"
-          "                       combinable with --stream)\n"
+          "                       sharing their simulated prefix (works\n"
+          "                       with --stream, --shard and --resume)\n"
           "      --golden <file>  compare results against a reference\n"
           "                       results JSON; nonzero exit on mismatch\n"
           "      --tol <x>        relative tolerance for --golden\n"
@@ -925,6 +926,18 @@ cmdMerge(const std::vector<std::string> &args)
     return rc;
 }
 
+/** The `--batch` summary line: what the shared-prefix cache bought. */
+void
+printBatchStats(int width, const BatchStats &stats)
+{
+    std::cout << "batch width " << width << ": "
+              << Json::numberToString(stats.simulatedWindows) << " of "
+              << Json::numberToString(stats.logicalWindows)
+              << " window(s) simulated, prefix hit rate "
+              << Json::numberToString(stats.hitRate()) << ", "
+              << stats.forks << " fork(s)\n";
+}
+
 int
 cmdRun(const std::vector<std::string> &args)
 {
@@ -932,8 +945,7 @@ cmdRun(const std::vector<std::string> &args)
     std::string stream_path, shard_text;
     double tol = 1e-9;
     int threads = 0;
-    int batch_width = 0;
-    std::optional<int> copies;
+    std::optional<int> copies, batch_width;
     bool traces = false, quiet = false, resume = false;
 
     for (std::size_t i = 0; i < args.size(); ++i) {
@@ -1009,11 +1021,6 @@ cmdRun(const std::vector<std::string> &args)
         fatal("memtherm run: --resume and --shard only make sense with "
               "--stream");
     }
-    if (batch_width > 0 && !stream_path.empty()) {
-        // A stream's resume/shard bookkeeping is per run; a batch chunk
-        // finishes runs together and would couple their stream records.
-        fatal("memtherm run: --batch is not combinable with --stream");
-    }
     ShardSpec shard;
     if (!shard_text.empty())
         shard = ShardSpec::parse(shard_text);
@@ -1031,14 +1038,19 @@ cmdRun(const std::vector<std::string> &args)
 
     ExperimentEngine engine(threads);
 
+    Json out; // the results document behind -o/--golden
+    std::vector<RunError> failures;
     if (!stream_path.empty()) {
         StreamRunOptions sopts;
         sopts.path = stream_path;
         sopts.resume = resume;
         sopts.shard = shard;
         sopts.traces = traces;
+        sopts.batchWidth = batch_width.value_or(1);
         StreamRunStats stats = runScenarioStream(spec, engine, sopts);
 
+        if (!quiet && batch_width)
+            printBatchStats(*batch_width, stats.batch);
         if (!quiet) {
             std::cout << "stream " << stream_path << ": "
                       << stats.totalRuns << " run(s) in grid";
@@ -1052,60 +1064,23 @@ cmdRun(const std::vector<std::string> &args)
         }
         // -o/--golden view the stream through the canonical merge, so
         // their bytes cannot differ from `memtherm merge` output.
-        if (!out_path.empty() || !golden_path.empty()) {
-            MergedStream merged = mergeStreams({stream_path});
-            if (!out_path.empty()) {
-                merged.results.save(out_path);
-                if (!quiet)
-                    std::cout << "wrote " << out_path << '\n';
-            }
-            if (!golden_path.empty()) {
-                Json golden = Json::load(golden_path);
-                (void)resultSchemaVersionOf(golden, "memtherm run: '" +
-                                                        golden_path + "'");
-                std::string where, detail;
-                if (!jsonNear(merged.results, golden, tol, "", where,
-                              detail)) {
-                    std::cerr << "memtherm run: results diverge from '"
-                              << golden_path << "' at " << where << ": "
-                              << detail << " (tol " << tol << ")\n";
-                    if (stats.failed)
-                        printFailures("memtherm run", stats.failures);
-                    return 1;
-                }
-                if (!quiet) {
-                    std::cout << "results match " << golden_path
-                              << " (tol " << tol << ")\n";
-                }
-            }
-        }
-        if (stats.failed) {
-            printFailures("memtherm run", stats.failures);
-            return 1;
-        }
-        return 0;
-    }
+        if (!out_path.empty() || !golden_path.empty())
+            out = mergeStreams({stream_path}).results;
+        failures = std::move(stats.failures);
+    } else {
+        BatchStats batch_stats;
+        ScenarioResults results = runScenarioBatched(
+            spec, engine, batch_width.value_or(1), &batch_stats);
 
-    BatchStats batch_stats;
-    ScenarioResults results =
-        batch_width > 0
-            ? runScenarioBatched(spec, engine, batch_width, &batch_stats)
-            : runScenario(spec, engine);
-
-    if (!quiet && batch_width > 0) {
-        std::cout << "batch width " << batch_width << ": "
-                  << Json::numberToString(batch_stats.simulatedWindows)
-                  << " of "
-                  << Json::numberToString(batch_stats.logicalWindows)
-                  << " window(s) simulated, prefix hit rate "
-                  << Json::numberToString(batch_stats.hitRate()) << ", "
-                  << batch_stats.forks << " fork(s)\n";
+        if (!quiet && batch_width)
+            printBatchStats(*batch_width, batch_stats);
+        if (!quiet)
+            printSummary(results);
+        out = toJson(results, traces);
+        failures = std::move(results.errors);
     }
-    if (!quiet)
-        printSummary(results);
 
     int rc = 0;
-    Json out = toJson(results, traces);
     if (!out_path.empty()) {
         out.save(out_path);
         if (!quiet)
@@ -1129,8 +1104,8 @@ cmdRun(const std::vector<std::string> &args)
     }
     // Failures never hide completed work (everything above still ran and
     // wrote), but they must not exit 0 either.
-    if (!results.errors.empty()) {
-        printFailures("memtherm run", results.errors);
+    if (!failures.empty()) {
+        printFailures("memtherm run", failures);
         rc = 1;
     }
     return rc;
