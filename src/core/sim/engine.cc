@@ -74,13 +74,12 @@ ExperimentEngine::makePolicy(const Run &r)
 {
     auto policy = r.factory
                       ? r.factory(r.cfg, r.policy)
-                      : PolicyRegistry::instance().make(
-                            r.policy, PolicyBuildContext{
-                                          r.cfg.dtmInterval,
-                                          r.cfg.emergencyLevels,
-                                          r.cfg.remapInterval,
-                                          r.cfg.remapHysteresis,
-                                          r.cfg.trafficShares});
+                      : PolicyRegistry::instance().get(
+                            r.policy, {r.cfg.dtmInterval,
+                                       r.cfg.emergencyLevels,
+                                       r.cfg.remapInterval,
+                                       r.cfg.remapHysteresis,
+                                       r.cfg.trafficShares});
     panicIfNot(policy != nullptr, "ExperimentEngine: null policy");
     return policy;
 }

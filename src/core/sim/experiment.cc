@@ -9,9 +9,10 @@ namespace memtherm
 std::unique_ptr<DtmPolicy>
 makeCh4Policy(const std::string &name, Seconds dtm_interval)
 {
-    // The lineup lives in the PolicyRegistry now; an unknown name throws
+    // The lineup lives in the policy catalog; an unknown name throws
     // FatalError with a diagnostic that lists every valid key.
-    return PolicyRegistry::instance().make(name, dtm_interval);
+    return PolicyRegistry::instance().get(name,
+                                          {.dtmInterval = dtm_interval});
 }
 
 std::vector<std::string>

@@ -24,9 +24,9 @@ namespace memtherm
  * (DTM-TS has only two control decisions and does not benefit from PID;
  * requesting it is a fatal error, matching Section 4.4.2).
  *
- * Convenience wrapper over PolicyRegistry (core/sim/registry.hh); an
- * unknown name throws FatalError listing the valid keys. Use
- * PolicyRegistry::tryMake for an error-returning lookup.
+ * Convenience wrapper over the policy catalog, PolicyRegistry
+ * (core/sim/registry.hh); an unknown name throws FatalError listing the
+ * valid keys. Use PolicyRegistry::tryGet for an error-returning lookup.
  *
  * @param dtm_interval decision period used by PID controllers' first step
  */

@@ -22,7 +22,7 @@
  * An empty model (the catalog's "none", and the default) disables the
  * edge entirely; runs are bit-identical to builds that predate it.
  * Scenario files select a model through the `refresh` knob or sweep
- * axis (catalog names resolve via RefreshRegistry in
+ * axis (catalog names resolve via refreshCatalog() in
  * core/sim/registry.hh, or inline band tables).
  */
 

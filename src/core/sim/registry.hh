@@ -1,20 +1,24 @@
 /**
  * @file
- * String-keyed registries and catalogs behind the declarative scenario
- * API (core/sim/scenario.hh) and the `memtherm` CLI.
+ * The named catalogs behind the declarative scenario API
+ * (core/sim/scenario.hh) and the `memtherm` CLI.
  *
  * Everything a scenario file can name — DTM policies, cooling setups,
  * ambient models, workload mixes, Chapter 5 platforms, memory
  * organizations, traffic shapes, emergency ladders, DVFS tables,
- * refresh models — resolves here.
- * Each catalog offers three entry points with uniform semantics:
+ * refresh models, thermal models — resolves through one Catalog each,
+ * with uniform semantics:
  *
- *  - names()           the valid keys, stable order;
- *  - try...()          error-returning lookup (no exception, no abort);
- *  - ...ByName()/make  throwing lookup whose FatalError message lists
- *                      every valid key, so a typo in a scenario file or
- *                      on the CLI reads as a usable diagnostic instead
- *                      of a bare abort.
+ *  - names()/contains()  the valid keys, registration order;
+ *  - tryGet()            error-returning lookup (no exception, no abort);
+ *  - get()               throwing lookup whose FatalError message lists
+ *                        every valid key, so a typo in a scenario file or
+ *                        on the CLI reads as a usable diagnostic instead
+ *                        of a bare abort;
+ *  - add()               registers (or replaces) an entry at runtime,
+ *                        which scenario files can then name.
+ *
+ * catalogListings() lists every catalog for `memtherm list`.
  */
 
 #ifndef MEMTHERM_CORE_SIM_REGISTRY_HH
@@ -28,6 +32,7 @@
 #include <utility>
 #include <vector>
 
+#include "common/logging.hh"
 #include "core/dtm/dtm_policy.hh"
 #include "core/dtm/emergency_levels.hh"
 #include "core/sim/refresh_model.hh"
@@ -41,9 +46,155 @@ namespace memtherm
 
 struct Platform;
 
+/** How `memtherm list` and diagnostics present one catalog. */
+struct CatalogInfo
+{
+    const char *keyword; ///< `memtherm list` keyword, e.g. "coolings"
+    const char *noun;    ///< an entry in diagnostics, e.g. "cooling"
+    /// Other accepted spellings (inline values, "<app>x<n>" batches),
+    /// printed by `memtherm list` after the names; null: the names are
+    /// the whole catalog.
+    const char *hint = nullptr;
+    /// Appended to the valid keys of the unknown-name diagnostic.
+    const char *unknownSuffix = "";
+};
+
+/** The part of a catalog that does not depend on what it resolves to. */
+class CatalogBase
+{
+  public:
+    explicit CatalogBase(const CatalogInfo &info) : info(info) {}
+    virtual ~CatalogBase() = default;
+
+    const CatalogInfo info;
+
+    /** Valid names, registration order. */
+    virtual std::vector<std::string> names() const = 0;
+
+    /** "unknown <noun> '<name>' (valid: <names>)": every lookup's error. */
+    std::string unknown(const std::string &name) const;
+};
+
 /**
- * Everything a PolicyRegistry factory may build from. One run's policy
- * is constructed from its SimConfig, and this is the slice of it the
+ * A named catalog of T, each entry built from the lookup's @p Args
+ * (none for a fixed value; the cooling for an ambient preset, the DIMM
+ * count for a traffic shape, the build context for a policy). Entries
+ * keep registration order; add() replaces an entry in place. Lookups
+ * are thread-safe and call the entry outside the lock, so an entry may
+ * look up its own catalog.
+ */
+template <typename T, typename... Args>
+class Catalog : public CatalogBase
+{
+  public:
+    /// Builds an entry's value from the lookup's arguments.
+    using Make = std::function<T(Args...)>;
+    /// Resolves names that are not entries (nullopt: unknown).
+    using Fallback = std::function<std::optional<T>(const std::string &)>;
+
+    /** A catalog whose entries @p seed add()s. */
+    explicit Catalog(const CatalogInfo &info,
+                     const std::function<void(Catalog &)> &seed = {},
+                     Fallback fallback = {})
+        : CatalogBase(info), fallback(std::move(fallback))
+    {
+        if (seed)
+            seed(*this);
+    }
+
+    /** Register (or replace) an entry. */
+    void
+    add(const std::string &name, Make make)
+    {
+        panicIfNot(static_cast<bool>(make), std::string(info.keyword) +
+                                                ": empty entry for '" +
+                                                name + "'");
+        auto entry = std::make_shared<const Make>(std::move(make));
+        std::lock_guard lock(mtx);
+        for (auto &[n, e] : entries) {
+            if (n == name) {
+                e = std::move(entry);
+                return;
+            }
+        }
+        entries.emplace_back(name, std::move(entry));
+    }
+
+    /** Register (or replace) a fixed value. */
+    void
+    add(const std::string &name, T value)
+        requires(sizeof...(Args) == 0)
+    {
+        add(name, Make([v = std::move(value)] { return v; }));
+    }
+
+    std::vector<std::string>
+    names() const override
+    {
+        std::lock_guard lock(mtx);
+        std::vector<std::string> out;
+        out.reserve(entries.size());
+        for (const auto &[n, e] : entries)
+            out.push_back(n);
+        return out;
+    }
+
+    /** Whether @p name resolves (an entry or the fallback spelling). */
+    bool
+    contains(const std::string &name) const
+    {
+        return find(name) || (fallback && fallback(name));
+    }
+
+    /**
+     * Error-returning lookup: nullopt for an unknown name, with @p error
+     * (when given) set to unknown(name).
+     */
+    std::optional<T>
+    tryGet(const std::string &name, Args... args,
+           std::string *error = nullptr) const
+    {
+        if (auto make = find(name))
+            return (*make)(args...);
+        if (fallback) {
+            if (auto v = fallback(name))
+                return v;
+        }
+        if (error)
+            *error = unknown(name);
+        return std::nullopt;
+    }
+
+    /** Throwing lookup: FatalError with unknown(name). */
+    T
+    get(const std::string &name, Args... args) const
+    {
+        std::string error;
+        auto v = tryGet(name, args..., &error);
+        if (!v)
+            fatal(error);
+        return std::move(*v);
+    }
+
+  private:
+    std::shared_ptr<const Make>
+    find(const std::string &name) const
+    {
+        std::lock_guard lock(mtx);
+        for (const auto &[n, e] : entries)
+            if (n == name)
+                return e;
+        return nullptr;
+    }
+
+    const Fallback fallback;
+    mutable std::mutex mtx;
+    std::vector<std::pair<std::string, std::shared_ptr<const Make>>> entries;
+};
+
+/**
+ * Everything a policy factory may build from. One run's policy is
+ * constructed from its SimConfig, and this is the slice of it the
  * policy constructors consume.
  */
 struct PolicyBuildContext
@@ -57,7 +208,7 @@ struct PolicyBuildContext
      * Threshold (DTM-TS) and PID policies regulate against ThermalLimits
      * and ignore this.
      */
-    std::optional<EmergencyLevels> emergencyLevels;
+    std::optional<EmergencyLevels> emergencyLevels = std::nullopt;
 
     /// Remap decision period for the traffic-remap family
     /// (SimConfig::remapInterval, the `remap_interval` knob).
@@ -70,172 +221,75 @@ struct PolicyBuildContext
     /// The run's starting per-DIMM traffic distribution
     /// (SimConfig::trafficShares; empty = uniform interleave). Remap
     /// policies migrate from here and reset() back to it.
-    std::vector<double> trafficShares;
+    std::vector<double> trafficShares = {};
 };
 
 /**
- * Registry of DTM policy constructors by display name.
- *
- * Seeded with the full Chapter 4 lineup ("No-limit", "DTM-TS", "DTM-BW",
- * "DTM-ACG", "DTM-CDVFS" and the "+PID" variants); add() registers
- * additional policies (e.g. experimental schemes) at runtime. Policies
- * carry controller state, so every lookup constructs a fresh instance.
- * Lookups are thread-safe (engine workers build policies concurrently).
+ * The DTM policy catalog: the Chapter 4 lineup ("No-limit", "DTM-TS",
+ * "DTM-BW", "DTM-ACG", "DTM-CDVFS" and the "+PID" variants) and the
+ * traffic-remap family. Policies carry controller state, so every
+ * lookup constructs a fresh instance.
  */
 class PolicyRegistry
+    : public Catalog<std::unique_ptr<DtmPolicy>, const PolicyBuildContext &>
 {
   public:
-    /// Constructs one policy instance for a run's build context.
-    using Factory = std::function<std::unique_ptr<DtmPolicy>(
-        const PolicyBuildContext &ctx)>;
-
-    /** The process-wide registry. */
+    /** The process-wide catalog. */
     static PolicyRegistry &instance();
 
-    /** Register (or replace) a policy constructor. */
-    void add(const std::string &name, Factory factory);
+    /** get() under its historical name. */
+    std::unique_ptr<DtmPolicy>
+    make(const std::string &name, const PolicyBuildContext &ctx) const
+    {
+        return get(name, ctx);
+    }
 
-    /** Valid policy names, registration order. */
-    std::vector<std::string> names() const;
-
-    bool contains(const std::string &name) const;
-
-    /**
-     * Error-returning construction: nullptr for an unknown name, with
-     * @p error (when given) set to a diagnostic listing the valid keys.
-     */
-    std::unique_ptr<DtmPolicy> tryMake(const std::string &name,
-                                       const PolicyBuildContext &ctx,
-                                       std::string *error = nullptr) const;
-
-    /** Convenience overload: a default context with @p dtm_interval. */
-    std::unique_ptr<DtmPolicy> tryMake(const std::string &name,
-                                       Seconds dtm_interval,
-                                       std::string *error = nullptr) const;
-
-    /** Throwing construction: FatalError listing the valid keys. */
-    std::unique_ptr<DtmPolicy> make(const std::string &name,
-                                    const PolicyBuildContext &ctx) const;
-    std::unique_ptr<DtmPolicy> make(const std::string &name,
-                                    Seconds dtm_interval) const;
+    /** A default context with @p dtm_interval. */
+    std::unique_ptr<DtmPolicy>
+    make(const std::string &name, Seconds dtm_interval) const
+    {
+        return get(name, {.dtmInterval = dtm_interval});
+    }
 
   private:
     PolicyRegistry();
-
-    mutable std::mutex mtx;
-    std::vector<std::pair<std::string, Factory>> entries;
-};
-
-/**
- * Registry of DVFS operating tables by name.
- *
- * Seeded with "simulated_cmp" (the Table 4.1/4.3 four-core CMP points)
- * and "xeon5160" (the Chapter 5 Intel Xeon 5160 points); add() registers
- * additional tables at runtime, which scenario files can then name as a
- * `dvfs` override or sweep axis. Lookups are thread-safe.
- */
-class DvfsRegistry
-{
-  public:
-    /** The process-wide registry. */
-    static DvfsRegistry &instance();
-
-    /** Register (or replace) an operating table. */
-    void add(const std::string &name, DvfsTable table);
-
-    /** Valid table names, registration order. */
-    std::vector<std::string> names() const;
-
-    bool contains(const std::string &name) const;
-
-    /**
-     * Error-returning lookup: nullopt for an unknown name, with @p error
-     * (when given) set to a diagnostic listing the valid keys.
-     */
-    std::optional<DvfsTable> tryGet(const std::string &name,
-                                    std::string *error = nullptr) const;
-
-    /** Throwing lookup: FatalError listing the valid keys. */
-    DvfsTable byName(const std::string &name) const;
-
-  private:
-    DvfsRegistry();
-
-    mutable std::mutex mtx;
-    std::vector<std::pair<std::string, DvfsTable>> entries;
-};
-
-/**
- * Registry of temperature-coupled DRAM refresh/timing models by name
- * (core/sim/refresh_model.hh).
- *
- * Seeded with "none" (the empty model — feedback edge disabled,
- * bit-identical to leaving the `refresh` knob unset), "ddr2_2x" (DDR2
- * refresh doubling above the 85 C DRAM TDP) and "aldram" (the same
- * doubling plus AL-DRAM-style relaxed timings on cool DIMMs); add()
- * registers additional models at runtime, which scenario files can then
- * name as a `refresh` override or sweep axis. Lookups are thread-safe.
- */
-class RefreshRegistry
-{
-  public:
-    /** The process-wide registry. */
-    static RefreshRegistry &instance();
-
-    /** Register (or replace) a refresh model. */
-    void add(const std::string &name, RefreshModel model);
-
-    /** Valid model names, registration order. */
-    std::vector<std::string> names() const;
-
-    bool contains(const std::string &name) const;
-
-    /**
-     * Error-returning lookup: nullopt for an unknown name, with @p error
-     * (when given) set to a diagnostic listing the valid keys.
-     */
-    std::optional<RefreshModel> tryGet(const std::string &name,
-                                       std::string *error = nullptr) const;
-
-    /** Throwing lookup: FatalError listing the valid keys. */
-    RefreshModel byName(const std::string &name) const;
-
-  private:
-    RefreshRegistry();
-
-    mutable std::mutex mtx;
-    std::vector<std::pair<std::string, RefreshModel>> entries;
 };
 
 /** Table 3.2 cooling setups: "AOHS_1.0" ... "FDHS_3.0". */
-std::vector<std::string> coolingNames();
-std::optional<CoolingConfig> tryCooling(const std::string &name);
-CoolingConfig coolingByName(const std::string &name);
+Catalog<CoolingConfig> &coolingCatalog();
 
 /**
  * Ambient-model presets (Table 3.3): "isolated" (constant inlet) and
  * "integrated" (CPU-preheated inlet). Parameters depend on the cooling
  * configuration, hence the extra argument.
  */
-std::vector<std::string> ambientNames();
-std::optional<AmbientParams> tryAmbient(const std::string &name,
-                                        const CoolingConfig &cooling);
-AmbientParams ambientByName(const std::string &name,
-                            const CoolingConfig &cooling);
+Catalog<AmbientParams, const CoolingConfig &> &ambientCatalog();
 
 /**
  * Workload catalog: the Table 4.2/5.2 mixes ("W1".."W8", "W11", "W12")
  * plus homogeneous batches spelled "<app>x<n>" (e.g. "swimx4" — n copies
- * of one catalog application).
+ * of one catalog application; n in canonical decimal, so the name is
+ * the built Workload::name).
  */
-std::vector<std::string> workloadNames();
-std::optional<Workload> tryWorkload(const std::string &name);
-Workload workloadByName(const std::string &name);
+Catalog<Workload> &workloadCatalog();
 
 /** Chapter 5 testbed platforms: "PE1950", "SR1500AL". */
-std::vector<std::string> platformNames();
-std::optional<Platform> tryPlatform(const std::string &name);
-Platform platformByName(const std::string &name);
+Catalog<Platform> &platformCatalog();
+
+/**
+ * Emergency-ladder catalog: "ch4" (the Table 4.3 FBDIMM ladder) and the
+ * Table 5.1 testbed variants "pe1950", "sr1500al", "sr1500al_tdp90"
+ * (AMB ladders of the Chapter 5 platforms with the DRAM boundaries
+ * parked out of reach — the Chapter 5 hot spots are AMBs). Every entry
+ * has the five-level depth the Chapter 4 action tables expect.
+ */
+Catalog<EmergencyLevels> &emergencyLevelCatalog();
+
+/**
+ * DVFS operating tables: "simulated_cmp" (the Table 4.1/4.3 four-core
+ * CMP points) and "xeon5160" (the Chapter 5 Intel Xeon 5160 points).
+ */
+Catalog<DvfsTable> &dvfsCatalog();
 
 /**
  * Memory-organization catalog: named {channels, DIMMs-per-channel}
@@ -246,16 +300,14 @@ Platform platformByName(const std::string &name);
  * (4x8), and wide (8x2, 8x4) variants. Scenario files can also give an
  * inline {channels, dimms} object for anything the catalog lacks.
  */
-std::vector<std::string> memoryOrgNames();
-std::optional<MemoryOrgConfig> tryMemoryOrg(const std::string &name);
-MemoryOrgConfig memoryOrgByName(const std::string &name);
+Catalog<MemoryOrgConfig> &memoryOrgCatalog();
 
 /**
  * Traffic-shape catalog: named per-DIMM traffic distributions for the
  * `traffic_shape` scenario knob and sweep axis. A shape is
- * parameterized by the DIMM count of the resolved memory organization,
- * so the same name fits any chain depth; the resolved vector is the
- * share of a channel's local traffic each DIMM receives (index 0
+ * parameterized by the DIMM count of the resolved memory organization
+ * (>= 1), so the same name fits any chain depth; the resolved vector is
+ * the share of a channel's local traffic each DIMM receives (index 0
  * nearest the memory controller, non-negative, summing to 1):
  *
  *  - "uniform"       1/n each (exactly — a run with this shape is
@@ -271,20 +323,17 @@ MemoryOrgConfig memoryOrgByName(const std::string &name);
  * Scenario files can also give an inline share vector for anything the
  * catalog lacks. Every shape resolves to {1} on a one-DIMM chain.
  */
-std::vector<std::string> trafficShapeNames();
-std::optional<std::vector<double>> tryTrafficShape(const std::string &name,
-                                                   int n_dimms);
-std::vector<double> trafficShapeByName(const std::string &name, int n_dimms);
+Catalog<std::vector<double>, int> &trafficShapeCatalog();
 
 /**
- * Refresh-model catalog entry points over RefreshRegistry, uniform with
- * the other catalogs: "none", "ddr2_2x", "aldram" (plus anything add()ed
- * at runtime) for the `refresh` scenario knob and sweep axis.
+ * Temperature-coupled DRAM refresh/timing models
+ * (core/sim/refresh_model.hh): "none" (the empty model — feedback edge
+ * disabled, bit-identical to leaving the `refresh` knob unset),
+ * "ddr2_2x" (DDR2 refresh doubling above the 85 C DRAM TDP) and
+ * "aldram" (the same doubling plus AL-DRAM-style relaxed timings on
+ * cool DIMMs).
  */
-std::vector<std::string> refreshModelNames();
-std::optional<RefreshModel> tryRefreshModel(const std::string &name,
-                                            std::string *error = nullptr);
-RefreshModel refreshModelByName(const std::string &name);
+Catalog<RefreshModel> &refreshCatalog();
 
 /**
  * Thermal-model catalog: named resolutions for the `thermal_model`
@@ -294,37 +343,12 @@ RefreshModel refreshModelByName(const std::string &name);
  * every DIMM. Scenario files can also give an inline
  * {grid_x, grid_z[, bank_weights]} object for grids the catalog lacks.
  */
-std::vector<std::string> thermalModelNames();
-std::optional<ThermalModelConfig> tryThermalModel(const std::string &name);
-ThermalModelConfig thermalModelByName(const std::string &name);
-
-/**
- * Emergency-ladder catalog: "ch4" (the Table 4.3 FBDIMM ladder) and the
- * Table 5.1 testbed variants "pe1950", "sr1500al", "sr1500al_tdp90"
- * (AMB ladders of the Chapter 5 platforms with the DRAM boundaries
- * parked out of reach — the Chapter 5 hot spots are AMBs). Every entry
- * has the five-level depth the Chapter 4 action tables expect.
- */
-std::vector<std::string> emergencyLevelNames();
-std::optional<EmergencyLevels> tryEmergencyLevels(const std::string &name);
-EmergencyLevels emergencyLevelsByName(const std::string &name);
-
-/**
- * One catalog `memtherm list` prints: its keyword, its valid names and,
- * for catalogs that also accept other spellings (inline values, "<app>x<n>"
- * batches), a one-line hint printed after the names.
- */
-struct CatalogListing
-{
-    const char *keyword;
-    std::vector<std::string> (*names)();
-    const char *hint = nullptr; ///< null: the names are the whole catalog
-};
+Catalog<ThermalModelConfig> &thermalModelCatalog();
 
 /** Every catalog `memtherm list` knows, in usage order. */
-const std::vector<CatalogListing> &catalogListings();
+const std::vector<const CatalogBase *> &catalogListings();
 
-/** "a, b, c" — the key lists used in registry diagnostics. */
+/** "a, b, c" — the key lists used in diagnostics. */
 std::string joinNames(const std::vector<std::string> &names);
 
 } // namespace memtherm

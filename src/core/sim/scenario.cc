@@ -192,7 +192,7 @@ struct InlineForm<std::optional<MemoryOrgConfig>>
         "a catalog name or a {channels, dimms} object";
     static constexpr const char *many =
         "catalog names or {channels, dimms} objects";
-    static constexpr auto lookup = memoryOrgByName;
+    static constexpr auto catalog = memoryOrgCatalog;
 
     static MemoryOrgConfig
     parse(const Json &v, const std::string &where)
@@ -241,7 +241,7 @@ struct InlineForm<std::vector<double>>
         "a catalog shape name or an array of per-DIMM shares";
     static constexpr const char *many =
         "catalog shape names or per-DIMM share vectors";
-    static constexpr auto lookup = trafficShapeByName;
+    static constexpr auto catalog = trafficShapeCatalog;
 
     static std::vector<double>
     parse(const Json &v, const std::string &where)
@@ -282,7 +282,7 @@ struct InlineForm<std::vector<RefreshBand>>
         "{min_temp, bw_fraction, dram_power_w[, latency_mult]} bands";
     static constexpr const char *many =
         "catalog refresh model names or band tables";
-    static constexpr auto lookup = refreshModelByName;
+    static constexpr auto catalog = refreshCatalog;
 
     static std::vector<RefreshBand>
     parse(const Json &v, const std::string &where)
@@ -380,7 +380,7 @@ struct InlineForm<std::optional<BankGridConfig>>
     static constexpr const char *many =
         "catalog thermal model names or "
         "{grid_x, grid_z[, bank_weights]} objects";
-    static constexpr auto lookup = thermalModelByName;
+    static constexpr auto catalog = thermalModelCatalog;
 
     static BankGridConfig
     parse(const Json &v, const std::string &where)
@@ -458,7 +458,7 @@ CatalogOrInline<Inline, Resolved, Context...>::resolve(
 {
     using Form = InlineForm<Inline>;
     if (!name.empty())
-        return Form::lookup(name, context...);
+        return Form::catalog().get(name, context...);
     if (!hasValue())
         fatal(std::string("scenario: empty ") + Form::noun);
     return Form::check(value,
@@ -694,7 +694,7 @@ resolveShape(const TrafficShapeSpec &shape, const ResolveContext &ctx)
 DvfsTable
 resolveDvfs(const std::string &name, const ResolveContext &ctx)
 {
-    DvfsTable t = DvfsRegistry::instance().byName(name);
+    DvfsTable t = dvfsCatalog().get(name);
     // Keep the CDVFS schemes honest: their action tables select
     // operating points 0..3.
     const auto &p = ctx.spec.policies;
@@ -773,13 +773,14 @@ forEachAxis(F &&f)
           return std::pair{n, ctx.spec.ambient == "integrated"};
       },
       [](C &c, const std::pair<std::string, bool> &p) {
-          c = makeCh4Config(coolingByName(p.first), p.second);
+          c = makeCh4Config(coolingCatalog().get(p.first), p.second);
       });
     f(AxisDef{.key = "ambient", .baseName = true}, &S::ambient, nullptr,
       nullptr, nullptr);
     f(AxisDef{.key = "emergency_levels", .prefix = "levels=", .pos = 8,
               .platformReject = kPlatformDvfs},
-      &S::emergencyLevels, &S::sweepEmergencyLevels, emergencyLevelsByName,
+      &S::emergencyLevels, &S::sweepEmergencyLevels,
+      [](const std::string &n) { return emergencyLevelCatalog().get(n); },
       &C::emergencyLevels);
     f(AxisDef{.key = "dvfs", .prefix = "dvfs=", .pos = 9,
               .platformReject = kPlatformDvfs},
@@ -1101,11 +1102,11 @@ ScenarioSpec::lower() const
     std::vector<Workload> ws;
     ws.reserve(workloads.size());
     for (const auto &n : workloads)
-        ws.push_back(workloadByName(n));
+        ws.push_back(workloadCatalog().get(n));
 
     std::optional<Platform> plat;
     if (!platform.empty()) {
-        plat = platformByName(platform);
+        plat = platformCatalog().get(platform);
         forEachAxis([&](const AxisDef &a, auto knob, auto sweep, auto...) {
             if (a.platformReject &&
                 (present(*this, a, knob) || sweepSize(*this, sweep)))
@@ -1127,13 +1128,11 @@ ScenarioSpec::lower() const
     } else {
         // Resolving the base cooling/ambient validates both names even
         // when a sweep replaces them below.
-        (void)ambientByName(ambient, coolingByName(cooling));
+        (void)ambientCatalog().get(ambient, coolingCatalog().get(cooling));
         const auto &reg = PolicyRegistry::instance();
         for (const auto &p : policies) {
-            if (!reg.contains(p)) {
-                specError(*this, "unknown policy '" + p + "' (valid: " +
-                                     joinNames(reg.names()) + ")");
-            }
+            if (!reg.contains(p))
+                specError(*this, reg.unknown(p));
         }
     }
 

@@ -166,7 +166,7 @@ struct ScenarioSpec
     /// Emergency-ladder catalog name for the leveled Chapter 4 schemes
     /// (empty = the Table 4.3 ladder).
     std::string emergencyLevels;
-    /// DvfsRegistry table name (empty = the base configuration's table).
+    /// DVFS catalog table name (empty = the base configuration's table).
     std::string dvfs;
 
     MemoryOrgSpec memoryOrg; ///< empty keeps the base organization

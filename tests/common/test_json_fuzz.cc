@@ -72,7 +72,7 @@ randomOrg(Rng &rng)
 {
     MemoryOrgSpec o;
     if (rng.uniform() < 0.5)
-        o.name = pick(rng, memoryOrgNames());
+        o.name = pick(rng, memoryOrgCatalog().names());
     else
         o.value = MemoryOrgConfig{1 + static_cast<int>(rng.below(8)),
                                   1 + static_cast<int>(rng.below(8))};
@@ -85,7 +85,7 @@ randomShape(Rng &rng)
 {
     TrafficShapeSpec t;
     if (rng.uniform() < 0.5) {
-        t.name = pick(rng, trafficShapeNames());
+        t.name = pick(rng, trafficShapeCatalog().names());
     } else {
         const std::size_t n = 1 + rng.below(4);
         for (std::size_t i = 0; i < n; ++i)
@@ -103,7 +103,7 @@ randomRefresh(Rng &rng)
 {
     RefreshSpec r;
     if (rng.uniform() < 0.5) {
-        r.name = pick(rng, refreshModelNames());
+        r.name = pick(rng, refreshCatalog().names());
     } else {
         const std::size_t n = 1 + rng.below(3);
         for (std::size_t i = 0; i < n; ++i) {
@@ -125,7 +125,7 @@ randomThermal(Rng &rng)
 {
     ThermalModelSpec t;
     if (rng.uniform() < 0.5) {
-        t.name = pick(rng, thermalModelNames());
+        t.name = pick(rng, thermalModelCatalog().names());
     } else {
         BankGridConfig g{1 + static_cast<int>(rng.below(4)),
                          1 + static_cast<int>(rng.below(4)),
@@ -167,14 +167,14 @@ randomSpec(Rng &rng)
 
     const bool platform = rng.uniform() < 0.15;
     if (platform) {
-        s.platform = pick(rng, platformNames());
+        s.platform = pick(rng, platformCatalog().names());
     } else {
-        s.cooling = pick(rng, coolingNames());
-        s.ambient = pick(rng, ambientNames());
+        s.cooling = pick(rng, coolingCatalog().names());
+        s.ambient = pick(rng, ambientCatalog().names());
         if (rng.uniform() < 0.3)
-            s.emergencyLevels = pick(rng, emergencyLevelNames());
+            s.emergencyLevels = pick(rng, emergencyLevelCatalog().names());
         if (rng.uniform() < 0.3)
-            s.dvfs = pick(rng, DvfsRegistry::instance().names());
+            s.dvfs = pick(rng, dvfsCatalog().names());
         if (rng.uniform() < 0.3)
             s.memoryOrg = randomOrg(rng);
         if (rng.uniform() < 0.3)
@@ -207,15 +207,16 @@ randomSpec(Rng &rng)
         if (rng.uniform() < 0.25)
             s.sweepCopies = {1 + static_cast<int>(rng.below(4))};
         if (rng.uniform() < 0.2)
-            s.sweepCooling = {pick(rng, coolingNames())};
+            s.sweepCooling = {pick(rng, coolingCatalog().names())};
         if (rng.uniform() < 0.2)
             s.sweepSensorNoise = {rng.uniform(), rng.uniform()};
         if (rng.uniform() < 0.2)
             s.sweepDtmInterval = {rng.uniform(0.005, 0.2)};
         if (rng.uniform() < 0.2)
-            s.sweepEmergencyLevels = {pick(rng, emergencyLevelNames())};
+            s.sweepEmergencyLevels = {
+                pick(rng, emergencyLevelCatalog().names())};
         if (rng.uniform() < 0.2)
-            s.sweepDvfs = {pick(rng, DvfsRegistry::instance().names())};
+            s.sweepDvfs = {pick(rng, dvfsCatalog().names())};
         if (rng.uniform() < 0.2)
             s.sweepRefresh = randomAxis(rng, randomRefresh);
         if (rng.uniform() < 0.2)
@@ -230,7 +231,7 @@ randomSpec(Rng &rng)
     if (rng.uniform() < 0.3)
         s.instrScale = rng.uniform(0.1, 2.0);
 
-    const std::vector<std::string> wl = workloadNames();
+    const std::vector<std::string> wl = workloadCatalog().names();
     s.workloads = {pick(rng, wl)};
     if (rng.uniform() < 0.5)
         s.workloads.push_back(pick(rng, wl));

@@ -57,8 +57,9 @@ TEST(DocsReference, ScenariosManualCoversEveryCatalogName)
     const std::string doc = readFile("docs/scenarios.md");
     ASSERT_FALSE(doc.empty());
 
-    for (const CatalogListing &c : catalogListings())
-        expectMentions(doc, "docs/scenarios.md", c.names(), c.keyword);
+    for (const CatalogBase *c : catalogListings())
+        expectMentions(doc, "docs/scenarios.md", c->names(),
+                       c->info.keyword);
 }
 
 TEST(DocsReference, ScenariosManualCoversEverySweepAxisAndKnob)
@@ -89,10 +90,10 @@ TEST(DocsReference, CliManualCoversEverySubcommandAndListCatalog)
         EXPECT_NE(doc.find(cmd), std::string::npos)
             << "docs/cli.md does not document '" << cmd << "'";
     }
-    for (const CatalogListing &c : catalogListings()) {
-        EXPECT_NE(doc.find(c.keyword), std::string::npos)
-            << "docs/cli.md does not mention list catalog '" << c.keyword
-            << "'";
+    for (const CatalogBase *c : catalogListings()) {
+        EXPECT_NE(doc.find(c->info.keyword), std::string::npos)
+            << "docs/cli.md does not mention list catalog '"
+            << c->info.keyword << "'";
     }
     // Summary-table columns with non-obvious semantics must stay
     // documented.

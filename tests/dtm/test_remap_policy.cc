@@ -223,7 +223,7 @@ TEST(RemapPolicy, RemapLowersHotDimmPeakOnHotDimm0)
     // No-limit while finishing faster than DTM-TS's shutdown cycling.
     SimConfig cfg = makeCh4Config(coolingAohs15(), false);
     cfg.copiesPerApp = 2;
-    cfg.trafficShares = trafficShapeByName("hot_dimm0", 4);
+    cfg.trafficShares = trafficShapeCatalog().get("hot_dimm0", 4);
     cfg.remapInterval = 0.25;
     SimResult nolimit = runWith(cfg, "No-limit");
     SimResult ts = runWith(cfg, "DTM-TS");

@@ -210,7 +210,7 @@ TEST(RunBatch, ForkedRunsBitIdenticalToScalarForEveryPolicy)
 TEST(RunBatch, ForkedRunsBitIdenticalUnderRefreshCoupling)
 {
     SimConfig cfg = batchyConfig();
-    cfg.refresh = refreshModelByName("ddr2_2x");
+    cfg.refresh = refreshCatalog().get("ddr2_2x");
     const Workload mix = workloadMix("W1");
     const std::vector<std::string> names =
         PolicyRegistry::instance().names();

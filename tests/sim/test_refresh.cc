@@ -1,8 +1,7 @@
 /**
  * @file
  * Tests for the temperature-coupled refresh model: band selection, the
- * DDR2/AL-DRAM catalog, the RefreshRegistry contract (unknown names
- * list the valid keys; runtime add), the refresh=none bit-identity
+ * DDR2/AL-DRAM catalog and its runtime add, the refresh=none bit-identity
  * guarantee, monotone bandwidth loss as a DIMM's DRAM temperature
  * crosses the 2x band, and the result-document schema-version
  * accept/reject matrix.
@@ -71,42 +70,29 @@ TEST(RefreshModel, AldramCatalogTightensTimingsWhenCool)
     EXPECT_EQ(m.bandAt(tdp).bwFraction, 2.0 * m.bandAt(75.0).bwFraction);
 }
 
-TEST(RefreshRegistry, CatalogNamesAndUnknownNameDiagnostic)
+TEST(RefreshCatalog, SeededModelsAndRuntimeAddReplaces)
 {
-    const std::vector<std::string> names = refreshModelNames();
+    // Name lookups and the unknown-name diagnostic are covered for every
+    // catalog in test_registry; these are the refresh catalog's values.
+    auto &cat = refreshCatalog();
+    const std::vector<std::string> names = cat.names();
     ASSERT_GE(names.size(), 3u);
     EXPECT_EQ(names[0], "none");
     EXPECT_EQ(names[1], "ddr2_2x");
     EXPECT_EQ(names[2], "aldram");
+    EXPECT_TRUE(cat.get("none").empty());
+    EXPECT_FALSE(cat.get("ddr2_2x").empty());
 
-    EXPECT_TRUE(tryRefreshModel("none")->empty());
-    EXPECT_FALSE(tryRefreshModel("ddr2_2x")->empty());
-
-    std::string error;
-    EXPECT_FALSE(tryRefreshModel("ddr3", &error).has_value());
-    EXPECT_NE(error.find("unknown refresh model 'ddr3'"),
-              std::string::npos)
-        << error;
-    for (const auto &n : names)
-        EXPECT_NE(error.find(n), std::string::npos) << error;
-
-    EXPECT_THROW(refreshModelByName("ddr3"), FatalError);
-}
-
-TEST(RefreshRegistry, RuntimeAddRegistersAndReplaces)
-{
     RefreshModel custom;
     custom.bands = {{-273.15, 0.05, 0.5, 1.0}};
-    RefreshRegistry::instance().add("test_custom_refresh", custom);
-    ASSERT_TRUE(RefreshRegistry::instance().contains(
-        "test_custom_refresh"));
-    EXPECT_EQ(tryRefreshModel("test_custom_refresh")->bands[0].bwFraction,
-              0.05);
+    cat.add("test_custom_refresh", custom);
+    ASSERT_TRUE(cat.contains("test_custom_refresh"));
+    EXPECT_EQ(cat.get("test_custom_refresh").bands[0].bwFraction, 0.05);
 
     custom.bands[0].bwFraction = 0.07;
-    RefreshRegistry::instance().add("test_custom_refresh", custom);
-    EXPECT_EQ(tryRefreshModel("test_custom_refresh")->bands[0].bwFraction,
-              0.07);
+    cat.add("test_custom_refresh", custom);
+    EXPECT_EQ(cat.get("test_custom_refresh").bands[0].bwFraction, 0.07);
+    EXPECT_EQ(cat.names().size(), names.size() + 1); // replaced in place
 }
 
 SimConfig
@@ -128,7 +114,7 @@ TEST(RefreshCoupling, NoneIsBitIdenticalToKnobUnset)
 {
     const SimConfig unset = refreshTestConfig();
     SimConfig none = refreshTestConfig();
-    none.refresh = refreshModelByName("none");
+    none.refresh = refreshCatalog().get("none");
 
     for (const char *policy : {"No-limit", "DTM-TS"}) {
         PolicyBuildContext ctx{unset.dtmInterval, unset.emergencyLevels,
@@ -157,7 +143,7 @@ TEST(RefreshCoupling, BandwidthLossMonotoneAcrossTheDoubleBand)
     const Workload mix = workloadMix("W1");
 
     SimConfig cool = refreshTestConfig();
-    cool.refresh = refreshModelByName("ddr2_2x");
+    cool.refresh = refreshCatalog().get("ddr2_2x");
     PolicyBuildContext ctx{cool.dtmInterval, cool.emergencyLevels,
                            cool.remapInterval, cool.remapHysteresis,
                            cool.trafficShares};
@@ -180,7 +166,7 @@ TEST(RefreshCoupling, BandwidthLossMonotoneAcrossTheDoubleBand)
     hot.copiesPerApp = 12;
     hot.ambient.tInlet = 45.0;
     hot.trafficShares = {0.55, 0.15, 0.15, 0.15};
-    hot.refresh = refreshModelByName("ddr2_2x");
+    hot.refresh = refreshCatalog().get("ddr2_2x");
     PolicyBuildContext hctx{hot.dtmInterval, hot.emergencyLevels,
                             hot.remapInterval, hot.remapHysteresis,
                             hot.trafficShares};

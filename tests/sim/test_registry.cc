@@ -1,22 +1,176 @@
 /**
  * @file
- * Unit tests for the string-keyed registries: completeness (every
- * documented name resolves), error-returning lookups, and diagnostics
- * that list the valid keys.
+ * Unit tests for the named catalogs: one loop over every catalog for
+ * the shared contract (every listed name resolves, unknown names are
+ * quiet nullopts or a FatalError with one pinned diagnostic, user
+ * strings never panic), then each catalog's values and runtime add().
  */
 
 #include <gtest/gtest.h>
+
+#include <cctype>
+#include <map>
 
 #include "common/logging.hh"
 #include "core/dtm/basic_policies.hh"
 #include "core/sim/experiment.hh"
 #include "core/sim/registry.hh"
+#include "core/sim/scenario.hh"
 #include "testbed/platform.hh"
 
 namespace memtherm
 {
 namespace
 {
+
+/** Calls @p f(catalog, lookup arguments...) for every catalog. */
+template <typename F>
+void
+forEachCatalog(F &&f)
+{
+    const CoolingConfig cooling = coolingAohs15();
+    f(PolicyRegistry::instance(), PolicyBuildContext{});
+    f(workloadCatalog());
+    f(coolingCatalog());
+    f(ambientCatalog(), cooling);
+    f(platformCatalog());
+    f(emergencyLevelCatalog());
+    f(dvfsCatalog());
+    f(memoryOrgCatalog());
+    f(trafficShapeCatalog(), 4);
+    f(refreshCatalog());
+    f(thermalModelCatalog());
+}
+
+// Runs first: the pinned lists are the seeded entries, before the
+// runtime-add tests below extend the policy and DVFS catalogs.
+TEST(Catalogs, UnknownNameDiagnosticIsPinnedForEveryListing)
+{
+    const std::map<std::string, std::string> expected = {
+        {"policies",
+         "unknown policy 'X' (valid: No-limit, DTM-TS, DTM-BW, DTM-ACG, "
+         "DTM-CDVFS, DTM-BW+PID, DTM-ACG+PID, DTM-CDVFS+PID, DTM-remap, "
+         "DTM-remap-hyst, DTM-TS+remap)"},
+        {"workloads",
+         "unknown workload 'X' (valid: W1, W2, W3, W4, W5, W6, W7, W8, W11, "
+         "W12, or \"<app>x<n>\" for a homogeneous batch, e.g. swimx4)"},
+        {"coolings", "unknown cooling 'X' (valid: AOHS_1.0, AOHS_1.5, "
+                     "AOHS_3.0, FDHS_1.0, FDHS_1.5, FDHS_3.0)"},
+        {"ambients", "unknown ambient model 'X' (valid: isolated, "
+                     "integrated)"},
+        {"platforms", "unknown platform 'X' (valid: PE1950, SR1500AL)"},
+        {"emergency_levels", "unknown emergency ladder 'X' (valid: ch4, "
+                             "pe1950, sr1500al, sr1500al_tdp90)"},
+        {"dvfs", "unknown DVFS table 'X' (valid: simulated_cmp, xeon5160)"},
+        {"memory_orgs", "unknown memory organization 'X' (valid: ch4_4x4, "
+                        "1x4, 2x2, 2x4, 4x2, 4x8, 8x2, 8x4)"},
+        {"traffic_shapes", "unknown traffic shape 'X' (valid: uniform, "
+                           "front_heavy, back_heavy, hot_dimm0, "
+                           "linear_taper)"},
+        {"refresh_models", "unknown refresh model 'X' (valid: none, "
+                           "ddr2_2x, aldram)"},
+        {"thermal_models", "unknown thermal model 'X' (valid: lumped, "
+                           "bank_grid)"},
+    };
+    ASSERT_EQ(catalogListings().size(), expected.size());
+    for (const CatalogBase *c : catalogListings()) {
+        SCOPED_TRACE(c->info.keyword);
+        ASSERT_TRUE(expected.count(c->info.keyword));
+        EXPECT_EQ(c->unknown("X"), expected.at(c->info.keyword));
+    }
+}
+
+TEST(Catalogs, TypedCatalogsAreTheListings)
+{
+    std::vector<const CatalogBase *> typed;
+    forEachCatalog([&](const auto &cat, const auto &...) {
+        typed.push_back(&cat);
+    });
+    EXPECT_EQ(typed, catalogListings());
+}
+
+TEST(Catalogs, EveryNameResolvesAndUnknownNamesFailWithTheDiagnostic)
+{
+    forEachCatalog([](const auto &cat, const auto &...args) {
+        SCOPED_TRACE(cat.info.keyword);
+        const std::vector<std::string> names = cat.names();
+        EXPECT_FALSE(names.empty());
+        for (const auto &n : names) {
+            SCOPED_TRACE(n);
+            EXPECT_TRUE(cat.contains(n));
+            std::string error;
+            EXPECT_TRUE(cat.tryGet(n, args..., &error).has_value());
+            EXPECT_EQ(error, "");
+        }
+
+        const std::string bad = "no-such-entry";
+        EXPECT_FALSE(cat.contains(bad));
+        EXPECT_FALSE(cat.tryGet(bad, args...).has_value()); // quiet
+        std::string error;
+        EXPECT_FALSE(cat.tryGet(bad, args..., &error).has_value());
+        EXPECT_EQ(error, cat.unknown(bad));
+        try {
+            cat.get(bad, args...);
+            FAIL() << "expected FatalError";
+        } catch (const FatalError &e) {
+            EXPECT_EQ(std::string(e.what()), "fatal: " + error);
+        }
+    });
+}
+
+/** @p s with the case of every letter flipped. */
+std::string
+flipCase(std::string s)
+{
+    for (char &ch : s) {
+        const auto u = static_cast<unsigned char>(ch);
+        ch = static_cast<char>(std::islower(u) ? std::toupper(u)
+                                               : std::tolower(u));
+    }
+    return s;
+}
+
+TEST(Catalogs, UserStringsNeverPanic)
+{
+    const std::vector<std::string> seeds = {
+        "",
+        std::string(100000, 'W'),
+        "W\xc3\xa9",        // non-ASCII
+        "\xe2\x9c\x93x4",   // non-ASCII application, batch suffix
+        std::string("W1\0", 3),
+        "\xff\xfe",         // not UTF-8 at all
+        "swimx",
+        "swimx0",
+        "swimx-1",
+        "swimx99999999999999999999",
+        "swimx2147483648",  // one past INT_MAX
+        "x4",
+        "swimxx4",
+    };
+    forEachCatalog([&](const auto &cat, const auto &...args) {
+        SCOPED_TRACE(cat.info.keyword);
+        std::vector<std::string> probes = seeds;
+        for (const auto &n : cat.names()) {
+            for (auto v : {flipCase(n), " " + n, n + " ", n + "\t",
+                           "\n" + n})
+                probes.push_back(v);
+        }
+        for (const auto &s : probes) {
+            SCOPED_TRACE("'" + s.substr(0, 40) + "'");
+            try {
+                EXPECT_FALSE(cat.tryGet(s, args...).has_value());
+                std::string error;
+                EXPECT_FALSE(cat.tryGet(s, args..., &error).has_value());
+                EXPECT_FALSE(error.empty());
+                EXPECT_THROW(cat.get(s, args...), FatalError);
+            } catch (const PanicError &e) {
+                ADD_FAILURE() << "panic on a user string: " << e.what();
+            }
+        }
+    });
+}
+
+// --- policies ---------------------------------------------------------------
 
 TEST(PolicyRegistry, EveryCh4NameResolves)
 {
@@ -25,39 +179,13 @@ TEST(PolicyRegistry, EveryCh4NameResolves)
     lineup.push_back("No-limit");
     for (const auto &name : lineup) {
         SCOPED_TRACE(name);
-        EXPECT_TRUE(reg.contains(name));
-        std::string error;
-        auto p = reg.tryMake(name, 0.01, &error);
-        ASSERT_NE(p, nullptr) << error;
-        EXPECT_EQ(error, "");
+        auto p = reg.tryGet(name, {});
+        ASSERT_TRUE(p.has_value());
+        ASSERT_NE(*p, nullptr);
+        EXPECT_EQ((*p)->name(), name);
     }
-    // The non-PID subset is covered by the full lineup.
-    for (const auto &name : ch4PolicyNames(false))
-        EXPECT_TRUE(reg.contains(name));
-}
-
-TEST(PolicyRegistry, UnknownNameListsValidKeys)
-{
-    auto &reg = PolicyRegistry::instance();
-    std::string error;
-    EXPECT_EQ(reg.tryMake("DTM-TURBO", 0.01, &error), nullptr);
-    EXPECT_NE(error.find("unknown policy 'DTM-TURBO'"), std::string::npos)
-        << error;
-    EXPECT_NE(error.find("No-limit"), std::string::npos) << error;
-    EXPECT_NE(error.find("DTM-CDVFS+PID"), std::string::npos) << error;
-
-    // tryMake without an error sink is quiet; make() throws the same
-    // diagnostic; the makeCh4Policy wrapper keeps its FatalError contract.
-    EXPECT_EQ(reg.tryMake("DTM-TURBO", 0.01), nullptr);
-    EXPECT_THROW(reg.make("DTM-TURBO", 0.01), FatalError);
+    // The makeCh4Policy wrapper keeps its FatalError contract.
     EXPECT_THROW(makeCh4Policy("DTM-TS+PID"), FatalError);
-    try {
-        reg.make("DTM-TURBO", 0.01);
-        FAIL() << "expected FatalError";
-    } catch (const FatalError &e) {
-        EXPECT_NE(std::string(e.what()).find("valid:"), std::string::npos)
-            << e.what();
-    }
 }
 
 TEST(PolicyRegistry, CustomPoliciesRegister)
@@ -68,7 +196,7 @@ TEST(PolicyRegistry, CustomPoliciesRegister)
         return std::make_unique<NoLimitPolicy>();
     });
     EXPECT_TRUE(reg.contains("TEST-custom"));
-    auto p = reg.tryMake("TEST-custom", 0.01);
+    auto p = reg.make("TEST-custom", 0.01);
     ASSERT_NE(p, nullptr);
     EXPECT_EQ(p->name(), "No-limit");
 
@@ -76,79 +204,32 @@ TEST(PolicyRegistry, CustomPoliciesRegister)
     EXPECT_EQ(names.back(), "TEST-custom");
 }
 
-TEST(Catalogs, CoolingNamesResolve)
+TEST(PolicyRegistry, EntriesMayLookUpTheirOwnCatalog)
 {
-    auto names = coolingNames();
-    ASSERT_EQ(names.size(), 6u); // 2 spreaders x 3 air velocities
-    for (const auto &n : names) {
-        SCOPED_TRACE(n);
-        auto c = tryCooling(n);
-        ASSERT_TRUE(c.has_value());
-        EXPECT_EQ(c->name(), n); // the key is the config's own name
-    }
-    EXPECT_EQ(coolingByName("AOHS_1.5").psiAmb, coolingAohs15().psiAmb);
-    EXPECT_FALSE(tryCooling("WATER_9000").has_value());
-    try {
-        coolingByName("WATER_9000");
-        FAIL() << "expected FatalError";
-    } catch (const FatalError &e) {
-        EXPECT_NE(std::string(e.what()).find("FDHS_1.0"), std::string::npos)
-            << e.what();
-    }
-}
-
-TEST(Catalogs, AmbientPresetsResolve)
-{
-    CoolingConfig cooling = coolingAohs15();
-    for (const auto &n : ambientNames()) {
-        SCOPED_TRACE(n);
-        EXPECT_TRUE(tryAmbient(n, cooling).has_value());
-    }
-    EXPECT_EQ(ambientByName("isolated", cooling).psiCpuMemXi, 0.0);
-    EXPECT_GT(ambientByName("integrated", cooling).psiCpuMemXi, 0.0);
-    EXPECT_FALSE(tryAmbient("underwater", cooling).has_value());
-    EXPECT_THROW(ambientByName("underwater", cooling), FatalError);
-}
-
-TEST(Catalogs, WorkloadNamesResolve)
-{
-    for (const auto &n : workloadNames()) {
-        SCOPED_TRACE(n);
-        auto w = tryWorkload(n);
-        ASSERT_TRUE(w.has_value());
-        EXPECT_EQ(w->name, n);
-        EXPECT_FALSE(w->apps.empty());
-    }
-
-    // Homogeneous "<app>x<n>" batches.
-    auto homo = tryWorkload("swimx4");
-    ASSERT_TRUE(homo.has_value());
-    EXPECT_EQ(homo->apps.size(), 4u);
-    EXPECT_EQ(homo->apps[0]->name, "swim");
-
-    EXPECT_FALSE(tryWorkload("W99").has_value());
-    EXPECT_FALSE(tryWorkload("nosuchappx4").has_value());
-    EXPECT_FALSE(tryWorkload("swimx0").has_value());
-    // Overflowing copy counts are bad names, not internal errors.
-    EXPECT_FALSE(tryWorkload("swimx99999999999999999999").has_value());
-    EXPECT_THROW(workloadByName("W99"), FatalError);
+    // Lookups call an entry outside the catalog lock, so a decorator
+    // that builds on an existing policy does not deadlock.
+    auto &reg = PolicyRegistry::instance();
+    reg.add("TEST-wrapped", [&reg](const PolicyBuildContext &ctx) {
+        return reg.get("DTM-TS", ctx);
+    });
+    EXPECT_EQ(reg.make("TEST-wrapped", 0.01)->name(), "DTM-TS");
 }
 
 TEST(PolicyRegistry, BuildContextLaddersApplyToLeveledSchemes)
 {
     auto &reg = PolicyRegistry::instance();
-    EmergencyLevels pe = emergencyLevelsByName("pe1950");
+    EmergencyLevels pe = emergencyLevelCatalog().get("pe1950");
 
     for (const char *name : {"DTM-BW", "DTM-ACG", "DTM-CDVFS"}) {
         SCOPED_TRACE(name);
-        auto p = reg.make(name, PolicyBuildContext{0.01, pe});
+        auto p = reg.make(name, {.emergencyLevels = pe});
         auto *lp = dynamic_cast<LeveledPolicy *>(p.get());
         ASSERT_NE(lp, nullptr);
         EXPECT_EQ(lp->levelTable().ambBounds(), pe.ambBounds());
         EXPECT_EQ(lp->levelTable().dramBounds(), pe.dramBounds());
     }
 
-    // The default context (and the Seconds overloads) keep Table 4.3.
+    // The default context (and the Seconds overload) keep Table 4.3.
     auto p = reg.make("DTM-BW", 0.01);
     auto *lp = dynamic_cast<LeveledPolicy *>(p.get());
     ASSERT_NE(lp, nullptr);
@@ -158,102 +239,132 @@ TEST(PolicyRegistry, BuildContextLaddersApplyToLeveledSchemes)
     // The Chapter 4 action tables are five rows; other depths are a
     // usable configuration error, not a panic.
     EmergencyLevels shallow({100.0}, {80.0});
-    EXPECT_THROW(reg.make("DTM-BW", PolicyBuildContext{0.01, shallow}),
+    EXPECT_THROW(reg.make("DTM-BW", {.emergencyLevels = shallow}),
                  FatalError);
 }
 
-TEST(Catalogs, EmergencyLevelNamesResolve)
-{
-    for (const auto &n : emergencyLevelNames()) {
-        SCOPED_TRACE(n);
-        auto l = tryEmergencyLevels(n);
-        ASSERT_TRUE(l.has_value());
-        // Every catalog ladder fits the five-level Chapter 4 tables.
-        EXPECT_EQ(l->numLevels(), 5);
-    }
-    EXPECT_EQ(emergencyLevelsByName("ch4").ambBounds(),
-              ch4EmergencyLevels().ambBounds());
-    // The Table 5.1 variants carry the platform AMB ladders with the
-    // DRAM boundaries parked out of reach.
-    EmergencyLevels pe = emergencyLevelsByName("pe1950");
-    EXPECT_EQ(pe.ambBounds(), pe1950().ambBounds);
-    EXPECT_GE(pe.dramBounds().front(), 200.0);
-    EXPECT_LT(emergencyLevelsByName("sr1500al_tdp90").ambBounds().back(),
-              emergencyLevelsByName("sr1500al").ambBounds().back());
+// --- the value catalogs -----------------------------------------------------
 
-    EXPECT_FALSE(tryEmergencyLevels("lava").has_value());
+TEST(Catalogs, CoolingValues)
+{
+    auto &cat = coolingCatalog();
+    auto names = cat.names();
+    ASSERT_EQ(names.size(), 6u); // 2 spreaders x 3 air velocities
+    for (const auto &n : names)
+        EXPECT_EQ(cat.get(n).name(), n); // the key is the config's name
+    EXPECT_EQ(cat.get("AOHS_1.5").psiAmb, coolingAohs15().psiAmb);
+}
+
+TEST(Catalogs, AmbientValues)
+{
+    CoolingConfig cooling = coolingAohs15();
+    EXPECT_EQ(ambientCatalog().get("isolated", cooling).psiCpuMemXi, 0.0);
+    EXPECT_GT(ambientCatalog().get("integrated", cooling).psiCpuMemXi, 0.0);
+}
+
+TEST(Catalogs, WorkloadValues)
+{
+    auto &cat = workloadCatalog();
+    for (const auto &n : cat.names()) {
+        SCOPED_TRACE(n);
+        Workload w = cat.get(n);
+        EXPECT_EQ(w.name, n);
+        EXPECT_FALSE(w.apps.empty());
+    }
+
+    // Homogeneous "<app>x<n>" batches.
+    Workload homo = cat.get("swimx4");
+    EXPECT_EQ(homo.name, "swimx4");
+    EXPECT_EQ(homo.apps.size(), 4u);
+    EXPECT_EQ(homo.apps[0]->name, "swim");
+    EXPECT_TRUE(cat.contains("swimx4"));
+
+    // Zero and overflowing counts are in UserStringsNeverPanic.
+    EXPECT_FALSE(cat.tryGet("nosuchappx4").has_value());
+}
+
+TEST(Catalogs, HomogeneousBatchAcceptsOnlyTheCanonicalCount)
+{
+    // Accepting these would build a second workload named "swimx4",
+    // so a scenario could list one batch twice under two names.
+    auto &cat = workloadCatalog();
+    for (const char *alias : {"swimx04", "swimx+4", "swimx 4"}) {
+        SCOPED_TRACE(alias);
+        EXPECT_FALSE(cat.contains(alias));
+        EXPECT_FALSE(cat.tryGet(alias).has_value());
+    }
+
+    ScenarioSpec s;
+    s.name = "aliases";
+    s.workloads = {"swimx4", "swimx04"};
+    s.policies = {"No-limit"};
     try {
-        emergencyLevelsByName("lava");
+        (void)s.lower();
         FAIL() << "expected FatalError";
     } catch (const FatalError &e) {
-        EXPECT_NE(std::string(e.what()).find("sr1500al"), std::string::npos)
+        EXPECT_NE(std::string(e.what()).find("unknown workload 'swimx04'"),
+                  std::string::npos)
             << e.what();
     }
 }
 
-TEST(Catalogs, DvfsRegistryResolvesAndAcceptsRuntimeTables)
+TEST(Catalogs, EmergencyLevelValues)
 {
-    auto &reg = DvfsRegistry::instance();
-    for (const auto &n : reg.names()) {
-        SCOPED_TRACE(n);
-        EXPECT_TRUE(reg.contains(n));
-        ASSERT_TRUE(reg.tryGet(n).has_value());
-    }
-    EXPECT_EQ(reg.byName("simulated_cmp").maxFreq(),
+    auto &cat = emergencyLevelCatalog();
+    // Every catalog ladder fits the five-level Chapter 4 tables.
+    for (const auto &n : cat.names())
+        EXPECT_EQ(cat.get(n).numLevels(), 5) << n;
+    EXPECT_EQ(cat.get("ch4").ambBounds(), ch4EmergencyLevels().ambBounds());
+    // The Table 5.1 variants carry the platform AMB ladders with the
+    // DRAM boundaries parked out of reach.
+    EmergencyLevels pe = cat.get("pe1950");
+    EXPECT_EQ(pe.ambBounds(), pe1950().ambBounds);
+    EXPECT_GE(pe.dramBounds().front(), 200.0);
+    EXPECT_LT(cat.get("sr1500al_tdp90").ambBounds().back(),
+              cat.get("sr1500al").ambBounds().back());
+}
+
+TEST(Catalogs, DvfsValuesAndRuntimeTables)
+{
+    auto &cat = dvfsCatalog();
+    EXPECT_EQ(cat.get("simulated_cmp").maxFreq(),
               simulatedCmpDvfs().maxFreq());
-    EXPECT_EQ(reg.byName("xeon5160").levels(), xeon5160Dvfs().levels());
-    EXPECT_EQ(reg.byName("xeon5160").at(3).freq, xeon5160Dvfs().at(3).freq);
+    EXPECT_EQ(cat.get("xeon5160").levels(), xeon5160Dvfs().levels());
+    EXPECT_EQ(cat.get("xeon5160").at(3).freq, xeon5160Dvfs().at(3).freq);
 
-    std::string error;
-    EXPECT_FALSE(reg.tryGet("TEST-turbo", &error).has_value());
-    EXPECT_NE(error.find("unknown DVFS table 'TEST-turbo'"),
-              std::string::npos)
-        << error;
-    EXPECT_NE(error.find("xeon5160"), std::string::npos) << error;
-    EXPECT_THROW(reg.byName("TEST-turbo"), FatalError);
+    ASSERT_FALSE(cat.contains("TEST-lowpower"));
+    cat.add("TEST-lowpower", DvfsTable({{1.0, 1.0}, {0.5, 0.8}}));
+    EXPECT_TRUE(cat.contains("TEST-lowpower"));
+    EXPECT_EQ(cat.get("TEST-lowpower").levels(), 2u);
+    EXPECT_EQ(cat.names().back(), "TEST-lowpower");
 
-    ASSERT_FALSE(reg.contains("TEST-lowpower"));
-    reg.add("TEST-lowpower", DvfsTable({{1.0, 1.0}, {0.5, 0.8}}));
-    EXPECT_TRUE(reg.contains("TEST-lowpower"));
-    EXPECT_EQ(reg.byName("TEST-lowpower").levels(), 2u);
-    EXPECT_EQ(reg.names().back(), "TEST-lowpower");
+    // add() replaces an entry in place.
+    const auto n = cat.names().size();
+    cat.add("TEST-lowpower", DvfsTable({{1.0, 1.0}, {0.7, 0.9}, {0.5, 0.8}}));
+    EXPECT_EQ(cat.get("TEST-lowpower").levels(), 3u);
+    EXPECT_EQ(cat.names().size(), n);
 }
 
-TEST(Catalogs, MemoryOrgNamesResolve)
+TEST(Catalogs, MemoryOrgValues)
 {
-    auto names = memoryOrgNames();
-    ASSERT_FALSE(names.empty());
+    auto &cat = memoryOrgCatalog();
     // The first entry is the Table 4.1 organization SimConfig ships.
-    EXPECT_EQ(names.front(), "ch4_4x4");
-    EXPECT_EQ(memoryOrgByName("ch4_4x4"), SimConfig{}.org);
-    for (const auto &n : names) {
+    EXPECT_EQ(cat.names().front(), "ch4_4x4");
+    EXPECT_EQ(cat.get("ch4_4x4"), SimConfig{}.org);
+    for (const auto &n : cat.names()) {
         SCOPED_TRACE(n);
-        auto o = tryMemoryOrg(n);
-        ASSERT_TRUE(o.has_value());
-        EXPECT_GE(o->nChannels, 1);
-        EXPECT_GE(o->nDimmsPerChannel, 1);
+        EXPECT_GE(cat.get(n).nChannels, 1);
+        EXPECT_GE(cat.get(n).nDimmsPerChannel, 1);
     }
-    EXPECT_EQ(memoryOrgByName("2x4"), (MemoryOrgConfig{2, 4}));
-    EXPECT_EQ(memoryOrgByName("4x8").nDimmsPerChannel, 8);
-    EXPECT_EQ(memoryOrgByName("8x2").nChannels, 8);
-
-    EXPECT_FALSE(tryMemoryOrg("3x3").has_value());
-    try {
-        memoryOrgByName("3x3");
-        FAIL() << "expected FatalError";
-    } catch (const FatalError &e) {
-        std::string msg = e.what();
-        EXPECT_NE(msg.find("unknown memory organization '3x3'"),
-                  std::string::npos)
-            << msg;
-        EXPECT_NE(msg.find("ch4_4x4"), std::string::npos) << msg;
-    }
+    EXPECT_EQ(cat.get("2x4"), (MemoryOrgConfig{2, 4}));
+    EXPECT_EQ(cat.get("4x8").nDimmsPerChannel, 8);
+    EXPECT_EQ(cat.get("8x2").nChannels, 8);
 }
 
-TEST(Catalogs, TrafficShapeNamesResolve)
+TEST(Catalogs, TrafficShapeValues)
 {
-    auto names = trafficShapeNames();
-    ASSERT_FALSE(names.empty());
+    auto &cat = trafficShapeCatalog();
+    auto names = cat.names();
     // The first entry is the default interleave the model assumes when
     // the knob is unset.
     EXPECT_EQ(names.front(), "uniform");
@@ -263,30 +374,28 @@ TEST(Catalogs, TrafficShapeNamesResolve)
     for (const auto &n : names) {
         for (int dimms : {1, 2, 4, 8}) {
             SCOPED_TRACE(n + " @ " + std::to_string(dimms));
-            auto w = tryTrafficShape(n, dimms);
-            ASSERT_TRUE(w.has_value());
-            ASSERT_EQ(static_cast<int>(w->size()), dimms);
+            std::vector<double> w = cat.get(n, dimms);
+            ASSERT_EQ(static_cast<int>(w.size()), dimms);
             double sum = 0.0;
-            for (double s : *w) {
+            for (double s : w) {
                 EXPECT_GE(s, 0.0);
                 sum += s;
             }
             EXPECT_NEAR(sum, 1.0, 1e-9);
         }
         // Every shape degenerates to {1} on a one-DIMM chain.
-        EXPECT_EQ(trafficShapeByName(n, 1), std::vector<double>{1.0});
+        EXPECT_EQ(cat.get(n, 1), std::vector<double>{1.0});
     }
 
     // "uniform" is exactly 1/n per entry — the bit-identical contract.
-    auto uni = trafficShapeByName("uniform", 4);
-    for (double s : uni)
+    for (double s : cat.get("uniform", 4))
         EXPECT_EQ(s, 1.0 / 4);
 
     // Shape character: front_heavy strictly decreasing down the chain,
     // back_heavy its mirror, hot_dimm0 a half-load head, linear_taper
     // the arithmetic ramp.
-    auto front = trafficShapeByName("front_heavy", 4);
-    auto back = trafficShapeByName("back_heavy", 4);
+    auto front = cat.get("front_heavy", 4);
+    auto back = cat.get("back_heavy", 4);
     for (int i = 1; i < 4; ++i) {
         EXPECT_GT(front[i - 1], front[i]);
         EXPECT_LT(back[i - 1], back[i]);
@@ -294,38 +403,26 @@ TEST(Catalogs, TrafficShapeNamesResolve)
     }
     EXPECT_EQ(front[1], front[0] / 2);
 
-    auto hot = trafficShapeByName("hot_dimm0", 4);
-    EXPECT_EQ(hot[0], 0.5);
-    for (int i = 1; i < 4; ++i)
-        EXPECT_EQ(hot[i], 0.5 / 3);
+    for (int n : {2, 3, 4, 7}) {
+        auto hot = cat.get("hot_dimm0", n);
+        EXPECT_EQ(hot[0], 0.5);
+        for (int i = 1; i < n; ++i)
+            EXPECT_EQ(hot[i], 0.5 / (n - 1));
+    }
 
-    auto taper = trafficShapeByName("linear_taper", 4);
+    auto taper = cat.get("linear_taper", 4);
     EXPECT_EQ(taper, (std::vector<double>{0.4, 0.3, 0.2, 0.1}));
 
-    EXPECT_FALSE(tryTrafficShape("zigzag", 4).has_value());
-    try {
-        trafficShapeByName("zigzag", 4);
-        FAIL() << "expected FatalError";
-    } catch (const FatalError &e) {
-        std::string msg = e.what();
-        EXPECT_NE(msg.find("unknown traffic shape 'zigzag'"),
-                  std::string::npos)
-            << msg;
-        EXPECT_NE(msg.find("hot_dimm0"), std::string::npos) << msg;
-    }
+    // A shape needs a chain: that is the caller's invariant.
+    EXPECT_THROW(cat.get("uniform", 0), PanicError);
 }
 
-TEST(Catalogs, PlatformNamesResolve)
+TEST(Catalogs, PlatformValues)
 {
-    for (const auto &n : platformNames()) {
-        SCOPED_TRACE(n);
-        auto p = tryPlatform(n);
-        ASSERT_TRUE(p.has_value());
-        EXPECT_FALSE(p->ambBounds.empty());
-    }
-    EXPECT_EQ(platformByName("PE1950").name, pe1950().name);
-    EXPECT_FALSE(tryPlatform("PE9999").has_value());
-    EXPECT_THROW(platformByName("PE9999"), FatalError);
+    auto &cat = platformCatalog();
+    for (const auto &n : cat.names())
+        EXPECT_FALSE(cat.get(n).ambBounds.empty()) << n;
+    EXPECT_EQ(cat.get("PE1950").name, pe1950().name);
 }
 
 } // namespace

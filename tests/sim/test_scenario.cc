@@ -196,10 +196,10 @@ TEST(ScenarioSpec, NewAxesLowerAcrossTheGrid)
     EXPECT_EQ(low.points.back().cfg.dtmInterval, 0.1);
     ASSERT_TRUE(low.points[0].cfg.emergencyLevels.has_value());
     EXPECT_EQ(low.points[0].cfg.emergencyLevels->ambBounds(),
-              emergencyLevelsByName("ch4").ambBounds());
+              emergencyLevelCatalog().get("ch4").ambBounds());
     ASSERT_TRUE(low.points.back().cfg.emergencyLevels.has_value());
     EXPECT_EQ(low.points.back().cfg.emergencyLevels->ambBounds(),
-              emergencyLevelsByName("sr1500al").ambBounds());
+              emergencyLevelCatalog().get("sr1500al").ambBounds());
     EXPECT_EQ(low.points[0].cfg.dvfs.maxFreq(),
               simulatedCmpDvfs().maxFreq());
     EXPECT_EQ(low.points.back().cfg.dvfs.maxFreq(),
@@ -217,7 +217,7 @@ TEST(ScenarioSpec, NewAxesLowerAcrossTheGrid)
         EXPECT_NE(pt.cfg.dtmInterval, 0.5);
         ASSERT_TRUE(pt.cfg.emergencyLevels.has_value());
         EXPECT_EQ(pt.cfg.emergencyLevels->ambBounds(),
-                  emergencyLevelsByName("pe1950").ambBounds());
+                  emergencyLevelCatalog().get("pe1950").ambBounds());
     }
     // The dvfs axis wins over the scalar dvfs member.
     EXPECT_EQ(low.points[0].cfg.dvfs.maxFreq(),
@@ -870,10 +870,10 @@ TEST(Scenario, NewAxesMatchHandCodedEngineBitExactly)
                 cfg.copiesPerApp = 1;
                 cfg.maxSimTime = 500.0;
                 cfg.dtmInterval = dtm;
-                cfg.emergencyLevels = emergencyLevelsByName(ladder);
-                cfg.dvfs = DvfsRegistry::instance().byName(table);
+                cfg.emergencyLevels = emergencyLevelCatalog().get(ladder);
+                cfg.dvfs = dvfsCatalog().get(table);
                 runs.push_back(
-                    {cfg, workloadByName("swimx2"), "DTM-CDVFS", {}});
+                    {cfg, workloadCatalog().get("swimx2"), "DTM-CDVFS", {}});
             }
         }
     }
@@ -918,7 +918,7 @@ TEST(Scenario, MemoryOrgAxisMatchesHandCodedEngineBitExactly)
         cfg.copiesPerApp = 1;
         cfg.maxSimTime = 300.0;
         cfg.org = org;
-        runs.push_back({cfg, workloadByName("swimx2"), "No-limit", {}});
+        runs.push_back({cfg, workloadCatalog().get("swimx2"), "No-limit", {}});
     }
     std::vector<SimResult> ref = engine.run(runs);
     ASSERT_EQ(ref.size(), 3u);
@@ -1068,7 +1068,7 @@ TEST(ScenarioSpec, TrafficShapeAxisLowersAcrossTheGrid)
     // The coordinates land in the configurations, resolved against the
     // base (4x4) organization.
     EXPECT_EQ(low.points[0].cfg.trafficShares,
-              trafficShapeByName("hot_dimm0", 4));
+              trafficShapeCatalog().get("hot_dimm0", 4));
     EXPECT_EQ(low.points[2].cfg.trafficShares,
               (std::vector<double>{0.7, 0.1, 0.1, 0.1}));
 
@@ -1081,13 +1081,13 @@ TEST(ScenarioSpec, TrafficShapeAxisLowersAcrossTheGrid)
     EXPECT_EQ(low.points[0].label, "inlet=46");
     for (const auto &pt : low.points) {
         EXPECT_EQ(pt.cfg.trafficShares,
-                  trafficShapeByName("linear_taper", 4));
+                  trafficShapeCatalog().get("linear_taper", 4));
     }
     s.sweepTrafficShape = {TrafficShapeSpec{"front_heavy", {}}};
     low = s.lower();
     for (const auto &pt : low.points) {
         EXPECT_EQ(pt.cfg.trafficShares,
-                  trafficShapeByName("front_heavy", 4));
+                  trafficShapeCatalog().get("front_heavy", 4));
     }
 }
 
@@ -1108,9 +1108,9 @@ TEST(ScenarioSpec, TrafficShapesReResolvePerOrganizationPoint)
     ASSERT_EQ(low.points.size(), 2u);
     EXPECT_EQ(low.points[0].label, "org=4x2,shape=front_heavy");
     EXPECT_EQ(low.points[0].cfg.trafficShares,
-              trafficShapeByName("front_heavy", 2));
+              trafficShapeCatalog().get("front_heavy", 2));
     EXPECT_EQ(low.points[1].cfg.trafficShares,
-              trafficShapeByName("front_heavy", 8));
+              trafficShapeCatalog().get("front_heavy", 8));
 
     // The scalar shape member re-resolves the same way.
     s.sweepTrafficShape.clear();
@@ -1118,9 +1118,9 @@ TEST(ScenarioSpec, TrafficShapesReResolvePerOrganizationPoint)
     low = s.lower();
     ASSERT_EQ(low.points.size(), 2u);
     EXPECT_EQ(low.points[0].cfg.trafficShares,
-              trafficShapeByName("back_heavy", 2));
+              trafficShapeCatalog().get("back_heavy", 2));
     EXPECT_EQ(low.points[1].cfg.trafficShares,
-              trafficShapeByName("back_heavy", 8));
+              trafficShapeCatalog().get("back_heavy", 8));
 }
 
 TEST(ScenarioSpec, RejectsBadTrafficShapes)
@@ -1380,14 +1380,14 @@ TEST(Scenario, TrafficShapeAxisMatchesHandCodedEngineBitExactly)
 
     // The hand-coded equivalent, built without the scenario layer.
     std::vector<ExperimentEngine::Run> runs;
-    for (auto shares : {trafficShapeByName("uniform", 4),
-                        trafficShapeByName("back_heavy", 4),
+    for (auto shares : {trafficShapeCatalog().get("uniform", 4),
+                        trafficShapeCatalog().get("back_heavy", 4),
                         std::vector<double>{0.7, 0.1, 0.1, 0.1}}) {
         SimConfig cfg = makeCh4Config(coolingAohs15(), false);
         cfg.copiesPerApp = 1;
         cfg.maxSimTime = 300.0;
         cfg.trafficShares = shares;
-        runs.push_back({cfg, workloadByName("swimx2"), "No-limit", {}});
+        runs.push_back({cfg, workloadCatalog().get("swimx2"), "No-limit", {}});
     }
     std::vector<SimResult> ref = engine.run(runs);
     ASSERT_EQ(ref.size(), 3u);

@@ -240,7 +240,7 @@ TEST(BankGridSim, UniformGridBitIdenticalToLumpedAcrossConfigs)
         SimConfig cfg = baseConfig();
         cfg.org = c.org;
         if (!c.refresh.empty())
-            cfg.refresh = refreshModelByName(c.refresh);
+            cfg.refresh = refreshCatalog().get(c.refresh);
         if (c.random_shares)
             cfg.trafficShares =
                 randomWeights(rng, cfg.org.nDimmsPerChannel);
@@ -366,7 +366,7 @@ TEST(BankGridSim, ForkedLanesBitIdenticalToScalarWithGridActive)
     cfg.copiesPerApp = 2;
     cfg.sensorNoiseSigma = 0.3;
     cfg.trafficShares = {0.55, 0.25, 0.12, 0.08};
-    cfg.refresh = refreshModelByName("ddr2_2x");
+    cfg.refresh = refreshCatalog().get("ddr2_2x");
     cfg.bankGrid = BankGridConfig{
         4, 2, {0.3, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1, 0.1}};
 
@@ -437,13 +437,12 @@ TEST(BankGridScenario, CatalogAndSweepLowering)
 {
     // The catalog resolves; the sweep axis becomes odometer axis 10
     // with "thermal=<label>" coordinates.
-    EXPECT_EQ(thermalModelNames(),
+    EXPECT_EQ(thermalModelCatalog().names(),
               (std::vector<std::string>{"lumped", "bank_grid"}));
-    EXPECT_FALSE(thermalModelByName("lumped").grid.has_value());
-    ASSERT_TRUE(thermalModelByName("bank_grid").grid.has_value());
-    EXPECT_EQ(thermalModelByName("bank_grid").grid->x, 4);
-    EXPECT_EQ(thermalModelByName("bank_grid").grid->z, 2);
-    EXPECT_FALSE(tryThermalModel("nope").has_value());
+    EXPECT_FALSE(thermalModelCatalog().get("lumped").grid.has_value());
+    ASSERT_TRUE(thermalModelCatalog().get("bank_grid").grid.has_value());
+    EXPECT_EQ(thermalModelCatalog().get("bank_grid").grid->x, 4);
+    EXPECT_EQ(thermalModelCatalog().get("bank_grid").grid->z, 2);
 
     ScenarioSpec s = tinySpec();
     ThermalModelSpec inline_grid;

@@ -65,8 +65,8 @@ std::string
 listKeywords(const char *sep)
 {
     std::string out;
-    for (const CatalogListing &c : catalogListings())
-        out += (out.empty() ? "" : sep) + std::string(c.keyword);
+    for (const CatalogBase *c : catalogListings())
+        out += (out.empty() ? "" : sep) + std::string(c->info.keyword);
     return out;
 }
 
@@ -138,13 +138,13 @@ cmdList(const std::vector<std::string> &args)
     if (args.size() != 1)
         return usage(std::cerr, 1);
     const std::string &what = args[0];
-    for (const CatalogListing &c : catalogListings()) {
-        if (what != c.keyword)
+    for (const CatalogBase *c : catalogListings()) {
+        if (what != c->info.keyword)
             continue;
-        for (const auto &n : c.names())
+        for (const auto &n : c->names())
             std::cout << n << '\n';
-        if (c.hint)
-            std::cout << c.hint << '\n';
+        if (c->info.hint)
+            std::cout << c->info.hint << '\n';
         return 0;
     }
     std::cerr << "memtherm list: unknown catalog '" << what
