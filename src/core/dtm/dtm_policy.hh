@@ -33,6 +33,8 @@ struct ThermalReading
      * per-DIMM sensor path (e.g. policy unit tests that only exercise
      * the scalar readings).
      */
+    // "= {}" lets ThermalReading{amb, dram, inlet} omit these without
+    // tripping -Wmissing-field-initializers.
     std::vector<Celsius> ambPerDimm = {};
     std::vector<Celsius> dramPerDimm = {};
 };

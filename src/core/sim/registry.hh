@@ -195,7 +195,8 @@ class Catalog : public CatalogBase
 /**
  * Everything a policy factory may build from. One run's policy is
  * constructed from its SimConfig, and this is the slice of it the
- * policy constructors consume.
+ * policy constructors consume. Every member has an initializer, so a
+ * designated initializer may name any subset of them.
  */
 struct PolicyBuildContext
 {
