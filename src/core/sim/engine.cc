@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
 #include <cstdlib>
 #include <exception>
 
@@ -84,14 +83,6 @@ ExperimentEngine::makePolicy(const Run &r)
     return policy;
 }
 
-SimResult
-ExperimentEngine::execute(const Run &r, ThermalSimulator::Scratch &s)
-{
-    ThermalSimulator sim(r.cfg);
-    auto policy = makePolicy(r);
-    return sim.run(r.workload, *policy, s);
-}
-
 void
 ExperimentEngine::run(const std::vector<Run> &runs, RunSink &sink)
 {
@@ -161,35 +152,6 @@ ExperimentEngine::runBatched(const std::vector<Run> &runs,
 
     auto oneChunk = [&](const Chunk &ch, ThermalSimulator::Scratch &s) {
         const auto t0 = clock::now();
-
-        // Single-run chunk: the scalar path, no batch state to set up.
-        if (ch.count == 1) {
-            SimResult r;
-            std::exception_ptr err;
-            try {
-                r = execute(runs[ch.first], s);
-            } catch (...) {
-                err = std::current_exception();
-            }
-            const double wall_s =
-                std::chrono::duration<double>(clock::now() - t0).count();
-            // A lone run shares nothing; count its windows so the hit
-            // rate reflects the whole grid, not just batched chunks.
-            // runningTime accumulates window steps, so round the ratio
-            // to the whole window count a batched lane would credit.
-            const double w =
-                err ? 0.0
-                    : std::round(r.runningTime /
-                                 std::max(runs[ch.first].cfg.window,
-                                          1e-12));
-            deliver(ch.first, std::move(r), wall_s, err);
-            if (stats && w > 0.0) {
-                std::lock_guard<std::mutex> lock(sink_mtx);
-                agg.logicalWindows += w;
-                agg.simulatedWindows += w;
-            }
-            return;
-        }
 
         // Build one policy per member; a failing build (unknown name,
         // bad config) fails only that run and the rest still batch.

@@ -138,10 +138,11 @@ class ExperimentEngine
      * completes; sink invocations are serialized (see RunSink). Runs
      * within one RunClass execute through ThermalSimulator::runBatch in
      * chunks of up to @p batch_width lanes, sharing their simulated
-     * prefix; a chunk of one run takes the scalar path, so width 1 (or
-     * all-singleton classes) is scalar execution. @p batch_width < 1
-     * means "whole class in one chunk". Results are bit-identical to
-     * scalar execution per run — batching is purely a strategy.
+     * prefix; every chunk, one run or many, goes through runBatch, so
+     * width 1 (or all-singleton classes) is one-lane batches that never
+     * fork. @p batch_width < 1 means "whole class in one chunk". Results
+     * are bit-identical to width 1 per run — batching is purely a
+     * strategy.
      *
      * This is the engine's only dispatcher: every other entry point
      * forwards here, and the engine itself never owns a result vector.
@@ -159,7 +160,7 @@ class ExperimentEngine
                     const std::vector<RunClass> &classes, int batch_width,
                     RunSink &sink, BatchStats *stats = nullptr);
 
-    /** Scalar streaming: runBatched() with one singleton class per run. */
+    /** Unbatched streaming: runBatched() with one singleton class per run. */
     void run(const std::vector<Run> &runs, RunSink &sink);
 
     /**
@@ -199,7 +200,6 @@ class ExperimentEngine
     using Task = std::function<void(ThermalSimulator::Scratch &)>;
 
     void workerLoop();
-    static SimResult execute(const Run &r, ThermalSimulator::Scratch &s);
     static std::unique_ptr<DtmPolicy> makePolicy(const Run &r);
     std::vector<Run> makeSuiteRuns(const SimConfig &cfg,
                                    const std::vector<Workload> &workloads,

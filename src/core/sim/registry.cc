@@ -1,7 +1,6 @@
 #include "core/sim/registry.hh"
 
 #include <algorithm>
-#include <charconv>
 #include <cmath>
 
 #include "core/dtm/basic_policies.hh"
@@ -143,27 +142,44 @@ PolicyRegistry::instance()
 namespace
 {
 
+/// Most copies a homogeneous batch may ask for — the same bound as the
+/// bank-grid cells per DIMM: far past any real core count, and a cap on
+/// the app pointers a typo can make homogeneous() allocate.
+constexpr int kMaxBatchCopies = 1024;
+
 /**
  * "<app>x<n>": n copies of one catalog application. Only the canonical
  * count spelling resolves ("swimx04", "swimx+4" and "swimx 4" do not),
- * so the name a scenario gives is the Workload::name it builds.
+ * so the name a scenario gives is the Workload::name it builds. A count
+ * above kMaxBatchCopies is rejected with a reason that names the limit.
  */
 std::optional<Workload>
-homogeneousBatch(const std::string &name)
+homogeneousBatch(const std::string &name, std::string *error)
 {
     const auto x = name.rfind('x');
     if (x == std::string::npos || x == 0)
         return std::nullopt;
     const std::string app = name.substr(0, x);
     const std::string count = name.substr(x + 1);
-    int n = 0; // stays 0 when the count does not parse or overflows
-    (void)std::from_chars(count.data(), count.data() + count.size(), n);
-    if (n < 1 || std::to_string(n) != count)
+    const bool canonical =
+        !count.empty() && count[0] != '0' &&
+        std::all_of(count.begin(), count.end(),
+                    [](char c) { return c >= '0' && c <= '9'; });
+    const auto &apps = SpecCatalog::instance().all();
+    if (!canonical ||
+        std::none_of(apps.begin(), apps.end(),
+                     [&](const AppDescriptor &d) { return d.name == app; }))
         return std::nullopt;
-    for (const AppDescriptor &d : SpecCatalog::instance().all())
-        if (d.name == app)
-            return homogeneous(app, n);
-    return std::nullopt;
+    // Four digits bound the value before it is converted.
+    const int n = count.size() <= 4 ? std::stoi(count) : kMaxBatchCopies + 1;
+    if (n > kMaxBatchCopies) {
+        if (error)
+            *error = "workload '" + name + "' asks for " + count +
+                     " copies; the limit is " +
+                     std::to_string(kMaxBatchCopies);
+        return std::nullopt;
+    }
+    return homogeneous(app, n);
 }
 
 /** n shares proportional to @p weight(i), normalized to sum to 1. */

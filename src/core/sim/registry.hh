@@ -89,8 +89,10 @@ class Catalog : public CatalogBase
   public:
     /// Builds an entry's value from the lookup's arguments.
     using Make = std::function<T(Args...)>;
-    /// Resolves names that are not entries (nullopt: unknown).
-    using Fallback = std::function<std::optional<T>(const std::string &)>;
+    /// Resolves names that are not entries. nullopt: unknown, unless
+    /// it sets the error (when non-null) to reject a name it recognizes.
+    using Fallback = std::function<std::optional<T>(const std::string &,
+                                                    std::string *)>;
 
     /** A catalog whose entries @p seed add()s. */
     explicit Catalog(const CatalogInfo &info,
@@ -143,12 +145,13 @@ class Catalog : public CatalogBase
     bool
     contains(const std::string &name) const
     {
-        return find(name) || (fallback && fallback(name));
+        return find(name) || (fallback && fallback(name, nullptr));
     }
 
     /**
      * Error-returning lookup: nullopt for an unknown name, with @p error
-     * (when given) set to unknown(name).
+     * (when given) set to unknown(name) — or to the fallback's reason
+     * when it recognized the name but rejected it.
      */
     std::optional<T>
     tryGet(const std::string &name, Args... args,
@@ -156,12 +159,13 @@ class Catalog : public CatalogBase
     {
         if (auto make = find(name))
             return (*make)(args...);
+        std::string why;
         if (fallback) {
-            if (auto v = fallback(name))
+            if (auto v = fallback(name, &why))
                 return v;
         }
         if (error)
-            *error = unknown(name);
+            *error = why.empty() ? unknown(name) : why;
         return std::nullopt;
     }
 

@@ -454,7 +454,7 @@ class GridSink : public RunSink
  * Classes are recomputed over the subset: consecutive survivors of one
  * lowered class form one class, so a shard or a resumed remainder still
  * shares prefixes among the class-mates it holds. @p width is the
- * engine's chunk width (1 = scalar, < 1 = one chunk per class).
+ * engine's chunk width (1 = unbatched, < 1 = one chunk per class).
  */
 void
 runGrid(const ScenarioSpec &spec, ExperimentEngine &engine, int width,

@@ -192,7 +192,7 @@ struct StreamRunOptions
     bool resume = false;  ///< continue an existing stream
     ShardSpec shard;      ///< this invocation's slice of the grid
     bool traces = false;  ///< embed full traces in result lines
-    /// Engine chunk width (`--batch`): 1 = scalar, < 1 = one chunk per
+    /// Engine chunk width (`--batch`): 1 = unbatched, < 1 = one chunk per
     /// class. Records stay per run whatever the width.
     int batchWidth = 1;
 };

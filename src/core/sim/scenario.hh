@@ -307,11 +307,9 @@ ScenarioResults runScenario(const ScenarioSpec &spec);
  * Execute a scenario through the engine's batched path: runs inside one
  * policy-independent equivalence class (LoweredScenario::classes) share
  * their simulated prefix, in lockstep chunks of up to @p batch_width
- * lanes (< 1 = one chunk per class). Today's fork construction makes
- * every batched run bit-identical to its scalar twin (pinned by gtest);
- * the contract callers may rely on, however, is only agreement within
- * the batched golden tolerance — that headroom is reserved for future
- * cross-lane vectorized sweeps that may reassociate the arithmetic.
+ * lanes (< 1 = one chunk per class). Every batched run is
+ * bit-identical to its unbatched twin (pinned by gtest, and by the
+ * batched golden checks at the same 1e-9 tolerance as unbatched ones).
  * @p stats, when non-null, accumulates the grid's batch counters.
  */
 ScenarioResults runScenarioBatched(const ScenarioSpec &spec,

@@ -400,36 +400,7 @@ SimResult
 ThermalSimulator::run(const Workload &mix, DtmPolicy &policy) const
 {
     Scratch scratch;
-    return run(mix, policy, scratch);
-}
-
-SimResult
-ThermalSimulator::run(const Workload &mix, DtmPolicy &policy,
-                      Scratch &scratch) const
-{
-    policy.reset();
-    reserveScratch(scratch);
-
-    ThermalBatchState state(1, cfg.org.nDimmsPerChannel,
-                            cfg.bankGrid ? cfg.bankGrid->cells() : 0);
-    Lane lane(cfg, mix, state, 0);
-    lane.res.policy = policy.name();
-
-    const Seconds eps = cfg.window * 1e-6;
-    while (lane.live) {
-        // --- DTM decision at interval boundaries -----------------------
-        lane.decided = false;
-        if (lane.t + eps >= lane.nextDtm) {
-            senseLane(lane);
-            applyDecision(lane, policy.decide(lane.reading, lane.t));
-        }
-        windowPre(lane, scratch);
-        lane.mem.commitStaged();
-        windowPost(lane);
-    }
-
-    finalizeLane(lane);
-    return std::move(lane.res);
+    return std::move(runBatch(mix, {&policy}, scratch).front());
 }
 
 std::vector<SimResult>
@@ -471,11 +442,11 @@ ThermalSimulator::runBatch(const Workload &mix,
 
     BatchStats local;
     const Seconds eps = cfg.window * 1e-6;
-    // Per-decision scratch: the members' actions and, per distinct
-    // action, the member lists of the split.
+    // Per-decision scratch: the members' actions, the position of each
+    // distinct action, and each member's index into `uniq`.
     std::vector<DtmAction> actions;
-    std::vector<std::size_t> uniq; // position of each distinct action
-    std::vector<std::vector<std::size_t>> buckets;
+    std::vector<std::size_t> uniq;
+    std::vector<std::size_t> bucket;
 
     for (;;) {
         bool any_live = false;
@@ -504,20 +475,14 @@ ThermalSimulator::runBatch(const Workload &mix,
                     policies[m]->decide(g.lane.reading, g.lane.t));
             // Partition members by action equality, first-seen order.
             uniq.clear();
-            buckets.clear();
+            bucket.clear();
             for (std::size_t i = 0; i < actions.size(); ++i) {
-                std::size_t b = uniq.size();
-                for (std::size_t k = 0; k < uniq.size(); ++k) {
-                    if (actions[uniq[k]] == actions[i]) {
-                        b = k;
-                        break;
-                    }
-                }
-                if (b == uniq.size()) {
+                std::size_t b = 0;
+                while (b < uniq.size() && !(actions[uniq[b]] == actions[i]))
+                    ++b;
+                if (b == uniq.size())
                     uniq.push_back(i);
-                    buckets.emplace_back();
-                }
-                buckets[b].push_back(g.members[i]);
+                bucket.push_back(b);
             }
             // Forked groups clone the PRE-decision lane (g.lane is not
             // mutated until after every clone is taken), then each gets
@@ -529,12 +494,18 @@ ThermalSimulator::runBatch(const Workload &mix,
                 groups.push_back(
                     Group{Lane(g.lane, state, next_lane), {}});
                 ++next_lane;
-                groups.back().members = std::move(buckets[b]);
+                for (std::size_t i = 0; i < bucket.size(); ++i)
+                    if (bucket[i] == b)
+                        groups.back().members.push_back(g.members[i]);
                 applyDecision(groups.back().lane, actions[uniq[b]]);
                 ++local.forks;
             }
             applyDecision(g.lane, actions[uniq[0]]);
-            g.members = std::move(buckets[0]);
+            std::size_t kept = 0;
+            for (std::size_t i = 0; i < bucket.size(); ++i)
+                if (bucket[i] == 0)
+                    g.members[kept++] = g.members[i];
+            g.members.resize(kept);
         }
         // Groups appended above already carry this window's decision
         // (decided = true, nextDtm advanced) and take the window step

@@ -11,16 +11,14 @@
  * interval. Batch-job scheduling (N copies of each application, round-
  * robin core assignment, Section 4.3.2) lives here too.
  *
- * Two execution shapes share the same window arithmetic:
- *  - run(): one (workload, policy) experiment, a K=1 view over a private
- *    ThermalBatchState; bit-identical to the historical scalar loop.
- *  - runBatch(): one workload under K policies in lockstep. All K runs
- *    share the simulated prefix until the first DTM decision where their
- *    policies' actions differ; at that window the shared lane is forked
- *    (an exact state snapshot: thermal lane, ambient node, batch-job
- *    progress, sensor RNG position), so every run stays bit-identical to
- *    a from-scratch scalar run. Policies that never diverge (common on
- *    cool operating points) share the entire simulation.
+ * There is one window loop, runBatch(): one workload under K policies
+ * in lockstep. All K runs share the simulated prefix until the first DTM
+ * decision where their policies' actions differ; at that window the
+ * shared lane is forked (an exact state snapshot: thermal lane, ambient
+ * node, batch-job progress, sensor RNG position), so every run stays
+ * bit-identical to a one-policy batch of its own. Policies that never
+ * diverge (common on cool operating points) share the entire
+ * simulation. run() is the one-policy batch, which never forks.
  */
 
 #ifndef MEMTHERM_CORE_SIM_THERMAL_SIMULATOR_HH
@@ -77,7 +75,7 @@ class ThermalSimulator
     explicit ThermalSimulator(SimConfig cfg);
 
     /**
-     * Reusable working memory for run()/runBatch().
+     * Reusable working memory for runBatch().
      *
      * The window loop executes up to maxSimTime / window (potentially
      * millions of) iterations; every per-window container lives here so
@@ -87,7 +85,8 @@ class ThermalSimulator
      *    Scratch may be reused across runs in any order;
      *  - buffer capacity only grows (bounded by the core count), it is
      *    never released between windows;
-     *  - a Scratch must not be shared by two concurrent run() calls.
+     *  - a Scratch must not be shared by two concurrent runBatch()
+     *    calls.
      *    The ExperimentEngine keeps one per worker thread.
      *
      * Per-run state (core job slots, thermal lanes, RNG) lives in Lane,
@@ -112,10 +111,10 @@ class ThermalSimulator
     /**
      * The complete mutable state of one in-flight run: everything a
      * window-step reads or writes that belongs to the run rather than to
-     * the shared scratch. The batched path snapshots a run by copy-
-     * constructing a Lane onto a fresh thermal-state lane (the fork
-     * constructor), which is an exact double-copy — a forked lane
-     * continues bit-identically to the lane it forked from.
+     * the shared scratch. runBatch() snapshots a run by copy-
+     * constructing a Lane onto a fresh lane of the same thermal state
+     * (the fork constructor), which is an exact double-copy — a forked
+     * lane continues bit-identically to the lane it forked from.
      */
     struct Lane
     {
@@ -123,7 +122,8 @@ class ThermalSimulator
         Lane(const SimConfig &cfg, const Workload &mix,
              ThermalBatchState &state, int lane_index);
 
-        /** Fork: exact snapshot of @p src continuing on @p lane_index. */
+        /** Fork: exact snapshot of @p src continuing on @p lane_index
+         *  of @p state, which must be the state @p src's lane is in. */
         Lane(const Lane &src, ThermalBatchState &state, int lane_index);
 
         Lane(Lane &&) = default;
@@ -156,24 +156,20 @@ class ThermalSimulator
     };
 
     /**
-     * Simulate the workload's batch job under the policy. The policy is
-     * reset() first; a fresh thermal state (idle at ambient) is used.
-     * Allocates a private Scratch; prefer the Scratch overload when
-     * running many experiments back to back.
+     * Simulate the workload's batch job under the policy: runBatch()
+     * with one policy and a private Scratch. The policy is reset()
+     * first; a fresh thermal state (idle at ambient) is used.
      */
     SimResult run(const Workload &mix, DtmPolicy &policy) const;
-
-    /** As run() above, but reusing caller-owned working memory. */
-    SimResult run(const Workload &mix, DtmPolicy &policy,
-                  Scratch &scratch) const;
 
     /**
      * Simulate one workload under every policy in @p policies (all
      * reset() first), sharing the simulated prefix between runs whose
      * policies have made identical decisions so far. Returns one
      * SimResult per policy, in order; each is bit-identical to what
-     * run(mix, *policies[i]) returns. @p stats, when non-null, is
-     * overwritten with this batch's counters.
+     * run(mix, *policies[i]) returns. A one-policy batch never forks:
+     * it is the plain window loop on a single lane. @p stats, when
+     * non-null, is overwritten with this batch's counters.
      *
      * The policies must be distinct objects (each receives its own
      * decide() stream) and there must be at least one.
@@ -194,9 +190,9 @@ class ThermalSimulator
 
     /**
      * Apply a DTM decision to a lane: store the action, actuate a remap
-     * if the action carries shares, advance the decision clock. In the
-     * batched path the same already-computed action is applied to a
-     * forked lane, which must not re-run the policy.
+     * if the action carries shares, advance the decision clock. At a
+     * fork the same already-computed action is applied to the forked
+     * lane, which must not re-run the policy.
      */
     void applyDecision(Lane &lane, const DtmAction &a) const;
 

@@ -7,14 +7,15 @@
  *
  *   TA_stable = tInlet + psiCpuMemXi * sum_i(Vcore_i * IPCref_i)   (Eq. 3.6)
  *
- * and the ambient follows TA_stable through an RC node with
- * tau_CPU_DRAM = 20 s.
+ * and the ambient follows TA_stable through a first-order RC node
+ * (Eq. 3.5) with tau_CPU_DRAM = 20 s:
+ *
+ *   T(t + dt) = T(t) + (TA_stable - T(t)) * (1 - exp(-dt / tau))
  */
 
 #ifndef MEMTHERM_CORE_THERMAL_AMBIENT_MODEL_HH
 #define MEMTHERM_CORE_THERMAL_AMBIENT_MODEL_HH
 
-#include "core/thermal/rc_node.hh"
 #include "core/thermal/thermal_params.hh"
 
 namespace memtherm
@@ -30,7 +31,10 @@ class AmbientModel
     explicit AmbientModel(const AmbientParams &p);
 
     /**
-     * Advance the ambient node by dt.
+     * Advance the ambient node by dt (>= 0) toward stable(). The decay
+     * factor 1 - exp(-dt / tau) is memoized on dt: the simulator steps
+     * with a constant window, so the exp() runs once per run, not once
+     * per window.
      *
      * @param sum_v_ipc sum over cores of (supply voltage * reference IPC)
      * @param cpu_power CPU package power (used when psiCpuPower != 0)
@@ -47,7 +51,7 @@ class AmbientModel
     }
 
     /** Current memory ambient temperature. */
-    Celsius temperature() const { return node.temperature(); }
+    Celsius temperature() const { return temp; }
 
     /** True when CPU heat affects the memory ambient. */
     bool
@@ -59,11 +63,13 @@ class AmbientModel
     const AmbientParams &p() const { return params; }
 
     /** Reset to a given ambient temperature. */
-    void reset(Celsius t) { node.reset(t); }
+    void reset(Celsius t) { temp = t; }
 
   private:
     AmbientParams params;
-    RcNode node;
+    Celsius temp;
+    Seconds cachedDt = -1.0; ///< dt of the memoized decay factor
+    double cachedDecay = 0.0;
 };
 
 } // namespace memtherm

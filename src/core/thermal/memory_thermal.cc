@@ -72,58 +72,10 @@ MemoryThermalModel::MemoryThermalModel(const MemoryThermalModel &src,
       refreshDram(src.refreshDram), grid(src.grid), cellW(src.cellW),
       ownedState(nullptr), st(&state), laneIdx(lane)
 {
-    panicIfNot(state.dimms() == orgCfg.nDimmsPerChannel,
-               "MemoryThermalModel: batch state chain length mismatch");
-    panicIfNot(state.bankCells() == (grid ? grid->cells() : 0),
-               "MemoryThermalModel: batch state bank cell mismatch");
-    st->initLane(laneIdx, cool.tauAmb, cool.tauDram, 0.0);
-    copyLaneFrom(src);
-}
-
-MemoryThermalModel::MemoryThermalModel(const MemoryThermalModel &other)
-    : orgCfg(other.orgCfg), pwr(other.pwr), cool(other.cool),
-      shares(other.shares), refreshDram(other.refreshDram),
-      grid(other.grid), cellW(other.cellW),
-      ownedState(nullptr), st(nullptr), laneIdx(0)
-{
-    ownedState = std::make_unique<ThermalBatchState>(
-        1, orgCfg.nDimmsPerChannel, grid ? grid->cells() : 0);
-    st = ownedState.get();
-    st->initLane(0, cool.tauAmb, cool.tauDram, 0.0);
-    copyLaneFrom(other);
-}
-
-MemoryThermalModel &
-MemoryThermalModel::operator=(const MemoryThermalModel &other)
-{
-    if (this == &other)
-        return *this;
-    MemoryThermalModel copy(other);
-    *this = std::move(copy);
-    return *this;
-}
-
-void
-MemoryThermalModel::copyLaneFrom(const MemoryThermalModel &src)
-{
-    const int n = orgCfg.nDimmsPerChannel;
-    const ThermalBatchState &from = *src.st;
-    for (int i = 0; i < n; ++i) {
-        st->ambTemp(laneIdx)[i] = from.ambTemp(src.laneIdx)[i];
-        st->dramTemp(laneIdx)[i] = from.dramTemp(src.laneIdx)[i];
-        st->peakAmb(laneIdx)[i] = from.peakAmb(src.laneIdx)[i];
-        st->peakDram(laneIdx)[i] = from.peakDram(src.laneIdx)[i];
-        st->energy(laneIdx)[i] = from.energy(src.laneIdx)[i];
-    }
-    for (int i = 0; i < n * st->bankCells(); ++i) {
-        st->bankTemp(laneIdx)[i] = from.bankTemp(src.laneIdx)[i];
-        st->peakBank(laneIdx)[i] = from.peakBank(src.laneIdx)[i];
-    }
-    st->energyTime(laneIdx) = from.energyTime(src.laneIdx);
-    // The staging arrays and decay memo are per-step scratch: initLane
-    // invalidated the memo, and the next stageAdvance recomputes the
-    // decay factors from (dt, tau) — deterministically the same doubles
-    // the source lane holds, so the fork stays bit-identical.
+    panicIfNot(src.st == &state,
+               "MemoryThermalModel: a fork must stay in its source's "
+               "batch state");
+    st->copyLane(laneIdx, src.laneIdx);
 }
 
 const std::vector<DimmPower> &
@@ -361,28 +313,7 @@ MemoryThermalModel::dimmAvgPower() const
 void
 MemoryThermalModel::reset(Celsius t)
 {
-    const int n = orgCfg.nDimmsPerChannel;
-    double *amb = st->ambTemp(laneIdx);
-    double *dram = st->dramTemp(laneIdx);
-    double *pa = st->peakAmb(laneIdx);
-    double *pd = st->peakDram(laneIdx);
-    double *e = st->energy(laneIdx);
-    for (int i = 0; i < n; ++i) {
-        amb[i] = t;
-        dram[i] = t;
-        pa[i] = t;
-        pd[i] = t;
-        e[i] = 0.0;
-    }
-    if (grid) {
-        double *bank = st->bankTemp(laneIdx);
-        double *pb = st->peakBank(laneIdx);
-        for (int i = 0; i < n * grid->cells(); ++i) {
-            bank[i] = t;
-            pb[i] = t;
-        }
-    }
-    st->energyTime(laneIdx) = 0.0;
+    st->initLane(laneIdx, cool.tauAmb, cool.tauDram, t);
 }
 
 void

@@ -12,12 +12,14 @@
  *
  * The mutable thermal state (temperatures, peaks, energy accumulators)
  * lives in a ThermalBatchState — structure-of-arrays, one lane per run.
- * A model either owns a private single-lane state (the scalar path and
- * every historical constructor) or is a *view* over one lane of a
- * caller-owned multi-lane state (the batched simulator), selected by
+ * A model either owns a private single-lane state (a standalone model:
+ * unit tests, calibration tables) or is a *view* over one lane of a
+ * caller-owned multi-lane state (every simulator run), selected by
  * constructor. Both modes run the same arithmetic in the same order, so
- * an owning model is bit-identical to the former array-of-objects
- * layout and a view lane is bit-identical to an owning model.
+ * a view lane is bit-identical to an owning model. The lane math —
+ * initialization, the Eq. 3.5 step and the fork copy — is
+ * ThermalBatchState's alone; a model is not copyable, it forks into
+ * another lane of the state it views.
  */
 
 #ifndef MEMTHERM_CORE_THERMAL_MEMORY_THERMAL_HH
@@ -112,22 +114,21 @@ class MemoryThermalModel
     /**
      * Fork: a view over lane @p lane of @p state that copies @p src's
      * configuration, traffic shares and *current lane contents* exactly
-     * (the shared-prefix snapshot restore). The new lane continues
-     * bit-identically to @p src.
+     * (ThermalBatchState::copyLane, the shared-prefix snapshot restore).
+     * The new lane continues bit-identically to @p src. @p src must view
+     * @p state itself (panics otherwise).
      */
     MemoryThermalModel(const MemoryThermalModel &src,
                        ThermalBatchState &state, int lane);
 
-    /** Deep copy: the copy owns a private single-lane snapshot of
-     *  @p other's current lane, whatever mode @p other is in. */
-    MemoryThermalModel(const MemoryThermalModel &other);
-    MemoryThermalModel &operator=(const MemoryThermalModel &other);
+    MemoryThermalModel(const MemoryThermalModel &) = delete;
+    MemoryThermalModel &operator=(const MemoryThermalModel &) = delete;
     MemoryThermalModel(MemoryThermalModel &&) = default;
     MemoryThermalModel &operator=(MemoryThermalModel &&) = default;
 
     /**
      * Advance all DIMM nodes by dt: stageAdvance() + commitStaged() +
-     * finishAdvance() in one call (the scalar path).
+     * finishAdvance() in one call (a standalone model).
      *
      * @param total_read   system-wide read throughput (GB/s)
      * @param total_write  system-wide write throughput (GB/s)
@@ -243,7 +244,8 @@ class MemoryThermalModel
      */
     std::vector<Watts> dimmAvgPower() const;
 
-    /** Reset every node. */
+    /** Reset every node, peak and energy accumulator
+     *  (ThermalBatchState::initLane). */
     void reset(Celsius t);
 
     /**
@@ -300,11 +302,6 @@ class MemoryThermalModel
      */
     const std::vector<DimmPower> &channelPower(GBps total_read,
                                                GBps total_write) const;
-
-    /** Exact element-wise copy of @p src's lane into this model's lane
-     *  (works across states; invalidates the decay memo via initLane's
-     *  caller having set matching taus). */
-    void copyLaneFrom(const MemoryThermalModel &src);
 
     MemoryOrgConfig orgCfg;
     DimmPowerModel pwr;

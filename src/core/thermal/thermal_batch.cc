@@ -79,8 +79,8 @@ ThermalBatchState::ensureDecay(Seconds dt)
     if (dt == cachedDt)
         return;
     cachedDt = dt;
-    // Same decay as RcNode::advance, one evaluation per lane per
-    // distinct dt instead of one memo per node.
+    // The Eq. 3.5 decay, one evaluation per lane per distinct dt
+    // instead of one memo per node.
     for (int l = 0; l < nLanes; ++l) {
         decayAmbV[l] = 1.0 - std::exp(-dt / tauAmbV[l]);
         decayDramV[l] = 1.0 - std::exp(-dt / tauDramV[l]);

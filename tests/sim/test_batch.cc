@@ -119,6 +119,48 @@ TEST(ThermalBatchState, AdvanceMatchesExponentialStep)
     EXPECT_EQ(st.dramTemp(0)[1], 50.0 + (60.0 - 50.0) * dd);
 }
 
+TEST(ThermalBatchState, ZeroStepIsIdentity)
+{
+    ThermalBatchState st(1, 2, 3);
+    st.initLane(0, 50.0, 100.0, 75.0);
+    for (int i = 0; i < 2; ++i) {
+        st.stableAmb(0)[i] = 120.0;
+        st.stableDram(0)[i] = 120.0;
+    }
+    for (int i = 0; i < 6; ++i)
+        st.stableBank(0)[i] = 120.0;
+    st.ensureDecay(0.0);
+    st.advanceLane(0);
+    for (int i = 0; i < 2; ++i) {
+        EXPECT_EQ(st.ambTemp(0)[i], 75.0);
+        EXPECT_EQ(st.dramTemp(0)[i], 75.0);
+    }
+    for (int i = 0; i < 6; ++i)
+        EXPECT_EQ(st.bankTemp(0)[i], 75.0);
+}
+
+TEST(ThermalBatchState, NeverOvershootsStable)
+{
+    // Heating toward 100 and cooling toward 60 from either side: every
+    // step stays between the start and the target.
+    ThermalBatchState st(2, 1);
+    st.initLane(0, 50.0, 100.0, 40.0);
+    st.initLane(1, 50.0, 100.0, 110.0);
+    st.stableAmb(0)[0] = st.stableDram(0)[0] = 100.0;
+    st.stableAmb(1)[0] = st.stableDram(1)[0] = 60.0;
+    st.ensureDecay(1.0);
+    for (int k = 0; k < 10000; ++k) {
+        st.advanceLane(0);
+        st.advanceLane(1);
+        EXPECT_LE(st.ambTemp(0)[0], 100.0 + 1e-9);
+        EXPECT_LE(st.dramTemp(0)[0], 100.0 + 1e-9);
+        EXPECT_GE(st.ambTemp(1)[0], 60.0 - 1e-9);
+        EXPECT_GE(st.dramTemp(1)[0], 60.0 - 1e-9);
+    }
+    EXPECT_NEAR(st.ambTemp(0)[0], 100.0, 1e-9);
+    EXPECT_NEAR(st.dramTemp(1)[0], 60.0, 1e-9);
+}
+
 TEST(ThermalBatchState, CopyLaneIsExact)
 {
     ThermalBatchState st(2, 3);
@@ -151,7 +193,8 @@ TEST(ThermalBatchState, Panics)
 
 /**
  * The central pin: for EVERY registered policy, the batched run forked
- * from the shared prefix is bit-identical to a from-scratch scalar run.
+ * from the shared prefix is bit-identical to a from-scratch run — a
+ * one-policy batch, which never forks.
  * All registry policies ride in one batch, so every family's divergence
  * point forces a fork, the remap family carries migrated share state
  * across it, and the noisy sensors pin the RNG stream position.
@@ -191,9 +234,9 @@ TEST(RunBatch, ForkedRunsBitIdenticalToScalarForEveryPolicy)
     for (std::size_t i = 0; i < names.size(); ++i) {
         auto fresh =
             PolicyRegistry::instance().make(names[i], contextOf(cfg));
-        SimResult scalar = sim.run(mix, *fresh, scratch);
-        expectIdentical(batched[i], scalar);
-        window_sum += scalar.runningTime / cfg.window;
+        SimResult single = sim.run(mix, *fresh);
+        expectIdentical(batched[i], single);
+        window_sum += single.runningTime / cfg.window;
     }
     // Logical windows account every run's full trajectory.
     EXPECT_NEAR(stats.logicalWindows, window_sum, 1e-6 * window_sum);
@@ -205,7 +248,7 @@ TEST(RunBatch, ForkedRunsBitIdenticalToScalarForEveryPolicy)
  * window and feeds power back into the same lane, so a forked lane that
  * mis-copied any thermal state would diverge within one window. Every
  * registered policy rides in one refresh-coupled batch and must stay
- * bit-identical to its from-scratch scalar run.
+ * bit-identical to its unforked one-lane run.
  */
 TEST(RunBatch, ForkedRunsBitIdenticalUnderRefreshCoupling)
 {
@@ -236,8 +279,8 @@ TEST(RunBatch, ForkedRunsBitIdenticalUnderRefreshCoupling)
     for (std::size_t i = 0; i < names.size(); ++i) {
         auto fresh =
             PolicyRegistry::instance().make(names[i], contextOf(cfg));
-        SimResult scalar = sim.run(mix, *fresh, scratch);
-        expectIdentical(batched[i], scalar);
+        SimResult single = sim.run(mix, *fresh);
+        expectIdentical(batched[i], single);
         // The coupling actually ran: the nominal DDR2 band charges
         // every DIMM a nonzero refresh tax from the first window.
         ASSERT_FALSE(batched[i].refreshBwLossPerDimm.empty());
@@ -246,27 +289,6 @@ TEST(RunBatch, ForkedRunsBitIdenticalUnderRefreshCoupling)
         for (Joules e : batched[i].refreshEnergyPerDimm)
             EXPECT_GT(e, 0.0);
     }
-}
-
-/** A batch of one is exactly the scalar path. */
-TEST(RunBatch, SingletonBatchMatchesScalar)
-{
-    const SimConfig cfg = batchyConfig();
-    const Workload mix = workloadMix("W1");
-    ThermalSimulator sim(cfg);
-    ThermalSimulator::Scratch scratch;
-
-    auto p1 = PolicyRegistry::instance().make("DTM-TS", contextOf(cfg));
-    auto p2 = PolicyRegistry::instance().make("DTM-TS", contextOf(cfg));
-    std::vector<DtmPolicy *> ptrs{p1.get()};
-    BatchStats stats;
-    std::vector<SimResult> batched =
-        sim.runBatch(mix, ptrs, scratch, &stats);
-    ASSERT_EQ(batched.size(), 1u);
-    SimResult scalar = sim.run(mix, *p2, scratch);
-    expectIdentical(batched[0], scalar);
-    EXPECT_EQ(stats.forks, 0u);
-    EXPECT_EQ(stats.hitRate(), 0.0);
 }
 
 /** Identical policies never diverge: one lane serves the whole batch. */
@@ -323,8 +345,9 @@ classRuns(const SimConfig &cfg, const Workload &mix,
 
 /**
  * Engine-level batching: every chunk width gives results bit-identical
- * to the scalar engine, under both the inline (1-thread) and threaded
- * engines.
+ * to the unbatched engine, under both the inline (1-thread) and
+ * threaded engines. Width 1 is one-lane chunks: they never fork, share
+ * nothing, and credit each run its own window count.
  */
 TEST(RunBatched, EveryChunkWidthMatchesScalarEngine)
 {
@@ -352,6 +375,15 @@ TEST(RunBatched, EveryChunkWidthMatchesScalarEngine)
             }
             EXPECT_GT(stats.logicalWindows, 0.0);
             EXPECT_GE(stats.logicalWindows, stats.simulatedWindows);
+            if (width == 1) {
+                double window_sum = 0.0;
+                for (const SimResult &r : reference)
+                    window_sum += r.runningTime / cfg.window;
+                EXPECT_EQ(stats.forks, 0u);
+                EXPECT_EQ(stats.hitRate(), 0.0);
+                EXPECT_NEAR(stats.logicalWindows, window_sum,
+                            1e-6 * window_sum);
+            }
         }
     }
 }

@@ -3,16 +3,23 @@
  * Property tests over the (workload x policy x cooling) grid: every DTM
  * policy must keep the system near or below its thermal design points,
  * conserve the batch's instruction volume, and complete. Sensor-noise
- * injection checks robustness of the decision loop.
+ * injection checks robustness of the decision loop. The RC step itself
+ * is checked against its closed form (Eq. 3.5) over seeded random time
+ * steps and time constants.
  */
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <string>
 #include <tuple>
+#include <vector>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "core/sim/experiment.hh"
+#include "core/thermal/ambient_model.hh"
+#include "core/thermal/thermal_batch.hh"
 
 namespace memtherm
 {
@@ -80,6 +87,97 @@ INSTANTIATE_TEST_SUITE_P(
                 c = '_';
         return name;
     });
+
+/**
+ * Eq. 3.5 in closed form: after holding the stable temperature at
+ * @p t_inf for @p dt, a node that started at @p t0 sits at
+ * T_inf + (T0 - T_inf) e^(-dt/tau). Evaluated in long double so the
+ * oracle does not share the simulator's rounding.
+ */
+double
+closedFormStep(double t0, double t_inf, double dt, double tau)
+{
+    using ld = long double;
+    const ld e = std::exp(-static_cast<ld>(dt) / static_cast<ld>(tau));
+    return static_cast<double>(t_inf + (static_cast<ld>(t0) - t_inf) * e);
+}
+
+/** Log-uniform draw in [lo, hi): time steps and constants span decades. */
+double
+logUniform(Rng &rng, double lo, double hi)
+{
+    return std::exp(rng.uniform(std::log(lo), std::log(hi)));
+}
+
+void
+expectRelNear(double got, double want)
+{
+    EXPECT_NEAR(got, want, 1e-12 * std::abs(want));
+}
+
+TEST(ClosedFormRcStep, OneLaneStepMatchesExponential)
+{
+    Rng rng(20261017);
+    for (int trial = 0; trial < 500; ++trial) {
+        const int dimms = 1 + static_cast<int>(rng.below(8));
+        const int cells = static_cast<int>(rng.below(4));
+        const Seconds tau_amb = logUniform(rng, 1e-3, 1e3);
+        const Seconds tau_dram = logUniform(rng, 1e-3, 1e3);
+        const Seconds dt = logUniform(rng, 1e-6, 1e4);
+        const Celsius t0 = rng.uniform(20.0, 130.0);
+
+        ThermalBatchState st(2, dimms, cells);
+        const int lane = static_cast<int>(rng.below(2));
+        st.initLane(lane, tau_amb, tau_dram, t0);
+        std::vector<double> amb_inf(dimms), dram_inf(dimms);
+        std::vector<double> bank_inf(dimms * cells);
+        for (int i = 0; i < dimms; ++i) {
+            st.stableAmb(lane)[i] = amb_inf[i] = rng.uniform(20.0, 130.0);
+            st.stableDram(lane)[i] = dram_inf[i] = rng.uniform(20.0, 130.0);
+        }
+        for (int i = 0; i < dimms * cells; ++i)
+            st.stableBank(lane)[i] = bank_inf[i] = rng.uniform(20.0, 130.0);
+        st.ensureDecay(dt);
+        st.advanceLane(lane);
+
+        for (int i = 0; i < dimms; ++i) {
+            expectRelNear(st.ambTemp(lane)[i],
+                          closedFormStep(t0, amb_inf[i], dt, tau_amb));
+            expectRelNear(st.dramTemp(lane)[i],
+                          closedFormStep(t0, dram_inf[i], dt, tau_dram));
+        }
+        // Bank cells share the DRAM node's time constant.
+        for (int i = 0; i < dimms * cells; ++i)
+            expectRelNear(st.bankTemp(lane)[i],
+                          closedFormStep(t0, bank_inf[i], dt, tau_dram));
+    }
+}
+
+TEST(ClosedFormRcStep, IntegratedAmbientStepMatchesExponential)
+{
+    Rng rng(20261018);
+    for (int trial = 0; trial < 500; ++trial) {
+        AmbientParams p;
+        p.tInlet = rng.uniform(20.0, 60.0);
+        p.psiCpuMemXi = rng.uniform(0.5, 5.0);
+        p.psiCpuPower = rng.uniform(0.0, 0.1);
+        p.tauCpuDram = logUniform(rng, 1e-3, 1e3);
+        const double sum_v_ipc = rng.uniform(0.0, 8.0);
+        const Watts cpu_power = rng.uniform(0.0, 200.0);
+        const Seconds dt = logUniform(rng, 1e-6, 1e4);
+
+        AmbientModel m(p);
+        const Celsius got = m.advance(sum_v_ipc, cpu_power, dt);
+        const long double t_inf =
+            static_cast<long double>(p.tInlet) +
+            static_cast<long double>(p.psiCpuMemXi) * sum_v_ipc +
+            static_cast<long double>(p.psiCpuPower) * cpu_power;
+        expectRelNear(got,
+                      closedFormStep(p.tInlet, static_cast<double>(t_inf),
+                                     dt, p.tauCpuDram));
+        EXPECT_EQ(got, m.temperature());
+    }
+}
 
 TEST(SensorNoise, PolicyStaysSafeWithNoisySensors)
 {

@@ -144,6 +144,8 @@ TEST(Catalogs, UserStringsNeverPanic)
         "swimx-1",
         "swimx99999999999999999999",
         "swimx2147483648",  // one past INT_MAX
+        "swimx1025",        // one past the batch-copy limit
+        "swimx2000000000",  // would allocate two billion app pointers
         "x4",
         "swimxx4",
     };
@@ -168,6 +170,21 @@ TEST(Catalogs, UserStringsNeverPanic)
             }
         }
     });
+
+    // An over-limit batch is a known app with too many copies: the
+    // diagnostic names the limit instead of calling it unknown.
+    auto &workloads = workloadCatalog();
+    EXPECT_EQ(workloads.get("swimx1024").apps.size(), 1024u);
+    for (const char *s : {"swimx1025", "swimx2000000000",
+                          "swimx99999999999999999999"}) {
+        SCOPED_TRACE(s);
+        std::string error;
+        EXPECT_FALSE(workloads.tryGet(s, &error).has_value());
+        EXPECT_EQ(error, "workload '" + std::string(s) + "' asks for " +
+                             std::string(s).substr(5) +
+                             " copies; the limit is 1024");
+        EXPECT_THROW(workloads.get(s), FatalError);
+    }
 }
 
 // --- policies ---------------------------------------------------------------

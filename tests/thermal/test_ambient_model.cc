@@ -7,6 +7,7 @@
 
 #include <cmath>
 
+#include "common/logging.hh"
 #include "core/thermal/ambient_model.hh"
 
 namespace memtherm
@@ -51,6 +52,50 @@ TEST(AmbientModel, AdvanceFollowsRcDynamics)
     double gap = m.stable(sum_v_ipc) - p.tInlet;
     double expected = p.tInlet + gap * (1.0 - std::exp(-1.0));
     EXPECT_NEAR(m.temperature(), expected, 1e-9);
+}
+
+TEST(AmbientModel, ZeroStepIsIdentity)
+{
+    AmbientModel m(integratedAmbient(coolingAohs15()));
+    m.advance(8.0, 0.0, 0.0);
+    EXPECT_EQ(m.temperature(), 45.0);
+}
+
+TEST(AmbientModel, ManySmallStepsEqualOneBigStep)
+{
+    AmbientModel a(integratedAmbient(coolingAohs15()));
+    AmbientModel b(integratedAmbient(coolingAohs15()));
+    a.advance(4.0, 0.0, 10.0);
+    for (int i = 0; i < 1000; ++i)
+        b.advance(4.0, 0.0, 0.01);
+    EXPECT_NEAR(a.temperature(), b.temperature(), 1e-9);
+}
+
+TEST(AmbientModel, NeverOvershootsStable)
+{
+    // Heat toward the stable point, then cool toward the bare inlet:
+    // no step crosses the target it is relaxing toward.
+    AmbientModel m(integratedAmbient(coolingAohs15()));
+    const Celsius hot = m.stable(8.0);
+    for (int i = 0; i < 10000; ++i) {
+        m.advance(8.0, 0.0, 1.0);
+        EXPECT_LE(m.temperature(), hot + 1e-9);
+    }
+    EXPECT_NEAR(m.temperature(), hot, 1e-9);
+    for (int i = 0; i < 10000; ++i) {
+        m.advance(0.0, 0.0, 1.0);
+        EXPECT_GE(m.temperature(), 45.0 - 1e-9);
+    }
+    EXPECT_NEAR(m.temperature(), 45.0, 1e-9);
+}
+
+TEST(AmbientModel, InvalidArgsPanic)
+{
+    AmbientParams p = integratedAmbient(coolingAohs15());
+    AmbientModel m(p);
+    EXPECT_THROW(m.advance(4.0, 0.0, -1.0), PanicError);
+    p.tauCpuDram = 0.0;
+    EXPECT_THROW(AmbientModel{p}, PanicError);
 }
 
 TEST(AmbientModel, LowerVoltageLowersAmbient)

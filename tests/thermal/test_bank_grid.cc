@@ -359,7 +359,7 @@ TEST(BankGridSim, RandomWeightGridMeanTracksLumpedPeak)
     }
 }
 
-/** Batched/forked lanes are bit-identical to scalar with the grid on. */
+/** Forked lanes are bit-identical to one-lane runs with the grid on. */
 TEST(BankGridSim, ForkedLanesBitIdenticalToScalarWithGridActive)
 {
     SimConfig cfg = baseConfig();
@@ -393,9 +393,9 @@ TEST(BankGridSim, ForkedLanesBitIdenticalToScalarWithGridActive)
 
     for (std::size_t i = 0; i < names.size(); ++i) {
         auto fresh = PolicyRegistry::instance().make(names[i], ctx);
-        SimResult scalar = sim.run(workloadMix("W1"), *fresh, scratch);
-        ASSERT_FALSE(scalar.peakBankDramPerDimm.empty());
-        expectIdentical(batched[i], scalar);
+        SimResult single = sim.run(workloadMix("W1"), *fresh);
+        ASSERT_FALSE(single.peakBankDramPerDimm.empty());
+        expectIdentical(batched[i], single);
     }
 }
 

@@ -116,6 +116,13 @@ TEST(MemoryThermal, ResetRestoresAllNodes)
         EXPECT_DOUBLE_EQ(t.amb, 50.0);
         EXPECT_DOUBLE_EQ(t.dram, 50.0);
     }
+    // Peaks and energy restart too.
+    for (const auto &t : m.dimmPeaks()) {
+        EXPECT_DOUBLE_EQ(t.amb, 50.0);
+        EXPECT_DOUBLE_EQ(t.dram, 50.0);
+    }
+    for (Watts p : m.dimmAvgPower())
+        EXPECT_EQ(p, 0.0);
 }
 
 TEST(MemoryThermal, ExplicitUniformSharesMatchUnsetBitExactly)
@@ -249,16 +256,17 @@ TEST(MemoryThermal, RemapToUniformBitIdenticalToFreshUniform)
 {
     // Remapping a skewed model to uniform mid-run must land it on
     // exactly the uniform code path: bit-identical to clearing the
-    // shares on a copy carrying the same thermal state, and every
+    // shares on a fork carrying the same thermal state, and every
     // state-independent query bit-identical to a genuinely fresh
     // uniform model.
-    auto m = MemoryThermalModel(MemoryOrgConfig{4, 4}, coolingAohs15(),
-                                DimmPowerModel{}, 50.0,
-                                {0.5, 0.5 / 3, 0.5 / 3, 0.5 / 3});
-    m.advance(12.0, 4.0, 50.0, 50.0);
+    ThermalBatchState state(2, 4);
+    MemoryThermalModel viaExplicit(MemoryOrgConfig{4, 4}, coolingAohs15(),
+                                   DimmPowerModel{}, 50.0,
+                                   {0.5, 0.5 / 3, 0.5 / 3, 0.5 / 3},
+                                   state, 0);
+    viaExplicit.advance(12.0, 4.0, 50.0, 50.0);
 
-    MemoryThermalModel viaExplicit = m;
-    MemoryThermalModel viaEmpty = m;
+    MemoryThermalModel viaEmpty(viaExplicit, state, 1);
     viaExplicit.setTrafficShares({0.25, 0.25, 0.25, 0.25});
     viaEmpty.setTrafficShares({});
     for (int i = 0; i < 20; ++i) {
@@ -279,6 +287,26 @@ TEST(MemoryThermal, RemapToUniformBitIdenticalToFreshUniform)
               fresh.stableHottestAmb(12.0, 4.0, 50.0));
     EXPECT_EQ(viaEmpty.stableHottestDram(12.0, 4.0, 50.0),
               fresh.stableHottestDram(12.0, 4.0, 50.0));
+}
+
+TEST(MemoryThermal, ForkStaysInItsSourceState)
+{
+    // A fork copies a lane within one ThermalBatchState; a source in
+    // any other state (or an owning model's private one) panics.
+    ThermalBatchState a(2, 4), b(2, 4);
+    MemoryThermalModel m(MemoryOrgConfig{4, 4}, coolingAohs15(),
+                         DimmPowerModel{}, 50.0, {}, a, 0);
+    m.advance(12.0, 4.0, 50.0, 5.0);
+    MemoryThermalModel fork(m, a, 1);
+    EXPECT_EQ(fork.lane(), 1);
+    auto x = m.dimmTemps(), y = fork.dimmTemps();
+    for (std::size_t i = 0; i < x.size(); ++i) {
+        EXPECT_EQ(x[i].amb, y[i].amb);
+        EXPECT_EQ(x[i].dram, y[i].dram);
+    }
+    EXPECT_THROW(MemoryThermalModel(m, b, 1), PanicError);
+    auto owning = makeModel(coolingAohs15(), 50.0);
+    EXPECT_THROW(MemoryThermalModel(owning, a, 1), PanicError);
 }
 
 TEST(MemoryThermal, SetTrafficSharesValidates)

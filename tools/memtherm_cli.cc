@@ -110,8 +110,8 @@ usage(std::ostream &os, int rc)
           "      --quiet          suppress the merge summary\n"
           "  memtherm report <results.json|stream.jsonl>... [options]\n"
           "      --baseline <p>   normalization baseline policy (default:\n"
-          "                       No-limit when present, else the first\n"
-          "                       policy of each workload)\n"
+          "                       No-limit when any run has it, else the\n"
+          "                       first policy in the results)\n"
           "      --csv <file>     also write the flat per-run rows as CSV\n"
           "      --quiet          suppress the summary tables\n"
           "  memtherm validate <scenario.json>...\n"
@@ -150,6 +150,25 @@ cmdList(const std::vector<std::string> &args)
     std::cerr << "memtherm list: unknown catalog '" << what
               << "' (valid: " << listKeywords(", ") << ")\n";
     return 1;
+}
+
+/**
+ * The number argument @p v of option @p opt of @p cmd ("memtherm run");
+ * trailing garbage or no number at all is a fatal error naming both.
+ */
+double
+parseNumber(const std::string &cmd, const char *opt, const std::string &v)
+{
+    std::size_t used = 0;
+    double x = 0.0;
+    try {
+        x = std::stod(v, &used);
+    } catch (const std::exception &) {
+        used = 0;
+    }
+    if (used != v.size())
+        fatal(cmd + ": " + opt + " needs a number, got '" + v + "'");
+    return x;
 }
 
 int
@@ -208,18 +227,10 @@ cmdTrace(const std::vector<std::string> &args)
                 fatal("memtherm trace gen: --block must be in "
                       "[1, 2^32-1]");
             cfg.blockSize = static_cast<std::uint32_t>(b);
-        } else if (a == "--read-pct") {
-            std::string v = next("--read-pct");
-            std::size_t used = 0;
-            try {
-                cfg.readPct = std::stod(v, &used);
-            } catch (const std::exception &) {
-                used = 0;
-            }
-            if (used != v.size())
-                fatal("memtherm trace gen: --read-pct needs a number, "
-                      "got '" + v + "'");
-        } else
+        } else if (a == "--read-pct")
+            cfg.readPct = parseNumber("memtherm trace gen", "--read-pct",
+                                      next("--read-pct"));
+        else
             fatal("memtherm trace gen: unknown option '" + a + "'");
     }
     if (out_path.empty())
@@ -334,6 +345,31 @@ jsonNear(const Json &a, const Json &b, double tol, const std::string &path,
       }
     }
     return miss("unreachable");
+}
+
+/**
+ * The --golden check of `run` and `merge`: compare @p results with the
+ * reference document at @p golden_path within relative @p tol. The
+ * first divergence goes to stderr; a match is announced on stdout
+ * unless @p quiet. Returns the exit status: 1 on divergence, else 0.
+ */
+int
+checkGolden(const std::string &cmd, const Json &results,
+            const std::string &golden_path, double tol, bool quiet)
+{
+    Json golden = Json::load(golden_path);
+    (void)resultSchemaVersionOf(golden, cmd + ": '" + golden_path + "'");
+    std::string where, detail;
+    if (!jsonNear(results, golden, tol, "", where, detail)) {
+        std::cerr << cmd << ": results diverge from '" << golden_path
+                  << "' at " << where << ": " << detail << " (tol " << tol
+                  << ")\n";
+        return 1;
+    }
+    if (!quiet)
+        std::cout << "results match " << golden_path << " (tol " << tol
+                  << ")\n";
+    return 0;
 }
 
 /**
@@ -559,22 +595,6 @@ cmdReport(const std::vector<std::string> &args)
                 fatal("memtherm report: results of workload '" + w +
                       "' must be a non-empty object");
             }
-            // Baseline of this workload group: --baseline, else No-limit
-            // when present, else the group's first policy.
-            std::string base = baseline;
-            if (base.empty()) {
-                base = per_policy.find("No-limit")
-                           ? "No-limit"
-                           : per_policy.asObject().front().first;
-            }
-            // An incomplete baseline run's time is the simulation cap,
-            // not a running time — normalizing against it would report
-            // garbage, so the column stays empty then.
-            double base_time = NAN;
-            if (const Json *b = per_policy.find(base)) {
-                if (b->at("completed").asBool())
-                    base_time = b->at("running_time_s").asNumber();
-            }
             for (const auto &[p, rj] : per_policy.asObject()) {
                 ReportRow row;
                 row.workload = w;
@@ -611,8 +631,6 @@ cmdReport(const std::vector<std::string> &args)
                         }
                     }
                 }
-                if (std::isfinite(base_time) && base_time > 0.0)
-                    row.norm = row.time / base_time;
                 pd.rows.push_back(std::move(row));
             }
         }
@@ -631,27 +649,41 @@ cmdReport(const std::vector<std::string> &args)
         }
     }
 
-    // A --baseline typo would otherwise just blank every normalization
-    // column; report it like any other bad name lookup.
-    if (!baseline.empty()) {
-        std::vector<std::string> seen;
-        bool found = false;
-        for (const auto &pd : points) {
-            for (const auto &r : pd.rows) {
-                found |= (r.policy == baseline);
-                if (std::find(seen.begin(), seen.end(), r.policy) ==
-                    seen.end())
-                    seen.push_back(r.policy);
-            }
-        }
-        if (!found) {
-            fatal("memtherm report: baseline policy '" + baseline +
-                  "' does not appear in the results (valid: " +
-                  joinNames(seen) + ")");
-        }
+    // The normalization baseline, resolved once for the rows, the sweep
+    // summary and every header: --baseline, else No-limit when any run
+    // has it, else the first policy in the results.
+    std::vector<std::string> seen; // policies, first-seen order
+    for (const auto &pd : points)
+        for (const auto &r : pd.rows)
+            if (std::find(seen.begin(), seen.end(), r.policy) == seen.end())
+                seen.push_back(r.policy);
+    const auto present = [&](const std::string &p) {
+        return std::find(seen.begin(), seen.end(), p) != seen.end();
+    };
+    std::string base = baseline;
+    if (base.empty()) {
+        base = seen.empty() || present("No-limit") ? "No-limit"
+                                                   : seen.front();
+    } else if (!present(base)) {
+        // A --baseline typo would otherwise just blank every
+        // normalization column; report it like any other bad lookup.
+        fatal("memtherm report: baseline policy '" + baseline +
+              "' does not appear in the results (valid: " +
+              joinNames(seen) + ")");
     }
-
-    const std::string base_desc = baseline.empty() ? "No-limit" : baseline;
+    // Normalize within each (point, workload) group. An incomplete
+    // baseline run's time is the simulation cap, not a running time —
+    // normalizing against it would report garbage, so the column stays
+    // empty then, as it does for a group without a baseline run.
+    for (auto &pd : points) {
+        std::map<std::string, double> base_time;
+        for (const auto &r : pd.rows)
+            if (r.policy == base && r.completed && r.time > 0.0)
+                base_time[r.workload] = r.time;
+        for (auto &r : pd.rows)
+            if (auto it = base_time.find(r.workload); it != base_time.end())
+                r.norm = r.time / it->second;
+    }
 
     if (!quiet) {
         // Per-point detail: the Figures 4.5-4.8 view (running time
@@ -659,7 +691,7 @@ cmdReport(const std::vector<std::string> &args)
         for (const auto &pd : points) {
             Table t("scenario '" + scenario + "' — point " + pd.label,
                     {"workload", "policy", "time s", "max AMB C",
-                     "max DRAM C", "x " + base_desc, "hottest_dimm",
+                     "max DRAM C", "x " + base, "hottest_dimm",
                      "done"});
             for (const auto &r : pd.rows) {
                 t.addRow({r.workload, r.policy, Table::num(r.time, 2),
@@ -677,18 +709,7 @@ cmdReport(const std::vector<std::string> &args)
         // bounded-memory online accumulator (one state per point, fed
         // one run at a time) — the same machinery that can summarize a
         // grid far too large to hold as a result vector.
-        std::string agg_base = baseline;
-        if (agg_base.empty()) {
-            bool hasNoLimit = false;
-            for (const auto &pd : points)
-                for (const auto &r : pd.rows)
-                    hasNoLimit |= (r.policy == "No-limit");
-            if (hasNoLimit)
-                agg_base = "No-limit";
-            else if (!points.empty() && !points.front().rows.empty())
-                agg_base = points.front().rows.front().policy;
-        }
-        OnlineAxisAggregator agg(agg_base);
+        OnlineAxisAggregator agg(base);
         for (const auto &pd : points)
             for (const auto &r : pd.rows)
                 agg.add(pd.label, r.workload, r.policy, r.completed,
@@ -706,7 +727,7 @@ cmdReport(const std::vector<std::string> &args)
             keys.empty() ? std::vector<std::string>{"point"} : keys;
         headers.insert(headers.end(),
                        {"runs", "incomplete", "max AMB C", "max DRAM C",
-                        "mean x " + base_desc});
+                        "mean x " + base});
         Table s("scenario '" + scenario + "' — sweep summary", headers);
         for (const auto &pd : points) {
             std::vector<std::string> row;
@@ -837,18 +858,9 @@ cmdMerge(const std::vector<std::string> &args)
             out_path = next("-o");
         else if (a == "--golden")
             golden_path = next("--golden");
-        else if (a == "--tol") {
-            std::string v = next("--tol");
-            std::size_t used = 0;
-            try {
-                tol = std::stod(v, &used);
-            } catch (const std::exception &) {
-                used = 0;
-            }
-            if (used != v.size())
-                fatal("memtherm merge: --tol needs a number, got '" + v +
-                      "'");
-        } else if (a == "--quiet")
+        else if (a == "--tol")
+            tol = parseNumber("memtherm merge", "--tol", next("--tol"));
+        else if (a == "--quiet")
             quiet = true;
         else if (!a.empty() && a[0] == '-')
             fatal("memtherm merge: unknown option '" + a + "'");
@@ -893,22 +905,10 @@ cmdMerge(const std::vector<std::string> &args)
             std::cout << "wrote " << out_path << '\n';
     }
 
-    int rc = 0;
-    if (!golden_path.empty()) {
-        Json golden = Json::load(golden_path);
-        (void)resultSchemaVersionOf(golden, "memtherm merge: '" +
-                                                golden_path + "'");
-        std::string where, detail;
-        if (!jsonNear(merged.results, golden, tol, "", where, detail)) {
-            std::cerr << "memtherm merge: results diverge from '"
-                      << golden_path << "' at " << where << ": " << detail
-                      << " (tol " << tol << ")\n";
-            rc = 1;
-        } else if (!quiet) {
-            std::cout << "results match " << golden_path << " (tol " << tol
-                      << ")\n";
-        }
-    }
+    int rc = golden_path.empty() ? 0
+                                 : checkGolden("memtherm merge",
+                                               merged.results, golden_path,
+                                               tol, quiet);
     if (!merged.errors.empty()) {
         std::vector<RunError> errors;
         for (const auto &rec : merged.errors) {
@@ -972,20 +972,6 @@ cmdRun(const std::vector<std::string> &args)
                       " needs a positive integer, got '" + v + "'");
             return n;
         };
-        auto nextDouble = [&](const char *opt) {
-            std::string v = next(opt);
-            std::size_t used = 0;
-            double x = 0.0;
-            try {
-                x = std::stod(v, &used);
-            } catch (const std::exception &) {
-                used = 0;
-            }
-            if (used != v.size())
-                fatal(std::string("memtherm run: ") + opt +
-                      " needs a number, got '" + v + "'");
-            return x;
-        };
         if (a == "-o")
             out_path = next("-o");
         else if (a == "--stream")
@@ -997,7 +983,7 @@ cmdRun(const std::vector<std::string> &args)
         else if (a == "--golden")
             golden_path = next("--golden");
         else if (a == "--tol")
-            tol = nextDouble("--tol");
+            tol = parseNumber("memtherm run", "--tol", next("--tol"));
         else if (a == "--threads")
             threads = nextPosInt("--threads");
         else if (a == "--copies")
@@ -1080,28 +1066,14 @@ cmdRun(const std::vector<std::string> &args)
         failures = std::move(results.errors);
     }
 
-    int rc = 0;
     if (!out_path.empty()) {
         out.save(out_path);
         if (!quiet)
             std::cout << "wrote " << out_path << '\n';
     }
-
-    if (!golden_path.empty()) {
-        Json golden = Json::load(golden_path);
-        (void)resultSchemaVersionOf(golden, "memtherm run: '" +
-                                                golden_path + "'");
-        std::string where, detail;
-        if (!jsonNear(out, golden, tol, "", where, detail)) {
-            std::cerr << "memtherm run: results diverge from '"
-                      << golden_path << "' at " << where << ": " << detail
-                      << " (tol " << tol << ")\n";
-            rc = 1;
-        } else if (!quiet) {
-            std::cout << "results match " << golden_path << " (tol " << tol
-                      << ")\n";
-        }
-    }
+    int rc = golden_path.empty() ? 0
+                                 : checkGolden("memtherm run", out,
+                                               golden_path, tol, quiet);
     // Failures never hide completed work (everything above still ran and
     // wrote), but they must not exit 0 either.
     if (!failures.empty()) {
