@@ -410,6 +410,17 @@ Json::at(const std::string &key) const
     return *v;
 }
 
+std::uint64_t
+Json::uintAt(const std::string &key) const
+{
+    const Json &j = at(key);
+    const double v = j.isNumber() ? j.asNumber() : -1.0;
+    if (!(v >= 0.0 && v <= 9007199254740992.0 && v == std::floor(v)))
+        fatal("json: member '" + key +
+              "' must be an integer within [0, 2^53]");
+    return static_cast<std::uint64_t>(v);
+}
+
 bool
 Json::operator==(const Json &o) const
 {

@@ -85,6 +85,12 @@ class Json
     /** Member lookup; fatal() (naming the key) when absent. */
     const Json &at(const std::string &key) const;
 
+    /**
+     * Member @p key as an integer within [0, 2^53] (exact in a double),
+     * checked before the cast; fatal() naming the key otherwise.
+     */
+    std::uint64_t uintAt(const std::string &key) const;
+
     /** Deep structural equality (object member order matters). */
     bool operator==(const Json &o) const;
     bool operator!=(const Json &o) const { return !(*this == o); }

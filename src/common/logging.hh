@@ -55,6 +55,13 @@ fatal(const std::string &msg)
     throw FatalError("fatal: " + msg);
 }
 
+/** Re-raise a nested reader's error @p e as "<where>: <what>". */
+[[noreturn]] inline void
+fatal(const std::string &where, const FatalError &e)
+{
+    fatal(where + ": " + std::string(e.what()).substr(7));
+}
+
 /** Report a suspicious-but-survivable condition to stderr. */
 inline void
 warn(std::string_view msg)

@@ -1,6 +1,7 @@
 #include "core/sim/result_sink.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <cstdlib>
 #include <filesystem>
 #include <numeric>
@@ -56,6 +57,14 @@ envFaultIndex(const char *name)
     return static_cast<int>(k);
 }
 
+/** The grid a stream header describes, as merge and resume match it. */
+std::string
+gridLabel(const std::string &hash, std::size_t total, bool traces)
+{
+    return "spec hash " + hash + ", " + std::to_string(total) +
+           " runs, traces " + (traces ? "on" : "off");
+}
+
 std::string
 whatOf(std::exception_ptr err)
 {
@@ -98,41 +107,30 @@ struct GridIndex
         return policies[k % policies.size()];
     }
 
+    /** A results document of the grid's points, with no runs yet. */
+    ScenarioResults
+    document(const std::string &scenario) const
+    {
+        ScenarioResults out;
+        out.scenario = scenario;
+        for (const std::string &label : pointLabels)
+            out.points.push_back({label, {}});
+        return out;
+    }
+
+    /** Slot run @p k's result into @p doc (from document()). */
+    void
+    place(ScenarioResults &doc, std::size_t k, SimResult &&r) const
+    {
+        doc.points[pointIndex(k)].suite[workload(k)][policy(k)] =
+            std::move(r);
+    }
+
     std::vector<std::string> pointLabels;
     std::vector<std::string> workloads;
     std::vector<std::string> policies;
     std::size_t perPoint = 1;
 };
-
-std::string
-streamMemberString(const Json &j, const char *key, const std::string &where)
-{
-    const Json *v = j.find(key);
-    if (!v || !v->isString())
-        fatal(where + (": missing or non-string member '" + std::string(key) +
-                       "'"));
-    return v->asString();
-}
-
-double
-streamMemberNumber(const Json &j, const char *key, const std::string &where)
-{
-    const Json *v = j.find(key);
-    if (!v || !v->isNumber())
-        fatal(where + (": missing or non-number member '" + std::string(key) +
-                       "'"));
-    return v->asNumber();
-}
-
-std::size_t
-streamMemberIndex(const Json &j, const char *key, const std::string &where)
-{
-    double v = streamMemberNumber(j, key, where);
-    if (v < 0 || v != static_cast<double>(static_cast<std::size_t>(v)))
-        fatal(where + (": member '" + std::string(key) +
-                       "' must be a non-negative integer"));
-    return static_cast<std::size_t>(v);
-}
 
 } // namespace
 
@@ -148,28 +146,20 @@ scenarioSpecHash(const ScenarioSpec &spec)
 ShardSpec
 ShardSpec::parse(const std::string &text)
 {
-    const auto bad = [&] {
-        fatal("shard: expected 'i/N' with 1 <= i <= N (got '" + text + "')");
-    };
-    const std::size_t slash = text.find('/');
-    if (slash == std::string::npos || slash == 0 ||
-        slash + 1 >= text.size()) {
-        bad();
-    }
-    const std::string a = text.substr(0, slash);
-    const std::string b = text.substr(slash + 1);
-    for (const std::string &part : {a, b})
-        for (char c : part)
-            if (c < '0' || c > '9')
-                bad();
-    // Bounded well below INT_MAX; nobody shards one grid 10^6 ways.
-    if (a.size() > 6 || b.size() > 6)
-        bad();
+    // from_chars takes no '+' or blanks; a '-' fails the range check,
+    // an overflow fails ec.
     ShardSpec s;
-    s.index = std::atoi(a.c_str());
-    s.count = std::atoi(b.c_str());
-    if (s.index < 1 || s.count < 1 || s.index > s.count)
-        bad();
+    const std::size_t slash = text.find('/');
+    const auto number = [&](std::size_t from, std::size_t to, int &out) {
+        const char *end = text.data() + to;
+        const auto [ptr, ec] = std::from_chars(text.data() + from, end, out);
+        return to > from && ec == std::errc() && ptr == end;
+    };
+    if (slash == std::string::npos || !number(0, slash, s.index) ||
+        !number(slash + 1, text.size(), s.count) || s.index < 1 ||
+        s.index > s.count || s.count > kMaxCount)
+        fatal("shard: expected 'i/N' with 1 <= i <= N <= " +
+              std::to_string(kMaxCount) + " (got '" + text + "')");
     return s;
 }
 
@@ -294,82 +284,60 @@ scanStream(const std::string &path, bool keep_results)
                  std::to_string(lineno) + " (crash tail)");
             break;
         }
-
-        const std::string where =
-            "stream '" + path + "' line " + std::to_string(lineno);
-        Json j;
+        // Any error names its line: mid-file damage cannot come from a
+        // crash of this writer, so refuse to guess what the stream meant.
         try {
-            j = Json::parse(line);
+            const Json j = Json::parse(line);
+            const std::string &type = j.at("type").asString();
+            if (lineno == 1) {
+                if (type != "header")
+                    fatal("first line must be the stream header");
+                const std::uint64_t format = j.uintAt("format");
+                if (format != kStreamFormatVersion) {
+                    fatal("member 'format' is " + std::to_string(format) +
+                          " but this binary reads stream format " +
+                          std::to_string(kStreamFormatVersion));
+                }
+                // Result-document schema: absent reads as v1, newer
+                // than this binary is refused.
+                (void)resultSchemaVersionOf(j, "header");
+                scan.specHash = j.at("spec_hash").asString();
+                scan.totalRuns = j.uintAt("total_runs");
+                scan.traces = j.at("traces").asBool();
+                // A shard must pass the rule --shard applies.
+                if (const Json *sh = j.find("shard"))
+                    scan.shard = ShardSpec::parse(
+                        std::to_string(sh->uintAt("index")) + "/" +
+                        std::to_string(sh->uintAt("count")));
+                scan.spec = ScenarioSpec::fromJson(j.at("spec"));
+            } else {
+                StreamRecord rec;
+                rec.failed = type == "error";
+                if (!rec.failed && type != "result")
+                    fatal("unknown record type '" + type + "'");
+                rec.index = j.uintAt("index");
+                if (rec.index >= scan.totalRuns) {
+                    fatal("run index " + std::to_string(rec.index) +
+                          " is out of range (grid has " +
+                          std::to_string(scan.totalRuns) + " runs)");
+                }
+                rec.point = j.at("point").asString();
+                rec.workload = j.at("workload").asString();
+                rec.policy = j.at("policy").asString();
+                if (rec.failed) {
+                    rec.error = j.at("error").asString();
+                } else {
+                    rec.wallSeconds = j.at("wall_s").asNumber();
+                    const Json &res = j.at("result");
+                    if (keep_results)
+                        rec.result =
+                            simResultFromJson(res, "result", scan.traces);
+                }
+                scan.records.push_back(std::move(rec));
+            }
         } catch (const FatalError &e) {
-            // Mid-file damage cannot come from a crash of this writer;
-            // refuse to guess what the stream meant.
-            fatal(where + ": corrupt record: " + e.what());
+            fatal("stream '" + path + "' line " + std::to_string(lineno), e);
         }
-        if (!j.isObject())
-            fatal(where + ": record is not a JSON object");
-        const std::string type = streamMemberString(j, "type", where);
-
-        if (lineno == 1) {
-            if (type != "header")
-                fatal(where + ": first line must be the stream header");
-            const int format = static_cast<int>(
-                streamMemberNumber(j, "format", where));
-            if (format != kStreamFormatVersion) {
-                fatal(where + ": format " + std::to_string(format) +
-                      " does not match this binary's format " +
-                      std::to_string(kStreamFormatVersion));
-            }
-            // Result-document schema: absent means v1 (legacy stream,
-            // readable as-is); newer than this binary is refused.
-            (void)resultSchemaVersionOf(j, where);
-            scan.specHash = streamMemberString(j, "spec_hash", where);
-            scan.totalRuns = streamMemberIndex(j, "total_runs", where);
-            const Json *tr = j.find("traces");
-            if (!tr || !tr->isBool())
-                fatal(where + ": missing or non-bool member 'traces'");
-            scan.traces = tr->asBool();
-            if (const Json *sh = j.find("shard")) {
-                scan.shard.index = static_cast<int>(
-                    streamMemberIndex(*sh, "index", where + " shard"));
-                scan.shard.count = static_cast<int>(
-                    streamMemberIndex(*sh, "count", where + " shard"));
-            }
-            const Json *spec = j.find("spec");
-            if (!spec || !spec->isObject())
-                fatal(where + ": missing or non-object member 'spec'");
-            scan.spec = ScenarioSpec::fromJson(*spec);
-            scan.cleanSize += line.size() + 1;
-            continue;
-        }
-
-        StreamRecord rec;
-        if (type == "result") {
-            rec.failed = false;
-        } else if (type == "error") {
-            rec.failed = true;
-        } else {
-            fatal(where + ": unknown record type '" + type + "'");
-        }
-        rec.index = streamMemberIndex(j, "index", where);
-        if (rec.index >= scan.totalRuns) {
-            fatal(where + ": run index " + std::to_string(rec.index) +
-                  " is out of range (grid has " +
-                  std::to_string(scan.totalRuns) + " runs)");
-        }
-        rec.point = streamMemberString(j, "point", where);
-        rec.workload = streamMemberString(j, "workload", where);
-        rec.policy = streamMemberString(j, "policy", where);
-        if (rec.failed) {
-            rec.error = streamMemberString(j, "error", where);
-        } else {
-            rec.wallSeconds = streamMemberNumber(j, "wall_s", where);
-            const Json *res = j.find("result");
-            if (!res || !res->isObject())
-                fatal(where + ": missing or non-object member 'result'");
-            if (keep_results)
-                rec.result = *res;
-        }
-        scan.records.push_back(std::move(rec));
         scan.cleanSize += line.size() + 1;
     }
     if (lineno == 0)
@@ -508,18 +476,18 @@ class DocumentSink : public GridSink
   public:
     std::vector<std::size_t> select() override
     {
-        results.resize(grid->size());
+        doc = grid->document("");
         std::vector<std::size_t> every(grid->size());
         std::iota(every.begin(), every.end(), std::size_t{0});
         return every;
     }
 
-    std::vector<std::optional<SimResult>> results;
+    ScenarioResults doc;
 
   protected:
     void result(std::size_t k, SimResult &&r, double) override
     {
-        results[k] = std::move(r);
+        grid->place(doc, k, std::move(r));
     }
 };
 
@@ -576,27 +544,16 @@ StreamWriteSink::select()
     std::size_t cleanSize = 0;
     if (opts.resume && nonEmpty) {
         StreamScan scan = scanStream(opts.path, /*keep_results=*/false);
-        const std::string want = scenarioSpecHash(spec);
-        if (scan.specHash != want) {
-            fatal("stream '" + opts.path +
-                  "': scenario spec does not match (stream has " +
-                  scan.specHash + ", scenario hashes to " + want +
-                  "); refusing to mix results from different scenarios");
-        }
-        if (scan.totalRuns != total) {
-            fatal("stream '" + opts.path + "': header says " +
-                  std::to_string(scan.totalRuns) + " runs but the "
-                  "scenario lowers to " + std::to_string(total));
-        }
-        if (!(scan.shard == opts.shard)) {
-            fatal("stream '" + opts.path + "': header shard " +
-                  scan.shard.label() + " does not match --shard " +
-                  opts.shard.label());
-        }
-        if (scan.traces != opts.traces) {
-            fatal("stream '" + opts.path + "': header traces flag does "
-                  "not match --traces; a stream cannot mix trace and "
-                  "trace-free records");
+        const std::string have =
+            gridLabel(scan.specHash, scan.totalRuns, scan.traces) +
+            ", shard " + scan.shard.label();
+        const std::string want =
+            gridLabel(scenarioSpecHash(spec), total, opts.traces) +
+            ", shard " + opts.shard.label();
+        if (have != want) {
+            fatal("stream '" + opts.path + "' holds " + have +
+                  " but this run is " + want +
+                  "; refusing to mix results of different grids");
         }
         for (const auto &rec : scan.records)
             if (!rec.failed)
@@ -637,20 +594,9 @@ runScenarioBatched(const ScenarioSpec &spec, ExperimentEngine &engine,
 {
     DocumentSink sink;
     runGrid(spec, engine, batch_width, sink, stats);
-
-    ScenarioResults out;
-    out.scenario = spec.name;
-    const GridIndex &grid = *sink.grid;
-    for (const std::string &label : grid.pointLabels)
-        out.points.push_back({label, {}});
-    for (std::size_t k = 0; k < sink.results.size(); ++k) {
-        if (sink.results[k])
-            out.points[grid.pointIndex(k)]
-                .suite[grid.workload(k)][grid.policy(k)] =
-                std::move(*sink.results[k]);
-    }
-    out.errors = std::move(sink.failures);
-    return out;
+    sink.doc.scenario = spec.name;
+    sink.doc.errors = std::move(sink.failures);
+    return std::move(sink.doc);
 }
 
 ScenarioResults
@@ -685,120 +631,60 @@ mergeStreams(const std::vector<std::string> &paths)
         fatal("merge: no stream files given");
 
     MergedStream out;
+    std::vector<StreamScan> scans;
+    scans.reserve(paths.size());
+    std::optional<GridIndex> grid;
+    std::string want; // the first stream's grid
+    for (const auto &path : paths) {
+        StreamScan scan = scanStream(path, /*keep_results=*/true);
+        const std::string have =
+            gridLabel(scan.specHash, scan.totalRuns, scan.traces);
+        if (scans.empty()) {
+            want = have;
+            out.spec = scan.spec;
+            out.totalRuns = scan.totalRuns;
+            // The header's count sizes nothing until the embedded spec,
+            // re-lowered for the grid geometry, vouches for it.
+            grid.emplace(out.spec.lower());
+            if (grid->size() != out.totalRuns) {
+                fatal("merge: '" + path + "': embedded spec lowers to " +
+                      std::to_string(grid->size()) + " runs but member "
+                      "'total_runs' says " + std::to_string(out.totalRuns) +
+                      " (stream written by an incompatible version?)");
+            }
+        } else if (have != want) {
+            fatal("merge: '" + path + "' holds " + have + " but '" +
+                  paths.front() + "' holds " + want);
+        }
+        scans.push_back(std::move(scan));
+    }
+
     // Global index -> best record seen so far. A result always beats an
     // error (a retry succeeded after a recorded failure); duplicate
     // results keep the first — the engine's determinism makes them
     // bit-identical, so there is nothing to choose between.
-    std::vector<const StreamRecord *> best;
-    std::vector<StreamScan> scans;
-    scans.reserve(paths.size());
-
-    std::string refHash;
-    for (const auto &path : paths) {
-        StreamScan scan = scanStream(path, /*keep_results=*/true);
-        if (scans.empty()) {
-            refHash = scan.specHash;
-            out.spec = scan.spec;
-            out.totalRuns = scan.totalRuns;
-            best.assign(scan.totalRuns, nullptr);
-        } else {
-            if (scan.specHash != refHash) {
-                fatal("merge: '" + path + "' records a different "
-                      "scenario than '" + paths.front() +
-                      "' (spec hashes " + scan.specHash + " vs " +
-                      refHash + ")");
-            }
-            if (scan.totalRuns != out.totalRuns) {
-                fatal("merge: '" + path + "' says " +
-                      std::to_string(scan.totalRuns) + " runs but '" +
-                      paths.front() + "' says " +
-                      std::to_string(out.totalRuns));
-            }
-        }
-        scans.push_back(std::move(scan));
-    }
-    for (const auto &scan : scans) {
-        for (const auto &rec : scan.records) {
+    std::vector<StreamRecord *> best(out.totalRuns, nullptr);
+    for (auto &scan : scans) {
+        for (auto &rec : scan.records) {
             const StreamRecord *cur = best[rec.index];
             if (!cur || (cur->failed && !rec.failed))
                 best[rec.index] = &rec;
         }
     }
 
-    // Canonical document: re-lower the embedded spec for the grid
-    // geometry, slot records by index, and emit workloads/policies in
-    // sorted order — exactly how toJson(ScenarioResults) iterates its
-    // std::map keys — so merged bytes equal `run -o` bytes.
-    LoweredScenario low = out.spec.lower();
-    if (low.totalRuns() != out.totalRuns) {
-        fatal("merge: embedded spec lowers to " +
-              std::to_string(low.totalRuns()) + " runs but the header "
-              "says " + std::to_string(out.totalRuns) +
-              " (stream written by an incompatible version?)");
-    }
-    GridIndex grid(low);
-
-    Json doc = Json::object();
-    doc.set("scenario", out.spec.name);
-    // Mirror toJson(ScenarioResults): stamp the *minimum* schema version
-    // the merged members imply (3 for per-bank peaks, 2 for the refresh
-    // fields, nothing for the historical set), so refresh-free merges
-    // stay byte-identical to documents written by older binaries.
-    bool hasV2 = false, hasV3 = false;
-    for (const StreamRecord *rec : best) {
-        if (!rec || rec->failed)
-            continue;
-        hasV2 |= rec->result.find("refresh_bw_loss_per_dimm_gb") != nullptr;
-        hasV3 |= rec->result.find("peak_bank_dram_c") != nullptr;
-    }
-    if (hasV3)
-        doc.set("schema_version", 3);
-    else if (hasV2)
-        doc.set("schema_version", 2);
-    Json pts = Json::array();
-    for (std::size_t p = 0; p < grid.pointLabels.size(); ++p) {
-        std::map<std::string, std::map<std::string, const Json *>> suite;
-        for (std::size_t j = 0; j < grid.perPoint; ++j) {
-            const std::size_t k = p * grid.perPoint + j;
-            const StreamRecord *rec = best[k];
-            if (rec && !rec->failed)
-                suite[grid.workload(k)][grid.policy(k)] = &rec->result;
-        }
-        Json results = Json::object();
-        for (const auto &[w, per_policy] : suite) {
-            Json pw = Json::object();
-            for (const auto &[pol, res] : per_policy)
-                pw.set(pol, *res);
-            results.set(w, std::move(pw));
-        }
-        Json pj = Json::object();
-        pj.set("label", grid.pointLabels[p]);
-        pj.set("results", std::move(results));
-        pts.push(std::move(pj));
-    }
-    doc.set("points", std::move(pts));
-
+    ScenarioResults doc = grid->document(out.spec.name);
     for (std::size_t k = 0; k < out.totalRuns; ++k) {
-        const StreamRecord *rec = best[k];
+        StreamRecord *rec = best[k];
         if (!rec)
             out.missingRuns.push_back(k);
         else if (rec->failed)
-            out.errors.push_back(*rec);
+            doc.errors.push_back({k, rec->point, rec->workload, rec->policy,
+                                  rec->error});
+        else
+            grid->place(doc, k, std::move(rec->result));
     }
-    if (!out.errors.empty()) {
-        Json errs = Json::array();
-        for (const auto &e : out.errors) {
-            Json o = Json::object();
-            o.set("index", static_cast<std::uint64_t>(e.index));
-            o.set("point", e.point);
-            o.set("workload", e.workload);
-            o.set("policy", e.policy);
-            o.set("error", e.error);
-            errs.push(std::move(o));
-        }
-        doc.set("errors", std::move(errs));
-    }
-    out.results = std::move(doc);
+    out.results = toJson(doc, scans.front().traces);
+    out.errors = std::move(doc.errors);
     return out;
 }
 

@@ -26,7 +26,9 @@
  *    streams, shards and resume alike.
  *  - mergeStreams() folds shard/resume streams back into the canonical
  *    results JSON, bit-identical to what an uninterrupted unsharded
- *    `memtherm run -o` writes.
+ *    `memtherm run -o` writes. It owns no document format: records
+ *    decode through the result codec (core/sim/scenario.hh) into a
+ *    ScenarioResults, which toJson(ScenarioResults) writes.
  *  - OnlineAxisAggregator keeps `memtherm report` sweep summaries in
  *    bounded memory: per-point aggregates, not a full result vector.
  *
@@ -85,6 +87,8 @@ std::string scenarioSpecHash(const ScenarioSpec &spec);
  */
 struct ShardSpec
 {
+    static constexpr int kMaxCount = 1000000; ///< far below INT_MAX
+
     int index = 1;
     int count = 1;
 
@@ -102,7 +106,7 @@ struct ShardSpec
         return std::to_string(index) + "/" + std::to_string(count);
     }
 
-    /** Parse "i/N"; FatalError unless 1 <= i <= N. */
+    /** Parse "i/N"; FatalError unless 1 <= i <= N <= kMaxCount. */
     static ShardSpec parse(const std::string &text);
 };
 
@@ -115,8 +119,8 @@ struct StreamRecord
     std::string workload;
     std::string policy;
     double wallSeconds = 0.0; ///< results only
-    Json result;              ///< serialized SimResult; results only
-    std::string error;        ///< what(); failures only
+    SimResult result;         ///< results only, and only with keep_results
+    std::string error; ///< what(); failures only
 };
 
 /**
@@ -176,12 +180,14 @@ struct StreamScan
 
 /**
  * Read a stream back. The header is validated (format version, member
- * types); every complete data line must parse — mid-file corruption is
- * an error naming the line, it cannot come from a crash of the
- * append-and-flush writer. An unterminated trailing line is the crash
- * signature: dropped, with cleanSize marking where to truncate before
- * resuming. @p keep_results false discards the (large) per-run result
- * payloads and keeps only run identities — all resume needs.
+ * types, counts range-checked before any cast); every complete data
+ * line must parse, its result payload through simResultFromJson() —
+ * mid-file corruption is an error naming the line, it cannot come from
+ * a crash of the append-and-flush writer. An unterminated trailing line
+ * is the crash signature: dropped, with cleanSize marking where to
+ * truncate before resuming. @p keep_results false skips the (large)
+ * per-run result payloads and keeps only run identities — all resume
+ * needs.
  */
 StreamScan scanStream(const std::string &path, bool keep_results = true);
 
@@ -231,17 +237,19 @@ struct MergedStream
     ScenarioSpec spec;
     std::size_t totalRuns = 0;
     Json results; ///< canonical results JSON (`run -o` shape)
-    std::vector<StreamRecord> errors;       ///< failure records, by index
-    std::vector<std::size_t> missingRuns;   ///< indices with no record
+    std::vector<RunError> errors;         ///< failure records, by index
+    std::vector<std::size_t> missingRuns; ///< indices with no record
 };
 
 /**
  * Fold one or more streams (shards of one grid, or one resumed stream)
  * into the canonical results document. Every stream's header must
- * fingerprint the same scenario (same spec hash, total, traces flag).
- * Records are slotted by global index into spec grid order, so the
- * output is bit-identical to an uninterrupted unsharded `memtherm run
- * -o` — whatever order, interruption, or sharding produced the lines.
+ * fingerprint the same scenario (same spec hash, total, traces flag),
+ * and the embedded spec must lower to that total before anything is
+ * sized by it. Records are slotted by global index into spec grid order
+ * and written by toJson(ScenarioResults), so the output is
+ * bit-identical to an uninterrupted unsharded `memtherm run -o` —
+ * whatever order, interruption, or sharding produced the lines.
  * A result record wins over an error record for the same index (a
  * retry succeeded); duplicate results keep the first (they are
  * bit-identical by the engine's determinism guarantee).

@@ -1,6 +1,7 @@
 #include "core/sim/scenario.hh"
 
 #include <algorithm>
+#include <array>
 #include <climits>
 #include <cmath>
 #include <concepts>
@@ -143,15 +144,6 @@ joinNumbers(const std::vector<double> &v)
         out += numStr(x);
     }
     return out;
-}
-
-Json
-traceJson(const TimeSeries &t)
-{
-    Json j = Json::object();
-    j.set("period_s", t.period());
-    j.set("values", toJsonList(t.values()));
-    return j;
 }
 
 // --- the four inline forms ------------------------------------------------
@@ -1444,79 +1436,221 @@ ScenarioSpec::save(const std::string &path) const
     toJson().save(path);
 }
 
+// --- the result table -------------------------------------------------------
+
+namespace
+{
+
+/** What a result table entry declares besides its member. */
+struct ResultDef
+{
+    const char *key; ///< JSON member of a result object
+    int version = 1; ///< result schema version that introduced it
+    /// Written only when this vector is non-empty, so results without the
+    /// data keep the member set (and bytes) of the older schema.
+    std::vector<double> SimResult::*sparse = nullptr;
+    bool optional = false; ///< absent reads as empty (so does sparse)
+    bool traces = false;   ///< written only when traces are asked for
+};
+
+/** A result member that is a JSON object: its sub-members by key. */
+template <typename T, std::size_t N>
+using Group = std::array<std::pair<const char *, T SimResult::*>, N>;
+
+/** `peak_bank_dram_c`: per DIMM, one row of its bank_grid cells. */
+struct BankRows
+{
+};
+
+/** The JSON form of member @p m: a member pointer, Group or BankRows. */
+template <typename M>
 Json
-toJson(const SimResult &r, bool traces)
+put(const SimResult &r, const M &m)
 {
     Json j = Json::object();
-    j.set("workload", r.workload);
-    j.set("policy", r.policy);
-    j.set("completed", r.completed);
-    j.set("running_time_s", r.runningTime);
-    j.set("total_instr", r.totalInstr);
-    j.set("read_gb", r.totalReadGB);
-    j.set("write_gb", r.totalWriteGB);
-    j.set("l2_misses", r.totalL2Misses);
-    j.set("mem_energy_j", r.memEnergy);
-    j.set("cpu_energy_j", r.cpuEnergy);
-    j.set("max_amb_c", r.maxAmb);
-    j.set("max_dram_c", r.maxDram);
-    j.set("time_above_amb_tdp_s", r.timeAboveAmbTdp);
-    j.set("time_above_dram_tdp_s", r.timeAboveDramTdp);
-    j.set("peak_amb_per_dimm_c", toJsonList(r.peakAmbPerDimm));
-    j.set("peak_dram_per_dimm_c", toJsonList(r.peakDramPerDimm));
-    j.set("avg_power_per_dimm_w", toJsonList(r.avgPowerPerDimm));
-    // Schema v2 members, present only when the run's refresh model was
-    // active (the vectors are sized iff SimConfig::refresh is non-empty),
-    // so every pre-refresh golden keeps its exact member set.
-    if (!r.refreshBwLossPerDimm.empty()) {
-        j.set("refresh_bw_loss_per_dimm_gb",
-              toJsonList(r.refreshBwLossPerDimm));
-        j.set("refresh_energy_per_dimm_j",
-              toJsonList(r.refreshEnergyPerDimm));
-    }
-    // Schema v3 members, present only when the run's bank-grid thermal
-    // model was active (the vector is sized iff SimConfig::bankGrid is
-    // set), so every lumped-model golden keeps its exact member set.
-    if (!r.peakBankDramPerDimm.empty()) {
-        Json g = Json::object();
-        g.set("x", r.bankGridX);
-        g.set("z", r.bankGridZ);
-        j.set("bank_grid", std::move(g));
-        const std::size_t cells = static_cast<std::size_t>(r.bankGridX) *
-                                  static_cast<std::size_t>(r.bankGridZ);
-        Json per_dimm = Json::array();
-        for (std::size_t base = 0; base < r.peakBankDramPerDimm.size();
-             base += cells) {
-            Json row = Json::array();
-            for (std::size_t c = 0; c < cells; ++c)
-                row.push(r.peakBankDramPerDimm[base + c]);
-            per_dimm.push(std::move(row));
+    if constexpr (std::is_same_v<M, BankRows>) {
+        const std::vector<double> &v = r.peakBankDramPerDimm;
+        const std::size_t n = r.bankCells();
+        j = Json::array();
+        for (std::size_t i = 0; i < v.size(); i += n)
+            j.push(toJsonList(std::vector<double>(v.begin() + i,
+                                                  v.begin() + i + n)));
+    } else if constexpr (requires { m.size(); }) { // a Group
+        for (const auto &[k, sub] : m)
+            j.set(k, put(r, sub));
+    } else {
+        const auto &v = r.*m;
+        using T = std::decay_t<decltype(v)>;
+        if constexpr (std::is_same_v<T, TimeSeries>) {
+            j.set("period_s", v.period());
+            j.set("values", toJsonList(v.values()));
+        } else if constexpr (std::is_same_v<T, std::vector<double>>) {
+            j = toJsonList(v);
+        } else {
+            j = Json(v);
         }
-        j.set("peak_bank_dram_c", std::move(per_dimm));
-    }
-    if (traces) {
-        Json t = Json::object();
-        t.set("amb_c", traceJson(r.ambTrace));
-        t.set("dram_c", traceJson(r.dramTrace));
-        t.set("inlet_c", traceJson(r.inletTrace));
-        t.set("cpu_power_w", traceJson(r.cpuPowerTrace));
-        t.set("bw_gbps", traceJson(r.bwTrace));
-        j.set("traces", std::move(t));
     }
     return j;
 }
 
+/** Read put()'s form of @p m; Json's accessors refuse a wrong type. */
+template <typename M>
+void
+get(const Json &v, SimResult &r, const M &m)
+{
+    if constexpr (std::is_same_v<M, BankRows>) {
+        // Read after `bank_grid`, which sets the row width.
+        const std::size_t n = r.bankCells();
+        if (n == 0)
+            fatal("needs a 'bank_grid' member");
+        for (const Json &row : v.asArray()) {
+            const std::size_t before = r.peakBankDramPerDimm.size();
+            get(row, r, &SimResult::peakBankDramPerDimm); // appends
+            if (r.peakBankDramPerDimm.size() - before != n)
+                fatal("rows must hold the bank grid's " + std::to_string(n) +
+                      " cells");
+        }
+    } else if constexpr (requires { m.size(); }) { // a Group
+        if (v.asObject().size() != m.size())
+            fatal("must have exactly " + std::to_string(m.size()) +
+                  " members");
+        for (const auto &[k, sub] : m)
+            get(v.at(k), r, sub);
+    } else {
+        auto &out = r.*m;
+        using T = std::decay_t<decltype(out)>;
+        if constexpr (std::is_same_v<T, TimeSeries>) {
+            checkMembers(v, "a trace", {"period_s", "values"});
+            const double period = v.at("period_s").asNumber();
+            if (!(period > 0.0))
+                fatal("'period_s' must be positive");
+            out = TimeSeries(period);
+            for (const Json &x : v.at("values").asArray())
+                out.add(x.asNumber());
+        } else if constexpr (std::is_same_v<T, std::vector<double>>) {
+            for (const Json &x : v.asArray())
+                out.push_back(x.asNumber());
+        } else if constexpr (std::is_same_v<T, int>) {
+            // A bank grid side, within the scenario layer's cell limit.
+            const double x = v.asNumber();
+            if (!(x >= 1 && x <= 1024 && x == std::floor(x)))
+                fatal("bank grid sides must be integers in [1, 1024]");
+            out = static_cast<int>(x);
+        } else if constexpr (std::is_same_v<T, std::string>) {
+            out = v.asString();
+        } else if constexpr (std::is_same_v<T, bool>) {
+            out = v.asBool();
+        } else {
+            out = v.asNumber();
+        }
+    }
+}
+
+/**
+ * The table: calls @p f(def, member) for every SimResult member, in the
+ * order toJson() writes them; put() and get() know each kind of member.
+ */
+template <typename F>
+void
+forEachResultMember(F &&f)
+{
+    using R = SimResult;
+    f({.key = "workload"}, &R::workload);
+    f({.key = "policy"}, &R::policy);
+    f({.key = "completed"}, &R::completed);
+    f({.key = "running_time_s"}, &R::runningTime);
+    f({.key = "total_instr"}, &R::totalInstr);
+    f({.key = "read_gb"}, &R::totalReadGB);
+    f({.key = "write_gb"}, &R::totalWriteGB);
+    f({.key = "l2_misses"}, &R::totalL2Misses);
+    f({.key = "mem_energy_j"}, &R::memEnergy);
+    f({.key = "cpu_energy_j"}, &R::cpuEnergy);
+    f({.key = "max_amb_c"}, &R::maxAmb);
+    f({.key = "max_dram_c"}, &R::maxDram);
+    f({.key = "time_above_amb_tdp_s"}, &R::timeAboveAmbTdp);
+    f({.key = "time_above_dram_tdp_s"}, &R::timeAboveDramTdp);
+    f({.key = "peak_amb_per_dimm_c", .optional = true}, &R::peakAmbPerDimm);
+    f({.key = "peak_dram_per_dimm_c", .optional = true},
+      &R::peakDramPerDimm);
+    f({.key = "avg_power_per_dimm_w", .optional = true},
+      &R::avgPowerPerDimm);
+    // Sized only when the run's refresh model is active.
+    f({.key = "refresh_bw_loss_per_dimm_gb", .version = 2,
+       .sparse = &R::refreshBwLossPerDimm},
+      &R::refreshBwLossPerDimm);
+    f({.key = "refresh_energy_per_dimm_j", .version = 2,
+       .sparse = &R::refreshEnergyPerDimm},
+      &R::refreshEnergyPerDimm);
+    // Sized only when the run's bank-grid thermal model is active.
+    f({.key = "bank_grid", .version = 3, .sparse = &R::peakBankDramPerDimm},
+      Group<int, 2>{{{"x", &R::bankGridX}, {"z", &R::bankGridZ}}});
+    f({.key = "peak_bank_dram_c", .version = 3,
+       .sparse = &R::peakBankDramPerDimm},
+      BankRows{});
+    f({.key = "traces", .optional = true, .traces = true},
+      Group<TimeSeries, 5>{{{"amb_c", &R::ambTrace},
+                            {"dram_c", &R::dramTrace},
+                            {"inlet_c", &R::inletTrace},
+                            {"cpu_power_w", &R::cpuPowerTrace},
+                            {"bw_gbps", &R::bwTrace}}});
+}
+
+/** Whether toJson(@p r, @p traces) writes the member @p d. */
+bool
+written(const ResultDef &d, const SimResult &r, bool traces)
+{
+    return d.traces ? traces : !d.sparse || !(r.*d.sparse).empty();
+}
+
+} // namespace
+
+const std::vector<std::string> &
+resultMemberKeys()
+{
+    static const std::vector<std::string> keys = [] {
+        std::vector<std::string> out;
+        forEachResultMember(
+            [&](const ResultDef &d, const auto &) { out.push_back(d.key); });
+        return out;
+    }();
+    return keys;
+}
+
 Json
-toJson(const SuiteResults &r, bool traces)
+toJson(const SimResult &r, bool traces)
 {
     Json j = Json::object();
-    for (const auto &[w, per_policy] : r) {
-        Json pw = Json::object();
-        for (const auto &[p, res] : per_policy)
-            pw.set(p, toJson(res, traces));
-        j.set(w, std::move(pw));
-    }
+    forEachResultMember([&](const ResultDef &d, const auto &m) {
+        if (written(d, r, traces))
+            j.set(d.key, put(r, m));
+    });
     return j;
+}
+
+SimResult
+simResultFromJson(const Json &j, const std::string &where,
+                  std::optional<bool> traces)
+{
+    SimResult r;
+    const char *key = nullptr; // the member being read, for diagnostics
+    try {
+        // Refused, not dropped: dropping would make merge silently lossy.
+        checkMembers(j, "a result", resultMemberKeys());
+        forEachResultMember([&](const ResultDef &d, const auto &m) {
+            key = d.key;
+            const Json *v = j.find(d.key);
+            if (d.traces && traces && (v != nullptr) != *traces)
+                fatal(*traces ? "missing, but the traces flag is on"
+                              : "present, but the traces flag is off");
+            if (v)
+                get(*v, r, m);
+            else if (!d.sparse && !d.optional)
+                fatal("missing");
+        });
+    } catch (const FatalError &e) {
+        fatal(key ? where + ": member '" + key + "'" : where, e);
+    }
+    return r;
 }
 
 int
@@ -1526,49 +1660,48 @@ resultSchemaVersionOf(const Json &doc, const std::string &where,
     const Json *v = doc.isObject() ? doc.find("schema_version") : nullptr;
     if (!v)
         return 1; // version-absent legacy file
-    if (!v->isNumber() || v->asNumber() != std::floor(v->asNumber()) ||
-        v->asNumber() < 1) {
+    // Both checks precede the cast, which is undefined out of range.
+    const double ver = v->isNumber() ? v->asNumber() : 0.0;
+    if (ver != std::floor(ver) || ver < 1)
         fatal(where + ": 'schema_version' must be a positive integer");
-    }
-    const int ver = static_cast<int>(v->asNumber());
     if (ver > max_version) {
-        fatal(where + ": schema version " + std::to_string(ver) +
+        fatal(where + ": schema version " + numStr(ver) +
               " is newer than this binary's " +
               std::to_string(max_version) +
               "; upgrade memtherm to read this file");
     }
-    return ver;
+    return static_cast<int>(ver);
 }
 
 Json
 toJson(const ScenarioResults &r, bool traces)
 {
-    Json j = Json::object();
-    j.set("scenario", r.scenario);
-    // Schema versioning (kResultSchemaVersion): stamped with the
-    // *minimum* version the document's members imply — 3 only when a
-    // v3-only member (the per-bank peaks) is present, 2 when only
-    // v2-only members (the per-DIMM refresh fields) are, nothing for
-    // the historical member set — so documents keep their exact
-    // historical bytes until they actually use a newer field.
-    bool has_v2 = false, has_v3 = false;
-    for (const auto &pt : r.points)
-        for (const auto &[w, per_policy] : pt.suite)
-            for (const auto &[p, res] : per_policy) {
-                has_v2 |= !res.refreshBwLossPerDimm.empty();
-                has_v3 |= !res.peakBankDramPerDimm.empty();
-            }
-    if (has_v3)
-        j.set("schema_version", 3);
-    else if (has_v2)
-        j.set("schema_version", 2);
+    // Stamped with the highest version among the members written, and
+    // not at all for the historical member set (kResultSchemaVersion).
+    int version = 1;
     Json pts = Json::array();
     for (const auto &pt : r.points) {
+        Json suite = Json::object();
+        for (const auto &[w, per_policy] : pt.suite) {
+            Json pw = Json::object();
+            for (const auto &[p, res] : per_policy) {
+                pw.set(p, toJson(res, traces));
+                forEachResultMember([&](const ResultDef &d, const auto &) {
+                    if (written(d, res, traces))
+                        version = std::max(version, d.version);
+                });
+            }
+            suite.set(w, std::move(pw));
+        }
         Json p = Json::object();
         p.set("label", pt.label);
-        p.set("results", toJson(pt.suite, traces));
+        p.set("results", std::move(suite));
         pts.push(std::move(p));
     }
+    Json j = Json::object();
+    j.set("scenario", r.scenario);
+    if (version > 1)
+        j.set("schema_version", version);
     j.set("points", std::move(pts));
     // Emitted only when runs failed, so clean results (and the
     // committed goldens) keep their exact historical shape.
@@ -1586,6 +1719,56 @@ toJson(const ScenarioResults &r, bool traces)
         j.set("errors", std::move(errs));
     }
     return j;
+}
+
+ScenarioResults
+scenarioResultsFromJson(const Json &doc, const std::string &where)
+{
+    const Json *pts = doc.find("points");
+    if (!pts) {
+        fatal(where + " does not look like memtherm results (expected an "
+                      "object with a 'points' array; produce one with "
+                      "`memtherm run -o`)");
+    }
+    // Version-absent files are legacy (v1) and read unchanged; a
+    // document from a newer binary is refused rather than misread.
+    (void)resultSchemaVersionOf(doc, where);
+
+    ScenarioResults out;
+    std::string at = where; // what is being read, for diagnostics
+    try {
+        checkMembers(doc, "the results",
+                     {"scenario", "schema_version", "points", "errors"});
+        out.scenario = doc.at("scenario").asString();
+        for (const Json &pj : pts->asArray()) {
+            at = where + ": points[" + std::to_string(out.points.size()) +
+                 "]";
+            checkMembers(pj, "a point", {"label", "results"});
+            ScenarioResults::Point &pt = out.points.emplace_back();
+            pt.label = pj.at("label").asString();
+            for (const auto &[w, group] : pj.at("results").asObject()) {
+                if (group.asObject().empty())
+                    fatal("workload '" + w + "' has no results");
+                for (const auto &[p, rj] : group.asObject())
+                    pt.suite[w][p] = simResultFromJson(rj, w + "/" + p);
+            }
+        }
+        if (const Json *errs = doc.find("errors")) {
+            for (const Json &e : errs->asArray()) {
+                at = where + ": errors[" +
+                     std::to_string(out.errors.size()) + "]";
+                checkMembers(e, "an error", {"index", "point", "workload",
+                                             "policy", "error"});
+                out.errors.push_back(
+                    {e.uintAt("index"), e.at("point").asString(),
+                     e.at("workload").asString(), e.at("policy").asString(),
+                     e.at("error").asString()});
+            }
+        }
+    } catch (const FatalError &e) {
+        fatal(at, e);
+    }
+    return out;
 }
 
 } // namespace memtherm

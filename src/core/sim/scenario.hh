@@ -318,18 +318,13 @@ ScenarioResults runScenarioBatched(const ScenarioSpec &spec,
                                    BatchStats *stats = nullptr);
 
 /**
- * Version of the result-document schema this binary writes. Version 1
- * is the historical member set (no `schema_version` member — every file
- * written before versioning reads as v1); version 2 added the per-DIMM
- * refresh fields (`refresh_bw_loss_per_dimm_gb` /
- * `refresh_energy_per_dimm_j`); version 3 added the per-bank fields of
- * the bank-grid thermal model (`bank_grid` / `peak_bank_dram_c`).
- * toJson(ScenarioResults) stamps the *minimum* version the document's
- * members imply — a top-level `schema_version` of 3 only when a v3-only
- * member is present, 2 when only v2-only members are, nothing for the
- * historical member set — so every document keeps its exact historical
- * bytes until it actually uses a newer field; JSONL stream headers
- * (core/sim/result_sink.hh) carry the binary's version unconditionally.
+ * Version of the result-document schema this binary writes. The result
+ * table (scenario.cc) records the version that introduced each member:
+ * 2 the refresh arrays, 3 the bank-grid members. toJson(ScenarioResults)
+ * stamps the highest version among the members it writes, and nothing
+ * for v1 (so version-absent files read as v1 and keep their bytes);
+ * JSONL stream headers (core/sim/result_sink.hh) carry the binary's
+ * version unconditionally.
  */
 inline constexpr int kResultSchemaVersion = 3;
 
@@ -346,12 +341,29 @@ int resultSchemaVersionOf(const Json &doc, const std::string &where,
                           int max_version = kResultSchemaVersion);
 
 /**
- * Serialize results. @p traces includes the full temperature/power
- * traces (large); otherwise only scalar aggregates are emitted.
+ * The result codec: one table in scenario.cc declares each SimResult
+ * member's JSON key, codec, version, and whether it is written only when
+ * non-empty; the writers, the readers and the version stamp iterate it.
+ * @p traces includes the full traces (large).
  */
 Json toJson(const SimResult &r, bool traces = false);
-Json toJson(const SuiteResults &r, bool traces = false);
 Json toJson(const ScenarioResults &r, bool traces = false);
+
+/**
+ * Inverse of toJson(SimResult). FatalError, prefixed with @p where, on
+ * a wrong type, a missing required member or one the table lacks; the
+ * per-DIMM arrays, v2/v3 members and traces may be absent (empty).
+ * @p traces, when set, says whether `traces` must be present.
+ */
+SimResult simResultFromJson(const Json &j, const std::string &where,
+                            std::optional<bool> traces = std::nullopt);
+
+/** Inverse of toJson(ScenarioResults), after the version check. */
+ScenarioResults scenarioResultsFromJson(const Json &doc,
+                                        const std::string &where);
+
+/** JSON keys of a result object, in the order toJson() writes them. */
+const std::vector<std::string> &resultMemberKeys();
 
 } // namespace memtherm
 

@@ -6,6 +6,7 @@
 #ifndef MEMTHERM_CORE_SIM_SIM_RESULT_HH
 #define MEMTHERM_CORE_SIM_SIM_RESULT_HH
 
+#include <cstddef>
 #include <string>
 #include <vector>
 
@@ -52,22 +53,18 @@ struct SimResult
 
     /// Per-DIMM refresh accounting on the representative channel, same
     /// indexing, sized only when the run's refresh model is active
-    /// (SimConfig::refresh non-empty; both stay empty otherwise so the
-    /// serialized member set — and every pre-refresh golden — is
-    /// unchanged). Bandwidth loss is the sustainable-bandwidth
-    /// capability refresh consumed on that DIMM's share of traffic,
-    /// integrated over the run (GB); energy is the band's refresh power
-    /// folded over the run (J).
+    /// (SimConfig::refresh non-empty). Bandwidth loss is the
+    /// sustainable-bandwidth capability refresh consumed on that DIMM's
+    /// share of traffic, integrated over the run (GB); energy is the
+    /// band's refresh power folded over the run (J).
     std::vector<double> refreshBwLossPerDimm;
     std::vector<Joules> refreshEnergyPerDimm;
 
     /// Per-bank peak DRAM temperatures on the representative channel:
-    /// bankGridX * bankGridZ cells per DIMM, row-major by DIMM (DIMM 0's
-    /// cells first, cell (ix, iz) at iz * bankGridX + ix), sized only
-    /// when the run's bank-grid thermal model is active
-    /// (SimConfig::bankGrid set; empty otherwise so the serialized
-    /// member set — and every pre-grid golden — is unchanged). These
-    /// are the schema v3 result fields.
+    /// bankCells() cells per DIMM, row-major by DIMM (DIMM 0's cells
+    /// first, cell (ix, iz) at iz * bankGridX + ix), sized only when the
+    /// run's bank-grid thermal model is active (SimConfig::bankGrid
+    /// set).
     int bankGridX = 0;
     int bankGridZ = 0;
     std::vector<Celsius> peakBankDramPerDimm;
@@ -78,6 +75,12 @@ struct SimResult
     TimeSeries cpuPowerTrace{1.0}; ///< CPU power over time
     TimeSeries bwTrace{1.0};       ///< achieved memory throughput over time
 
+    /** Bank-grid cells per DIMM. */
+    std::size_t bankCells() const
+    {
+        return static_cast<std::size_t>(bankGridX) *
+               static_cast<std::size_t>(bankGridZ);
+    }
     /** Total memory traffic in GB. */
     double totalTrafficGB() const { return totalReadGB + totalWriteGB; }
     /** Mean CPU power over the run. */

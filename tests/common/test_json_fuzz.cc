@@ -1,14 +1,19 @@
 /**
  * @file
- * Seeded fuzz harness for the JSON layer and the scenario-spec
- * serialization:
+ * Seeded fuzz harness for the JSON layer, the scenario-spec
+ * serialization and the result readers:
  *
  *  - a random-spec generator drives toJson -> dump -> parse -> fromJson
  *    -> toJson round-trips that must be byte-identical;
  *  - truncated and mutated documents must produce FatalError with
  *    line:col context (json.cc's `at line L:C` suffix), never a crash
  *    or misparse — the CI sanitizer job runs this suite under
- *    ASan+UBSan with MEMTHERM_FUZZ_CASES=10000.
+ *    ASan+UBSan with MEMTHERM_FUZZ_CASES=10000;
+ *  - random SimResults and result documents round-trip through the
+ *    result codec byte-identically;
+ *  - a real stream, mutated record by record, and a mutated results
+ *    document reach scanStream, mergeStreams and the document decoder,
+ *    which may refuse them only with FatalError.
  *
  * The case count defaults to ~1000 and scales with the
  * MEMTHERM_FUZZ_CASES environment variable; every case derives from the
@@ -18,6 +23,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <fstream>
+#include <limits>
 #include <string>
 #include <vector>
 
@@ -25,6 +32,7 @@
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "core/sim/registry.hh"
+#include "core/sim/result_sink.hh"
 #include "core/sim/scenario.hh"
 
 namespace memtherm
@@ -384,6 +392,250 @@ TEST(JsonFuzz, GarbageCorpusRegressions)
         EXPECT_NE(what.find("nesting deeper than"), std::string::npos)
             << what;
         EXPECT_NE(what.find(" at line "), std::string::npos) << what;
+    }
+}
+
+/** An ordinary, extreme, subnormal or integral double, or -0. */
+double
+randomDouble(Rng &rng)
+{
+    constexpr double max = std::numeric_limits<double>::max();
+    switch (rng.below(6)) {
+      case 0:
+        return -0.0;
+      case 1:
+        return rng.uniform() < 0.5 ? max : -max;
+      case 2:
+        return std::numeric_limits<double>::denorm_min() *
+               static_cast<double>(1 + rng.below(1000));
+      case 3:
+        return static_cast<double>(rng.next() >> 11); // within 2^53
+      case 4:
+        return rng.uniform(-1e300, 1e300);
+      default:
+        return rng.uniform(-200.0, 200.0);
+    }
+}
+
+std::vector<double>
+randomDoubles(Rng &rng, std::size_t n)
+{
+    std::vector<double> out;
+    for (std::size_t i = 0; i < n; ++i)
+        out.push_back(randomDouble(rng));
+    return out;
+}
+
+/** A SimResult with or without refresh arrays, a bank grid and traces. */
+SimResult
+randomResult(Rng &rng)
+{
+    SimResult r;
+    r.workload = randomString(rng, 12);
+    r.policy = randomString(rng, 12);
+    r.completed = rng.uniform() < 0.5;
+    for (double *v : {&r.runningTime, &r.totalInstr, &r.totalReadGB,
+                      &r.totalWriteGB, &r.totalL2Misses, &r.memEnergy,
+                      &r.cpuEnergy, &r.maxAmb, &r.maxDram,
+                      &r.timeAboveAmbTdp, &r.timeAboveDramTdp})
+        *v = randomDouble(rng);
+    const std::size_t dimms = 1 + rng.below(8);
+    r.peakAmbPerDimm = randomDoubles(rng, dimms);
+    r.peakDramPerDimm = randomDoubles(rng, dimms);
+    r.avgPowerPerDimm = randomDoubles(rng, dimms);
+    if (rng.uniform() < 0.5) {
+        r.refreshBwLossPerDimm = randomDoubles(rng, dimms);
+        r.refreshEnergyPerDimm = randomDoubles(rng, dimms);
+    }
+    if (rng.uniform() < 0.5) {
+        r.bankGridX = 1 + static_cast<int>(rng.below(4));
+        r.bankGridZ = 1 + static_cast<int>(rng.below(4));
+        r.peakBankDramPerDimm = randomDoubles(rng, dimms * r.bankCells());
+    }
+    for (TimeSeries *t : {&r.ambTrace, &r.dramTrace, &r.inletTrace,
+                          &r.cpuPowerTrace, &r.bwTrace}) {
+        *t = TimeSeries(rng.uniform() < 0.2
+                            ? std::numeric_limits<double>::denorm_min()
+                            : rng.uniform(1e-3, 10.0));
+        for (double v : randomDoubles(rng, rng.below(6)))
+            t->add(v);
+    }
+    return r;
+}
+
+TEST(ResultCodecFuzz, RandomResultsRoundTripByteIdentically)
+{
+    const std::size_t cases = fuzzCases();
+    Rng seed_stream(0xc0dec0deULL);
+    for (std::size_t i = 0; i < cases; ++i) {
+        Rng rng(seed_stream.next());
+        const bool traces = rng.uniform() < 0.5;
+        const SimResult r = randomResult(rng);
+        const std::string once = toJson(r, traces).dump(0);
+        try {
+            const SimResult back =
+                simResultFromJson(Json::parse(once), "result", traces);
+            EXPECT_EQ(toJson(back, traces).dump(0), once) << "case " << i;
+        } catch (const FatalError &e) {
+            FAIL() << "case " << i << ": " << e.what() << "\n" << once;
+        }
+
+        // And as a document: points, suites, errors, the version stamp.
+        ScenarioResults doc;
+        doc.scenario = randomString(rng, 12);
+        for (std::size_t p = 1 + rng.below(2); p > 0; --p) {
+            ScenarioResults::Point &pt = doc.points.emplace_back();
+            pt.label = randomString(rng, 12);
+            for (std::size_t k = rng.below(3); k > 0; --k)
+                pt.suite[randomString(rng, 4)][randomString(rng, 4)] =
+                    randomResult(rng);
+        }
+        if (rng.uniform() < 0.3)
+            doc.errors.push_back({rng.below(1ULL << 53), "p", "W1",
+                                  "No-limit", randomString(rng, 20)});
+        const std::string text = toJson(doc, traces).dump(2);
+        EXPECT_EQ(toJson(scenarioResultsFromJson(Json::parse(text), "doc"),
+                         traces)
+                      .dump(2),
+                  text)
+            << "case " << i;
+    }
+}
+
+/** A value of another kind, or a number no reader should trust. */
+Json
+hostileValue(Rng &rng)
+{
+    static const double numbers[] = {1e15,  1e300, -1e300, -1.0,
+                                     0.5,   1.5,   -0.0,   4294967297.0,
+                                     2e6,   0.0,   1024.0, 9007199254740994.0};
+    switch (rng.below(7)) {
+      case 0:
+        return Json();
+      case 1:
+        return Json(rng.uniform() < 0.5);
+      case 2:
+        return Json(randomString(rng, 6));
+      case 3:
+        return Json::array();
+      case 4:
+        return Json::object();
+      default:
+        return Json(numbers[rng.below(std::size(numbers))]);
+    }
+}
+
+/**
+ * @p j with one node changed: a member dropped, an unknown member
+ * added, or a value (at any depth) flipped to a hostile one.
+ */
+Json
+mutateJson(const Json &j, Rng &rng)
+{
+    const bool object = j.isObject() && !j.asObject().empty();
+    const bool array = j.isArray() && !j.asArray().empty();
+    if ((!object && !array) || rng.uniform() < 0.25)
+        return hostileValue(rng);
+    const std::size_t n = object ? j.asObject().size() : j.asArray().size();
+    const std::size_t at = rng.below(n);
+    const std::size_t op = rng.below(4); // 0 drop, 1 add, else descend
+    Json out = object ? Json::object() : Json::array();
+    for (std::size_t i = 0; i < n; ++i) {
+        const Json &v = object ? j.asObject()[i].second : j.asArray()[i];
+        const Json value = i == at && op > 1 ? mutateJson(v, rng) : v;
+        if (i == at && op == 0)
+            continue;
+        if (object)
+            out.set(j.asObject()[i].first, value);
+        else
+            out.push(value);
+        if (i == at && op == 1 && object)
+            out.set("unknown_" + randomString(rng, 4), hostileValue(rng));
+    }
+    return out;
+}
+
+/**
+ * Run @p f; it may refuse its input only with a FatalError. A
+ * PanicError (our bug reached from user input), std::bad_alloc or any
+ * other exception fails the case.
+ */
+template <typename F>
+void
+expectOnlyFatal(std::size_t i, const char *what, F &&f)
+{
+    try {
+        f();
+    } catch (const FatalError &) {
+    } catch (const std::exception &e) {
+        ADD_FAILURE() << "case " << i << ": " << what
+                      << " escaped a non-fatal error: " << e.what();
+    }
+}
+
+TEST(ResultCodecFuzz, MutatedStreamsAndDocumentsFailOnlyFatally)
+{
+    // A real two-run stream whose records carry every result member:
+    // refresh arrays, bank-grid peaks and (every other case) traces.
+    ScenarioSpec spec;
+    spec.name = "fuzz_stream";
+    spec.copiesPerApp = 1;
+    spec.maxSimTime = 20.0;
+    spec.refresh.name = "ddr2_2x";
+    spec.thermalModel.name = "bank_grid";
+    spec.workloads = {"W1"};
+    spec.policies = {"No-limit", "DTM-TS"};
+    ExperimentEngine engine(1);
+    std::vector<std::string> base[2];
+    for (const bool traces : {false, true}) {
+        StreamRunOptions opts;
+        opts.path = ::testing::TempDir() + "memtherm_fuzz_base" +
+                    std::to_string(traces) + ".jsonl";
+        std::remove(opts.path.c_str());
+        opts.traces = traces;
+        runScenarioStream(spec, engine, opts);
+        std::ifstream in(opts.path);
+        for (std::string line; std::getline(in, line);)
+            base[traces].push_back(line);
+        ASSERT_EQ(base[traces].size(), 3u);
+    }
+    const Json doc = mergeStreams({::testing::TempDir() +
+                                   "memtherm_fuzz_base1.jsonl"})
+                         .results;
+    const std::string path = ::testing::TempDir() + "memtherm_fuzz.jsonl";
+
+    const std::size_t cases = fuzzCases();
+    Rng seed_stream(0x5ca77e57ULL);
+    for (std::size_t i = 0; i < cases; ++i) {
+        Rng rng(seed_stream.next());
+        std::vector<std::string> lines = base[i % 2];
+        std::string &line = lines[rng.below(lines.size())];
+        bool torn = false;
+        switch (rng.below(4)) {
+          case 0: // truncated: mid-file damage, or a crash tail
+            line.resize(rng.below(line.size()));
+            torn = &line == &lines.back() && rng.uniform() < 0.5;
+            break;
+          case 1: // the header's traces flag against the records'
+            lines[0] = Json::parse(lines[0])
+                           .set("traces", Json(i % 2 == 0))
+                           .dump(0);
+            break;
+          default: // a member flipped, dropped, added, or out of range
+            line = mutateJson(Json::parse(line), rng).dump(0);
+        }
+        {
+            std::ofstream out(path, std::ios::binary | std::ios::trunc);
+            for (std::size_t k = 0; k < lines.size(); ++k)
+                out << lines[k] << (torn && k + 1 == lines.size() ? "" : "\n");
+        }
+        expectOnlyFatal(i, "scanStream", [&] { scanStream(path, true); });
+        expectOnlyFatal(i, "scanStream (ids)",
+                        [&] { scanStream(path, false); });
+        expectOnlyFatal(i, "mergeStreams", [&] { mergeStreams({path}); });
+        expectOnlyFatal(i, "scenarioResultsFromJson", [&] {
+            scenarioResultsFromJson(mutateJson(doc, rng), "doc");
+        });
     }
 }
 

@@ -2,11 +2,11 @@
  * @file
  * Doc-drift guard: the reference manual under docs/ must track the code.
  *
- * Every name a registry catalog exposes has to appear in
- * docs/scenarios.md, and docs/cli.md has to cover every `memtherm`
- * subcommand and every `memtherm list` catalog keyword — so a new
- * catalog entry or subcommand cannot land undocumented. README.md must
- * keep linking into docs/.
+ * Every name a registry catalog exposes, and every result member, has
+ * to appear in docs/scenarios.md, and docs/cli.md has to cover every
+ * `memtherm` subcommand and every `memtherm list` catalog keyword — so
+ * a new catalog entry, result member or subcommand cannot land
+ * undocumented. README.md must keep linking into docs/.
  */
 
 #include <gtest/gtest.h>
@@ -77,6 +77,22 @@ TEST(DocsReference, ScenariosManualCoversEverySweepAxisAndKnob)
     for (const std::string &key : keys) {
         EXPECT_NE(doc.find(key), std::string::npos)
             << "docs/scenarios.md does not mention member '" << key << "'";
+    }
+}
+
+TEST(DocsReference, ScenariosManualCoversEveryResultMember)
+{
+    // Every key of the result table, in the Results section proper.
+    const std::string doc = readFile("docs/scenarios.md");
+    const std::size_t begin = doc.find("\n## Results");
+    ASSERT_NE(begin, std::string::npos);
+    const std::string results =
+        doc.substr(begin, doc.find("\n## ", begin + 1) - begin);
+    for (const std::string &key : resultMemberKeys()) {
+        EXPECT_NE(results.find("`" + key + "`"), std::string::npos)
+            << "docs/scenarios.md's Results section does not mention "
+               "result member '"
+            << key << "'";
     }
 }
 

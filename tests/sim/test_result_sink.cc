@@ -3,15 +3,18 @@
  * Tests for the crash-safe streaming layer: spec hashing, shard
  * arithmetic, JSONL write/scan round-trips, checkpoint/resume (including
  * torn-tail recovery and spec-drift rejection), shard merging
- * bit-identity, per-run fault injection, and the bounded-memory report
- * aggregator's order invariance.
+ * bit-identity, per-run fault injection, the bounded-memory report
+ * aggregator's order invariance, and the result codec's readers (stream
+ * headers, result payloads, committed goldens).
  */
 
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 #include <fstream>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -858,6 +861,225 @@ TEST(ResultSchema, DocumentsStampTheMinimumVersionTheyNeed)
     const Json *v3 = doc3.find("schema_version");
     ASSERT_NE(v3, nullptr);
     EXPECT_EQ(static_cast<int>(v3->asNumber()), kResultSchemaVersion);
+}
+
+/** The lines of a stream file, without their newlines. */
+std::vector<std::string>
+readLines(const std::string &path)
+{
+    std::vector<std::string> lines;
+    std::ifstream in(path);
+    for (std::string line; std::getline(in, line);)
+        lines.push_back(line);
+    return lines;
+}
+
+/** Write @p lines (each newline-terminated) to a fresh file @p name. */
+std::string
+writeLines(const std::string &name, const std::vector<std::string> &lines)
+{
+    const std::string path = tmpPath(name);
+    std::ofstream out(path, std::ios::binary);
+    for (const std::string &l : lines)
+        out << l << '\n';
+    return path;
+}
+
+/** A copy of object @p j with member @p key set to @p v. */
+Json
+withMember(const Json &j, const std::string &key, Json v)
+{
+    Json out = j;
+    out.set(key, std::move(v));
+    return out;
+}
+
+/** What @p f throws as a FatalError; fails the test when it throws none. */
+template <typename F>
+std::string
+fatalOf(F &&f)
+{
+    try {
+        f();
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+    ADD_FAILURE() << "expected a FatalError";
+    return "";
+}
+
+/** A real stream of tinySpec(): its header line, then four records. */
+std::vector<std::string>
+tinyStreamLines(const std::string &name, bool traces = false)
+{
+    ExperimentEngine engine(2);
+    StreamRunOptions opts;
+    opts.path = tmpPath(name);
+    opts.traces = traces;
+    runScenarioStream(tinySpec(), engine, opts);
+    return readLines(opts.path);
+}
+
+TEST(ResultStream, HeaderRunCountIsCheckedBeforeMergeSizesAnything)
+{
+    // A header-only stream claiming 10^15 runs: merge used to size its
+    // per-index table from the header before the embedded spec could
+    // vouch for the count, and died of std::bad_alloc.
+    const Json hdr = Json::parse(tinyStreamLines("huge_src.jsonl")[0]);
+    const std::string path = writeLines(
+        "huge.jsonl", {withMember(hdr, "total_runs", 1e15).dump(0)});
+    const std::string what = fatalOf([&] { mergeStreams({path}); });
+    EXPECT_NE(what.find("'total_runs'"), std::string::npos) << what;
+}
+
+TEST(ResultStream, FractionalFormatIsRefused)
+{
+    const Json hdr = Json::parse(tinyStreamLines("frac_src.jsonl")[0]);
+    const std::string path = writeLines(
+        "frac.jsonl", {withMember(hdr, "format", 1.5).dump(0)});
+    const std::string what = fatalOf([&] { scanStream(path); });
+    EXPECT_NE(what.find("'format'"), std::string::npos) << what;
+}
+
+TEST(ResultStream, OutOfIntRangeFormatIsReportedUnwrapped)
+{
+    // 2^32 + 1 used to be cast to int before the comparison (undefined
+    // behavior; it printed as a negative format).
+    const Json hdr = Json::parse(tinyStreamLines("wide_src.jsonl")[0]);
+    const std::string path = writeLines(
+        "wide.jsonl", {withMember(hdr, "format", 4294967297.0).dump(0)});
+    const std::string what = fatalOf([&] { scanStream(path); });
+    EXPECT_NE(what.find("'format'"), std::string::npos) << what;
+    EXPECT_NE(what.find("4294967297"), std::string::npos) << what;
+}
+
+TEST(ResultStream, ShardHeaderMustBeAValidSlice)
+{
+    const Json hdr = Json::parse(tinyStreamLines("shard_src.jsonl")[0]);
+    for (const auto &[index, count] :
+         std::vector<std::pair<double, double>>{
+             {0, 3}, {4, 3}, {1, 2e6}, {1.5, 3}, {-1, 3}, {1, 1e300}}) {
+        Json sh = Json::object();
+        sh.set("index", index);
+        sh.set("count", count);
+        const std::string path = writeLines(
+            "shard.jsonl", {withMember(hdr, "shard", sh).dump(0)});
+        const std::string what = fatalOf([&] { scanStream(path); });
+        EXPECT_NE(what.find("line 1"), std::string::npos) << what;
+    }
+}
+
+TEST(ResultStream, MalformedResultPayloadFailsAtItsOwnLine)
+{
+    std::vector<std::string> lines = tinyStreamLines("payload_src.jsonl");
+    ASSERT_EQ(lines.size(), 5u);
+    const Json rec = Json::parse(lines[2]);
+    const Json res = rec.at("result");
+
+    const auto scanWith = [&](const Json &bad) {
+        std::vector<std::string> copy = lines;
+        copy[2] = withMember(rec, "result", bad).dump(0);
+        const std::string path = writeLines("payload.jsonl", copy);
+        return fatalOf([&] { scanStream(path); });
+    };
+    // A wrong type, an unknown member, a missing member, a trace the
+    // header did not announce, per-bank peaks without their grid.
+    std::string what = scanWith(withMember(res, "max_amb_c", "hot"));
+    EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+    EXPECT_NE(what.find("'max_amb_c'"), std::string::npos) << what;
+    what = scanWith(withMember(res, "max_amb", 1.0));
+    EXPECT_NE(what.find("unknown member 'max_amb'"), std::string::npos)
+        << what;
+    Json missing = Json::object();
+    for (const auto &[k, v] : res.asObject())
+        if (k != "completed")
+            missing.set(k, v);
+    what = scanWith(missing);
+    EXPECT_NE(what.find("'completed'"), std::string::npos) << what;
+    what = scanWith(withMember(res, "traces", Json::object()));
+    EXPECT_NE(what.find("'traces'"), std::string::npos) << what;
+    Json rows = Json::array();
+    rows.push(Json::array().push(40.0));
+    what = scanWith(withMember(res, "peak_bank_dram_c", rows));
+    EXPECT_NE(what.find("'bank_grid'"), std::string::npos) << what;
+
+    // Resume reads identities only and never decodes the payload.
+    std::vector<std::string> copy = lines;
+    copy[2] = withMember(rec, "result",
+                         withMember(res, "max_amb_c", "hot")).dump(0);
+    EXPECT_EQ(scanStream(writeLines("ids.jsonl", copy), false)
+                  .records.size(),
+              4u);
+}
+
+TEST(ResultStream, RecordTracesMustMatchTheHeaderFlag)
+{
+    std::vector<std::string> lines =
+        tinyStreamLines("traced_src.jsonl", /*traces=*/true);
+    ASSERT_EQ(lines.size(), 5u);
+    const StreamScan scan = scanStream(writeLines("traced.jsonl", lines));
+    EXPECT_FALSE(scan.records[0].result.ambTrace.empty());
+
+    // The header turns traces off; the records still carry them.
+    lines[0] =
+        withMember(Json::parse(lines[0]), "traces", Json(false)).dump(0);
+    const std::string what =
+        fatalOf([&] { scanStream(writeLines("untraced.jsonl", lines)); });
+    EXPECT_NE(what.find("line 2"), std::string::npos) << what;
+    EXPECT_NE(what.find("'traces'"), std::string::npos) << what;
+}
+
+TEST(ResultSchema, GoldensDecodeAndReencodeToTheirOwnBytes)
+{
+    namespace fs = std::filesystem;
+    std::size_t goldens = 0;
+    for (const auto &entry :
+         fs::directory_iterator(fs::path(MEMTHERM_SOURCE_DIR) / "tests" /
+                                "data")) {
+        const std::string name = entry.path().filename().string();
+        if (!name.ends_with(".golden.json"))
+            continue;
+        ++goldens;
+        std::ifstream in(entry.path(), std::ios::binary);
+        std::ostringstream text;
+        text << in.rdbuf();
+        const ScenarioResults results =
+            scenarioResultsFromJson(Json::parse(text.str()), name);
+        EXPECT_EQ(toJson(results).dump(2), text.str()) << name;
+    }
+    EXPECT_GE(goldens, 11u) << "the committed goldens were not found";
+}
+
+TEST(ResultSchema, DocumentDecoderNamesWhatIsWrong)
+{
+    ScenarioSpec spec = tinySpec();
+    ExperimentEngine engine(2);
+    const Json doc = toJson(runScenario(spec, engine));
+    const ScenarioResults back = scenarioResultsFromJson(doc, "'doc'");
+    EXPECT_TRUE(toJson(back) == doc);
+
+    EXPECT_NE(fatalOf([&] {
+                  scenarioResultsFromJson(Json::object(), "'doc'");
+              }).find("does not look like memtherm results"),
+              std::string::npos);
+    EXPECT_NE(fatalOf([&] {
+                  scenarioResultsFromJson(withMember(doc, "extra", 1),
+                                          "'doc'");
+              }).find("unknown member 'extra'"),
+              std::string::npos);
+    Json err = Json::object();
+    err.set("index", -1);
+    err.set("point", "p");
+    err.set("workload", "W1");
+    err.set("policy", "No-limit");
+    err.set("error", "boom");
+    Json errs = Json::array();
+    errs.push(err);
+    const std::string what = fatalOf([&] {
+        scenarioResultsFromJson(withMember(doc, "errors", errs), "'doc'");
+    });
+    EXPECT_NE(what.find("errors[0]"), std::string::npos) << what;
+    EXPECT_NE(what.find("'index'"), std::string::npos) << what;
 }
 
 } // namespace

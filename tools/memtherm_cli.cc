@@ -45,6 +45,7 @@
 #include <optional>
 #include <sstream>
 #include <string>
+#include <tuple>
 #include <vector>
 
 #include "common/fs_util.hh"
@@ -96,8 +97,8 @@ usage(std::ostream &os, int rc)
           "                       with --stream, --shard and --resume)\n"
           "      --golden <file>  compare results against a reference\n"
           "                       results JSON; nonzero exit on mismatch\n"
-          "      --tol <x>        relative tolerance for --golden\n"
-          "                       (default 1e-9)\n"
+          "      --tol <x>        relative tolerance for --golden, a\n"
+          "                       finite number >= 0 (default 1e-9)\n"
           "      --quiet          suppress the summary table\n"
           "  memtherm merge <stream.jsonl>... [options]\n"
           "      -o <file>        write the combined results as JSON\n"
@@ -105,8 +106,8 @@ usage(std::ostream &os, int rc)
           "                       unsharded `memtherm run -o`)\n"
           "      --golden <file>  compare combined results against a\n"
           "                       reference results JSON\n"
-          "      --tol <x>        relative tolerance for --golden\n"
-          "                       (default 1e-9)\n"
+          "      --tol <x>        relative tolerance for --golden, a\n"
+          "                       finite number >= 0 (default 1e-9)\n"
           "      --quiet          suppress the merge summary\n"
           "  memtherm report <results.json|stream.jsonl>... [options]\n"
           "      --baseline <p>   normalization baseline policy (default:\n"
@@ -169,6 +170,16 @@ parseNumber(const std::string &cmd, const char *opt, const std::string &v)
     if (used != v.size())
         fatal(cmd + ": " + opt + " needs a number, got '" + v + "'");
     return x;
+}
+
+/** The --tol argument of @p cmd: a finite number >= 0. */
+double
+parseTol(const std::string &cmd, const std::string &v)
+{
+    const double tol = parseNumber(cmd, "--tol", v);
+    if (!(std::isfinite(tol) && tol >= 0.0))
+        fatal(cmd + ": --tol needs a finite number >= 0, got '" + v + "'");
+    return tol;
 }
 
 int
@@ -442,37 +453,17 @@ looksLikeStream(const std::string &path)
            line.find("\"type\":\"header\"") != std::string::npos;
 }
 
-/** One run row extracted from a results JSON. */
-struct ReportRow
+/** Per DIMM, the hottest of its bank-grid cells; empty without a grid. */
+std::vector<double>
+bankPeakMax(const SimResult &r)
 {
-    std::string workload;
-    std::string policy;
-    bool completed = false;
-    double time = 0.0;
-    double maxAmb = 0.0;
-    double maxDram = 0.0;
-    double norm = NAN; ///< time / baseline time; NaN when no baseline
-    /// Per-DIMM peaks and average power (index 0 nearest the
-    /// controller); empty when the results file predates per-DIMM
-    /// reporting.
-    std::vector<double> peakAmb;
-    std::vector<double> peakDram;
-    std::vector<double> avgPower;
-    /// Per-DIMM refresh feedback (schema v2); empty for runs without a
-    /// refresh model and for legacy results files.
-    std::vector<double> refreshBw;
-    std::vector<double> refreshEnergy;
-    /// Per-DIMM maximum over the bank-grid cells (schema v3); empty for
-    /// lumped-model runs and for older results files.
-    std::vector<double> peakBankMax;
-};
-
-/** One sweep point of a results file. */
-struct ReportPoint
-{
-    std::string label;
-    std::vector<ReportRow> rows;
-};
+    const auto &cells = r.peakBankDramPerDimm;
+    const std::size_t n = r.bankCells();
+    std::vector<double> out;
+    for (auto it = cells.begin(); it != cells.end(); it += n)
+        out.push_back(*std::max_element(it, it + n));
+    return out;
+}
 
 /** Split a sweep-point label ("cooling=X,inlet=46") into coordinates. */
 std::vector<std::pair<std::string, std::string>>
@@ -549,114 +540,39 @@ cmdReport(const std::vector<std::string> &args)
     // merge path, so a report over shards or a resumed stream shows
     // exactly what the merged results JSON would. Plain results files
     // come one at a time; streams may come in any number.
-    Json doc;
-    bool anyStream = false;
+    const bool anyStream =
+        std::any_of(inputs.begin(), inputs.end(), looksLikeStream);
     for (const auto &p : inputs)
-        anyStream |= looksLikeStream(p);
-    if (anyStream) {
-        for (const auto &p : inputs) {
-            if (!looksLikeStream(p)) {
-                fatal("memtherm report: cannot mix results JSON ('" + p +
-                      "') with JSONL streams in one report");
-            }
-        }
-        doc = mergeStreams(inputs).results;
-    } else {
-        if (inputs.size() > 1) {
-            fatal("memtherm report: more than one results file given "
-                  "(multiple inputs are only supported for JSONL "
-                  "streams)");
-        }
-        doc = Json::load(results_path);
+        if (anyStream && !looksLikeStream(p))
+            fatal("memtherm report: cannot mix results JSON ('" + p +
+                  "') with JSONL streams in one report");
+    if (!anyStream && inputs.size() > 1) {
+        fatal("memtherm report: more than one results file given "
+              "(multiple inputs are only supported for JSONL streams)");
     }
-    if (!doc.isObject() || !doc.find("points")) {
-        fatal("memtherm report: '" + results_path +
-              "' does not look like memtherm results (expected an object "
-              "with a 'points' array; produce one with `memtherm run -o`)");
-    }
-    // Version-absent files are legacy (v1) and read unchanged; a
-    // document from a newer binary is refused rather than misread.
-    (void)resultSchemaVersionOf(doc, "memtherm report: '" + results_path +
-                                         "'");
-    const std::string scenario =
-        doc.find("scenario") ? doc.at("scenario").asString() : "(unnamed)";
-    if (!doc.at("points").isArray())
-        fatal("memtherm report: 'points' must be an array");
-
-    std::vector<ReportPoint> points;
-    for (const Json &pj : doc.at("points").asArray()) {
-        ReportPoint pd;
-        pd.label = pj.at("label").asString();
-        const Json &res = pj.at("results");
-        if (!res.isObject())
-            fatal("memtherm report: point 'results' must be an object");
-        for (const auto &[w, per_policy] : res.asObject()) {
-            if (!per_policy.isObject() || per_policy.asObject().empty()) {
-                fatal("memtherm report: results of workload '" + w +
-                      "' must be a non-empty object");
-            }
-            for (const auto &[p, rj] : per_policy.asObject()) {
-                ReportRow row;
-                row.workload = w;
-                row.policy = p;
-                row.completed = rj.at("completed").asBool();
-                row.time = rj.at("running_time_s").asNumber();
-                row.maxAmb = rj.at("max_amb_c").asNumber();
-                row.maxDram = rj.at("max_dram_c").asNumber();
-                auto peakList = [&](const char *key,
-                                    std::vector<double> &out) {
-                    const Json *a = rj.find(key);
-                    if (!a || !a->isArray())
-                        return;
-                    for (const Json &v : a->asArray())
-                        out.push_back(v.asNumber());
-                };
-                peakList("peak_amb_per_dimm_c", row.peakAmb);
-                peakList("peak_dram_per_dimm_c", row.peakDram);
-                peakList("avg_power_per_dimm_w", row.avgPower);
-                peakList("refresh_bw_loss_per_dimm_gb", row.refreshBw);
-                peakList("refresh_energy_per_dimm_j", row.refreshEnergy);
-                // Schema v3 per-bank peaks: one inner array of cells per
-                // DIMM; the CSV carries each DIMM's hottest cell.
-                if (const Json *pb = rj.find("peak_bank_dram_c")) {
-                    if (pb->isArray()) {
-                        for (const Json &dimm : pb->asArray()) {
-                            if (!dimm.isArray() ||
-                                dimm.asArray().empty())
-                                continue;
-                            double mx = dimm.asArray()[0].asNumber();
-                            for (const Json &c : dimm.asArray())
-                                mx = std::max(mx, c.asNumber());
-                            row.peakBankMax.push_back(mx);
-                        }
-                    }
-                }
-                pd.rows.push_back(std::move(row));
-            }
-        }
-        points.push_back(std::move(pd));
-    }
+    const ScenarioResults results = scenarioResultsFromJson(
+        anyStream ? mergeStreams(inputs).results : Json::load(results_path),
+        "memtherm report: '" + results_path + "'");
+    const std::string &scenario = results.scenario;
 
     // Failed runs travel with the results ('errors', emitted by run and
     // merge); a summary that silently ignored them would read as a
     // clean grid.
-    if (const Json *errs = doc.find("errors")) {
-        if (errs->isArray() && !errs->asArray().empty()) {
-            std::cerr << "memtherm report: note: "
-                      << errs->asArray().size()
-                      << " failed run(s) recorded in these results (their "
-                         "cells are absent from the tables)\n";
-        }
+    if (!results.errors.empty()) {
+        std::cerr << "memtherm report: note: " << results.errors.size()
+                  << " failed run(s) recorded in these results (their "
+                     "cells are absent from the tables)\n";
     }
 
     // The normalization baseline, resolved once for the rows, the sweep
     // summary and every header: --baseline, else No-limit when any run
     // has it, else the first policy in the results.
     std::vector<std::string> seen; // policies, first-seen order
-    for (const auto &pd : points)
-        for (const auto &r : pd.rows)
-            if (std::find(seen.begin(), seen.end(), r.policy) == seen.end())
-                seen.push_back(r.policy);
+    for (const auto &pt : results.points)
+        for (const auto &[w, group] : pt.suite)
+            for (const auto &[p, r] : group)
+                if (std::find(seen.begin(), seen.end(), p) == seen.end())
+                    seen.push_back(p);
     const auto present = [&](const std::string &p) {
         return std::find(seen.begin(), seen.end(), p) != seen.end();
     };
@@ -671,35 +587,37 @@ cmdReport(const std::vector<std::string> &args)
               "' does not appear in the results (valid: " +
               joinNames(seen) + ")");
     }
-    // Normalize within each (point, workload) group. An incomplete
-    // baseline run's time is the simulation cap, not a running time —
-    // normalizing against it would report garbage, so the column stays
-    // empty then, as it does for a group without a baseline run.
-    for (auto &pd : points) {
-        std::map<std::string, double> base_time;
-        for (const auto &r : pd.rows)
-            if (r.policy == base && r.completed && r.time > 0.0)
-                base_time[r.workload] = r.time;
-        for (auto &r : pd.rows)
-            if (auto it = base_time.find(r.workload); it != base_time.end())
-                r.norm = r.time / it->second;
-    }
+    // Running time over the baseline run's in the same (point, workload)
+    // group. An incomplete baseline run's time is the simulation cap,
+    // not a running time — normalizing against it would report garbage,
+    // so the column stays empty then, as it does for a group without a
+    // baseline run.
+    const auto norm = [&](const SimResult &r, const auto &group) -> double {
+        const auto it = group.find(base);
+        if (it == group.end() || !it->second.completed ||
+            !(it->second.runningTime > 0.0))
+            return NAN;
+        return r.runningTime / it->second.runningTime;
+    };
 
     if (!quiet) {
         // Per-point detail: the Figures 4.5-4.8 view (running time
         // normalized to the baseline, plus the thermal peaks).
-        for (const auto &pd : points) {
-            Table t("scenario '" + scenario + "' — point " + pd.label,
+        for (const auto &pt : results.points) {
+            Table t("scenario '" + scenario + "' — point " + pt.label,
                     {"workload", "policy", "time s", "max AMB C",
                      "max DRAM C", "x " + base, "hottest_dimm",
                      "done"});
-            for (const auto &r : pd.rows) {
-                t.addRow({r.workload, r.policy, Table::num(r.time, 2),
-                          Table::num(r.maxAmb, 2), Table::num(r.maxDram, 2),
-                          std::isfinite(r.norm) ? Table::num(r.norm, 3)
-                                                : "-",
-                          hottestDimmLabel(r.peakAmb),
-                          r.completed ? "yes" : "NO"});
+            for (const auto &[w, group] : pt.suite) {
+                for (const auto &[p, r] : group) {
+                    const double x = norm(r, group);
+                    t.addRow({w, p, Table::num(r.runningTime, 2),
+                              Table::num(r.maxAmb, 2),
+                              Table::num(r.maxDram, 2),
+                              std::isfinite(x) ? Table::num(x, 3) : "-",
+                              hottestDimmLabel(r.peakAmbPerDimm),
+                              r.completed ? "yes" : "NO"});
+                }
             }
             t.print(std::cout);
         }
@@ -710,17 +628,18 @@ cmdReport(const std::vector<std::string> &args)
         // one run at a time) — the same machinery that can summarize a
         // grid far too large to hold as a result vector.
         OnlineAxisAggregator agg(base);
-        for (const auto &pd : points)
-            for (const auto &r : pd.rows)
-                agg.add(pd.label, r.workload, r.policy, r.completed,
-                        r.time, r.maxAmb, r.maxDram);
+        for (const auto &pt : results.points)
+            for (const auto &[w, group] : pt.suite)
+                for (const auto &[p, r] : group)
+                    agg.add(pt.label, w, p, r.completed, r.runningTime,
+                            r.maxAmb, r.maxDram);
         std::map<std::string, OnlineAxisAggregator::PointSummary> byLabel;
         for (const auto &ps : agg.summaries())
             byLabel.emplace(ps.label, ps);
 
         std::vector<std::string> keys;
-        for (const auto &pd : points)
-            for (const auto &[k, v] : labelCoords(pd.label))
+        for (const auto &pt : results.points)
+            for (const auto &[k, v] : labelCoords(pt.label))
                 if (std::find(keys.begin(), keys.end(), k) == keys.end())
                     keys.push_back(k);
         std::vector<std::string> headers =
@@ -729,12 +648,12 @@ cmdReport(const std::vector<std::string> &args)
                        {"runs", "incomplete", "max AMB C", "max DRAM C",
                         "mean x " + base});
         Table s("scenario '" + scenario + "' — sweep summary", headers);
-        for (const auto &pd : points) {
+        for (const auto &pt : results.points) {
             std::vector<std::string> row;
             if (keys.empty()) {
-                row.push_back(pd.label);
+                row.push_back(pt.label);
             } else {
-                const auto coords = labelCoords(pd.label);
+                const auto coords = labelCoords(pt.label);
                 for (const auto &k : keys) {
                     std::string v = "-";
                     for (const auto &[ck, cv] : coords)
@@ -743,7 +662,7 @@ cmdReport(const std::vector<std::string> &args)
                     row.push_back(v);
                 }
             }
-            const auto it = byLabel.find(pd.label);
+            const auto it = byLabel.find(pt.label);
             if (it == byLabel.end()) {
                 // A point with no rows never reached the aggregator.
                 row.insert(row.end(), {"0", "0", "-", "-", "-"});
@@ -766,70 +685,60 @@ cmdReport(const std::vector<std::string> &args)
         // Rendered in memory and written via atomicWriteFile, so a kill
         // mid-report never leaves a truncated CSV behind.
         std::ostringstream f;
-        // Per-DIMM columns cover the widest organization in the
-        // results (an org sweep mixes DIMM counts); runs with fewer
-        // DIMMs leave their trailing cells empty.
-        std::size_t max_dimms = 0;
-        // Refresh columns appear only when some run actually carried a
-        // refresh model, so refresh-free reports stay byte-identical to
-        // what older binaries wrote; the per-bank columns (schema v3)
-        // likewise appear only when a bank-grid run is present.
-        std::size_t max_refresh_dimms = 0;
-        std::size_t max_bank_dimms = 0;
-        for (const auto &pd : points) {
-            for (const auto &r : pd.rows) {
-                max_dimms = std::max(
-                    max_dimms, std::max(r.avgPower.size(),
-                                        std::max(r.peakAmb.size(),
-                                                 r.peakDram.size())));
-                max_refresh_dimms = std::max(
-                    max_refresh_dimms, std::max(r.refreshBw.size(),
-                                                r.refreshEnergy.size()));
-                max_bank_dimms =
-                    std::max(max_bank_dimms, r.peakBankMax.size());
-            }
-        }
+        // Per-DIMM column groups, "<name><d><unit>", each as wide as its
+        // family's widest vector among the runs. The per-DIMM arrays
+        // share one width, the widest organization (an org sweep mixes
+        // DIMM counts; shorter rows leave trailing cells empty). The
+        // refresh (schema v2) and per-bank (v3) groups appear only when
+        // some run carried that model, so reports without it keep the
+        // bytes older binaries wrote.
+        using Cells = std::vector<double> (*)(const SimResult &);
+        const std::tuple<const char *, const char *, int, Cells> groups[] = {
+            {"peak_amb_dimm", "_c", 0,
+             [](const SimResult &r) { return r.peakAmbPerDimm; }},
+            {"peak_dram_dimm", "_c", 0,
+             [](const SimResult &r) { return r.peakDramPerDimm; }},
+            {"avg_power_dimm", "_w", 0,
+             [](const SimResult &r) { return r.avgPowerPerDimm; }},
+            {"refresh_bw_loss_dimm", "_gb", 1,
+             [](const SimResult &r) { return r.refreshBwLossPerDimm; }},
+            {"refresh_energy_dimm", "_j", 1,
+             [](const SimResult &r) { return r.refreshEnergyPerDimm; }},
+            {"peak_bank_dimm", "_c", 2, bankPeakMax}};
+        std::size_t width[3] = {};
+        for (const auto &pt : results.points)
+            for (const auto &[w, group] : pt.suite)
+                for (const auto &[p, r] : group)
+                    for (const auto &[name, unit, family, cells] : groups)
+                        width[family] =
+                            std::max(width[family], cells(r).size());
         f << "scenario,point,workload,policy,completed,running_time_s,"
              "max_amb_c,max_dram_c,time_vs_base";
-        for (std::size_t d = 0; d < max_dimms; ++d)
-            f << ",peak_amb_dimm" << d << "_c";
-        for (std::size_t d = 0; d < max_dimms; ++d)
-            f << ",peak_dram_dimm" << d << "_c";
-        for (std::size_t d = 0; d < max_dimms; ++d)
-            f << ",avg_power_dimm" << d << "_w";
-        for (std::size_t d = 0; d < max_refresh_dimms; ++d)
-            f << ",refresh_bw_loss_dimm" << d << "_gb";
-        for (std::size_t d = 0; d < max_refresh_dimms; ++d)
-            f << ",refresh_energy_dimm" << d << "_j";
-        for (std::size_t d = 0; d < max_bank_dimms; ++d)
-            f << ",peak_bank_dimm" << d << "_c";
+        for (const auto &[name, unit, family, cells] : groups)
+            for (std::size_t d = 0; d < width[family]; ++d)
+                f << ',' << name << d << unit;
         f << '\n';
-        auto cells = [&](const std::vector<double> &vals,
-                         std::size_t width) {
-            for (std::size_t d = 0; d < width; ++d) {
-                f << ',';
-                if (d < vals.size())
-                    f << numForDiag(vals[d]);
-            }
-        };
-        auto peakCells = [&](const std::vector<double> &peaks) {
-            cells(peaks, max_dimms);
-        };
-        for (const auto &pd : points) {
-            for (const auto &r : pd.rows) {
-                f << csvField(scenario) << ',' << csvField(pd.label) << ','
-                  << csvField(r.workload) << ',' << csvField(r.policy)
-                  << ',' << (r.completed ? "true" : "false") << ','
-                  << numForDiag(r.time) << ',' << numForDiag(r.maxAmb)
-                  << ',' << numForDiag(r.maxDram) << ','
-                  << (std::isfinite(r.norm) ? numForDiag(r.norm) : "");
-                peakCells(r.peakAmb);
-                peakCells(r.peakDram);
-                peakCells(r.avgPower);
-                cells(r.refreshBw, max_refresh_dimms);
-                cells(r.refreshEnergy, max_refresh_dimms);
-                cells(r.peakBankMax, max_bank_dimms);
-                f << '\n';
+        for (const auto &pt : results.points) {
+            for (const auto &[w, group] : pt.suite) {
+                for (const auto &[p, r] : group) {
+                    const double x = norm(r, group);
+                    f << csvField(scenario) << ',' << csvField(pt.label)
+                      << ',' << csvField(w) << ',' << csvField(p) << ','
+                      << (r.completed ? "true" : "false") << ','
+                      << numForDiag(r.runningTime) << ','
+                      << numForDiag(r.maxAmb) << ','
+                      << numForDiag(r.maxDram) << ','
+                      << (std::isfinite(x) ? numForDiag(x) : "");
+                    for (const auto &[name, unit, family, cells] : groups) {
+                        const std::vector<double> v = cells(r);
+                        for (std::size_t d = 0; d < width[family]; ++d) {
+                            f << ',';
+                            if (d < v.size())
+                                f << numForDiag(v[d]);
+                        }
+                    }
+                    f << '\n';
+                }
             }
         }
         atomicWriteFile(csv_path, f.str());
@@ -859,7 +768,7 @@ cmdMerge(const std::vector<std::string> &args)
         else if (a == "--golden")
             golden_path = next("--golden");
         else if (a == "--tol")
-            tol = parseNumber("memtherm merge", "--tol", next("--tol"));
+            tol = parseTol("memtherm merge", next("--tol"));
         else if (a == "--quiet")
             quiet = true;
         else if (!a.empty() && a[0] == '-')
@@ -910,17 +819,7 @@ cmdMerge(const std::vector<std::string> &args)
                                                merged.results, golden_path,
                                                tol, quiet);
     if (!merged.errors.empty()) {
-        std::vector<RunError> errors;
-        for (const auto &rec : merged.errors) {
-            RunError e;
-            e.index = rec.index;
-            e.point = rec.point;
-            e.workload = rec.workload;
-            e.policy = rec.policy;
-            e.error = rec.error;
-            errors.push_back(std::move(e));
-        }
-        printFailures("memtherm merge", errors);
+        printFailures("memtherm merge", merged.errors);
         rc = 1;
     }
     return rc;
@@ -983,7 +882,7 @@ cmdRun(const std::vector<std::string> &args)
         else if (a == "--golden")
             golden_path = next("--golden");
         else if (a == "--tol")
-            tol = parseNumber("memtherm run", "--tol", next("--tol"));
+            tol = parseTol("memtherm run", next("--tol"));
         else if (a == "--threads")
             threads = nextPosInt("--threads");
         else if (a == "--copies")
