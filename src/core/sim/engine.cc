@@ -1,8 +1,10 @@
 #include "core/sim/engine.hh"
 
 #include <algorithm>
+#include <charconv>
 #include <chrono>
 #include <cstdlib>
+#include <cstring>
 #include <exception>
 
 #include "common/logging.hh"
@@ -15,8 +17,11 @@ int
 ExperimentEngine::defaultThreads()
 {
     if (const char *env = std::getenv("MEMTHERM_THREADS")) {
-        int n = std::atoi(env);
-        if (n >= 1)
+        // The whole string, in [1, INT_MAX]: "4x" and "99999999999" warn.
+        const char *last = env + std::strlen(env);
+        int n = 0;
+        const auto [end, ec] = std::from_chars(env, last, n);
+        if (ec == std::errc{} && end == last && n >= 1)
             return n;
         warn("MEMTHERM_THREADS='" + std::string(env) +
              "' is not a positive integer; using hardware concurrency");

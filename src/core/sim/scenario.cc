@@ -2,11 +2,11 @@
 
 #include <algorithm>
 #include <array>
-#include <climits>
 #include <cmath>
 #include <concepts>
 #include <functional>
 #include <limits>
+#include <tuple>
 #include <type_traits>
 #include <utility>
 
@@ -37,125 +37,361 @@ platformPolicyNames()
     return names;
 }
 
+/** How errors name a spec: "scenario", or "scenario '<name>'". */
+std::string
+specWho(const ScenarioSpec &spec)
+{
+    return spec.name.empty() ? "scenario" : "scenario '" + spec.name + "'";
+}
+
 [[noreturn]] void
 specError(const ScenarioSpec &spec, const std::string &what)
 {
-    std::string where =
-        spec.name.empty() ? "scenario" : "scenario '" + spec.name + "'";
-    fatal(where + ": " + what);
+    fatal(specWho(spec) + ": " + what);
+}
+
+/**
+ * Where a value sits in a scenario document: a chain of member keys and
+ * array indices, rendered ("sweep.memory_org[0].dimms") only when an
+ * error names it, so reading a valid document formats nothing.
+ */
+struct Path
+{
+    const Path *parent = nullptr;
+    const char *key = nullptr; ///< a member key; null: element `index`
+    std::size_t index = 0;
+
+    Path operator/(const char *k) const { return {this, k}; }
+    Path operator[](std::size_t i) const { return {this, nullptr, i}; }
+
+    std::string
+    str() const
+    {
+        std::string out = parent ? parent->str() : "";
+        if (!key)
+            return out + "[" + std::to_string(index) + "]";
+        return out.empty() ? key : out + "." + key;
+    }
+};
+
+/**
+ * Every value error, in one grammar: "<who>: '<path>' must be <kind>",
+ * who being "scenario" while parsing, and the spec (specWho) once a
+ * lowering check names it.
+ */
+[[noreturn]] void
+mustBe(const Path &path, const std::string &kind,
+       const ScenarioSpec *spec = nullptr)
+{
+    fatal((spec ? specWho(*spec) : "scenario") + ": '" + path.str() +
+          "' must be " + kind);
+}
+
+/** How an error names a place: a phrase ("a trace"), or a path. */
+std::string
+describe(const char *phrase)
+{
+    return phrase;
+}
+
+std::string
+describe(const Path &path)
+{
+    return "'" + path.str() + "'";
 }
 
 /** Reject members we do not understand — typos fail loudly. */
+template <typename Where>
 void
-checkMembers(const Json &obj, const std::string &where,
+checkMembers(const Json &obj, const Where &where,
              const std::vector<std::string> &allowed)
 {
     for (const auto &[key, v] : obj.asObject()) {
-        bool known = false;
-        for (const auto &a : allowed)
-            known |= (a == key);
-        if (!known) {
-            fatal("scenario: unknown member '" + key + "' in " + where +
-                  " (valid: " + joinNames(allowed) + ")");
+        if (std::find(allowed.begin(), allowed.end(), key) == allowed.end()) {
+            fatal("scenario: unknown member '" + key + "' in " +
+                  describe(where) + " (valid: " + joinNames(allowed) + ")");
         }
     }
 }
 
-double
-memberNumber(const Json &obj, const std::string &key)
+/** Whether a config member is set (a std::optional, or non-empty). */
+template <typename M>
+bool
+isSet(const M &m)
 {
-    const Json &v = obj.at(key);
-    if (!v.isNumber())
-        fatal("scenario: member '" + key + "' must be a number");
-    return v.asNumber();
+    if constexpr (requires { m.has_value(); })
+        return m.has_value();
+    else
+        return !m.empty();
 }
+
+/** A set config member's value. */
+template <typename M>
+const auto &
+valueOf(const M &m)
+{
+    if constexpr (requires { m.has_value(); })
+        return *m;
+    else
+        return m;
+}
+
+template <typename M>
+using ValueOf = std::decay_t<decltype(valueOf(std::declval<const M &>()))>;
+
+// --- the value codecs -------------------------------------------------------
 
 /**
- * FatalError unless lo <= @p v <= hi: checked before any integer cast,
- * which is undefined behavior for a double outside the target range.
+ * How a scenario value of type T is read (parse: FatalError through
+ * mustBe, naming the value's full path), written back (toJson: the
+ * inverse, byte-stable) and rendered as a sweep-label coordinate
+ * (label: exact, and free of the label grammar's reserved "," and "=").
+ * One specialization per value type; adding a type means adding one.
  */
-void
-checkRange(double v, double lo, double hi, const std::string &what)
-{
-    if (!(v >= lo && v <= hi)) {
-        fatal("scenario: " + what + " must be within [" + numStr(lo) +
-              ", " + numStr(hi) + "] (got " + numStr(v) + ")");
-    }
-}
-
-int
-memberInt(const Json &obj, const std::string &key)
-{
-    double v = memberNumber(obj, key);
-    if (v != std::floor(v))
-        fatal("scenario: member '" + key + "' must be an integer");
-    checkRange(v, INT_MIN, INT_MAX, "member '" + key + "'");
-    return static_cast<int>(v);
-}
-
-std::string
-memberString(const Json &obj, const std::string &key)
-{
-    const Json &v = obj.at(key);
-    if (!v.isString())
-        fatal("scenario: member '" + key + "' must be a string");
-    return v.asString();
-}
-
-/** The array member @p key, of strings or numbers (FatalError else). */
 template <typename T>
-std::vector<T>
-listOf(const Json &v, const std::string &key)
-{
-    constexpr bool str = std::is_same_v<T, std::string>;
-    const std::string kind = str ? "strings" : "numbers";
-    if (!v.isArray())
-        fatal("scenario: member '" + key + "' must be an array of " + kind);
-    std::vector<T> out;
-    for (const Json &e : v.asArray()) {
-        if (str ? !e.isString() : !e.isNumber())
-            fatal("scenario: member '" + key + "' must contain " + kind);
-        if constexpr (str)
-            out.push_back(e.asString());
-        else
-            out.push_back(e.asNumber());
-    }
-    return out;
-}
+struct ValueCodec;
 
+/** The codec of a config member's value (see valueOf). */
+template <typename M>
+using CodecOf = ValueCodec<ValueOf<M>>;
+
+template <>
+struct ValueCodec<std::string>
+{
+    static std::string
+    parse(const Json &v, const Path &p)
+    {
+        if (!v.isString())
+            mustBe(p, "a string");
+        return v.asString();
+    }
+
+    static Json toJson(const std::string &s) { return Json(s); }
+    static std::string label(const std::string &s) { return s; }
+};
+
+template <>
+struct ValueCodec<double>
+{
+    static double
+    parse(const Json &v, const Path &p)
+    {
+        if (!v.isNumber())
+            mustBe(p, "a number");
+        return v.asNumber();
+    }
+
+    static Json toJson(double d) { return Json(d); }
+    static std::string label(double d) { return numStr(d); }
+};
+
+/**
+ * An integer, range-checked before the cast (undefined behavior for a
+ * double outside the target type). The unsigned one (the sensor seed)
+ * stops at 2^53, the largest range whose integers a JSON number holds
+ * exactly.
+ */
+template <typename I>
+struct IntegerCodec
+{
+    static constexpr bool sign = std::is_signed_v<I>;
+    static constexpr double lo =
+        sign ? static_cast<double>(std::numeric_limits<I>::min()) : 0.0;
+    static constexpr double hi =
+        sign ? static_cast<double>(std::numeric_limits<I>::max())
+             : 9007199254740992.0;
+
+    static I
+    parse(const Json &v, const Path &p)
+    {
+        if (!v.isNumber() || v.asNumber() != std::floor(v.asNumber()))
+            mustBe(p, sign ? "an integer" : "a non-negative integer");
+        const double x = v.asNumber();
+        if (!(x >= lo && x <= hi)) {
+            mustBe(p, "within [" + numStr(lo) + ", " + numStr(hi) +
+                          "] (got " + numStr(x) + ")");
+        }
+        return static_cast<I>(x);
+    }
+
+    static Json toJson(I i) { return Json(i); }
+    static std::string label(I i) { return std::to_string(i); }
+};
+
+template <>
+struct ValueCodec<int> : IntegerCodec<int>
+{
+};
+
+template <>
+struct ValueCodec<std::uint64_t> : IntegerCodec<std::uint64_t>
+{
+};
+
+/** An array; its label joins the elements' with "|" (not reserved). */
 template <typename T>
-Json
-toJsonList(const std::vector<T> &v)
+struct ValueCodec<std::vector<T>>
 {
-    Json a = Json::array();
-    for (const T &x : v)
-        a.push(x);
-    return a;
-}
-
-/** "a|b|c": the label form of a number list ("|" is not reserved). */
-std::string
-joinNumbers(const std::vector<double> &v)
-{
-    std::string out;
-    for (double x : v) {
-        if (!out.empty())
-            out += "|";
-        out += numStr(x);
+    static std::vector<T>
+    parse(const Json &v, const Path &p)
+    {
+        if (!v.isArray())
+            mustBe(p, "an array");
+        std::vector<T> out;
+        out.reserve(v.asArray().size());
+        for (const Json &e : v.asArray())
+            out.push_back(ValueCodec<T>::parse(e, p[out.size()]));
+        return out;
     }
-    return out;
-}
+
+    static Json
+    toJson(const std::vector<T> &v)
+    {
+        Json a = Json::array();
+        for (const T &x : v)
+            a.push(ValueCodec<T>::toJson(x));
+        return a;
+    }
+
+    static std::string
+    label(const std::vector<T> &v)
+    {
+        std::string out;
+        for (std::size_t i = 0; i < v.size(); ++i) {
+            if (i)
+                out += "|";
+            out += ValueCodec<T>::label(v[i]);
+        }
+        return out;
+    }
+};
+
+/**
+ * A member of an inline object: its key, its field, and the separator
+ * before its coordinate in the object's label. A required member must be
+ * present; an optional one reads as its default when absent, and is
+ * written (and labeled) only when it differs from it, which keeps the
+ * round trip lossless and the common case terse.
+ */
+template <typename S, typename T>
+struct Member
+{
+    using Codec = ValueCodec<T>;
+
+    const char *key;
+    T S::*field;
+    const char *sep;
+    bool required = true;
+
+    bool
+    shown(const S &s) const
+    {
+        return required || s.*field != S{}.*field;
+    }
+};
+
+/** The members of an inline object type, in serialization order. */
+template <typename S>
+struct Members;
+
+template <>
+struct Members<MemoryOrgConfig>
+{
+    static constexpr std::tuple list{
+        Member{"channels", &MemoryOrgConfig::nChannels, ""},
+        Member{"dimms", &MemoryOrgConfig::nDimmsPerChannel, "x"}};
+};
+
+template <>
+struct Members<RefreshBand>
+{
+    static constexpr std::tuple list{
+        Member{"min_temp", &RefreshBand::minTemp, ""},
+        Member{"bw_fraction", &RefreshBand::bwFraction, ":"},
+        Member{"dram_power_w", &RefreshBand::dramPower, ":"},
+        Member{"latency_mult", &RefreshBand::latencyMult, ":", false}};
+};
+
+template <>
+struct Members<BankGridConfig>
+{
+    static constexpr std::tuple list{
+        Member{"grid_x", &BankGridConfig::x, ""},
+        Member{"grid_z", &BankGridConfig::z, "x"},
+        Member{"bank_weights", &BankGridConfig::weights, ":", false}};
+};
+
+/** An inline object, member by member (see Members). */
+template <typename S>
+    requires requires { Members<S>::list; }
+struct ValueCodec<S>
+{
+    static S
+    parse(const Json &v, const Path &p)
+    {
+        if (!v.isObject())
+            mustBe(p, "an object");
+        static const std::vector<std::string> keys = std::apply(
+            [](const auto &...m) {
+                return std::vector<std::string>{m.key...};
+            },
+            Members<S>::list);
+        checkMembers(v, p, keys);
+        S out;
+        forEachMember([&](const auto &m) {
+            using C = typename std::decay_t<decltype(m)>::Codec;
+            if (const Json *x = v.find(m.key))
+                out.*m.field = C::parse(*x, p / m.key);
+            else if (m.required)
+                mustBe(p / m.key, "present");
+        });
+        return out;
+    }
+
+    static Json
+    toJson(const S &s)
+    {
+        Json j = Json::object();
+        forEachMember([&](const auto &m) {
+            using C = typename std::decay_t<decltype(m)>::Codec;
+            if (m.shown(s))
+                j.set(m.key, C::toJson(s.*m.field));
+        });
+        return j;
+    }
+
+    static std::string
+    label(const S &s)
+    {
+        std::string out;
+        forEachMember([&](const auto &m) {
+            using C = typename std::decay_t<decltype(m)>::Codec;
+            if (m.shown(s)) {
+                out += m.sep;
+                out += C::label(s.*m.field);
+            }
+        });
+        return out;
+    }
+
+  private:
+    template <typename F>
+    static void
+    forEachMember(F &&f)
+    {
+        std::apply([&](const auto &...m) { (f(m), ...); }, Members<S>::list);
+    }
+};
 
 // --- the four inline forms ------------------------------------------------
 
 /**
  * The per-type half of CatalogOrInline, keyed by its inline member type:
- * its JSON form (an object for an optional member, an array for a
- * vector), label, catalog lookup and inline bounds check. The rest — the
- * string-or-inline codec, empty(), "name wins" — is shared.
+ * its catalog and inline bounds check, and how errors name it. The rest
+ * — the string-or-inline codec, empty(), "name wins" — is shared.
  *
  *  - noun: what the value is called in errors ("scenario: <noun> ...");
- *  - one/many: the accepted JSON forms of one value / of a sweep array.
+ *  - one: the JSON forms a value accepts.
  */
 template <typename Inline>
 struct InlineForm;
@@ -182,39 +418,7 @@ struct InlineForm<std::optional<MemoryOrgConfig>>
     static constexpr const char *noun = "memory organization";
     static constexpr const char *one =
         "a catalog name or a {channels, dimms} object";
-    static constexpr const char *many =
-        "catalog names or {channels, dimms} objects";
     static constexpr auto catalog = memoryOrgCatalog;
-
-    static MemoryOrgConfig
-    parse(const Json &v, const std::string &where)
-    {
-        checkMembers(v, where, {"channels", "dimms"});
-        if (!v.find("channels") || !v.find("dimms")) {
-            fatal("scenario: " + where +
-                  " needs both 'channels' and 'dimms'");
-        }
-        MemoryOrgConfig o;
-        o.nChannels = memberInt(v, "channels");
-        o.nDimmsPerChannel = memberInt(v, "dimms");
-        return o;
-    }
-
-    static Json
-    toJson(const std::optional<MemoryOrgConfig> &o)
-    {
-        Json j = Json::object();
-        j.set("channels", o->nChannels);
-        j.set("dimms", o->nDimmsPerChannel);
-        return j;
-    }
-
-    static std::string
-    label(const std::optional<MemoryOrgConfig> &o)
-    {
-        return std::to_string(o->nChannels) + "x" +
-               std::to_string(o->nDimmsPerChannel);
-    }
 
     static MemoryOrgConfig
     check(const std::optional<MemoryOrgConfig> &o, const std::string &what)
@@ -231,25 +435,7 @@ struct InlineForm<std::vector<double>>
     static constexpr const char *noun = "traffic shape";
     static constexpr const char *one =
         "a catalog shape name or an array of per-DIMM shares";
-    static constexpr const char *many =
-        "catalog shape names or per-DIMM share vectors";
     static constexpr auto catalog = trafficShapeCatalog;
-
-    static std::vector<double>
-    parse(const Json &v, const std::string &where)
-    {
-        std::vector<double> shares = listOf<double>(v, where);
-        if (shares.empty())
-            fatal("scenario: " + where + " share vector must not be empty");
-        return shares;
-    }
-
-    static Json toJson(const std::vector<double> &s) { return toJsonList(s); }
-
-    static std::string label(const std::vector<double> &s)
-    {
-        return joinNumbers(s);
-    }
 
     static std::vector<double>
     check(const std::vector<double> &shares, const std::string &what,
@@ -272,73 +458,7 @@ struct InlineForm<std::vector<RefreshBand>>
     static constexpr const char *one =
         "a catalog refresh model name or an array of "
         "{min_temp, bw_fraction, dram_power_w[, latency_mult]} bands";
-    static constexpr const char *many =
-        "catalog refresh model names or band tables";
     static constexpr auto catalog = refreshCatalog;
-
-    static std::vector<RefreshBand>
-    parse(const Json &v, const std::string &where)
-    {
-        std::vector<RefreshBand> bands;
-        for (const Json &e : v.asArray()) {
-            if (!e.isObject())
-                fatal("scenario: " + where + " bands must be objects");
-            checkMembers(e, where + " band",
-                         {"min_temp", "bw_fraction", "dram_power_w",
-                          "latency_mult"});
-            if (!e.find("min_temp") || !e.find("bw_fraction") ||
-                !e.find("dram_power_w")) {
-                fatal("scenario: " + where +
-                      " band needs 'min_temp', 'bw_fraction' and "
-                      "'dram_power_w'");
-            }
-            RefreshBand b;
-            b.minTemp = memberNumber(e, "min_temp");
-            b.bwFraction = memberNumber(e, "bw_fraction");
-            b.dramPower = memberNumber(e, "dram_power_w");
-            if (e.find("latency_mult"))
-                b.latencyMult = memberNumber(e, "latency_mult");
-            bands.push_back(b);
-        }
-        if (bands.empty())
-            fatal("scenario: " + where + " band table must not be empty");
-        return bands;
-    }
-
-    static Json
-    toJson(const std::vector<RefreshBand> &bands)
-    {
-        Json a = Json::array();
-        for (const RefreshBand &b : bands) {
-            Json j = Json::object();
-            j.set("min_temp", b.minTemp);
-            j.set("bw_fraction", b.bwFraction);
-            j.set("dram_power_w", b.dramPower);
-            // latency_mult defaults to 1 on parse, so omitting the
-            // default keeps the round trip lossless and the common case
-            // terse.
-            if (b.latencyMult != 1.0)
-                j.set("latency_mult", b.latencyMult);
-            a.push(std::move(j));
-        }
-        return a;
-    }
-
-    /** "minTemp:bwFraction:dramPower[:latencyMult]" joined with "|". */
-    static std::string
-    label(const std::vector<RefreshBand> &bands)
-    {
-        std::string out;
-        for (const RefreshBand &b : bands) {
-            if (!out.empty())
-                out += "|";
-            out += numStr(b.minTemp) + ":" + numStr(b.bwFraction) + ":" +
-                   numStr(b.dramPower);
-            if (b.latencyMult != 1.0)
-                out += ":" + numStr(b.latencyMult);
-        }
-        return out;
-    }
 
     static RefreshModel
     check(const std::vector<RefreshBand> &bands, const std::string &what)
@@ -369,47 +489,7 @@ struct InlineForm<std::optional<BankGridConfig>>
     static constexpr const char *one =
         "a catalog thermal model name or a "
         "{grid_x, grid_z[, bank_weights]} object";
-    static constexpr const char *many =
-        "catalog thermal model names or "
-        "{grid_x, grid_z[, bank_weights]} objects";
     static constexpr auto catalog = thermalModelCatalog;
-
-    static BankGridConfig
-    parse(const Json &v, const std::string &where)
-    {
-        checkMembers(v, where, {"grid_x", "grid_z", "bank_weights"});
-        if (!v.find("grid_x") || !v.find("grid_z"))
-            fatal("scenario: " + where + " needs both 'grid_x' and 'grid_z'");
-        BankGridConfig g;
-        g.x = memberInt(v, "grid_x");
-        g.z = memberInt(v, "grid_z");
-        if (v.find("bank_weights")) {
-            g.weights =
-                listOf<double>(v.at("bank_weights"), where + " bank_weights");
-        }
-        return g;
-    }
-
-    static Json
-    toJson(const std::optional<BankGridConfig> &g)
-    {
-        Json j = Json::object();
-        j.set("grid_x", g->x);
-        j.set("grid_z", g->z);
-        if (!g->weights.empty())
-            j.set("bank_weights", toJsonList(g->weights));
-        return j;
-    }
-
-    /** "<x>x<z>", with the bank weights appended after ":" when set. */
-    static std::string
-    label(const std::optional<BankGridConfig> &g)
-    {
-        std::string out = std::to_string(g->x) + "x" + std::to_string(g->z);
-        if (!g->weights.empty())
-            out += ":" + joinNumbers(g->weights);
-        return out;
-    }
 
     static ThermalModelConfig
     check(const std::optional<BankGridConfig> &g, const std::string &what)
@@ -432,6 +512,48 @@ struct InlineForm<std::optional<BankGridConfig>>
     }
 };
 
+/**
+ * A name-or-inline value: a non-empty catalog name, or the inline form
+ * (an object for a std::optional member, an array for a vector).
+ */
+template <typename Inline, typename Resolved, typename... Context>
+struct ValueCodec<CatalogOrInline<Inline, Resolved, Context...>>
+{
+    using V = CatalogOrInline<Inline, Resolved, Context...>;
+    using Form = InlineForm<Inline>;
+
+    static V
+    parse(const Json &v, const Path &p)
+    {
+        constexpr bool object = requires(Inline i) { i.has_value(); };
+        V out;
+        if (v.isString())
+            out.name = v.asString();
+        else if (object ? v.isObject() : v.isArray())
+            out.value = CodecOf<Inline>::parse(v, p);
+        else
+            mustBe(p, Form::one);
+        if (out.empty())
+            mustBe(p, "non-empty");
+        return out;
+    }
+
+    static Json
+    toJson(const V &v)
+    {
+        if (!v.name.empty())
+            return Json(v.name);
+        // A default-constructed value means "keep the base value" and
+        // has no serialized form — callers filter those out; reaching
+        // here with one (e.g. an empty sweep entry) is a spec bug.
+        if (!v.hasValue())
+            fatal(std::string("scenario: empty ") + Form::noun);
+        return CodecOf<Inline>::toJson(valueOf(v.value));
+    }
+
+    static std::string label(const V &v) { return v.label(); }
+};
+
 } // namespace
 
 template <typename Inline, typename Resolved, typename... Context>
@@ -440,7 +562,7 @@ CatalogOrInline<Inline, Resolved, Context...>::label() const
 {
     if (!name.empty())
         return name;
-    return hasValue() ? InlineForm<Inline>::label(value) : "";
+    return hasValue() ? CodecOf<Inline>::label(valueOf(value)) : "";
 }
 
 template <typename Inline, typename Resolved, typename... Context>
@@ -468,147 +590,6 @@ template struct CatalogOrInline<std::optional<BankGridConfig>,
 
 namespace
 {
-
-// --- table entry values, by type ------------------------------------------
-
-template <typename T>
-constexpr bool isCatalogOrInline = false;
-template <typename I, typename R, typename... C>
-constexpr bool isCatalogOrInline<CatalogOrInline<I, R, C...>> = true;
-
-/** Whether a config member is set (a std::optional, or non-empty). */
-template <typename M>
-bool
-isSet(const M &m)
-{
-    if constexpr (requires { m.has_value(); })
-        return m.has_value();
-    else
-        return !m.empty();
-}
-
-/** A set config member's value. */
-template <typename M>
-const auto &
-valueOf(const M &m)
-{
-    if constexpr (requires { m.has_value(); })
-        return *m;
-    else
-        return m;
-}
-
-template <typename M>
-using ValueOf = std::decay_t<decltype(valueOf(std::declval<const M &>()))>;
-
-/** A value's sweep-label coordinate (exact: shortest round trip). */
-template <typename E>
-std::string
-labelOf(const E &v)
-{
-    if constexpr (std::is_same_v<E, std::string>)
-        return v;
-    else if constexpr (isCatalogOrInline<E>)
-        return v.label();
-    else if constexpr (std::is_integral_v<E>)
-        return std::to_string(v);
-    else
-        return numStr(v);
-}
-
-template <typename E>
-Json
-encode(const E &v)
-{
-    if constexpr (isCatalogOrInline<E>) {
-        using Form = InlineForm<decltype(v.value)>;
-        if (!v.name.empty())
-            return Json(v.name);
-        // A default-constructed value means "keep the base value" and
-        // has no serialized form — callers filter those out; reaching
-        // here with one (e.g. an empty sweep entry) is a spec bug.
-        if (!v.hasValue())
-            fatal(std::string("scenario: empty ") + Form::noun);
-        return Form::toJson(v.value);
-    } else {
-        return Json(v);
-    }
-}
-
-/** Parse a name-or-inline value: a non-empty catalog name or inline. */
-template <typename E>
-E
-nameOrInline(const Json &v, const std::string &where)
-{
-    using Form = InlineForm<decltype(E::value)>;
-    constexpr bool object = requires(E e) { e.value.has_value(); };
-    E out;
-    if (v.isString()) {
-        out.name = v.asString();
-        if (out.name.empty())
-            fatal("scenario: " + where + " name must not be empty");
-    } else if (object ? v.isObject() : v.isArray()) {
-        out.value = Form::parse(v, where);
-    } else {
-        fatal("scenario: " + where + " must be " + Form::one);
-    }
-    return out;
-}
-
-/** Parse the `config` member @p key. */
-template <typename E>
-E
-decode(const Json &cfg, const std::string &key)
-{
-    if constexpr (std::is_same_v<E, std::string>) {
-        return memberString(cfg, key);
-    } else if constexpr (std::is_same_v<E, int>) {
-        return memberInt(cfg, key);
-    } else if constexpr (std::is_same_v<E, std::uint64_t>) {
-        const double v = memberNumber(cfg, key);
-        if (v != std::floor(v) || v < 0.0)
-            fatal("scenario: '" + key + "' must be a non-negative integer");
-        // 2^53: the largest range whose integers a JSON double holds
-        // exactly.
-        checkRange(v, 0.0, 9007199254740992.0, "'" + key + "'");
-        return static_cast<std::uint64_t>(v);
-    } else if constexpr (isCatalogOrInline<E>) {
-        return nameOrInline<E>(cfg.at(key), "'config." + key + "'");
-    } else {
-        return memberNumber(cfg, key);
-    }
-}
-
-/** Parse the array of axis @p key's sweep values. */
-template <typename E>
-std::vector<E>
-decodeList(const Json &a, const std::string &key)
-{
-    const std::string where = "sweep." + key;
-    if constexpr (std::is_same_v<E, std::string>) {
-        return listOf<std::string>(a, where);
-    } else if constexpr (std::is_same_v<E, int>) {
-        std::vector<int> out;
-        for (double v : listOf<double>(a, where)) {
-            if (v != std::floor(v))
-                fatal("scenario: " + where + " must contain integers");
-            checkRange(v, INT_MIN, INT_MAX, where + " value");
-            out.push_back(static_cast<int>(v));
-        }
-        return out;
-    } else if constexpr (isCatalogOrInline<E>) {
-        if (!a.isArray()) {
-            fatal("scenario: '" + where + "' must be an array of " +
-                  InlineForm<decltype(E::value)>::many);
-        }
-        std::vector<E> out;
-        for (const Json &e : a.asArray())
-            out.push_back(nameOrInline<E>(e, "'" + where + "' entry"));
-        return out;
-    } else {
-        return listOf<double>(a, where);
-    }
-}
 
 // --- values that resolve against the rest of the spec ----------------------
 
@@ -882,58 +863,29 @@ sweepSize(const ScenarioSpec &s, Sweep sweep)
 }
 
 /**
- * The finite/bounds passes, in the order lower() runs them: integer
- * entries report after the real-valued ones.
+ * A numeric entry's bounds, for its config member and then each sweep
+ * value: finite, and the table's lower bound.
  */
-enum class Check
-{
-    Finite,   ///< config members must be finite
-    Bound,    ///< real-valued config members must honor the lower bound
-    IntBound, ///< integer config members must honor the lower bound
-    Sweep,    ///< real-valued sweep values: finite and the bound
-    IntSweep, ///< integer sweep values: the bound
-};
-
 template <typename M, typename Sweep>
 void
-checkAxis(const ScenarioSpec &s, const AxisDef &a, Check pass,
-          M ScenarioSpec::*knob, Sweep sweep)
+checkBounds(const ScenarioSpec &s, const AxisDef &a, M ScenarioSpec::*knob,
+            Sweep sweep)
 {
-    using E = ValueOf<M>;
-    if constexpr (std::is_arithmetic_v<E>) {
-        const bool ints = pass == Check::IntBound || pass == Check::IntSweep;
-        if (pass != Check::Finite && ints != std::is_integral_v<E>)
-            return;
-        auto fail = [&](bool swept, const std::string &rule) {
-            const std::string key = a.key;
-            // The integer axis keeps its historical wording.
-            specError(s, (!swept ? key
-                          : ints ? key + " sweep values"
-                                 : "sweep." + key + " values") +
-                             " must be " + rule);
+    if constexpr (std::is_arithmetic_v<ValueOf<M>>) {
+        auto check = [&](double v, const Path &p) {
+            if (!std::isfinite(v))
+                mustBe(p, "finite", &s);
+            if (a.exclusive ? v <= a.min : v < a.min)
+                mustBe(p, std::string(a.exclusive ? "> " : ">= ") +
+                              numStr(a.min), &s);
         };
-        auto below = [&](double v) {
-            return a.exclusive ? v <= a.min : v < a.min;
-        };
-        auto bound = [&] {
-            return std::string(a.exclusive ? "> " : ">= ") + numStr(a.min);
-        };
-        if (pass < Check::Sweep && isSet(s.*knob)) {
-            const double v = static_cast<double>(valueOf(s.*knob));
-            if (pass == Check::Finite && !std::isfinite(v))
-                fail(false, "finite");
-            if (pass != Check::Finite && below(v))
-                fail(false, bound());
-        }
+        const Path config{.key = "config"}, axes{.key = "sweep"};
+        if (isSet(s.*knob))
+            check(static_cast<double>(*(s.*knob)), config / a.key);
         if constexpr (!std::is_null_pointer_v<Sweep>) {
-            if (pass >= Check::Sweep) {
-                for (E v : s.*sweep) {
-                    if (!std::isfinite(static_cast<double>(v)))
-                        fail(true, "finite");
-                    if (below(static_cast<double>(v)))
-                        fail(true, bound());
-                }
-            }
+            const Path axis = axes / a.key;
+            for (std::size_t i = 0; i < (s.*sweep).size(); ++i)
+                check(static_cast<double>((s.*sweep)[i]), axis[i]);
         }
     }
 }
@@ -964,7 +916,8 @@ rejectResolvedDuplicates(const ScenarioSpec &s, const AxisDef &a,
         for (std::size_t j = 0; j < i; ++j) {
             if (!(resolved[i] == resolved[j]))
                 continue;
-            const std::string x = labelOf(sweep[i]), y = labelOf(sweep[j]);
+            const std::string x = ValueCodec<E>::label(sweep[i]),
+                              y = ValueCodec<E>::label(sweep[j]);
             std::string what = "duplicate sweep." + std::string(a.key) + " " +
                                a.dupNoun + " '" + x + "'";
             if (x != y) {
@@ -1000,7 +953,7 @@ resolveAxis(const ScenarioSpec &s, const AxisDef &a, M ScenarioSpec::*knob,
         for (const OrgPoint &op : a.perOrg ? perOrg : anyOrg) {
             auto one = [&](const E &v, bool swept) {
                 if constexpr (std::is_null_pointer_v<Resolve>) {
-                    if constexpr (isCatalogOrInline<E>)
+                    if constexpr (requires { v.resolve(); })
                         return v.resolve();
                     else
                         return v;
@@ -1130,11 +1083,9 @@ ScenarioSpec::lower() const
 
     // Scalar sanity: non-finite values would otherwise be
     // indistinguishable from "keep the base value" downstream.
-    for (Check pass : {Check::Finite, Check::Bound, Check::IntBound}) {
-        forEachAxis([&](const AxisDef &a, auto knob, auto sweep, auto...) {
-            checkAxis(*this, a, pass, knob, sweep);
-        });
-    }
+    forEachAxis([&](const AxisDef &a, auto knob, auto sweep, auto...) {
+        checkBounds(*this, a, knob, sweep);
+    });
 
     // The trace IS the measured per-DIMM distribution, so an analytic
     // shape alongside it could only be silently ignored or silently
@@ -1144,12 +1095,6 @@ ScenarioSpec::lower() const
         specError(*this,
                   "'trace' supplies the per-DIMM traffic distribution; "
                   "remove the traffic_shape member and sweep");
-    }
-
-    for (Check pass : {Check::Sweep, Check::IntSweep}) {
-        forEachSweep([&](const AxisDef &a, auto knob, auto sweep, auto...) {
-            checkAxis(*this, a, pass, knob, sweep);
-        });
     }
 
     // Duplicates: SuiteResults is keyed [workload][policy] and sweep
@@ -1173,11 +1118,13 @@ ScenarioSpec::lower() const
     std::vector<std::vector<std::string>> labels;
     prefixes.reserve(nAxes);
     labels.reserve(nAxes);
-    forEachSweep([&](const AxisDef &a, auto, auto sweep, auto...) {
+    forEachSweep([&]<typename E>(const AxisDef &a, auto,
+                                 std::vector<E> ScenarioSpec::*sweep,
+                                 auto...) {
         prefixes.push_back(a.prefix);
         auto &axis = labels.emplace_back();
-        for (const auto &v : this->*sweep)
-            axis.push_back(labelOf(v));
+        for (const E &v : this->*sweep)
+            axis.push_back(ValueCodec<E>::label(v));
         if (!a.sameAs && axis.size() > 1) {
             rejectDuplicates(axis, "sweep." + std::string(a.key) + " " +
                                        a.dupNoun);
@@ -1346,24 +1293,23 @@ ScenarioSpec::toJson() const
         j.set("platform", platform);
 
     Json cfg = Json::object();
-    forEachAxis([&](const AxisDef &a, auto knob, auto...) {
+    forEachAxis([&]<typename M>(const AxisDef &a, M ScenarioSpec::*knob,
+                                auto...) {
         if (present(*this, a, knob))
-            cfg.set(a.key, encode(valueOf(this->*knob)));
+            cfg.set(a.key, CodecOf<M>::toJson(valueOf(this->*knob)));
     });
     if (!cfg.asObject().empty())
         j.set("config", std::move(cfg));
 
-    j.set("workloads", toJsonList(workloads));
-    j.set("policies", toJsonList(policies));
+    using Names = ValueCodec<std::vector<std::string>>;
+    j.set("workloads", Names::toJson(workloads));
+    j.set("policies", Names::toJson(policies));
 
     Json sweep = Json::object();
-    forEachSweep([&](const AxisDef &a, auto, auto values, auto...) {
-        if ((this->*values).empty())
-            return;
-        Json arr = Json::array();
-        for (const auto &v : this->*values)
-            arr.push(encode(v));
-        sweep.set(a.key, std::move(arr));
+    forEachSweep([&]<typename V>(const AxisDef &a, auto,
+                                 V ScenarioSpec::*values, auto...) {
+        if (!(this->*values).empty())
+            sweep.set(a.key, ValueCodec<V>::toJson(this->*values));
     });
     if (!sweep.asObject().empty())
         j.set("sweep", std::move(sweep));
@@ -1380,45 +1326,44 @@ ScenarioSpec::fromJson(const Json &j)
                  {"name", "description", "platform", "config", "workloads",
                   "policies", "sweep"});
 
-    ScenarioSpec s;
-    if (j.find("name"))
-        s.name = memberString(j, "name");
-    if (j.find("description"))
-        s.description = memberString(j, "description");
-    if (j.find("platform"))
-        s.platform = memberString(j, "platform");
+    // Read the member at @p p of @p obj into @p out; false when absent.
+    auto read = []<typename M>(const Json &obj, const Path &p, M &out) {
+        const Json *v = obj.find(p.key);
+        if (v)
+            out = CodecOf<M>::parse(*v, p);
+        return v != nullptr;
+    };
+    // The `config` or `sweep` object, checked against its keys.
+    auto section = [&](const Path &p, const std::vector<std::string> &keys) {
+        const Json *v = j.find(p.key);
+        if (v && !v->isObject())
+            mustBe(p, "an object");
+        if (v)
+            checkMembers(*v, p, keys);
+        return v;
+    };
 
-    if (const Json *cfg = j.find("config")) {
-        if (!cfg->isObject())
-            fatal("scenario: 'config' must be an object");
-        checkMembers(*cfg, "'config'", scenarioConfigKeys());
+    ScenarioSpec s;
+    read(j, {.key = "name"}, s.name);
+    read(j, {.key = "description"}, s.description);
+    read(j, {.key = "platform"}, s.platform);
+
+    const Path config{.key = "config"};
+    if (const Json *cfg = section(config, scenarioConfigKeys())) {
         forEachAxis([&](const AxisDef &a, auto knob, auto...) {
-            if (!cfg->find(a.key))
-                return;
-            s.*knob = decode<ValueOf<std::decay_t<decltype(s.*knob)>>>(
-                *cfg, a.key);
-            if (a.path && !isSet(s.*knob)) {
-                fatal("scenario: '" + std::string(a.key) +
-                      "' path must not be empty");
-            }
+            if (read(*cfg, config / a.key, s.*knob) && a.path &&
+                !isSet(s.*knob))
+                mustBe(config / a.key, "a non-empty path");
         });
     }
 
-    if (j.find("workloads"))
-        s.workloads = listOf<std::string>(j.at("workloads"), "workloads");
-    if (j.find("policies"))
-        s.policies = listOf<std::string>(j.at("policies"), "policies");
+    read(j, {.key = "workloads"}, s.workloads);
+    read(j, {.key = "policies"}, s.policies);
 
-    if (const Json *sweep = j.find("sweep")) {
-        if (!sweep->isObject())
-            fatal("scenario: 'sweep' must be an object");
-        checkMembers(*sweep, "'sweep'", scenarioSweepKeys());
+    const Path axes{.key = "sweep"};
+    if (const Json *sweep = section(axes, scenarioSweepKeys())) {
         forEachSweep([&](const AxisDef &a, auto, auto values, auto...) {
-            if (const Json *arr = sweep->find(a.key)) {
-                s.*values = decodeList<
-                    typename std::decay_t<decltype(s.*values)>::value_type>(
-                    *arr, a.key);
-            }
+            read(*sweep, axes / a.key, s.*values);
         });
     }
     return s;
@@ -1467,14 +1412,15 @@ template <typename M>
 Json
 put(const SimResult &r, const M &m)
 {
+    using Doubles = ValueCodec<std::vector<double>>;
     Json j = Json::object();
     if constexpr (std::is_same_v<M, BankRows>) {
         const std::vector<double> &v = r.peakBankDramPerDimm;
         const std::size_t n = r.bankCells();
         j = Json::array();
         for (std::size_t i = 0; i < v.size(); i += n)
-            j.push(toJsonList(std::vector<double>(v.begin() + i,
-                                                  v.begin() + i + n)));
+            j.push(Doubles::toJson(
+                std::vector<double>(v.begin() + i, v.begin() + i + n)));
     } else if constexpr (requires { m.size(); }) { // a Group
         for (const auto &[k, sub] : m)
             j.set(k, put(r, sub));
@@ -1483,9 +1429,9 @@ put(const SimResult &r, const M &m)
         using T = std::decay_t<decltype(v)>;
         if constexpr (std::is_same_v<T, TimeSeries>) {
             j.set("period_s", v.period());
-            j.set("values", toJsonList(v.values()));
+            j.set("values", Doubles::toJson(v.values()));
         } else if constexpr (std::is_same_v<T, std::vector<double>>) {
-            j = toJsonList(v);
+            j = Doubles::toJson(v);
         } else {
             j = Json(v);
         }

@@ -31,6 +31,15 @@
  * (the next sweep position and a label prefix if it sweeps), and
  * document it in docs/scenarios.md. Validation, labels, the odometer and
  * the JSON codec follow from the entry.
+ *
+ * Values go through one codec trait in scenario.cc, ValueCodec<T>: its
+ * parse, toJson and label read, write and label every knob, sweep array
+ * and inline member, and every value error reads
+ * `scenario: '<path>' must be <kind>` with the value's full JSON path
+ * (`sweep.memory_org[0].dimms`). Adding a value type: one ValueCodec
+ * specialization — for an inline object, its Members list; for a
+ * name-or-inline value, its InlineForm (noun, accepted forms, catalog,
+ * bounds check).
  */
 
 #ifndef MEMTHERM_CORE_SIM_SCENARIO_HH

@@ -19,7 +19,8 @@ at(const std::string &name, std::size_t line)
     return "trace '" + name + "' line " + std::to_string(line);
 }
 
-/** Parse a decimal or 0x-prefixed hex integer; false on junk. */
+} // namespace
+
 bool
 parseU64(const std::string &tok, std::uint64_t &out)
 {
@@ -53,8 +54,6 @@ parseU64(const std::string &tok, std::uint64_t &out)
     return true;
 }
 
-} // namespace
-
 std::vector<TraceRecord>
 parseTrace(const std::string &text, const std::string &name)
 {
@@ -76,9 +75,10 @@ parseTrace(const std::string &text, const std::string &name)
                   ": bad header (expected '#memtherm-trace v" +
                   std::to_string(kTraceFormatVersion) + "')");
         std::uint64_t v = 0;
-        if (!parseU64(ver.substr(1), v))
+        if (!parseU64(ver.substr(1), v) || v == 0)
             fatal(at(name, line_no) + ": bad version '" + ver + "'");
-        if (static_cast<int>(v) > kTraceFormatVersion)
+        // Compared unnarrowed: a cast would wrap 2^32 + 1 onto v1.
+        if (v > static_cast<std::uint64_t>(kTraceFormatVersion))
             fatal("trace '" + name + "': format version " +
                   std::to_string(v) + " is newer than this binary's v" +
                   std::to_string(kTraceFormatVersion) +

@@ -57,6 +57,12 @@ std::vector<TraceRecord> loadTrace(const std::string &path);
 std::vector<TraceRecord> parseTrace(const std::string &text,
                                     const std::string &name);
 
+/**
+ * Parse a whole token as a decimal or 0x-prefixed hex integer (a
+ * leading 0 is decimal, not octal); false on junk, a sign or overflow.
+ */
+bool parseU64(const std::string &tok, std::uint64_t &out);
+
 /** Serialize records in the version-1 format (round-trips loadTrace). */
 std::string formatTrace(const std::vector<TraceRecord> &records);
 

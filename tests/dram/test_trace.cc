@@ -108,6 +108,19 @@ TEST(TraceFormat, RefusesNewerVersionWithUpgradeMessage)
     // Truncation must not turn a refusal into a misparse.
     expectFatalWith([] { parseTrace("#memtherm-trace v999\n", "f"); },
                     "newer than this binary's");
+    // Versions compare unnarrowed: 2^32 + 1 and 2^64 - 1 do not wrap
+    // onto v1, and there is no v0.
+    expectFatalWith(
+        [] { parseTrace("#memtherm-trace v4294967297\n0x0 r 64\n", "f"); },
+        "format version 4294967297 is newer than this binary's v1");
+    expectFatalWith(
+        [] {
+            parseTrace("#memtherm-trace v18446744073709551615\n0x0 r 64\n",
+                       "f");
+        },
+        "format version 18446744073709551615 is newer");
+    expectFatalWith([] { parseTrace("#memtherm-trace v0\n0x0 r 64\n", "f"); },
+                    "bad version 'v0'");
 }
 
 TEST(TraceGen, EqualConfigsGenerateEqualTraces)
@@ -378,7 +391,7 @@ TEST(TraceScenario, TraceKnobRoundTripsThroughJson)
                 R"({"name":"x","workloads":["W1"],"policies":["No-limit"],
                     "config":{"trace":""}})"));
         },
-        "'trace' path must not be empty");
+        "'config.trace' must be a non-empty path");
 }
 
 } // namespace

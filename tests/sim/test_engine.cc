@@ -10,6 +10,7 @@
 
 #include <cmath>
 #include <cstdlib>
+#include <string>
 
 #include "common/logging.hh"
 #include "core/sim/engine.hh"
@@ -64,6 +65,27 @@ TEST(ExperimentEngine, ThreadCountResolution)
     EXPECT_EQ(ExperimentEngine(0).threads(), 5);
     EXPECT_EQ(ExperimentEngine(2).threads(), 2); // explicit wins
     unsetenv("MEMTHERM_THREADS");
+}
+
+TEST(ExperimentEngine, InvalidThreadCountsFallBackToHardware)
+{
+    // Each value warns and falls back to hardware concurrency: the whole
+    // string must be an integer in [1, INT_MAX]. The trailing-junk count
+    // differs from the fallback, so a prefix parse cannot pass.
+    const char *saved = std::getenv("MEMTHERM_THREADS");
+    const std::string restore = saved ? saved : "";
+    unsetenv("MEMTHERM_THREADS");
+    const int hw = ExperimentEngine::defaultThreads();
+    for (const std::string &bad :
+         {std::to_string(hw + 1) + "x", std::string("99999999999"),
+          std::string("0"), std::string("-3")}) {
+        setenv("MEMTHERM_THREADS", bad.c_str(), 1);
+        EXPECT_EQ(ExperimentEngine::defaultThreads(), hw) << bad;
+    }
+    if (saved)
+        setenv("MEMTHERM_THREADS", restore.c_str(), 1);
+    else
+        unsetenv("MEMTHERM_THREADS");
 }
 
 TEST(ExperimentEngine, ParallelMatchesSerialBitExactly)

@@ -405,43 +405,125 @@ TEST(ScenarioSpec, MemoryOrgParsesNamesAndInlineObjects)
     EXPECT_THROW(empty_entry.lower(), FatalError);
 }
 
-TEST(ScenarioSpec, ParserRejectsOutOfRangeIntegers)
+TEST(ScenarioSpec, ValueErrorsNameTheFullPath)
 {
-    // Integer members are range-checked before the cast: a double
-    // outside the target type would otherwise cast with undefined
+    // One grammar for every value error, "<who>: '<path>' must be
+    // <kind>", pinned for a knob, a sweep entry and an inline member of
+    // each value type. Integers are range-checked before the cast: a
+    // double outside the target type would otherwise cast with undefined
     // behavior (a garbage seed, or a wrapped count in the diagnostic).
-    auto expectParseError = [](const std::string &text,
-                               const std::string &message) {
-        try {
-            (void)ScenarioSpec::fromJson(Json::parse(text));
-            FAIL() << "expected FatalError for " << text;
-        } catch (const FatalError &e) {
-            EXPECT_EQ(std::string(e.what()), "fatal: " + message) << text;
-        }
+    const std::string bands =
+        R"({"min_temp": 0, "bw_fraction": 0, "dram_power_w": 0})";
+    const std::string lineup =
+        R"("workloads": ["W1"], "policies": ["No-limit"])";
+    const struct
+    {
+        std::string text;
+        std::string message;
+    } cases[] = {
+        // Top-level members.
+        {R"({"name": 3})", "scenario: 'name' must be a string"},
+        {R"({"workloads": "W1"})", "scenario: 'workloads' must be an array"},
+        {R"({"policies": ["No-limit", 7]})",
+         "scenario: 'policies[1]' must be a string"},
+        {R"({"config": []})", "scenario: 'config' must be an object"},
+        // Knobs.
+        {R"({"config": {"cooling": 5}})",
+         "scenario: 'config.cooling' must be a string"},
+        {R"({"config": {"t_inlet": "hot"}})",
+         "scenario: 'config.t_inlet' must be a number"},
+        {R"({"config": {"copies_per_app": 2.5}})",
+         "scenario: 'config.copies_per_app' must be an integer"},
+        {R"({"config": {"copies_per_app": -1e10}})",
+         "scenario: 'config.copies_per_app' must be within "
+         "[-2147483648, 2147483647] (got -10000000000)"},
+        {R"({"config": {"sensor_seed": "7"}})",
+         "scenario: 'config.sensor_seed' must be a non-negative integer"},
+        {R"({"config": {"sensor_seed": 1e30}})",
+         "scenario: 'config.sensor_seed' must be within "
+         "[0, 9007199254740992] (got 1e+30)"},
+        {R"({"config": {"sensor_seed": 9007199254740994}})",
+         "scenario: 'config.sensor_seed' must be within "
+         "[0, 9007199254740992] (got 9007199254740994)"},
+        {R"({"config": {"trace": ""}})",
+         "scenario: 'config.trace' must be a non-empty path"},
+        {R"({"config": {"memory_org": 4}})",
+         "scenario: 'config.memory_org' must be a catalog name or a "
+         "{channels, dimms} object"},
+        {R"({"config": {"memory_org": ""}})",
+         "scenario: 'config.memory_org' must be non-empty"},
+        {R"({"config": {"traffic_shape": []}})",
+         "scenario: 'config.traffic_shape' must be non-empty"},
+        // Sweep arrays and entries.
+        {R"({"sweep": {"t_inlet": 40}})",
+         "scenario: 'sweep.t_inlet' must be an array"},
+        {R"({"sweep": {"t_inlet": [40, "x"]}})",
+         "scenario: 'sweep.t_inlet[1]' must be a number"},
+        {R"({"sweep": {"cooling": ["AOHS_1.5", 3]}})",
+         "scenario: 'sweep.cooling[1]' must be a string"},
+        {R"({"sweep": {"copies_per_app": [2, 2.5]}})",
+         "scenario: 'sweep.copies_per_app[1]' must be an integer"},
+        {R"({"sweep": {"copies_per_app": [2, 4294967297]}})",
+         "scenario: 'sweep.copies_per_app[1]' must be within "
+         "[-2147483648, 2147483647] (got 4294967297)"},
+        {R"({"sweep": {"traffic_shape": ["uniform", 0.5]}})",
+         "scenario: 'sweep.traffic_shape[1]' must be a catalog shape name "
+         "or an array of per-DIMM shares"},
+        {R"({"sweep": {"refresh": ["none", 5]}})",
+         "scenario: 'sweep.refresh[1]' must be a catalog refresh model "
+         "name or an array of {min_temp, bw_fraction, dram_power_w[, "
+         "latency_mult]} bands"},
+        {R"({"sweep": {"thermal_model": [true]}})",
+         "scenario: 'sweep.thermal_model[0]' must be a catalog thermal "
+         "model name or a {grid_x, grid_z[, bank_weights]} object"},
+        // Inline members.
+        {R"({"sweep": {"memory_org": [{"channels": 2, "dimms": "four"}]}})",
+         "scenario: 'sweep.memory_org[0].dimms' must be an integer"},
+        {R"({"config": {"memory_org": {"channels": 4294967298, "dimms": 4}}})",
+         "scenario: 'config.memory_org.channels' must be within "
+         "[-2147483648, 2147483647] (got 4294967298)"},
+        {R"({"config": {"memory_org": {"channels": 4}}})",
+         "scenario: 'config.memory_org.dimms' must be present"},
+        {R"({"sweep": {"memory_org":
+             [{"channels": 1, "dimms": 1, "ranks": 2}]}})",
+         "scenario: unknown member 'ranks' in 'sweep.memory_org[0]' "
+         "(valid: channels, dimms)"},
+        {R"({"sweep": {"traffic_shape": [[0.5, null]]}})",
+         "scenario: 'sweep.traffic_shape[0][1]' must be a number"},
+        {R"({"config": {"refresh": [)" + bands + "," + bands +
+             R"(, {"min_temp": "x"}]}})",
+         "scenario: 'config.refresh[2].min_temp' must be a number"},
+        {R"({"config": {"refresh": [5]}})",
+         "scenario: 'config.refresh[0]' must be an object"},
+        {R"({"sweep": {"refresh": [[{"min_temp": 0, "bw_fraction": 0,
+             "dram_power_w": 0, "latency_mult": "x"}]]}})",
+         "scenario: 'sweep.refresh[0][0].latency_mult' must be a number"},
+        {R"({"sweep": {"thermal_model":
+             [{"grid_x": 4294967298, "grid_z": 2}]}})",
+         "scenario: 'sweep.thermal_model[0].grid_x' must be within "
+         "[-2147483648, 2147483647] (got 4294967298)"},
+        {R"({"config": {"thermal_model":
+             {"grid_x": 2, "grid_z": 2, "bank_weights": [0.5, "x"]}}})",
+         "scenario: 'config.thermal_model.bank_weights[1]' must be a "
+         "number"},
+        // Bounds, checked when the spec lowers (so named by the spec).
+        {R"({"name": "b", "config": {"copies_per_app": 0}, )" + lineup +
+             "}",
+         "scenario 'b': 'config.copies_per_app' must be >= 1"},
+        {R"({"name": "b", "sweep": {"dtm_interval": [0.01, 0]}, )" +
+             lineup + "}",
+         "scenario 'b': 'sweep.dtm_interval[1]' must be > 0"},
     };
-    expectParseError(R"({"config": {"sensor_seed": 1e30}})",
-                     "scenario: 'sensor_seed' must be within "
-                     "[0, 9007199254740992] (got 1e+30)");
-    expectParseError(R"({"config": {"sensor_seed": 9007199254740994}})",
-                     "scenario: 'sensor_seed' must be within "
-                     "[0, 9007199254740992] (got 9007199254740994)");
-    expectParseError(
-        R"({"config": {"memory_org": {"channels": 4294967298, "dimms": 4}}})",
-        "scenario: member 'channels' must be within "
-        "[-2147483648, 2147483647] (got 4294967298)");
-    expectParseError(
-        R"({"sweep": {"thermal_model":
-                          [{"grid_x": 4294967298, "grid_z": 2}]}})",
-        "scenario: member 'grid_x' must be within "
-        "[-2147483648, 2147483647] (got 4294967298)");
-    expectParseError(R"({"config": {"copies_per_app": -1e10}})",
-                     "scenario: member 'copies_per_app' must be within "
-                     "[-2147483648, 2147483647] (got -10000000000)");
-    expectParseError(R"({"sweep": {"copies_per_app": [2, 4294967297]}})",
-                     "scenario: sweep.copies_per_app value must be within "
-                     "[-2147483648, 2147483647] (got 4294967297)");
+    for (const auto &c : cases) {
+        try {
+            ScenarioSpec::fromJson(Json::parse(c.text)).validate();
+            ADD_FAILURE() << "expected FatalError for " << c.text;
+        } catch (const FatalError &e) {
+            EXPECT_EQ(std::string(e.what()), "fatal: " + c.message) << c.text;
+        }
+    }
 
-    // The range ends themselves still parse, exactly.
+    // The integer range ends themselves still parse, exactly.
     ScenarioSpec s = ScenarioSpec::fromJson(Json::parse(R"({
         "config": {"sensor_seed": 9007199254740992,
                    "memory_org": {"channels": 2147483647,
@@ -450,6 +532,19 @@ TEST(ScenarioSpec, ParserRejectsOutOfRangeIntegers)
     EXPECT_EQ(s.sensorSeed, 9007199254740992ULL);
     EXPECT_EQ(*s.memoryOrg.value, (MemoryOrgConfig{INT_MAX, INT_MIN}));
     EXPECT_EQ(ScenarioSpec::fromJson(s.toJson()), s);
+
+    // Programmatic specs meet the same bounds, named by their path.
+    ScenarioSpec nonfinite;
+    nonfinite.workloads = {"W1"};
+    nonfinite.policies = {"No-limit"};
+    nonfinite.sweepTInlet = {46.0, std::numeric_limits<double>::infinity()};
+    try {
+        nonfinite.lower();
+        ADD_FAILURE() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_EQ(std::string(e.what()),
+                  "fatal: scenario: 'sweep.t_inlet[1]' must be finite");
+    }
 }
 
 TEST(ScenarioSpec, RejectsNonFiniteSweepValuesAndOverrides)
@@ -698,7 +793,8 @@ TEST(ScenarioSpec, RemapKnobsValidateAgainstWindowAndDtmInterval)
         s.lower();
         FAIL() << "expected FatalError";
     } catch (const FatalError &e) {
-        EXPECT_NE(std::string(e.what()).find("remap_interval must be > 0"),
+        EXPECT_NE(std::string(e.what())
+                      .find("'config.remap_interval' must be > 0"),
                   std::string::npos)
             << e.what();
     }
@@ -709,7 +805,7 @@ TEST(ScenarioSpec, RemapKnobsValidateAgainstWindowAndDtmInterval)
         FAIL() << "expected FatalError";
     } catch (const FatalError &e) {
         EXPECT_NE(std::string(e.what())
-                      .find("remap_hysteresis must be >= 0"),
+                      .find("'config.remap_hysteresis' must be >= 0"),
                   std::string::npos)
             << e.what();
     }

@@ -197,18 +197,11 @@ cmdTrace(const std::vector<std::string> &args)
                       " needs an argument");
             return args[++i];
         };
-        // Addresses and counts: hex (0x-prefixed) or decimal, rejecting
-        // trailing garbage and overflow.
-        auto nextU64 = [&](const char *opt) -> std::uint64_t {
-            std::string v = next(opt);
-            std::size_t used = 0;
+        // Addresses and counts: the trace format's integers (dram/trace.hh).
+        auto nextU64 = [&](const char *opt) {
+            const std::string v = next(opt);
             std::uint64_t n = 0;
-            try {
-                n = std::stoull(v, &used, 0);
-            } catch (const std::exception &) {
-                used = 0;
-            }
-            if (used != v.size() || v.empty() || v[0] == '-')
+            if (!parseU64(v, n))
                 fatal(std::string("memtherm trace gen: ") + opt +
                       " needs a non-negative integer, got '" + v + "'");
             return n;
