@@ -303,13 +303,13 @@ class Parser
                 s[pos] == '.' || s[pos] == 'e' || s[pos] == 'E' ||
                 s[pos] == '+' || s[pos] == '-'))
             ++pos;
-        double v = 0.0;
-        auto r = std::from_chars(s.data() + start, s.data() + pos, v);
-        if (r.ec != std::errc{} || r.ptr != s.data() + pos) {
+        const std::optional<double> v =
+            parseNumber(std::string_view(s).substr(start, pos - start));
+        if (!v) {
             pos = start;
             fail("invalid number");
         }
-        return Json(v);
+        return Json(*v);
     }
 
     /// See value(): containers past this depth are refused, not parsed.
@@ -540,6 +540,25 @@ Json::save(const std::string &path, int indent) const
     // behind (a half-written results file would silently corrupt golden
     // comparisons downstream).
     atomicWriteFile(path, dump(indent));
+}
+
+std::optional<double>
+parseNumber(std::string_view text)
+{
+    double v = 0.0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, v);
+    return ec == std::errc{} && ptr == end ? std::optional(v) : std::nullopt;
+}
+
+std::optional<int>
+parseCount(std::string_view text)
+{
+    int n = 0;
+    const char *end = text.data() + text.size();
+    const auto [ptr, ec] = std::from_chars(text.data(), end, n);
+    return ec == std::errc{} && ptr == end && n >= 1 ? std::optional(n)
+                                                     : std::nullopt;
 }
 
 } // namespace memtherm

@@ -20,7 +20,9 @@
 #define MEMTHERM_COMMON_JSON_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -134,6 +136,15 @@ class Json
     std::vector<Json> arr;
     Members obj;
 };
+
+/**
+ * The whole-string number grammars shared by the JSON reader, the CLI
+ * and the MEMTHERM_* variables (std::from_chars: no blanks, no '+', no
+ * base prefix). parseNumber takes any double, "nan" and "inf"
+ * included; parseCount a decimal in [1, INT_MAX].
+ */
+std::optional<double> parseNumber(std::string_view text);
+std::optional<int> parseCount(std::string_view text);
 
 } // namespace memtherm
 

@@ -1,12 +1,11 @@
 #include "core/sim/engine.hh"
 
 #include <algorithm>
-#include <charconv>
 #include <chrono>
 #include <cstdlib>
-#include <cstring>
 #include <exception>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "core/sim/registry.hh"
 
@@ -18,11 +17,8 @@ ExperimentEngine::defaultThreads()
 {
     if (const char *env = std::getenv("MEMTHERM_THREADS")) {
         // The whole string, in [1, INT_MAX]: "4x" and "99999999999" warn.
-        const char *last = env + std::strlen(env);
-        int n = 0;
-        const auto [end, ec] = std::from_chars(env, last, n);
-        if (ec == std::errc{} && end == last && n >= 1)
-            return n;
+        if (const std::optional<int> n = parseCount(env))
+            return *n;
         warn("MEMTHERM_THREADS='" + std::string(env) +
              "' is not a positive integer; using hardware concurrency");
     }
@@ -37,12 +33,27 @@ ExperimentEngine::ExperimentEngine(int n_threads)
     // the calling thread and no workers exist.
     if (nThreads < 2)
         return;
-    workers.reserve(static_cast<std::size_t>(nThreads));
-    for (int i = 0; i < nThreads; ++i)
-        workers.emplace_back([this] { workerLoop(); });
+    try {
+        for (int i = 0; i < nThreads; ++i)
+            workers.emplace_back([this] { workerLoop(); });
+    } catch (const std::exception &e) {
+        // A joinable thread must not be destroyed: stop the workers
+        // already started before reporting the count the host refused.
+        const std::size_t started = workers.size();
+        stop();
+        fatal("engine: cannot start " + std::to_string(nThreads) +
+              " worker threads (" + std::to_string(started) +
+              " started): " + e.what());
+    }
 }
 
 ExperimentEngine::~ExperimentEngine()
+{
+    stop();
+}
+
+void
+ExperimentEngine::stop()
 {
     {
         std::lock_guard<std::mutex> lock(mtx);
@@ -51,6 +62,7 @@ ExperimentEngine::~ExperimentEngine()
     wake.notify_all();
     for (auto &w : workers)
         w.join();
+    workers.clear();
 }
 
 void

@@ -200,6 +200,8 @@ class ExperimentEngine
     using Task = std::function<void(ThermalSimulator::Scratch &)>;
 
     void workerLoop();
+    /// Stop and join every worker (after the queue drains).
+    void stop();
     static std::unique_ptr<DtmPolicy> makePolicy(const Run &r);
     std::vector<Run> makeSuiteRuns(const SimConfig &cfg,
                                    const std::vector<Workload> &workloads,

@@ -142,11 +142,6 @@ PolicyRegistry::instance()
 namespace
 {
 
-/// Most copies a homogeneous batch may ask for — the same bound as the
-/// bank-grid cells per DIMM: far past any real core count, and a cap on
-/// the app pointers a typo can make homogeneous() allocate.
-constexpr int kMaxBatchCopies = 1024;
-
 /**
  * "<app>x<n>": n copies of one catalog application. Only the canonical
  * count spelling resolves ("swimx04", "swimx+4" and "swimx 4" do not),

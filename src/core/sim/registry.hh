@@ -353,6 +353,14 @@ Catalog<ThermalModelConfig> &thermalModelCatalog();
 /** Every catalog `memtherm list` knows, in usage order. */
 const std::vector<const CatalogBase *> &catalogListings();
 
+/**
+ * Most copies of an application one workload may hold: the `<app>x<n>`
+ * count, the `copies_per_app` knob and sweep, and `run --copies`. The
+ * same bound as the bank-grid cells per DIMM: far past any real core
+ * count, and a cap on the instances a typo can make a batch allocate.
+ */
+constexpr int kMaxBatchCopies = 1024;
+
 /** "a, b, c" — the key lists used in diagnostics. */
 std::string joinNames(const std::vector<std::string> &names);
 

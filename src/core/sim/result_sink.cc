@@ -1,7 +1,6 @@
 #include "core/sim/result_sink.hh"
 
 #include <algorithm>
-#include <charconv>
 #include <cstdlib>
 #include <filesystem>
 #include <numeric>
@@ -146,21 +145,17 @@ scenarioSpecHash(const ScenarioSpec &spec)
 ShardSpec
 ShardSpec::parse(const std::string &text)
 {
-    // from_chars takes no '+' or blanks; a '-' fails the range check,
-    // an overflow fails ec.
-    ShardSpec s;
+    // parseCount's grammar: no '+', blanks or zero; '/' is required.
     const std::size_t slash = text.find('/');
-    const auto number = [&](std::size_t from, std::size_t to, int &out) {
-        const char *end = text.data() + to;
-        const auto [ptr, ec] = std::from_chars(text.data() + from, end, out);
-        return to > from && ec == std::errc() && ptr == end;
-    };
-    if (slash == std::string::npos || !number(0, slash, s.index) ||
-        !number(slash + 1, text.size(), s.count) || s.index < 1 ||
-        s.index > s.count || s.count > kMaxCount)
+    const std::string_view t = text;
+    const std::optional<int> i = parseCount(t.substr(0, slash));
+    const std::optional<int> n = slash == std::string::npos
+                                     ? std::nullopt
+                                     : parseCount(t.substr(slash + 1));
+    if (!i || !n || *i > *n || *n > kMaxCount)
         fatal("shard: expected 'i/N' with 1 <= i <= N <= " +
               std::to_string(kMaxCount) + " (got '" + text + "')");
-    return s;
+    return {*i, *n};
 }
 
 JsonlResultWriter::JsonlResultWriter(const std::string &path,

@@ -696,10 +696,11 @@ struct AxisDef
     /// a platform.
     bool baseName = false;
     bool path = false; ///< a file path: an empty string fails to parse
-    /// Lower bound of numeric values, knob and sweep alike (doubles are
-    /// also checked finite).
+    /// Bounds of numeric values, knob and sweep alike (doubles are also
+    /// checked finite); exclusive applies to min.
     double min = -std::numeric_limits<double>::infinity();
     bool exclusive = false;
+    double max = std::numeric_limits<double>::infinity();
     /// Duplicate sweep values compare by label, unless sameAs is set:
     /// then by *resolved* value, the error adding "(same <sameAs> as
     /// '<other>')" when the labels differ.
@@ -800,7 +801,7 @@ forEachAxis(F &&f)
       &S::sweepTInlet, nullptr,
       [](C &c, double v) { c.ambient.tInlet = v; });
     f(AxisDef{.key = "copies_per_app", .prefix = "copies=", .pos = 5,
-              .min = 1},
+              .min = 1, .max = kMaxBatchCopies},
       &S::copiesPerApp, &S::sweepCopies, nullptr, &C::copiesPerApp);
     f(AxisDef{.key = "instr_scale", .min = 0, .exclusive = true},
       &S::instrScale, nullptr, nullptr, &C::instrScale);
@@ -864,7 +865,7 @@ sweepSize(const ScenarioSpec &s, Sweep sweep)
 
 /**
  * A numeric entry's bounds, for its config member and then each sweep
- * value: finite, and the table's lower bound.
+ * value: finite, and the table's bounds.
  */
 template <typename M, typename Sweep>
 void
@@ -878,6 +879,8 @@ checkBounds(const ScenarioSpec &s, const AxisDef &a, M ScenarioSpec::*knob,
             if (a.exclusive ? v <= a.min : v < a.min)
                 mustBe(p, std::string(a.exclusive ? "> " : ">= ") +
                               numStr(a.min), &s);
+            if (v > a.max)
+                mustBe(p, "<= " + numStr(a.max), &s);
         };
         const Path config{.key = "config"}, axes{.key = "sweep"};
         if (isSet(s.*knob))

@@ -1,5 +1,6 @@
 #include "dram/trace.hh"
 
+#include <charconv>
 #include <cmath>
 #include <fstream>
 #include <sstream>
@@ -24,32 +25,14 @@ at(const std::string &name, std::size_t line)
 bool
 parseU64(const std::string &tok, std::uint64_t &out)
 {
-    if (tok.empty())
-        return false;
-    int base = 10;
-    std::size_t start = 0;
-    if (tok.size() > 2 && tok[0] == '0' && (tok[1] == 'x' || tok[1] == 'X')) {
-        base = 16;
-        start = 2;
-    }
+    const bool hex =
+        tok.size() > 2 && tok[0] == '0' && (tok[1] == 'x' || tok[1] == 'X');
+    const char *first = tok.data() + (hex ? 2 : 0);
+    const char *last = tok.data() + tok.size();
     std::uint64_t v = 0;
-    for (std::size_t i = start; i < tok.size(); ++i) {
-        const char c = tok[i];
-        int digit;
-        if (c >= '0' && c <= '9')
-            digit = c - '0';
-        else if (base == 16 && c >= 'a' && c <= 'f')
-            digit = c - 'a' + 10;
-        else if (base == 16 && c >= 'A' && c <= 'F')
-            digit = c - 'A' + 10;
-        else
-            return false;
-        if (v > (~0ULL - static_cast<std::uint64_t>(digit)) /
-                    static_cast<std::uint64_t>(base))
-            return false; // overflow
-        v = v * static_cast<std::uint64_t>(base) +
-            static_cast<std::uint64_t>(digit);
-    }
+    const auto [end, ec] = std::from_chars(first, last, v, hex ? 16 : 10);
+    if (first == last || ec != std::errc{} || end != last)
+        return false;
     out = v;
     return true;
 }

@@ -16,7 +16,10 @@
  *    which may refuse them only with FatalError;
  *  - random `#memtherm-trace` documents round-trip through the trace
  *    parser, and mutated ones are refused only with FatalError, never
- *    accepted under a header other than v1.
+ *    accepted under a header other than v1;
+ *  - `memtherm` command lines built from the option tables' own rows,
+ *    then mutated, are refused by parseArgs only with FatalError, and
+ *    every accepted one satisfies the options' invariants.
  *
  * The case count defaults to ~1000 and scales with the
  * MEMTHERM_FUZZ_CASES environment variable; every case derives from the
@@ -25,13 +28,17 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <limits>
 #include <sstream>
 #include <string>
+#include <type_traits>
+#include <variant>
 #include <vector>
 
+#include "cli/args.hh"
 #include "common/json.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
@@ -747,6 +754,149 @@ TEST(TraceFuzz, MutatedTracesFailOnlyFatally)
                 << "case " << i << ": accepted\n" << text;
         });
     }
+}
+
+/**
+ * A value option @p o accepts, for a well-formed command line; half of
+ * the counts sit at their bound, one past it included.
+ */
+std::string
+validValue(Rng &rng, const CliOption &o)
+{
+    if (o.flag == std::string("--shard"))
+        return std::to_string(1 + rng.below(2)) + "/2";
+    using namespace arg;
+    return std::visit(
+        [&](const auto &k) -> std::string {
+            using K = std::decay_t<decltype(k)>;
+            if constexpr (std::is_same_v<K, Count>)
+                return std::to_string(
+                    rng.uniform() < 0.5
+                        ? k.max - 1LL + static_cast<long long>(rng.below(3))
+                        : 1LL + static_cast<long long>(rng.below(8)));
+            else if constexpr (std::is_same_v<K, Tol>)
+                return rng.uniform() < 0.5 ? "1e-9" : "0";
+            else if constexpr (std::is_same_v<K, Number>)
+                return "50";
+            else if constexpr (std::is_same_v<K, U64> ||
+                               std::is_same_v<K, Block>)
+                return rng.uniform() < 0.5 ? "64" : "0x40";
+            else if constexpr (std::is_same_v<K, Pattern>)
+                return rng.uniform() < 0.5 ? "linear" : "random";
+            else
+                return "f" + std::to_string(rng.below(4)) + ".json";
+        },
+        o.kind);
+}
+
+TEST(CliArgsFuzz, MutatedArgvFailOnlyFatally)
+{
+    // Tokens each argument grammar has an opinion about.
+    static const std::string hostile[] = {
+        "", std::string("\0", 1), std::string("1\0" "2", 3), "-", "--",
+        "0", "-1", "-0", "+2", " 2", "2 ", "0x10", "1025", "2147483647",
+        "2147483648", "99999999999999999999", "18446744073709551616", "nan",
+        "-nan", "inf", "-inf", "infinity", "1e999", "-1e999", "1e-400",
+        "0x1p-30", "1/2", "2/1", "0/0", "1/1000001", "linear", "--bogus",
+        "stray.json"};
+    const std::vector<CliCommand> &commands = cliCommands();
+    std::vector<std::string> flags;
+    std::size_t rows = 0;
+    for (const CliCommand &c : commands) {
+        rows += c.options.size() + 1;
+        for (const CliOption &o : c.options)
+            flags.push_back(o.flag);
+    }
+
+    const std::size_t cases = fuzzCases();
+    std::size_t accepted = 0;
+    Rng seed_stream(0xc11a1ba5ULL);
+    for (std::size_t i = 0; i < cases; ++i) {
+        Rng rng(seed_stream.next());
+        // Commands weighted by their rows, so `run` and its rules get
+        // the most lines.
+        std::size_t pick = rng.below(rows);
+        const CliCommand *cp = commands.data();
+        while (pick > cp->options.size())
+            pick -= (cp++)->options.size() + 1;
+        const CliCommand &c = *cp;
+        std::vector<std::string> argv;
+        switch (c.positionals) {
+          case Positionals::Keyword:
+            argv.push_back("policies");
+            break;
+          case Positionals::Gen:
+            argv.push_back("gen");
+            break;
+          case Positionals::One:
+            argv.push_back("s.json");
+            break;
+          case Positionals::Many:
+            for (std::size_t n = 1 + rng.below(2); n > 0; --n)
+                argv.push_back("s" + std::to_string(n) + ".json");
+        }
+        for (const CliOption &o : c.options) {
+            if (rng.uniform() < 0.5)
+                continue;
+            argv.push_back(o.flag);
+            if (!std::holds_alternative<arg::Switch>(o.kind))
+                argv.push_back(validValue(rng, o));
+        }
+
+        // A quarter of the lines stay as built, to reach the invariants.
+        for (std::size_t edits = rng.below(4); edits > 0; --edits) {
+            const std::size_t at = rng.below(argv.size() + 1);
+            const auto pos = argv.begin() + static_cast<long>(at);
+            const std::string &t = hostile[rng.below(std::size(hostile))];
+            switch (rng.below(6)) {
+              case 0: // a value (or anything) dropped
+                if (at < argv.size())
+                    argv.erase(pos);
+                break;
+              case 1: // a value replaced
+                if (at < argv.size())
+                    *pos = t;
+                break;
+              case 2: // a flag repeated, with a hostile value
+                argv.push_back(flags[rng.below(flags.size())]);
+                argv.push_back(t);
+                break;
+              case 3: // a stray positional
+                argv.insert(pos, "stray.json");
+                break;
+              case 4: // an unknown flag, or another command's
+                argv.insert(pos, rng.uniform() < 0.5
+                                     ? "--bogus"
+                                     : flags[rng.below(flags.size())]);
+                break;
+              default: // a hostile token anywhere
+                argv.insert(pos, t);
+            }
+        }
+        const std::string cmd = rng.uniform() < 0.02 ? "bogus" : c.name;
+
+        expectOnlyFatal(i, "parseArgs", [&] {
+            const CliArgs a = parseArgs(cmd, argv);
+            const std::string at = "case " + std::to_string(i) + ": " +
+                                   cmd + " " +
+                                   ::testing::PrintToString(argv);
+            EXPECT_TRUE(a.threads >= 0 && a.copies >= 0 && a.batch >= 0)
+                << at; // 0 is "not given"; a given count is >= 1
+            EXPECT_LE(a.copies, kMaxBatchCopies) << at;
+            EXPECT_TRUE(std::isfinite(a.tol) && a.tol >= 0.0) << at;
+            const ShardSpec &sh = a.shard;
+            EXPECT_TRUE(!a.stream.empty() ||
+                        (!a.resume && a.shardArg.empty()))
+                << at;
+            EXPECT_TRUE(1 <= sh.index && sh.index <= sh.count &&
+                        sh.count <= ShardSpec::kMaxCount)
+                << at;
+            EXPECT_TRUE(!sh.sharded() || (a.out.empty() && a.golden.empty()))
+                << at;
+            ++accepted;
+        });
+    }
+    EXPECT_GT(accepted, cases / 5);
 }
 
 } // namespace

@@ -4,9 +4,10 @@
  *
  * Every name a registry catalog exposes, and every result member, has
  * to appear in docs/scenarios.md, and docs/cli.md has to cover every
- * `memtherm` subcommand and every `memtherm list` catalog keyword — so
- * a new catalog entry, result member or subcommand cannot land
- * undocumented. README.md must keep linking into docs/.
+ * `memtherm` subcommand and flag of the option tables and every
+ * `memtherm list` catalog keyword — so a new catalog entry, result
+ * member, subcommand or flag cannot land undocumented. README.md must
+ * keep linking into docs/.
  */
 
 #include <gtest/gtest.h>
@@ -16,6 +17,7 @@
 #include <string>
 #include <vector>
 
+#include "cli/args.hh"
 #include "core/sim/registry.hh"
 #include "core/sim/scenario.hh"
 
@@ -100,9 +102,8 @@ TEST(DocsReference, CliManualCoversEverySubcommandAndListCatalog)
 {
     const std::string doc = readFile("docs/cli.md");
     ASSERT_FALSE(doc.empty());
-    for (const char *cmd : {"memtherm run", "memtherm report",
-                            "memtherm merge", "memtherm validate",
-                            "memtherm list", "memtherm trace"}) {
+    for (const CliCommand &c : cliCommands()) {
+        const std::string cmd = "memtherm " + std::string(c.name);
         EXPECT_NE(doc.find(cmd), std::string::npos)
             << "docs/cli.md does not document '" << cmd << "'";
     }
@@ -117,14 +118,14 @@ TEST(DocsReference, CliManualCoversEverySubcommandAndListCatalog)
         << "docs/cli.md does not document the 'hottest_dimm' column";
     EXPECT_NE(doc.find("peak_bank_dimm"), std::string::npos)
         << "docs/cli.md does not document the per-bank CSV columns";
-    for (const char *flag : {"--golden", "--tol", "--baseline", "--csv",
-                             "--threads", "--copies", "--traces",
-                             "--quiet", "-o", "--stream", "--resume",
-                             "--shard", "--batch", "--pattern", "--count",
-                             "--seed", "--min-addr", "--max-addr",
-                             "--block", "--read-pct"}) {
-        EXPECT_NE(doc.find(flag), std::string::npos)
-            << "docs/cli.md does not document flag '" << flag << "'";
+    // Every row of the option tables, so a new flag must land
+    // documented.
+    for (const CliCommand &c : cliCommands()) {
+        for (const CliOption &o : c.options) {
+            EXPECT_NE(doc.find(o.flag), std::string::npos)
+                << "docs/cli.md does not document flag '" << o.flag
+                << "' of memtherm " << c.name;
+        }
     }
     // Batched execution has non-obvious determinism semantics; the
     // manual must keep explaining the class/fork machinery, not just

@@ -8,8 +8,13 @@
 
 #include <gtest/gtest.h>
 
+#include <sys/resource.h>
+#include <unistd.h>
+
 #include <cmath>
 #include <cstdlib>
+#include <fstream>
+#include <iostream>
 #include <string>
 
 #include "common/logging.hh"
@@ -86,6 +91,46 @@ TEST(ExperimentEngine, InvalidThreadCountsFallBackToHardware)
         setenv("MEMTHERM_THREADS", restore.c_str(), 1);
     else
         unsetenv("MEMTHERM_THREADS");
+}
+
+/**
+ * Cap the address space a little above what the process maps, so a few
+ * workers start and the rest get no stack, then ask for 1000 threads.
+ * Exits 3 on the FatalError, 0 if every thread started. (Unused under
+ * ASan, whose shadow memory does not fit the cap.)
+ */
+[[noreturn, maybe_unused]] void
+startThreadsUnderAddressCap()
+{
+    long pages = 0;
+    std::ifstream("/proc/self/statm") >> pages;
+    const rlim_t cap =
+        static_cast<rlim_t>(pages * sysconf(_SC_PAGESIZE)) + (64 << 20);
+    const rlimit limit{cap, cap};
+    setrlimit(RLIMIT_AS, &limit);
+    // Destroying a condition variable that started workers still wait on
+    // can hang instead of aborting; end that case too.
+    alarm(20);
+    try {
+        ExperimentEngine engine(1000);
+    } catch (const FatalError &e) {
+        std::cerr << e.what() << std::endl;
+        std::exit(3);
+    }
+    std::exit(0);
+}
+
+TEST(ExperimentEngine, UnstartableThreadCountIsFatalNotAnAbort)
+{
+#ifdef __SANITIZE_ADDRESS__
+    GTEST_SKIP() << "ASan maps more address space than the cap allows";
+#else
+    // The constructor must join the workers it started and report the
+    // count: destroying a joinable std::thread would abort instead.
+    EXPECT_EXIT(startThreadsUnderAddressCap(), ::testing::ExitedWithCode(3),
+                "engine: cannot start 1000 worker threads \\([0-9]+ "
+                "started\\)");
+#endif
 }
 
 TEST(ExperimentEngine, ParallelMatchesSerialBitExactly)

@@ -510,6 +510,12 @@ TEST(ScenarioSpec, ValueErrorsNameTheFullPath)
         {R"({"name": "b", "config": {"copies_per_app": 0}, )" + lineup +
              "}",
          "scenario 'b': 'config.copies_per_app' must be >= 1"},
+        {R"({"name": "b", "config": {"copies_per_app": 1025}, )" + lineup +
+             "}",
+         "scenario 'b': 'config.copies_per_app' must be <= 1024"},
+        {R"({"name": "b", "sweep": {"copies_per_app": [1, 2000000000]}, )" +
+             lineup + "}",
+         "scenario 'b': 'sweep.copies_per_app[1]' must be <= 1024"},
         {R"({"name": "b", "sweep": {"dtm_interval": [0.01, 0]}, )" +
              lineup + "}",
          "scenario 'b': 'sweep.dtm_interval[1]' must be > 0"},

@@ -1,39 +1,18 @@
 /**
  * @file
- * `memtherm` — the scenario-driven command-line front end.
+ * `memtherm` — the scenario-driven command-line front end: run,
+ * merge, report, validate, list and trace gen (docs/cli.md).
  *
- *   memtherm run <scenario.json> [options]   execute a scenario file
- *   memtherm merge <stream.jsonl>...         combine result streams
- *   memtherm report <results|stream>...      summarize results
- *   memtherm validate <scenario.json>...     parse + resolve, no runs
- *   memtherm list <catalog>                  print valid names
- *   memtherm trace gen -o <file> [options]   synthesize a memory trace
- *
- * Scenarios are declarative (core/sim/scenario.hh): config overrides,
- * workload/policy names, and sweep axes, all resolved through the
- * registries — an unknown name prints the valid keys instead of
- * aborting. Results serialize through the shared JSON layer, and the
- * --golden mode re-checks a result file within a relative tolerance,
- * which is what the CLI smoke test pins `memtherm run` output with.
- * `report` closes the loop: scenario file -> run -> per-point and
- * per-axis summary tables (and CSV) with running time, max AMB/DRAM
- * temperature, and a normalized-to-baseline column in the spirit of
- * Figures 4.5-4.8, with no custom binary anywhere. The CSV also carries
- * per-DIMM peak-temperature and average-power columns (sized to the
- * widest organization present), so a memory_org or traffic_shape sweep
- * exposes the per-DIMM thermal gradient and heat-source distribution
- * directly.
- *
- * Long grids run crash-safe: `run --stream` appends one JSONL record
- * per finished run (core/sim/result_sink.hh), `--resume` continues an
- * interrupted stream, `--shard i/N` splits one grid across machines,
- * and `merge` folds the streams back into the canonical results JSON —
- * bit-identical to an uninterrupted `run -o`; `--batch k` shares
- * simulated prefixes in either output mode. A failed run becomes an
- * error record (named in the failure summary, nonzero exit) while the
- * rest of the grid streams on. Every file this tool writes (`run -o`,
- * `report --csv`, merged results) lands via write-to-temp-then-rename,
- * so a kill mid-write never leaves a truncated document behind.
+ * The command line is parsed by the option tables in cli/args.hh;
+ * each cmdX here takes the parsed CliArgs and only executes. A scenario
+ * file runs to a summary table, a results JSON (`-o`), a golden check
+ * (`--golden`, relative tolerance) or, crash-safe, a JSONL stream
+ * (`--stream`, `--resume`, `--shard i/N`) that `merge` folds back into
+ * the bytes of an uninterrupted `run -o`. `report` renders results or
+ * streams as per-point and per-axis tables and CSV, normalized to a
+ * baseline policy in the spirit of Figures 4.5-4.8. A failed run
+ * becomes an error record and a nonzero exit while the rest of the grid
+ * runs on, and every file written lands via write-to-temp-then-rename.
  */
 
 #include <algorithm>
@@ -42,12 +21,12 @@
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <optional>
 #include <sstream>
 #include <string>
 #include <tuple>
 #include <vector>
 
+#include "cli/args.hh"
 #include "common/fs_util.hh"
 #include "common/logging.hh"
 #include "common/table.hh"
@@ -61,84 +40,10 @@ using namespace memtherm;
 namespace
 {
 
-/** The `memtherm list` catalog keywords joined with @p sep. */
-std::string
-listKeywords(const char *sep)
-{
-    std::string out;
-    for (const CatalogBase *c : catalogListings())
-        out += (out.empty() ? "" : sep) + std::string(c->info.keyword);
-    return out;
-}
-
 int
-usage(std::ostream &os, int rc)
+cmdList(const CliArgs &a)
 {
-    os << "usage:\n"
-          "  memtherm run <scenario.json> [options]\n"
-          "      -o <file>        write results as JSON\n"
-          "      --stream <file>  append results to a JSONL stream as\n"
-          "                       each run finishes (crash-safe)\n"
-          "      --resume         continue an interrupted --stream file:\n"
-          "                       completed runs are skipped, failed\n"
-          "                       runs are retried\n"
-          "      --shard <i/N>    execute only shard i of N (1-based,\n"
-          "                       deterministic round-robin over the\n"
-          "                       grid; requires --stream; combine the\n"
-          "                       shard streams with `memtherm merge`)\n"
-          "      --traces         include full traces in the JSON output\n"
-          "      --threads <n>    engine thread count (default:\n"
-          "                       MEMTHERM_THREADS or hardware)\n"
-          "      --copies <n>     override the batch depth and drop any\n"
-          "                       copies sweep (quick looks, smoke tests)\n"
-          "      --batch <k>      execute runs that differ only by policy\n"
-          "                       in lockstep batches of up to k lanes,\n"
-          "                       sharing their simulated prefix (works\n"
-          "                       with --stream, --shard and --resume)\n"
-          "      --golden <file>  compare results against a reference\n"
-          "                       results JSON; nonzero exit on mismatch\n"
-          "      --tol <x>        relative tolerance for --golden, a\n"
-          "                       finite number >= 0 (default 1e-9)\n"
-          "      --quiet          suppress the summary table\n"
-          "  memtherm merge <stream.jsonl>... [options]\n"
-          "      -o <file>        write the combined results as JSON\n"
-          "                       (bit-identical to an uninterrupted\n"
-          "                       unsharded `memtherm run -o`)\n"
-          "      --golden <file>  compare combined results against a\n"
-          "                       reference results JSON\n"
-          "      --tol <x>        relative tolerance for --golden, a\n"
-          "                       finite number >= 0 (default 1e-9)\n"
-          "      --quiet          suppress the merge summary\n"
-          "  memtherm report <results.json|stream.jsonl>... [options]\n"
-          "      --baseline <p>   normalization baseline policy (default:\n"
-          "                       No-limit when any run has it, else the\n"
-          "                       first policy in the results)\n"
-          "      --csv <file>     also write the flat per-run rows as CSV\n"
-          "      --quiet          suppress the summary tables\n"
-          "  memtherm validate <scenario.json>...\n"
-          "  memtherm list "
-       << listKeywords("|")
-       << "\n"
-          "  memtherm trace gen -o <file> [options]\n"
-          "      --pattern <p>    linear (default) or random address\n"
-          "                       stream, a la gem5 PyTrafficGen\n"
-          "      --count <n>      records to generate (default 1024)\n"
-          "      --seed <n>       generator seed (default 42)\n"
-          "      --min-addr <a>   range start, hex or decimal (default 0)\n"
-          "      --max-addr <a>   range end, exclusive (default "
-          "0x1000000)\n"
-          "      --block <n>      bytes per access (default 64)\n"
-          "      --read-pct <p>   percentage of reads in [0, 100]\n"
-          "                       (default 100)\n";
-    return rc;
-}
-
-int
-cmdList(const std::vector<std::string> &args)
-{
-    if (args.size() != 1)
-        return usage(std::cerr, 1);
-    const std::string &what = args[0];
+    const std::string &what = a.inputs[0];
     for (const CatalogBase *c : catalogListings()) {
         if (what != c->info.keyword)
             continue;
@@ -153,105 +58,20 @@ cmdList(const std::vector<std::string> &args)
     return 1;
 }
 
-/**
- * The number argument @p v of option @p opt of @p cmd ("memtherm run");
- * trailing garbage or no number at all is a fatal error naming both.
- */
-double
-parseNumber(const std::string &cmd, const char *opt, const std::string &v)
-{
-    std::size_t used = 0;
-    double x = 0.0;
-    try {
-        x = std::stod(v, &used);
-    } catch (const std::exception &) {
-        used = 0;
-    }
-    if (used != v.size())
-        fatal(cmd + ": " + opt + " needs a number, got '" + v + "'");
-    return x;
-}
-
-/** The --tol argument of @p cmd: a finite number >= 0. */
-double
-parseTol(const std::string &cmd, const std::string &v)
-{
-    const double tol = parseNumber(cmd, "--tol", v);
-    if (!(std::isfinite(tol) && tol >= 0.0))
-        fatal(cmd + ": --tol needs a finite number >= 0, got '" + v + "'");
-    return tol;
-}
-
 int
-cmdTrace(const std::vector<std::string> &args)
+cmdTrace(const CliArgs &a)
 {
-    if (args.empty() || args[0] != "gen")
-        return usage(std::cerr, 1);
-    TraceGenConfig cfg;
-    std::string out_path;
-    for (std::size_t i = 1; i < args.size(); ++i) {
-        const std::string &a = args[i];
-        auto next = [&](const char *opt) -> std::string {
-            if (i + 1 >= args.size())
-                fatal(std::string("memtherm trace gen: ") + opt +
-                      " needs an argument");
-            return args[++i];
-        };
-        // Addresses and counts: the trace format's integers (dram/trace.hh).
-        auto nextU64 = [&](const char *opt) {
-            const std::string v = next(opt);
-            std::uint64_t n = 0;
-            if (!parseU64(v, n))
-                fatal(std::string("memtherm trace gen: ") + opt +
-                      " needs a non-negative integer, got '" + v + "'");
-            return n;
-        };
-        if (a == "-o")
-            out_path = next("-o");
-        else if (a == "--pattern") {
-            std::string v = next("--pattern");
-            if (v == "linear")
-                cfg.pattern = TraceGenConfig::Pattern::Linear;
-            else if (v == "random")
-                cfg.pattern = TraceGenConfig::Pattern::Random;
-            else
-                fatal("memtherm trace gen: --pattern must be 'linear' or "
-                      "'random', got '" + v + "'");
-        } else if (a == "--count")
-            cfg.count = nextU64("--count");
-        else if (a == "--seed")
-            cfg.seed = nextU64("--seed");
-        else if (a == "--min-addr")
-            cfg.minAddr = nextU64("--min-addr");
-        else if (a == "--max-addr")
-            cfg.maxAddr = nextU64("--max-addr");
-        else if (a == "--block") {
-            std::uint64_t b = nextU64("--block");
-            if (b == 0 || b > 0xffffffffULL)
-                fatal("memtherm trace gen: --block must be in "
-                      "[1, 2^32-1]");
-            cfg.blockSize = static_cast<std::uint32_t>(b);
-        } else if (a == "--read-pct")
-            cfg.readPct = parseNumber("memtherm trace gen", "--read-pct",
-                                      next("--read-pct"));
-        else
-            fatal("memtherm trace gen: unknown option '" + a + "'");
-    }
-    if (out_path.empty())
-        fatal("memtherm trace gen: -o <file> is required");
-    std::vector<TraceRecord> records = generateTrace(cfg);
-    saveTrace(out_path, records);
-    std::cout << "wrote " << out_path << " (" << records.size()
+    std::vector<TraceRecord> records = generateTrace(a.gen);
+    saveTrace(a.out, records);
+    std::cout << "wrote " << a.out << " (" << records.size()
               << " record(s))\n";
     return 0;
 }
 
 int
-cmdValidate(const std::vector<std::string> &args)
+cmdValidate(const CliArgs &a)
 {
-    if (args.empty())
-        return usage(std::cerr, 1);
-    for (const auto &path : args) {
+    for (const auto &path : a.inputs) {
         ScenarioSpec spec = ScenarioSpec::load(path);
         LoweredScenario low = spec.lower();
         // The full grid arithmetic, so --shard counts can be sized
@@ -501,32 +321,9 @@ csvField(const std::string &s)
 }
 
 int
-cmdReport(const std::vector<std::string> &args)
+cmdReport(const CliArgs &a)
 {
-    std::vector<std::string> inputs;
-    std::string csv_path, baseline;
-    bool quiet = false;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &a = args[i];
-        auto next = [&](const char *opt) -> std::string {
-            if (i + 1 >= args.size())
-                fatal(std::string("memtherm report: ") + opt +
-                      " needs an argument");
-            return args[++i];
-        };
-        if (a == "--csv")
-            csv_path = next("--csv");
-        else if (a == "--baseline")
-            baseline = next("--baseline");
-        else if (a == "--quiet")
-            quiet = true;
-        else if (!a.empty() && a[0] == '-')
-            fatal("memtherm report: unknown option '" + a + "'");
-        else
-            inputs.push_back(a);
-    }
-    if (inputs.empty())
-        return usage(std::cerr, 1);
+    const std::vector<std::string> &inputs = a.inputs;
     const std::string &results_path = inputs.front();
 
     // JSONL streams (from `run --stream`) canonicalize through the
@@ -569,14 +366,14 @@ cmdReport(const std::vector<std::string> &args)
     const auto present = [&](const std::string &p) {
         return std::find(seen.begin(), seen.end(), p) != seen.end();
     };
-    std::string base = baseline;
+    std::string base = a.baseline;
     if (base.empty()) {
         base = seen.empty() || present("No-limit") ? "No-limit"
                                                    : seen.front();
     } else if (!present(base)) {
         // A --baseline typo would otherwise just blank every
         // normalization column; report it like any other bad lookup.
-        fatal("memtherm report: baseline policy '" + baseline +
+        fatal("memtherm report: baseline policy '" + a.baseline +
               "' does not appear in the results (valid: " +
               joinNames(seen) + ")");
     }
@@ -593,7 +390,7 @@ cmdReport(const std::vector<std::string> &args)
         return r.runningTime / it->second.runningTime;
     };
 
-    if (!quiet) {
+    if (!a.quiet) {
         // Per-point detail: the Figures 4.5-4.8 view (running time
         // normalized to the baseline, plus the thermal peaks).
         for (const auto &pt : results.points) {
@@ -674,7 +471,7 @@ cmdReport(const std::vector<std::string> &args)
         s.print(std::cout);
     }
 
-    if (!csv_path.empty()) {
+    if (!a.csv.empty()) {
         // Rendered in memory and written via atomicWriteFile, so a kill
         // mid-report never leaves a truncated CSV behind.
         std::ostringstream f;
@@ -734,45 +531,17 @@ cmdReport(const std::vector<std::string> &args)
                 }
             }
         }
-        atomicWriteFile(csv_path, f.str());
-        if (!quiet)
-            std::cout << "wrote " << csv_path << '\n';
+        atomicWriteFile(a.csv, f.str());
+        if (!a.quiet)
+            std::cout << "wrote " << a.csv << '\n';
     }
     return 0;
 }
 
 int
-cmdMerge(const std::vector<std::string> &args)
+cmdMerge(const CliArgs &a)
 {
-    std::vector<std::string> paths;
-    std::string out_path, golden_path;
-    double tol = 1e-9;
-    bool quiet = false;
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &a = args[i];
-        auto next = [&](const char *opt) -> std::string {
-            if (i + 1 >= args.size())
-                fatal(std::string("memtherm merge: ") + opt +
-                      " needs an argument");
-            return args[++i];
-        };
-        if (a == "-o")
-            out_path = next("-o");
-        else if (a == "--golden")
-            golden_path = next("--golden");
-        else if (a == "--tol")
-            tol = parseTol("memtherm merge", next("--tol"));
-        else if (a == "--quiet")
-            quiet = true;
-        else if (!a.empty() && a[0] == '-')
-            fatal("memtherm merge: unknown option '" + a + "'");
-        else
-            paths.push_back(a);
-    }
-    if (paths.empty())
-        return usage(std::cerr, 1);
-
-    MergedStream merged = mergeStreams(paths);
+    MergedStream merged = mergeStreams(a.inputs);
 
     // An incomplete merge would masquerade as a (smaller) clean result;
     // name what is missing instead of emitting it.
@@ -795,22 +564,21 @@ cmdMerge(const std::vector<std::string> &args)
               "stream");
     }
 
-    if (!quiet) {
-        std::cout << "merged " << paths.size() << " stream(s): scenario '"
+    if (!a.quiet) {
+        std::cout << "merged " << a.inputs.size() << " stream(s): scenario '"
                   << merged.spec.name << "', " << merged.totalRuns
                   << " run(s), " << merged.errors.size()
                   << " failure record(s)\n";
     }
-    if (!out_path.empty()) {
-        merged.results.save(out_path);
-        if (!quiet)
-            std::cout << "wrote " << out_path << '\n';
+    if (!a.out.empty()) {
+        merged.results.save(a.out);
+        if (!a.quiet)
+            std::cout << "wrote " << a.out << '\n';
     }
 
-    int rc = golden_path.empty() ? 0
-                                 : checkGolden("memtherm merge",
-                                               merged.results, golden_path,
-                                               tol, quiet);
+    int rc = a.golden.empty() ? 0
+                              : checkGolden("memtherm merge", merged.results,
+                                            a.golden, a.tol, a.quiet);
     if (!merged.errors.empty()) {
         printFailures("memtherm merge", merged.errors);
         rc = 1;
@@ -831,110 +599,35 @@ printBatchStats(int width, const BatchStats &stats)
 }
 
 int
-cmdRun(const std::vector<std::string> &args)
+cmdRun(const CliArgs &a)
 {
-    std::string scenario_path, out_path, golden_path;
-    std::string stream_path, shard_text;
-    double tol = 1e-9;
-    int threads = 0;
-    std::optional<int> copies, batch_width;
-    bool traces = false, quiet = false, resume = false;
-
-    for (std::size_t i = 0; i < args.size(); ++i) {
-        const std::string &a = args[i];
-        auto next = [&](const char *opt) -> std::string {
-            if (i + 1 >= args.size())
-                fatal(std::string("memtherm run: ") + opt +
-                      " needs an argument");
-            return args[++i];
-        };
-        // Positive-integer options: reject trailing garbage, overflow,
-        // and the silently-accepted 0/negative counts alike.
-        auto nextPosInt = [&](const char *opt) {
-            std::string v = next(opt);
-            std::size_t used = 0;
-            int n = 0;
-            try {
-                n = std::stoi(v, &used);
-            } catch (const std::exception &) {
-                used = 0;
-            }
-            if (used != v.size() || v.empty() || n < 1)
-                fatal(std::string("memtherm run: ") + opt +
-                      " needs a positive integer, got '" + v + "'");
-            return n;
-        };
-        if (a == "-o")
-            out_path = next("-o");
-        else if (a == "--stream")
-            stream_path = next("--stream");
-        else if (a == "--resume")
-            resume = true;
-        else if (a == "--shard")
-            shard_text = next("--shard");
-        else if (a == "--golden")
-            golden_path = next("--golden");
-        else if (a == "--tol")
-            tol = parseTol("memtherm run", next("--tol"));
-        else if (a == "--threads")
-            threads = nextPosInt("--threads");
-        else if (a == "--copies")
-            copies = nextPosInt("--copies");
-        else if (a == "--batch")
-            batch_width = nextPosInt("--batch");
-        else if (a == "--traces")
-            traces = true;
-        else if (a == "--quiet")
-            quiet = true;
-        else if (!a.empty() && a[0] == '-')
-            fatal("memtherm run: unknown option '" + a + "'");
-        else if (scenario_path.empty())
-            scenario_path = a;
-        else
-            fatal("memtherm run: more than one scenario file given");
-    }
-    if (scenario_path.empty())
-        return usage(std::cerr, 1);
-    if (stream_path.empty() && (resume || !shard_text.empty())) {
-        fatal("memtherm run: --resume and --shard only make sense with "
-              "--stream");
-    }
-    ShardSpec shard;
-    if (!shard_text.empty())
-        shard = ShardSpec::parse(shard_text);
-    if (shard.sharded() && (!out_path.empty() || !golden_path.empty())) {
-        fatal("memtherm run: -o/--golden describe the full grid but a "
-              "shard executes only part of it; combine the shard streams "
-              "with `memtherm merge` instead");
-    }
-
-    ScenarioSpec spec = ScenarioSpec::load(scenario_path);
-    if (copies) {
-        spec.copiesPerApp = *copies;
+    ScenarioSpec spec = ScenarioSpec::load(a.scenario);
+    if (a.copies) {
+        spec.copiesPerApp = a.copies;
         spec.sweepCopies.clear();
     }
 
-    ExperimentEngine engine(threads);
+    ExperimentEngine engine(a.threads);
 
     Json out; // the results document behind -o/--golden
     std::vector<RunError> failures;
-    if (!stream_path.empty()) {
+    if (!a.stream.empty()) {
         StreamRunOptions sopts;
-        sopts.path = stream_path;
-        sopts.resume = resume;
-        sopts.shard = shard;
-        sopts.traces = traces;
-        sopts.batchWidth = batch_width.value_or(1);
+        sopts.path = a.stream;
+        sopts.resume = a.resume;
+        sopts.shard = a.shard;
+        sopts.traces = a.traces;
+        sopts.batchWidth = std::max(a.batch, 1);
         StreamRunStats stats = runScenarioStream(spec, engine, sopts);
 
-        if (!quiet && batch_width)
-            printBatchStats(*batch_width, stats.batch);
-        if (!quiet) {
-            std::cout << "stream " << stream_path << ": "
+        if (!a.quiet && a.batch)
+            printBatchStats(a.batch, stats.batch);
+        if (!a.quiet) {
+            std::cout << "stream " << a.stream << ": "
                       << stats.totalRuns << " run(s) in grid";
-            if (shard.sharded()) {
+            if (a.shard.sharded()) {
                 std::cout << ", " << stats.shardRuns << " in shard "
-                          << shard.label();
+                          << a.shard.label();
             }
             std::cout << ", " << stats.skipped << " already complete, "
                       << stats.executed << " executed, " << stats.failed
@@ -942,30 +635,30 @@ cmdRun(const std::vector<std::string> &args)
         }
         // -o/--golden view the stream through the canonical merge, so
         // their bytes cannot differ from `memtherm merge` output.
-        if (!out_path.empty() || !golden_path.empty())
-            out = mergeStreams({stream_path}).results;
+        if (!a.out.empty() || !a.golden.empty())
+            out = mergeStreams({a.stream}).results;
         failures = std::move(stats.failures);
     } else {
         BatchStats batch_stats;
         ScenarioResults results = runScenarioBatched(
-            spec, engine, batch_width.value_or(1), &batch_stats);
+            spec, engine, std::max(a.batch, 1), &batch_stats);
 
-        if (!quiet && batch_width)
-            printBatchStats(*batch_width, batch_stats);
-        if (!quiet)
+        if (!a.quiet && a.batch)
+            printBatchStats(a.batch, batch_stats);
+        if (!a.quiet)
             printSummary(results);
-        out = toJson(results, traces);
+        out = toJson(results, a.traces);
         failures = std::move(results.errors);
     }
 
-    if (!out_path.empty()) {
-        out.save(out_path);
-        if (!quiet)
-            std::cout << "wrote " << out_path << '\n';
+    if (!a.out.empty()) {
+        out.save(a.out);
+        if (!a.quiet)
+            std::cout << "wrote " << a.out << '\n';
     }
-    int rc = golden_path.empty() ? 0
-                                 : checkGolden("memtherm run", out,
-                                               golden_path, tol, quiet);
+    int rc = a.golden.empty() ? 0
+                              : checkGolden("memtherm run", out, a.golden,
+                                            a.tol, a.quiet);
     // Failures never hide completed work (everything above still ran and
     // wrote), but they must not exit 0 either.
     if (!failures.empty()) {
@@ -980,33 +673,35 @@ cmdRun(const std::vector<std::string> &args)
 int
 main(int argc, char **argv)
 {
-    std::vector<std::string> args(argv + 1, argv + argc);
-    if (args.empty() || args[0] == "--help" || args[0] == "-h")
-        return usage(args.empty() ? std::cerr : std::cout,
-                     args.empty() ? 1 : 0);
-
-    const std::string cmd = args[0];
-    const std::vector<std::string> rest(args.begin() + 1, args.end());
+    const std::vector<std::string> args(argv + 1, argv + argc);
+    if (args.empty() || args[0] == "--help" || args[0] == "-h") {
+        (args.empty() ? std::cerr : std::cout) << usage();
+        return args.empty() ? 1 : 0;
+    }
     try {
-        if (cmd == "run")
-            return cmdRun(rest);
-        if (cmd == "merge")
-            return cmdMerge(rest);
-        if (cmd == "report")
-            return cmdReport(rest);
-        if (cmd == "validate")
-            return cmdValidate(rest);
-        if (cmd == "list")
-            return cmdList(rest);
-        if (cmd == "trace")
-            return cmdTrace(rest);
+        const CliArgs a = parseArgs(args[0], {args.begin() + 1, args.end()});
+        switch (a.command) {
+          case Command::Run:
+            return cmdRun(a);
+          case Command::Merge:
+            return cmdMerge(a);
+          case Command::Report:
+            return cmdReport(a);
+          case Command::Validate:
+            return cmdValidate(a);
+          case Command::List:
+            return cmdList(a);
+          case Command::Trace:
+            return cmdTrace(a);
+        }
+    } catch (const UsageError &e) {
+        if (*e.what())
+            std::cerr << "memtherm: " << e.what() << '\n';
+        std::cerr << usage();
     } catch (const FatalError &e) {
         std::cerr << "memtherm: " << e.what() << '\n';
-        return 1;
     } catch (const PanicError &e) {
         std::cerr << "memtherm: " << e.what() << '\n';
-        return 1;
     }
-    std::cerr << "memtherm: unknown command '" << cmd << "'\n";
-    return usage(std::cerr, 1);
+    return 1;
 }
