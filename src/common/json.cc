@@ -4,8 +4,6 @@
 #include <charconv>
 #include <cmath>
 #include <cstdio>
-#include <fstream>
-#include <sstream>
 #include <string_view>
 
 #include "common/fs_util.hh"
@@ -78,11 +76,47 @@ writeNumber(std::string &out, double v)
     out.append(buf, r.ptr);
 }
 
+/**
+ * Whether @p t is an RFC 8259 number:
+ * -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
+ */
+bool
+isJsonNumber(std::string_view t)
+{
+    std::size_t i = 0;
+    auto digits = [&] {
+        const std::size_t from = i;
+        while (i < t.size() && t[i] >= '0' && t[i] <= '9')
+            ++i;
+        return i > from;
+    };
+    auto skip = [&](std::string_view any) {
+        if (i < t.size() && any.find(t[i]) != std::string_view::npos) {
+            ++i;
+            return true;
+        }
+        return false;
+    };
+    skip("-");
+    if (!skip("0") && !digits())
+        return false;
+    if (skip(".") && !digits())
+        return false;
+    if (skip("eE")) {
+        skip("+-");
+        if (!digits())
+            return false;
+    }
+    return i == t.size();
+}
+
+} // namespace
+
 /** Recursive-descent parser over a complete text. */
-class Parser
+class JsonParser
 {
   public:
-    explicit Parser(const std::string &text) : s(text) {}
+    explicit JsonParser(const std::string &text) : s(text) {}
 
     Json
     document()
@@ -168,14 +202,22 @@ class Parser
         Json obj = Json::object();
         skipWs();
         if (peek() == '}') { ++pos; return obj; }
+        obj.u.obj = new Json::Members;
         while (true) {
             skipWs();
             if (peek() != '"')
                 fail("expected object key string");
+            const std::size_t at = pos;
             std::string key = stringValue();
+            for (const auto &m : *obj.u.obj) {
+                if (m.first == key) {
+                    pos = at;
+                    fail("duplicate member '" + key + "'");
+                }
+            }
             skipWs();
             expect(':');
-            obj.set(key, value());
+            obj.u.obj->emplace_back(std::move(key), value());
             skipWs();
             char c = peek();
             if (c == ',') { ++pos; continue; }
@@ -295,16 +337,18 @@ class Parser
     Json
     numberValue()
     {
-        std::size_t start = pos;
-        if (peek() == '-')
-            ++pos;
+        // Take the whole run of number characters, so "01" or "1." is
+        // one invalid number rather than a number and trailing junk.
+        const std::size_t start = pos;
         while (pos < s.size() &&
                (std::isdigit(static_cast<unsigned char>(s[pos])) ||
                 s[pos] == '.' || s[pos] == 'e' || s[pos] == 'E' ||
                 s[pos] == '+' || s[pos] == '-'))
             ++pos;
+        const std::string_view text =
+            std::string_view(s).substr(start, pos - start);
         const std::optional<double> v =
-            parseNumber(std::string_view(s).substr(start, pos - start));
+            isJsonNumber(text) ? parseNumber(text) : std::nullopt;
         if (!v) {
             pos = start;
             fail("invalid number");
@@ -320,14 +364,48 @@ class Parser
     int depth = 0;
 };
 
-} // namespace
+Json::Json(std::string s) : ty(Type::String)
+{
+    u.str = new std::string(std::move(s));
+}
+
+void
+Json::cloneOwned()
+{
+    switch (ty) {
+      case Type::String:
+        u.str = new std::string(*u.str);
+        break;
+      case Type::Array:
+        if (u.arr)
+            u.arr = new std::vector<Json>(*u.arr);
+        break;
+      case Type::Object:
+        if (u.obj)
+            u.obj = new Members(*u.obj);
+        break;
+      default:
+        break;
+    }
+}
+
+void
+Json::releaseOwned() noexcept
+{
+    switch (ty) {
+      case Type::String: delete u.str; break;
+      case Type::Array: delete u.arr; break;
+      case Type::Object: delete u.obj; break;
+      default: break;
+    }
+}
 
 bool
 Json::asBool() const
 {
     if (ty != Type::Bool)
         fatal(std::string("json: expected bool, have ") + typeName(ty));
-    return boolean;
+    return u.boolean;
 }
 
 double
@@ -335,7 +413,7 @@ Json::asNumber() const
 {
     if (ty != Type::Number)
         fatal(std::string("json: expected number, have ") + typeName(ty));
-    return number;
+    return u.number;
 }
 
 const std::string &
@@ -343,7 +421,7 @@ Json::asString() const
 {
     if (ty != Type::String)
         fatal(std::string("json: expected string, have ") + typeName(ty));
-    return str;
+    return *u.str;
 }
 
 const std::vector<Json> &
@@ -351,7 +429,8 @@ Json::asArray() const
 {
     if (ty != Type::Array)
         fatal(std::string("json: expected array, have ") + typeName(ty));
-    return arr;
+    static const std::vector<Json> empty;
+    return u.arr ? *u.arr : empty;
 }
 
 const Json::Members &
@@ -359,17 +438,20 @@ Json::asObject() const
 {
     if (ty != Type::Object)
         fatal(std::string("json: expected object, have ") + typeName(ty));
-    return obj;
+    static const Members empty;
+    return u.obj ? *u.obj : empty;
 }
 
 Json &
 Json::push(Json v)
 {
     if (ty == Type::Null)
-        ty = Type::Array;
+        *this = array();
     if (ty != Type::Array)
         fatal(std::string("json: push() on a ") + typeName(ty));
-    arr.push_back(std::move(v));
+    if (!u.arr)
+        u.arr = new std::vector<Json>;
+    u.arr->push_back(std::move(v));
     return *this;
 }
 
@@ -377,16 +459,18 @@ Json &
 Json::set(const std::string &key, Json v)
 {
     if (ty == Type::Null)
-        ty = Type::Object;
+        *this = object();
     if (ty != Type::Object)
         fatal(std::string("json: set() on a ") + typeName(ty));
-    for (auto &[k, existing] : obj) {
+    if (!u.obj)
+        u.obj = new Members;
+    for (auto &[k, existing] : *u.obj) {
         if (k == key) {
             existing = std::move(v);
             return *this;
         }
     }
-    obj.emplace_back(key, std::move(v));
+    u.obj->emplace_back(key, std::move(v));
     return *this;
 }
 
@@ -395,7 +479,7 @@ Json::find(const std::string &key) const
 {
     if (ty != Type::Object)
         return nullptr;
-    for (const auto &[k, v] : obj)
+    for (const auto &[k, v] : asObject())
         if (k == key)
             return &v;
     return nullptr;
@@ -428,11 +512,11 @@ Json::operator==(const Json &o) const
         return false;
     switch (ty) {
       case Type::Null: return true;
-      case Type::Bool: return boolean == o.boolean;
-      case Type::Number: return number == o.number;
-      case Type::String: return str == o.str;
-      case Type::Array: return arr == o.arr;
-      case Type::Object: return obj == o.obj;
+      case Type::Bool: return u.boolean == o.u.boolean;
+      case Type::Number: return u.number == o.u.number;
+      case Type::String: return *u.str == *o.u.str;
+      case Type::Array: return asArray() == o.asArray();
+      case Type::Object: return asObject() == o.asObject();
     }
     return false;
 }
@@ -451,15 +535,16 @@ Json::write(std::string &out, int indent, int depth) const
         out += "null";
         break;
       case Type::Bool:
-        out += boolean ? "true" : "false";
+        out += u.boolean ? "true" : "false";
         break;
       case Type::Number:
-        writeNumber(out, number);
+        writeNumber(out, u.number);
         break;
       case Type::String:
-        writeString(out, str);
+        writeString(out, *u.str);
         break;
-      case Type::Array:
+      case Type::Array: {
+        const std::vector<Json> &arr = asArray();
         if (arr.empty()) {
             out += "[]";
             break;
@@ -474,7 +559,9 @@ Json::write(std::string &out, int indent, int depth) const
         newline(depth);
         out += ']';
         break;
-      case Type::Object:
+      }
+      case Type::Object: {
+        const Members &obj = asObject();
         if (obj.empty()) {
             out += "{}";
             break;
@@ -491,6 +578,7 @@ Json::write(std::string &out, int indent, int depth) const
         newline(depth);
         out += '}';
         break;
+      }
     }
 }
 
@@ -515,19 +603,17 @@ Json::dump(int indent) const
 Json
 Json::parse(const std::string &text)
 {
-    return Parser(text).document();
+    return JsonParser(text).document();
 }
 
 Json
 Json::load(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    const std::optional<std::string> text = readFile(path);
+    if (!text)
         fatal("json: cannot open '" + path + "' for reading");
-    std::ostringstream ss;
-    ss << in.rdbuf();
     try {
-        return parse(ss.str());
+        return parse(*text);
     } catch (const FatalError &e) {
         fatal(std::string(e.what()).substr(7) + " in '" + path + "'");
     }

@@ -12,8 +12,19 @@
  *    parse -> dump -> parse reproduces the original value exactly.
  *  - Proper string escaping (control characters, quotes, backslashes)
  *    on output; \uXXXX escapes (including surrogate pairs) on input.
+ *  - Strict input: the RFC 8259 grammar, numbers included (no leading
+ *    zeros, digits on both sides of a '.', digits after an exponent),
+ *    and an object that repeats a member is refused.
  *  - Errors are FatalError (common/logging.hh) with line:column context,
  *    so callers and tests can catch misconfiguration uniformly.
+ *
+ * Node layout: a Json is 16 bytes, a type tag beside one 8-byte payload.
+ * Null, bool and number live in the payload; a string, array or object
+ * sits behind one owned pointer, which an empty array or object leaves
+ * null (so Json::array() and Json::object() allocate nothing until the
+ * first insert). A number in a parsed or built document therefore costs
+ * 16 bytes, an object member 48 (its key string and node) plus the
+ * key's characters when they outgrow the string's inline buffer.
  */
 
 #ifndef MEMTHERM_COMMON_JSON_HH
@@ -42,20 +53,40 @@ class Json
     using Members = std::vector<std::pair<std::string, Json>>;
 
     Json() : ty(Type::Null) {}
-    Json(bool b) : ty(Type::Bool), boolean(b) {}
-    Json(double v) : ty(Type::Number), number(v) {}
-    Json(int v) : ty(Type::Number), number(v) {}
-    Json(std::int64_t v) : ty(Type::Number),
-                           number(static_cast<double>(v)) {}
-    Json(std::uint64_t v) : ty(Type::Number),
-                            number(static_cast<double>(v)) {}
-    Json(const char *s) : ty(Type::String), str(s) {}
-    Json(std::string s) : ty(Type::String), str(std::move(s)) {}
+    Json(bool b) : ty(Type::Bool) { u.boolean = b; }
+    Json(double v) : ty(Type::Number) { u.number = v; }
+    Json(int v) : Json(static_cast<double>(v)) {}
+    Json(std::int64_t v) : Json(static_cast<double>(v)) {}
+    Json(std::uint64_t v) : Json(static_cast<double>(v)) {}
+    Json(const char *s) : Json(std::string(s)) {}
+    Json(std::string s);
+
+    /** Deep copy. */
+    Json(const Json &o) : u(o.u), ty(o.ty)
+    {
+        if (owns())
+            cloneOwned();
+    }
+    /** Takes @p o's value and leaves @p o Null. */
+    Json(Json &&o) noexcept : u(o.u), ty(o.ty) { o.ty = Type::Null; }
+    /** Copy or move assignment (by swap); self-assignment is safe. */
+    Json &
+    operator=(Json o) noexcept
+    {
+        std::swap(u, o.u);
+        std::swap(ty, o.ty);
+        return *this;
+    }
+    ~Json()
+    {
+        if (owns())
+            releaseOwned();
+    }
 
     /** Empty array node. */
-    static Json array() { Json j; j.ty = Type::Array; return j; }
+    static Json array() { return Json(Type::Array); }
     /** Empty object node. */
-    static Json object() { Json j; j.ty = Type::Object; return j; }
+    static Json object() { return Json(Type::Object); }
 
     Type type() const { return ty; }
     bool isNull() const { return ty == Type::Null; }
@@ -127,21 +158,41 @@ class Json
     static std::string numberToString(double v);
 
   private:
+    friend class JsonParser;
+
+    /// An empty array or object (a null container pointer).
+    explicit Json(Type t) : ty(t) { u.arr = nullptr; }
+
+    /// A string, array or object: the payload is an owned pointer.
+    bool owns() const { return ty >= Type::String; }
+    /// Point the payload at a deep copy of what it points to now.
+    void cloneOwned();
+    /// Free what the payload points to.
+    void releaseOwned() noexcept;
+
     void write(std::string &out, int indent, int depth) const;
 
+    /// The payload; which member is live follows ty. A null container
+    /// pointer is an empty array or object.
+    union Payload
+    {
+        bool boolean;
+        double number;
+        std::string *str;
+        std::vector<Json> *arr;
+        Members *obj;
+    };
+
+    Payload u{};
     Type ty;
-    bool boolean = false;
-    double number = 0.0;
-    std::string str;
-    std::vector<Json> arr;
-    Members obj;
 };
 
 /**
  * The whole-string number grammars shared by the JSON reader, the CLI
  * and the MEMTHERM_* variables (std::from_chars: no blanks, no '+', no
  * base prefix). parseNumber takes any double, "nan" and "inf"
- * included; parseCount a decimal in [1, INT_MAX].
+ * included; parseCount a decimal in [1, INT_MAX]. The JSON reader
+ * converts with parseNumber only text already in RFC 8259 form.
  */
 std::optional<double> parseNumber(std::string_view text);
 std::optional<int> parseCount(std::string_view text);

@@ -1421,9 +1421,12 @@ put(const SimResult &r, const M &m)
         const std::vector<double> &v = r.peakBankDramPerDimm;
         const std::size_t n = r.bankCells();
         j = Json::array();
-        for (std::size_t i = 0; i < v.size(); i += n)
-            j.push(Doubles::toJson(
-                std::vector<double>(v.begin() + i, v.begin() + i + n)));
+        for (std::size_t i = 0; i < v.size(); i += n) {
+            Json row = Json::array();
+            for (std::size_t c = i; c < i + n; ++c)
+                row.push(ValueCodec<double>::toJson(v[c]));
+            j.push(std::move(row));
+        }
     } else if constexpr (requires { m.size(); }) { // a Group
         for (const auto &[k, sub] : m)
             j.set(k, put(r, sub));

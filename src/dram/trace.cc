@@ -1,10 +1,12 @@
 #include "dram/trace.hh"
 
+#include <algorithm>
 #include <charconv>
 #include <cmath>
 #include <fstream>
 #include <sstream>
 
+#include "common/fs_util.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 
@@ -40,11 +42,21 @@ parseU64(const std::string &tok, std::uint64_t &out)
 std::vector<TraceRecord>
 parseTrace(const std::string &text, const std::string &name)
 {
-    std::istringstream in(text);
+    // Lines are cut from the text in place: no stream holds a second
+    // copy of it.
+    std::size_t pos = 0;
     std::string line;
+    auto nextLine = [&] {
+        if (pos >= text.size())
+            return false;
+        const std::size_t nl = std::min(text.find('\n', pos), text.size());
+        line.assign(text, pos, nl - pos);
+        pos = nl + 1;
+        return true;
+    };
     std::size_t line_no = 0;
 
-    if (!std::getline(in, line))
+    if (!nextLine())
         fatal("trace '" + name + "': empty file (expected header "
               "'#memtherm-trace v" + std::to_string(kTraceFormatVersion) +
               "')");
@@ -69,7 +81,7 @@ parseTrace(const std::string &text, const std::string &name)
     }
 
     std::vector<TraceRecord> out;
-    while (std::getline(in, line)) {
+    while (nextLine()) {
         ++line_no;
         // Skip blanks and comments.
         std::size_t first = line.find_first_not_of(" \t\r");
@@ -109,12 +121,10 @@ parseTrace(const std::string &text, const std::string &name)
 std::vector<TraceRecord>
 loadTrace(const std::string &path)
 {
-    std::ifstream in(path, std::ios::binary);
-    if (!in)
+    const std::optional<std::string> text = readFile(path);
+    if (!text)
         fatal("trace '" + path + "': cannot open file");
-    std::ostringstream buf;
-    buf << in.rdbuf();
-    return parseTrace(buf.str(), path);
+    return parseTrace(*text, path);
 }
 
 std::string

@@ -1,12 +1,16 @@
 /**
  * @file
  * Unit tests for the shared JSON layer: parsing, escaping, lossless
- * number round-trips, ordered objects, and error reporting.
+ * number round-trips, ordered objects, error reporting, the strict
+ * grammar (RFC 8259 numbers, no repeated members), and the value
+ * semantics of the 16-byte node.
  */
 
 #include <gtest/gtest.h>
 
 #include <limits>
+#include <type_traits>
+#include <utility>
 
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -134,6 +138,137 @@ TEST(Json, ParseErrorsCarryPosition)
         EXPECT_NE(std::string(e.what()).find("line 2"), std::string::npos)
             << e.what();
     }
+
+    auto expectMessage = [](const std::string &text,
+                            const std::string &what) {
+        try {
+            (void)Json::parse(text);
+            ADD_FAILURE() << "parsed: " << text;
+        } catch (const FatalError &e) {
+            EXPECT_EQ(std::string(e.what()), what) << text;
+        }
+    };
+    // Numbers follow RFC 8259: no leading zeros, a digit on each side
+    // of a '.', digits after an exponent. The whole run is the number.
+    expectMessage("01", "fatal: json: invalid number at line 1:1");
+    expectMessage("00", "fatal: json: invalid number at line 1:1");
+    expectMessage("-01", "fatal: json: invalid number at line 1:1");
+    expectMessage("-.5", "fatal: json: invalid number at line 1:1");
+    expectMessage("1.", "fatal: json: invalid number at line 1:1");
+    expectMessage("[1.]", "fatal: json: invalid number at line 1:2");
+    expectMessage("[0.e1]", "fatal: json: invalid number at line 1:2");
+    expectMessage("1e", "fatal: json: invalid number at line 1:1");
+    expectMessage("1e+", "fatal: json: invalid number at line 1:1");
+    expectMessage("-", "fatal: json: invalid number at line 1:1");
+    expectMessage("{\"config\":{\"t_inlet\":045}}",
+                  "fatal: json: invalid number at line 1:22");
+    for (const char *ok : {"0", "-0", "0.5", "-0.0e0", "10", "1e5", "1E+5",
+                           "2.5e-07", "123.456E-2"})
+        EXPECT_NO_THROW(Json::parse(ok)) << ok;
+
+    // An object names each member once; the repeat is located at its
+    // key. set() still overwrites: the rule is the reader's.
+    expectMessage("{\"a\": 1, \"a\": 2}",
+                  "fatal: json: duplicate member 'a' at line 1:10");
+    expectMessage("{\"config\": {\"copies_per_app\": 2,\n"
+                  "            \"copies_per_app\": 1024}}",
+                  "fatal: json: duplicate member 'copies_per_app' at "
+                  "line 2:13");
+    EXPECT_NO_THROW(Json::parse(R"({"a": {"a": 1}, "b": {"a": 2}})"));
+}
+
+TEST(Json, NodeIsSixteenBytes)
+{
+    // The node is a tag beside one 8-byte payload; a regrown node
+    // multiplies the memory of every parsed or built document.
+    static_assert(sizeof(Json) <= 16);
+    static_assert(std::is_nothrow_move_constructible_v<Json>);
+    EXPECT_LE(sizeof(Json), 16u);
+}
+
+TEST(Json, CopiesAreDeepAndIndependent)
+{
+    Json src = Json::parse(
+        R"({"list": [1, [2, 3], {"k": "v"}], "obj": {"x": [true]}})");
+    const Json snapshot = Json::parse(src.dump());
+    Json copy = src;
+    EXPECT_EQ(copy, src);
+
+    // Edits to the copy leave the source alone, at every depth.
+    copy.set("obj", Json::object().set("x", "changed"));
+    copy.set("added", 1);
+    EXPECT_EQ(src, snapshot);
+    EXPECT_NE(copy, src);
+
+    // And the other way round: the copy survives the source's change
+    // and destruction.
+    Json second = src;
+    src.set("list", Json());
+    src = Json();
+    EXPECT_EQ(second, snapshot);
+    EXPECT_EQ(second.at("list").asArray()[2].at("k").asString(), "v");
+
+    // Copy assignment over a container replaces it wholesale.
+    Json target = Json::parse(R"(["old", "values"])");
+    target = second;
+    EXPECT_EQ(target, snapshot);
+}
+
+TEST(Json, SelfAssignmentIsSafe)
+{
+    Json j = Json::parse(R"({"a": [1, {"b": "deep"}], "s": "text"})");
+    const Json before = j;
+    Json &alias = j;
+    j = alias;
+    EXPECT_EQ(j, before);
+    j = std::move(alias);
+    EXPECT_EQ(j, before);
+
+    Json s("a string long enough to live outside any inline buffer");
+    Json &salias = s;
+    s = std::move(salias);
+    EXPECT_EQ(s.asString(),
+              "a string long enough to live outside any inline buffer");
+}
+
+TEST(Json, MovedFromIsNullAndReusable)
+{
+    Json a = Json::parse(R"({"k": [1, 2, 3]})");
+    Json b = std::move(a);
+    EXPECT_TRUE(a.isNull());
+    EXPECT_EQ(b.at("k").asArray().size(), 3u);
+
+    // A moved-from node takes new values like a fresh one.
+    a.push(7);
+    EXPECT_EQ(a.dump(0), "[7]");
+    a = "now a string";
+    EXPECT_EQ(a.asString(), "now a string");
+
+    Json c;
+    c = std::move(b);
+    EXPECT_TRUE(b.isNull());
+    b.set("again", true);
+    EXPECT_EQ(b.dump(0), "{\"again\": true}");
+    EXPECT_EQ(c.at("k").asArray()[2].asNumber(), 3.0);
+}
+
+TEST(Json, EqualityIsDeep)
+{
+    const Json a = Json::parse(R"({"x": [1, {"y": "z"}], "n": null})");
+    EXPECT_EQ(a, Json::parse(R"({"x": [1, {"y": "z"}], "n": null})"));
+    EXPECT_NE(a, Json::parse(R"({"x": [1, {"y": "Z"}], "n": null})"));
+    EXPECT_NE(a, Json::parse(R"({"x": [1, {"y": "z"}, 2], "n": null})"));
+    // Member order matters.
+    EXPECT_NE(a, Json::parse(R"({"n": null, "x": [1, {"y": "z"}]})"));
+    // An empty container equals an empty container, however made.
+    EXPECT_EQ(Json::array(), Json::parse("[]"));
+    EXPECT_EQ(Json::object(), Json::parse("{}"));
+    EXPECT_NE(Json::array(), Json::object());
+    EXPECT_NE(Json::array(), Json());
+    EXPECT_TRUE(Json::object().asObject().empty());
+    EXPECT_TRUE(Json::array().asArray().empty());
+    EXPECT_EQ(Json::object().dump(0), "{}");
+    EXPECT_EQ(Json::array().dump(0), "[]");
 }
 
 TEST(Json, TypeMismatchesAreFatal)
