@@ -6,6 +6,7 @@
 #include <concepts>
 #include <functional>
 #include <limits>
+#include <map>
 #include <tuple>
 #include <type_traits>
 #include <utility>
@@ -1164,11 +1165,13 @@ ScenarioSpec::lower() const
         }
     }
 
-    // Load the trace once; it decodes per grid point below (the profile
-    // depends on the point's organization and grid resolution).
+    // Load the trace once. Its profile depends only on a point's
+    // (channels, DIMMs per channel, bank cells), so each distinct triple
+    // decodes once below; the memo lives only for this call.
     std::vector<TraceRecord> traceRecords;
     if (!trace.empty())
         traceRecords = loadTrace(trace);
+    std::map<std::array<int, 3>, TraceProfile> traceProfiles;
 
     // The grid: an odometer over the sweep axes, last axis fastest. An
     // empty axis contributes one "keep the base value" slot.
@@ -1208,12 +1211,18 @@ ScenarioSpec::lower() const
         // per-DIMM shares always, per-bank heat weights when the
         // bank-grid model is active at this point.
         if (!traceRecords.empty()) {
-            TraceProfile prof = decodeTrace(
-                traceRecords, cfg.org.nChannels, cfg.org.nDimmsPerChannel,
-                cfg.bankGrid ? cfg.bankGrid->cells() : 0);
-            cfg.trafficShares = std::move(prof.dimmShares);
+            const std::array<int, 3> key{
+                cfg.org.nChannels, cfg.org.nDimmsPerChannel,
+                cfg.bankGrid ? cfg.bankGrid->cells() : 0};
+            auto it = traceProfiles.find(key);
+            if (it == traceProfiles.end())
+                it = traceProfiles
+                         .emplace(key, decodeTrace(traceRecords, key[0],
+                                                   key[1], key[2]))
+                         .first;
+            cfg.trafficShares = it->second.dimmShares;
             if (cfg.bankGrid)
-                cfg.bankGrid->weights = std::move(prof.bankWeights);
+                cfg.bankGrid->weights = it->second.bankWeights;
         }
         // The simulator panics on a decision period below its trace
         // window; report it as a configuration error instead.

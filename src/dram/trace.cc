@@ -22,10 +22,43 @@ at(const std::string &name, std::size_t line)
     return "trace '" + name + "' line " + std::to_string(line);
 }
 
+/// The one whitespace set: it separates tokens, and a line holding
+/// nothing else is blank.
+constexpr bool
+isSpace(char c)
+{
+    return c == ' ' || c == '\t' || c == '\r' || c == '\v' || c == '\f';
+}
+
+/** The whitespace-separated tokens of one line, cut in place. */
+class Tokens
+{
+  public:
+    explicit Tokens(std::string_view line) : rest_(line) {}
+
+    /** The next token; empty once the line is used up. */
+    std::string_view
+    next()
+    {
+        std::size_t b = 0;
+        while (b < rest_.size() && isSpace(rest_[b]))
+            ++b;
+        std::size_t e = b;
+        while (e < rest_.size() && !isSpace(rest_[e]))
+            ++e;
+        const std::string_view tok = rest_.substr(b, e - b);
+        rest_.remove_prefix(e);
+        return tok;
+    }
+
+  private:
+    std::string_view rest_;
+};
+
 } // namespace
 
 bool
-parseU64(const std::string &tok, std::uint64_t &out)
+parseU64(std::string_view tok, std::uint64_t &out)
 {
     const bool hex =
         tok.size() > 2 && tok[0] == '0' && (tok[1] == 'x' || tok[1] == 'X');
@@ -42,17 +75,25 @@ parseU64(const std::string &tok, std::uint64_t &out)
 std::vector<TraceRecord>
 parseTrace(const std::string &text, const std::string &name)
 {
-    // Lines are cut from the text in place: no stream holds a second
-    // copy of it.
+    // Lines and their tokens are views into the text: nothing is copied
+    // until a diagnostic quotes it.
     std::size_t pos = 0;
-    std::string line;
+    std::string_view line;
     auto nextLine = [&] {
         if (pos >= text.size())
             return false;
         const std::size_t nl = std::min(text.find('\n', pos), text.size());
-        line.assign(text, pos, nl - pos);
+        line = std::string_view(text).substr(pos, nl - pos);
         pos = nl + 1;
         return true;
+    };
+    // Appended, not `"'" + std::string(tok)`: GCC 12 -O2 flags that
+    // with a false -Wrestrict, which -Werror builds turn into an error.
+    auto quote = [](std::string_view tok) {
+        std::string q(1, '\'');
+        q += tok;
+        q += '\'';
+        return q;
     };
     std::size_t line_no = 0;
 
@@ -62,54 +103,57 @@ parseTrace(const std::string &text, const std::string &name)
               "')");
     ++line_no;
     {
-        std::istringstream hs(line);
-        std::string magic, ver;
-        hs >> magic >> ver;
+        Tokens tokens(line);
+        const std::string_view magic = tokens.next(), ver = tokens.next();
         if (magic != "#memtherm-trace" || ver.size() < 2 || ver[0] != 'v')
             fatal(at(name, line_no) +
                   ": bad header (expected '#memtherm-trace v" +
                   std::to_string(kTraceFormatVersion) + "')");
         std::uint64_t v = 0;
         if (!parseU64(ver.substr(1), v) || v == 0)
-            fatal(at(name, line_no) + ": bad version '" + ver + "'");
+            fatal(at(name, line_no) + ": bad version " + quote(ver));
         // Compared unnarrowed: a cast would wrap 2^32 + 1 onto v1.
         if (v > static_cast<std::uint64_t>(kTraceFormatVersion))
             fatal("trace '" + name + "': format version " +
                   std::to_string(v) + " is newer than this binary's v" +
                   std::to_string(kTraceFormatVersion) +
                   "; upgrade memtherm to read this trace");
+        // Checked after the version: a newer header may carry more, and
+        // its reader should hear "upgrade", not "trailing token".
+        if (const std::string_view extra = tokens.next(); !extra.empty())
+            fatal(at(name, line_no) + ": trailing token " + quote(extra));
     }
 
     std::vector<TraceRecord> out;
     while (nextLine()) {
         ++line_no;
+        Tokens tokens(line);
+        const std::string_view addr_tok = tokens.next();
         // Skip blanks and comments.
-        std::size_t first = line.find_first_not_of(" \t\r");
-        if (first == std::string::npos || line[first] == '#')
+        if (addr_tok.empty() || addr_tok[0] == '#')
             continue;
-        std::istringstream ls(line);
-        std::string addr_tok, op_tok, bytes_tok, extra;
-        ls >> addr_tok >> op_tok >> bytes_tok;
+        const std::string_view op_tok = tokens.next(),
+                               bytes_tok = tokens.next();
         if (bytes_tok.empty())
             fatal(at(name, line_no) +
-                  ": expected '<addr> <r|w> <bytes>', got '" + line + "'");
-        if (ls >> extra)
-            fatal(at(name, line_no) + ": trailing token '" + extra + "'");
+                  ": expected '<addr> <r|w> <bytes>', got " + quote(line));
+        if (const std::string_view extra = tokens.next(); !extra.empty())
+            fatal(at(name, line_no) + ": trailing token " + quote(extra));
         TraceRecord rec;
         if (!parseU64(addr_tok, rec.addr))
-            fatal(at(name, line_no) + ": bad address '" + addr_tok + "'");
+            fatal(at(name, line_no) + ": bad address " + quote(addr_tok));
         if (op_tok == "r")
             rec.write = false;
         else if (op_tok == "w")
             rec.write = true;
         else
-            fatal(at(name, line_no) + ": bad op '" + op_tok +
-                  "' (expected r or w)");
+            fatal(at(name, line_no) + ": bad op " + quote(op_tok) +
+                  " (expected r or w)");
         std::uint64_t bytes = 0;
         if (!parseU64(bytes_tok, bytes) || bytes == 0 ||
             bytes > 0xffffffffULL)
-            fatal(at(name, line_no) + ": bad byte count '" + bytes_tok +
-                  "'");
+            fatal(at(name, line_no) + ": bad byte count " +
+                  quote(bytes_tok));
         rec.bytes = static_cast<std::uint32_t>(bytes);
         out.push_back(rec);
     }
@@ -212,13 +256,15 @@ decodeTrace(const std::vector<TraceRecord> &records, int n_channels,
     double total_bytes = 0.0;
     double read_bytes = 0.0;
     for (const TraceRecord &r : records) {
-        const std::uint64_t block = r.addr / block_size;
-        const std::uint64_t dimm = block / nc % nd;
+        // block / (nc * nd) == block / nc / nd, and the quotient and
+        // remainder of one division come together.
+        const std::uint64_t per_channel = r.addr / block_size / nc;
+        const std::uint64_t dimm = per_channel % nd;
         const double b = static_cast<double>(r.bytes);
         p.dimmShares[dimm] += b;
         if (bank_cells > 0) {
             const std::uint64_t cell =
-                block / (nc * nd) % static_cast<std::uint64_t>(bank_cells);
+                per_channel / nd % static_cast<std::uint64_t>(bank_cells);
             bank_bytes[dimm * static_cast<std::uint64_t>(bank_cells) +
                        cell] += b;
         }

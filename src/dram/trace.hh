@@ -19,9 +19,12 @@
  *     0x1a40 r 64
  *     0x1a80 w 64
  *
- * Each record line is `<addr> <r|w> <bytes>` with addresses in hex
- * (0x-prefixed) or decimal. Malformed input is reported as a FatalError
- * naming the file and line, never a crash.
+ * The header is exactly two tokens, `#memtherm-trace` and `v<n>`. Each
+ * record line is `<addr> <r|w> <bytes>` with addresses in hex
+ * (0x-prefixed) or decimal. Tokens are separated by any run of space,
+ * tab, CR, VT or FF; a line holding only those is blank. Malformed
+ * input is reported as a FatalError naming the file and line, never a
+ * crash.
  */
 
 #ifndef MEMTHERM_DRAM_TRACE_HH
@@ -29,6 +32,7 @@
 
 #include <cstdint>
 #include <string>
+#include <string_view>
 #include <vector>
 
 namespace memtherm
@@ -61,7 +65,7 @@ std::vector<TraceRecord> parseTrace(const std::string &text,
  * Parse a whole token as a decimal or 0x-prefixed hex integer (a
  * leading 0 is decimal, not octal); false on junk, a sign or overflow.
  */
-bool parseU64(const std::string &tok, std::uint64_t &out);
+bool parseU64(std::string_view tok, std::uint64_t &out);
 
 /** Serialize records in the version-1 format (round-trips loadTrace). */
 std::string formatTrace(const std::vector<TraceRecord> &records);

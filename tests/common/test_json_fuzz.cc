@@ -14,12 +14,12 @@
  *  - a real stream, mutated record by record, and a mutated results
  *    document reach scanStream, mergeStreams and the document decoder,
  *    which may refuse them only with FatalError;
- *  - random `#memtherm-trace` documents round-trip through the trace
- *    parser, and mutated ones are refused only with FatalError, never
- *    accepted under a header other than v1;
  *  - `memtherm` command lines built from the option tables' own rows,
  *    then mutated, are refused by parseArgs only with FatalError, and
  *    every accepted one satisfies the options' invariants.
+ *
+ * The `#memtherm-trace` parser's fuzz cases live in
+ * tests/dram/test_trace.cc, beside its differential oracle.
  *
  * The case count defaults to ~1000 and scales with the
  * MEMTHERM_FUZZ_CASES environment variable; every case derives from the
@@ -32,7 +32,6 @@
 #include <cstdlib>
 #include <fstream>
 #include <limits>
-#include <sstream>
 #include <string>
 #include <type_traits>
 #include <variant>
@@ -45,7 +44,6 @@
 #include "core/sim/registry.hh"
 #include "core/sim/result_sink.hh"
 #include "core/sim/scenario.hh"
-#include "dram/trace.hh"
 
 namespace memtherm
 {
@@ -647,111 +645,6 @@ TEST(ResultCodecFuzz, MutatedStreamsAndDocumentsFailOnlyFatally)
         expectOnlyFatal(i, "mergeStreams", [&] { mergeStreams({path}); });
         expectOnlyFatal(i, "scenarioResultsFromJson", [&] {
             scenarioResultsFromJson(mutateJson(doc, rng), "doc");
-        });
-    }
-}
-
-/** The version a trace document's header names; 0 when it names none. */
-std::uint64_t
-headerVersion(const std::string &doc)
-{
-    std::istringstream in(doc);
-    std::string line, magic, ver;
-    std::getline(in, line);
-    std::istringstream(line) >> magic >> ver;
-    std::uint64_t v = 0;
-    if (magic != "#memtherm-trace" || ver.size() < 2 || ver[0] != 'v' ||
-        !parseU64(ver.substr(1), v))
-        return 0;
-    return v;
-}
-
-TEST(TraceFuzz, MutatedTracesFailOnlyFatally)
-{
-    // Tokens the trace grammar has an opinion about: header versions,
-    // addresses, ops and byte counts at and past their limits.
-    static const std::string versions[] = {
-        "v0", "v1", "v01", "v0x1", "v2", "v", "vx", "v-1", "v+1",
-        "v4294967297", "v18446744073709551615", "v18446744073709551616"};
-    static const std::string hostile[] = {
-        "", "#memtherm-trace", "0x", "0x0", "-1", "+1", "-0x10", "0x-1",
-        "18446744073709551615", "18446744073709551616",
-        "0x10000000000000000", "r", "w", "R", "rw", "0", "4294967295",
-        "4294967296", "1e3", "64 64", "\r", std::string("\0", 1),
-        std::string("6\0" "4", 3)};
-    const std::size_t cases = fuzzCases();
-    Rng seed_stream(0x7ace7aceULL);
-    for (std::size_t i = 0; i < cases; ++i) {
-        Rng rng(seed_stream.next());
-        std::vector<TraceRecord> records(1 + rng.below(12));
-        for (TraceRecord &r : records) {
-            r.addr = rng.uniform() < 0.2 ? ~0ULL - rng.below(4) : rng.next();
-            r.bytes = static_cast<std::uint32_t>(1 + rng.below(0xffffffffULL));
-            r.write = rng.uniform() < 0.5;
-        }
-        const std::string doc = formatTrace(records);
-        try {
-            EXPECT_EQ(parseTrace(doc, "fuzz"), records) << "case " << i;
-        } catch (const FatalError &e) {
-            ADD_FAILURE() << "case " << i << ": " << e.what() << "\n" << doc;
-        }
-
-        // Split into lines of space-separated tokens, mutate, rejoin.
-        std::vector<std::vector<std::string>> lines;
-        std::istringstream in(doc);
-        for (std::string line; std::getline(in, line);) {
-            std::istringstream ls(line);
-            auto &tokens = lines.emplace_back();
-            for (std::string t; ls >> t;)
-                tokens.push_back(t);
-        }
-        for (std::size_t edits = 1 + rng.below(3); edits > 0; --edits) {
-            auto &line = lines[rng.below(lines.size())];
-            const std::string &t = hostile[rng.below(std::size(hostile))];
-            switch (rng.below(5)) {
-              case 0: // the header's version
-                lines[0].resize(2);
-                lines[0][1] = versions[rng.below(std::size(versions))];
-                break;
-              case 1: // a token replaced
-                line[rng.below(line.size())] = t;
-                break;
-              case 2: // a token dropped
-                line.erase(line.begin() +
-                           static_cast<long>(rng.below(line.size())));
-                if (line.empty())
-                    line.push_back(t);
-                break;
-              case 3: // an extra token
-                line.insert(line.begin() +
-                                static_cast<long>(rng.below(line.size() + 1)),
-                            t);
-                break;
-              default: // a line dropped
-                if (lines.size() > 1)
-                    lines.erase(lines.begin() +
-                                static_cast<long>(rng.below(lines.size())));
-            }
-        }
-        std::string text;
-        for (const auto &line : lines) {
-            for (std::size_t k = 0; k < line.size(); ++k) {
-                if (k)
-                    text += ' ';
-                text += line[k];
-            }
-            text += rng.uniform() < 0.1 ? "\r\n" : "\n";
-        }
-        if (rng.uniform() < 0.1) // a NUL byte anywhere
-            text.insert(rng.below(text.size() + 1), 1, '\0');
-        if (rng.uniform() < 0.2) // a torn tail
-            text.resize(rng.below(text.size() + 1));
-
-        expectOnlyFatal(i, "parseTrace", [&] {
-            (void)parseTrace(text, "fuzz");
-            EXPECT_EQ(headerVersion(text),
-                      static_cast<std::uint64_t>(kTraceFormatVersion))
-                << "case " << i << ": accepted\n" << text;
         });
     }
 }

@@ -4,20 +4,29 @@
  * generators and the organization decoder (dram/trace.hh): lossless
  * parse/format round-trips, generator determinism (one uniform draw per
  * record), byte-weighted decode invariants, file/line diagnostics, the
- * newer-version refusal, and the scenario layer's trace knob end to end
- * (trace-driven shares and bank weights, trace-free bit-identity).
+ * newer-version refusal, the seeded trace fuzz corpus (mutated traces
+ * fail only fatally, and the parser agrees with the istringstream
+ * tokenizer it replaced), and the scenario layer's trace knob end to
+ * end (trace-driven shares and bank weights, trace-free bit-identity,
+ * one decode per distinct organization and grid).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <bit>
+#include <charconv>
 #include <cmath>
 #include <cstdio>
+#include <cstdlib>
 #include <fstream>
 #include <functional>
 #include <numeric>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/rng.hh"
 #include "core/sim/scenario.hh"
@@ -121,6 +130,35 @@ TEST(TraceFormat, RefusesNewerVersionWithUpgradeMessage)
         "format version 18446744073709551615 is newer");
     expectFatalWith([] { parseTrace("#memtherm-trace v0\n0x0 r 64\n", "f"); },
                     "bad version 'v0'");
+}
+
+TEST(TraceFormat, HeaderRefusesTrailingToken)
+{
+    expectFatalWith(
+        [] { parseTrace("#memtherm-trace v1 junk\n0x0 r 64\n", "t"); },
+        "trace 't' line 1: trailing token 'junk'");
+    // A newer header may carry more than v1's two tokens; its reader
+    // hears "upgrade", not "trailing token".
+    expectFatalWith(
+        [] { parseTrace("#memtherm-trace v2 block=128\n0x0 r 64\n", "t"); },
+        "format version 2 is newer than this binary's v1");
+}
+
+TEST(TraceFormat, OneWhitespaceSetSplitsTokensAndBlanksLines)
+{
+    // Space, tab, CR, VT and FF all separate tokens...
+    const auto recs =
+        parseTrace("#memtherm-trace\fv1\n0x0\vr 64\n0x40\f\tw\r32\n", "ws");
+    ASSERT_EQ(recs.size(), 2u);
+    EXPECT_EQ(recs[0], (TraceRecord{0x0, 64, false}));
+    EXPECT_EQ(recs[1], (TraceRecord{0x40, 32, true}));
+    // ...and a line holding only them is blank, so a comment may follow
+    // any of them.
+    for (const char *ws : {"\v", "\f", " \t\r\v\f", "\v# comment"}) {
+        const auto one = parseTrace(
+            "#memtherm-trace v1\n" + std::string(ws) + "\n0x0 r 64\n", "ws");
+        EXPECT_EQ(one.size(), 1u) << "line '" << ws << "'";
+    }
 }
 
 TEST(TraceGen, EqualConfigsGenerateEqualTraces)
@@ -327,6 +365,295 @@ TEST(TraceFile, SaveLoadRoundTrip)
 }
 
 /**
+ * The istringstream tokenizer the trace parser replaced, kept as a
+ * test-only oracle for it. It is the replaced code as it was, except
+ * at the two lines marked FIX: the header refuses a trailing token, and
+ * blank lines are skipped on the tokenizer's own whitespace set.
+ */
+bool
+oracleU64(const std::string &tok, std::uint64_t &out)
+{
+    const bool hex =
+        tok.size() > 2 && tok[0] == '0' && (tok[1] == 'x' || tok[1] == 'X');
+    const char *first = tok.data() + (hex ? 2 : 0);
+    const char *last = tok.data() + tok.size();
+    std::uint64_t v = 0;
+    const auto [end, ec] = std::from_chars(first, last, v, hex ? 16 : 10);
+    if (first == last || ec != std::errc{} || end != last)
+        return false;
+    out = v;
+    return true;
+}
+
+std::string
+oracleAt(const std::string &name, std::size_t line)
+{
+    return "trace '" + name + "' line " + std::to_string(line);
+}
+
+std::vector<TraceRecord>
+oracleParseTrace(const std::string &text, const std::string &name)
+{
+    std::size_t pos = 0;
+    std::string line;
+    auto nextLine = [&] {
+        if (pos >= text.size())
+            return false;
+        const std::size_t nl = std::min(text.find('\n', pos), text.size());
+        line.assign(text, pos, nl - pos);
+        pos = nl + 1;
+        return true;
+    };
+    std::size_t line_no = 0;
+
+    if (!nextLine())
+        fatal("trace '" + name + "': empty file (expected header "
+              "'#memtherm-trace v" + std::to_string(kTraceFormatVersion) +
+              "')");
+    ++line_no;
+    {
+        std::istringstream hs(line);
+        std::string magic, ver, extra;
+        hs >> magic >> ver;
+        if (magic != "#memtherm-trace" || ver.size() < 2 || ver[0] != 'v')
+            fatal(oracleAt(name, line_no) +
+                  ": bad header (expected '#memtherm-trace v" +
+                  std::to_string(kTraceFormatVersion) + "')");
+        std::uint64_t v = 0;
+        if (!oracleU64(ver.substr(1), v) || v == 0)
+            fatal(oracleAt(name, line_no) + ": bad version '" + ver + "'");
+        if (v > static_cast<std::uint64_t>(kTraceFormatVersion))
+            fatal("trace '" + name + "': format version " +
+                  std::to_string(v) + " is newer than this binary's v" +
+                  std::to_string(kTraceFormatVersion) +
+                  "; upgrade memtherm to read this trace");
+        if (hs >> extra) // FIX: the header's trailing token
+            fatal(oracleAt(name, line_no) + ": trailing token '" + extra +
+                  "'");
+    }
+
+    std::vector<TraceRecord> out;
+    while (nextLine()) {
+        ++line_no;
+        // FIX: " \t\r" before, which isspace's \v and \f escaped.
+        std::size_t first = line.find_first_not_of(" \t\r\v\f");
+        if (first == std::string::npos || line[first] == '#')
+            continue;
+        std::istringstream ls(line);
+        std::string addr_tok, op_tok, bytes_tok, extra;
+        ls >> addr_tok >> op_tok >> bytes_tok;
+        if (bytes_tok.empty())
+            fatal(oracleAt(name, line_no) +
+                  ": expected '<addr> <r|w> <bytes>', got '" + line + "'");
+        if (ls >> extra)
+            fatal(oracleAt(name, line_no) + ": trailing token '" + extra +
+                  "'");
+        TraceRecord rec;
+        if (!oracleU64(addr_tok, rec.addr))
+            fatal(oracleAt(name, line_no) + ": bad address '" + addr_tok +
+                  "'");
+        if (op_tok == "r")
+            rec.write = false;
+        else if (op_tok == "w")
+            rec.write = true;
+        else
+            fatal(oracleAt(name, line_no) + ": bad op '" + op_tok +
+                  "' (expected r or w)");
+        std::uint64_t bytes = 0;
+        if (!oracleU64(bytes_tok, bytes) || bytes == 0 ||
+            bytes > 0xffffffffULL)
+            fatal(oracleAt(name, line_no) + ": bad byte count '" +
+                  bytes_tok + "'");
+        rec.bytes = static_cast<std::uint32_t>(bytes);
+        out.push_back(rec);
+    }
+    if (out.empty())
+        fatal("trace '" + name + "': no records");
+    return out;
+}
+
+std::size_t
+fuzzCases()
+{
+    if (const char *env = std::getenv("MEMTHERM_FUZZ_CASES")) {
+        char *end = nullptr;
+        const unsigned long v = std::strtoul(env, &end, 10);
+        if (end && *end == '\0' && v > 0)
+            return static_cast<std::size_t>(v);
+    }
+    return 1000;
+}
+
+/**
+ * The seeded trace fuzz corpus: each case's random v1 records, their
+ * formatted document, and a mutation of it. The case count defaults to
+ * ~1000 and scales with MEMTHERM_FUZZ_CASES; every case derives from
+ * the fixed base seed, so a failure reproduces by case index.
+ */
+void
+forEachTraceFuzzCase(
+    const std::function<void(std::size_t, const std::vector<TraceRecord> &,
+                             const std::string &, const std::string &)> &f)
+{
+    // Tokens the trace grammar has an opinion about: header versions,
+    // addresses, ops and byte counts at and past their limits, and the
+    // whitespace set.
+    static const std::string versions[] = {
+        "v0", "v1", "v01", "v0x1", "v2", "v", "vx", "v-1", "v+1",
+        "v4294967297", "v18446744073709551615", "v18446744073709551616"};
+    static const std::string hostile[] = {
+        "", "#memtherm-trace", "0x", "0x0", "-1", "+1", "-0x10", "0x-1",
+        "18446744073709551615", "18446744073709551616",
+        "0x10000000000000000", "r", "w", "R", "rw", "0", "4294967295",
+        "4294967296", "1e3", "64 64", "\r", "\v", "\f", "#",
+        std::string("\0", 1), std::string("6\0" "4", 3)};
+    static const std::string separators[] = {"\t", "\v", "\f", "\r", "  "};
+    const std::size_t cases = fuzzCases();
+    Rng seed_stream(0x7ace7aceULL);
+    for (std::size_t i = 0; i < cases; ++i) {
+        Rng rng(seed_stream.next());
+        std::vector<TraceRecord> records(1 + rng.below(12));
+        for (TraceRecord &r : records) {
+            r.addr = rng.uniform() < 0.2 ? ~0ULL - rng.below(4) : rng.next();
+            r.bytes = static_cast<std::uint32_t>(1 + rng.below(0xffffffffULL));
+            r.write = rng.uniform() < 0.5;
+        }
+        const std::string doc = formatTrace(records);
+
+        // Split into lines of space-separated tokens, mutate, rejoin.
+        std::vector<std::vector<std::string>> lines;
+        std::istringstream in(doc);
+        for (std::string line; std::getline(in, line);) {
+            std::istringstream ls(line);
+            auto &tokens = lines.emplace_back();
+            for (std::string t; ls >> t;)
+                tokens.push_back(t);
+        }
+        for (std::size_t edits = 1 + rng.below(3); edits > 0; --edits) {
+            auto &line = lines[rng.below(lines.size())];
+            const std::string &t = hostile[rng.below(std::size(hostile))];
+            switch (rng.below(5)) {
+              case 0: // the header's version
+                lines[0].resize(2);
+                lines[0][1] = versions[rng.below(std::size(versions))];
+                break;
+              case 1: // a token replaced
+                line[rng.below(line.size())] = t;
+                break;
+              case 2: // a token dropped
+                line.erase(line.begin() +
+                           static_cast<long>(rng.below(line.size())));
+                if (line.empty())
+                    line.push_back(t);
+                break;
+              case 3: // an extra token
+                line.insert(line.begin() +
+                                static_cast<long>(rng.below(line.size() + 1)),
+                            t);
+                break;
+              default: // a line dropped
+                if (lines.size() > 1)
+                    lines.erase(lines.begin() +
+                                static_cast<long>(rng.below(lines.size())));
+            }
+        }
+        std::string text;
+        for (const auto &line : lines) {
+            for (std::size_t k = 0; k < line.size(); ++k) {
+                if (k)
+                    text += rng.uniform() < 0.1
+                                ? separators[rng.below(std::size(separators))]
+                                : " ";
+                text += line[k];
+            }
+            text += rng.uniform() < 0.1 ? "\r\n" : "\n";
+        }
+        if (rng.uniform() < 0.1) // a NUL byte anywhere
+            text.insert(rng.below(text.size() + 1), 1, '\0');
+        if (rng.uniform() < 0.2) // a torn tail
+            text.resize(rng.below(text.size() + 1));
+        f(i, records, doc, text);
+    }
+}
+
+/**
+ * The version a trace document's header names; 0 unless the header is
+ * exactly `#memtherm-trace v<n>`.
+ */
+std::uint64_t
+headerVersion(const std::string &doc)
+{
+    std::istringstream in(doc);
+    std::string line, magic, ver, extra;
+    std::getline(in, line);
+    std::istringstream hs(line);
+    hs >> magic >> ver;
+    std::uint64_t v = 0;
+    if (magic != "#memtherm-trace" || ver.size() < 2 || ver[0] != 'v' ||
+        !parseU64(ver.substr(1), v) || hs >> extra)
+        return 0;
+    return v;
+}
+
+TEST(TraceFuzz, MutatedTracesFailOnlyFatally)
+{
+    forEachTraceFuzzCase([](std::size_t i,
+                            const std::vector<TraceRecord> &records,
+                            const std::string &doc, const std::string &text) {
+        try {
+            EXPECT_EQ(parseTrace(doc, "fuzz"), records) << "case " << i;
+        } catch (const FatalError &e) {
+            ADD_FAILURE() << "case " << i << ": " << e.what() << "\n" << doc;
+        }
+        try {
+            (void)parseTrace(text, "fuzz");
+            EXPECT_EQ(headerVersion(text),
+                      static_cast<std::uint64_t>(kTraceFormatVersion))
+                << "case " << i << ": accepted\n" << text;
+        } catch (const FatalError &) {
+        } catch (const std::exception &e) {
+            ADD_FAILURE() << "case " << i
+                          << ": parseTrace escaped a non-fatal error: "
+                          << e.what();
+        }
+    });
+}
+
+/** What a parse returned: its records, or its diagnostic. */
+struct Verdict
+{
+    std::vector<TraceRecord> records;
+    std::string error;
+};
+
+template <typename Parse>
+Verdict
+verdictOf(Parse parse, const std::string &text)
+{
+    Verdict v;
+    try {
+        v.records = parse(text, "fuzz");
+    } catch (const FatalError &e) {
+        v.error = e.what();
+    }
+    return v;
+}
+
+TEST(TraceFuzz, ParserMatchesTheIstringstreamOracle)
+{
+    forEachTraceFuzzCase([](std::size_t i, const std::vector<TraceRecord> &,
+                            const std::string &doc, const std::string &text) {
+        for (const std::string *t : {&doc, &text}) {
+            const Verdict got = verdictOf(parseTrace, *t);
+            const Verdict want = verdictOf(oracleParseTrace, *t);
+            EXPECT_EQ(got.records, want.records) << "case " << i << "\n"
+                                                 << *t;
+            EXPECT_EQ(got.error, want.error) << "case " << i << "\n" << *t;
+        }
+    });
+}
+
+/**
  * The scenario knob end to end: a trace whose stream lands entirely on
  * DIMM 0 must heat DIMM 0 the way the equivalent traffic_shape does,
  * and fill the bank weights when the grid is active.
@@ -392,6 +719,71 @@ TEST(TraceScenario, TraceKnobRoundTripsThroughJson)
                     "config":{"trace":""}})"));
         },
         "'config.trace' must be a non-empty path");
+}
+
+/** The bit patterns of @p v: equal only if every double is bit-equal. */
+std::vector<std::uint64_t>
+bitsOf(const std::vector<double> &v)
+{
+    std::vector<std::uint64_t> out;
+    for (double x : v)
+        out.push_back(std::bit_cast<std::uint64_t>(x));
+    return out;
+}
+
+/**
+ * lower() decodes the trace once per distinct (channels, DIMMs, bank
+ * cells): the refresh axis never enters the decode, and a 32x16 and a
+ * 16x32 grid share 512 cells. Every point must still carry exactly what
+ * a direct decode for that point gives, and the memo must not outlive
+ * the call.
+ */
+TEST(TraceScenario, EveryPointMatchesItsDirectDecode)
+{
+    TraceGenConfig tg;
+    tg.pattern = TraceGenConfig::Pattern::Random;
+    tg.count = 4096;
+    tg.readPct = 67.0;
+    tg.seed = 23;
+    const std::vector<TraceRecord> records = generateTrace(tg);
+    TempTrace tmp(formatTrace(records));
+
+    ScenarioSpec s = ScenarioSpec::fromJson(Json::parse(R"({
+        "name": "memo", "workloads": ["W1"], "policies": ["No-limit"],
+        "sweep": {
+          "memory_org": ["ch4_4x4", "2x4", "4x8", "8x2"],
+          "refresh": ["ddr2_2x", "aldram"],
+          "thermal_model": ["lumped", "bank_grid",
+                            {"grid_x": 32, "grid_z": 16},
+                            {"grid_x": 16, "grid_z": 32}]}})"));
+    s.trace = tmp.path;
+    const LoweredScenario low = s.lower();
+    ASSERT_EQ(low.points.size(), 4u * 2u * 4u);
+    for (const auto &pt : low.points) {
+        const SimConfig &cfg = pt.cfg;
+        const int cells = cfg.bankGrid ? cfg.bankGrid->cells() : 0;
+        const TraceProfile direct =
+            decodeTrace(records, cfg.org.nChannels,
+                        cfg.org.nDimmsPerChannel, cells);
+        EXPECT_EQ(bitsOf(cfg.trafficShares), bitsOf(direct.dimmShares))
+            << pt.label;
+        if (cfg.bankGrid) {
+            EXPECT_EQ(bitsOf(cfg.bankGrid->weights),
+                      bitsOf(direct.bankWeights))
+                << pt.label;
+        }
+    }
+
+    // A new trace at the same path is read by the next lower(): every
+    // record on DIMM 0 of the Table 4.1 organization.
+    {
+        std::ofstream f(tmp.path, std::ios::binary | std::ios::trunc);
+        f << "#memtherm-trace v1\n0x0 r 64\n";
+    }
+    const LoweredScenario again = s.lower();
+    EXPECT_EQ(again.points[0].cfg.trafficShares,
+              (std::vector<double>{1.0, 0.0, 0.0, 0.0}))
+        << again.points[0].label;
 }
 
 } // namespace
