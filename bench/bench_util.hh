@@ -4,87 +4,70 @@
  *
  * Every binary prints the same rows/series the paper reports, normalized
  * the same way (Chapter 4 figures to the no-thermal-limit baseline or to
- * DTM-TS; Chapter 5 figures to no-limit or DTM-BW). Batch depths are
- * reduced relative to the paper's 50 copies to bound harness runtime;
- * EXPERIMENTS.md records the settings used.
+ * DTM-TS; Chapter 5 figures to no-limit or DTM-BW). Each grid is a
+ * committed scenario under examples/scenarios/paper/, whose batch depth
+ * is reduced from the paper's 50 copies to bound harness runtime; `memtherm
+ * run examples/scenarios/paper/<name>.json` reproduces the same runs.
  */
 
 #ifndef MEMTHERM_BENCH_BENCH_UTIL_HH
 #define MEMTHERM_BENCH_BENCH_UTIL_HH
 
+#include <cstdlib>
 #include <iostream>
 #include <map>
 #include <string>
 #include <vector>
 
+#include "common/logging.hh"
 #include "common/table.hh"
-#include "core/sim/engine.hh"
-#include "core/sim/experiment.hh"
+#include "core/sim/scenario.hh"
 #include "testbed/platform.hh"
+
+#ifndef MEMTHERM_SOURCE_DIR
+#error "bench harnesses need MEMTHERM_SOURCE_DIR (set by CMakeLists.txt)"
+#endif
 
 namespace memtherm::bench
 {
 
-/** Batch depth used by the Chapter 4 harnesses. */
-inline constexpr int kCh4Copies = 25;
-/** Batch depth used by the Chapter 5 harnesses. */
-inline constexpr int kCh5Copies = 6;
+/** A paper scenario and its results. */
+struct PaperRun
+{
+    ScenarioSpec spec;
+    ScenarioResults results;
+
+    /** Sweep point @p i's results, keyed [workload][policy]. */
+    const SuiteResults &
+    suite(std::size_t i = 0) const
+    {
+        return results.points.at(i).suite;
+    }
+};
 
 /**
- * Process-wide experiment engine shared by the harness binaries: sized
- * by MEMTHERM_THREADS (default: hardware concurrency), so every figure
- * harness parallelizes the same way without per-binary plumbing.
+ * Load examples/scenarios/paper/<name>.json and run it on an engine
+ * sized by MEMTHERM_THREADS. Any failure is fatal: an unreadable spec,
+ * or failed runs, which are listed by grid coordinate before the
+ * program exits 1 — a figure never prints a table with a hole in it.
  */
-inline ExperimentEngine &
-engine()
+inline PaperRun
+runPaper(const std::string &name)
 {
-    static ExperimentEngine e;
-    return e;
-}
-
-/** Build one Chapter 4 engine run. */
-inline ExperimentEngine::Run
-ch4Run(const SimConfig &cfg, const Workload &w, const std::string &policy)
-{
-    return {cfg, w, policy, {}};
-}
-
-/** Build one Chapter 5 engine run (see ch5EngineRun for the protocol). */
-inline ExperimentEngine::Run
-ch5Run(const Platform &plat, const Workload &w, const std::string &policy,
-       int copies = kCh5Copies, std::size_t dvfs_floor = 0)
-{
-    return ch5EngineRun(plat, w, policy, copies, dvfs_floor);
-}
-
-/** Chapter 4 configuration with the harness batch depth. */
-inline SimConfig
-ch4Config(const CoolingConfig &cooling, bool integrated,
-          int copies = kCh4Copies)
-{
-    SimConfig cfg = makeCh4Config(cooling, integrated);
-    cfg.copiesPerApp = copies;
-    return cfg;
-}
-
-/** Run one Chapter 4 (workload, policy-name) pair. */
-inline SimResult
-runCh4(const SimConfig &cfg, const Workload &w, const std::string &policy)
-{
-    ThermalSimulator sim(cfg);
-    auto p = makeCh4Policy(policy, cfg.dtmInterval);
-    return sim.run(w, *p);
-}
-
-/** Run one Chapter 5 (workload, policy-name) pair on a platform. */
-inline SimResult
-runCh5(const Platform &plat, const Workload &w, const std::string &policy,
-       int copies = kCh5Copies, std::size_t dvfs_floor = 0)
-{
-    ExperimentEngine::Run r = ch5Run(plat, w, policy, copies, dvfs_floor);
-    ThermalSimulator sim(r.cfg);
-    auto p = r.factory(r.cfg, r.policy);
-    return sim.run(w, *p);
+    try {
+        PaperRun out;
+        out.spec = ScenarioSpec::load(std::string(MEMTHERM_SOURCE_DIR) +
+                                      "/examples/scenarios/paper/" + name +
+                                      ".json");
+        out.results = runScenario(out.spec);
+        if (!out.results.errors.empty())
+            fatal("paper scenario '" + name +
+                  "': " + failureSummary(out.results.errors));
+        return out;
+    } catch (const FatalError &e) {
+        std::cerr << e.what() << '\n';
+        std::exit(1);
+    }
 }
 
 /**

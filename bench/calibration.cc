@@ -6,13 +6,11 @@
  * demands, stable temperatures, and a quick policy comparison on W1.
  */
 
-#include <iostream>
-
-#include "common/table.hh"
-#include "core/sim/engine.hh"
+#include "bench_util.hh"
 #include "workloads/spec_catalog.hh"
 
 using namespace memtherm;
+using namespace memtherm::bench;
 
 namespace
 {
@@ -74,22 +72,13 @@ main()
     mix.print(std::cout);
 
     // --- quick policy pass on W1 ----------------------------------------
-    SimConfig quick = cfg;
-    quick.copiesPerApp = 50;
-    quick.instrScale = 1.0;
+    const PaperRun run = runPaper("calibration_w1");
     Table pol("W1 quick policy comparison (AOHS_1.5)",
               {"policy", "time s", "norm", "traffic GB", "maxAmb",
                "avgBW", "instr/B", "cpuE kJ", "memE kJ"});
-    Workload w1 = workloadMix("W1");
-    std::vector<ExperimentEngine::Run> runs;
-    for (const auto &name :
-         {"No-limit", "DTM-TS", "DTM-BW", "DTM-ACG", "DTM-CDVFS",
-          "DTM-BW+PID", "DTM-ACG+PID", "DTM-CDVFS+PID"}) {
-        runs.push_back({quick, w1, name, {}});
-    }
-    ExperimentEngine engine;
     double base = 0.0;
-    for (const SimResult &r : engine.run(runs)) {
+    for (const auto &name : run.spec.policies) {
+        const SimResult &r = run.suite().at("W1").at(name);
         if (base == 0.0)
             base = r.runningTime;
         pol.addRow({r.policy, Table::num(r.runningTime, 1),

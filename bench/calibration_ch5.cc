@@ -4,81 +4,52 @@
  * platforms' operating points against the paper's anchors.
  */
 
-#include <iostream>
-
-#include "common/table.hh"
-#include "testbed/platform.hh"
+#include "bench_util.hh"
 
 using namespace memtherm;
-
-namespace
-{
-
-void
-quickSuite(ExperimentEngine &engine, const Platform &p,
-           const char *mix_name)
-{
-    Platform plat = p;
-    plat.sim.copiesPerApp = 10;
-    Table t(std::string(p.name) + " " + mix_name + " policy comparison",
-            {"policy", "time s", "norm", "L2 miss B", "inlet C", "cpu W",
-             "maxAmb"});
-    Workload w = workloadMix(mix_name);
-    std::vector<ExperimentEngine::Run> runs;
-    for (const char *name :
-         {"No-limit", "DTM-BW", "DTM-ACG", "DTM-CDVFS", "DTM-COMB"}) {
-        runs.push_back(ch5EngineRun(plat, w, name, plat.sim.copiesPerApp));
-    }
-    double base = 0.0, base_miss = 0.0;
-    for (const SimResult &r : engine.run(runs)) {
-        if (base == 0.0) {
-            base = r.runningTime;
-            base_miss = r.totalL2Misses;
-        }
-        t.addRow({r.policy, Table::num(r.runningTime, 1),
-                  Table::num(r.runningTime / base, 3),
-                  Table::num(r.totalL2Misses / base_miss, 3),
-                  Table::num(r.inletTrace.mean(), 1),
-                  Table::num(r.avgCpuPower(), 1),
-                  Table::num(r.maxAmb, 1)});
-    }
-    t.print(std::cout);
-}
-
-} // namespace
+using namespace memtherm::bench;
 
 int
 main()
 {
-    // One pool for every batch in this harness.
-    ExperimentEngine engine;
-
-    // Homogeneous temperature anchors (Figs. 5.4 / 5.5).
-    const std::vector<const char *> apps{"swim", "galgel", "apsi", "vpr"};
-    for (const Platform &p : {sr1500al(), pe1950()}) {
-        Table t(p.name + " homogeneous no-DTM anchor",
+    // Homogeneous temperature anchors (Figs. 5.4 / 5.5), DTM-BW safety
+    // capped.
+    for (const char *name : {"calibration_ch5_anchor_sr1500al",
+                             "calibration_ch5_anchor_pe1950"}) {
+        const PaperRun run = runPaper(name);
+        Table t(run.spec.platform + " homogeneous no-DTM anchor",
                 {"app", "avgAmb", "maxAmb", "inlet"});
-        std::vector<ExperimentEngine::Run> runs;
-        for (const char *app : apps) {
-            SimConfig cfg = p.sim;
-            cfg.copiesPerApp = 2;
-            // DTM-BW: safety-capped.
-            runs.push_back({std::move(cfg), homogeneous(app, 4), "DTM-BW",
-                            ch5PolicyFactory(p)});
-        }
-        std::vector<SimResult> results = engine.run(runs);
-        for (std::size_t i = 0; i < apps.size(); ++i) {
-            const SimResult &r = results[i];
-            t.addRow({apps[i], Table::num(r.ambTrace.mean(), 1),
+        for (const auto &w : run.spec.workloads) {
+            const SimResult &r = run.suite().at(w).at("DTM-BW");
+            t.addRow({w.substr(0, w.rfind('x')),
+                      Table::num(r.ambTrace.mean(), 1),
                       Table::num(r.maxAmb, 1),
                       Table::num(r.inletTrace.mean(), 1)});
         }
         t.print(std::cout);
     }
 
-    quickSuite(engine, sr1500al(), "W1");
-    quickSuite(engine, sr1500al(), "W8");
-    quickSuite(engine, pe1950(), "W1");
-    quickSuite(engine, pe1950(), "W8");
+    // Quick policy comparisons on W1 and W8.
+    for (const char *name :
+         {"calibration_ch5_sr1500al", "calibration_ch5_pe1950"}) {
+        const PaperRun run = runPaper(name);
+        for (const auto &w : run.spec.workloads) {
+            Table t(run.spec.platform + " " + w + " policy comparison",
+                    {"policy", "time s", "norm", "L2 miss B", "inlet C",
+                     "cpu W", "maxAmb"});
+            const SimResult &base = run.suite().at(w).at("No-limit");
+            for (const auto &p : run.spec.policies) {
+                const SimResult &r = run.suite().at(w).at(p);
+                t.addRow({r.policy, Table::num(r.runningTime, 1),
+                          Table::num(r.runningTime / base.runningTime, 3),
+                          Table::num(r.totalL2Misses / base.totalL2Misses,
+                                     3),
+                          Table::num(r.inletTrace.mean(), 1),
+                          Table::num(r.avgCpuPower(), 1),
+                          Table::num(r.maxAmb, 1)});
+            }
+            t.print(std::cout);
+        }
+    }
     return 0;
 }

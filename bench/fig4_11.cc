@@ -5,8 +5,6 @@
  * pay the 25 us control overhead; long intervals react late.
  */
 
-#include <iostream>
-
 #include "bench_util.hh"
 
 using namespace memtherm;
@@ -15,38 +13,26 @@ using namespace memtherm::bench;
 int
 main()
 {
-    const std::vector<Seconds> intervals{0.001, 0.010, 0.020, 0.100};
-    const std::vector<std::string> policies = ch4PolicyNames(false);
+    const PaperRun run = runPaper("fig4_11");
+    const std::vector<double> &intervals = run.spec.sweepDtmInterval;
 
-    for (const CoolingConfig &cooling : {coolingFdhs10(), coolingAohs15()}) {
+    for (std::size_t c = 0; c < run.spec.sweepCooling.size(); ++c) {
         std::vector<std::string> headers{"policy"};
         for (Seconds itv : intervals)
             headers.push_back(Table::num(itv * 1e3, 0) + " ms");
         Table t("Fig 4.11 — avg running time vs DTM interval (" +
-                    cooling.name() + "), normalized to 10 ms",
+                    run.spec.sweepCooling[c] + "), normalized to 10 ms",
                 headers);
 
-        // One flat engine batch over (policy, workload, interval).
-        std::vector<Workload> mixes = cpu2000Mixes();
-        std::vector<ExperimentEngine::Run> runs;
-        for (const auto &pname : policies) {
-            for (const Workload &w : mixes) {
-                for (std::size_t i = 0; i < intervals.size(); ++i) {
-                    SimConfig cfg = ch4Config(cooling, false, 12);
-                    cfg.dtmInterval = intervals[i];
-                    cfg.window = std::min(cfg.window, intervals[i]);
-                    runs.push_back(ch4Run(cfg, w, pname));
-                }
-            }
-        }
-        std::vector<SimResult> results = engine().run(runs);
-
-        std::size_t k = 0;
-        for (const auto &pname : policies) {
+        // The cooling axis precedes the interval axis in the grid.
+        for (const auto &pname : run.spec.policies) {
             std::vector<double> avg(intervals.size(), 0.0);
-            for (std::size_t wi = 0; wi < mixes.size(); ++wi)
+            for (const auto &w : run.spec.workloads)
                 for (std::size_t i = 0; i < intervals.size(); ++i)
-                    avg[i] += results[k++].runningTime;
+                    avg[i] += run.suite(c * intervals.size() + i)
+                                  .at(w)
+                                  .at(pname)
+                                  .runningTime;
             std::vector<std::string> row{pname};
             for (double v : avg)
                 row.push_back(Table::num(v / avg[1], 3));

@@ -6,7 +6,7 @@
  * because lowering processor voltage/frequency cools the memory inlet.
  */
 
-#include "ch4_suite.hh"
+#include "bench_util.hh"
 
 using namespace memtherm;
 using namespace memtherm::bench;
@@ -14,15 +14,12 @@ using namespace memtherm::bench;
 int
 main()
 {
-    for (const CoolingConfig &cooling : {coolingFdhs10(), coolingAohs15()}) {
-        SimConfig cfg = ch4Config(cooling, true);
-        std::vector<std::string> policies{"No-limit", "DTM-TS", "DTM-BW",
-                                          "DTM-ACG", "DTM-CDVFS"};
-        SuiteResults r = engine().runSuite(cfg, cpu2000Mixes(), policies);
+    const PaperRun run = runPaper("fig4_12");
+    for (std::size_t c = 0; c < run.spec.sweepCooling.size(); ++c) {
         printNormalized(
             "Fig 4.12 — normalized running time, integrated model (" +
-                cooling.name() + ")",
-            r, mixNames(), {"DTM-TS", "DTM-BW", "DTM-ACG", "DTM-CDVFS"},
+                run.spec.sweepCooling[c] + ")",
+            run.suite(c), run.spec.workloads, ch4PolicyNames(false),
             "No-limit", metricRunningTime);
     }
     return 0;

@@ -7,13 +7,10 @@
  * (smaller TDP-TRP gap) recovers performance.
  */
 
-#include <iostream>
-
 #include "bench_util.hh"
 #include "core/dtm/basic_policies.hh"
 
 using namespace memtherm;
-using namespace memtherm::bench;
 
 namespace
 {
@@ -22,7 +19,8 @@ void
 sweep(const CoolingConfig &cooling, bool sweep_dram,
       const std::vector<Celsius> &trps)
 {
-    SimConfig cfg = ch4Config(cooling, false);
+    SimConfig cfg = makeCh4Config(cooling, false);
+    cfg.copiesPerApp = 25; // the Chapter 4 harness batch depth
     ThermalLimits lim;
     std::vector<Workload> mixes = cpu2000Mixes();
 
@@ -37,7 +35,8 @@ sweep(const CoolingConfig &cooling, bool sweep_dram,
 
     std::vector<double> sums(trps.size(), 0.0);
     for (const Workload &w : mixes) {
-        SimResult base = runCh4(cfg, w, "No-limit");
+        ThermalSimulator base_sim(cfg);
+        SimResult base = base_sim.run(w, *makeCh4Policy("No-limit"));
         std::vector<std::string> row{w.name};
         for (std::size_t i = 0; i < trps.size(); ++i) {
             ThermalSimulator sim(cfg);

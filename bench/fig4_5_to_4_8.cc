@@ -10,11 +10,8 @@
  * to 110 that PID eliminates.
  */
 
-#include <iostream>
-
 #include "bench_util.hh"
 #include "common/stats.hh"
-#include "core/sim/scenario.hh"
 
 using namespace memtherm;
 using namespace memtherm::bench;
@@ -22,19 +19,9 @@ using namespace memtherm::bench;
 int
 main()
 {
-    // The experiment as a declarative scenario (the same description
-    // could live in a JSON file and run via `memtherm run`).
-    ScenarioSpec spec;
-    spec.name = "fig4_5_to_4_8";
-    spec.copiesPerApp = 50;
-    spec.workloads = {"W1"};
-    spec.policies = {"DTM-TS",      "DTM-BW",    "DTM-BW+PID",
-                     "DTM-ACG",     "DTM-ACG+PID", "DTM-CDVFS",
-                     "DTM-CDVFS+PID"};
-
-    ScenarioResults results = runScenario(spec, engine());
-    const SuiteResults &r = results.points[0].suite;
-    const std::vector<std::string> &policies = spec.policies;
+    const PaperRun run = runPaper("fig4_5_to_4_8");
+    const SuiteResults &r = run.suite();
+    const std::vector<std::string> &policies = run.spec.policies;
     std::vector<TimeSeries> traces;
     for (const auto &p : policies)
         traces.push_back(r.at("W1").at(p).ambTrace.downsample(10));

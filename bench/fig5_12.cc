@@ -6,7 +6,7 @@
  * performance tracks the gap, not the absolute ambient.
  */
 
-#include "ch5_suite.hh"
+#include "bench_util.hh"
 
 using namespace memtherm;
 using namespace memtherm::bench;
@@ -14,10 +14,10 @@ using namespace memtherm::bench;
 int
 main()
 {
-    Platform plat = sr1500al(26.0, 90.0);
-    SuiteResults r = ch5SuiteRun(plat);
+    const PaperRun run = runPaper("fig5_12");
     printNormalized(
-        "Fig 5.12 — normalized running time, SR1500AL @26C / TDP 90C", r,
-        ch5MixNames(), ch5PolicyNames(), "No-limit", metricRunningTime);
+        "Fig 5.12 — normalized running time, SR1500AL @26C / TDP 90C",
+        run.suite(), run.spec.workloads, ch5PolicyNames(), "No-limit",
+        metricRunningTime);
     return 0;
 }

@@ -5,8 +5,6 @@
  * at 2.0 GHz, and DTM-ACG's edge persists in both modes.
  */
 
-#include <iostream>
-
 #include "bench_util.hh"
 
 using namespace memtherm;
@@ -15,30 +13,24 @@ using namespace memtherm::bench;
 int
 main()
 {
-    Platform plat = sr1500al();
+    // The 3.0 GHz runs (and the no-limit base) are the Chapter 5 suite;
+    // the 2.0 GHz ones run on the platform pinned there.
+    const PaperRun full = runPaper("ch5_sr1500al");
+    const PaperRun slow = runPaper("fig5_13_2ghz");
     Table t("Fig 5.13 — DTM-ACG vs DTM-BW at 3.0 and 2.0 GHz (SR1500AL, "
             "normalized to no-limit @3.0 GHz)",
             {"workload", "BW@3.0", "ACG@3.0", "BW@2.0", "ACG@2.0"});
-    // Five engine runs per workload: the no-limit base plus BW/ACG at
-    // full speed and pinned to 2.0 GHz (dvfs_floor 3).
-    const std::vector<Workload> mixes = cpu2000Mixes();
-    std::vector<ExperimentEngine::Run> runs;
-    for (const Workload &w : mixes) {
-        runs.push_back(ch5Run(plat, w, "No-limit"));
-        runs.push_back(ch5Run(plat, w, "DTM-BW"));
-        runs.push_back(ch5Run(plat, w, "DTM-ACG"));
-        runs.push_back(ch5Run(plat, w, "DTM-BW", kCh5Copies, 3));
-        runs.push_back(ch5Run(plat, w, "DTM-ACG", kCh5Copies, 3));
-    }
-    std::vector<SimResult> results = engine().run(runs);
 
     std::vector<double> sums(4, 0.0);
-    for (std::size_t wi = 0; wi < mixes.size(); ++wi) {
-        const SimResult *r = &results[wi * 5];
-        double base = r[0].runningTime;
-        double v[4] = {r[1].runningTime / base, r[2].runningTime / base,
-                       r[3].runningTime / base, r[4].runningTime / base};
-        std::vector<std::string> row{mixes[wi].name};
+    for (const auto &w : full.spec.workloads) {
+        const auto &f = full.suite().at(w);
+        const auto &s = slow.suite().at(w);
+        double base = f.at("No-limit").runningTime;
+        double v[4] = {f.at("DTM-BW").runningTime / base,
+                       f.at("DTM-ACG").runningTime / base,
+                       s.at("DTM-BW").runningTime / base,
+                       s.at("DTM-ACG").runningTime / base};
+        std::vector<std::string> row{w};
         for (int i = 0; i < 4; ++i) {
             sums[static_cast<std::size_t>(i)] += v[i];
             row.push_back(Table::num(v[i], 3));
@@ -46,8 +38,9 @@ main()
         t.addRow(row);
     }
     std::vector<std::string> avg{"average"};
+    const double n = static_cast<double>(full.spec.workloads.size());
     for (double s : sums)
-        avg.push_back(Table::num(s / 8.0, 3));
+        avg.push_back(Table::num(s / n, 3));
     t.addRow(avg);
     t.print(std::cout);
     return 0;

@@ -7,9 +7,8 @@
  * thermal constraints".
  */
 
-#include <iostream>
-
 #include "bench_util.hh"
+#include "core/sim/registry.hh"
 
 using namespace memtherm;
 using namespace memtherm::bench;
@@ -17,50 +16,28 @@ using namespace memtherm::bench;
 int
 main()
 {
-    const std::vector<Celsius> tdps{88.0, 90.0, 92.0};
+    // One platform per TDP; the 90 C one is the Chapter 5 suite.
+    std::vector<PaperRun> runs;
+    for (const char *name : {"fig5_14_tdp88", "ch5_pe1950", "fig5_14_tdp92"})
+        runs.push_back(runPaper(name));
+
     std::vector<std::string> headers{"policy"};
-    for (Celsius t : tdps)
-        headers.push_back("TDP " + Table::num(t, 0));
+    for (const PaperRun &run : runs)
+        headers.push_back(
+            "TDP " +
+            Table::num(platformCatalog().get(run.spec.platform).ambTdp, 0));
     Table t("Fig 5.14 — avg normalized running time vs AMB TDP (PE1950)",
             headers);
 
-    // One platform variant per TDP; the whole (TDP, workload, policy)
-    // block fans out as a single engine batch.
-    std::vector<Platform> plats;
-    for (Celsius tdp : tdps) {
-        Platform plat = pe1950();
-        plat.ambTdp = tdp;
-        plat.sim.limits.ambTdp = tdp;
-        plat.sim.limits.ambTrp = tdp - 1.0;
-        // Emergency levels shift with the TDP (Section 5.4.5).
-        Celsius top = tdp - 2.0;
-        plat.ambBounds = {top - 12.0, top - 8.0, top - 4.0, top};
-        plats.push_back(std::move(plat));
-    }
-
-    auto policies = ch5PolicyNames();
-    std::vector<std::string> all = policies;
-    all.insert(all.begin(), "No-limit");
-    const std::vector<Workload> mixes = cpu2000Mixes();
-    std::vector<ExperimentEngine::Run> runs;
-    for (const Platform &plat : plats)
-        for (const Workload &w : mixes)
-            for (const auto &pname : all)
-                runs.push_back(ch5Run(plat, w, pname));
-    std::vector<SimResult> results = engine().run(runs);
-    auto at = [&](std::size_t ti, std::size_t wi, std::size_t pi)
-        -> const SimResult & {
-        return results[(ti * mixes.size() + wi) * all.size() + pi];
-    };
-
-    for (std::size_t pi = 1; pi < all.size(); ++pi) {
-        std::vector<std::string> row{all[pi]};
-        for (std::size_t ti = 0; ti < tdps.size(); ++ti) {
+    for (const auto &pname : ch5PolicyNames()) {
+        std::vector<std::string> row{pname};
+        for (const PaperRun &run : runs) {
             double sum = 0.0;
-            for (std::size_t wi = 0; wi < mixes.size(); ++wi)
-                sum += at(ti, wi, pi).runningTime /
-                       at(ti, wi, 0).runningTime;
-            row.push_back(Table::num(sum / 8.0, 3));
+            for (const auto &w : run.spec.workloads)
+                sum += run.suite().at(w).at(pname).runningTime /
+                       run.suite().at(w).at("No-limit").runningTime;
+            row.push_back(Table::num(
+                sum / static_cast<double>(run.spec.workloads.size()), 3));
         }
         t.addRow(row);
     }

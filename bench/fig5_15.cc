@@ -6,8 +6,6 @@
  * each switch refills the program's working set.
  */
 
-#include <iostream>
-
 #include "bench_util.hh"
 
 using namespace memtherm;
@@ -16,8 +14,8 @@ using namespace memtherm::bench;
 int
 main()
 {
-    Platform plat = pe1950();
-    const std::vector<Seconds> slices{0.005, 0.010, 0.020, 0.050, 0.100};
+    const PaperRun run = runPaper("fig5_15");
+    const std::vector<double> &slices = run.spec.sweepRotationSlice;
 
     std::vector<std::string> headers{"metric"};
     for (Seconds s : slices)
@@ -26,29 +24,13 @@ main()
             "normalized to 100 ms)",
             headers);
 
-    const std::vector<Workload> mixes = cpu2000Mixes();
-    std::vector<ExperimentEngine::Run> runs;
-    for (const Workload &w : mixes) {
-        for (std::size_t i = 0; i < slices.size(); ++i) {
-            SimConfig cfg = plat.sim;
-            cfg.copiesPerApp = kCh5Copies;
-            cfg.rotationSlice = slices[i];
-            // Windows must resolve the slice.
-            cfg.window = std::min(cfg.window, slices[i]);
-            runs.push_back(
-                {std::move(cfg), w, "DTM-ACG", ch5PolicyFactory(plat)});
-        }
-    }
-    std::vector<SimResult> results = engine().run(runs);
-
     std::vector<double> time_sum(slices.size(), 0.0);
     std::vector<double> miss_sum(slices.size(), 0.0);
-    std::size_t k = 0;
-    for (std::size_t wi = 0; wi < mixes.size(); ++wi) {
+    for (const auto &w : run.spec.workloads) {
         for (std::size_t i = 0; i < slices.size(); ++i) {
-            time_sum[i] += results[k].runningTime;
-            miss_sum[i] += results[k].totalL2Misses;
-            ++k;
+            const SimResult &r = run.suite(i).at(w).at("DTM-ACG");
+            time_sum[i] += r.runningTime;
+            miss_sum[i] += r.totalL2Misses;
         }
     }
     std::vector<std::string> trow{"running time"};

@@ -1,13 +1,12 @@
 /**
  * @file
  * Fig. 5.7: normalized running time of the SPEC CPU2006 workloads
- * (W11, W12) on the PE1950 — expressed as a declarative platform
- * scenario (the PE1950 catalog entry supplies the calibrated testbed
- * configuration and the Chapter 5 policy lineup).
+ * (W11, W12) on the PE1950 — a platform scenario (the PE1950 catalog
+ * entry supplies the calibrated testbed configuration and the Chapter 5
+ * policy lineup).
  */
 
-#include "ch5_suite.hh"
-#include "core/sim/scenario.hh"
+#include "bench_util.hh"
 
 using namespace memtherm;
 using namespace memtherm::bench;
@@ -15,17 +14,9 @@ using namespace memtherm::bench;
 int
 main()
 {
-    ScenarioSpec spec;
-    spec.name = "fig5_7";
-    spec.platform = "PE1950";
-    spec.copiesPerApp = kCh5Copies;
-    spec.workloads = {"W11", "W12"};
-    spec.policies = ch5PolicyNames();
-    spec.policies.insert(spec.policies.begin(), "No-limit");
-
-    ScenarioResults results = runScenario(spec, engine());
+    const PaperRun run = runPaper("fig5_7");
     printNormalized("Fig 5.7 — normalized running time, CPU2006 (PE1950)",
-                    results.points[0].suite, {"W11", "W12"},
-                    ch5PolicyNames(), "No-limit", metricRunningTime);
+                    run.suite(), run.spec.workloads, ch5PolicyNames(),
+                    "No-limit", metricRunningTime);
     return 0;
 }

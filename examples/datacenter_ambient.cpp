@@ -12,41 +12,38 @@
 #include <iostream>
 
 #include "common/table.hh"
-#include "core/sim/engine.hh"
+#include "core/sim/scenario.hh"
 
 using namespace memtherm;
 
 int
 main()
 {
-    Workload mix = workloadMix("W2"); // art, equake, lucas, fma3d
+    // The inlet sweep is the shipped scenario file (`memtherm run
+    // examples/scenarios/datacenter_ambient.json` runs the same grid):
+    // W2 at four inlet temperatures, every (inlet, policy) run in flight
+    // at once.
+    const ScenarioSpec spec = ScenarioSpec::load(
+        std::string(MEMTHERM_SOURCE_DIR) +
+        "/examples/scenarios/datacenter_ambient.json");
+    const ScenarioResults results = runScenario(spec);
+    if (!results.errors.empty()) {
+        std::cerr << "datacenter_ambient: "
+                  << failureSummary(results.errors) << '\n';
+        return 1;
+    }
+
     Table t("Raising the machine-room ambient (W2, AOHS_1.5)",
             {"inlet C", "BW time x", "CDVFS time x", "BW cpu kJ",
              "CDVFS cpu kJ", "CDVFS energy saving"});
-
-    // The inlet sweep is an engine grid: one config per temperature,
-    // all (inlet, policy) runs in flight at once.
-    const std::vector<double> inlets{46.0, 48.0, 50.0, 52.0};
-    std::vector<SimConfig> cfgs;
-    for (double inlet : inlets) {
-        SimConfig cfg = makeCh4Config(coolingAohs15(), false);
-        cfg.copiesPerApp = 12;
-        cfg.ambient.tInlet = inlet;
-        cfgs.push_back(cfg);
-    }
-
-    ExperimentEngine engine;
-    GridResults grid = engine.runGrid(
-        cfgs, {mix}, {"No-limit", "DTM-BW", "DTM-CDVFS"});
-
-    for (std::size_t i = 0; i < inlets.size(); ++i) {
-        const auto &per_policy = grid[i].at(mix.name);
+    for (std::size_t i = 0; i < results.points.size(); ++i) {
+        const auto &per_policy = results.points[i].suite.at("W2");
         const SimResult &rb = per_policy.at("No-limit");
         const SimResult &r_bw = per_policy.at("DTM-BW");
         const SimResult &r_cd = per_policy.at("DTM-CDVFS");
 
         double saving = 1.0 - r_cd.cpuEnergy / r_bw.cpuEnergy;
-        t.addRow({Table::num(inlets[i], 0),
+        t.addRow({Table::num(spec.sweepTInlet[i], 0),
                   Table::num(r_bw.runningTime / rb.runningTime, 2),
                   Table::num(r_cd.runningTime / rb.runningTime, 2),
                   Table::num(r_bw.cpuEnergy / 1e3, 0),

@@ -4,7 +4,7 @@
  * the paper's introduction).
  *
  * The same workload runs under healthy cooling (1.5 m/s air) and under a
- * degraded fan (1.0 m/s) with an AMB-only heat spreader. Thermal
+ * degraded fan (1.0 m/s), full-DIMM heat spreaders either way. Thermal
  * shutdown keeps the system safe in both cases, but the PID-controlled
  * core-gating scheme turns a hard emergency into a modest slowdown.
  */
@@ -12,39 +12,37 @@
 #include <iostream>
 
 #include "common/table.hh"
-#include "core/sim/engine.hh"
+#include "core/sim/scenario.hh"
 
 using namespace memtherm;
 
 int
 main()
 {
-    Workload mix = workloadMix("W3"); // swim, applu, art, lucas
-    ExperimentEngine engine;          // one pool for both cooling setups
+    // The experiment is the shipped scenario file, so `memtherm run
+    // examples/scenarios/fan_failure.json` runs the same grid: W3 in a
+    // constrained 45 C machine room under a FDHS_1.5 and a FDHS_1.0
+    // cooling point. (With the AMB-only spreader a 1.0 m/s fan cannot
+    // even hold the idle temperature below the TDP at this inlet.)
+    const ScenarioSpec spec = ScenarioSpec::load(
+        std::string(MEMTHERM_SOURCE_DIR) +
+        "/examples/scenarios/fan_failure.json");
+    const ScenarioResults results = runScenario(spec);
+    if (!results.errors.empty()) {
+        std::cerr << "fan_failure: " << failureSummary(results.errors) << '\n';
+        return 1;
+    }
+
     Table t("Cooling degradation on W3 (isolated model)",
             {"air m/s", "policy", "time x no-limit", "max AMB C",
              "mem energy x"});
-
-    for (auto velocity : {AirVelocity::MPS_1_5, AirVelocity::MPS_1_0}) {
-        CoolingConfig cooling =
-            coolingConfig(HeatSpreader::FDHS, velocity);
-        SimConfig cfg = makeCh4Config(cooling, false);
-        cfg.copiesPerApp = 12;
-        // Constrained machine room either way. (With the AMB-only
-        // spreader a 1.0 m/s fan cannot even hold the idle temperature
-        // below the TDP at this inlet — full-DIMM spreaders here.)
-        cfg.ambient.tInlet = 45.0;
-
-        std::vector<SimResult> results = engine.run({
-            {cfg, mix, "No-limit", {}},
-            {cfg, mix, "DTM-TS", {}},
-            {cfg, mix, "DTM-ACG+PID", {}},
-        });
-        const SimResult &rb = results[0];
-        for (std::size_t i = 1; i < results.size(); ++i) {
-            const SimResult &r = results[i];
-            t.addRow({velocity == AirVelocity::MPS_1_5 ? "1.5" : "1.0",
-                      r.policy,
+    for (std::size_t i = 0; i < results.points.size(); ++i) {
+        const std::string &cooling = spec.sweepCooling[i];
+        const auto &per_policy = results.points[i].suite.at("W3");
+        const SimResult &rb = per_policy.at("No-limit");
+        for (std::size_t p = 1; p < spec.policies.size(); ++p) {
+            const SimResult &r = per_policy.at(spec.policies[p]);
+            t.addRow({cooling.substr(cooling.find('_') + 1), r.policy,
                       Table::num(r.runningTime / rb.runningTime, 2),
                       Table::num(r.maxAmb, 1),
                       Table::num(r.memEnergy / rb.memEnergy, 2)});

@@ -29,8 +29,8 @@ ExperimentEngine::defaultThreads()
 ExperimentEngine::ExperimentEngine(int n_threads)
     : nThreads(n_threads > 0 ? n_threads : defaultThreads())
 {
-    // One thread means "serial reference mode": run() executes inline on
-    // the calling thread and no workers exist.
+    // One thread means "serial reference mode": runBatched() executes
+    // inline on the calling thread and no workers exist.
     if (nThreads < 2)
         return;
     try {
@@ -256,125 +256,6 @@ ExperimentEngine::runBatched(const std::vector<Run> &runs,
         stats->add(agg);
     if (sink_error)
         std::rethrow_exception(sink_error);
-}
-
-namespace
-{
-
-/**
- * Sink behind the collecting run() overload: positional results plus
- * the first failure (kept as exception_ptr so the original type
- * survives the labeled rethrow).
- */
-class CollectingSink : public RunSink
-{
-  public:
-    explicit CollectingSink(std::size_t n) : results(n) {}
-
-    void onResult(std::size_t i, SimResult &&r, double) override
-    {
-        results[i] = std::move(r);
-        ++completed;
-    }
-
-    void onFailure(std::size_t i, std::exception_ptr err) override
-    {
-        if (!firstError) {
-            firstError = err;
-            firstIndex = i;
-        }
-    }
-
-    std::vector<SimResult> results;
-    std::size_t completed = 0;
-    std::exception_ptr firstError;
-    std::size_t firstIndex = 0;
-};
-
-} // namespace
-
-std::vector<SimResult>
-ExperimentEngine::run(const std::vector<Run> &runs)
-{
-    CollectingSink sink(runs.size());
-    run(runs, sink);
-    if (sink.firstError) {
-        const Run &r = runs[sink.firstIndex];
-        const std::string label =
-            " [in run #" + std::to_string(sink.firstIndex) +
-            ": workload '" + r.workload.name + "', policy '" + r.policy +
-            "'; " + std::to_string(sink.completed) + " of " +
-            std::to_string(runs.size()) + " runs completed]";
-        // Re-throw as the original diagnostic type where known, so
-        // callers' FatalError/PanicError handling still applies.
-        try {
-            std::rethrow_exception(sink.firstError);
-        } catch (const FatalError &e) {
-            throw FatalError(e.what() + label);
-        } catch (const PanicError &e) {
-            throw PanicError(e.what() + label);
-        } catch (const std::exception &e) {
-            throw std::runtime_error(e.what() + label);
-        }
-    }
-    return std::move(sink.results);
-}
-
-std::vector<ExperimentEngine::Run>
-ExperimentEngine::makeSuiteRuns(const SimConfig &cfg,
-                                const std::vector<Workload> &workloads,
-                                const std::vector<std::string> &policies,
-                                const PolicyFactory &factory)
-{
-    std::vector<Run> runs;
-    runs.reserve(workloads.size() * policies.size());
-    for (const auto &w : workloads)
-        for (const auto &pname : policies)
-            runs.push_back(Run{cfg, w, pname, factory});
-    return runs;
-}
-
-SuiteResults
-ExperimentEngine::runSuite(const SimConfig &cfg,
-                           const std::vector<Workload> &workloads,
-                           const std::vector<std::string> &policy_names,
-                           const PolicyFactory &factory)
-{
-    std::vector<SimResult> results =
-        run(makeSuiteRuns(cfg, workloads, policy_names, factory));
-
-    SuiteResults out;
-    std::size_t k = 0;
-    for (const auto &w : workloads)
-        for (const auto &pname : policy_names)
-            out[w.name][pname] = std::move(results[k++]);
-    return out;
-}
-
-GridResults
-ExperimentEngine::runGrid(const std::vector<SimConfig> &cfgs,
-                          const std::vector<Workload> &workloads,
-                          const std::vector<std::string> &policy_names,
-                          const PolicyFactory &factory)
-{
-    // One flat batch across all configs: a sweep with many configs but
-    // few runs per config still fills every worker.
-    std::vector<Run> runs;
-    runs.reserve(cfgs.size() * workloads.size() * policy_names.size());
-    for (const auto &cfg : cfgs) {
-        auto suite = makeSuiteRuns(cfg, workloads, policy_names, factory);
-        for (auto &r : suite)
-            runs.push_back(std::move(r));
-    }
-    std::vector<SimResult> results = run(runs);
-
-    GridResults out(cfgs.size());
-    std::size_t k = 0;
-    for (std::size_t c = 0; c < cfgs.size(); ++c)
-        for (const auto &w : workloads)
-            for (const auto &pname : policy_names)
-                out[c][w.name][pname] = std::move(results[k++]);
-    return out;
 }
 
 } // namespace memtherm

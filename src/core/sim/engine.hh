@@ -6,8 +6,10 @@
  * configuration) simulations — each run owns its simulator, thermal
  * state, and sensor RNG stream, so runs never share mutable state and
  * the suite is embarrassingly parallel. The engine fans runs out over a
- * fixed-size thread pool and collects results keyed by input order,
- * so parallel and serial execution produce bit-identical SuiteResults.
+ * fixed-size thread pool and hands each result to a RunSink by input
+ * index, so parallel and serial execution produce bit-identical
+ * results. Grids reach it through the scenario layer (runScenario,
+ * core/sim/scenario.hh).
  *
  * Thread count resolution (in priority order):
  *  1. the explicit constructor argument, when > 0;
@@ -47,12 +49,6 @@ using PolicyFactory = std::function<std::unique_ptr<DtmPolicy>(
     const SimConfig &cfg, const std::string &policy_name)>;
 
 /**
- * Results of a configuration sweep: one SuiteResults per configuration,
- * in the order the configurations were given.
- */
-using GridResults = std::vector<SuiteResults>;
-
-/**
  * Per-run result consumer — the engine's primary output channel.
  *
  * The engine invokes exactly one of onResult()/onFailure() per run, in
@@ -88,10 +84,10 @@ class RunSink
  * Fixed-size thread pool over independent simulation runs.
  *
  * Determinism: every run is seeded only by its own SimConfig (the
- * sensor RNG is constructed per run from cfg.sensorSeed), results are
- * stored by run index, and suite/grid keys are derived from the input
- * order — so the outcome is independent of the thread count and of
- * scheduling, and bit-identical to serial execution.
+ * sensor RNG is constructed per run from cfg.sensorSeed) and every
+ * result is delivered with its run index — so the outcome is
+ * independent of the thread count and of scheduling, and bit-identical
+ * to serial execution.
  */
 class ExperimentEngine
 {
@@ -144,8 +140,8 @@ class ExperimentEngine
      * are bit-identical to width 1 per run — batching is purely a
      * strategy.
      *
-     * This is the engine's only dispatcher: every other entry point
-     * forwards here, and the engine itself never owns a result vector.
+     * This is the engine's only dispatcher: run() forwards here, and the
+     * engine itself never owns a result vector.
      *
      * @p classes must tile [0, runs.size()) in order, and every class's
      * runs must share config + workload (only the policy may differ);
@@ -163,38 +159,6 @@ class ExperimentEngine
     /** Unbatched streaming: runBatched() with one singleton class per run. */
     void run(const std::vector<Run> &runs, RunSink &sink);
 
-    /**
-     * Collecting convenience wrapper: execute all runs; results are
-     * positional (result[i] belongs to runs[i]) regardless of
-     * completion order. The first failure is rethrown after all runs
-     * finish, with the failing run's workload/policy identity appended
-     * to the message (a bare what() from a 10^5-point grid is
-     * undebuggable). Completed results are discarded on failure by
-     * construction of this API — callers that must keep them (the
-     * streaming CLI path) use the RunSink overload instead.
-     */
-    std::vector<SimResult> run(const std::vector<Run> &runs);
-
-    /**
-     * Every (workload, policy-name) pair under one configuration, keyed
-     * result[workload][policy].
-     */
-    SuiteResults runSuite(const SimConfig &cfg,
-                          const std::vector<Workload> &workloads,
-                          const std::vector<std::string> &policy_names,
-                          const PolicyFactory &factory = {});
-
-    /**
-     * Sweep API: the full cross product configs x workloads x policies,
-     * fanned out as one batch (a cooling or ambient sweep saturates the
-     * pool even when a single config has few runs). Returns one
-     * SuiteResults per config, in input order.
-     */
-    GridResults runGrid(const std::vector<SimConfig> &cfgs,
-                        const std::vector<Workload> &workloads,
-                        const std::vector<std::string> &policy_names,
-                        const PolicyFactory &factory = {});
-
   private:
     /// A pool task; the worker lends its reusable simulator scratch.
     using Task = std::function<void(ThermalSimulator::Scratch &)>;
@@ -203,10 +167,6 @@ class ExperimentEngine
     /// Stop and join every worker (after the queue drains).
     void stop();
     static std::unique_ptr<DtmPolicy> makePolicy(const Run &r);
-    std::vector<Run> makeSuiteRuns(const SimConfig &cfg,
-                                   const std::vector<Workload> &workloads,
-                                   const std::vector<std::string> &policies,
-                                   const PolicyFactory &factory);
 
     int nThreads;
     std::vector<std::thread> workers;

@@ -259,11 +259,23 @@ workloadCatalog()
 Catalog<Platform> &
 platformCatalog()
 {
-    static Catalog<Platform> cat({.keyword = "platforms", .noun = "platform"},
-                                 [](auto &c) {
-                                     c.add("PE1950", pe1950());
-                                     c.add("SR1500AL", sr1500al());
-                                 });
+    static Catalog<Platform> cat(
+        {.keyword = "platforms", .noun = "platform"}, [](auto &c) {
+            auto atTdp = [](Platform p, Celsius tdp) {
+                p.setAmbTdp(tdp);
+                return p;
+            };
+            // Each testbed, then its Section 5.4.5 AMB TDP variants
+            // (Figs. 5.12 and 5.14) and Fig. 5.13's 2.0 GHz mode.
+            c.add("PE1950", pe1950());
+            c.add("PE1950_tdp88", atTdp(pe1950(), 88.0));
+            c.add("PE1950_tdp92", atTdp(pe1950(), 92.0));
+            c.add("SR1500AL", sr1500al());
+            c.add("SR1500AL_tdp90", atTdp(sr1500al(), 90.0));
+            Platform slow = sr1500al();
+            slow.dvfsFloor = 3;
+            c.add("SR1500AL_2GHz", slow);
+        });
     return cat;
 }
 
@@ -276,7 +288,8 @@ emergencyLevelCatalog()
             c.add("ch4", ch4EmergencyLevels());
             c.add("pe1950", platformLadder(pe1950()));
             c.add("sr1500al", platformLadder(sr1500al()));
-            c.add("sr1500al_tdp90", platformLadder(sr1500al(36.0, 90.0)));
+            c.add("sr1500al_tdp90",
+                  platformLadder(platformCatalog().get("SR1500AL_tdp90")));
         });
     return cat;
 }

@@ -278,7 +278,11 @@ Catalog<AmbientParams, const CoolingConfig &> &ambientCatalog();
  */
 Catalog<Workload> &workloadCatalog();
 
-/** Chapter 5 testbed platforms: "PE1950", "SR1500AL". */
+/**
+ * Chapter 5 testbed platforms: "PE1950", "SR1500AL", their AMB TDP
+ * variants ("PE1950_tdp88", "PE1950_tdp92", "SR1500AL_tdp90") and the
+ * SR1500AL pinned to 2.0 GHz ("SR1500AL_2GHz").
+ */
 Catalog<Platform> &platformCatalog();
 
 /**

@@ -5,6 +5,7 @@
 #include <filesystem>
 #include <numeric>
 #include <optional>
+#include <string_view>
 #include <utility>
 
 #include "common/logging.hh"
@@ -39,21 +40,25 @@ hex64(std::uint64_t v)
     return out;
 }
 
-/** Positive-integer env knob; -1 when unset, warn-and-ignore when bad. */
+/**
+ * A MEMTHERM_FAULT_* variable: the whole string a decimal in
+ * [0, INT_MAX] (parseCount's grammar, admitting 0); -1 when unset, and
+ * warn-and-ignore when malformed.
+ */
 int
 envFaultIndex(const char *name)
 {
     const char *env = std::getenv(name);
     if (!env)
         return -1;
-    char *end = nullptr;
-    unsigned long k = std::strtoul(env, &end, 10);
-    if (end == env || *end != '\0' || k > 1000000000UL) {
-        warn(std::string(name) + "='" + env +
-             "' is not a run count; ignoring");
-        return -1;
-    }
-    return static_cast<int>(k);
+    const std::string_view text = env;
+    if (text == "0")
+        return 0;
+    if (const std::optional<int> k = parseCount(text))
+        return *k;
+    warn(std::string(name) + "='" + env +
+         "' is not an integer >= 0; ignoring");
+    return -1;
 }
 
 /** The grid a stream header describes, as merge and resume match it. */
@@ -345,25 +350,18 @@ namespace
 
 /**
  * MEMTHERM_FAULT_FAIL_RUN=<k>: replace global run k's policy factory
- * with one that throws. No-op when unset, out of range or malformed.
+ * with one that throws. No-op when unset or out of range; a malformed
+ * value warns (envFaultIndex).
  */
 void
 applyFaultInjection(std::vector<ExperimentEngine::Run> &runs)
 {
-    const char *env = std::getenv("MEMTHERM_FAULT_FAIL_RUN");
-    if (!env)
+    const int k = envFaultIndex("MEMTHERM_FAULT_FAIL_RUN");
+    if (k < 0 || static_cast<std::size_t>(k) >= runs.size())
         return;
-    char *end = nullptr;
-    unsigned long k = std::strtoul(env, &end, 10);
-    if (end == env || *end != '\0') {
-        warn("MEMTHERM_FAULT_FAIL_RUN='" + std::string(env) +
-             "' is not a run index; ignoring");
-        return;
-    }
-    if (k >= runs.size())
-        return;
-    runs[k].factory = [k](const SimConfig &,
-                          const std::string &) -> std::unique_ptr<DtmPolicy> {
+    runs[static_cast<std::size_t>(k)].factory =
+        [k](const SimConfig &,
+            const std::string &) -> std::unique_ptr<DtmPolicy> {
         fatal("injected failure (MEMTHERM_FAULT_FAIL_RUN=" +
               std::to_string(k) + ")");
     };
@@ -582,6 +580,17 @@ StreamWriteSink::select()
 }
 
 } // namespace
+
+std::string
+failureSummary(const std::vector<RunError> &errors)
+{
+    std::string out = std::to_string(errors.size()) + " run(s) failed:";
+    for (const RunError &e : errors)
+        out += "\n  run #" + std::to_string(e.index) + " [point '" +
+               e.point + "', workload '" + e.workload + "', policy '" +
+               e.policy + "']: " + e.error;
+    return out;
+}
 
 ScenarioResults
 runScenarioBatched(const ScenarioSpec &spec, ExperimentEngine &engine,

@@ -752,6 +752,20 @@ forEachAxis(F &&f)
       });
     f(AxisDef{.key = "ambient", .baseName = true}, &S::ambient, nullptr,
       nullptr, nullptr);
+    f(AxisDef{.key = "interaction_degree", .prefix = "degree=", .pos = 12,
+              .platformReject = "platform scenarios calibrate their own "
+                                "CPU-to-memory coupling; remove the "
+                                "interaction_degree member and sweep",
+              .min = 0},
+      &S::interactionDegree, &S::sweepInteractionDegree,
+      [](double degree, const ResolveContext &ctx) {
+          if (ctx.spec.ambient != "integrated")
+              specError(ctx.spec,
+                        ctx.where() + " needs the integrated ambient (set "
+                                      "config.ambient to \"integrated\")");
+          return degree * kXiCalibration;
+      },
+      [](C &c, double xi) { c.ambient.psiCpuMemXi = xi; });
     f(AxisDef{.key = "emergency_levels", .prefix = "levels=", .pos = 8,
               .platformReject = kPlatformDvfs},
       &S::emergencyLevels, &S::sweepEmergencyLevels,
@@ -811,6 +825,9 @@ forEachAxis(F &&f)
     f(AxisDef{.key = "dtm_interval", .prefix = "dtm=", .pos = 7, .min = 0,
               .exclusive = true},
       &S::dtmInterval, &S::sweepDtmInterval, nullptr, &C::dtmInterval);
+    f(AxisDef{.key = "rotation_slice", .prefix = "slice=", .pos = 13,
+              .min = 0, .exclusive = true},
+      &S::rotationSlice, &S::sweepRotationSlice, nullptr, &C::rotationSlice);
     f(AxisDef{.key = "remap_interval", .platformReject = kPlatformRemap,
               .min = 0, .exclusive = true},
       &S::remapInterval, nullptr, nullptr, &C::remapInterval);
@@ -1224,13 +1241,10 @@ ScenarioSpec::lower() const
             if (cfg.bankGrid)
                 cfg.bankGrid->weights = it->second.bankWeights;
         }
-        // The simulator panics on a decision period below its trace
-        // window; report it as a configuration error instead.
-        if (cfg.dtmInterval < cfg.window) {
-            specError(*this, "dtm_interval " + numStr(cfg.dtmInterval) +
-                                 " is below the simulator window (" +
-                                 numStr(cfg.window) + " s)");
-        }
+        // The window must resolve the decision period and the
+        // scheduler slice, so the shortest of the three sets it.
+        cfg.window =
+            std::min({cfg.window, cfg.dtmInterval, cfg.rotationSlice});
 
         // Remap boundaries must land on DTM decision boundaries — the
         // remap policies only run inside DTM decisions, so a period

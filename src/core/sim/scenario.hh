@@ -5,7 +5,7 @@
  * A ScenarioSpec is a serializable description of one experiment: the
  * base configuration (by catalog names — cooling, ambient model, or a
  * Chapter 5 platform), override knobs, the workload and policy name
- * lists, and up to eleven sweep axes whose cross product spans a
+ * lists, and up to thirteen sweep axes whose cross product spans a
  * configuration grid. Specs lower to ExperimentEngine run lists and
  * round-trip losslessly through JSON, so an experiment is data (a
  * scenario file fed to the `memtherm` CLI), not a hand-written binary.
@@ -203,6 +203,13 @@ struct ScenarioSpec
     std::optional<double> instrScale;      ///< instruction-volume scale
     std::optional<double> maxSimTime;      ///< simulation horizon (s)
     std::optional<double> dtmInterval;     ///< policy decision period (s)
+    /// Scheduler time slice (s) when fewer cores than applications run.
+    /// The simulator window shrinks to the shortest of the window,
+    /// dtm_interval and rotation_slice at every grid point.
+    std::optional<double> rotationSlice;
+    /// PsiCPU_MEM * xi in paper units (1.5 is the integrated model's
+    /// default); needs the integrated ambient (Figs. 4.13/4.14).
+    std::optional<double> interactionDegree;
     /// Remap decision period (s) for the traffic-remap policy family;
     /// must be >= the simulator window and a whole multiple of the
     /// effective dtm_interval at every grid point.
@@ -231,6 +238,8 @@ struct ScenarioSpec
     std::vector<std::string> sweepDvfs;
     std::vector<RefreshSpec> sweepRefresh;
     std::vector<ThermalModelSpec> sweepThermalModel;
+    std::vector<double> sweepInteractionDegree;
+    std::vector<double> sweepRotationSlice;
 
     bool operator==(const ScenarioSpec &) const = default;
 
@@ -279,8 +288,15 @@ struct RunError
 };
 
 /**
+ * What every program prints for failed runs: "<n> run(s) failed:" and
+ * one line per error naming its grid coordinate,
+ * "  run #<k> [point '<p>', workload '<w>', policy '<q>']: <what>".
+ */
+std::string failureSummary(const std::vector<RunError> &errors);
+
+/**
  * Results of a scenario: one SuiteResults per sweep point, in grid
- * order, keyed [workload][policy] exactly like runSuite(). A failed run
+ * order, each keyed [workload][policy] in the spec's names. A failed run
  * contributes a RunError instead of a suite entry — the rest of the
  * grid's results survive one bad run.
  */

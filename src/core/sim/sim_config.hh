@@ -116,6 +116,16 @@ struct SimConfig
 };
 
 /**
+ * xi calibration of the integrated model: Eq. 3.6's xi converts
+ * (V * IPCref) to heat. The paper's measured cores commit near one
+ * instruction per reference cycle; this model's memory-bound tasks run
+ * near a third of that, so xi scales up by the same factor to represent
+ * the same processor power (full-load preheat ~9 C at the default
+ * interaction degree). psiCpuMemXi = degree * kXiCalibration.
+ */
+inline constexpr double kXiCalibration = 3.0;
+
+/**
  * Chapter 4 configuration for a cooling setup and thermal model choice.
  * @param cooling     AOHS_1.5 or FDHS_1.0
  * @param integrated  true -> integrated thermal model (Section 3.5)

@@ -34,12 +34,7 @@ makeCh4Config(const CoolingConfig &cooling, bool integrated)
     cfg.cooling = cooling;
     cfg.ambient =
         integrated ? integratedAmbient(cooling) : isolatedAmbient(cooling);
-    // xi calibration: Eq. 3.6's xi converts (V * IPCref) to heat. The
-    // paper's measured cores commit near one instruction per reference
-    // cycle; this model's memory-bound tasks run near a third of that,
-    // so xi scales up by the same factor to represent the same processor
-    // power (full-load preheat ~9 C at the default interaction degree).
-    cfg.ambient.psiCpuMemXi *= 3.0;
+    cfg.ambient.psiCpuMemXi *= kXiCalibration;
     return cfg;
 }
 

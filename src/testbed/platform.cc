@@ -35,13 +35,21 @@ applyCh5Defaults(SimConfig &cfg)
 
 } // namespace
 
+void
+Platform::setAmbTdp(Celsius tdp)
+{
+    ambTdp = tdp;
+    sim.limits.ambTdp = tdp;
+    sim.limits.ambTrp = tdp - 1.0;
+    const Celsius top = tdp - 2.0;
+    ambBounds = {top - 12.0, top - 8.0, top - 4.0, top};
+}
+
 Platform
 pe1950()
 {
     Platform p;
     p.name = "PE1950";
-    p.ambTdp = 90.0; // artificial TDP (Section 5.3.1)
-    p.ambBounds = {76.0, 80.0, 84.0, 88.0};
     p.bwCaps = {std::numeric_limits<double>::infinity(), 4.0, 3.0, 2.0};
     p.safetyCap = 2.0;
 
@@ -73,25 +81,19 @@ pe1950()
     cfg.memPerf.peakBandwidth = 4.5;
     cfg.memPerf.idleLatencyNs = 120.0;
 
-    cfg.limits.ambTdp = p.ambTdp;
-    cfg.limits.ambTrp = p.ambTdp - 1.0;
     cfg.limits.dramTdp = 85.0;
     cfg.limits.dramTrp = 84.0;
 
     p.sim = cfg;
+    p.setAmbTdp(90.0); // artificial TDP (Section 5.3.1)
     return p;
 }
 
 Platform
-sr1500al(Celsius system_ambient, Celsius amb_tdp)
+sr1500al()
 {
     Platform p;
     p.name = "SR1500AL";
-    p.ambTdp = amb_tdp;
-    // Table 5.1 boundaries step down four degrees per level from a
-    // two-degree margin below the TDP.
-    Celsius top = amb_tdp - 2.0;
-    p.ambBounds = {top - 12.0, top - 8.0, top - 4.0, top};
     p.bwCaps = {std::numeric_limits<double>::infinity(), 5.0, 4.0, 3.0};
     p.safetyCap = 3.0;
 
@@ -111,7 +113,7 @@ sr1500al(Celsius system_ambient, Celsius amb_tdp)
     cfg.cooling = cooling;
 
     AmbientParams amb;
-    amb.tInlet = system_ambient;
+    amb.tInlet = 36.0; // hot box
     amb.psiCpuMemXi = 0.0;
     amb.psiCpuPower = 0.13; // one CPU directly upstream of the DIMMs
     amb.tauCpuDram = 20.0;
@@ -120,18 +122,16 @@ sr1500al(Celsius system_ambient, Celsius amb_tdp)
     cfg.memPerf.peakBandwidth = 6.4;
     cfg.memPerf.idleLatencyNs = 120.0;
 
-    cfg.limits.ambTdp = p.ambTdp;
-    cfg.limits.ambTrp = p.ambTdp - 1.0;
     cfg.limits.dramTdp = 85.0;
     cfg.limits.dramTrp = 84.0;
 
     p.sim = cfg;
+    p.setAmbTdp(100.0);
     return p;
 }
 
 std::unique_ptr<DtmPolicy>
-makeCh5Policy(const Platform &p, const std::string &name,
-              std::size_t dvfs_floor)
+makeCh5Policy(const Platform &p, const std::string &name)
 {
     if (name == "No-limit")
         return std::make_unique<NoLimitPolicy>();
@@ -146,7 +146,7 @@ makeCh5Policy(const Platform &p, const std::string &name,
         a.memoryOn = true;
         a.bandwidthCap = cap;
         a.activeCores = cores;
-        a.dvfsLevel = std::max(dvfs, dvfs_floor);
+        a.dvfsLevel = std::max(dvfs, p.dvfsFloor);
         return a;
     };
     constexpr double kInf = std::numeric_limits<double>::infinity();
@@ -207,46 +207,22 @@ makeCh5Policy(const Platform &p, const std::string &name,
 }
 
 PolicyFactory
-ch5PolicyFactory(const Platform &p, std::size_t dvfs_floor)
+ch5PolicyFactory(const Platform &p)
 {
-    return [p, dvfs_floor](const SimConfig &, const std::string &name) {
-        return makeCh5Policy(p, name, dvfs_floor);
+    return [p](const SimConfig &, const std::string &name) {
+        return makeCh5Policy(p, name);
     };
 }
 
 ExperimentEngine::Run
 ch5EngineRun(const Platform &p, const Workload &w,
-             const std::string &policy_name, int copies,
-             std::size_t dvfs_floor)
+             const std::string &policy_name)
 {
     SimConfig cfg = p.sim;
-    if (copies > 0)
-        cfg.copiesPerApp = copies;
     // The SR1500AL no-limit baseline runs at a 26 C room ambient.
     if (policy_name == "No-limit" && cfg.ambient.tInlet > 26.0)
         cfg.ambient.tInlet = 26.0;
-    return {std::move(cfg), w, policy_name, ch5PolicyFactory(p, dvfs_floor)};
-}
-
-SuiteResults
-runCh5Suite(const Platform &p, const std::vector<Workload> &workloads,
-            const std::vector<std::string> &policy_names)
-{
-    std::vector<ExperimentEngine::Run> runs;
-    runs.reserve(workloads.size() * policy_names.size());
-    for (const auto &w : workloads)
-        for (const auto &pname : policy_names)
-            runs.push_back(ch5EngineRun(p, w, pname));
-
-    ExperimentEngine engine;
-    std::vector<SimResult> results = engine.run(runs);
-
-    SuiteResults out;
-    std::size_t k = 0;
-    for (const auto &w : workloads)
-        for (const auto &pname : policy_names)
-            out[w.name][pname] = std::move(results[k++]);
-    return out;
+    return {std::move(cfg), w, policy_name, ch5PolicyFactory(p)};
 }
 
 std::vector<std::string>

@@ -38,6 +38,16 @@ struct Platform
     std::vector<Celsius> ambBounds;  ///< Table 5.1 emergency boundaries
     std::vector<GBps> bwCaps;        ///< DTM-BW caps per level (L1..L4)
     GBps safetyCap = 3.0;            ///< open-loop cap at the top level
+    /// Lowest DVFS level a policy may select (3 pins the Xeon 5160 at
+    /// 2.0 GHz, the Fig. 5.13 low-frequency mode).
+    std::size_t dvfsFloor = 0;
+
+    /**
+     * Set the AMB TDP and everything that follows it (Section 5.4.5):
+     * the TRP one degree below, and the Table 5.1 boundaries stepping
+     * down four degrees per level from a two-degree margin below it.
+     */
+    void setAmbTdp(Celsius tdp);
 };
 
 /**
@@ -48,56 +58,33 @@ struct Platform
 Platform pe1950();
 
 /**
- * Intel SR1500AL: four 2GB FBDIMMs, hot-box enclosure (default 36 C
- * system ambient), conservative AMB TDP of 100 C, one processor in line
- * with the DIMMs (strong thermal coupling).
- *
- * @param system_ambient hot-box setpoint; Section 5.4.5 also uses 26 C
- * @param amb_tdp        100 C default; 90 C for the Fig. 5.12 experiment
+ * Intel SR1500AL: four 2GB FBDIMMs, hot-box enclosure (36 C system
+ * ambient), conservative AMB TDP of 100 C, one processor in line with
+ * the DIMMs (strong thermal coupling).
  */
-Platform sr1500al(Celsius system_ambient = 36.0, Celsius amb_tdp = 100.0);
+Platform sr1500al();
 
 /**
  * Construct a Chapter 5 policy for a platform: "No-limit", "DTM-BW",
- * "DTM-ACG", "DTM-CDVFS" or "DTM-COMB" (Section 5.2.2).
- *
- * @param dvfs_floor lowest DVFS level the policy may select (used by the
- *                   Fig. 5.13 low-frequency experiments: 3 pins 2.0 GHz)
+ * "DTM-ACG", "DTM-CDVFS" or "DTM-COMB" (Section 5.2.2), never below
+ * the platform's DVFS floor.
  */
 std::unique_ptr<DtmPolicy> makeCh5Policy(const Platform &p,
-                                         const std::string &name,
-                                         std::size_t dvfs_floor = 0);
+                                         const std::string &name);
 
 /**
  * ExperimentEngine policy factory for a platform's Chapter 5 lineup.
  * The platform is captured by value so engine runs never dangle.
- *
- * @param dvfs_floor see makeCh5Policy()
  */
-PolicyFactory ch5PolicyFactory(const Platform &p, std::size_t dvfs_floor = 0);
+PolicyFactory ch5PolicyFactory(const Platform &p);
 
 /**
  * Build one engine run for a (platform, workload, policy) triple,
  * applying the paper's protocol tweaks: the SR1500AL no-limit baseline
  * runs at a 26 C room ambient instead of the hot box (Section 5.4.2).
- *
- * @param copies     batch depth override (<= 0 keeps the platform's)
- * @param dvfs_floor see makeCh5Policy()
  */
 ExperimentEngine::Run ch5EngineRun(const Platform &p, const Workload &w,
-                                   const std::string &policy_name,
-                                   int copies = 0,
-                                   std::size_t dvfs_floor = 0);
-
-/**
- * Run workloads x policies on a platform, fanned out over the parallel
- * ExperimentEngine (MEMTHERM_THREADS). No-limit runs follow the paper's
- * protocol: the SR1500AL no-limit baseline runs at a 26 C room ambient
- * instead of the hot box (Section 5.4.2).
- */
-SuiteResults runCh5Suite(const Platform &p,
-                         const std::vector<Workload> &workloads,
-                         const std::vector<std::string> &policy_names);
+                                   const std::string &policy_name);
 
 /** The Chapter 5 policy lineup. */
 std::vector<std::string> ch5PolicyNames();

@@ -51,6 +51,15 @@ contextOf(const SimConfig &cfg)
                               cfg.trafficShares};
 }
 
+/** The reference: one run simulated on its own, without the engine. */
+SimResult
+simulateAlone(const ExperimentEngine::Run &r)
+{
+    ThermalSimulator sim(r.cfg);
+    return sim.run(r.workload, *PolicyRegistry::instance().make(
+                                   r.policy, contextOf(r.cfg)));
+}
+
 /** Exact (bitwise) equality of two results, traces included. */
 void
 expectIdentical(const SimResult &a, const SimResult &b)
@@ -345,7 +354,7 @@ classRuns(const SimConfig &cfg, const Workload &mix,
 
 /**
  * Engine-level batching: every chunk width gives results bit-identical
- * to the unbatched engine, under both the inline (1-thread) and
+ * to simulating each run alone, under both the inline (1-thread) and
  * threaded engines. Width 1 is one-lane chunks: they never fork, share
  * nothing, and credit each run its own window count.
  */
@@ -359,8 +368,9 @@ TEST(RunBatched, EveryChunkWidthMatchesScalarEngine)
     const std::vector<ExperimentEngine::RunClass> classes{
         {0, runs.size()}};
 
-    ExperimentEngine serial(1);
-    std::vector<SimResult> reference = serial.run(runs);
+    std::vector<SimResult> reference;
+    for (const auto &r : runs)
+        reference.push_back(simulateAlone(r));
 
     for (int width : {1, 2, 3, 5, 0}) {
         for (int threads : {1, 3}) {
@@ -406,11 +416,8 @@ TEST(RunBatched, PolicyBuildFailureIsIsolated)
     EXPECT_TRUE(sink.ok[2]);
 
     // The surviving runs are still bit-identical to scalar execution.
-    ExperimentEngine serial(1);
-    auto good = classRuns(cfg, mix, {"No-limit", "DTM-TS"});
-    std::vector<SimResult> reference = serial.run(good);
-    expectIdentical(sink.results[0], reference[0]);
-    expectIdentical(sink.results[2], reference[1]);
+    expectIdentical(sink.results[0], simulateAlone(runs[0]));
+    expectIdentical(sink.results[2], simulateAlone(runs[2]));
 }
 
 TEST(RunBatched, RejectsNonTilingClasses)

@@ -1,8 +1,8 @@
 /**
  * @file
  * Unit tests for the parallel ExperimentEngine: thread-count resolution,
- * bit-exact determinism of parallel vs. serial execution, the runGrid
- * sweep API, and a golden-value regression pinning single-run results to
+ * bit-exact determinism of parallel vs. serial execution, the RunSink
+ * contract, and a golden-value regression pinning single-run results to
  * the seed model.
  */
 
@@ -57,6 +57,51 @@ expectIdentical(const SimResult &a, const SimResult &b)
     EXPECT_EQ(a.inletTrace.values(), b.inletTrace.values());
     EXPECT_EQ(a.cpuPowerTrace.values(), b.cpuPowerTrace.values());
     EXPECT_EQ(a.bwTrace.values(), b.bwTrace.values());
+}
+
+/** Records everything the engine hands it, for the sink-contract tests. */
+class RecordingSink : public RunSink
+{
+  public:
+    void onResult(std::size_t i, SimResult &&r, double wall_s) override
+    {
+        results.emplace_back(i, std::move(r));
+        wall.push_back(wall_s);
+    }
+
+    void onFailure(std::size_t i, std::exception_ptr err) override
+    {
+        failures.emplace_back(i, err);
+    }
+
+    std::vector<std::pair<std::size_t, SimResult>> results;
+    std::vector<double> wall;
+    std::vector<std::pair<std::size_t, std::exception_ptr>> failures;
+};
+
+/** Every run's result by index, through the engine's one dispatcher. */
+std::vector<SimResult>
+runAll(ExperimentEngine &engine,
+       const std::vector<ExperimentEngine::Run> &runs)
+{
+    std::vector<ExperimentEngine::RunClass> singletons;
+    for (std::size_t i = 0; i < runs.size(); ++i)
+        singletons.push_back({i, 1});
+    RecordingSink sink;
+    engine.runBatched(runs, singletons, 1, sink);
+    EXPECT_TRUE(sink.failures.empty());
+    std::vector<SimResult> out(runs.size());
+    for (auto &[i, r] : sink.results)
+        out[i] = std::move(r);
+    return out;
+}
+
+/** The reference: one run simulated on its own, without the engine. */
+SimResult
+simulateAlone(const ExperimentEngine::Run &r)
+{
+    ThermalSimulator sim(r.cfg);
+    return sim.run(r.workload, *makeCh4Policy(r.policy, r.cfg.dtmInterval));
 }
 
 TEST(ExperimentEngine, ThreadCountResolution)
@@ -136,90 +181,30 @@ TEST(ExperimentEngine, UnstartableThreadCountIsFatalNotAnAbort)
 TEST(ExperimentEngine, ParallelMatchesSerialBitExactly)
 {
     SimConfig cfg = smallConfig();
-    std::vector<Workload> ws{workloadMix("W1"), workloadMix("W4")};
-    std::vector<std::string> pols{"No-limit", "DTM-TS", "DTM-ACG+PID"};
+    std::vector<ExperimentEngine::Run> runs;
+    for (const char *w : {"W1", "W4"})
+        for (const char *p : {"No-limit", "DTM-TS", "DTM-ACG+PID"})
+            runs.push_back({cfg, workloadMix(w), p, {}});
 
     // The reference: the historical serial loop, one simulator reused
     // across runs (each run re-seeds its own sensor RNG stream from
     // cfg.sensorSeed, so run order cannot leak between results).
     ThermalSimulator sim(cfg);
-    SuiteResults serial;
-    for (const auto &w : ws) {
-        for (const auto &pname : pols) {
-            auto policy = makeCh4Policy(pname, cfg.dtmInterval);
-            serial[w.name][pname] = sim.run(w, *policy);
+    std::vector<SimResult> serial;
+    for (const auto &r : runs)
+        serial.push_back(
+            sim.run(r.workload, *makeCh4Policy(r.policy, cfg.dtmInterval)));
+
+    // A pooled engine and a one-thread (inline) engine both agree.
+    for (int threads : {4, 1}) {
+        ExperimentEngine engine(threads);
+        std::vector<SimResult> got = runAll(engine, runs);
+        for (std::size_t i = 0; i < runs.size(); ++i) {
+            SCOPED_TRACE(std::to_string(threads) + " thread(s), " +
+                         runs[i].workload.name + "/" + runs[i].policy);
+            expectIdentical(got[i], serial[i]);
         }
     }
-
-    ExperimentEngine pooled(4);
-    SuiteResults parallel = pooled.runSuite(cfg, ws, pols);
-
-    ASSERT_EQ(parallel.size(), serial.size());
-    for (const auto &[wname, per_policy] : serial) {
-        ASSERT_EQ(parallel.count(wname), 1u);
-        ASSERT_EQ(parallel.at(wname).size(), per_policy.size());
-        for (const auto &[pname, res] : per_policy) {
-            SCOPED_TRACE(wname + "/" + pname);
-            expectIdentical(parallel.at(wname).at(pname), res);
-        }
-    }
-
-    // An engine with one thread (inline mode) agrees too.
-    ExperimentEngine inline_engine(1);
-    SuiteResults serial_engine = inline_engine.runSuite(cfg, ws, pols);
-    for (const auto &[wname, per_policy] : serial)
-        for (const auto &[pname, res] : per_policy)
-            expectIdentical(serial_engine.at(wname).at(pname), res);
-}
-
-TEST(ExperimentEngine, RunPreservesInputOrder)
-{
-    SimConfig cfg = smallConfig();
-    Workload w1 = workloadMix("W1");
-
-    ExperimentEngine engine(4);
-    std::vector<ExperimentEngine::Run> runs{
-        {cfg, w1, "DTM-ACG", {}},
-        {cfg, w1, "No-limit", {}},
-        {cfg, w1, "DTM-TS", {}},
-    };
-    std::vector<SimResult> results = engine.run(runs);
-    ASSERT_EQ(results.size(), 3u);
-    EXPECT_EQ(results[0].policy, "DTM-ACG");
-    EXPECT_EQ(results[1].policy, "No-limit");
-    EXPECT_EQ(results[2].policy, "DTM-TS");
-}
-
-TEST(ExperimentEngine, RunGridMatchesPerConfigSuites)
-{
-    std::vector<SimConfig> cfgs;
-    for (double inlet : {46.0, 50.0}) {
-        SimConfig cfg = smallConfig();
-        cfg.ambient.tInlet = inlet;
-        cfgs.push_back(cfg);
-    }
-    std::vector<Workload> ws{workloadMix("W1")};
-    std::vector<std::string> pols{"No-limit", "DTM-BW"};
-
-    ExperimentEngine engine(4);
-    GridResults grid = engine.runGrid(cfgs, ws, pols);
-    ASSERT_EQ(grid.size(), cfgs.size());
-
-    for (std::size_t c = 0; c < cfgs.size(); ++c) {
-        SuiteResults one = engine.runSuite(cfgs[c], ws, pols);
-        for (const auto &[wname, per_policy] : one)
-            for (const auto &[pname, res] : per_policy) {
-                SCOPED_TRACE("cfg " + std::to_string(c) + " " + wname +
-                             "/" + pname);
-                expectIdentical(grid[c].at(wname).at(pname), res);
-            }
-    }
-
-    // The hotter room must actually change the outcome (the sweep isn't
-    // degenerate). Running time is window-quantized, so compare the peak
-    // temperature, which tracks the inlet directly.
-    EXPECT_LT(grid[0].at("W1").at("DTM-BW").maxAmb,
-              grid[1].at("W1").at("DTM-BW").maxAmb);
 }
 
 TEST(ExperimentEngine, ScratchReuseAcrossHeterogeneousRuns)
@@ -234,73 +219,18 @@ TEST(ExperimentEngine, ScratchReuseAcrossHeterogeneousRuns)
     Workload w1 = workloadMix("W1");
 
     ExperimentEngine seq(1);
-    std::vector<SimResult> chained = seq.run({
-        {cfg8, w1, "DTM-ACG", {}},
-        {cfg4, w1, "DTM-ACG", {}},
-    });
+    std::vector<SimResult> chained = runAll(
+        seq, {{cfg8, w1, "DTM-ACG", {}}, {cfg4, w1, "DTM-ACG", {}}});
 
     ExperimentEngine fresh1(1), fresh2(1);
-    std::vector<SimResult> alone8 = fresh1.run({{cfg8, w1, "DTM-ACG", {}}});
-    std::vector<SimResult> alone4 = fresh2.run({{cfg4, w1, "DTM-ACG", {}}});
+    std::vector<SimResult> alone8 =
+        runAll(fresh1, {{cfg8, w1, "DTM-ACG", {}}});
+    std::vector<SimResult> alone4 =
+        runAll(fresh2, {{cfg4, w1, "DTM-ACG", {}}});
 
     expectIdentical(chained[0], alone8[0]);
     expectIdentical(chained[1], alone4[0]);
 }
-
-TEST(ExperimentEngine, PolicyErrorsPropagate)
-{
-    SimConfig cfg = smallConfig();
-    Workload w1 = workloadMix("W1");
-    ExperimentEngine engine(2);
-    std::vector<ExperimentEngine::Run> runs{
-        {cfg, w1, "No-limit", {}},
-        {cfg, w1, "not-a-policy", {}},
-    };
-    EXPECT_THROW(engine.run(runs), FatalError);
-}
-
-TEST(ExperimentEngine, ErrorsCarryTheFailingRunsIdentity)
-{
-    SimConfig cfg = smallConfig();
-    Workload w1 = workloadMix("W1");
-    ExperimentEngine engine(2);
-    std::vector<ExperimentEngine::Run> runs{
-        {cfg, w1, "No-limit", {}},
-        {cfg, w1, "not-a-policy", {}},
-    };
-    try {
-        engine.run(runs);
-        FAIL() << "expected FatalError";
-    } catch (const FatalError &e) {
-        // A bare what() from a large grid is undebuggable; the label
-        // must name the run, not just the symptom.
-        const std::string msg = e.what();
-        EXPECT_NE(msg.find("run #1"), std::string::npos) << msg;
-        EXPECT_NE(msg.find("workload 'W1'"), std::string::npos) << msg;
-        EXPECT_NE(msg.find("policy 'not-a-policy'"), std::string::npos)
-            << msg;
-    }
-}
-
-/** Records everything the engine hands it, for the sink-contract tests. */
-class RecordingSink : public RunSink
-{
-  public:
-    void onResult(std::size_t i, SimResult &&r, double wall_s) override
-    {
-        results.emplace_back(i, std::move(r));
-        wall.push_back(wall_s);
-    }
-
-    void onFailure(std::size_t i, std::exception_ptr err) override
-    {
-        failures.emplace_back(i, err);
-    }
-
-    std::vector<std::pair<std::size_t, SimResult>> results;
-    std::vector<double> wall;
-    std::vector<std::pair<std::size_t, std::exception_ptr>> failures;
-};
 
 TEST(ExperimentEngine, SinkReceivesEveryRunExactlyOnce)
 {
@@ -313,8 +243,6 @@ TEST(ExperimentEngine, SinkReceivesEveryRunExactlyOnce)
     };
 
     ExperimentEngine engine(4);
-    std::vector<SimResult> reference = engine.run(runs);
-
     RecordingSink sink;
     engine.run(runs, sink);
     ASSERT_EQ(sink.results.size(), runs.size());
@@ -326,7 +254,7 @@ TEST(ExperimentEngine, SinkReceivesEveryRunExactlyOnce)
         EXPECT_FALSE(seen[i]) << "index " << i << " delivered twice";
         seen[i] = true;
         SCOPED_TRACE("run " + std::to_string(i));
-        expectIdentical(r, reference[i]);
+        expectIdentical(r, simulateAlone(runs[i]));
     }
     for (double w : sink.wall)
         EXPECT_GE(w, 0.0);

@@ -6,7 +6,6 @@
 #include <gtest/gtest.h>
 
 #include "common/logging.hh"
-#include "core/sim/engine.hh"
 #include "core/sim/experiment.hh"
 
 namespace memtherm
@@ -36,10 +35,10 @@ TEST(Experiment, SuiteAndNormalization)
 {
     SimConfig cfg = makeCh4Config(coolingAohs15(), false);
     cfg.copiesPerApp = 4;
-    std::vector<Workload> ws{workloadMix("W1")};
-    ExperimentEngine engine;
-    SuiteResults r =
-        engine.runSuite(cfg, ws, {"No-limit", "DTM-TS", "DTM-ACG"});
+    ThermalSimulator sim(cfg);
+    SuiteResults r;
+    for (const char *p : {"No-limit", "DTM-TS", "DTM-ACG"})
+        r["W1"][p] = sim.run(workloadMix("W1"), *makeCh4Policy(p));
     ASSERT_EQ(r.size(), 1u);
     ASSERT_EQ(r.at("W1").size(), 3u);
 

@@ -58,7 +58,9 @@ TEST(Catalogs, UnknownNameDiagnosticIsPinnedForEveryListing)
                      "AOHS_3.0, FDHS_1.0, FDHS_1.5, FDHS_3.0)"},
         {"ambients", "unknown ambient model 'X' (valid: isolated, "
                      "integrated)"},
-        {"platforms", "unknown platform 'X' (valid: PE1950, SR1500AL)"},
+        {"platforms", "unknown platform 'X' (valid: PE1950, PE1950_tdp88, "
+                      "PE1950_tdp92, SR1500AL, SR1500AL_tdp90, "
+                      "SR1500AL_2GHz)"},
         {"emergency_levels", "unknown emergency ladder 'X' (valid: ch4, "
                              "pe1950, sr1500al, sr1500al_tdp90)"},
         {"dvfs", "unknown DVFS table 'X' (valid: simulated_cmp, xeon5160)"},

@@ -374,6 +374,50 @@ TEST(ResultStream, InjectedRunFailureIsIsolatedAndRetriable)
     EXPECT_TRUE(healed.results == mergeStreams({clean.path}).results);
 }
 
+/**
+ * Both MEMTHERM_FAULT_* variables take the whole-string integer grammar
+ * of every other count, admitting 0: blanks, signs, other bases and
+ * out-of-range values warn and inject nothing.
+ */
+TEST(ResultStream, FaultVariablesParseWholeStringIndices)
+{
+    ScenarioSpec spec = tinySpec();
+    spec.sweepTInlet.clear(); // two runs
+    ExperimentEngine engine(1);
+
+    setenv("MEMTHERM_FAULT_FAIL_RUN", "0", 1);
+    ScenarioResults first = runScenario(spec, engine);
+    ASSERT_EQ(first.errors.size(), 1u);
+    EXPECT_EQ(first.errors[0].index, 0u);
+
+    for (const std::string bad :
+         {" 1", "+1", "1 ", "-1", "-18446744073709551615", "0x1", ""}) {
+        SCOPED_TRACE("'" + bad + "'");
+        setenv("MEMTHERM_FAULT_FAIL_RUN", bad.c_str(), 1);
+        ::testing::internal::CaptureStderr();
+        ScenarioResults r = runScenario(spec, engine);
+        const std::string err = ::testing::internal::GetCapturedStderr();
+        EXPECT_TRUE(r.errors.empty());
+        EXPECT_NE(err.find("MEMTHERM_FAULT_FAIL_RUN='" + bad +
+                           "' is not an integer >= 0; ignoring"),
+                  std::string::npos)
+            << err;
+    }
+    unsetenv("MEMTHERM_FAULT_FAIL_RUN");
+
+    // The crash knob shares the parser (the writer reads it on open).
+    setenv("MEMTHERM_FAULT_AFTER_RUN", "+1", 1);
+    ::testing::internal::CaptureStderr();
+    JsonlResultWriter(tmpPath("fault_grammar.jsonl"), spec, 2, ShardSpec{},
+                      false);
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    unsetenv("MEMTHERM_FAULT_AFTER_RUN");
+    EXPECT_NE(err.find("MEMTHERM_FAULT_AFTER_RUN='+1' is not an integer "
+                       ">= 0; ignoring"),
+              std::string::npos)
+        << err;
+}
+
 TEST(ResultStream, MergeRejectsStreamsOfDifferentScenarios)
 {
     ScenarioSpec spec = tinySpec();

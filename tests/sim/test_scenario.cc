@@ -3,12 +3,13 @@
  * Unit tests for the declarative scenario API: lossless JSON round-trips
  * (including every shipped example scenario), sweep lowering, platform
  * scenarios, registry-backed diagnostics, and the acceptance pin — a
- * scenario run is bit-identical to the equivalent hand-coded
- * ExperimentEngine invocation.
+ * scenario run is bit-identical to simulating each hand-built
+ * configuration on its own (ThermalSimulator::run, no engine).
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <climits>
 #include <cmath>
 #include <limits>
@@ -68,6 +69,22 @@ expectIdentical(const SimResult &a, const SimResult &b)
     EXPECT_EQ(a.bwTrace.values(), b.bwTrace.values());
 }
 
+/**
+ * The independent reference for one run: a fresh simulator and the
+ * Chapter 4 policy its configuration selects, without the engine or the
+ * scenario layer.
+ */
+SimResult
+simulateAlone(const SimConfig &cfg, const std::string &workload,
+              const std::string &policy)
+{
+    ThermalSimulator sim(cfg);
+    auto p = PolicyRegistry::instance().get(
+        policy, {.dtmInterval = cfg.dtmInterval,
+                 .emergencyLevels = cfg.emergencyLevels});
+    return sim.run(workloadCatalog().get(workload), *p);
+}
+
 TEST(ScenarioSpec, FullSpecRoundTripsLosslessly)
 {
     ScenarioSpec s;
@@ -106,6 +123,10 @@ TEST(ScenarioSpec, FullSpecRoundTripsLosslessly)
     s.sweepRefresh = {RefreshSpec{"none", {}},
                       RefreshSpec{"", {{-273.15, 0.016, 0.15, 1.0},
                                        {85.0, 0.032, 0.3, 1.1}}}};
+    s.interactionDegree = 1.25;
+    s.rotationSlice = 0.05;
+    s.sweepInteractionDegree = {1.0, 2.0};
+    s.sweepRotationSlice = {0.02, 0.1};
 
     Json j = s.toJson();
     ScenarioSpec back = ScenarioSpec::fromJson(Json::parse(j.dump()));
@@ -237,11 +258,110 @@ TEST(ScenarioSpec, NewAxesLowerAcrossTheGrid)
     s.sweepEmergencyLevels = {"nosuch"};
     EXPECT_THROW(s.lower(), FatalError);
 
-    // A decision period below the simulator window is a spec error
-    // (the simulator itself would panic).
+    // A decision period below the simulator window shrinks the window
+    // with it; longer ones keep the 10 ms window.
     s.sweepEmergencyLevels.clear();
-    s.sweepDtmInterval = {0.001};
+    s.sweepDtmInterval = {0.001, 0.1};
+    low = s.lower();
+    ASSERT_EQ(low.points.size(), 2u);
+    EXPECT_EQ(low.points[0].cfg.window, 0.001);
+    EXPECT_EQ(low.points[0].runs[0].cfg.window, 0.001);
+    EXPECT_EQ(low.points[1].cfg.window, 0.01);
+}
+
+/**
+ * The Figs. 4.13/4.14 and 5.15 axes: the interaction degree scales the
+ * integrated model's xi calibration, the rotation slice lands in the
+ * configuration and shrinks the window when it is shorter.
+ */
+TEST(ScenarioSpec, InteractionDegreeAndRotationSliceLower)
+{
+    ScenarioSpec s;
+    s.name = "figs";
+    s.cooling = "FDHS_1.0";
+    s.ambient = "integrated";
+    s.workloads = {"W1"};
+    s.policies = {"DTM-ACG"};
+    s.sweepInteractionDegree = {1.0, 2.0};
+    s.sweepRotationSlice = {0.005, 0.1};
+
+    LoweredScenario low = s.lower();
+    ASSERT_EQ(low.points.size(), 4u);
+    EXPECT_EQ(low.points[0].label, "degree=1,slice=0.005");
+    EXPECT_EQ(low.points[3].label, "degree=2,slice=0.1");
+    EXPECT_EQ(low.points[0].cfg.ambient.psiCpuMemXi, 1.0 * kXiCalibration);
+    EXPECT_EQ(low.points[3].cfg.ambient.psiCpuMemXi, 2.0 * kXiCalibration);
+    EXPECT_EQ(low.points[0].cfg.rotationSlice, 0.005);
+    EXPECT_EQ(low.points[0].cfg.window, 0.005);
+    EXPECT_EQ(low.points[3].cfg.rotationSlice, 0.1);
+    EXPECT_EQ(low.points[3].cfg.window, 0.01);
+    // The default degree (1.5) is the integrated model as shipped.
+    s.sweepInteractionDegree.clear();
+    s.interactionDegree = 1.5;
+    EXPECT_EQ(s.lower().points[0].cfg.ambient.psiCpuMemXi,
+              makeCh4Config(coolingFdhs10(), true).ambient.psiCpuMemXi);
+
+    // The degree needs the integrated ambient, and platforms calibrate
+    // their own coupling.
+    s.ambient = "isolated";
+    try {
+        s.lower();
+        FAIL() << "expected FatalError";
+    } catch (const FatalError &e) {
+        EXPECT_NE(std::string(e.what()).find(
+                      "config.interaction_degree needs the integrated "
+                      "ambient"),
+                  std::string::npos)
+            << e.what();
+    }
+    ScenarioSpec plat;
+    plat.name = "plat";
+    plat.platform = "PE1950";
+    plat.workloads = {"W1"};
+    plat.policies = {"DTM-ACG"};
+    plat.sweepInteractionDegree = {1.0};
+    EXPECT_THROW(plat.lower(), FatalError);
+    plat.sweepInteractionDegree.clear();
+    plat.sweepRotationSlice = {0.02};
+    EXPECT_EQ(plat.lower().points[0].runs[0].cfg.window, 0.02);
+
+    // Bounds: a degree >= 0, a slice > 0.
+    s.ambient = "integrated";
+    s.interactionDegree = -1.0;
     EXPECT_THROW(s.lower(), FatalError);
+    s.interactionDegree.reset();
+    s.sweepRotationSlice = {0.0};
+    EXPECT_THROW(s.lower(), FatalError);
+}
+
+TEST(ScenarioSpec, PlatformVariantsShiftTheTdpAndTheDvfsFloor)
+{
+    const Platform tdp88 = platformCatalog().get("PE1950_tdp88");
+    EXPECT_EQ(tdp88.ambTdp, 88.0);
+    EXPECT_EQ(tdp88.sim.limits.ambTdp, 88.0);
+    EXPECT_EQ(tdp88.sim.limits.ambTrp, 87.0);
+    EXPECT_EQ(tdp88.ambBounds, (std::vector<Celsius>{74, 78, 82, 86}));
+    EXPECT_EQ(platformCatalog().get("PE1950_tdp92").ambBounds,
+              (std::vector<Celsius>{78, 82, 86, 90}));
+    // The rule reproduces the stock testbeds' own tables.
+    Platform pe = pe1950();
+    pe.setAmbTdp(90.0);
+    EXPECT_EQ(pe.ambBounds, pe1950().ambBounds);
+    EXPECT_EQ(platformCatalog().get("SR1500AL_tdp90").ambBounds,
+              (std::vector<Celsius>{76, 80, 84, 88}));
+    EXPECT_EQ(platformCatalog().get("SR1500AL_2GHz").dvfsFloor, 3u);
+    EXPECT_EQ(platformCatalog().get("SR1500AL").dvfsFloor, 0u);
+
+    // A platform scenario's policies honor the floor.
+    ScenarioSpec s;
+    s.name = "slow";
+    s.platform = "SR1500AL_2GHz";
+    s.workloads = {"W1"};
+    s.policies = {"DTM-BW"};
+    const LoweredScenario low = s.lower();
+    const auto &run = low.points[0].runs[0];
+    auto policy = run.factory(run.cfg, run.policy);
+    EXPECT_EQ(policy->decide({70.0, 50.0, 40.0}, 0.0).dvfsLevel, 3u);
 }
 
 TEST(ScenarioSpec, MemoryOrgAxisLowersAcrossTheGrid)
@@ -733,16 +853,17 @@ TEST(ScenarioSpec, PlatformScenariosUseTheCh5Lineup)
     s.dvfs.clear();
     s.sweepEmergencyLevels = {"ch4"};
     EXPECT_THROW(s.lower(), FatalError);
-    // The decision interval still sweeps on platforms (but must respect
-    // the platform's coarser 0.1 s window).
+    // The decision interval still sweeps on platforms; one below the
+    // platform's coarser 0.1 s window shrinks the window with it.
     s.sweepEmergencyLevels.clear();
     s.sweepDtmInterval = {1.0, 2.0};
     LoweredScenario low2 = s.lower();
     ASSERT_EQ(low2.points.size(), 2u);
     EXPECT_EQ(low2.points[0].label, "dtm=1");
     EXPECT_EQ(low2.points[1].runs[0].cfg.dtmInterval, 2.0);
+    EXPECT_EQ(low2.points[1].runs[0].cfg.window, 0.1);
     s.sweepDtmInterval = {0.01};
-    EXPECT_THROW(s.lower(), FatalError);
+    EXPECT_EQ(s.lower().points[0].runs[0].cfg.window, 0.01);
 }
 
 TEST(ScenarioSpec, RemapKnobsValidateAgainstWindowAndDtmInterval)
@@ -898,9 +1019,9 @@ TEST(ScenarioSpec, ParserRejectsUnknownMembers)
 
 /**
  * Acceptance pin: running the shipped ch4_baseline scenario is
- * bit-identical to the equivalent hand-coded ExperimentEngine
- * invocation (`memtherm run examples/scenarios/ch4_baseline.json`
- * executes exactly this code path).
+ * bit-identical to simulating each hand-built run on its own
+ * (`memtherm run examples/scenarios/ch4_baseline.json` executes exactly
+ * the runScenario path).
  */
 TEST(Scenario, Ch4BaselineMatchesHandCodedEngineBitExactly)
 {
@@ -915,10 +1036,11 @@ TEST(Scenario, Ch4BaselineMatchesHandCodedEngineBitExactly)
     // The hand-coded equivalent, built without the scenario layer.
     SimConfig cfg = makeCh4Config(coolingAohs15(), false);
     cfg.copiesPerApp = 4;
-    std::vector<Workload> ws{workloadMix("W1"), workloadMix("W2")};
-    std::vector<std::string> pols{"No-limit", "DTM-TS", "DTM-BW",
-                                  "DTM-ACG", "DTM-CDVFS"};
-    SuiteResults ref = engine.runSuite(cfg, ws, pols);
+    SuiteResults ref;
+    for (const char *w : {"W1", "W2"})
+        for (const char *p :
+             {"No-limit", "DTM-TS", "DTM-BW", "DTM-ACG", "DTM-CDVFS"})
+            ref[w][p] = simulateAlone(cfg, w, p);
 
     const SuiteResults &suite = got.points[0].suite;
     ASSERT_EQ(suite.size(), ref.size());
@@ -944,8 +1066,8 @@ TEST(Scenario, Ch4BaselineMatchesHandCodedEngineBitExactly)
 /**
  * The new axes lower bit-identically too: a dtm_interval x
  * emergency_levels x dvfs sweep equals hand-building each SimConfig
- * (decision period, ladder, operating table) and handing the runs to
- * the engine directly.
+ * (decision period, ladder, operating table) and simulating each run
+ * on its own.
  */
 TEST(Scenario, NewAxesMatchHandCodedEngineBitExactly)
 {
@@ -964,7 +1086,7 @@ TEST(Scenario, NewAxesMatchHandCodedEngineBitExactly)
     ASSERT_EQ(got.points.size(), 8u);
 
     // The hand-coded equivalent, built without the scenario layer.
-    std::vector<ExperimentEngine::Run> runs;
+    std::vector<SimResult> ref;
     for (double dtm : {0.01, 0.1}) {
         for (const char *ladder : {"ch4", "sr1500al"}) {
             for (const char *table : {"simulated_cmp", "xeon5160"}) {
@@ -974,12 +1096,10 @@ TEST(Scenario, NewAxesMatchHandCodedEngineBitExactly)
                 cfg.dtmInterval = dtm;
                 cfg.emergencyLevels = emergencyLevelCatalog().get(ladder);
                 cfg.dvfs = dvfsCatalog().get(table);
-                runs.push_back(
-                    {cfg, workloadCatalog().get("swimx2"), "DTM-CDVFS", {}});
+                ref.push_back(simulateAlone(cfg, "swimx2", "DTM-CDVFS"));
             }
         }
     }
-    std::vector<SimResult> ref = engine.run(runs);
     ASSERT_EQ(ref.size(), 8u);
     for (std::size_t i = 0; i < 8; ++i) {
         SCOPED_TRACE(got.points[i].label);
@@ -989,9 +1109,45 @@ TEST(Scenario, NewAxesMatchHandCodedEngineBitExactly)
 }
 
 /**
+ * The interaction-degree and rotation-slice axes lower bit-identically
+ * too: each point equals hand-setting psiCpuMemXi, rotationSlice and
+ * the window the slice needs, simulated on its own.
+ */
+TEST(Scenario, DegreeAndSliceAxesMatchHandBuiltRunsBitExactly)
+{
+    ScenarioSpec spec;
+    spec.name = "degree_slice";
+    spec.ambient = "integrated";
+    spec.copiesPerApp = 1;
+    spec.maxSimTime = 300.0;
+    spec.workloads = {"swimx6"};
+    spec.policies = {"DTM-ACG"};
+    spec.sweepInteractionDegree = {1.0, 2.0};
+    spec.sweepRotationSlice = {0.005, 0.1};
+
+    ExperimentEngine engine(2);
+    ScenarioResults got = runScenario(spec, engine);
+    ASSERT_EQ(got.points.size(), 4u);
+    std::size_t i = 0;
+    for (double degree : {1.0, 2.0}) {
+        for (double slice : {0.005, 0.1}) {
+            SCOPED_TRACE(got.points[i].label);
+            SimConfig cfg = makeCh4Config(coolingAohs15(), true);
+            cfg.copiesPerApp = 1;
+            cfg.maxSimTime = 300.0;
+            cfg.ambient.psiCpuMemXi = degree * 3.0;
+            cfg.rotationSlice = slice;
+            cfg.window = std::min(cfg.window, slice);
+            expectIdentical(got.points[i++].suite.at("swimx6").at("DTM-ACG"),
+                            simulateAlone(cfg, "swimx6", "DTM-ACG"));
+        }
+    }
+}
+
+/**
  * The memory_org axis lowers bit-identically as well: sweeping named
  * and inline organizations equals hand-setting SimConfig::org for each
- * point and handing the runs to the engine directly. Doubles as the
+ * point and simulating each run on its own. Doubles as the
  * per-DIMM-peak contract check: one peak pair per DIMM of the point's
  * organization, bounded by the run's maxima, with the bypass gradient
  * (DIMM 0 relays all downstream traffic) visible on the AMBs.
@@ -1013,16 +1169,15 @@ TEST(Scenario, MemoryOrgAxisMatchesHandCodedEngineBitExactly)
     ASSERT_EQ(got.points.size(), 3u);
 
     // The hand-coded equivalent, built without the scenario layer.
-    std::vector<ExperimentEngine::Run> runs;
+    std::vector<SimResult> ref;
     for (auto org : {MemoryOrgConfig{1, 4}, MemoryOrgConfig{4, 4},
                      MemoryOrgConfig{2, 8}}) {
         SimConfig cfg = makeCh4Config(coolingAohs15(), false);
         cfg.copiesPerApp = 1;
         cfg.maxSimTime = 300.0;
         cfg.org = org;
-        runs.push_back({cfg, workloadCatalog().get("swimx2"), "No-limit", {}});
+        ref.push_back(simulateAlone(cfg, "swimx2", "No-limit"));
     }
-    std::vector<SimResult> ref = engine.run(runs);
     ASSERT_EQ(ref.size(), 3u);
     for (std::size_t i = 0; i < 3; ++i) {
         SCOPED_TRACE(got.points[i].label);
@@ -1460,8 +1615,8 @@ TEST(Scenario, UniformTrafficShapeIsBitIdenticalToUnset)
 /**
  * The traffic_shape axis lowers bit-identically as well: sweeping named
  * and inline shapes across organizations equals hand-setting
- * SimConfig::trafficShares for each point and handing the runs to the
- * engine directly. Doubles as the per-DIMM average-power contract check
+ * SimConfig::trafficShares for each point and simulating each run on
+ * its own. Doubles as the per-DIMM average-power contract check
  * and pins the gradient inversion a back-heavy skew produces.
  */
 TEST(Scenario, TrafficShapeAxisMatchesHandCodedEngineBitExactly)
@@ -1481,7 +1636,7 @@ TEST(Scenario, TrafficShapeAxisMatchesHandCodedEngineBitExactly)
     ASSERT_EQ(got.points.size(), 3u);
 
     // The hand-coded equivalent, built without the scenario layer.
-    std::vector<ExperimentEngine::Run> runs;
+    std::vector<SimResult> ref;
     for (auto shares : {trafficShapeCatalog().get("uniform", 4),
                         trafficShapeCatalog().get("back_heavy", 4),
                         std::vector<double>{0.7, 0.1, 0.1, 0.1}}) {
@@ -1489,9 +1644,8 @@ TEST(Scenario, TrafficShapeAxisMatchesHandCodedEngineBitExactly)
         cfg.copiesPerApp = 1;
         cfg.maxSimTime = 300.0;
         cfg.trafficShares = shares;
-        runs.push_back({cfg, workloadCatalog().get("swimx2"), "No-limit", {}});
+        ref.push_back(simulateAlone(cfg, "swimx2", "No-limit"));
     }
-    std::vector<SimResult> ref = engine.run(runs);
     ASSERT_EQ(ref.size(), 3u);
     for (std::size_t i = 0; i < 3; ++i) {
         SCOPED_TRACE(got.points[i].label);

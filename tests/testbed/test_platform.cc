@@ -44,8 +44,12 @@ TEST(Platform, Sr1500alDescription)
 
 TEST(Platform, Sr1500alVariants)
 {
-    Platform p = sr1500al(26.0, 90.0);
-    EXPECT_DOUBLE_EQ(p.sim.ambient.tInlet, 26.0);
+    // The TDP carries the TRP and the Table 5.1 boundaries with it.
+    Platform p = sr1500al();
+    p.setAmbTdp(90.0);
+    EXPECT_DOUBLE_EQ(p.ambTdp, 90.0);
+    EXPECT_DOUBLE_EQ(p.sim.limits.ambTdp, 90.0);
+    EXPECT_DOUBLE_EQ(p.sim.limits.ambTrp, 89.0);
     EXPECT_EQ(p.ambBounds, (std::vector<Celsius>{76, 80, 84, 88}));
 }
 
@@ -89,7 +93,8 @@ TEST(Platform, PolicyActionsFollowTable51)
 TEST(Platform, DvfsFloorPinsFrequency)
 {
     Platform p = sr1500al();
-    auto bw = makeCh5Policy(p, "DTM-BW", 3);
+    p.dvfsFloor = 3;
+    auto bw = makeCh5Policy(p, "DTM-BW");
     ThermalReading cold{70.0, 50.0, 40.0};
     EXPECT_EQ(bw->decide(cold, 0.0).dvfsLevel, 3u);
 }

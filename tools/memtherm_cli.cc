@@ -235,22 +235,6 @@ printSummary(const ScenarioResults &results)
 }
 
 /**
- * The failure summary: every failed run, named by grid coordinate.
- * Printed to stderr after all regular output, so the (intact) results
- * of the rest of the grid are never hidden behind the failures.
- */
-void
-printFailures(const std::string &cmd, const std::vector<RunError> &errors)
-{
-    std::cerr << cmd << ": " << errors.size() << " run(s) failed:\n";
-    for (const auto &e : errors) {
-        std::cerr << "  run #" << e.index << " [point '" << e.point
-                  << "', workload '" << e.workload << "', policy '"
-                  << e.policy << "']: " << e.error << '\n';
-    }
-}
-
-/**
  * Does @p path hold a JSONL result stream rather than a results JSON?
  * The stream header is always the compact first line, so sniffing it
  * beats trusting file extensions.
@@ -579,8 +563,11 @@ cmdMerge(const CliArgs &a)
     int rc = a.golden.empty() ? 0
                               : checkGolden("memtherm merge", merged.results,
                                             a.golden, a.tol, a.quiet);
+    // Printed after all regular output, so the intact results of the
+    // rest of the grid are never hidden behind the failures.
     if (!merged.errors.empty()) {
-        printFailures("memtherm merge", merged.errors);
+        std::cerr << "memtherm merge: " << failureSummary(merged.errors)
+                  << '\n';
         rc = 1;
     }
     return rc;
@@ -662,7 +649,7 @@ cmdRun(const CliArgs &a)
     // Failures never hide completed work (everything above still ran and
     // wrote), but they must not exit 0 either.
     if (!failures.empty()) {
-        printFailures("memtherm run", failures);
+        std::cerr << "memtherm run: " << failureSummary(failures) << '\n';
         rc = 1;
     }
     return rc;
