@@ -80,8 +80,8 @@ BM_SolvePerfWindowRefreshDerated(benchmark::State &state)
 {
     // A doubled-refresh band steals bandwidth and an AL-DRAM tier cuts
     // idle latency, so four streamers overrun the derated channel: the
-    // utilization clamp holds at the idle latency and the solver falls
-    // back to bracket midpoints.
+    // utilization clamp holds at the idle latency and the solve runs in
+    // its clamp regime.
     std::vector<CoreTask> tasks(4, streamTask());
     MemSystemPerf mem;
     mem.peakBandwidth *= 1.0 - 0.032;

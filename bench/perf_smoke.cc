@@ -13,10 +13,11 @@
  * through runScenario(), so this harness also times the scenario code
  * path the `memtherm` CLI uses; the JSON goes through the shared
  * writer (common/json.hh). The parallel thread count comes from
- * MEMTHERM_THREADS when set, otherwise 4 (the acceptance
- * configuration). Expected speedup is roughly min(threads, hardware
- * cores, concurrent runs); on a 1-core host serial and parallel times
- * are equal by construction.
+ * MEMTHERM_THREADS when set (an invalid value warns and falls back to
+ * hardware concurrency, as in ExperimentEngine::defaultThreads()),
+ * otherwise 4 (the acceptance configuration). Expected speedup is
+ * roughly min(threads, hardware cores, concurrent runs); on a 1-core
+ * host serial and parallel times are equal by construction.
  */
 
 #include <algorithm>
@@ -135,12 +136,9 @@ main()
     ScenarioSpec spec = miniSuite();
     const std::size_t n_runs = spec.lower().totalRuns();
 
-    int par_threads = 4;
-    if (const char *env = std::getenv("MEMTHERM_THREADS")) {
-        int n = std::atoi(env);
-        if (n >= 1)
-            par_threads = n;
-    }
+    const int par_threads = std::getenv("MEMTHERM_THREADS")
+                                ? ExperimentEngine::defaultThreads()
+                                : 4;
     unsigned hw = std::thread::hardware_concurrency();
 
     std::printf("perf_smoke: %zu runs (%zu workloads x %zu policies), "

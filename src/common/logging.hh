@@ -76,12 +76,18 @@ inform(std::string_view msg)
     std::cout << "info: " << msg << '\n';
 }
 
-/** panic() unless the condition holds. */
+/**
+ * panic() unless the condition holds. The message is a C string (in
+ * practice a literal) and becomes a std::string only inside the failing
+ * branch, so a passing check never touches the heap: the simulator's
+ * window loop runs dozens of these per window. A message that has to
+ * be computed does not fit here; write `if (!cond) panic(...)`.
+ */
 inline void
-panicIfNot(bool cond, const std::string &msg,
+panicIfNot(bool cond, const char *msg,
            std::source_location loc = std::source_location::current())
 {
-    if (!cond)
+    if (!cond) [[unlikely]]
         panic(msg, loc);
 }
 

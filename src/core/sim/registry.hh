@@ -108,9 +108,9 @@ class Catalog : public CatalogBase
     void
     add(const std::string &name, Make make)
     {
-        panicIfNot(static_cast<bool>(make), std::string(info.keyword) +
-                                                ": empty entry for '" +
-                                                name + "'");
+        if (!make)
+            panic(std::string(info.keyword) + ": empty entry for '" + name +
+                  "'");
         auto entry = std::make_shared<const Make>(std::move(make));
         std::lock_guard lock(mtx);
         for (auto &[n, e] : entries) {

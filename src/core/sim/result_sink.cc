@@ -350,15 +350,22 @@ namespace
 
 /**
  * MEMTHERM_FAULT_FAIL_RUN=<k>: replace global run k's policy factory
- * with one that throws. No-op when unset or out of range; a malformed
- * value warns (envFaultIndex).
+ * with one that throws. No-op when unset; a malformed value
+ * (envFaultIndex) or an index past the grid's last run warns, so a
+ * failure-path test whose index went stale does not pass silently.
  */
 void
 applyFaultInjection(std::vector<ExperimentEngine::Run> &runs)
 {
     const int k = envFaultIndex("MEMTHERM_FAULT_FAIL_RUN");
-    if (k < 0 || static_cast<std::size_t>(k) >= runs.size())
+    if (k < 0)
         return;
+    if (static_cast<std::size_t>(k) >= runs.size()) {
+        warn("MEMTHERM_FAULT_FAIL_RUN=" + std::to_string(k) +
+             " is past the grid's last run (" + std::to_string(runs.size()) +
+             " runs); no failure injected");
+        return;
+    }
     runs[static_cast<std::size_t>(k)].factory =
         [k](const SimConfig &,
             const std::string &) -> std::unique_ptr<DtmPolicy> {

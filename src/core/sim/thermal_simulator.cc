@@ -67,6 +67,7 @@ ThermalSimulator::Lane::Lane(const SimConfig &cfg, const Workload &mix,
     slot.assign(static_cast<std::size_t>(cfg.nCores), nullptr);
     for (auto &s : slot)
         s = batch.nextPending();
+    baseMpki.resize(slot.size());
 
     // The machine idles long enough before the run for temperatures to
     // settle (the measurement protocol of Section 5.4.1). Refresh power
@@ -93,6 +94,7 @@ ThermalSimulator::Lane::Lane(const Lane &src, ThermalBatchState &state,
     : res(src.res),
       batch(src.batch),
       slot(src.slot),
+      baseMpki(src.baseMpki),
       ambient(src.ambient),
       mem(src.mem, state, lane_index),
       sensorRng(src.sensorRng),
@@ -220,8 +222,11 @@ ThermalSimulator::windowPre(Lane &lane, Scratch &scratch) const
     for (std::size_t i = 0; i < scheduled.size(); ++i) {
         const BatchJob::Instance *inst = slot[scheduled[i]];
         const AppDescriptor &app = *inst->app;
-        double mpki = mpkiAtSharers(app.cache, sharers[i]) *
-                      phaseFactor(app, inst->cpuTime);
+        Lane::BaseMpki &base = lane.baseMpki[scheduled[i]];
+        if (base.app != inst->app || base.sharers != sharers[i])
+            base = {inst->app, sharers[i],
+                    mpkiAtSharers(app.cache, sharers[i])};
+        double mpki = base.mpki * phaseFactor(app, inst->cpuTime);
         if (time_shared) {
             mpki += switchMpki(app.refillLines, app.nominalGips,
                                cfg.rotationSlice);

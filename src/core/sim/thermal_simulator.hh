@@ -79,7 +79,9 @@ class ThermalSimulator
      *
      * The window loop executes up to maxSimTime / window (potentially
      * millions of) iterations; every per-window container lives here so
-     * the steady state performs no heap allocation. Invariants:
+     * the steady state performs no heap allocation
+     * (AllocationFree.WindowLoopDoesNotAllocatePerWindow in
+     * tests/sim/test_alloc_free.cc pins it). Invariants:
      *  - the loop clears/refills each buffer every window and never reads
      *    a value left over from a previous window or a previous run, so a
      *    Scratch may be reused across runs in any order;
@@ -129,9 +131,20 @@ class ThermalSimulator
         Lane(Lane &&) = default;
         Lane &operator=(Lane &&) = default;
 
+        /// A core slot's base MPKI, mpkiAtSharers(app->cache, sharers):
+        /// valid while the slot runs the same app at the same sharer
+        /// count, which saves a pow per task per window.
+        struct BaseMpki
+        {
+            const AppDescriptor *app = nullptr;
+            double sharers = 0.0;
+            double mpki = 0.0;
+        };
+
         SimResult res;
         BatchJob batch;
         std::vector<BatchJob::Instance *> slot; ///< per-core job slots
+        std::vector<BaseMpki> baseMpki;         ///< per core slot
         AmbientModel ambient;
         MemoryThermalModel mem; ///< view over one state lane
         Rng sensorRng;

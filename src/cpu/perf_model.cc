@@ -128,22 +128,32 @@ solvePerfWindow(const std::vector<CoreTask> &tasks, GHz freq, GHz fmax,
     // Task i's demand is c_i / (b_i + a_i * L), with b_i = cpiCore,
     // a_i = mpki/1000 * f * (1 - mlpOverlap) and
     // c_i = f*1e9 * mpki/1000 * lineBytes * (1 + spec_i + writeFrac),
-    // so D(L) and D'(L) cost one divide per task and
-    // g'(L) = 1 - L0 * k * rho'(L) / (1 - rho)^2 >= 1 (rho' = 0 where the
-    // clamp holds). The root is found by Newton's method inside a bracket:
-    // - [L0, implied(L0)] always brackets it. g(L0) <= 0 because the
-    //   implied latency is never below L0, and implied() is
-    //   non-increasing, so implied(implied(L0)) <= implied(L0), i.e.
-    //   g(implied(L0)) >= 0. Zero demand gives g(L0) == 0 and L = L0.
-    // - Newton starts at L0. Where the clamp does not hold, implied() is
-    //   convex and g concave, so steps from below the root approach it
-    //   monotonically and stay inside the bracket.
-    // - Where rho is clamped at rho_max, implied() is flat at
-    //   implied(L0), so a step taken there lands at implied(L0), on or
-    //   past the upper end of the bracket. That step, and any other that
-    //   leaves the open bracket, falls back to the bracket midpoint.
-    // The iteration stops once the step or the bracket is within 1e-15
-    // of L; the iteration cap only bounds non-finite inputs.
+    // so D(L) and D'(L) cost one divide per task. Zero demand gives
+    // rho = 0 and L = L0. Otherwise the root lies in (L0, L_clamp], with
+    // L_clamp = implied(L0): the implied latency is never below L0, and
+    // implied() is non-increasing, so g(L_clamp) >= 0. Where rho is
+    // clamped at L0 (the saturated and DTM-capped windows), implied() is
+    // flat across the clamped range and steep near the root, so Newton on
+    // g would step to the bracket's end and crawl back by midpoints.
+    // Instead, the root is where the utilization meets the queue slack
+    // sigma = 1 - rho that the latency implies through
+    // L = L0 * (1 + k * (1 - sigma) / sigma), i.e. the root of
+    //   F(L) = 1/rho(L) - 1/(1 - sigma(L))
+    //        = 1/rho(L) - 1 - L0 * k / (L - L0)
+    // with rho unclamped, unless that lies at or past L_clamp, where rho
+    // stays clamped and L_clamp is the root. 1/rho is the parallel sum of
+    // the affine (b_i + a_i * L) / c_i, hence concave, increasing and
+    // exactly linear for identical tasks; -L0 * k / (L - L0) is concave
+    // and increasing too. Newton starts where F's root would be if 1/rho
+    // were its tangent at L0 (one quadratic, no extra demand pass): the
+    // tangent lies above 1/rho, so the start is at or left of the root,
+    // and on a concave increasing F Newton climbs from there
+    // monotonically. An iterate that reaches L_clamp from the left proves
+    // the root is there or past it. A step that leaves the bracket
+    // otherwise (rounding, or non-finite input) falls back to its
+    // midpoint. The iteration stops once the step or the bracket is
+    // within 1e-15 of the iterate; the iteration cap only bounds
+    // non-finite inputs.
     const double l0 = mem.idleLatencyNs;
     const double qk = mem.queueFactor;
     const double rho_max = 0.9999;
@@ -152,8 +162,8 @@ solvePerfWindow(const std::vector<CoreTask> &tasks, GHz freq, GHz fmax,
     // c_i's task-independent factor, over cap_eff: rho = sum * this.
     const double rho_per_demand =
         f_milli * 1e9 * mem.lineBytes / bytesPerGB / cap_eff;
-    // implied(L), with dimplied/dL stored in @p slope.
-    auto implied = [&](double latency, double &slope) {
+    // Unclamped rho(L), with drho/dL stored in @p drho.
+    auto utilization = [&](double latency, double &drho) {
         double sum = 0.0;
         double dsum = 0.0;
         for (const auto &t : tasks) {
@@ -164,36 +174,61 @@ solvePerfWindow(const std::vector<CoreTask> &tasks, GHz freq, GHz fmax,
             sum += d;
             dsum += d * a * q;
         }
-        double rho = sum * rho_per_demand;
-        double drho = -dsum * rho_per_demand;
-        if (rho > rho_max) {
-            rho = rho_max;
-            drho = 0.0;
-        }
-        double u = 1.0 / (1.0 - rho);
-        slope = l0 * qk * drho * u * u;
-        return l0 * (1.0 + qk * rho * u);
+        drho = -dsum * rho_per_demand;
+        return sum * rho_per_demand;
+    };
+    // F(L) from rho(L) and drho/dL, with dF/dL stored in @p df.
+    auto excess = [&](double latency, double rho, double drho, double &df) {
+        double inv_rho = 1.0 / rho;
+        double inv_e = 1.0 / (latency - l0);
+        df = l0 * qk * inv_e * inv_e - drho * inv_rho * inv_rho;
+        return inv_rho - 1.0 - l0 * qk * inv_e;
     };
 
-    double slope = 0.0;
-    double lo = l0;
-    double hi = implied(l0, slope);
+    double drho = 0.0;
+    const double rho0 = utilization(l0, drho);
     double l = l0;
-    double g = l0 - hi;
-    for (int i = 0; i < 100 && g != 0.0; ++i) {
-        if (g < 0.0) {
-            lo = l;
-        } else {
-            hi = l;
+    if (rho0 > 0.0) {
+        const double rho_c = std::min(rho0, rho_max);
+        const double u = 1.0 / (1.0 - rho_c);
+        const double l_clamp = l0 * (1.0 + qk * rho_c * u);
+        // Start at the root of F with 1/rho replaced by its tangent at
+        // L0, h0 + dh0 * e (e = L - L0): dh0 * e^2 + b * e - L0 * k = 0,
+        // solved for e > 0 in the form that does not cancel.
+        const double h0 = 1.0 / rho0;
+        const double dh0 = -drho * h0 * h0;
+        const double b = h0 - 1.0;
+        const double disc = std::sqrt(b * b + 4.0 * dh0 * l0 * qk);
+        l = l0 + (b >= 0.0 ? 2.0 * l0 * qk / (b + disc)
+                           : (disc - b) / (2.0 * dh0));
+        double lo = l0;
+        double hi = l_clamp;
+        for (int i = 0; i < 100 && l < hi; ++i) {
+            double df = 0.0;
+            double rho = utilization(l, drho);
+            double f = excess(l, rho, drho, df);
+            if (f < 0.0) {
+                lo = l;
+            } else {
+                hi = l;
+            }
+            double next = l - f / df;
+            if (std::abs(next - l) <= 1e-15 * l) {
+                l = next;
+                break;
+            }
+            // Leaving the bracket upward before any iterate overshot the
+            // root proves F's root is at or past L_clamp; any other exit
+            // bisects.
+            if (!(next > lo && next < hi))
+                next = next >= hi && hi == l_clamp ? l_clamp
+                                                   : 0.5 * (lo + hi);
+            l = next;
+            if (hi - lo <= 1e-15 * l)
+                break;
         }
-        double next = l - g / (1.0 - slope);
-        if (!(next > lo && next < hi))
-            next = 0.5 * (lo + hi);
-        double step = std::abs(next - l);
-        l = next;
-        if (step <= 1e-15 * l || hi - lo <= 1e-15 * l)
-            break;
-        g = l - implied(l, slope);
+        if (!(l < l_clamp))
+            l = l_clamp; // rho stays clamped at the root
     }
     fill(tasks, freq, fmax, l, mem, cap_eff, out);
 }

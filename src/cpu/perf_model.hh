@@ -10,11 +10,15 @@
  *
  * where the effective memory latency L is the idle latency when the memory
  * system is unsaturated, and otherwise the unique latency at which total
- * demanded throughput equals the sustainable bandwidth (found by a
- * bracketed Newton iteration on the queueing fixed point — memory-bound
+ * demanded throughput equals the sustainable bandwidth — memory-bound
  * tasks absorb the queueing latency, compute-bound tasks keep their rate,
  * which is the qualitative behavior of a real bandwidth-shared memory
- * system).
+ * system. The queueing fixed point is found by a bracketed Newton
+ * iteration in the latency. It runs on the reciprocal utilization against
+ * the queue slack the latency implies, which is concave and nearly
+ * linear, rather than on the fixed-point residual, which is flat and
+ * badly conditioned once the utilization clamp holds (the saturated and
+ * DTM-capped windows); see solvePerfWindow() in perf_model.cc.
  */
 
 #ifndef MEMTHERM_CPU_PERF_MODEL_HH

@@ -308,6 +308,40 @@ relNear(const char *what, double a, double b, double rel = 1e-12)
 }
 
 /**
+ * Solve one case into @p got and hold it to the bisection reference,
+ * left in @p want: every output within 1e-12 relative, `saturated`
+ * identical, and the shut-down path bit-exact.
+ */
+void
+solveAgainstReference(const std::vector<CoreTask> &tasks, GHz freq,
+                      GHz fmax, GBps cap, const MemSystemPerf &mem,
+                      WindowPerf &got, WindowPerf &want)
+{
+    want = bisectionReference(tasks, freq, fmax, cap, mem);
+    solvePerfWindow(tasks, freq, fmax, cap, mem, got);
+    ASSERT_EQ(got.ips.size(), tasks.size());
+    ASSERT_EQ(got.taskTraffic.size(), tasks.size());
+    ASSERT_EQ(got.saturated, want.saturated);
+    if (std::isinf(want.latencyNs)) {
+        // Shut-down path: bit-exact.
+        EXPECT_EQ(got.latencyNs, want.latencyNs);
+        EXPECT_EQ(got.ips, want.ips);
+        EXPECT_EQ(got.taskTraffic, want.taskTraffic);
+        EXPECT_EQ(got.totalRead, 0.0);
+        EXPECT_EQ(got.totalWrite, 0.0);
+        return;
+    }
+    ASSERT_TRUE(relNear("latencyNs", got.latencyNs, want.latencyNs));
+    for (std::size_t i = 0; i < tasks.size(); ++i) {
+        ASSERT_TRUE(relNear("ips", got.ips[i], want.ips[i]));
+        ASSERT_TRUE(
+            relNear("taskTraffic", got.taskTraffic[i], want.taskTraffic[i]));
+    }
+    ASSERT_TRUE(relNear("totalRead", got.totalRead, want.totalRead));
+    ASSERT_TRUE(relNear("totalWrite", got.totalWrite, want.totalWrite));
+}
+
+/**
  * Differential property: over seeded random task sets, operating points,
  * DTM caps and refresh-derated memory systems, the Newton solver agrees
  * with the bisection reference to 1e-12 relative in every output, decides
@@ -319,6 +353,7 @@ TEST(PerfModelOracle, NewtonMatchesBisectionReference)
     const GHz fmax = 3.2;
     Rng rng(0x5eed0f1e7ULL);
     WindowPerf got;
+    WindowPerf want;
     for (int n = 0; n < 20000; ++n) {
         SCOPED_TRACE("case " + std::to_string(n));
         std::vector<CoreTask> tasks(1 + rng.below(8));
@@ -339,29 +374,92 @@ TEST(PerfModelOracle, NewtonMatchesBisectionReference)
             mem.idleLatencyNs *= rng.uniform(0.85, 1.0);
         }
 
-        WindowPerf want = bisectionReference(tasks, freq, fmax, cap, mem);
-        solvePerfWindow(tasks, freq, fmax, cap, mem, got);
-        ASSERT_EQ(got.ips.size(), tasks.size());
-        ASSERT_EQ(got.taskTraffic.size(), tasks.size());
-        ASSERT_EQ(got.saturated, want.saturated);
-        if (std::isinf(want.latencyNs)) {
-            // Shut-down path: bit-exact.
-            EXPECT_EQ(got.latencyNs, want.latencyNs);
-            EXPECT_EQ(got.ips, want.ips);
-            EXPECT_EQ(got.taskTraffic, want.taskTraffic);
-            EXPECT_EQ(got.totalRead, 0.0);
-            EXPECT_EQ(got.totalWrite, 0.0);
-            continue;
-        }
-        ASSERT_TRUE(relNear("latencyNs", got.latencyNs, want.latencyNs));
-        for (std::size_t i = 0; i < tasks.size(); ++i) {
-            ASSERT_TRUE(relNear("ips", got.ips[i], want.ips[i]));
-            ASSERT_TRUE(
-                relNear("taskTraffic", got.taskTraffic[i], want.taskTraffic[i]));
-        }
-        ASSERT_TRUE(relNear("totalRead", got.totalRead, want.totalRead));
-        ASSERT_TRUE(relNear("totalWrite", got.totalWrite, want.totalWrite));
+        ASSERT_NO_FATAL_FAILURE(
+            solveAgainstReference(tasks, freq, fmax, cap, mem, got, want));
     }
+}
+
+/** Unclamped utilization rho(L0) = demand at the idle latency / cap_eff. */
+double
+utilizationAtIdle(const std::vector<CoreTask> &tasks, GHz freq, GHz fmax,
+                  GBps cap, const MemSystemPerf &mem)
+{
+    GBps total = 0.0;
+    for (const auto &t : tasks) {
+        double ips = freq * 1e9 /
+                     (t.cpiCore + t.mpki / 1000.0 * mem.idleLatencyNs * freq *
+                                      (1.0 - t.mlpOverlap));
+        double bytes_per_miss =
+            mem.lineBytes * (1.0 + t.specFrac * (freq / fmax) + t.writeFrac);
+        total += ips * t.mpki / 1000.0 * bytes_per_miss / bytesPerGB;
+    }
+    return total / std::min(cap, mem.peakBandwidth * mem.maxUtilization);
+}
+
+/**
+ * Differential property for the clamp regime, the windows whose demand
+ * at the idle latency already exceeds rho_max of the cap (heavy
+ * streamers under 0.5-6.4 GB/s DTM caps on refresh-derated memory). A
+ * quarter of the cases use near-total MLP overlap, enough tasks and a
+ * cap under 1 GB/s, so that rho stays clamped at the root and the
+ * solution is the clamp latency L0 * (1 + k * rho_max / (1 - rho_max))
+ * itself; both kinds must occur. Every case must match the bisection
+ * reference to 1e-12 relative and decide `saturated` identically.
+ */
+TEST(PerfModelOracle, ClampRegimeMatchesBisectionReference)
+{
+    const GHz fmax = 3.2;
+    const double rho_max = 0.9999;
+    Rng rng(0xc1a3b0e5ULL);
+    WindowPerf got;
+    WindowPerf want;
+    int clamp_roots = 0;
+    int interior_roots = 0;
+    for (int n = 0; n < 5000; ++n) {
+        SCOPED_TRACE("case " + std::to_string(n));
+        const bool clamp_family = rng.uniform() < 0.25;
+        std::vector<CoreTask> tasks;
+        GHz freq = fmax;
+        GBps cap = 0.0;
+        MemSystemPerf mem;
+        do {
+            tasks.assign(clamp_family ? 6 + rng.below(3) : 1 + rng.below(8),
+                         CoreTask{});
+            for (auto &t : tasks) {
+                t.cpiCore = rng.uniform(0.3, 1.5);
+                t.mpki = rng.uniform(20.0, 150.0);
+                t.writeFrac = rng.uniform(0.0, 0.6);
+                t.specFrac = rng.uniform(0.0, 0.3);
+                t.mlpOverlap = clamp_family ? rng.uniform(0.97, 0.995)
+                                            : rng.uniform(0.5, 0.99);
+            }
+            // Now and then a compute-bound task rides along.
+            if (rng.uniform() < 0.2) {
+                CoreTask &t = tasks[rng.below(tasks.size())];
+                t.mpki = rng.uniform(0.0, 1.0);
+                t.mlpOverlap = rng.uniform(0.0, 0.9);
+            }
+            freq = rng.uniform() < 0.5 ? fmax : rng.uniform(0.8, fmax);
+            cap = clamp_family ? rng.uniform(0.5, 1.0) : rng.uniform(0.5, 6.4);
+            mem = MemSystemPerf{};
+            if (rng.uniform() < 0.5) {
+                mem.peakBandwidth *= 1.0 - rng.uniform(0.0, 0.1);
+                mem.idleLatencyNs *= rng.uniform(0.85, 1.0);
+            }
+        } while (!(utilizationAtIdle(tasks, freq, fmax, cap, mem) > rho_max));
+
+        ASSERT_NO_FATAL_FAILURE(
+            solveAgainstReference(tasks, freq, fmax, cap, mem, got, want));
+        const double l_clamp = mem.idleLatencyNs *
+                               (1.0 + mem.queueFactor * rho_max /
+                                          (1.0 - rho_max));
+        if (relNear("clamp", want.latencyNs, l_clamp))
+            ++clamp_roots;
+        else
+            ++interior_roots;
+    }
+    EXPECT_GE(clamp_roots, 500);
+    EXPECT_GE(interior_roots, 500);
 }
 
 } // namespace

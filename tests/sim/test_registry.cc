@@ -221,6 +221,17 @@ TEST(PolicyRegistry, CustomPoliciesRegister)
 
     auto names = reg.names();
     EXPECT_EQ(names.back(), "TEST-custom");
+
+    // An empty entry is a programming error, named in the panic.
+    try {
+        reg.add("TEST-empty", {});
+        ADD_FAILURE() << "an empty entry was accepted";
+    } catch (const PanicError &e) {
+        EXPECT_NE(std::string(e.what()).find(": empty entry for 'TEST-empty'"),
+                  std::string::npos)
+            << e.what();
+    }
+    EXPECT_FALSE(reg.contains("TEST-empty"));
 }
 
 TEST(PolicyRegistry, EntriesMayLookUpTheirOwnCatalog)
