@@ -8,6 +8,7 @@
 
 #include <limits>
 
+#include "common/rng.hh"
 #include "core/sim/experiment.hh"
 
 using namespace memtherm;
@@ -102,6 +103,30 @@ BM_MemoryThermalAdvance(benchmark::State &state)
 }
 
 void
+BM_MemoryThermalAdvanceBankGrid(benchmark::State &state)
+{
+    // A 4x8 organization under a 32x16 grid of random bank weights: the
+    // bank-grid overlay's cost on top of the lumped advance. The traffic
+    // steps between levels, so the DIMMs heat and cool in turn.
+    BankGridConfig grid{32, 16, {}};
+    Rng rng(20261018);
+    double sum = 0.0;
+    for (int c = 0; c < grid.cells(); ++c)
+        sum += grid.weights.emplace_back(rng.uniform());
+    for (double &w : grid.weights)
+        w /= sum;
+    MemoryThermalModel m(MemoryOrgConfig{4, 8}, coolingAohs15(),
+                         DimmPowerModel{}, 50.0, {}, grid);
+    const GBps reads[] = {10.0, 2.0, 14.0, 6.0};
+    std::size_t i = 0;
+    for (auto _ : state) {
+        MemoryThermalSample s = m.advance(reads[i++ % 4], 3.0, 50.0, 0.01);
+        benchmark::DoNotOptimize(s.hottestAmb);
+    }
+    state.SetItemsProcessed(state.iterations());
+}
+
+void
 BM_MemSpotWindow(benchmark::State &state)
 {
     // End-to-end per-window cost of the level-2 simulator.
@@ -122,6 +147,7 @@ BENCHMARK(BM_SolvePerfWindowSaturated);
 BENCHMARK(BM_SolvePerfWindowMixedCapped);
 BENCHMARK(BM_SolvePerfWindowRefreshDerated);
 BENCHMARK(BM_MemoryThermalAdvance);
+BENCHMARK(BM_MemoryThermalAdvanceBankGrid);
 BENCHMARK(BM_MemSpotWindow)->Unit(benchmark::kMillisecond);
 
 } // namespace

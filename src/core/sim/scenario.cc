@@ -497,8 +497,10 @@ struct InlineForm<std::optional<BankGridConfig>>
     {
         if (g->x < 1 || g->z < 1)
             fatal(what + " grid dimensions must be >= 1");
-        if (g->cells() > 1024) {
-            fatal(what + " has " + std::to_string(g->cells()) +
+        // Bound each dimension before multiplying: x * z in int wraps.
+        if (g->x > 1024 || g->z > 1024 || g->cells() > 1024) {
+            fatal(what + " has " +
+                  std::to_string(static_cast<long long>(g->x) * g->z) +
                   " cells per DIMM; the limit is 1024");
         }
         if (!g->weights.empty() &&

@@ -1,6 +1,8 @@
 #include "core/thermal/bank_grid.hh"
 
+#include <algorithm>
 #include <cmath>
+#include <cstdlib>
 
 #include "common/logging.hh"
 
@@ -68,6 +70,107 @@ resolveBankCellWeights(const BankGridConfig &grid, int n_dimms)
         smoothBankCells(grid, scaled.data(), out.data() + d * per_dimm);
     }
     return out;
+}
+
+BankOverlay::BankOverlay(const BankGridConfig &g, int n_dimms)
+    : config(g), cellSlope(resolveBankCellWeights(g, n_dimms)),
+      slopeStart{0}
+{
+    for (double &w : cellSlope)
+        w -= 1.0;
+    const std::ptrdiff_t cells = g.cells();
+    for (auto c = cellSlope.begin(); c != cellSlope.end(); c += cells) {
+        const auto at = slopes.insert(slopes.end(), c, c + cells);
+        std::sort(at, slopes.end());
+        slopes.erase(std::unique(at, slopes.end()), slopes.end());
+        slopeStart.push_back(static_cast<int>(slopes.size()));
+    }
+}
+
+std::shared_ptr<const BankOverlay>
+BankOverlay::of(const BankGridConfig &g, int n_dimms)
+{
+    thread_local std::shared_ptr<const BankOverlay> last;
+    if (!last || *last->config != g ||
+        last->slopeStart.size() != static_cast<std::size_t>(n_dimms) + 1)
+        last = std::make_shared<const BankOverlay>(g, n_dimms);
+    return last;
+}
+
+int
+offerBankHullPoint(BankHullVertex *hull, int size, const double *slopes,
+                   int n_slopes, double v, double d)
+{
+    auto last = [&](int j) {
+        return j + 1 < size ? hull[j + 1].first - 1 : n_slopes - 1;
+    };
+    auto wins = [&](int k, int j) {
+        return (d + slopes[k] * v) - (hull[j].d + slopes[k] * hull[j].v) >
+               0.0;
+    };
+    // The slope of vertex j nearest its end @p end that the point wins,
+    // given that it wins @p win: the gain is linear within a vertex, so
+    // bisect between the two unless the point wins @p end itself.
+    auto edge = [&](int end, int win, int j) {
+        if (wins(end, j))
+            return end;
+        for (int lose = end; std::abs(win - lose) > 1;) {
+            const int mid = lose + (win - lose) / 2;
+            (wins(mid, j) ? win : lose) = mid;
+        }
+        return win;
+    };
+
+    // The winners' V ascend with their slopes, so the point's gain over
+    // the envelope, concave in s, rises across the vertices with V <= v
+    // and falls after them: its maximum is at the last slope of the
+    // last such vertex, or at the first slope of the next.
+    const int r = static_cast<int>(
+        std::upper_bound(hull, hull + size, v,
+                         [](double x, const BankHullVertex &o) {
+                             return x < o.v;
+                         }) -
+        hull);
+    int j = r - 1, k = r > 0 ? last(r - 1) : 0;
+    if (r == 0 || !wins(k, j)) {
+        j = r;
+        if (r == size || !wins(k = hull[r].first, r))
+            return size;
+    }
+
+    // The won run [a, b] spreads from k over whole vertices while the
+    // point wins their nearest slope, and ends inside the next.
+    int ja = j, jb = j;
+    while (ja > 0 && wins(hull[ja].first - 1, ja - 1))
+        --ja;
+    while (jb + 1 < size && wins(hull[jb + 1].first, jb + 1))
+        ++jb;
+    const int a = edge(hull[ja].first, ja == j ? k : last(ja), ja);
+    const int b = edge(last(jb), jb == j ? k : hull[jb].first, jb);
+
+    // Splice: ja keeps its slopes below a and jb those above b, if any;
+    // the vertices in between win nothing now and go.
+    const int head = hull[ja].first < a ? ja + 1 : ja;
+    const int tail = last(jb) > b ? jb : jb + 1;
+    const int n_tail = size - tail;
+    if (head + 1 < tail)
+        std::copy(hull + tail, hull + size, hull + head + 1);
+    else if (head + 1 > tail)
+        std::copy_backward(hull + tail, hull + size,
+                           hull + head + 1 + n_tail);
+    hull[head] = {v, d, a};
+    if (n_tail > 0)
+        hull[head + 1].first = b + 1;
+    return head + 1 + n_tail;
+}
+
+double
+bankHullPeak(const BankHullVertex *hull, int size, double s)
+{
+    double peak = hull[0].d + s * hull[0].v;
+    for (int j = 1; j < size; ++j)
+        peak = std::max(peak, hull[j].d + s * hull[j].v);
+    return peak;
 }
 
 } // namespace memtherm

@@ -7,23 +7,39 @@
  * blind to intra-DIMM hotspots: row-buffer-heavy workloads concentrate
  * their accesses — and their dynamic power — in a few banks. The bank
  * grid resolves that by splitting each DIMM's DRAM power over an X x Z
- * cell grid by per-cell heat-share weights and advancing one extra RC
- * node per cell (same tauDram, same Eq. 3.5 step as the lumped DRAM
- * node), with a single lateral-coupling smoothing pass standing in for
- * in-package heat spreading between neighboring banks.
+ * cell grid by per-cell heat-share weights, with a single
+ * lateral-coupling smoothing pass (applied once, to the weights)
+ * standing in for in-package heat spreading between neighboring banks.
+ *
+ * No cell is stepped on its own. Every cell shares the DRAM node's tau
+ * and initial temperature, and its Eq. 3.4 target is affine in its
+ * scaled weight w: `A + w·B`, with `A = ambient + P_amb·psiAmbToDram`
+ * and `B = P_dram·psiDram`. The lumped DRAM node D steps towards
+ * `A + B`; one extra scalar per DIMM, the spread V, steps towards B with
+ * the same Eq. 3.5 decay. So every cell is exactly `D + (w - 1)·V` at
+ * every step (V starts at 0, or at B after a reset to the stable point),
+ * and the per-window cost is O(DIMMs), not O(DIMMs x cells).
+ *
+ * Only each cell's peak is ever read. A cell of slope `s = w - 1` peaks
+ * at `max_t D_t + s·V_t`, so the run keeps, per DIMM, the upper hull of
+ * its (V_t, D_t) points over the DIMM's distinct cell slopes
+ * (offerBankHullPoint) and evaluates every cell against it once, at
+ * the end (bankHullPeak).
  *
  * The grid is a *diagnostic overlay*: the lumped nodes keep driving the
  * DTM sensors, the refresh feedback and every pre-existing result field
  * unchanged, and the grid only adds per-bank peak temperatures. Its
  * correctness contract, pinned by tests/thermal/test_bank_grid.cc:
  *
- *  - under uniform per-bank weights every cell's stable target equals
- *    the lumped DRAM target exactly (the scaled weights are exactly 1
- *    and smoothing is the identity on constant fields), so the grid
- *    mean reproduces the lumped model;
+ *  - under uniform per-bank weights every cell's scaled weight is
+ *    exactly 1 (smoothing is the identity on constant fields), so its
+ *    slope is 0 and the cell *is* the lumped DRAM node, bit for bit;
  *  - the smoothing operator is symmetric and row-stochastic, so it
  *    conserves the weight sum — the grid's mean target tracks the
  *    lumped target for *any* weight vector;
+ *  - every cell's peak matches a per-cell Eq. 3.5 iteration to 1e-12
+ *    relative (tests/thermal/test_bank_overlay.cc keeps that iteration
+ *    as the reference);
  *  - a run with `thermal_model: "lumped"` (no grid) is bit-identical
  *    to one with the knob unset.
  */
@@ -31,6 +47,7 @@
 #ifndef MEMTHERM_CORE_THERMAL_BANK_GRID_HH
 #define MEMTHERM_CORE_THERMAL_BANK_GRID_HH
 
+#include <memory>
 #include <optional>
 #include <vector>
 
@@ -110,6 +127,65 @@ std::vector<double> resolveBankCellWeights(const BankGridConfig &grid,
  */
 void smoothBankCells(const BankGridConfig &grid, const double *w,
                      double *out);
+
+/**
+ * The per-run constants of a bank-grid overlay over an n_dimms chain,
+ * fixed at construction and shared by a lane and its forks.
+ */
+struct BankOverlay
+{
+    BankOverlay(const BankGridConfig &grid, int n_dimms);
+
+    /**
+     * The overlay of @p grid over @p n_dimms DIMMs. Every run of a grid
+     * point needs the same one, and building it (the weight smoothing
+     * and a sort of each DIMM's slopes) costs more than a short run's
+     * windows, so the last one built on the calling thread is reused
+     * while the grid and chain length stay equal.
+     */
+    static std::shared_ptr<const BankOverlay> of(const BankGridConfig &grid,
+                                                 int n_dimms);
+
+    std::optional<BankGridConfig> config; ///< always engaged
+    /// Per-cell slope `w - 1` of the scaled weights
+    /// (resolveBankCellWeights), row-major by DIMM; exactly 0 for every
+    /// uniform cell.
+    std::vector<double> cellSlope;
+    /// Each DIMM's distinct cell slopes, ascending, DIMM after DIMM:
+    /// DIMM d's run is [slopeStart[d], slopeStart[d + 1]).
+    std::vector<double> slopes;
+    std::vector<int> slopeStart;
+};
+
+/**
+ * One vertex of a DIMM's peak hull: a past (V, D) point and the index,
+ * in the DIMM's ascending slope run, of the first slope it wins. It
+ * wins every slope up to the next vertex's first (or the run's end).
+ */
+struct BankHullVertex
+{
+    double v = 0.0;
+    double d = 0.0;
+    int first = 0;
+};
+
+/**
+ * Offer the point (@p v, @p d) to one DIMM's peak hull of @p size
+ * vertices over its @p n_slopes ascending distinct slopes. The point
+ * takes every slope s where `d + s·v` beats the slope's current winner;
+ * that set is one contiguous run (the hull's envelope is convex in s
+ * and the point is linear), found by a binary search over the vertices
+ * — so a losing point costs O(log size) and a winner splices in,
+ * dropping the vertices it covers. A vertex always wins >= 1 slope, so
+ * the hull never holds more than @p n_slopes vertices.
+ *
+ * @return the new vertex count
+ */
+int offerBankHullPoint(BankHullVertex *hull, int size, const double *slopes,
+                       int n_slopes, double v, double d);
+
+/** Peak of the cell of slope @p s: max over the hull of `d + s·v`. */
+double bankHullPeak(const BankHullVertex *hull, int size, double s);
 
 } // namespace memtherm
 

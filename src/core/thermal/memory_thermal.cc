@@ -32,14 +32,14 @@ MemoryThermalModel::MemoryThermalModel(const MemoryOrgConfig &org,
                                        std::optional<BankGridConfig>
                                            bank_grid)
     : orgCfg(org), pwr(power), cool(cooling),
-      shares(std::move(traffic_shares)), grid(std::move(bank_grid)),
-      ownedState(nullptr), st(nullptr), laneIdx(0)
+      shares(std::move(traffic_shares)), ownedState(nullptr), st(nullptr),
+      laneIdx(0)
 {
     checkOrgAndShares(orgCfg, shares);
-    if (grid)
-        cellW = resolveBankCellWeights(*grid, orgCfg.nDimmsPerChannel);
+    if (bank_grid)
+        grid = BankOverlay::of(*bank_grid, orgCfg.nDimmsPerChannel);
     ownedState = std::make_unique<ThermalBatchState>(
-        1, orgCfg.nDimmsPerChannel, grid ? grid->cells() : 0);
+        1, orgCfg.nDimmsPerChannel, bank_grid ? bank_grid->cells() : 0);
     st = ownedState.get();
     st->initLane(0, cool.tauAmb, cool.tauDram, t0);
 }
@@ -53,15 +53,15 @@ MemoryThermalModel::MemoryThermalModel(const MemoryOrgConfig &org,
                                        std::optional<BankGridConfig>
                                            bank_grid)
     : orgCfg(org), pwr(power), cool(cooling),
-      shares(std::move(traffic_shares)), grid(std::move(bank_grid)),
-      ownedState(nullptr), st(&state), laneIdx(lane)
+      shares(std::move(traffic_shares)), ownedState(nullptr), st(&state),
+      laneIdx(lane)
 {
     checkOrgAndShares(orgCfg, shares);
-    if (grid)
-        cellW = resolveBankCellWeights(*grid, orgCfg.nDimmsPerChannel);
+    if (bank_grid)
+        grid = BankOverlay::of(*bank_grid, orgCfg.nDimmsPerChannel);
     panicIfNot(state.dimms() == orgCfg.nDimmsPerChannel,
                "MemoryThermalModel: batch state chain length mismatch");
-    panicIfNot(state.bankCells() == (grid ? grid->cells() : 0),
+    panicIfNot(state.bankCells() == (bank_grid ? bank_grid->cells() : 0),
                "MemoryThermalModel: batch state bank cell mismatch");
     st->initLane(laneIdx, cool.tauAmb, cool.tauDram, t0);
 }
@@ -69,7 +69,7 @@ MemoryThermalModel::MemoryThermalModel(const MemoryOrgConfig &org,
 MemoryThermalModel::MemoryThermalModel(const MemoryThermalModel &src,
                                        ThermalBatchState &state, int lane)
     : orgCfg(src.orgCfg), pwr(src.pwr), cool(src.cool), shares(src.shares),
-      refreshDram(src.refreshDram), grid(src.grid), cellW(src.cellW),
+      refreshDram(src.refreshDram), grid(src.grid),
       ownedState(nullptr), st(&state), laneIdx(lane)
 {
     panicIfNot(src.st == &state,
@@ -125,12 +125,9 @@ MemoryThermalModel::stageAdvance(GBps total_read, GBps total_write,
         sd[i] = stableDramAt(ambient, powers[i]);
     }
     if (grid) {
-        const int cells = grid->cells();
-        double *sb = st->stableBank(laneIdx);
+        double *sb = st->stableBankSpread(laneIdx);
         for (std::size_t i = 0; i < powers.size(); ++i)
-            for (int c = 0; c < cells; ++c)
-                sb[i * cells + c] =
-                    stableBankAt(ambient, powers[i], cellW[i * cells + c]);
+            sb[i] = stableSpreadAt(powers[i]);
     }
 }
 
@@ -153,11 +150,14 @@ MemoryThermalModel::finishAdvance(Seconds dt)
         channel_power += powerScratch[i].total();
     }
     if (grid) {
-        const int n = orgCfg.nDimmsPerChannel * grid->cells();
-        const double *bank = st->bankTemp(laneIdx);
-        double *pb = st->peakBank(laneIdx);
-        for (int i = 0; i < n; ++i)
-            pb[i] = std::max(pb[i], bank[i]);
+        const double *v = st->bankSpread(laneIdx);
+        int *size = st->bankHullSize(laneIdx);
+        const int *start = grid->slopeStart.data();
+        for (int i = 0; i < orgCfg.nDimmsPerChannel; ++i)
+            size[i] = offerBankHullPoint(
+                st->bankHull(laneIdx, i), size[i],
+                grid->slopes.data() + start[i], start[i + 1] - start[i],
+                v[i], dram[i]);
     }
     st->energyTime(laneIdx) += dt;
     s.subsystemPower = channel_power * orgCfg.nChannels;
@@ -290,9 +290,23 @@ MemoryThermalModel::bankPeaks() const
 {
     if (!grid)
         return {};
-    const int n = orgCfg.nDimmsPerChannel * grid->cells();
-    const double *pb = st->peakBank(laneIdx);
-    return std::vector<Celsius>(pb, pb + n);
+    const std::size_t cells =
+        static_cast<std::size_t>(grid->config->cells());
+    const int *size = st->bankHullSize(laneIdx);
+    std::vector<Celsius> out(grid->cellSlope.size());
+    for (std::size_t c = 0; c < out.size(); ++c) {
+        const int d = static_cast<int>(c / cells);
+        out[c] = bankHullPeak(st->bankHull(laneIdx, d), size[d],
+                              grid->cellSlope[c]);
+    }
+    return out;
+}
+
+const std::optional<BankGridConfig> &
+MemoryThermalModel::bankGrid() const
+{
+    static const std::optional<BankGridConfig> lumped;
+    return grid ? grid->config : lumped;
 }
 
 std::vector<Watts>
@@ -334,15 +348,10 @@ MemoryThermalModel::resetToStable(GBps total_read, GBps total_write,
         e[i] = 0.0;
     }
     if (grid) {
-        const int cells = grid->cells();
-        double *bank = st->bankTemp(laneIdx);
-        double *pb = st->peakBank(laneIdx);
+        double *v = st->bankSpread(laneIdx);
         for (std::size_t i = 0; i < powers.size(); ++i)
-            for (int c = 0; c < cells; ++c) {
-                bank[i * cells + c] =
-                    stableBankAt(ambient, powers[i], cellW[i * cells + c]);
-                pb[i * cells + c] = bank[i * cells + c];
-            }
+            v[i] = stableSpreadAt(powers[i]);
+        st->restartBankHulls(laneIdx);
     }
     st->energyTime(laneIdx) = 0.0;
 }

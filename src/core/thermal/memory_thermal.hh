@@ -226,14 +226,14 @@ class MemoryThermalModel
     /**
      * Per-bank-cell peak DRAM temperatures since the last reset:
      * nDimmsPerChannel * bankGrid()->cells() entries, row-major by DIMM
-     * (DIMM 0's cells first). Empty when the model is lumped. Like
-     * dimmPeaks(), the fold happens in place every step; only this
-     * accessor materializes a vector.
+     * (DIMM 0's cells first). Empty when the model is lumped. Each step
+     * folds only one point per DIMM into the DIMM's peak hull; this
+     * accessor evaluates every cell against the hull.
      */
     std::vector<Celsius> bankPeaks() const;
 
     /** The bank-grid overlay, or std::nullopt for the lumped model. */
-    const std::optional<BankGridConfig> &bankGrid() const { return grid; }
+    const std::optional<BankGridConfig> &bankGrid() const;
 
     /**
      * Per-DIMM mean power on the representative channel since the last
@@ -275,19 +275,11 @@ class MemoryThermalModel
     {
         return ambient + p.amb * cool.psiAmbToDram + p.dram * cool.psiDram;
     }
-    /**
-     * Stable temperature of one bank cell: Eq. 3.4 with the DIMM's DRAM
-     * power scaled by the cell's smoothed heat weight @p w. The sum
-     * association matches stableDramAt exactly, and uniform weights are
-     * exactly 1.0, so a uniform cell's target — and therefore its whole
-     * trajectory, the time constants being shared — is bit-identical to
-     * the lumped DRAM node's.
-     */
-    Celsius stableBankAt(Celsius ambient, const DimmPower &p,
-                         double w) const
+    /** Stable bank spread B: a cell of weight w targets
+     *  stableDramAt + (w - 1)·B. */
+    Celsius stableSpreadAt(const DimmPower &p) const
     {
-        return ambient + p.amb * cool.psiAmbToDram +
-               (p.dram * w) * cool.psiDram;
+        return p.dram * cool.psiDram;
     }
 
     /**
@@ -311,12 +303,9 @@ class MemoryThermalModel
     /// channelPower(); empty = no refresh feedback.
     std::vector<Watts> refreshDram;
 
-    /// Bank-grid overlay; std::nullopt = lumped model, no bank state.
-    std::optional<BankGridConfig> grid;
-    /// Smoothed, cells-scaled per-cell heat weights (row-major by DIMM;
-    /// resolveBankCellWeights), precomputed once — weights are constant
-    /// over a run. Empty when lumped.
-    std::vector<double> cellW;
+    /// Bank-grid overlay constants (cell slopes), fixed for the run and
+    /// shared with its forks; null = lumped model, no bank state.
+    std::shared_ptr<const BankOverlay> grid;
 
     std::unique_ptr<ThermalBatchState> ownedState; ///< owning mode only
     ThermalBatchState *st; ///< owned or caller-owned batch state

@@ -1,5 +1,6 @@
 #include "core/thermal/thermal_batch.hh"
 
+#include <algorithm>
 #include <cmath>
 
 #include "common/logging.hh"
@@ -22,10 +23,12 @@ ThermalBatchState::ThermalBatchState(int lanes, int dimms, int bank_cells)
     peakAmbV.assign(n, 0.0);
     peakDramV.assign(n, 0.0);
     energyV.assign(n, 0.0);
-    const std::size_t nb = n * static_cast<std::size_t>(bank_cells);
-    bankTempV.assign(nb, 0.0);
-    stableBankV.assign(nb, 0.0);
-    peakBankV.assign(nb, 0.0);
+    if (bank_cells > 0) {
+        spreadV.assign(n, 0.0);
+        stableSpreadV.assign(n, 0.0);
+        hullV.resize(n * static_cast<std::size_t>(bank_cells));
+        hullSizeV.assign(n, 0);
+    }
     energyTimeV.assign(static_cast<std::size_t>(lanes), 0.0);
     tauAmbV.assign(static_cast<std::size_t>(lanes), 1.0);
     tauDramV.assign(static_cast<std::size_t>(lanes), 1.0);
@@ -63,13 +66,25 @@ ThermalBatchState::initLane(int lane, Seconds tau_amb, Seconds tau_dram,
         pd[i] = t0;
         e[i] = 0.0;
     }
-    double *bt = bankTemp(l);
-    double *pb = peakBank(l);
-    for (int i = 0; i < nDimms * nBankCells; ++i) {
-        bt[i] = t0;
-        pb[i] = t0;
+    if (nBankCells > 0) {
+        double *v = bankSpread(l);
+        for (int i = 0; i < nDimms; ++i)
+            v[i] = 0.0;
+        restartBankHulls(l);
     }
     energyTimeV[l] = 0.0;
+}
+
+void
+ThermalBatchState::restartBankHulls(int lane)
+{
+    const double *v = bankSpread(lane);
+    const double *dram = dramTemp(lane);
+    int *size = bankHullSize(lane);
+    for (int i = 0; i < nDimms; ++i) {
+        *bankHull(lane, i) = {v[i], dram[i], 0};
+        size[i] = 1;
+    }
 }
 
 void
@@ -102,12 +117,13 @@ ThermalBatchState::advanceLane(int lane)
     for (int i = 0; i < nDimms; ++i)
         dram[i] += (sd[i] - dram[i]) * dd;
     // Bank cells share the DRAM node's time constant (same silicon, same
-    // Eq. 3.5 step), so a uniform-weight cell tracks its lumped DRAM
-    // node bit-for-bit.
-    double *bank = bankTemp(l);
-    const double *sb = stableBank(l);
-    for (int i = 0; i < nDimms * nBankCells; ++i)
-        bank[i] += (sb[i] - bank[i]) * dd;
+    // Eq. 3.5 step), and so does the spread that places them around it.
+    if (nBankCells > 0) {
+        double *v = bankSpread(l);
+        const double *b = stableBankSpread(l);
+        for (int i = 0; i < nDimms; ++i)
+            v[i] += (b[i] - v[i]) * dd;
+    }
 }
 
 void
@@ -126,10 +142,13 @@ ThermalBatchState::copyLane(int dst, int src)
         peakDram(d)[i] = peakDram(s)[i];
         energy(d)[i] = energy(s)[i];
     }
-    for (int i = 0; i < nDimms * nBankCells; ++i) {
-        bankTemp(d)[i] = bankTemp(s)[i];
-        stableBank(d)[i] = stableBank(s)[i];
-        peakBank(d)[i] = peakBank(s)[i];
+    if (nBankCells > 0) {
+        for (int i = 0; i < nDimms; ++i) {
+            bankSpread(d)[i] = bankSpread(s)[i];
+            stableBankSpread(d)[i] = stableBankSpread(s)[i];
+            const int n = bankHullSize(d)[i] = bankHullSize(s)[i];
+            std::copy(bankHull(s, i), bankHull(s, i) + n, bankHull(d, i));
+        }
     }
     energyTimeV[d] = energyTimeV[s];
     tauAmbV[d] = tauAmbV[s];

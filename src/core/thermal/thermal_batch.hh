@@ -27,6 +27,12 @@
  *
  * copyLane() is an exact double-copy of every mutable per-lane field —
  * the snapshot/fork primitive of the shared-prefix batched engine.
+ *
+ * A bank-grid lane (core/thermal/bank_grid.hh) adds O(DIMMs) state, not
+ * a cell array: each DIMM's spread V (a cell of slope s sits at
+ * `D + s·V`), its staged target B, and the DIMM's peak hull of past
+ * (V, D) points, stored in a block of bankCells() vertices (the most
+ * distinct slopes a DIMM can have), so the window loop never allocates.
  */
 
 #ifndef MEMTHERM_CORE_THERMAL_THERMAL_BATCH_HH
@@ -36,6 +42,7 @@
 #include <vector>
 
 #include "common/units.hh"
+#include "core/thermal/bank_grid.hh"
 
 namespace memtherm
 {
@@ -49,8 +56,9 @@ class ThermalBatchState
     /**
      * @param lanes number of concurrent runs the state can hold (>= 1)
      * @param dimms DIMMs per lane's representative channel (>= 1)
-     * @param bank_cells bank-grid cells per DIMM; 0 (the default, and
-     *        the lumped thermal model) allocates no bank arrays
+     * @param bank_cells bank-grid cells per DIMM, which bounds each
+     *        DIMM's peak hull; 0 (the default, and the lumped thermal
+     *        model) reserves no hull
      *
      * Every temperature starts at 0; callers initialize each lane they
      * use (initLane()) before advancing it.
@@ -63,10 +71,11 @@ class ThermalBatchState
 
     /**
      * Set a lane's RC time constants and reset its temperatures, peaks
-     * and energy accumulators to @p t0. Changing a lane's taus
-     * invalidates the decay memo for the whole batch (the memo is
-     * per-batch by design), so lanes are configured before the window
-     * loop starts, never inside it.
+     * and energy accumulators to @p t0 (on a bank grid, its spreads to
+     * 0 and its hulls to (0, t0)). Changing a lane's taus invalidates
+     * the decay memo for the whole batch (the memo is per-batch by
+     * design), so lanes are configured before the window loop starts,
+     * never inside it.
      */
     void initLane(int lane, Seconds tau_amb, Seconds tau_dram, Celsius t0);
 
@@ -86,18 +95,29 @@ class ThermalBatchState
     const double *energy(int lane) const { return at(energyV, lane); }
     /// @}
 
-    /// @name Per-lane bank-grid slices, dimms() * bankCells() doubles
-    /// long, row-major by DIMM. Empty (nullptr-backed) when bankCells()
-    /// is 0 — the lumped model never touches them. Bank cells share the
-    /// DRAM node's tau, so advanceLane() steps them with decayDram and
-    /// copyLane() copies them exactly like every other mutable field.
+    /// @name Per-lane bank-grid slices, used only when bankCells() > 0.
+    /// The spread and its staged target are dimms() doubles long;
+    /// advanceLane() steps the spread with decayDram, since bank cells
+    /// share the DRAM node's tau. Each DIMM's hull is bankHull(lane, d),
+    /// of bankHullSize(lane)[d] vertices.
     /// @{
-    double *bankTemp(int lane) { return bankAt(bankTempV, lane); }
-    const double *bankTemp(int lane) const { return bankAt(bankTempV, lane); }
-    double *stableBank(int lane) { return bankAt(stableBankV, lane); }
-    double *peakBank(int lane) { return bankAt(peakBankV, lane); }
-    const double *peakBank(int lane) const { return bankAt(peakBankV, lane); }
+    double *bankSpread(int lane) { return at(spreadV, lane); }
+    double *stableBankSpread(int lane) { return at(stableSpreadV, lane); }
+    BankHullVertex *bankHull(int lane, int d) { return &hullV[at(lane, d)]; }
+    const BankHullVertex *bankHull(int lane, int d) const
+    {
+        return &hullV[at(lane, d)];
+    }
+    int *bankHullSize(int lane) { return at(hullSizeV, lane); }
+    const int *bankHullSize(int lane) const { return at(hullSizeV, lane); }
     /// @}
+
+    /**
+     * Restart each of a bank-grid lane's DIMM hulls from the lane's
+     * current point (spread, DRAM temperature): after initLane() and
+     * after a reset to the stable point.
+     */
+    void restartBankHulls(int lane);
 
     /** Time a lane's energy accumulators have integrated over. */
     Seconds &energyTime(int lane) { return energyTimeV[checked(lane)]; }
@@ -111,47 +131,39 @@ class ThermalBatchState
      */
     void ensureDecay(Seconds dt);
 
-    /** Decay factor 1 - exp(-dt / tauAmb) of the last ensureDecay(). */
-    double decayAmb(int lane) const { return decayAmbV[checked(lane)]; }
-    /** Decay factor 1 - exp(-dt / tauDram) of the last ensureDecay(). */
-    double decayDram(int lane) const { return decayDramV[checked(lane)]; }
-
     /**
      * Advance one lane's temperatures toward the staged stable targets
      * using the memoized decay factors: the Eq. 3.5 step
      * `T += (T_stable - T) * (1 - exp(-dt / tau))` for every node, as
-     * two tight sweeps over the lane's contiguous AMB and DRAM arrays.
+     * two tight sweeps over the lane's contiguous AMB and DRAM arrays
+     * (and a third over the bank spreads on a bank grid).
      * ensureDecay() must have been called for the intended dt.
      */
     void advanceLane(int lane);
 
     /**
      * Exact copy of every mutable per-lane field (temperatures, staged
-     * targets, peaks, energy, energy time, taus and decay factors) from
-     * lane @p src to lane @p dst — the snapshot/fork primitive. A forked
-     * lane continues bit-identically to a run that had computed the
-     * prefix itself.
+     * targets, peaks, energy, energy time, taus, decay factors, bank
+     * spreads and hulls) from lane @p src to lane @p dst — the
+     * snapshot/fork primitive. A forked lane continues bit-identically
+     * to a run that had computed the prefix itself.
      */
     void copyLane(int dst, int src);
 
   private:
-    double *at(std::vector<double> &v, int lane)
+    template <typename T> T *at(std::vector<T> &v, int lane)
     {
         return v.data() + static_cast<std::size_t>(checked(lane)) * nDimms;
     }
-    const double *at(const std::vector<double> &v, int lane) const
+    template <typename T> const T *at(const std::vector<T> &v, int lane) const
     {
         return v.data() + static_cast<std::size_t>(checked(lane)) * nDimms;
     }
-    double *bankAt(std::vector<double> &v, int lane)
+    std::size_t at(int lane, int dimm) const
     {
-        return v.data() + static_cast<std::size_t>(checked(lane)) * nDimms *
-                              nBankCells;
-    }
-    const double *bankAt(const std::vector<double> &v, int lane) const
-    {
-        return v.data() + static_cast<std::size_t>(checked(lane)) * nDimms *
-                              nBankCells;
+        return (static_cast<std::size_t>(checked(lane)) * nDimms +
+                static_cast<std::size_t>(dimm)) *
+               nBankCells;
     }
     int checked(int lane) const;
 
@@ -168,9 +180,10 @@ class ThermalBatchState
     std::vector<double> energyV;     ///< per-DIMM energy since reset (J)
     std::vector<Seconds> energyTimeV;
 
-    std::vector<double> bankTempV;   ///< bank-cell temperatures
-    std::vector<double> stableBankV; ///< staged stable bank-cell targets
-    std::vector<double> peakBankV;   ///< per-cell maxima since reset
+    std::vector<double> spreadV;       ///< per-DIMM bank spread V
+    std::vector<double> stableSpreadV; ///< staged spread targets B
+    std::vector<BankHullVertex> hullV; ///< bankCells() per DIMM
+    std::vector<int> hullSizeV;        ///< vertices in use per DIMM
 
     std::vector<Seconds> tauAmbV;  ///< per-lane AMB time constant
     std::vector<Seconds> tauDramV; ///< per-lane DRAM time constant

@@ -18,7 +18,9 @@
 #include <new>
 #include <string>
 
+#include "common/rng.hh"
 #include "core/dtm/basic_policies.hh"
+#include "core/dtm/remap_policy.hh"
 #include "core/sim/experiment.hh"
 
 namespace
@@ -76,23 +78,34 @@ namespace memtherm
 namespace
 {
 
-/** Heap allocations made by one run of W1 under @p policy. */
+/**
+ * Heap allocations made by one batch of W1 under @p policies (one
+ * policy: exactly ThermalSimulator::run).
+ */
 std::size_t
-allocationsOfRun(DtmPolicy &policy, Seconds max_sim_time)
+allocationsOfRun(SimConfig cfg, const std::vector<DtmPolicy *> &policies,
+                 Seconds max_sim_time)
 {
-    SimConfig cfg = makeCh4Config(coolingAohs15(), false);
     cfg.maxSimTime = max_sim_time;
     ThermalSimulator sim(cfg);
     Workload w1 = workloadMix("W1");
 
     const std::size_t before = allocations.load();
-    SimResult r = sim.run(w1, policy);
+    ThermalSimulator::Scratch scratch;
+    BatchStats stats;
+    std::vector<SimResult> rs = sim.runBatch(w1, policies, scratch, &stats);
     const std::size_t made = allocations.load() - before;
 
     // The runs must be cut by maxSimTime, or the longer one simulates
     // no extra windows and the check below proves nothing.
-    EXPECT_FALSE(r.completed) << policy.name();
-    EXPECT_NEAR(r.runningTime, max_sim_time, cfg.window) << policy.name();
+    for (const SimResult &r : rs) {
+        EXPECT_FALSE(r.completed) << r.policy;
+        EXPECT_NEAR(r.runningTime, max_sim_time, cfg.window) << r.policy;
+    }
+    // A batch of several policies must fork, or it tests one lane.
+    if (policies.size() > 1) {
+        EXPECT_GT(stats.forks, 0u);
+    }
     return made;
 }
 
@@ -102,13 +115,21 @@ allocationsOfRun(DtmPolicy &policy, Seconds max_sim_time)
  * anywhere in the loop would cost 600.
  */
 void
+expectNoPerWindowAllocation(const SimConfig &cfg,
+                            const std::vector<DtmPolicy *> &policies)
+{
+    const std::size_t short_run = allocationsOfRun(cfg, policies, 2.0);
+    const std::size_t long_run = allocationsOfRun(cfg, policies, 8.0);
+    EXPECT_LE(long_run, short_run + 32)
+        << policies.front()->name() << ": " << short_run
+        << " allocations in 2 s, " << long_run << " in 8 s";
+}
+
+void
 expectNoPerWindowAllocation(DtmPolicy &policy)
 {
-    const std::size_t short_run = allocationsOfRun(policy, 2.0);
-    const std::size_t long_run = allocationsOfRun(policy, 8.0);
-    EXPECT_LE(long_run, short_run + 32)
-        << policy.name() << ": " << short_run << " allocations in 2 s, "
-        << long_run << " in 8 s";
+    expectNoPerWindowAllocation(makeCh4Config(coolingAohs15(), false),
+                                {&policy});
 }
 
 TEST(AllocationFree, WindowLoopDoesNotAllocatePerWindow)
@@ -133,6 +154,33 @@ TEST(AllocationFree, ThrottledWindowsDoNotAllocate)
                               static_cast<DtmPolicy *>(&acg),
                               static_cast<DtmPolicy *>(&cdvfs)})
         expectNoPerWindowAllocation(*policy);
+}
+
+TEST(AllocationFree, BankGridWindowsDoNotAllocate)
+{
+    // A 4x8 organization under a 32x16 grid of random bank weights. The
+    // remap policy's limits sit below any temperature, so it moves
+    // traffic between the DIMMs every 0.1 s; batched with a throttling
+    // DTM-BW, the lanes fork at the first decision.
+    SimConfig cfg = makeCh4Config(coolingAohs15(), false);
+    cfg.org = MemoryOrgConfig{4, 8};
+    BankGridConfig grid{32, 16, {}};
+    Rng rng(20261018);
+    double sum = 0.0;
+    for (int c = 0; c < grid.cells(); ++c)
+        sum += grid.weights.emplace_back(rng.uniform());
+    for (double &w : grid.weights)
+        w /= sum;
+    cfg.bankGrid = grid;
+
+    RemapConfig rc;
+    rc.interval = 0.1;
+    rc.limits.ambTdp = rc.limits.dramTdp = 10.0;
+    RemapPolicy remap(RemapPolicy::Band::Greedy, rc);
+    LeveledPolicy bw = makeCh4BwPolicy(
+        EmergencyLevels({10.0, 20.0, 30.0, 300.0}, {10.0, 20.0, 30.0, 300.0}));
+    expectNoPerWindowAllocation(cfg, {&remap});
+    expectNoPerWindowAllocation(cfg, {&remap, &bw});
 }
 
 } // namespace

@@ -136,16 +136,19 @@ TEST(ThermalBatchState, ZeroStepIsIdentity)
         st.stableAmb(0)[i] = 120.0;
         st.stableDram(0)[i] = 120.0;
     }
-    for (int i = 0; i < 6; ++i)
-        st.stableBank(0)[i] = 120.0;
+    for (int i = 0; i < 2; ++i)
+        st.stableBankSpread(0)[i] = 120.0;
     st.ensureDecay(0.0);
     st.advanceLane(0);
     for (int i = 0; i < 2; ++i) {
         EXPECT_EQ(st.ambTemp(0)[i], 75.0);
         EXPECT_EQ(st.dramTemp(0)[i], 75.0);
+        // Every cell, D + s·V, stays at 75 for any slope s.
+        EXPECT_EQ(st.bankSpread(0)[i], 0.0);
+        ASSERT_EQ(st.bankHullSize(0)[i], 1);
+        EXPECT_EQ(st.bankHull(0, i)->v, 0.0);
+        EXPECT_EQ(st.bankHull(0, i)->d, 75.0);
     }
-    for (int i = 0; i < 6; ++i)
-        EXPECT_EQ(st.bankTemp(0)[i], 75.0);
 }
 
 TEST(ThermalBatchState, NeverOvershootsStable)

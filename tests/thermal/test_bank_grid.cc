@@ -481,6 +481,11 @@ TEST(BankGridScenario, SpecValidationErrors)
     expectFatal(bad, "grid dimensions must be >= 1");
     bad.value = BankGridConfig{64, 64, {}};
     expectFatal(bad, "the limit is 1024");
+    // Dimensions whose int product wraps: to 0, and to -1.
+    bad.value = BankGridConfig{65536, 65536, {}};
+    expectFatal(bad, "has 4294967296 cells per DIMM; the limit is 1024");
+    bad.value = BankGridConfig{65537, 65535, {}};
+    expectFatal(bad, "has 4294967295 cells per DIMM; the limit is 1024");
     bad.value = BankGridConfig{2, 2, {0.5, 0.5}};
     expectFatal(bad, "2 bank weight(s) but the grid has 4 cell(s)");
     bad.value = BankGridConfig{1, 2, {0.5, -0.5}};
