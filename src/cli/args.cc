@@ -116,14 +116,10 @@ cliCommands()
           {"--copies", "<n>", Count{&C::copies, kMaxBatchCopies},
            "override the batch depth and drop any\n"
            "copies sweep (quick looks, smoke tests)"},
-          {"--batch", "<k>", Count{&C::batch},
-           "execute runs that differ only by policy\n"
-           "in lockstep batches of up to k lanes,\n"
-           "sharing their simulated prefix (works\n"
-           "with --stream, --shard and --resume)"},
           golden,
           tol,
-          quiet("suppress the summary table")}},
+          quiet("suppress the summary table and the\n"
+                "prefix-sharing line")}},
         {"merge", Command::Merge, "<stream.jsonl>... [options]",
          Positionals::Many,
          {{"-o", "<file>", Text{&C::out},

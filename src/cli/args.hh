@@ -36,7 +36,6 @@ struct CliArgs
     double tol = 1e-9;
     int threads = 0; ///< 0: MEMTHERM_THREADS or hardware
     int copies = 0;  ///< 0: the scenario's own
-    int batch = 0;   ///< 0: unbatched, and no batch summary line
     bool resume = false, traces = false, quiet = false;
     TraceGenConfig gen;
 };

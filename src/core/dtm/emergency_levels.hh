@@ -41,6 +41,8 @@ class EmergencyLevels
     const std::vector<Celsius> &ambBounds() const { return ambB; }
     const std::vector<Celsius> &dramBounds() const { return dramB; }
 
+    bool operator==(const EmergencyLevels &) const = default;
+
   private:
     std::vector<Celsius> ambB;
     std::vector<Celsius> dramB;

@@ -118,11 +118,19 @@ ExperimentEngine::runBatched(const std::vector<Run> &runs,
     using clock = std::chrono::steady_clock;
 
     // The classes must tile the run list in order — every run belongs to
-    // exactly one class, so delivery covers every index exactly once.
+    // exactly one class, so delivery covers every index exactly once —
+    // and a chunk simulates its first run's config and workload for all.
     std::size_t covered = 0;
     for (const RunClass &c : classes) {
-        panicIfNot(c.first == covered && c.count >= 1,
+        panicIfNot(c.first == covered && c.count >= 1 &&
+                       c.count <= runs.size() - covered,
                    "runBatched: classes must tile the run list in order");
+        const Run &head = runs[c.first];
+        for (std::size_t i = c.first + 1; i < c.first + c.count; ++i)
+            panicIfNot(runs[i].cfg == head.cfg &&
+                           runs[i].workload.name == head.workload.name,
+                       "runBatched: a class's runs must share their "
+                       "config and workload");
         covered += c.count;
     }
     panicIfNot(covered == runs.size(),

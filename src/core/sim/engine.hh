@@ -103,12 +103,10 @@ class ExperimentEngine
 
     /**
      * A contiguous span of a run list whose members differ ONLY by
-     * policy: same config, same workload, same factory behavior. Runs
-     * inside one class may legally share their simulated prefix (see
-     * runBatched()); the scenario layer derives classes structurally
-     * from its lowering order, which is the only place the "policy-
-     * independent equivalence" invariant can be asserted cheaply
-     * (SimConfig has no operator==).
+     * policy: equal configs, the same workload, the same factory
+     * behavior. Runs inside one class may legally share their simulated
+     * prefix (see runBatched()); the scenario layer derives classes
+     * from run content (ScenarioSpec::lower()).
      */
     struct RunClass
     {
@@ -144,13 +142,13 @@ class ExperimentEngine
      * engine itself never owns a result vector.
      *
      * @p classes must tile [0, runs.size()) in order, and every class's
-     * runs must share config + workload (only the policy may differ);
-     * violating that is the caller's bug and produces wrong results,
-     * which is why only the scenario layer constructs multi-run classes.
-     * A failure while building one run's policy fails only that run; a
-     * failure inside a batched simulation fails every run of the chunk
-     * (their shared state is poisoned). @p stats, when non-null,
-     * accumulates the batch counters across all chunks.
+     * runs must have equal configs and one workload name (only the
+     * policy may differ); a class that breaks either is the caller's
+     * bug and panics before any run starts. A failure while building
+     * one run's policy fails only that run; a failure inside a batched
+     * simulation fails every run of the chunk (their shared state is
+     * poisoned). @p stats, when non-null, accumulates the batch counters
+     * across all chunks.
      */
     void runBatched(const std::vector<Run> &runs,
                     const std::vector<RunClass> &classes, int batch_width,

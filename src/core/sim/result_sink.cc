@@ -422,11 +422,14 @@ class GridSink : public RunSink
  * Classes are recomputed over the subset: consecutive survivors of one
  * lowered class form one class, so a shard or a resumed remainder still
  * shares prefixes among the class-mates it holds. @p width is the
- * engine's chunk width (1 = unbatched, < 1 = one chunk per class).
+ * engine's chunk width (1 = unbatched, < 1 = one chunk per class);
+ * without one, the width follows from what runs: whole classes when the
+ * subset holds at least as many classes as the engine has threads,
+ * otherwise ceil(runs / threads) lanes, so no thread idles.
  */
 void
-runGrid(const ScenarioSpec &spec, ExperimentEngine &engine, int width,
-        GridSink &sink, BatchStats *stats)
+runGrid(const ScenarioSpec &spec, ExperimentEngine &engine,
+        std::optional<int> width, GridSink &sink, BatchStats *stats)
 {
     LoweredScenario low = spec.lower();
     std::vector<ExperimentEngine::Run> all;
@@ -461,7 +464,14 @@ runGrid(const ScenarioSpec &spec, ExperimentEngine &engine, int width,
         todo.push_back(std::move(all[k]));
     }
 
-    engine.runBatched(todo, classes, width, sink, stats);
+    if (!width) {
+        const std::size_t threads =
+            static_cast<std::size_t>(engine.threads());
+        width = classes.size() >= threads
+                    ? 0
+                    : static_cast<int>((todo.size() + threads - 1) / threads);
+    }
+    engine.runBatched(todo, classes, *width, sink, stats);
 
     // Completion order is nondeterministic; sort for stable output.
     std::sort(sink.failures.begin(), sink.failures.end(),
@@ -490,6 +500,18 @@ class DocumentSink : public GridSink
         grid->place(doc, k, std::move(r));
     }
 };
+
+/** runScenario() and runScenarioBatched(): the grid as one document. */
+ScenarioResults
+runDocument(const ScenarioSpec &spec, ExperimentEngine &engine,
+            std::optional<int> width, BatchStats *stats)
+{
+    DocumentSink sink;
+    runGrid(spec, engine, width, sink, stats);
+    sink.doc.scenario = spec.name;
+    sink.doc.errors = std::move(sink.failures);
+    return std::move(sink.doc);
+}
 
 /**
  * runScenarioStream()'s sink: selects this shard's runs the stream has
@@ -603,17 +625,14 @@ ScenarioResults
 runScenarioBatched(const ScenarioSpec &spec, ExperimentEngine &engine,
                    int batch_width, BatchStats *stats)
 {
-    DocumentSink sink;
-    runGrid(spec, engine, batch_width, sink, stats);
-    sink.doc.scenario = spec.name;
-    sink.doc.errors = std::move(sink.failures);
-    return std::move(sink.doc);
+    return runDocument(spec, engine, batch_width, stats);
 }
 
 ScenarioResults
-runScenario(const ScenarioSpec &spec, ExperimentEngine &engine)
+runScenario(const ScenarioSpec &spec, ExperimentEngine &engine,
+            BatchStats *stats)
 {
-    return runScenarioBatched(spec, engine, 1);
+    return runDocument(spec, engine, std::nullopt, stats);
 }
 
 ScenarioResults
@@ -629,7 +648,7 @@ runScenarioStream(const ScenarioSpec &spec, ExperimentEngine &engine,
 {
     StreamRunStats stats;
     StreamWriteSink sink(spec, opts, stats);
-    runGrid(spec, engine, opts.batchWidth, sink, &stats.batch);
+    runGrid(spec, engine, std::nullopt, sink, &stats.batch);
     stats.failed = sink.failures.size();
     stats.failures = std::move(sink.failures);
     return stats;

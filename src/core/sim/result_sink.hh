@@ -22,8 +22,8 @@
  *    one scenario file). It shares one runner with runScenario() and
  *    runScenarioBatched() (scenario.hh, defined here): lower, flatten,
  *    inject faults, execute a subset of the global runs, and map the
- *    engine's indices back — so batching (`--batch`) composes with
- *    streams, shards and resume alike.
+ *    engine's indices back — so prefix sharing composes with streams,
+ *    shards and resume alike.
  *  - mergeStreams() folds shard/resume streams back into the canonical
  *    results JSON, bit-identical to what an uninterrupted unsharded
  *    `memtherm run -o` writes. It owns no document format: records
@@ -198,9 +198,6 @@ struct StreamRunOptions
     bool resume = false;  ///< continue an existing stream
     ShardSpec shard;      ///< this invocation's slice of the grid
     bool traces = false;  ///< embed full traces in result lines
-    /// Engine chunk width (`--batch`): 1 = unbatched, < 1 = one chunk per
-    /// class. Records stay per run whatever the width.
-    int batchWidth = 1;
 };
 
 /** What one runScenarioStream() invocation did. */
@@ -219,8 +216,9 @@ struct StreamRunStats
  * Execute a scenario with streaming results: lower the grid, filter to
  * this shard (and, on resume, to indices the stream has not completed),
  * and append each result to the stream as it finishes. Class-mates that
- * survive the filter still share their prefix at opts.batchWidth; a
- * crash loses at most the chunks in flight, which a resume reruns. On
+ * survive the filter still share their prefix, at runScenario()'s chunk
+ * width, and records stay one per run; a crash loses at most the chunks
+ * in flight, which a resume reruns. On
  * resume the header's spec hash, total run count, shard, and traces
  * flag must all match — FatalError otherwise; failed indices are
  * retried. A resume

@@ -52,6 +52,37 @@ specError(const ScenarioSpec &spec, const std::string &what)
 }
 
 /**
+ * Warn when a decoded trace puts every byte of a DIMM it touches on
+ * fewer cells than the bank grid has: the DIMM's whole DRAM power then
+ * heats those cells, at scaled weights up to the cell count.
+ */
+void
+warnIfSparse(const ScenarioSpec &spec, const std::array<int, 3> &geometry,
+             const TraceProfile &p)
+{
+    const int cells = geometry[2];
+    int sparse = 0;
+    double heaviest = 0.0;
+    for (int d = 0; d < geometry[1]; ++d) {
+        if (p.dimmShares[d] == 0.0)
+            continue;
+        const auto w = p.bankWeights.begin() + d * cells;
+        if (std::count(w, w + cells, 0.0) == 0)
+            continue;
+        ++sparse;
+        heaviest = std::max(heaviest, *std::max_element(w, w + cells));
+    }
+    if (sparse == 0)
+        return;
+    warn(specWho(spec) + ": trace '" + spec.trace + "' puts all the bytes "
+         "of " + std::to_string(sparse) + " DIMM(s) on fewer than the " +
+         std::to_string(cells) + " bank cells of the grid (" +
+         std::to_string(geometry[0]) + " channel(s) x " +
+         std::to_string(geometry[1]) + " DIMM(s)); the largest scaled cell "
+         "weight is " + numStr(heaviest * cells) + " (the mean is 1)");
+}
+
+/**
  * Where a value sits in a scenario document: a chain of member keys and
  * array indices, rendered ("sweep.memory_org[0].dimms") only when an
  * error names it, so reading a valid document formats nothing.
@@ -1234,11 +1265,14 @@ ScenarioSpec::lower() const
                 cfg.org.nChannels, cfg.org.nDimmsPerChannel,
                 cfg.bankGrid ? cfg.bankGrid->cells() : 0};
             auto it = traceProfiles.find(key);
-            if (it == traceProfiles.end())
+            if (it == traceProfiles.end()) {
                 it = traceProfiles
                          .emplace(key, decodeTrace(traceRecords, key[0],
                                                    key[1], key[2]))
                          .first;
+                if (key[2] > 0)
+                    warnIfSparse(*this, key, it->second);
+            }
             cfg.trafficShares = it->second.dimmShares;
             if (cfg.bankGrid)
                 cfg.bankGrid->weights = it->second.bankWeights;
@@ -1287,13 +1321,15 @@ ScenarioSpec::lower() const
 
         // Equivalence classes over the global run order (see the header's
         // LoweredScenario::classes contract): the runs were just emitted
-        // workload-major with the policy fastest, which is exactly the
-        // contiguity the classes assert. ch5EngineRun specializes the
-        // config per policy (SR1500AL "No-limit" runs at a 26 C room
-        // ambient), so platform runs never share a prefix.
-        const std::size_t width = plat ? 1 : policies.size();
-        for (std::size_t r = 0; r < pt.runs.size(); r += width)
-            out.classes.push_back({nRuns + r, width});
+        // workload-major with the policy fastest, so a class is a stretch
+        // of one workload's runs whose configs compare equal.
+        for (std::size_t r = 0; r < pt.runs.size(); ++r) {
+            if (r % policies.size() != 0 &&
+                pt.runs[r].cfg == pt.runs[r - 1].cfg)
+                ++out.classes.back().count;
+            else
+                out.classes.push_back({nRuns + r, 1});
+        }
         nRuns += pt.runs.size();
         out.points.push_back(std::move(pt));
 

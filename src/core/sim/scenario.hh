@@ -78,13 +78,12 @@ struct LoweredScenario
     /**
      * Policy-independent equivalence classes over the concatenated run
      * list (global grid order): each class spans runs that differ only
-     * by policy — same point configuration, same workload — so a
-     * batched engine may share their simulated prefix. Derived
-     * structurally from the lowering order (runs are workload-major
-     * with the policy fastest): one class of size policies.size() per
-     * (point, workload) — except on Chapter 5 platforms, where
-     * ch5EngineRun adjusts the configuration per policy (the SR1500AL
-     * "No-limit" room-ambient protocol), so every run is its own class.
+     * by policy, so the engine may share their simulated prefix. Derived
+     * from run content: a class is a stretch of consecutive runs of one
+     * (point, workload) whose SimConfigs compare equal. That is one
+     * class per (point, workload) on Chapter 4 grids and on PE1950;
+     * on SR1500AL, whose "No-limit" run moves to a 26 C room ambient
+     * (ch5EngineRun), that run is a class of its own.
      */
     std::vector<ExperimentEngine::RunClass> classes;
 
@@ -314,28 +313,29 @@ struct ScenarioResults
 };
 
 /**
- * Execute a scenario on an engine. Results are bit-identical to hand
- * the same runs to ExperimentEngine directly (the spec only *describes*
- * the runs; the engine's determinism guarantees do the rest). A run
- * that throws becomes a RunError in the returned results; every other
- * run's result is still delivered. This is runScenarioBatched() at
- * width 1; both are defined in core/sim/result_sink.cc, sharing one
- * runner with runScenarioStream().
+ * Execute a scenario on an engine. Runs inside one policy-independent
+ * equivalence class (LoweredScenario::classes) share their simulated
+ * prefix, in engine chunks whose width follows from the grid and the
+ * engine: whole classes when there are at least as many classes as
+ * engine threads, otherwise ceil(runs / threads) lanes, so every thread
+ * gets work. Results are bit-identical to running each run alone (the
+ * spec only *describes* the runs; the engine's determinism guarantees
+ * do the rest). A run that throws becomes a RunError in the returned
+ * results; every other run's result is still delivered. @p stats, when
+ * non-null, accumulates the grid's prefix-sharing counters. Defined in
+ * core/sim/result_sink.cc, sharing one runner with runScenarioStream().
  */
 ScenarioResults runScenario(const ScenarioSpec &spec,
-                            ExperimentEngine &engine);
+                            ExperimentEngine &engine,
+                            BatchStats *stats = nullptr);
 
 /** Convenience overload: a default-sized engine (MEMTHERM_THREADS). */
 ScenarioResults runScenario(const ScenarioSpec &spec);
 
 /**
- * Execute a scenario through the engine's batched path: runs inside one
- * policy-independent equivalence class (LoweredScenario::classes) share
- * their simulated prefix, in lockstep chunks of up to @p batch_width
- * lanes (< 1 = one chunk per class). Every batched run is
- * bit-identical to its unbatched twin (pinned by gtest, and by the
- * batched golden checks at the same 1e-9 tolerance as unbatched ones).
- * @p stats, when non-null, accumulates the grid's batch counters.
+ * runScenario() at a fixed chunk width of up to @p batch_width lanes
+ * (< 1 = one chunk per class); width 1 is the scalar reference, one
+ * lane per run, which tests compare against.
  */
 ScenarioResults runScenarioBatched(const ScenarioSpec &spec,
                                    ExperimentEngine &engine,

@@ -113,6 +113,10 @@ struct SimConfig
     double sensorNoiseSigma = 0.0;
     double sensorQuant = 0.0;
     std::uint64_t sensorSeed = 42;
+
+    /// Runs whose configs compare equal may share a simulated prefix
+    /// (ScenarioSpec::lower() derives its batching classes from it).
+    bool operator==(const SimConfig &) const = default;
 };
 
 /**

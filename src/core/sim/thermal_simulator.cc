@@ -107,11 +107,7 @@ ThermalSimulator::Lane::Lane(const Lane &src, ThermalBatchState &state,
       rotation(src.rotation),
       decided(src.decided),
       t(src.t),
-      live(src.live),
-      pendingCpuPower(src.pendingCpuPower),
-      pendingInlet(src.pendingInlet),
-      pendingRead(src.pendingRead),
-      pendingWrite(src.pendingWrite)
+      live(src.live)
 {
     // slot holds pointers into src.batch's pool; rebase them onto the
     // copied pool (same indices — the pools are element-wise copies).
@@ -162,7 +158,7 @@ ThermalSimulator::applyDecision(Lane &lane, const DtmAction &a) const
 }
 
 void
-ThermalSimulator::windowPre(Lane &lane, Scratch &scratch) const
+ThermalSimulator::windowStep(Lane &lane, Scratch &scratch) const
 {
     const Seconds dt = cfg.window;
     const Seconds eps = dt * 1e-6;
@@ -321,7 +317,7 @@ ThermalSimulator::windowPre(Lane &lane, Scratch &scratch) const
     lane.res.totalReadGB += read * dt;
     lane.res.totalWriteGB += write * dt;
 
-    // --- power + staged thermal --------------------------------------
+    // --- power + thermal ----------------------------------------------
     Watts cpu_power;
     if (cfg.cpuPowerActivity) {
         activities.clear();
@@ -342,24 +338,11 @@ ThermalSimulator::windowPre(Lane &lane, Scratch &scratch) const
     }
 
     Celsius inlet = lane.ambient.advance(sum_v_ipc, cpu_power, dt);
-    lane.mem.stageAdvance(read, write, inlet, dt);
+    MemoryThermalSample ms = lane.mem.advance(read, write, inlet, dt);
 
-    lane.pendingCpuPower = cpu_power;
-    lane.pendingInlet = inlet;
-    lane.pendingRead = read;
-    lane.pendingWrite = write;
-}
-
-void
-ThermalSimulator::windowPost(Lane &lane) const
-{
-    const Seconds dt = cfg.window;
-    const Seconds eps = dt * 1e-6;
-
-    MemoryThermalSample ms = lane.mem.finishAdvance(dt);
-
+    // --- peaks, energy, traces, clock ---------------------------------
     lane.res.memEnergy += ms.subsystemPower * dt;
-    lane.res.cpuEnergy += lane.pendingCpuPower * dt;
+    lane.res.cpuEnergy += cpu_power * dt;
     lane.res.maxAmb = std::max(lane.res.maxAmb, ms.hottestAmb);
     lane.res.maxDram = std::max(lane.res.maxDram, ms.hottestDram);
     if (ms.hottestAmb > cfg.limits.ambTdp)
@@ -370,14 +353,15 @@ ThermalSimulator::windowPost(Lane &lane) const
     if (lane.t + eps >= lane.nextTrace) {
         lane.res.ambTrace.add(ms.hottestAmb);
         lane.res.dramTrace.add(ms.hottestDram);
-        lane.res.inletTrace.add(lane.pendingInlet);
-        lane.res.cpuPowerTrace.add(lane.pendingCpuPower);
-        lane.res.bwTrace.add(lane.pendingRead + lane.pendingWrite);
+        lane.res.inletTrace.add(inlet);
+        lane.res.cpuPowerTrace.add(cpu_power);
+        lane.res.bwTrace.add(read + write);
         lane.nextTrace += cfg.traceSample;
     }
 
     lane.t += dt;
     lane.live = !lane.batch.done() && lane.t < cfg.maxSimTime;
+    lane.decided = false;
 }
 
 void
@@ -447,92 +431,66 @@ ThermalSimulator::runBatch(const Workload &mix,
     std::vector<DtmAction> actions;
     std::vector<std::size_t> uniq;
     std::vector<std::size_t> bucket;
+    std::vector<SimResult> out(n_pol);
 
-    for (;;) {
-        bool any_live = false;
-        for (const Group &g : groups)
-            any_live |= g.lane.live;
-        if (!any_live)
-            break;
-
-        // --- decide phase: sense once per group, ask every member's
-        //     policy, fork the lane where their actions diverge --------
-        const std::size_t n_at_start = groups.size();
-        for (std::size_t gi = 0; gi < n_at_start; ++gi) {
-            Group &g = groups[gi];
-            if (!g.lane.live)
-                continue;
-            g.lane.decided = false;
-            if (!(g.lane.t + eps >= g.lane.nextDtm))
-                continue;
-            // Sense BEFORE forking: the sensor draws land in the shared
-            // RNG, so every member's stream position matches the one
-            // draw its from-scratch run would have made here.
-            senseLane(g.lane);
-            actions.clear();
-            for (std::size_t m : g.members)
-                actions.push_back(
-                    policies[m]->decide(g.lane.reading, g.lane.t));
-            // Partition members by action equality, first-seen order.
-            uniq.clear();
-            bucket.clear();
-            for (std::size_t i = 0; i < actions.size(); ++i) {
-                std::size_t b = 0;
-                while (b < uniq.size() && !(actions[uniq[b]] == actions[i]))
-                    ++b;
-                if (b == uniq.size())
-                    uniq.push_back(i);
-                bucket.push_back(b);
-            }
-            // Forked groups clone the PRE-decision lane (g.lane is not
-            // mutated until after every clone is taken), then each gets
-            // its own action applied — exactly what its members' from-
-            // scratch runs would have computed at this window.
-            for (std::size_t b = 1; b < uniq.size(); ++b) {
-                panicIfNot(next_lane < static_cast<int>(n_pol),
-                           "runBatch: lane budget exceeded");
-                groups.push_back(
-                    Group{Lane(g.lane, state, next_lane), {}});
-                ++next_lane;
+    // Depth first: each group runs to completion before the next one
+    // starts. A fork appends groups that resume from the fork window on
+    // lanes of their own; groups never interact after a fork, so the
+    // order in which they run cannot change a result.
+    for (std::size_t gi = 0; gi < groups.size(); ++gi) {
+        Group &g = groups[gi];
+        while (g.lane.live) {
+            // A forked group enters mid-window with its decision for
+            // that window already applied (decided is set).
+            if (!g.lane.decided && g.lane.t + eps >= g.lane.nextDtm) {
+                // Sense BEFORE forking: the sensor draws land in the
+                // shared RNG, so every member's stream position matches
+                // the one draw its from-scratch run would have made here.
+                senseLane(g.lane);
+                actions.clear();
+                for (std::size_t m : g.members)
+                    actions.push_back(
+                        policies[m]->decide(g.lane.reading, g.lane.t));
+                // Partition members by action equality, first-seen order.
+                uniq.clear();
+                bucket.clear();
+                for (std::size_t i = 0; i < actions.size(); ++i) {
+                    std::size_t b = 0;
+                    while (b < uniq.size() &&
+                           !(actions[uniq[b]] == actions[i]))
+                        ++b;
+                    if (b == uniq.size())
+                        uniq.push_back(i);
+                    bucket.push_back(b);
+                }
+                // Forked groups clone the PRE-decision lane (g.lane is
+                // not mutated until after every clone is taken), then
+                // each gets its own action applied: exactly what its
+                // members' from-scratch runs would have computed here.
+                for (std::size_t b = 1; b < uniq.size(); ++b) {
+                    panicIfNot(next_lane < static_cast<int>(n_pol),
+                               "runBatch: lane budget exceeded");
+                    groups.push_back(
+                        Group{Lane(g.lane, state, next_lane), {}});
+                    ++next_lane;
+                    for (std::size_t i = 0; i < bucket.size(); ++i)
+                        if (bucket[i] == b)
+                            groups.back().members.push_back(g.members[i]);
+                    applyDecision(groups.back().lane, actions[uniq[b]]);
+                    ++local.forks;
+                }
+                applyDecision(g.lane, actions[uniq[0]]);
+                std::size_t kept = 0;
                 for (std::size_t i = 0; i < bucket.size(); ++i)
-                    if (bucket[i] == b)
-                        groups.back().members.push_back(g.members[i]);
-                applyDecision(groups.back().lane, actions[uniq[b]]);
-                ++local.forks;
+                    if (bucket[i] == 0)
+                        g.members[kept++] = g.members[i];
+                g.members.resize(kept);
             }
-            applyDecision(g.lane, actions[uniq[0]]);
-            std::size_t kept = 0;
-            for (std::size_t i = 0; i < bucket.size(); ++i)
-                if (bucket[i] == 0)
-                    g.members[kept++] = g.members[i];
-            g.members.resize(kept);
-        }
-        // Groups appended above already carry this window's decision
-        // (decided = true, nextDtm advanced) and take the window step
-        // with everyone else below.
-
-        // --- pre phase: schedule, solve, progress, power, stage -------
-        for (Group &g : groups)
-            if (g.lane.live)
-                windowPre(g.lane, scratch);
-
-        // --- the shared temperature sweep, lane by lane ---------------
-        for (Group &g : groups)
-            if (g.lane.live)
-                g.lane.mem.commitStaged();
-
-        // --- post phase: peaks, energy, traces, clock -----------------
-        for (Group &g : groups) {
-            if (!g.lane.live)
-                continue;
-            windowPost(g.lane);
+            windowStep(g.lane, scratch);
             local.simulatedWindows += 1.0;
             local.logicalWindows += static_cast<double>(g.members.size());
         }
-    }
 
-    std::vector<SimResult> out(n_pol);
-    for (Group &g : groups) {
         finalizeLane(g.lane);
         for (std::size_t k = 0; k < g.members.size(); ++k) {
             const std::size_t m = g.members[k];

@@ -11,14 +11,15 @@
  * interval. Batch-job scheduling (N copies of each application, round-
  * robin core assignment, Section 4.3.2) lives here too.
  *
- * There is one window loop, runBatch(): one workload under K policies
- * in lockstep. All K runs share the simulated prefix until the first DTM
- * decision where their policies' actions differ; at that window the
- * shared lane is forked (an exact state snapshot: thermal lane, ambient
- * node, batch-job progress, sensor RNG position), so every run stays
- * bit-identical to a one-policy batch of its own. Policies that never
- * diverge (common on cool operating points) share the entire
- * simulation. run() is the one-policy batch, which never forks.
+ * There is one window loop, runBatch(): one workload under K policies.
+ * All K runs share the simulated prefix until the first DTM decision
+ * where their policies' actions differ; at that window the shared lane
+ * is forked (an exact state snapshot: thermal lane, ambient node,
+ * batch-job progress, sensor RNG position) and each fork later resumes
+ * from that window on its own, so every run stays bit-identical to a
+ * one-policy batch of its own. Policies that never diverge (common on
+ * cool operating points) share the entire simulation. run() is the
+ * one-policy batch, which never forks.
  */
 
 #ifndef MEMTHERM_CORE_SIM_THERMAL_SIMULATOR_HH
@@ -160,12 +161,6 @@ class ThermalSimulator
         bool decided = false; ///< a DTM decision landed this window
         Seconds t = 0.0;
         bool live = true; ///< batch unfinished and t < maxSimTime
-        // Window-step intermediates carried from the pre phase (through
-        // the shared temperature sweep) into the post phase.
-        Watts pendingCpuPower = 0.0;
-        Celsius pendingInlet = 0.0;
-        GBps pendingRead = 0.0;
-        GBps pendingWrite = 0.0;
     };
 
     /**
@@ -210,15 +205,12 @@ class ThermalSimulator
     void applyDecision(Lane &lane, const DtmAction &a) const;
 
     /**
-     * The window step up to and including staging the thermal advance:
-     * scheduling, level-1 solve, progress/retirement, power, ambient.
-     * Leaves the lane's thermal lane staged (stable targets written);
-     * the caller commits the temperature sweep, then calls windowPost().
+     * One window of one lane: scheduling, level-1 solve, progress and
+     * retirement, power, the ambient and thermal advance, the peak,
+     * energy and trace fold, and the clock. Consumes the window's DTM
+     * decision (clears lane.decided).
      */
-    void windowPre(Lane &lane, Scratch &scratch) const;
-
-    /** Finish the window: peaks/energy fold, traces, time advance. */
-    void windowPost(Lane &lane) const;
+    void windowStep(Lane &lane, Scratch &scratch) const;
 
     /** Fill the end-of-run summary fields of lane.res. */
     void finalizeLane(Lane &lane) const;

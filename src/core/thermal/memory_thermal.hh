@@ -128,7 +128,9 @@ class MemoryThermalModel
 
     /**
      * Advance all DIMM nodes by dt: stageAdvance() + commitStaged() +
-     * finishAdvance() in one call (a standalone model).
+     * finishAdvance() in one call. The simulator's window step calls
+     * this; the three phases stay public for the per-layer benchmark,
+     * which times them apart.
      *
      * @param total_read   system-wide read throughput (GB/s)
      * @param total_write  system-wide write throughput (GB/s)
@@ -141,15 +143,14 @@ class MemoryThermalModel
     /**
      * Phase 1 of a split advance: evaluate the power model and write
      * each DIMM's stable-target temperatures into the lane's staging
-     * arrays (and refresh the batch decay memo for @p dt). The batched
-     * simulator stages every lane, sweeps the temperatures, then
-     * finishes every lane; no other power query may run on this model
-     * between stage and finish (they share the power scratch).
+     * arrays (and refresh the batch decay memo for @p dt). No other
+     * power query may run on this model between stage and finish (they
+     * share the power scratch).
      */
     void stageAdvance(GBps total_read, GBps total_write, Celsius ambient,
                       Seconds dt);
 
-    /** Phase 2: the vectorizable temperature sweep over this lane. */
+    /** Phase 2: the temperature sweep over this lane. */
     void commitStaged() { st->advanceLane(laneIdx); }
 
     /** Phase 3: fold peaks and energy; returns the step's sample. */

@@ -8,9 +8,8 @@
  * energy accumulators — lives here as contiguous per-field arrays
  * instead of arrays of node objects. A "lane" is one run's slice: field
  * arrays are lane-major (`lane * dimms() + dimm`), so one lane's DIMM
- * sweep is a tight loop over adjacent doubles and adjacent lanes are
- * adjacent in memory, which is what lets the batched simulator advance
- * K runs per window in vectorizable loops.
+ * sweep is a tight loop over adjacent doubles, and a fork copies one
+ * lane's slice onto another.
  *
  * The `1 - exp(-dt / tau)` decay factors are hoisted to one per-batch
  * memo (recomputed only when dt changes) instead of the per-node
@@ -18,11 +17,10 @@
  * each temperature is unchanged, so a K=1 lane is bit-identical to the
  * former per-object path.
  *
- * Advancing is split in three so a batch runner can interleave lanes:
+ * Advancing a lane takes three steps (MemoryThermalModel::advance):
  *  1. stage: the caller writes each DIMM's stable-target temperatures
  *     into stableAmb()/stableDram() (and calls ensureDecay(dt) once);
- *  2. advanceLane(): temps += (stable - temp) * decay, the vectorizable
- *     sweep;
+ *  2. advanceLane(): temps += (stable - temp) * decay;
  *  3. the caller folds peaks/energy from the updated temperatures.
  *
  * copyLane() is an exact double-copy of every mutable per-lane field —

@@ -40,6 +40,8 @@ struct CoolingConfig
 
     /** Short identifier, e.g. "AOHS_1.5". */
     std::string name() const;
+
+    bool operator==(const CoolingConfig &) const = default;
 };
 
 /** Look up a Table 3.2 column. */
@@ -71,6 +73,8 @@ struct AmbientParams
      */
     double psiCpuPower = 0.0;
     Seconds tauCpuDram = 20.0; ///< RC constant of CPU->DRAM air coupling
+
+    bool operator==(const AmbientParams &) const = default;
 };
 
 /** Table 3.3: isolated-model ambient parameters per cooling config. */
@@ -86,6 +90,8 @@ struct ThermalLimits
     Celsius dramTdp = 85.0;     ///< DRAM device thermal design point
     Celsius ambTrp = 109.0;     ///< AMB thermal release point (default)
     Celsius dramTrp = 84.0;     ///< DRAM thermal release point (default)
+
+    bool operator==(const ThermalLimits &) const = default;
 };
 
 } // namespace memtherm

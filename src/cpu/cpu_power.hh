@@ -51,6 +51,8 @@ class TableCpuPowerModel
     Watts peakPower() const { return haltWatts + perCoreWatts * nCores; }
     int cores() const { return nCores; }
 
+    bool operator==(const TableCpuPowerModel &) const = default;
+
   private:
     int nCores;
     Watts haltWatts = 62.0;       ///< 4 cores in HALT (15.5 W each)
@@ -96,6 +98,8 @@ class ActivityCpuPowerModel
                 std::size_t dvfs_level) const;
 
     const DvfsTable &dvfs() const { return table; }
+
+    bool operator==(const ActivityCpuPowerModel &) const = default;
 
   private:
     DvfsTable table;

@@ -19,6 +19,8 @@ struct DvfsState
 {
     GHz freq = 3.2;
     Volts volts = 1.55;
+
+    bool operator==(const DvfsState &) const = default;
 };
 
 /**
@@ -40,6 +42,8 @@ class DvfsTable
     GHz maxFreq() const { return table.front().freq; }
     /** Highest supply voltage. */
     Volts maxVolts() const { return table.front().volts; }
+
+    bool operator==(const DvfsTable &) const = default;
 
   private:
     std::vector<DvfsState> table;

@@ -52,6 +52,8 @@ struct MemSystemPerf
     double maxUtilization = 0.92;  ///< fraction of peak reachable
     double queueFactor = 0.015;     ///< latency growth: 1 + k*rho/(1-rho)
     double lineBytes = 64.0;       ///< L2 line (transfer unit)
+
+    bool operator==(const MemSystemPerf &) const = default;
 };
 
 /** Solved performance of one window. */

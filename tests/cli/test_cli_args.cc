@@ -53,16 +53,15 @@ TEST(CliArgs, UsageMatchesThePinnedBytes)
 TEST(CliArgs, ValuesParseIntoTheirMembers)
 {
     const CliArgs run = parseArgs(
-        "run", {"s.json", "-o", "out.json", "--threads", "3", "--copies",
-                "1024", "--batch", "0004", "--tol", "1e-6", "--traces",
+        "run", {"s.json", "-o", "out.json", "--threads", "0004",
+                "--copies", "1024", "--tol", "1e-6", "--traces",
                 "--quiet", "--golden", "g.json"});
     EXPECT_EQ(run.command, Command::Run);
     EXPECT_EQ(run.scenario, "s.json");
     EXPECT_EQ(run.out, "out.json");
     EXPECT_EQ(run.golden, "g.json");
-    EXPECT_EQ(run.threads, 3);
+    EXPECT_EQ(run.threads, 4);
     EXPECT_EQ(run.copies, 1024);
-    EXPECT_EQ(run.batch, 4);
     EXPECT_EQ(run.tol, 1e-6);
     EXPECT_TRUE(run.traces && run.quiet && !run.resume);
 
@@ -110,8 +109,11 @@ TEST(CliArgs, DiagnosticsNameTheCommandFlagAndValue)
         // MEMTHERM_THREADS; --copies also at most the batch limit.
         {"run", {"s.json", "--threads", " 2"},
          "memtherm run: --threads needs a positive integer, got ' 2'"},
-        {"run", {"s.json", "--batch", "+2"},
-         "memtherm run: --batch needs a positive integer, got '+2'"},
+        {"run", {"s.json", "--copies", "+2"},
+         "memtherm run: --copies needs a positive integer, got '+2'"},
+        // One execution mode: the chunk width is not a user option.
+        {"run", {"s.json", "--batch", "4"},
+         "memtherm run: unknown option '--batch'"},
         {"run", {"s.json", "--threads", "0"},
          "memtherm run: --threads needs a positive integer, got '0'"},
         {"run", {"s.json", "--threads", "99999999999"},

@@ -773,7 +773,7 @@ TEST(CliArgsFuzz, MutatedArgvFailOnlyFatally)
             const std::string at = "case " + std::to_string(i) + ": " +
                                    cmd + " " +
                                    ::testing::PrintToString(argv);
-            EXPECT_TRUE(a.threads >= 0 && a.copies >= 0 && a.batch >= 0)
+            EXPECT_TRUE(a.threads >= 0 && a.copies >= 0)
                 << at; // 0 is "not given"; a given count is >= 1
             EXPECT_LE(a.copies, kMaxBatchCopies) << at;
             EXPECT_TRUE(std::isfinite(a.tol) && a.tol >= 0.0) << at;

@@ -721,6 +721,73 @@ TEST(TraceScenario, TraceKnobRoundTripsThroughJson)
         "'config.trace' must be a non-empty path");
 }
 
+/** How many times @p needle occurs in @p hay. */
+std::size_t
+occurrences(const std::string &hay, const std::string &needle)
+{
+    std::size_t n = 0;
+    for (auto at = hay.find(needle); at != std::string::npos;
+         at = hay.find(needle, at + needle.size()))
+        ++n;
+    return n;
+}
+
+/**
+ * A sparse trace on a bank grid: `memtherm trace gen --count 1` puts
+ * one DIMM's whole DRAM power on one of 49 cells, at scaled weight 49.
+ * lower() says so once per decoded geometry, not once per point.
+ */
+TEST(TraceScenario, SparseTraceOnAGridWarnsOncePerGeometry)
+{
+    TraceGenConfig one;
+    one.count = 1;
+    TempTrace tmp(formatTrace(generateTrace(one)));
+
+    ScenarioSpec s = ScenarioSpec::fromJson(Json::parse(R"({
+        "name": "sparse", "workloads": ["W1"], "policies": ["No-limit"],
+        "config": {"thermal_model": {"grid_x": 7, "grid_z": 7}},
+        "sweep": {"t_inlet": [40, 45]}})"));
+    s.trace = tmp.path;
+    ::testing::internal::CaptureStderr();
+    (void)s.lower();
+    const std::string err = ::testing::internal::GetCapturedStderr();
+    EXPECT_EQ(occurrences(err, "warn: "), 1u) << err;
+    EXPECT_NE(err.find("scenario 'sparse': trace '" + tmp.path +
+                       "' puts all the bytes of 1 DIMM(s) on fewer than "
+                       "the 49 bank cells of the grid"),
+              std::string::npos)
+        << err;
+    EXPECT_NE(err.find("the largest scaled cell weight is 49 "),
+              std::string::npos)
+        << err;
+}
+
+/**
+ * A dense trace stays silent: 65536 random records on 32x16 grids over
+ * four organizations, the shape of the bank-grid stream benchmark.
+ */
+TEST(TraceScenario, DenseRandomTraceStaysSilent)
+{
+    TraceGenConfig tg;
+    tg.pattern = TraceGenConfig::Pattern::Random;
+    tg.count = 65536;
+    tg.readPct = 67.0;
+    tg.seed = 1;
+    TempTrace tmp(formatTrace(generateTrace(tg)));
+
+    ScenarioSpec s = ScenarioSpec::fromJson(Json::parse(R"({
+        "name": "dense", "workloads": ["W1"], "policies": ["No-limit"],
+        "sweep": {
+          "memory_org": ["ch4_4x4", "2x4", "4x8", "8x2"],
+          "thermal_model": [{"grid_x": 32, "grid_z": 16},
+                            {"grid_x": 16, "grid_z": 32}]}})"));
+    s.trace = tmp.path;
+    ::testing::internal::CaptureStderr();
+    const LoweredScenario low = s.lower();
+    EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
+    EXPECT_EQ(low.points.size(), 8u);
+}
+
 /** The bit patterns of @p v: equal only if every double is bit-equal. */
 std::vector<std::uint64_t>
 bitsOf(const std::vector<double> &v)

@@ -2,7 +2,8 @@
 # End-to-end crash/resume check against the real CLI binary: a run
 # killed mid-grid by fault injection (plus a torn trailing line, as a
 # kill mid-append would leave) must resume to results bit-identical to
-# an uninterrupted run, with and without --batch.
+# an uninterrupted run, at thread counts that run whole classes and
+# that split them.
 #
 # Usage: stream_crash_resume.sh <memtherm-binary> <source-dir> <workdir>
 set -euo pipefail
@@ -17,7 +18,7 @@ cd "$WORK"
 rm -f full.json full.jsonl crash.jsonl resumed.json bcrash.jsonl \
     bresumed.json
 
-"$CLI" run "$SCENARIO" --copies 1 --threads 2 -o full.json --quiet
+"$CLI" run "$SCENARIO" --copies 1 --threads 1 -o full.json --quiet
 
 rc=0
 MEMTHERM_FAULT_AFTER_RUN=3 "$CLI" run "$SCENARIO" --copies 1 --threads 2 \
@@ -49,18 +50,19 @@ case "$out" in
     ;;
 esac
 
-# Again at --batch 4: a crash loses at most the chunks in flight, and
-# the (batched) resume reruns them to the same bytes.
+# Again at 4 threads (the 8 classes run whole), resumed at 16 (fewer
+# classes than threads, so they split): a crash loses at most the
+# chunks in flight, and the resume reruns them to the same bytes.
 rc=0
-MEMTHERM_FAULT_AFTER_RUN=3 "$CLI" run "$SCENARIO" --copies 1 --threads 2 \
-    --batch 4 --stream bcrash.jsonl --quiet || rc=$?
+MEMTHERM_FAULT_AFTER_RUN=3 "$CLI" run "$SCENARIO" --copies 1 --threads 4 \
+    --stream bcrash.jsonl --quiet || rc=$?
 if [ "$rc" -ne 86 ]; then
-    echo "FAIL: expected batched injected-crash exit code 86, got $rc" >&2
+    echo "FAIL: expected 4-thread injected-crash exit code 86, got $rc" >&2
     exit 1
 fi
-"$CLI" run "$SCENARIO" --copies 1 --threads 2 --batch 4 \
+"$CLI" run "$SCENARIO" --copies 1 --threads 16 \
     --stream bcrash.jsonl --resume -o bresumed.json --quiet
 cmp full.json bresumed.json
 
 echo "PASS: crash + torn tail resumed to bit-identical results" \
-    "(scalar and --batch 4)"
+    "(threads 2, and 4 resumed at 16)"

@@ -1,9 +1,9 @@
 #!/usr/bin/env bash
 # End-to-end sharding check against the real CLI binary: a 3-way
 # round-robin shard of one scenario, merged, must be bit-identical to
-# the unsharded run — results JSON and report CSV alike, and batched
-# shards too — and merging an incomplete shard set must fail naming the
-# hole.
+# the unsharded run — results JSON and report CSV alike, at thread
+# counts that run whole classes and that split them — and merging an
+# incomplete shard set must fail naming the hole.
 #
 # Usage: stream_shard_merge.sh <memtherm-binary> <source-dir> <workdir>
 set -euo pipefail
@@ -18,7 +18,7 @@ cd "$WORK"
 rm -f full.json full.csv merged.json shards.csv shard*.jsonl err.txt \
     bshard*.jsonl bmerged.json
 
-"$CLI" run "$SCENARIO" --copies 1 --threads 2 -o full.json --quiet
+"$CLI" run "$SCENARIO" --copies 1 --threads 1 -o full.json --quiet
 "$CLI" report full.json --csv full.csv --quiet > /dev/null
 
 for i in 1 2 3; do
@@ -34,10 +34,11 @@ cmp full.json merged.json
     --csv shards.csv --quiet > /dev/null
 cmp full.csv shards.csv
 
-# The same shards at --batch 4: class-mates inside a shard share their
-# prefix, and the merge must still be the unbatched bytes.
+# The same shards at 16 threads: each shard holds fewer classes than
+# threads, so its classes split, and the merge must still be the same
+# bytes.
 for i in 1 2 3; do
-    "$CLI" run "$SCENARIO" --copies 1 --threads 2 --batch 4 \
+    "$CLI" run "$SCENARIO" --copies 1 --threads 16 \
         --stream "bshard$i.jsonl" --shard "$i/3" --quiet
 done
 "$CLI" merge bshard1.jsonl bshard2.jsonl bshard3.jsonl -o bmerged.json \
@@ -57,5 +58,5 @@ if ! grep -q "no record" err.txt; then
     exit 1
 fi
 
-echo "PASS: 3-way shard merge bit-identical (scalar and --batch 4);" \
+echo "PASS: 3-way shard merge bit-identical (threads 2 and 16);" \
     "incomplete merge rejected"

@@ -1,17 +1,21 @@
 /**
  * @file
- * Tests for batched lockstep execution and shared-prefix caching: the
+ * Tests for batched execution and shared-prefix caching: the
  * ThermalBatchState SoA container, fork-from-snapshot bit-identity for
  * every registered policy family (including mid-run remap share state
  * and the sensor-noise RNG stream position), chunked engine execution,
- * failure isolation, equivalence-class derivation, and scenario-level
- * batched-vs-scalar equality.
+ * failure isolation and the class contract, equivalence-class
+ * derivation, and scenario-level batched-vs-scalar equality.
  */
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <filesystem>
 #include <memory>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "common/logging.hh"
@@ -437,6 +441,33 @@ TEST(RunBatched, RejectsNonTilingClasses)
                  PanicError);
 }
 
+/**
+ * A class whose runs do not share their config and workload name is
+ * refused before any run starts: a chunk simulates its first run's
+ * config and workload for every member.
+ */
+TEST(RunBatched, MismatchedClassPanics)
+{
+    SimConfig cfg = makeCh4Config(coolingAohs15(), false);
+    cfg.copiesPerApp = 1;
+    auto runs = classRuns(cfg, workloadMix("W1"), {"No-limit", "DTM-TS"});
+    runs[1].cfg.ambient.tInlet += 1.0;
+    ExperimentEngine engine(1);
+    TestSink sink(2);
+    EXPECT_THROW(engine.runBatched(runs, {{0, 2}}, 2, sink, nullptr),
+                 PanicError);
+    EXPECT_FALSE(sink.ok[0] || sink.ok[1]); // refused before any run
+
+    runs[1].cfg = cfg;
+    runs[1].workload = workloadMix("W2");
+    EXPECT_THROW(engine.runBatched(runs, {{0, 2}}, 2, sink, nullptr),
+                 PanicError);
+
+    // Singleton classes may differ in anything.
+    engine.runBatched(runs, {{0, 1}, {1, 1}}, 2, sink, nullptr);
+    EXPECT_TRUE(sink.ok[0] && sink.ok[1]);
+}
+
 /** lower() derives one class per (point, workload), policy-fastest. */
 TEST(Scenario, EquivalenceClassesFromLowering)
 {
@@ -458,21 +489,66 @@ TEST(Scenario, EquivalenceClassesFromLowering)
     }
 }
 
-/** Platform runs are singleton classes (per-policy config tweaks). */
-TEST(Scenario, PlatformScenariosGetSingletonClasses)
+/**
+ * Classes follow config content: PE1950's runs of one workload share
+ * one config, while SR1500AL's "No-limit" run moves to a 26 C room
+ * ambient and is a class of its own.
+ */
+TEST(Scenario, PlatformClassesFollowConfigContent)
 {
     ScenarioSpec spec;
     spec.name = "plat";
-    spec.platform = "SR1500AL";
     spec.workloads = {"W1"};
-    spec.policies = {"No-limit", "DTM-BW"};
+    spec.policies = {"No-limit", "DTM-BW", "DTM-ACG"};
     spec.copiesPerApp = 1;
 
+    spec.platform = "SR1500AL";
     LoweredScenario low = spec.lower();
-    ASSERT_EQ(low.classes.size(), low.totalRuns());
-    for (std::size_t i = 0; i < low.classes.size(); ++i) {
-        EXPECT_EQ(low.classes[i].first, i);
-        EXPECT_EQ(low.classes[i].count, 1u);
+    ASSERT_EQ(low.classes.size(), 2u);
+    EXPECT_EQ(low.classes[0].first, 0u);
+    EXPECT_EQ(low.classes[0].count, 1u);
+    EXPECT_EQ(low.classes[1].first, 1u);
+    EXPECT_EQ(low.classes[1].count, 2u);
+
+    spec.platform = "PE1950";
+    low = spec.lower();
+    ASSERT_EQ(low.classes.size(), 1u);
+    EXPECT_EQ(low.classes[0].count, 3u);
+}
+
+/**
+ * The Chapter 5 paper grids: 8 workloads x 5 policies lower to 8
+ * classes on PE1950 and 16 on SR1500AL, with equal configs inside each
+ * class and a config change at every boundary inside one workload.
+ */
+TEST(Scenario, PaperPlatformGridsLowerToContentClasses)
+{
+    const std::string dir =
+        std::string(MEMTHERM_SOURCE_DIR) + "/examples/scenarios/paper/";
+    for (const auto &[name, want] :
+         {std::pair<std::string, std::size_t>{"ch5_pe1950", 8},
+          {"ch5_sr1500al", 16}}) {
+        const LoweredScenario low =
+            ScenarioSpec::load(dir + name + ".json").lower();
+        std::vector<const ExperimentEngine::Run *> runs;
+        for (const auto &pt : low.points)
+            for (const auto &r : pt.runs)
+                runs.push_back(&r);
+        ASSERT_EQ(runs.size(), 40u) << name;
+        EXPECT_EQ(low.classes.size(), want) << name;
+        for (const auto &c : low.classes) {
+            for (std::size_t i = c.first + 1; i < c.first + c.count; ++i) {
+                EXPECT_TRUE(runs[i]->cfg == runs[c.first]->cfg) << name;
+                EXPECT_EQ(runs[i]->workload.name,
+                          runs[c.first]->workload.name)
+                    << name;
+            }
+            const std::size_t next = c.first + c.count;
+            if (next < runs.size() &&
+                runs[next]->workload.name == runs[c.first]->workload.name) {
+                EXPECT_FALSE(runs[next]->cfg == runs[c.first]->cfg) << name;
+            }
+        }
     }
 }
 
@@ -488,7 +564,7 @@ TEST(Scenario, RunScenarioBatchedMatchesScalar)
     spec.sensorSeed = 77;
 
     ExperimentEngine engine(2);
-    ScenarioResults scalar = runScenario(spec, engine);
+    ScenarioResults scalar = runScenarioBatched(spec, engine, 1);
     BatchStats stats;
     ScenarioResults batched =
         runScenarioBatched(spec, engine, 4, &stats);
@@ -538,6 +614,42 @@ TEST(Scenario, RunScenarioBatchedWidthZeroIsOneChunkPerClass)
     EXPECT_EQ(zero.logicalWindows, full.logicalWindows);
     EXPECT_EQ(zero.simulatedWindows, full.simulatedWindows);
     EXPECT_EQ(zero.forks, full.forks);
+}
+
+/**
+ * runScenario() picks its chunk width from the grid and the engine;
+ * whatever it picks, every example scenario and both Chapter 5 paper
+ * grids (at one copy) serialize byte for byte like the scalar
+ * reference, at 1 thread (whole classes) and 4 (split classes).
+ */
+TEST(Scenario, RunScenarioMatchesScalarOnEveryExample)
+{
+    namespace fs = std::filesystem;
+    const fs::path root = fs::path(MEMTHERM_SOURCE_DIR) / "examples" /
+                          "scenarios";
+    std::vector<fs::path> files;
+    for (const auto &entry : fs::directory_iterator(root))
+        if (entry.path().extension() == ".json")
+            files.push_back(entry.path());
+    std::sort(files.begin(), files.end());
+    ASSERT_GE(files.size(), 11u);
+    files.push_back(root / "paper" / "ch5_pe1950.json");
+    files.push_back(root / "paper" / "ch5_sr1500al.json");
+
+    ExperimentEngine one(1), four(4);
+    for (const fs::path &f : files) {
+        ScenarioSpec spec = ScenarioSpec::load(f.string());
+        if (f.parent_path().filename() == "paper") {
+            spec.copiesPerApp = 1;
+            spec.sweepCopies.clear();
+        }
+        const std::string scalar =
+            toJson(runScenarioBatched(spec, one, 1), true).dump();
+        EXPECT_EQ(toJson(runScenario(spec, one), true).dump(), scalar)
+            << f.filename() << " at 1 thread";
+        EXPECT_EQ(toJson(runScenario(spec, four), true).dump(), scalar)
+            << f.filename() << " at 4 threads";
+    }
 }
 
 } // namespace

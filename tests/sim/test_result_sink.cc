@@ -471,54 +471,66 @@ batchySpec()
 }
 
 /**
- * Batched streams: a 3-way sharding, with one shard crashed by
- * MEMTHERM_FAULT_AFTER_RUN and resumed, merges to exactly the scalar
- * document's bytes, and the shards' logical windows add up to the
- * unsharded batched run's.
+ * Streams at each chunk width the runner picks: a 3-way sharding, with
+ * one shard crashed by MEMTHERM_FAULT_AFTER_RUN and resumed, merges to
+ * exactly the scalar document's bytes, and the shards' logical windows
+ * add up to the unsharded run's. The grid has 2 classes of 5 runs: at
+ * 1 thread they run whole, at 3 they split into ceil(runs / 3)-lane
+ * chunks, and at 16 every chunk is one lane, which shares nothing.
  */
 TEST(ResultStream, BatchedShardsCrashResumeMergeToScalarBytes)
 {
     const ScenarioSpec spec = batchySpec();
-    ExperimentEngine engine(1);
-    const std::string scalar = toJson(runScenario(spec, engine)).dump();
+    std::string scalar;
+    {
+        ExperimentEngine engine(1);
+        scalar = toJson(runScenarioBatched(spec, engine, 1)).dump();
+    }
 
-    for (int width : {1, 3, 0}) {
-        const std::string tag = "w" + std::to_string(width);
-        BatchStats whole;
-        (void)runScenarioBatched(spec, engine, width, &whole);
-        if (width != 1) {
-            EXPECT_LT(whole.simulatedWindows, whole.logicalWindows) << tag;
-        }
-
+    for (int threads : {1, 3, 16}) {
+        const std::string tag = "t" + std::to_string(threads);
         std::vector<std::string> paths;
-        double logical = 0.0, simulated = 0.0;
-        for (int i = 1; i <= 3; ++i) {
-            StreamRunOptions opts;
-            opts.path = tmpPath("batch_" + tag + "_shard" +
-                                std::to_string(i) + ".jsonl");
-            opts.shard = {i, 3};
-            opts.batchWidth = width;
-            const StreamRunStats st = runScenarioStream(spec, engine, opts);
-            EXPECT_EQ(st.failed, 0u) << tag;
-            logical += st.batch.logicalWindows;
-            simulated += st.batch.simulatedWindows;
-            paths.push_back(opts.path);
-        }
-        EXPECT_EQ(logical, whole.logicalWindows) << tag;
-        if (width != 1) { // class-mates left in one shard still share
-            EXPECT_LT(simulated, logical) << tag;
-        }
-        EXPECT_EQ(mergeStreams(paths).results.dump(), scalar) << tag;
+        {
+            ExperimentEngine engine(threads);
+            BatchStats whole;
+            (void)runScenario(spec, engine, &whole);
+            if (threads == 16) {
+                EXPECT_EQ(whole.simulatedWindows, whole.logicalWindows)
+                    << tag;
+            } else {
+                EXPECT_LT(whole.simulatedWindows, whole.logicalWindows)
+                    << tag;
+            }
 
-        // Shard 2 again, killed after its first persisted result.
+            double logical = 0.0, simulated = 0.0;
+            for (int i = 1; i <= 3; ++i) {
+                StreamRunOptions opts;
+                opts.path = tmpPath("batch_" + tag + "_shard" +
+                                    std::to_string(i) + ".jsonl");
+                opts.shard = {i, 3};
+                const StreamRunStats st =
+                    runScenarioStream(spec, engine, opts);
+                EXPECT_EQ(st.failed, 0u) << tag;
+                logical += st.batch.logicalWindows;
+                simulated += st.batch.simulatedWindows;
+                paths.push_back(opts.path);
+            }
+            EXPECT_EQ(logical, whole.logicalWindows) << tag;
+            if (threads == 1) { // class-mates left in one shard share
+                EXPECT_LT(simulated, logical) << tag;
+            }
+            EXPECT_EQ(mergeStreams(paths).results.dump(), scalar) << tag;
+        }
+
+        // Shard 2 again, killed after its first persisted result. No
+        // engine threads exist while the death test forks.
         StreamRunOptions crash;
         crash.path = tmpPath("batch_" + tag + "_crash.jsonl");
         crash.shard = {2, 3};
-        crash.batchWidth = width;
         EXPECT_EXIT(
             {
                 setenv("MEMTHERM_FAULT_AFTER_RUN", "1", 1);
-                ExperimentEngine child(1);
+                ExperimentEngine child(threads);
                 runScenarioStream(spec, child, crash);
             },
             ::testing::ExitedWithCode(86), "")
@@ -526,6 +538,7 @@ TEST(ResultStream, BatchedShardsCrashResumeMergeToScalarBytes)
         ASSERT_EQ(scanStream(crash.path, false).records.size(), 1u) << tag;
 
         crash.resume = true;
+        ExperimentEngine engine(threads);
         const StreamRunStats resumed = runScenarioStream(spec, engine, crash);
         EXPECT_EQ(resumed.skipped, 1u) << tag;
         EXPECT_EQ(resumed.executed, resumed.shardRuns - 1) << tag;
@@ -542,17 +555,17 @@ TEST(ResultStream, BatchedShardsCrashResumeMergeToScalarBytes)
 TEST(ResultStream, InjectedFailureUnderBatchingSparesClassMates)
 {
     const ScenarioSpec spec = batchySpec();
-    ExperimentEngine engine(2);
-    const std::string scalar = toJson(runScenario(spec, engine)).dump();
+    ExperimentEngine scalar_engine(1);
+    const std::string scalar =
+        toJson(runScenarioBatched(spec, scalar_engine, 1)).dump();
 
-    for (int width : {1, 3, 0}) {
-        const std::string tag = "w" + std::to_string(width);
+    for (int threads : {1, 3, 16}) {
+        const std::string tag = "t" + std::to_string(threads);
+        ExperimentEngine engine(threads);
         setenv("MEMTHERM_FAULT_FAIL_RUN", "1", 1);
-        const ScenarioResults direct =
-            runScenarioBatched(spec, engine, width);
+        const ScenarioResults direct = runScenario(spec, engine);
         StreamRunOptions opts;
         opts.path = tmpPath("batch_fault_" + tag + ".jsonl");
-        opts.batchWidth = width;
         StreamRunStats st = runScenarioStream(spec, engine, opts);
         unsetenv("MEMTHERM_FAULT_FAIL_RUN");
 

@@ -573,11 +573,11 @@ cmdMerge(const CliArgs &a)
     return rc;
 }
 
-/** The `--batch` summary line: what the shared-prefix cache bought. */
+/** The prefix-sharing line: what the shared-prefix cache bought. */
 void
-printBatchStats(int width, const BatchStats &stats)
+printBatchStats(const BatchStats &stats)
 {
-    std::cout << "batch width " << width << ": "
+    std::cout << "prefix sharing: "
               << Json::numberToString(stats.simulatedWindows) << " of "
               << Json::numberToString(stats.logicalWindows)
               << " window(s) simulated, prefix hit rate "
@@ -604,12 +604,10 @@ cmdRun(const CliArgs &a)
         sopts.resume = a.resume;
         sopts.shard = a.shard;
         sopts.traces = a.traces;
-        sopts.batchWidth = std::max(a.batch, 1);
         StreamRunStats stats = runScenarioStream(spec, engine, sopts);
 
-        if (!a.quiet && a.batch)
-            printBatchStats(a.batch, stats.batch);
         if (!a.quiet) {
+            printBatchStats(stats.batch);
             std::cout << "stream " << a.stream << ": "
                       << stats.totalRuns << " run(s) in grid";
             if (a.shard.sharded()) {
@@ -627,13 +625,12 @@ cmdRun(const CliArgs &a)
         failures = std::move(stats.failures);
     } else {
         BatchStats batch_stats;
-        ScenarioResults results = runScenarioBatched(
-            spec, engine, std::max(a.batch, 1), &batch_stats);
+        ScenarioResults results = runScenario(spec, engine, &batch_stats);
 
-        if (!a.quiet && a.batch)
-            printBatchStats(a.batch, batch_stats);
-        if (!a.quiet)
+        if (!a.quiet) {
+            printBatchStats(batch_stats);
             printSummary(results);
+        }
         out = toJson(results, a.traces);
         failures = std::move(results.errors);
     }
