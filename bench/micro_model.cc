@@ -1,15 +1,19 @@
 /**
  * @file
  * google-benchmark microbenchmarks of the analytic models that dominate
- * MEMSpot's per-window cost.
+ * MEMSpot's per-window cost, and of the result codec that dominates a
+ * streamed bank-grid grid's I/O.
  */
 
 #include <benchmark/benchmark.h>
 
 #include <limits>
+#include <string>
 
+#include "common/json.hh"
 #include "common/rng.hh"
 #include "core/sim/experiment.hh"
+#include "core/sim/result_codec.hh"
 
 using namespace memtherm;
 
@@ -142,6 +146,94 @@ BM_MemSpotWindow(benchmark::State &state)
     }
 }
 
+/**
+ * One stream record's result at the bank-grid stream benchmark's
+ * largest shape: 8 DIMMs per channel under a 32x16 bank grid (4096
+ * per-bank peaks), refresh arrays, and five 110-sample traces.
+ */
+SimResult
+gridRecord()
+{
+    Rng rng(20261018);
+    SimResult r;
+    r.workload = "W1";
+    r.policy = "DTM-TS";
+    r.completed = true;
+    for (double *v : {&r.runningTime, &r.totalInstr, &r.totalReadGB,
+                      &r.totalWriteGB, &r.totalL2Misses, &r.memEnergy,
+                      &r.cpuEnergy, &r.maxAmb, &r.maxDram,
+                      &r.timeAboveAmbTdp, &r.timeAboveDramTdp})
+        *v = rng.uniform(0.0, 100.0);
+    for (std::vector<double> *v :
+         {&r.peakAmbPerDimm, &r.peakDramPerDimm, &r.avgPowerPerDimm,
+          &r.refreshBwLossPerDimm, &r.refreshEnergyPerDimm})
+        for (int d = 0; d < 8; ++d)
+            v->push_back(rng.uniform(40.0, 90.0));
+    r.bankGridX = 32;
+    r.bankGridZ = 16;
+    for (int c = 0; c < 8 * 512; ++c)
+        r.peakBankDramPerDimm.push_back(rng.uniform(70.0, 80.0));
+    for (TimeSeries *t : {&r.ambTrace, &r.dramTrace, &r.inletTrace,
+                          &r.cpuPowerTrace, &r.bwTrace}) {
+        *t = TimeSeries(0.01);
+        for (int k = 0; k < 110; ++k)
+            t->add(rng.uniform(0.0, 100.0));
+    }
+    return r;
+}
+
+/** gridRecord() as the `result` payload of a stream line. */
+std::string
+gridRecordText()
+{
+    std::string text;
+    JsonWriter w(text);
+    writeResult(w, gridRecord(), true);
+    return text;
+}
+
+void
+BM_ResultEncode(benchmark::State &state)
+{
+    const SimResult r = gridRecord();
+    std::string text;
+    for (auto _ : state) {
+        text.clear();
+        JsonWriter w(text);
+        writeResult(w, r, true);
+        benchmark::DoNotOptimize(text.data());
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() *
+                                                      text.size()));
+}
+
+void
+BM_ResultScanLine(benchmark::State &state)
+{
+    // What a resume scan does with a payload: check it, decode nothing.
+    const std::string text = gridRecordText();
+    for (auto _ : state) {
+        JsonReader in(text);
+        in.skipValue();
+        in.finish();
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() *
+                                                      text.size()));
+}
+
+void
+BM_ResultDecode(benchmark::State &state)
+{
+    const std::string text = gridRecordText();
+    for (auto _ : state) {
+        JsonReader in(text);
+        SimResult r = readResult(in, "result", true);
+        benchmark::DoNotOptimize(r.maxAmb);
+    }
+    state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations() *
+                                                      text.size()));
+}
+
 BENCHMARK(BM_SolvePerfWindowUnsaturated);
 BENCHMARK(BM_SolvePerfWindowSaturated);
 BENCHMARK(BM_SolvePerfWindowMixedCapped);
@@ -149,6 +241,9 @@ BENCHMARK(BM_SolvePerfWindowRefreshDerated);
 BENCHMARK(BM_MemoryThermalAdvance);
 BENCHMARK(BM_MemoryThermalAdvanceBankGrid);
 BENCHMARK(BM_MemSpotWindow)->Unit(benchmark::kMillisecond);
+BENCHMARK(BM_ResultEncode)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ResultScanLine)->Unit(benchmark::kMicrosecond);
+BENCHMARK(BM_ResultDecode)->Unit(benchmark::kMicrosecond);
 
 } // namespace
 

@@ -1,6 +1,5 @@
 #include "common/json.hh"
 
-#include <cctype>
 #include <charconv>
 #include <cmath>
 #include <cstdio>
@@ -31,7 +30,7 @@ typeName(Json::Type t)
 
 /** Append one string with JSON escaping. */
 void
-writeString(std::string &out, const std::string &s)
+writeString(std::string &out, std::string_view s)
 {
     out += '"';
     for (unsigned char c : s) {
@@ -76,292 +75,503 @@ writeNumber(std::string &out, double v)
     out.append(buf, r.ptr);
 }
 
-/**
- * Whether @p t is an RFC 8259 number:
- * -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)?
- */
 bool
-isJsonNumber(std::string_view t)
+isDigit(char c)
 {
-    std::size_t i = 0;
-    auto digits = [&] {
-        const std::size_t from = i;
-        while (i < t.size() && t[i] >= '0' && t[i] <= '9')
-            ++i;
-        return i > from;
-    };
-    auto skip = [&](std::string_view any) {
-        if (i < t.size() && any.find(t[i]) != std::string_view::npos) {
-            ++i;
-            return true;
-        }
-        return false;
-    };
-    skip("-");
-    if (!skip("0") && !digits())
-        return false;
-    if (skip(".") && !digits())
-        return false;
-    if (skip("eE")) {
-        skip("+-");
-        if (!digits())
-            return false;
+    return c >= '0' && c <= '9';
+}
+
+/** A character that continues a number token (see scanNumber()). */
+bool
+isNumberChar(char c)
+{
+    return isDigit(c) || c == '.' || c == 'e' || c == 'E' || c == '+' ||
+           c == '-';
+}
+
+void
+appendUtf8(std::string &out, unsigned cp)
+{
+    if (cp < 0x80) {
+        out += static_cast<char>(cp);
+    } else if (cp < 0x800) {
+        out += static_cast<char>(0xc0 | (cp >> 6));
+        out += static_cast<char>(0x80 | (cp & 0x3f));
+    } else if (cp < 0x10000) {
+        out += static_cast<char>(0xe0 | (cp >> 12));
+        out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
+        out += static_cast<char>(0x80 | (cp & 0x3f));
+    } else {
+        out += static_cast<char>(0xf0 | (cp >> 18));
+        out += static_cast<char>(0x80 | ((cp >> 12) & 0x3f));
+        out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
+        out += static_cast<char>(0x80 | (cp & 0x3f));
     }
-    return i == t.size();
 }
 
 } // namespace
 
-/** Recursive-descent parser over a complete text. */
+// --- JsonReader ---------------------------------------------------------------
+
+void
+JsonReader::fail(const std::string &what) const
+{
+    std::size_t line = 1, col = 1;
+    for (std::size_t i = 0; i < pos && i < s.size(); ++i) {
+        if (s[i] == '\n') { ++line; col = 1; } else { ++col; }
+    }
+    fatal("json: " + what + " at line " + std::to_string(line) + ":" +
+          std::to_string(col));
+}
+
+void
+JsonReader::skipWs()
+{
+    std::size_t p = pos;
+    while (p < s.size() &&
+           (s[p] == ' ' || s[p] == '\t' || s[p] == '\n' || s[p] == '\r'))
+        ++p;
+    pos = p;
+}
+
+char
+JsonReader::peek() const
+{
+    if (pos >= s.size())
+        fail("unexpected end of input");
+    return s[pos];
+}
+
+void
+JsonReader::expect(char c)
+{
+    if (pos >= s.size() || s[pos] != c)
+        fail(std::string("expected '") + c + "'");
+    ++pos;
+}
+
+bool
+JsonReader::consume(std::string_view lit)
+{
+    if (s.substr(pos, lit.size()) != lit)
+        return false;
+    pos += lit.size();
+    return true;
+}
+
+Json::Type
+JsonReader::peekType()
+{
+    skipWs();
+    const char c = peek();
+    switch (c) {
+      case '{': return Json::Type::Object;
+      case '[': return Json::Type::Array;
+      case '"': return Json::Type::String;
+      case 't': case 'f': return Json::Type::Bool;
+      case 'n': return Json::Type::Null;
+      default:
+        if (c == '-' || isDigit(c))
+            return Json::Type::Number;
+        fail("unexpected character");
+    }
+}
+
+void
+JsonReader::expectType(Json::Type want)
+{
+    const Json::Type have = peekType();
+    if (have != want) {
+        fail(std::string("expected ") + typeName(want) + ", have " +
+             typeName(have));
+    }
+}
+
+std::size_t
+JsonReader::scanNumber(bool *sure)
+{
+    // The token is the whole run of number characters, so "01" or "1."
+    // is one invalid number rather than a number and trailing junk: the
+    // grammar -?(0|[1-9][0-9]*)(\.[0-9]+)?([eE][+-]?[0-9]+)? must match
+    // up to a character that cannot continue a number.
+    const char *const end = s.data() + s.size();
+    const char *const start = s.data() + pos;
+    const char *p = start;
+    auto digits = [&] {
+        const char *const from = p;
+        while (p < end && isDigit(*p))
+            ++p;
+        return p > from;
+    };
+    auto skip = [&](char a, char b) {
+        if (p < end && (*p == a || *p == b)) {
+            ++p;
+            return true;
+        }
+        return false;
+    };
+    skip('-', '-');
+    bool ok = skip('0', '0') || digits();
+    if (ok && skip('.', '.'))
+        ok = digits();
+    // A token of M mantissa characters and decimal exponent E has a
+    // magnitude within [10^(E-M), 10^(E+M)], or is zero; well inside a
+    // double's normal range, converting it cannot fail.
+    const std::ptrdiff_t mantissa = p - start;
+    std::ptrdiff_t exp = 0;
+    if (ok && skip('e', 'E')) {
+        skip('+', '-');
+        const char *const from = p;
+        ok = digits();
+        exp = p - from > 3 ? 1000 : 0;
+        for (const char *d = from; d < p && exp < 1000; ++d)
+            exp = exp * 10 + (*d - '0');
+    }
+    if (!ok || (p < end && isNumberChar(*p)))
+        fail("invalid number"); // pos is still at its start
+    pos = static_cast<std::size_t>(p - s.data());
+    *sure = mantissa + exp < 300;
+    return static_cast<std::size_t>(start - s.data());
+}
+
+double
+JsonReader::readNumber()
+{
+    expectType(Json::Type::Number);
+    bool sure;
+    const std::size_t start = scanNumber(&sure);
+    const std::optional<double> v = parseNumber(s.substr(start, pos - start));
+    if (!v) { // out of a double's range
+        pos = start;
+        fail("invalid number");
+    }
+    return *v;
+}
+
+bool
+JsonReader::readBool()
+{
+    expectType(Json::Type::Bool);
+    if (consume("true"))
+        return true;
+    if (!consume("false"))
+        fail("unexpected character");
+    return false;
+}
+
+void
+JsonReader::readNull()
+{
+    expectType(Json::Type::Null);
+    if (!consume("null"))
+        fail("unexpected character");
+}
+
+std::string
+JsonReader::readString()
+{
+    std::string out;
+    readString(out);
+    return out;
+}
+
+void
+JsonReader::readString(std::string &out)
+{
+    expectType(Json::Type::String);
+    string(&out);
+}
+
+unsigned
+JsonReader::hex4()
+{
+    unsigned v = 0;
+    for (int i = 0; i < 4; ++i) {
+        if (pos >= s.size())
+            fail("unterminated \\u escape");
+        const char c = s[pos++];
+        v <<= 4;
+        if (isDigit(c))
+            v |= static_cast<unsigned>(c - '0');
+        else if (c >= 'a' && c <= 'f')
+            v |= static_cast<unsigned>(c - 'a' + 10);
+        else if (c >= 'A' && c <= 'F')
+            v |= static_cast<unsigned>(c - 'A' + 10);
+        else
+            fail("invalid \\u escape digit");
+    }
+    return v;
+}
+
+void
+JsonReader::string(std::string *out)
+{
+    expect('"');
+    if (out)
+        out->clear();
+    while (true) {
+        // The run of characters that need no decoding, in one step.
+        const char *const from = s.data() + pos, *const end = s.data() + s.size();
+        const char *p = from;
+        while (p < end && *p != '"' && *p != '\\' &&
+               static_cast<unsigned char>(*p) >= 0x20)
+            ++p;
+        if (out)
+            out->append(from, p);
+        pos += static_cast<std::size_t>(p - from);
+        if (pos >= s.size())
+            fail("unterminated string");
+        const char c = s[pos++];
+        if (c == '"')
+            return;
+        if (c != '\\')
+            fail("raw control character in string");
+        if (pos >= s.size())
+            fail("unterminated escape");
+        char plain;
+        switch (s[pos++]) {
+          case '"': plain = '"'; break;
+          case '\\': plain = '\\'; break;
+          case '/': plain = '/'; break;
+          case 'b': plain = '\b'; break;
+          case 'f': plain = '\f'; break;
+          case 'n': plain = '\n'; break;
+          case 'r': plain = '\r'; break;
+          case 't': plain = '\t'; break;
+          case 'u': {
+              unsigned cp = hex4();
+              if (cp >= 0xdc00 && cp <= 0xdfff)
+                  fail("unpaired low surrogate in \\u escape");
+              if (cp >= 0xd800 && cp <= 0xdbff) {
+                  // Surrogate pair.
+                  if (!consume("\\u"))
+                      fail("unpaired surrogate in \\u escape");
+                  const unsigned lo = hex4();
+                  if (lo < 0xdc00 || lo > 0xdfff)
+                      fail("invalid low surrogate in \\u escape");
+                  cp = 0x10000 + ((cp - 0xd800) << 10) + (lo - 0xdc00);
+              }
+              if (out)
+                  appendUtf8(*out, cp);
+              continue;
+          }
+          default:
+            fail("invalid escape character");
+        }
+        if (out)
+            *out += plain;
+    }
+}
+
+void
+JsonReader::enter()
+{
+    // At the opening bracket, so the diagnostic points at it.
+    if (frames.size() >= kMaxDepth)
+        fail("nesting deeper than " + std::to_string(kMaxDepth) +
+             " levels");
+    ++pos;
+    frames.push_back({true, keys.size()});
+}
+
+void
+JsonReader::leave()
+{
+    ++pos;
+    keys.resize(frames.back().keysFrom);
+    frames.pop_back();
+}
+
+void
+JsonReader::beginObject()
+{
+    expectType(Json::Type::Object);
+    enter();
+}
+
+bool
+JsonReader::nextMember(std::string &key)
+{
+    Frame &f = frames.back();
+    skipWs();
+    if (f.first) {
+        f.first = false;
+        if (peek() == '}') {
+            leave();
+            return false;
+        }
+    } else {
+        const char c = peek();
+        if (c == '}') {
+            leave();
+            return false;
+        }
+        if (c != ',')
+            fail("expected ',' or '}' in object");
+        ++pos;
+        skipWs();
+    }
+    if (peek() != '"')
+        fail("expected object key string");
+    const std::size_t at = pos;
+    string(&key);
+    for (std::size_t i = frames.back().keysFrom; i < keys.size(); ++i) {
+        if (keys[i] == key) {
+            pos = at;
+            fail("duplicate member '" + key + "'");
+        }
+    }
+    keys.push_back(key);
+    skipWs();
+    expect(':');
+    return true;
+}
+
+void
+JsonReader::beginArray()
+{
+    expectType(Json::Type::Array);
+    enter();
+}
+
+bool
+JsonReader::nextElement()
+{
+    Frame &f = frames.back();
+    skipWs();
+    const char c = peek();
+    if (c == ']') {
+        leave();
+        return false;
+    }
+    if (f.first) {
+        f.first = false;
+        return true;
+    }
+    if (c != ',')
+        fail("expected ',' or ']' in array");
+    ++pos;
+    return true;
+}
+
+void
+JsonReader::skipValue()
+{
+    switch (peekType()) {
+      case Json::Type::Object:
+        enter();
+        while (nextMember(scratch))
+            skipValue();
+        break;
+      case Json::Type::Array:
+        enter();
+        while (nextElement())
+            skipValue();
+        break;
+      case Json::Type::String:
+        string(nullptr);
+        break;
+      case Json::Type::Number: {
+        // Converted only when it might be out of range, which the
+        // conversion alone can tell.
+        bool sure;
+        const std::size_t start = scanNumber(&sure);
+        if (!sure) {
+            pos = start;
+            (void)readNumber();
+        }
+        break;
+      }
+      case Json::Type::Bool:
+        (void)readBool();
+        break;
+      case Json::Type::Null:
+        readNull();
+        break;
+    }
+}
+
+void
+JsonReader::finish()
+{
+    skipWs();
+    if (pos != s.size())
+        fail("trailing characters after JSON value");
+}
+
+// --- JsonWriter ---------------------------------------------------------------
+
+void
+JsonWriter::key(std::string_view k)
+{
+    separate();
+    writeString(out, k);
+    out += ": ";
+    first = true; // the value follows the key, unseparated
+}
+
+void
+JsonWriter::number(double v)
+{
+    separate();
+    writeNumber(out, v);
+}
+
+void
+JsonWriter::boolean(bool b)
+{
+    separate();
+    out += b ? "true" : "false";
+}
+
+void
+JsonWriter::string(std::string_view v)
+{
+    separate();
+    writeString(out, v);
+}
+
+// --- Json ---------------------------------------------------------------------
+
+/** Json::parse's tree builder, on JsonReader's grammar. */
 class JsonParser
 {
   public:
-    explicit JsonParser(const std::string &text) : s(text) {}
-
-    Json
-    document()
+    static Json
+    value(JsonReader &in)
     {
-        Json v = value();
-        skipWs();
-        if (pos != s.size())
-            fail("trailing characters after JSON value");
-        return v;
-    }
-
-  private:
-    [[noreturn]] void
-    fail(const std::string &what)
-    {
-        std::size_t line = 1, col = 1;
-        for (std::size_t i = 0; i < pos && i < s.size(); ++i) {
-            if (s[i] == '\n') { ++line; col = 1; } else { ++col; }
-        }
-        fatal("json: " + what + " at line " + std::to_string(line) +
-              ":" + std::to_string(col));
-    }
-
-    void
-    skipWs()
-    {
-        while (pos < s.size() && (s[pos] == ' ' || s[pos] == '\t' ||
-                                  s[pos] == '\n' || s[pos] == '\r'))
-            ++pos;
-    }
-
-    char
-    peek()
-    {
-        if (pos >= s.size())
-            fail("unexpected end of input");
-        return s[pos];
-    }
-
-    void
-    expect(char c)
-    {
-        if (pos >= s.size() || s[pos] != c)
-            fail(std::string("expected '") + c + "'");
-        ++pos;
-    }
-
-    bool
-    consume(const char *lit)
-    {
-        std::size_t n = std::string_view(lit).size();
-        if (s.compare(pos, n, lit) != 0)
-            return false;
-        pos += n;
-        return true;
-    }
-
-    Json
-    value()
-    {
-        skipWs();
-        char c = peek();
-        // Containers recurse; a depth cap turns pathological nesting
-        // (fuzzers love "[[[[...") into a diagnostic instead of stack
-        // exhaustion. Real documents nest a handful of levels.
-        if ((c == '{' || c == '[') && ++depth > kMaxDepth)
-            fail("nesting deeper than " + std::to_string(kMaxDepth) +
-                 " levels");
-        if (c == '{') { Json v = objectValue(); --depth; return v; }
-        if (c == '[') { Json v = arrayValue(); --depth; return v; }
-        if (c == '"') return Json(stringValue());
-        if (c == '-' || (c >= '0' && c <= '9')) return numberValue();
-        if (consume("true")) return Json(true);
-        if (consume("false")) return Json(false);
-        if (consume("null")) return Json();
-        fail("unexpected character");
-    }
-
-    Json
-    objectValue()
-    {
-        expect('{');
-        Json obj = Json::object();
-        skipWs();
-        if (peek() == '}') { ++pos; return obj; }
-        obj.u.obj = new Json::Members;
-        while (true) {
-            skipWs();
-            if (peek() != '"')
-                fail("expected object key string");
-            const std::size_t at = pos;
-            std::string key = stringValue();
-            for (const auto &m : *obj.u.obj) {
-                if (m.first == key) {
-                    pos = at;
-                    fail("duplicate member '" + key + "'");
-                }
+        switch (in.peekType()) {
+          case Json::Type::Object: {
+            Json obj = Json::object();
+            in.beginObject();
+            std::string key;
+            while (in.nextMember(key)) {
+                if (!obj.u.obj)
+                    obj.u.obj = new Json::Members;
+                Json v = value(in);
+                obj.u.obj->emplace_back(std::move(key), std::move(v));
             }
-            skipWs();
-            expect(':');
-            obj.u.obj->emplace_back(std::move(key), value());
-            skipWs();
-            char c = peek();
-            if (c == ',') { ++pos; continue; }
-            if (c == '}') { ++pos; return obj; }
-            fail("expected ',' or '}' in object");
+            return obj;
+          }
+          case Json::Type::Array: {
+            Json arr = Json::array();
+            in.beginArray();
+            while (in.nextElement())
+                arr.push(value(in));
+            return arr;
+          }
+          case Json::Type::String:
+            return Json(in.readString());
+          case Json::Type::Number:
+            return Json(in.readNumber());
+          case Json::Type::Bool:
+            return Json(in.readBool());
+          case Json::Type::Null:
+            break;
         }
+        in.readNull();
+        return Json();
     }
-
-    Json
-    arrayValue()
-    {
-        expect('[');
-        Json arr = Json::array();
-        skipWs();
-        if (peek() == ']') { ++pos; return arr; }
-        while (true) {
-            arr.push(value());
-            skipWs();
-            char c = peek();
-            if (c == ',') { ++pos; continue; }
-            if (c == ']') { ++pos; return arr; }
-            fail("expected ',' or ']' in array");
-        }
-    }
-
-    unsigned
-    hex4()
-    {
-        unsigned v = 0;
-        for (int i = 0; i < 4; ++i) {
-            if (pos >= s.size())
-                fail("unterminated \\u escape");
-            char c = s[pos++];
-            v <<= 4;
-            if (c >= '0' && c <= '9') v |= static_cast<unsigned>(c - '0');
-            else if (c >= 'a' && c <= 'f')
-                v |= static_cast<unsigned>(c - 'a' + 10);
-            else if (c >= 'A' && c <= 'F')
-                v |= static_cast<unsigned>(c - 'A' + 10);
-            else
-                fail("invalid \\u escape digit");
-        }
-        return v;
-    }
-
-    void
-    appendUtf8(std::string &out, unsigned cp)
-    {
-        if (cp < 0x80) {
-            out += static_cast<char>(cp);
-        } else if (cp < 0x800) {
-            out += static_cast<char>(0xc0 | (cp >> 6));
-            out += static_cast<char>(0x80 | (cp & 0x3f));
-        } else if (cp < 0x10000) {
-            out += static_cast<char>(0xe0 | (cp >> 12));
-            out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
-            out += static_cast<char>(0x80 | (cp & 0x3f));
-        } else {
-            out += static_cast<char>(0xf0 | (cp >> 18));
-            out += static_cast<char>(0x80 | ((cp >> 12) & 0x3f));
-            out += static_cast<char>(0x80 | ((cp >> 6) & 0x3f));
-            out += static_cast<char>(0x80 | (cp & 0x3f));
-        }
-    }
-
-    std::string
-    stringValue()
-    {
-        expect('"');
-        std::string out;
-        while (true) {
-            if (pos >= s.size())
-                fail("unterminated string");
-            char c = s[pos++];
-            if (c == '"')
-                return out;
-            if (static_cast<unsigned char>(c) < 0x20)
-                fail("raw control character in string");
-            if (c != '\\') {
-                out += c;
-                continue;
-            }
-            if (pos >= s.size())
-                fail("unterminated escape");
-            char e = s[pos++];
-            switch (e) {
-              case '"': out += '"'; break;
-              case '\\': out += '\\'; break;
-              case '/': out += '/'; break;
-              case 'b': out += '\b'; break;
-              case 'f': out += '\f'; break;
-              case 'n': out += '\n'; break;
-              case 'r': out += '\r'; break;
-              case 't': out += '\t'; break;
-              case 'u': {
-                  unsigned cp = hex4();
-                  if (cp >= 0xdc00 && cp <= 0xdfff)
-                      fail("unpaired low surrogate in \\u escape");
-                  if (cp >= 0xd800 && cp <= 0xdbff) {
-                      // Surrogate pair.
-                      if (!consume("\\u"))
-                          fail("unpaired surrogate in \\u escape");
-                      unsigned lo = hex4();
-                      if (lo < 0xdc00 || lo > 0xdfff)
-                          fail("invalid low surrogate in \\u escape");
-                      cp = 0x10000 + ((cp - 0xd800) << 10) + (lo - 0xdc00);
-                  }
-                  appendUtf8(out, cp);
-                  break;
-              }
-              default:
-                fail("invalid escape character");
-            }
-        }
-    }
-
-    Json
-    numberValue()
-    {
-        // Take the whole run of number characters, so "01" or "1." is
-        // one invalid number rather than a number and trailing junk.
-        const std::size_t start = pos;
-        while (pos < s.size() &&
-               (std::isdigit(static_cast<unsigned char>(s[pos])) ||
-                s[pos] == '.' || s[pos] == 'e' || s[pos] == 'E' ||
-                s[pos] == '+' || s[pos] == '-'))
-            ++pos;
-        const std::string_view text =
-            std::string_view(s).substr(start, pos - start);
-        const std::optional<double> v =
-            isJsonNumber(text) ? parseNumber(text) : std::nullopt;
-        if (!v) {
-            pos = start;
-            fail("invalid number");
-        }
-        return Json(*v);
-    }
-
-    /// See value(): containers past this depth are refused, not parsed.
-    static constexpr int kMaxDepth = 256;
-
-    const std::string &s;
-    std::size_t pos = 0;
-    int depth = 0;
 };
 
 Json::Json(std::string s) : ty(Type::String)
@@ -603,7 +813,10 @@ Json::dump(int indent) const
 Json
 Json::parse(const std::string &text)
 {
-    return JsonParser(text).document();
+    JsonReader in(text);
+    Json v = JsonParser::value(in);
+    in.finish();
+    return v;
 }
 
 Json

@@ -3,9 +3,22 @@
  * Minimal JSON value: parse, build, serialize.
  *
  * One serialization path for everything memtherm writes or reads as
- * JSON — scenario files (core/sim/scenario.hh), result dumps, and the
- * perf-smoke trajectory file. Deliberately small: no SAX interface, no
- * comments, no NaN/Inf extensions. Design goals:
+ * JSON — scenario files (core/sim/scenario.hh), result documents and
+ * JSONL result streams. Deliberately small: no comments, no NaN/Inf
+ * extensions. Three layers share one grammar and one formatter:
+ *
+ *  - JsonReader, a pull reader over a text: typed reads (number, bool,
+ *    string), container steps (beginObject/nextMember,
+ *    beginArray/nextElement) and a validating skipValue(). It owns the
+ *    whole input grammar; Json::parse builds its tree on it, and
+ *    callers that want a few members of a large record (the result
+ *    stream scanner) read those and skip the rest, with every skipped
+ *    byte checked as strictly as parse() would.
+ *  - JsonWriter, a compact text writer: the bytes dump(0) would print
+ *    for the same values, with no tree in between.
+ *  - Json, the document tree, for whatever is built or inspected whole.
+ *
+ * Design goals:
  *
  *  - Lossless round-trips: objects preserve insertion order and numbers
  *    serialize via shortest-round-trip formatting (std::to_chars), so
@@ -16,7 +29,9 @@
  *    zeros, digits on both sides of a '.', digits after an exponent),
  *    and an object that repeats a member is refused.
  *  - Errors are FatalError (common/logging.hh) with line:column context,
- *    so callers and tests can catch misconfiguration uniformly.
+ *    so callers and tests can catch misconfiguration uniformly; the
+ *    reader's typed reads name the kind they found ("expected number,
+ *    have string") at the value's position.
  *
  * Node layout: a Json is 16 bytes, a type tag beside one 8-byte payload.
  * Null, bool and number live in the payload; a string, array or object
@@ -185,6 +200,156 @@ class Json
 
     Payload u{};
     Type ty;
+};
+
+/**
+ * A pull reader over one JSON text (not owned; it must outlive the
+ * reader). Every read skips leading whitespace first. Failures are
+ * FatalError "json: <what> at line L:C", at the position Json::parse
+ * reports for the same text: the same strict grammar, duplicate-member
+ * refusal and nesting cap apply to values read and values skipped.
+ *
+ * Reading an object:
+ *
+ *     in.beginObject();
+ *     std::string key;
+ *     while (in.nextMember(key)) {
+ *         if (key == "x")
+ *             x = in.readNumber();
+ *         else
+ *             in.skipValue();
+ *     }
+ *
+ * A caller that needs a member before an earlier one (the text holds
+ * them in any order) can note a value's offset(), skip it, and seek()
+ * back to read it.
+ */
+class JsonReader
+{
+  public:
+    explicit JsonReader(std::string_view text) : s(text) {}
+
+    /** The next value's type, from its first character. */
+    Json::Type peekType();
+
+    double readNumber();
+    bool readBool();
+    void readNull();
+    std::string readString();
+    /** readString() into @p out (its capacity is reused). */
+    void readString(std::string &out);
+
+    /** Enter an object; nextMember() walks its members. */
+    void beginObject();
+    /**
+     * The next member's key into @p key, leaving the reader at its
+     * value, which the caller must read or skip; false (and the
+     * object left) after the last member.
+     */
+    bool nextMember(std::string &key);
+
+    /** Enter an array; nextElement() walks its elements. */
+    void beginArray();
+    /** Whether another element follows (the reader is then at it). */
+    bool nextElement();
+
+    /** Validate and step over one value of any type. */
+    void skipValue();
+
+    /** Refuse anything but whitespace after the last value. */
+    void finish();
+
+    /** Where the reader is, for seek(): taken where a value starts. */
+    std::size_t offset() const { return pos; }
+    /** Go back to an offset() to read the value there. */
+    void seek(std::size_t at) { pos = at; }
+
+  private:
+    /// FatalError at the current position ("json: <what> at line L:C").
+    [[noreturn]] void fail(const std::string &what) const;
+    void skipWs();
+    char peek() const;
+    void expect(char c);
+    bool consume(std::string_view lit);
+    void expectType(Json::Type want);
+    /// Step into / out of the container at pos.
+    void enter();
+    void leave();
+    unsigned hex4();
+    /// Walk one string: decoded into @p out, or only checked if null.
+    void string(std::string *out);
+    /// The number at pos, checked, without converting it; pos is left
+    /// past it and the return is where it starts. @p sure says whether
+    /// converting it surely succeeds (it is well inside the range).
+    std::size_t scanNumber(bool *sure);
+
+    /// Containers past this depth are refused, not parsed: a cap that
+    /// turns pathological nesting into a diagnostic, not a stack
+    /// overflow. Real documents nest a handful of levels.
+    static constexpr std::size_t kMaxDepth = 256;
+
+    /// One open container: whether its first entry is still to come,
+    /// and (objects) where its keys start in `keys`.
+    struct Frame
+    {
+        bool first;
+        std::size_t keysFrom;
+    };
+
+    std::string_view s;
+    std::size_t pos = 0;
+    std::vector<Frame> frames; ///< the open containers, outermost first
+    std::vector<std::string> keys; ///< the open objects' keys so far
+    std::string scratch;           ///< skipValue()'s member keys
+};
+
+/**
+ * A compact JSON text writer appending to a caller's string: for the
+ * same sequence of values it emits exactly what Json::dump(0) prints
+ * (", " between entries, ": " after a key, the same string escaping
+ * and number formatting), so a large record can be serialized without
+ * first building its tree.
+ */
+class JsonWriter
+{
+  public:
+    explicit JsonWriter(std::string &out) : out(out) {}
+
+    void beginObject() { open('{'); }
+    void endObject() { close('}'); }
+    void beginArray() { open('['); }
+    void endArray() { close(']'); }
+    /** The next member's key; its value follows. */
+    void key(std::string_view k);
+
+    void number(double v);
+    void boolean(bool b);
+    void string(std::string_view v);
+
+  private:
+    void
+    separate()
+    {
+        if (!first)
+            out += ", ";
+        first = false;
+    }
+    void
+    open(char c)
+    {
+        separate();
+        out += c;
+        first = true;
+    }
+    void
+    close(char c)
+    {
+        out += c;
+        first = false;
+    }
+
+    std::string &out;
+    bool first = true; ///< nothing written yet at this level
 };
 
 /**

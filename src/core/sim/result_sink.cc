@@ -1,6 +1,7 @@
 #include "core/sim/result_sink.hh"
 
 #include <algorithm>
+#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <numeric>
@@ -88,12 +89,13 @@ whatOf(std::exception_ptr err)
  */
 struct GridIndex
 {
-    explicit GridIndex(const LoweredScenario &low)
-        : workloads(low.workloads), policies(low.policies)
+    GridIndex(std::vector<std::string> points,
+              std::vector<std::string> workloads,
+              std::vector<std::string> policies)
+        : pointLabels(std::move(points)), workloads(std::move(workloads)),
+          policies(std::move(policies)),
+          perPoint(this->workloads.size() * this->policies.size())
     {
-        for (const auto &pt : low.points)
-            pointLabels.push_back(pt.label);
-        perPoint = workloads.size() * policies.size();
     }
 
     std::size_t size() const { return pointLabels.size() * perPoint; }
@@ -188,7 +190,8 @@ JsonlResultWriter::JsonlResultWriter(const std::string &path,
     }
     h.set("traces", Json(traces));
     h.set("spec", spec.toJson());
-    appendLine(h);
+    line = h.dump(0);
+    appendLine();
 }
 
 JsonlResultWriter::JsonlResultWriter(const std::string &path,
@@ -210,9 +213,8 @@ JsonlResultWriter::JsonlResultWriter(const std::string &path,
 }
 
 void
-JsonlResultWriter::appendLine(const Json &record)
+JsonlResultWriter::appendLine()
 {
-    std::string line = record.dump(0);
     line += '\n';
     // One write call for the whole line, then a flush: a crash between
     // appends leaves only intact lines, a crash mid-append leaves one
@@ -223,21 +225,41 @@ JsonlResultWriter::appendLine(const Json &record)
         fatal("stream: write to '" + path + "' failed (disk full?)");
 }
 
+JsonWriter
+JsonlResultWriter::beginRecord(const char *type, std::size_t index,
+                               const std::string &point,
+                               const std::string &workload,
+                               const std::string &policy)
+{
+    line.clear(); // its capacity carries over to the next record
+    JsonWriter w(line);
+    w.beginObject();
+    w.key("type");
+    w.string(type);
+    w.key("index");
+    w.number(static_cast<double>(index));
+    w.key("point");
+    w.string(point);
+    w.key("workload");
+    w.string(workload);
+    w.key("policy");
+    w.string(policy);
+    return w;
+}
+
 void
 JsonlResultWriter::appendResult(std::size_t index, const std::string &point,
                                 const std::string &workload,
                                 const std::string &policy, const SimResult &r,
                                 double wall_s, bool traces)
 {
-    Json j = Json::object();
-    j.set("type", "result");
-    j.set("index", static_cast<std::uint64_t>(index));
-    j.set("point", point);
-    j.set("workload", workload);
-    j.set("policy", policy);
-    j.set("wall_s", wall_s);
-    j.set("result", toJson(r, traces));
-    appendLine(j);
+    JsonWriter w = beginRecord("result", index, point, workload, policy);
+    w.key("wall_s");
+    w.number(wall_s);
+    w.key("result");
+    writeResult(w, r, traces);
+    w.endObject();
+    appendLine();
 
     // Fault injection: simulate a hard crash (no unwinding, no flush of
     // anything else) once this process has persisted `faultAfter`
@@ -253,15 +275,100 @@ JsonlResultWriter::appendError(std::size_t index, const std::string &point,
                                const std::string &policy,
                                const std::string &error)
 {
-    Json j = Json::object();
-    j.set("type", "error");
-    j.set("index", static_cast<std::uint64_t>(index));
-    j.set("point", point);
-    j.set("workload", workload);
-    j.set("policy", policy);
-    j.set("error", error);
-    appendLine(j);
+    JsonWriter w = beginRecord("error", index, point, workload, policy);
+    w.key("error");
+    w.string(error);
+    w.endObject();
+    appendLine();
 }
+
+namespace
+{
+
+/**
+ * One data line of a stream, read member by member off its text: the
+ * identity and (a result's) wall time are decoded, the result payload
+ * is decoded only when @p keep_results, and otherwise skipped — still
+ * checked as strictly as Json::parse would check it. Members may come
+ * in any order; one needed before the member that says how to read it
+ * (a `result` ahead of its `type`) is skipped and read at the end.
+ */
+StreamRecord
+readRecord(std::string_view line, const StreamScan &scan, bool keep_results)
+{
+    JsonReader in(line);
+    StreamRecord rec;
+    std::optional<std::string> type;
+    std::optional<std::size_t> index, point, workload, policy, error, wall,
+        result; // offsets of the members' values
+    bool decoded = false;
+    in.beginObject();
+    std::string key;
+    while (in.nextMember(key)) {
+        if (key == "type") {
+            type = in.readString();
+            continue;
+        }
+        if (key == "result" && keep_results && type == "result") {
+            result = in.offset();
+            rec.result = readResult(in, "result", scan.traces);
+            decoded = true;
+            continue;
+        }
+        std::optional<std::size_t> *slot =
+            key == "index"      ? &index
+            : key == "point"    ? &point
+            : key == "workload" ? &workload
+            : key == "policy"   ? &policy
+            : key == "error"    ? &error
+            : key == "wall_s"   ? &wall
+            : key == "result"   ? &result
+                                : nullptr;
+        if (slot)
+            *slot = in.offset();
+        in.skipValue();
+    }
+    in.finish();
+
+    // The members a record of its type needs, in a fixed order.
+    auto at = [&](const std::optional<std::size_t> &m,
+                  const char *name) -> JsonReader & {
+        if (!m)
+            fatal(std::string("json: missing member '") + name + "'");
+        in.seek(*m);
+        return in;
+    };
+    if (!type)
+        fatal("json: missing member 'type'");
+    rec.failed = *type == "error";
+    if (!rec.failed && *type != "result")
+        fatal("unknown record type '" + *type + "'");
+    const double ix = at(index, "index").peekType() == Json::Type::Number
+                          ? in.readNumber()
+                          : -1.0;
+    if (!(ix >= 0.0 && ix <= 9007199254740992.0 && ix == std::floor(ix)))
+        fatal("json: member 'index' must be an integer within [0, 2^53]");
+    rec.index = static_cast<std::size_t>(ix);
+    if (rec.index >= scan.totalRuns) {
+        fatal("run index " + std::to_string(rec.index) +
+              " is out of range (grid has " +
+              std::to_string(scan.totalRuns) + " runs)");
+    }
+    rec.point = at(point, "point").readString();
+    rec.workload = at(workload, "workload").readString();
+    rec.policy = at(policy, "policy").readString();
+    if (rec.failed) {
+        rec.error = at(error, "error").readString();
+    } else {
+        rec.wallSeconds = at(wall, "wall_s").readNumber();
+        (void)at(result, "result");
+        if (keep_results && !decoded)
+            rec.result = readResult(in, "result", scan.traces);
+    }
+    return rec;
+}
+
+} // namespace
 
 StreamScan
 scanStream(const std::string &path, bool keep_results)
@@ -287,10 +394,9 @@ scanStream(const std::string &path, bool keep_results)
         // Any error names its line: mid-file damage cannot come from a
         // crash of this writer, so refuse to guess what the stream meant.
         try {
-            const Json j = Json::parse(line);
-            const std::string &type = j.at("type").asString();
             if (lineno == 1) {
-                if (type != "header")
+                const Json j = Json::parse(line);
+                if (j.at("type").asString() != "header")
                     fatal("first line must be the stream header");
                 const std::uint64_t format = j.uintAt("format");
                 if (format != kStreamFormatVersion) {
@@ -311,29 +417,7 @@ scanStream(const std::string &path, bool keep_results)
                         std::to_string(sh->uintAt("count")));
                 scan.spec = ScenarioSpec::fromJson(j.at("spec"));
             } else {
-                StreamRecord rec;
-                rec.failed = type == "error";
-                if (!rec.failed && type != "result")
-                    fatal("unknown record type '" + type + "'");
-                rec.index = j.uintAt("index");
-                if (rec.index >= scan.totalRuns) {
-                    fatal("run index " + std::to_string(rec.index) +
-                          " is out of range (grid has " +
-                          std::to_string(scan.totalRuns) + " runs)");
-                }
-                rec.point = j.at("point").asString();
-                rec.workload = j.at("workload").asString();
-                rec.policy = j.at("policy").asString();
-                if (rec.failed) {
-                    rec.error = j.at("error").asString();
-                } else {
-                    rec.wallSeconds = j.at("wall_s").asNumber();
-                    const Json &res = j.at("result");
-                    if (keep_results)
-                        rec.result =
-                            simResultFromJson(res, "result", scan.traces);
-                }
-                scan.records.push_back(std::move(rec));
+                scan.records.push_back(readRecord(line, scan, keep_results));
             }
         } catch (const FatalError &e) {
             fatal("stream '" + path + "' line " + std::to_string(lineno), e);
@@ -439,7 +523,10 @@ runGrid(const ScenarioSpec &spec, ExperimentEngine &engine,
             all.push_back(std::move(r));
     applyFaultInjection(all);
 
-    sink.grid.emplace(low);
+    std::vector<std::string> labels;
+    for (const auto &pt : low.points)
+        labels.push_back(pt.label);
+    sink.grid.emplace(std::move(labels), low.workloads, low.policies);
     panicIfNot(all.size() == sink.grid->size(),
                "runGrid: lowered runs do not match the grid geometry");
     sink.global = sink.select();
@@ -674,8 +761,10 @@ mergeStreams(const std::vector<std::string> &paths)
             out.spec = scan.spec;
             out.totalRuns = scan.totalRuns;
             // The header's count sizes nothing until the embedded spec,
-            // re-lowered for the grid geometry, vouches for it.
-            grid.emplace(out.spec.lower());
+            // checked and re-gridded (its trace is not read: the
+            // results are in), vouches for it.
+            grid.emplace(out.spec.pointLabels(), out.spec.workloads,
+                         out.spec.policies);
             if (grid->size() != out.totalRuns) {
                 fatal("merge: '" + path + "': embedded spec lowers to " +
                       std::to_string(grid->size()) + " runs but member "

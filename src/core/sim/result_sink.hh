@@ -27,8 +27,9 @@
  *  - mergeStreams() folds shard/resume streams back into the canonical
  *    results JSON, bit-identical to what an uninterrupted unsharded
  *    `memtherm run -o` writes. It owns no document format: records
- *    decode through the result codec (core/sim/scenario.hh) into a
- *    ScenarioResults, which toJson(ScenarioResults) writes.
+ *    decode straight from their text through the result codec
+ *    (core/sim/result_codec.hh) into a ScenarioResults, which
+ *    toJson(ScenarioResults) writes.
  *  - OnlineAxisAggregator keeps `memtherm report` sweep summaries in
  *    bounded memory: per-point aggregates, not a full result vector.
  *
@@ -126,8 +127,10 @@ struct StreamRecord
 /**
  * Append-as-you-finish JSONL writer. One header line describing the
  * grid (format version, spec hash, the full spec, total run count,
- * shard), then one line per finished run. Every append builds the
- * complete line in memory, writes it in a single call, and flushes —
+ * shard), then one line per finished run, whose result the codec's
+ * text writer (writeResult) prints with no JSON tree in between.
+ * Every append builds the complete line in memory (one buffer, reused
+ * from line to line), writes it in a single call, and flushes —
  * so the on-disk stream always ends in (at most one) partial line and
  * every earlier line is intact. Not internally synchronized: the
  * engine already serializes sink callbacks (RunSink contract).
@@ -156,10 +159,17 @@ class JsonlResultWriter
                      const std::string &error);
 
   private:
-    void appendLine(const Json &record);
+    /** A record line up to its identity; the caller adds the rest. */
+    JsonWriter beginRecord(const char *type, std::size_t index,
+                           const std::string &point,
+                           const std::string &workload,
+                           const std::string &policy);
+    /** Terminate `line` and write it (one call), then flush. */
+    void appendLine();
 
     std::string path;
     std::ofstream out;
+    std::string line; ///< the line being built, its buffer reused
     int faultAfter = -1;     ///< MEMTHERM_FAULT_AFTER_RUN; -1 = off
     int resultsWritten = 0;  ///< result lines appended by this process
 };
@@ -181,13 +191,16 @@ struct StreamScan
 /**
  * Read a stream back. The header is validated (format version, member
  * types, counts range-checked before any cast); every complete data
- * line must parse, its result payload through simResultFromJson() —
+ * line is read off its text with JsonReader (common/json.hh), its
+ * result payload decoded by readResult() (core/sim/result_codec.hh) —
  * mid-file corruption is an error naming the line, it cannot come from
  * a crash of the append-and-flush writer. An unterminated trailing line
  * is the crash signature: dropped, with cleanSize marking where to
- * truncate before resuming. @p keep_results false skips the (large)
- * per-run result payloads and keeps only run identities — all resume
- * needs.
+ * truncate before resuming. @p keep_results false keeps only run
+ * identities — all resume needs — and skips the (large) per-run result
+ * payloads undecoded, but not unchecked: JsonReader::skipValue refuses
+ * exactly what Json::parse would (a repeated member, a malformed
+ * number, a raw control character, ...), so such a line still fails.
  */
 StreamScan scanStream(const std::string &path, bool keep_results = true);
 
@@ -243,8 +256,9 @@ struct MergedStream
  * Fold one or more streams (shards of one grid, or one resumed stream)
  * into the canonical results document. Every stream's header must
  * fingerprint the same scenario (same spec hash, total, traces flag),
- * and the embedded spec must lower to that total before anything is
- * sized by it. Records are slotted by global index into spec grid order
+ * and the embedded spec must pass the scenario checks and span that
+ * total (ScenarioSpec::pointLabels, which reads no trace) before
+ * anything is sized by it. Records are slotted by global index into spec grid order
  * and written by toJson(ScenarioResults), so the output is
  * bit-identical to an uninterrupted unsharded `memtherm run -o` —
  * whatever order, interruption, or sharding produced the lines.

@@ -1089,6 +1089,21 @@ ScenarioSpec::validate() const
 LoweredScenario
 ScenarioSpec::lower() const
 {
+    return lowered(true);
+}
+
+std::vector<std::string>
+ScenarioSpec::pointLabels() const
+{
+    std::vector<std::string> out;
+    for (const auto &pt : lowered(false).points)
+        out.push_back(pt.label);
+    return out;
+}
+
+LoweredScenario
+ScenarioSpec::lowered(bool read_trace) const
+{
     if (workloads.empty())
         specError(*this, "no workloads given");
     if (policies.empty())
@@ -1219,7 +1234,7 @@ ScenarioSpec::lower() const
     // (channels, DIMMs per channel, bank cells), so each distinct triple
     // decodes once below; the memo lives only for this call.
     std::vector<TraceRecord> traceRecords;
-    if (!trace.empty())
+    if (!trace.empty() && read_trace)
         traceRecords = loadTrace(trace);
     std::map<std::array<int, 3>, TraceProfile> traceProfiles;
 
@@ -1443,345 +1458,6 @@ void
 ScenarioSpec::save(const std::string &path) const
 {
     toJson().save(path);
-}
-
-// --- the result table -------------------------------------------------------
-
-namespace
-{
-
-/** What a result table entry declares besides its member. */
-struct ResultDef
-{
-    const char *key; ///< JSON member of a result object
-    int version = 1; ///< result schema version that introduced it
-    /// Written only when this vector is non-empty, so results without the
-    /// data keep the member set (and bytes) of the older schema.
-    std::vector<double> SimResult::*sparse = nullptr;
-    bool optional = false; ///< absent reads as empty (so does sparse)
-    bool traces = false;   ///< written only when traces are asked for
-};
-
-/** A result member that is a JSON object: its sub-members by key. */
-template <typename T, std::size_t N>
-using Group = std::array<std::pair<const char *, T SimResult::*>, N>;
-
-/** `peak_bank_dram_c`: per DIMM, one row of its bank_grid cells. */
-struct BankRows
-{
-};
-
-/** The JSON form of member @p m: a member pointer, Group or BankRows. */
-template <typename M>
-Json
-put(const SimResult &r, const M &m)
-{
-    using Doubles = ValueCodec<std::vector<double>>;
-    Json j = Json::object();
-    if constexpr (std::is_same_v<M, BankRows>) {
-        const std::vector<double> &v = r.peakBankDramPerDimm;
-        const std::size_t n = r.bankCells();
-        j = Json::array();
-        for (std::size_t i = 0; i < v.size(); i += n) {
-            Json row = Json::array();
-            for (std::size_t c = i; c < i + n; ++c)
-                row.push(ValueCodec<double>::toJson(v[c]));
-            j.push(std::move(row));
-        }
-    } else if constexpr (requires { m.size(); }) { // a Group
-        for (const auto &[k, sub] : m)
-            j.set(k, put(r, sub));
-    } else {
-        const auto &v = r.*m;
-        using T = std::decay_t<decltype(v)>;
-        if constexpr (std::is_same_v<T, TimeSeries>) {
-            j.set("period_s", v.period());
-            j.set("values", Doubles::toJson(v.values()));
-        } else if constexpr (std::is_same_v<T, std::vector<double>>) {
-            j = Doubles::toJson(v);
-        } else {
-            j = Json(v);
-        }
-    }
-    return j;
-}
-
-/** Read put()'s form of @p m; Json's accessors refuse a wrong type. */
-template <typename M>
-void
-get(const Json &v, SimResult &r, const M &m)
-{
-    if constexpr (std::is_same_v<M, BankRows>) {
-        // Read after `bank_grid`, which sets the row width.
-        const std::size_t n = r.bankCells();
-        if (n == 0)
-            fatal("needs a 'bank_grid' member");
-        for (const Json &row : v.asArray()) {
-            const std::size_t before = r.peakBankDramPerDimm.size();
-            get(row, r, &SimResult::peakBankDramPerDimm); // appends
-            if (r.peakBankDramPerDimm.size() - before != n)
-                fatal("rows must hold the bank grid's " + std::to_string(n) +
-                      " cells");
-        }
-    } else if constexpr (requires { m.size(); }) { // a Group
-        if (v.asObject().size() != m.size())
-            fatal("must have exactly " + std::to_string(m.size()) +
-                  " members");
-        for (const auto &[k, sub] : m)
-            get(v.at(k), r, sub);
-    } else {
-        auto &out = r.*m;
-        using T = std::decay_t<decltype(out)>;
-        if constexpr (std::is_same_v<T, TimeSeries>) {
-            checkMembers(v, "a trace", {"period_s", "values"});
-            const double period = v.at("period_s").asNumber();
-            if (!(period > 0.0))
-                fatal("'period_s' must be positive");
-            out = TimeSeries(period);
-            for (const Json &x : v.at("values").asArray())
-                out.add(x.asNumber());
-        } else if constexpr (std::is_same_v<T, std::vector<double>>) {
-            for (const Json &x : v.asArray())
-                out.push_back(x.asNumber());
-        } else if constexpr (std::is_same_v<T, int>) {
-            // A bank grid side, within the scenario layer's cell limit.
-            const double x = v.asNumber();
-            if (!(x >= 1 && x <= 1024 && x == std::floor(x)))
-                fatal("bank grid sides must be integers in [1, 1024]");
-            out = static_cast<int>(x);
-        } else if constexpr (std::is_same_v<T, std::string>) {
-            out = v.asString();
-        } else if constexpr (std::is_same_v<T, bool>) {
-            out = v.asBool();
-        } else {
-            out = v.asNumber();
-        }
-    }
-}
-
-/**
- * The table: calls @p f(def, member) for every SimResult member, in the
- * order toJson() writes them; put() and get() know each kind of member.
- */
-template <typename F>
-void
-forEachResultMember(F &&f)
-{
-    using R = SimResult;
-    f({.key = "workload"}, &R::workload);
-    f({.key = "policy"}, &R::policy);
-    f({.key = "completed"}, &R::completed);
-    f({.key = "running_time_s"}, &R::runningTime);
-    f({.key = "total_instr"}, &R::totalInstr);
-    f({.key = "read_gb"}, &R::totalReadGB);
-    f({.key = "write_gb"}, &R::totalWriteGB);
-    f({.key = "l2_misses"}, &R::totalL2Misses);
-    f({.key = "mem_energy_j"}, &R::memEnergy);
-    f({.key = "cpu_energy_j"}, &R::cpuEnergy);
-    f({.key = "max_amb_c"}, &R::maxAmb);
-    f({.key = "max_dram_c"}, &R::maxDram);
-    f({.key = "time_above_amb_tdp_s"}, &R::timeAboveAmbTdp);
-    f({.key = "time_above_dram_tdp_s"}, &R::timeAboveDramTdp);
-    f({.key = "peak_amb_per_dimm_c", .optional = true}, &R::peakAmbPerDimm);
-    f({.key = "peak_dram_per_dimm_c", .optional = true},
-      &R::peakDramPerDimm);
-    f({.key = "avg_power_per_dimm_w", .optional = true},
-      &R::avgPowerPerDimm);
-    // Sized only when the run's refresh model is active.
-    f({.key = "refresh_bw_loss_per_dimm_gb", .version = 2,
-       .sparse = &R::refreshBwLossPerDimm},
-      &R::refreshBwLossPerDimm);
-    f({.key = "refresh_energy_per_dimm_j", .version = 2,
-       .sparse = &R::refreshEnergyPerDimm},
-      &R::refreshEnergyPerDimm);
-    // Sized only when the run's bank-grid thermal model is active.
-    f({.key = "bank_grid", .version = 3, .sparse = &R::peakBankDramPerDimm},
-      Group<int, 2>{{{"x", &R::bankGridX}, {"z", &R::bankGridZ}}});
-    f({.key = "peak_bank_dram_c", .version = 3,
-       .sparse = &R::peakBankDramPerDimm},
-      BankRows{});
-    f({.key = "traces", .optional = true, .traces = true},
-      Group<TimeSeries, 5>{{{"amb_c", &R::ambTrace},
-                            {"dram_c", &R::dramTrace},
-                            {"inlet_c", &R::inletTrace},
-                            {"cpu_power_w", &R::cpuPowerTrace},
-                            {"bw_gbps", &R::bwTrace}}});
-}
-
-/** Whether toJson(@p r, @p traces) writes the member @p d. */
-bool
-written(const ResultDef &d, const SimResult &r, bool traces)
-{
-    return d.traces ? traces : !d.sparse || !(r.*d.sparse).empty();
-}
-
-} // namespace
-
-const std::vector<std::string> &
-resultMemberKeys()
-{
-    static const std::vector<std::string> keys = [] {
-        std::vector<std::string> out;
-        forEachResultMember(
-            [&](const ResultDef &d, const auto &) { out.push_back(d.key); });
-        return out;
-    }();
-    return keys;
-}
-
-Json
-toJson(const SimResult &r, bool traces)
-{
-    Json j = Json::object();
-    forEachResultMember([&](const ResultDef &d, const auto &m) {
-        if (written(d, r, traces))
-            j.set(d.key, put(r, m));
-    });
-    return j;
-}
-
-SimResult
-simResultFromJson(const Json &j, const std::string &where,
-                  std::optional<bool> traces)
-{
-    SimResult r;
-    const char *key = nullptr; // the member being read, for diagnostics
-    try {
-        // Refused, not dropped: dropping would make merge silently lossy.
-        checkMembers(j, "a result", resultMemberKeys());
-        forEachResultMember([&](const ResultDef &d, const auto &m) {
-            key = d.key;
-            const Json *v = j.find(d.key);
-            if (d.traces && traces && (v != nullptr) != *traces)
-                fatal(*traces ? "missing, but the traces flag is on"
-                              : "present, but the traces flag is off");
-            if (v)
-                get(*v, r, m);
-            else if (!d.sparse && !d.optional)
-                fatal("missing");
-        });
-    } catch (const FatalError &e) {
-        fatal(key ? where + ": member '" + key + "'" : where, e);
-    }
-    return r;
-}
-
-int
-resultSchemaVersionOf(const Json &doc, const std::string &where,
-                      int max_version)
-{
-    const Json *v = doc.isObject() ? doc.find("schema_version") : nullptr;
-    if (!v)
-        return 1; // version-absent legacy file
-    // Both checks precede the cast, which is undefined out of range.
-    const double ver = v->isNumber() ? v->asNumber() : 0.0;
-    if (ver != std::floor(ver) || ver < 1)
-        fatal(where + ": 'schema_version' must be a positive integer");
-    if (ver > max_version) {
-        fatal(where + ": schema version " + numStr(ver) +
-              " is newer than this binary's " +
-              std::to_string(max_version) +
-              "; upgrade memtherm to read this file");
-    }
-    return static_cast<int>(ver);
-}
-
-Json
-toJson(const ScenarioResults &r, bool traces)
-{
-    // Stamped with the highest version among the members written, and
-    // not at all for the historical member set (kResultSchemaVersion).
-    int version = 1;
-    Json pts = Json::array();
-    for (const auto &pt : r.points) {
-        Json suite = Json::object();
-        for (const auto &[w, per_policy] : pt.suite) {
-            Json pw = Json::object();
-            for (const auto &[p, res] : per_policy) {
-                pw.set(p, toJson(res, traces));
-                forEachResultMember([&](const ResultDef &d, const auto &) {
-                    if (written(d, res, traces))
-                        version = std::max(version, d.version);
-                });
-            }
-            suite.set(w, std::move(pw));
-        }
-        Json p = Json::object();
-        p.set("label", pt.label);
-        p.set("results", std::move(suite));
-        pts.push(std::move(p));
-    }
-    Json j = Json::object();
-    j.set("scenario", r.scenario);
-    if (version > 1)
-        j.set("schema_version", version);
-    j.set("points", std::move(pts));
-    // Emitted only when runs failed, so clean results (and the
-    // committed goldens) keep their exact historical shape.
-    if (!r.errors.empty()) {
-        Json errs = Json::array();
-        for (const auto &e : r.errors) {
-            Json o = Json::object();
-            o.set("index", static_cast<std::uint64_t>(e.index));
-            o.set("point", e.point);
-            o.set("workload", e.workload);
-            o.set("policy", e.policy);
-            o.set("error", e.error);
-            errs.push(std::move(o));
-        }
-        j.set("errors", std::move(errs));
-    }
-    return j;
-}
-
-ScenarioResults
-scenarioResultsFromJson(const Json &doc, const std::string &where)
-{
-    const Json *pts = doc.find("points");
-    if (!pts) {
-        fatal(where + " does not look like memtherm results (expected an "
-                      "object with a 'points' array; produce one with "
-                      "`memtherm run -o`)");
-    }
-    // Version-absent files are legacy (v1) and read unchanged; a
-    // document from a newer binary is refused rather than misread.
-    (void)resultSchemaVersionOf(doc, where);
-
-    ScenarioResults out;
-    std::string at = where; // what is being read, for diagnostics
-    try {
-        checkMembers(doc, "the results",
-                     {"scenario", "schema_version", "points", "errors"});
-        out.scenario = doc.at("scenario").asString();
-        for (const Json &pj : pts->asArray()) {
-            at = where + ": points[" + std::to_string(out.points.size()) +
-                 "]";
-            checkMembers(pj, "a point", {"label", "results"});
-            ScenarioResults::Point &pt = out.points.emplace_back();
-            pt.label = pj.at("label").asString();
-            for (const auto &[w, group] : pj.at("results").asObject()) {
-                if (group.asObject().empty())
-                    fatal("workload '" + w + "' has no results");
-                for (const auto &[p, rj] : group.asObject())
-                    pt.suite[w][p] = simResultFromJson(rj, w + "/" + p);
-            }
-        }
-        if (const Json *errs = doc.find("errors")) {
-            for (const Json &e : errs->asArray()) {
-                at = where + ": errors[" +
-                     std::to_string(out.errors.size()) + "]";
-                checkMembers(e, "an error", {"index", "point", "workload",
-                                             "policy", "error"});
-                out.errors.push_back(
-                    {e.uintAt("index"), e.at("point").asString(),
-                     e.at("workload").asString(), e.at("policy").asString(),
-                     e.at("error").asString()});
-            }
-        }
-    } catch (const FatalError &e) {
-        fatal(at, e);
-    }
-    return out;
 }
 
 } // namespace memtherm

@@ -52,6 +52,7 @@
 
 #include "common/json.hh"
 #include "core/sim/engine.hh"
+#include "core/sim/result_codec.hh"
 #include "core/thermal/bank_grid.hh"
 
 namespace memtherm
@@ -252,6 +253,14 @@ struct ScenarioSpec
     /** Lower to the configuration grid and its engine run lists. */
     LoweredScenario lower() const;
 
+    /**
+     * The sweep-point labels of lower()'s grid, in grid order, after
+     * the same checks but without reading the trace (or warning about
+     * it): all a reader of finished results needs to place them, on a
+     * host that may not hold the trace file.
+     */
+    std::vector<std::string> pointLabels() const;
+
     /** Serialize (omits unset optionals; lossless round-trip). */
     Json toJson() const;
 
@@ -263,6 +272,10 @@ struct ScenarioSpec
 
     /** Write a scenario file. */
     void save(const std::string &path) const;
+
+  private:
+    /** lower(), reading the trace only when @p read_trace. */
+    LoweredScenario lowered(bool read_trace) const;
 };
 
 /** JSON member names of the scenario `config` object, in member order. */
@@ -341,54 +354,6 @@ ScenarioResults runScenarioBatched(const ScenarioSpec &spec,
                                    ExperimentEngine &engine,
                                    int batch_width,
                                    BatchStats *stats = nullptr);
-
-/**
- * Version of the result-document schema this binary writes. The result
- * table (scenario.cc) records the version that introduced each member:
- * 2 the refresh arrays, 3 the bank-grid members. toJson(ScenarioResults)
- * stamps the highest version among the members it writes, and nothing
- * for v1 (so version-absent files read as v1 and keep their bytes);
- * JSONL stream headers (core/sim/result_sink.hh) carry the binary's
- * version unconditionally.
- */
-inline constexpr int kResultSchemaVersion = 3;
-
-/**
- * Effective schema version of a result document or stream header: the
- * `schema_version` member when present, else 1. FatalError when the
- * member is not a positive integer, or names a version newer than
- * @p max_version (the binary's kResultSchemaVersion by default; tests
- * pin older values to exercise the refusal) — a clear upgrade message
- * instead of a misparse. @p where prefixes the diagnostic (e.g. the
- * file path).
- */
-int resultSchemaVersionOf(const Json &doc, const std::string &where,
-                          int max_version = kResultSchemaVersion);
-
-/**
- * The result codec: one table in scenario.cc declares each SimResult
- * member's JSON key, codec, version, and whether it is written only when
- * non-empty; the writers, the readers and the version stamp iterate it.
- * @p traces includes the full traces (large).
- */
-Json toJson(const SimResult &r, bool traces = false);
-Json toJson(const ScenarioResults &r, bool traces = false);
-
-/**
- * Inverse of toJson(SimResult). FatalError, prefixed with @p where, on
- * a wrong type, a missing required member or one the table lacks; the
- * per-DIMM arrays, v2/v3 members and traces may be absent (empty).
- * @p traces, when set, says whether `traces` must be present.
- */
-SimResult simResultFromJson(const Json &j, const std::string &where,
-                            std::optional<bool> traces = std::nullopt);
-
-/** Inverse of toJson(ScenarioResults), after the version check. */
-ScenarioResults scenarioResultsFromJson(const Json &doc,
-                                        const std::string &where);
-
-/** JSON keys of a result object, in the order toJson() writes them. */
-const std::vector<std::string> &resultMemberKeys();
 
 } // namespace memtherm
 

@@ -10,7 +10,11 @@
  *    or misparse — the CI sanitizer job runs this suite under
  *    ASan+UBSan with MEMTHERM_FUZZ_CASES=10000;
  *  - random SimResults and result documents round-trip through the
- *    result codec byte-identically;
+ *    result codec byte-identically, its text writer prints the tree's
+ *    dump() bytes, and its text decoder agrees with the tree decoder it
+ *    replaced (kept here as the oracle) on every mutated record;
+ *  - JsonReader::skipValue refuses exactly what Json::parse refuses,
+ *    with the same diagnostic, over the JSON fuzz corpus;
  *  - a real stream, mutated record by record, and a mutated results
  *    document reach scanStream, mergeStreams and the document decoder,
  *    which may refuse them only with FatalError;
@@ -28,6 +32,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
@@ -646,6 +651,314 @@ TEST(ResultCodecFuzz, MutatedStreamsAndDocumentsFailOnlyFatally)
         expectOnlyFatal(i, "scenarioResultsFromJson", [&] {
             scenarioResultsFromJson(mutateJson(doc, rng), "doc");
         });
+    }
+}
+
+/** What a read did: "ok", or the FatalError's message. */
+template <typename F>
+std::string
+outcome(F &&f)
+{
+    try {
+        f();
+        return "ok";
+    } catch (const FatalError &e) {
+        return e.what();
+    }
+}
+
+/**
+ * The JSON fuzz corpus: the garbage regressions, numbers at and past a
+ * double's range, random values, and random specs truncated or with
+ * junk characters edited in.
+ */
+std::vector<std::string>
+jsonCorpus()
+{
+    std::vector<std::string> out = {
+        "", "{", "[", "\"", "{\"a\":}", "{\"a\":1,}", "[1,2", "[1 2]", "tru",
+        "nul", "false0", "-", "0x10", "1e", "1e+", "\"\\u12\"", "\"\\q\"",
+        "{\"a\" 1}", "{1:2}", "[,]", "\"unterminated", "{\"a\":\"b\"}}",
+        "1 2", "\x01", "{\"a\":\n\"b\",\n}", "{\"a\": 1, \"a\": 2}",
+        "{\"a\": {\"b\": 1}, \"b\": {\"b\": 2, \"\\u0062\": 3}}",
+        "\"\\ud800\"", "\"\\udc00\"", "\"\\ud800\\u0041\"", "\"\\ud83d\\ude00\"",
+        "\"a\tb\"", "01", "-01", "1.", ".5", "1.e5", "+1", "-0", "0e0",
+        "1e400", "-1e400", "1e-400", "4.9e-324", "2.4e-324",
+        "1.7976931348623157e308", "1.8e308", "0e99999", "1e0000000001",
+        "123456789012345678901234567890e-330", std::string(400, '9'),
+        "0." + std::string(320, '0') + "1", std::string(300, '[')};
+    const std::size_t cases = fuzzCases();
+    Rng seed_stream(0x5e1ec7edULL);
+    static const char junk[] = "{}[],:\"\\ truefalsnul\n\t-+.eE0\x01";
+    for (std::size_t i = 0; i < cases; ++i) {
+        Rng rng(seed_stream.next());
+        Json v = Json::object();
+        v.set("s", randomString(rng, 30));
+        v.set("d", randomDouble(rng));
+        Json arr = Json::array();
+        for (std::size_t k = rng.below(6); k > 0; --k)
+            arr.push(randomDouble(rng));
+        v.set("a", std::move(arr));
+        out.push_back(v.dump(rng.below(3)));
+        std::string doc = randomSpec(rng).toJson().dump(2);
+        out.push_back(doc.substr(0, rng.below(doc.size())));
+        for (std::size_t k = 1 + rng.below(8); k > 0; --k)
+            doc[rng.below(doc.size())] = junk[rng.below(sizeof(junk) - 1)];
+        out.push_back(doc);
+    }
+    return out;
+}
+
+TEST(ResultCodecFuzz, SkipValueRefusesExactlyWhatParseRefuses)
+{
+    for (const std::string &text : jsonCorpus()) {
+        const std::string parsed = outcome([&] { (void)Json::parse(text); });
+        const std::string skipped = outcome([&] {
+            JsonReader in(text);
+            in.skipValue();
+            in.finish();
+        });
+        EXPECT_EQ(skipped, parsed) << text.substr(0, 200);
+    }
+}
+
+/**
+ * The tree decoder that simResultFromJson was before the text decoder
+ * replaced it, kept as that decoder's oracle: a parsed result read
+ * member by member in table order, any member order accepted.
+ */
+namespace tree
+{
+
+void
+numbers(const Json &v, std::vector<double> &out)
+{
+    for (const Json &x : v.asArray())
+        out.push_back(x.asNumber());
+}
+
+void
+series(const Json &v, TimeSeries &out)
+{
+    for (const auto &[k, x] : v.asObject())
+        if (k != "period_s" && k != "values")
+            fatal("unknown trace member '" + k + "'");
+    const double period = v.at("period_s").asNumber();
+    if (!(period > 0.0))
+        fatal("'period_s' must be positive");
+    out = TimeSeries(period);
+    for (const Json &x : v.at("values").asArray())
+        out.add(x.asNumber());
+}
+
+int
+side(const Json &v)
+{
+    const double x = v.asNumber();
+    if (!(x >= 1 && x <= 1024 && x == std::floor(x)))
+        fatal("bank grid sides must be integers in [1, 1024]");
+    return static_cast<int>(x);
+}
+
+SimResult
+decode(const Json &j, std::optional<bool> traces)
+{
+    const std::vector<std::string> &keys = resultMemberKeys();
+    for (const auto &[k, v] : j.asObject())
+        if (std::find(keys.begin(), keys.end(), k) == keys.end())
+            fatal("unknown member '" + k + "'");
+    using R = SimResult;
+    SimResult r;
+    r.workload = j.at("workload").asString();
+    r.policy = j.at("policy").asString();
+    r.completed = j.at("completed").asBool();
+    const std::pair<const char *, double R::*> scalars[] = {
+        {"running_time_s", &R::runningTime},
+        {"total_instr", &R::totalInstr},
+        {"read_gb", &R::totalReadGB},
+        {"write_gb", &R::totalWriteGB},
+        {"l2_misses", &R::totalL2Misses},
+        {"mem_energy_j", &R::memEnergy},
+        {"cpu_energy_j", &R::cpuEnergy},
+        {"max_amb_c", &R::maxAmb},
+        {"max_dram_c", &R::maxDram},
+        {"time_above_amb_tdp_s", &R::timeAboveAmbTdp},
+        {"time_above_dram_tdp_s", &R::timeAboveDramTdp}};
+    for (const auto &[k, m] : scalars)
+        r.*m = j.at(k).asNumber();
+    const std::pair<const char *, std::vector<double> R::*> arrays[] = {
+        {"peak_amb_per_dimm_c", &R::peakAmbPerDimm},
+        {"peak_dram_per_dimm_c", &R::peakDramPerDimm},
+        {"avg_power_per_dimm_w", &R::avgPowerPerDimm},
+        {"refresh_bw_loss_per_dimm_gb", &R::refreshBwLossPerDimm},
+        {"refresh_energy_per_dimm_j", &R::refreshEnergyPerDimm}};
+    for (const auto &[k, m] : arrays)
+        if (const Json *v = j.find(k))
+            numbers(*v, r.*m);
+    if (const Json *g = j.find("bank_grid")) {
+        if (g->asObject().size() != 2)
+            fatal("must have exactly 2 members");
+        r.bankGridX = side(g->at("x"));
+        r.bankGridZ = side(g->at("z"));
+    }
+    if (const Json *rows = j.find("peak_bank_dram_c")) {
+        const std::size_t n = r.bankCells();
+        if (n == 0)
+            fatal("needs a 'bank_grid' member");
+        for (const Json &row : rows->asArray()) {
+            const std::size_t before = r.peakBankDramPerDimm.size();
+            numbers(row, r.peakBankDramPerDimm);
+            if (r.peakBankDramPerDimm.size() - before != n)
+                fatal("rows must hold the bank grid's cells");
+        }
+    }
+    const Json *t = j.find("traces");
+    if (traces && (t != nullptr) != *traces)
+        fatal("traces against the flag");
+    if (t) {
+        if (t->asObject().size() != 5)
+            fatal("must have exactly 5 members");
+        const std::pair<const char *, TimeSeries R::*> all[] = {
+            {"amb_c", &R::ambTrace},
+            {"dram_c", &R::dramTrace},
+            {"inlet_c", &R::inletTrace},
+            {"cpu_power_w", &R::cpuPowerTrace},
+            {"bw_gbps", &R::bwTrace}};
+        for (const auto &[k, m] : all)
+            series(t->at(k), r.*m);
+    }
+    return r;
+}
+
+} // namespace tree
+
+/** A random result, at times with the legacy (v1) member set. */
+SimResult
+randomAnyResult(Rng &rng)
+{
+    SimResult r = randomResult(rng);
+    if (rng.uniform() < 0.25) {
+        r.peakAmbPerDimm.clear();
+        r.peakDramPerDimm.clear();
+        r.avgPowerPerDimm.clear();
+    }
+    return r;
+}
+
+TEST(ResultCodecFuzz, TextWriterPrintsTheTreeDumpBytes)
+{
+    const std::size_t cases = fuzzCases();
+    Rng seed_stream(0x7e47d0a1ULL);
+    std::string text;
+    for (std::size_t i = 0; i < cases; ++i) {
+        Rng rng(seed_stream.next());
+        const bool traces = rng.uniform() < 0.5;
+        const SimResult r = randomAnyResult(rng);
+        text.clear();
+        JsonWriter w(text);
+        writeResult(w, r, traces);
+        ASSERT_EQ(text, toJson(r, traces).dump(0)) << "case " << i;
+        JsonReader in(text);
+        const SimResult back = readResult(in, "result", traces);
+        in.finish();
+        EXPECT_EQ(toJson(back, traces).dump(0), text) << "case " << i;
+    }
+}
+
+/** @p j with every object's members (at any depth) in a random order. */
+Json
+shuffled(const Json &j, Rng &rng)
+{
+    if (j.isArray()) {
+        Json out = Json::array();
+        for (const Json &e : j.asArray())
+            out.push(shuffled(e, rng));
+        return out;
+    }
+    if (!j.isObject())
+        return j;
+    const Json::Members &m = j.asObject();
+    std::vector<std::size_t> order(m.size());
+    for (std::size_t i = 0; i < order.size(); ++i)
+        order[i] = i;
+    for (std::size_t i = order.size(); i > 1; --i)
+        std::swap(order[i - 1], order[rng.below(i)]);
+    Json out = Json::object();
+    for (std::size_t i : order)
+        out.set(m[i].first, shuffled(m[i].second, rng));
+    return out;
+}
+
+TEST(ResultCodecFuzz, DecodersAgreeWithTheReplacedTreeDecoder)
+{
+    const std::size_t cases = fuzzCases();
+    Rng seed_stream(0xa9eed0deULL);
+    static const char junk[] = "{}[],:\"\\ 0-.e\x01";
+    for (std::size_t i = 0; i < cases; ++i) {
+        Rng rng(seed_stream.next());
+        const Json clean = toJson(randomAnyResult(rng), rng.uniform() < 0.5);
+        std::string text;
+        switch (rng.below(5)) {
+          case 0: // a member flipped, dropped, added, or out of range
+            text = mutateJson(clean, rng).dump(rng.below(2));
+            break;
+          case 1: // any member order, nested objects included
+            text = shuffled(clean, rng).dump(0);
+            break;
+          case 2:
+            text = shuffled(mutateJson(clean, rng), rng).dump(0);
+            break;
+          case 3: { // a repeated member, at the end of the object
+            text = clean.dump(0);
+            const Json::Members &m = clean.asObject();
+            text.insert(text.size() - 1,
+                        ", \"" + m[rng.below(m.size())].first + "\": 1");
+            break;
+          }
+          default: // junk characters, or a truncation
+            text = clean.dump(0);
+            if (rng.uniform() < 0.5) {
+                text.resize(rng.below(text.size()));
+            } else {
+                for (std::size_t k = 1 + rng.below(4); k > 0; --k)
+                    text[rng.below(text.size())] =
+                        junk[rng.below(sizeof(junk) - 1)];
+            }
+        }
+        const std::optional<bool> traces =
+            rng.uniform() < 0.3 ? std::nullopt
+                                : std::optional(rng.uniform() < 0.5);
+
+        // The codec's get() table reads text (readResult) and parsed
+        // trees (simResultFromJson); both must agree with the oracle.
+        SimResult want, got, gotTree;
+        const std::string oracle = outcome(
+            [&] { want = tree::decode(Json::parse(text), traces); });
+        const std::string decoded = outcome([&] {
+            JsonReader in(text);
+            got = readResult(in, "result", traces);
+            in.finish();
+        });
+        const std::string fromTree = outcome([&] {
+            gotTree = simResultFromJson(Json::parse(text), "result", traces);
+        });
+        ASSERT_EQ(decoded == "ok", oracle == "ok")
+            << "case " << i << ": text decoder " << decoded
+            << ", tree decoder " << oracle << "\n"
+            << text.substr(0, 400);
+        ASSERT_EQ(fromTree == "ok", oracle == "ok")
+            << "case " << i << ": simResultFromJson " << fromTree
+            << ", tree decoder " << oracle << "\n"
+            << text.substr(0, 400);
+        if (oracle == "ok") {
+            const std::string bytes = toJson(want, true).dump(0);
+            EXPECT_EQ(toJson(got, true).dump(0), bytes) << "case " << i;
+            EXPECT_EQ(toJson(gotTree, true).dump(0), bytes) << "case " << i;
+            for (const SimResult *r : {&got, &gotTree}) {
+                EXPECT_EQ(r->bankGridX, want.bankGridX) << "case " << i;
+                EXPECT_EQ(r->bankGridZ, want.bankGridZ) << "case " << i;
+            }
+        }
     }
 }
 

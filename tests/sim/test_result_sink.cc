@@ -135,7 +135,7 @@ TEST(SpecHash, PinnedCanonicalBytes)
         {"hot_dimm", "457e9af3f1738248"},
         {"hot_dimm_remap", "750efe068da68e12"},
         {"memory_org", "d84475e4c3ffd1b1"},
-        {"policy_sweep", "f290bb1f43de27f4"},
+        {"policy_sweep", "e7e431370fe170d4"},
         {"refresh_runaway", "860796118a73613f"},
         {"sensor_noise", "0513a2947b5904c3"},
     };
@@ -1067,6 +1067,45 @@ TEST(ResultStream, MalformedResultPayloadFailsAtItsOwnLine)
     EXPECT_EQ(scanStream(writeLines("ids.jsonl", copy), false)
                   .records.size(),
               4u);
+}
+
+TEST(ResultStream, ScanChecksThePayloadsItSkips)
+{
+    // A resume scan decodes no result payload, but each one it skips is
+    // still held to Json::parse's grammar: damage inside a mid-file
+    // payload fails naming its line, as it did when scans parsed it.
+    const std::vector<std::string> lines =
+        tinyStreamLines("skipped_src.jsonl");
+    ASSERT_EQ(lines.size(), 5u);
+    const std::string &rec = lines[2];
+    const std::size_t open = rec.find("\"result\": {");
+    ASSERT_NE(open, std::string::npos);
+    const std::size_t inside = open + 11; // past the payload's '{'
+    const std::size_t amb = rec.find("\"max_amb_c\": ", inside);
+    const std::size_t policy = rec.find("\"policy\": \"", inside);
+    ASSERT_NE(amb, std::string::npos);
+    ASSERT_NE(policy, std::string::npos);
+
+    const std::vector<std::pair<std::string, std::string>> damaged = {
+        {rec.substr(0, inside) + "\"completed\": true, " +
+             rec.substr(inside),
+         "duplicate member 'completed'"},
+        {rec.substr(0, amb + 13) + "01" + rec.substr(amb + 13),
+         "invalid number"},
+        {rec.substr(0, policy + 11) + '\x01' + rec.substr(policy + 11),
+         "raw control character in string"},
+    };
+    for (const auto &[line, why] : damaged) {
+        std::vector<std::string> copy = lines;
+        copy[2] = line;
+        const std::string path = writeLines("skipped.jsonl", copy);
+        for (const bool keep : {false, true}) {
+            const std::string what =
+                fatalOf([&] { scanStream(path, keep); });
+            EXPECT_NE(what.find("line 3"), std::string::npos) << what;
+            EXPECT_NE(what.find(why), std::string::npos) << what;
+        }
+    }
 }
 
 TEST(ResultStream, RecordTracesMustMatchTheHeaderFlag)
