@@ -3,7 +3,6 @@
 #include <cstdio>
 #include <filesystem>
 #include <fstream>
-#include <iterator>
 
 #include "common/logging.hh"
 
@@ -45,12 +44,14 @@ readFile(const std::string &path)
     std::string text(ec ? 0 : size, '\0');
     in.read(text.data(), static_cast<std::streamsize>(text.size()));
     text.resize(static_cast<std::size_t>(in.gcount()));
+    // Whatever the size did not cover: a file that is not regular (a
+    // pipe), or one that grew since it was sized. Read through the
+    // stream, which turns a failed read (a directory) into its bad bit.
+    char buf[4096];
+    while (in.read(buf, sizeof(buf)), in.gcount() > 0)
+        text.append(buf, static_cast<std::size_t>(in.gcount()));
     if (in.bad())
         return std::nullopt;
-    // Whatever the size did not cover: a file that is not regular (a
-    // pipe), or one that grew since it was sized.
-    text.append(std::istreambuf_iterator<char>(in),
-                std::istreambuf_iterator<char>());
     return text;
 }
 

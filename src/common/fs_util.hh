@@ -31,7 +31,7 @@ void atomicWriteFile(const std::string &path, const std::string &content);
 /**
  * The bytes of @p path, read straight into a string presized to the
  * file's size (no second copy of the text); std::nullopt when the file
- * cannot be opened or a read fails.
+ * cannot be opened or a read fails (@p path names a directory, say).
  */
 std::optional<std::string> readFile(const std::string &path);
 

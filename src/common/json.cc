@@ -502,12 +502,35 @@ JsonReader::finish()
 // --- JsonWriter ---------------------------------------------------------------
 
 void
+JsonWriter::separate()
+{
+    if (keyed) { // a member's value follows its key
+        keyed = false;
+        return;
+    }
+    if (!first)
+        out += indent > 0 ? "," : ", ";
+    first = false;
+    if (depth > 0)
+        newline();
+}
+
+void
+JsonWriter::newline()
+{
+    if (indent > 0) {
+        out += '\n';
+        out.append(static_cast<std::size_t>(indent * depth), ' ');
+    }
+}
+
+void
 JsonWriter::key(std::string_view k)
 {
     separate();
     writeString(out, k);
     out += ": ";
-    first = true; // the value follows the key, unseparated
+    keyed = true;
 }
 
 void
@@ -529,6 +552,13 @@ JsonWriter::string(std::string_view v)
 {
     separate();
     writeString(out, v);
+}
+
+void
+JsonWriter::null()
+{
+    separate();
+    out += "null";
 }
 
 // --- Json ---------------------------------------------------------------------
@@ -732,63 +762,35 @@ Json::operator==(const Json &o) const
 }
 
 void
-Json::write(std::string &out, int indent, int depth) const
+Json::write(JsonWriter &out) const
 {
-    auto newline = [&](int d) {
-        if (indent > 0) {
-            out += '\n';
-            out.append(static_cast<std::size_t>(indent * d), ' ');
-        }
-    };
     switch (ty) {
       case Type::Null:
-        out += "null";
+        out.null();
         break;
       case Type::Bool:
-        out += u.boolean ? "true" : "false";
+        out.boolean(u.boolean);
         break;
       case Type::Number:
-        writeNumber(out, u.number);
+        out.number(u.number);
         break;
       case Type::String:
-        writeString(out, *u.str);
+        out.string(*u.str);
         break;
-      case Type::Array: {
-        const std::vector<Json> &arr = asArray();
-        if (arr.empty()) {
-            out += "[]";
-            break;
-        }
-        out += '[';
-        for (std::size_t i = 0; i < arr.size(); ++i) {
-            if (i)
-                out += indent > 0 ? "," : ", ";
-            newline(depth + 1);
-            arr[i].write(out, indent, depth + 1);
-        }
-        newline(depth);
-        out += ']';
+      case Type::Array:
+        out.beginArray();
+        for (const Json &v : asArray())
+            v.write(out);
+        out.endArray();
         break;
-      }
-      case Type::Object: {
-        const Members &obj = asObject();
-        if (obj.empty()) {
-            out += "{}";
-            break;
+      case Type::Object:
+        out.beginObject();
+        for (const auto &[k, v] : asObject()) {
+            out.key(k);
+            v.write(out);
         }
-        out += '{';
-        for (std::size_t i = 0; i < obj.size(); ++i) {
-            if (i)
-                out += indent > 0 ? "," : ", ";
-            newline(depth + 1);
-            writeString(out, obj[i].first);
-            out += ": ";
-            obj[i].second.write(out, indent, depth + 1);
-        }
-        newline(depth);
-        out += '}';
+        out.endObject();
         break;
-      }
     }
 }
 
@@ -804,7 +806,8 @@ std::string
 Json::dump(int indent) const
 {
     std::string out;
-    write(out, indent, 0);
+    JsonWriter w(out, indent);
+    write(w);
     if (indent > 0)
         out += '\n';
     return out;

@@ -14,8 +14,10 @@
  *    callers that want a few members of a large record (the result
  *    stream scanner) read those and skip the rest, with every skipped
  *    byte checked as strictly as parse() would.
- *  - JsonWriter, a compact text writer: the bytes dump(0) would print
- *    for the same values, with no tree in between.
+ *  - JsonWriter, the one printer (separators, indentation, escaping,
+ *    number format): values are printed as they are handed to it, so
+ *    a large record or document needs no tree; dump() walks the tree
+ *    onto it.
  *  - Json, the document tree, for whatever is built or inspected whole.
  *
  * Design goals:
@@ -54,6 +56,8 @@
 
 namespace memtherm
 {
+
+class JsonWriter;
 
 /**
  * A JSON document node. Numbers are stored as double (integers within
@@ -185,7 +189,7 @@ class Json
     /// Free what the payload points to.
     void releaseOwned() noexcept;
 
-    void write(std::string &out, int indent, int depth) const;
+    void write(JsonWriter &out) const;
 
     /// The payload; which member is live follows ty. A null container
     /// pointer is an empty array or object.
@@ -304,16 +308,20 @@ class JsonReader
 };
 
 /**
- * A compact JSON text writer appending to a caller's string: for the
- * same sequence of values it emits exactly what Json::dump(0) prints
- * (", " between entries, ": " after a key, the same string escaping
- * and number formatting), so a large record can be serialized without
- * first building its tree.
+ * A JSON text writer appending to a caller's string, in the compact
+ * form (", " between entries, ": " after a key) or, with @p indent > 0,
+ * the indented one (each entry on its own line, @p indent spaces per
+ * level; an empty container stays "[]" or "{}"). Json::dump() prints
+ * through it, so for the same values it emits exactly dump(indent)'s
+ * bytes, less the indented form's final newline.
  */
 class JsonWriter
 {
   public:
-    explicit JsonWriter(std::string &out) : out(out) {}
+    explicit JsonWriter(std::string &out, int indent = 0)
+        : out(out), indent(indent)
+    {
+    }
 
     void beginObject() { open('{'); }
     void endObject() { close('}'); }
@@ -325,31 +333,36 @@ class JsonWriter
     void number(double v);
     void boolean(bool b);
     void string(std::string_view v);
+    void null();
 
   private:
-    void
-    separate()
-    {
-        if (!first)
-            out += ", ";
-        first = false;
-    }
+    /// Start an entry: its separator and, indented, its line.
+    void separate();
+    /// A line break and the indentation of the current depth.
+    void newline();
     void
     open(char c)
     {
         separate();
         out += c;
         first = true;
+        ++depth;
     }
     void
     close(char c)
     {
+        --depth;
+        if (!first)
+            newline();
         out += c;
         first = false;
     }
 
     std::string &out;
-    bool first = true; ///< nothing written yet at this level
+    int indent;
+    int depth = 0;      ///< containers open
+    bool first = true;  ///< nothing written yet at this level
+    bool keyed = false; ///< a key was written; its value comes next
 };
 
 /**

@@ -88,6 +88,14 @@ forEachResultMember(F &&f)
                             {"bw_gbps", &R::bwTrace}}});
 }
 
+/** The members of an entry of a document's `errors`, in order... */
+const std::vector<std::string> kErrorKeys = {"index", "point", "workload",
+                                             "policy", "error"};
+/** ...and the strings they hold, after the `index`. */
+std::string RunError::*const kErrorStrings[] = {
+    nullptr, &RunError::point, &RunError::workload, &RunError::policy,
+    &RunError::error};
+
 /** Whether toJson(@p r, @p traces) writes the member @p d. */
 bool
 written(const ResultDef &d, const SimResult &r, bool traces)
@@ -104,16 +112,11 @@ unknownMember(const std::string &key, const char *where,
           " (valid: " + joinNames(allowed) + ")");
 }
 
-void
-checkMembers(const Json &obj, const char *where,
-             const std::vector<std::string> &allowed)
-{
-    for (const auto &[key, v] : obj.asObject())
-        if (std::find(allowed.begin(), allowed.end(), key) == allowed.end())
-            unknownMember(key, where, allowed);
-}
-
-/** put()'s emitter behind toJson(): builds the tree JsonWriter prints. */
+/**
+ * put()'s emitter behind toJson(): builds the tree JsonWriter prints.
+ * A key is held as a view until its value is added, so the caller's
+ * string must live that long.
+ */
 class JsonBuilder
 {
   public:
@@ -121,7 +124,7 @@ class JsonBuilder
     void endObject() { close(); }
     void beginArray() { open(Json::array()); }
     void endArray() { close(); }
-    void key(const char *k) { keys.back() = k; }
+    void key(std::string_view k) { keys.back() = k; }
     void number(double v) { add(Json(v)); }
     void boolean(bool b) { add(Json(b)); }
     void string(const std::string &s) { add(Json(s)); }
@@ -133,7 +136,7 @@ class JsonBuilder
     open(Json container)
     {
         open_.push_back(std::move(container));
-        keys.push_back(nullptr);
+        keys.push_back({});
     }
     void
     close()
@@ -149,13 +152,13 @@ class JsonBuilder
         if (open_.empty())
             done = std::move(v);
         else if (open_.back().isObject())
-            open_.back().set(keys.back(), std::move(v));
+            open_.back().set(std::string(keys.back()), std::move(v));
         else
             open_.back().push(std::move(v));
     }
 
     std::vector<Json> open_;        ///< the containers being built
-    std::vector<const char *> keys; ///< each one's pending member key
+    std::vector<std::string_view> keys; ///< each one's pending member key
     Json done;
 };
 
@@ -229,91 +232,83 @@ putResult(E &out, const SimResult &r, bool traces)
     out.endObject();
 }
 
-/**
- * JsonReader's reading steps over a parsed tree, so get() decodes the
- * results of a document (scenarioResultsFromJson) from the tree they
- * are already in. A wrong type fails in Json's accessors; an offset is
- * a node.
- */
-class TreeReader
+/** The whole results document; see writeDocument(). */
+template <typename E>
+void
+putDocument(E &out, const ScenarioResults &r, bool traces)
 {
-  public:
-    explicit TreeReader(const Json &root) : at(&root) {}
-
-    double readNumber() { return at->asNumber(); }
-    bool readBool() { return at->asBool(); }
-    void readString(std::string &out) { out = at->asString(); }
-    void skipValue() {}
-
-    void
-    beginObject()
-    {
-        (void)at->asObject();
-        frames.push_back({at, 0});
+    // Stamped with the highest version among the members written, and
+    // not at all for the historical member set, so version-absent files
+    // keep their bytes.
+    int version = 1;
+    for (const auto &pt : r.points)
+        for (const auto &[w, per_policy] : pt.suite)
+            for (const auto &[p, res] : per_policy)
+                forEachResultMember([&](const ResultDef &d, const auto &) {
+                    if (written(d, res, traces))
+                        version = std::max(version, d.version);
+                });
+    out.beginObject();
+    out.key("scenario");
+    out.string(r.scenario);
+    if (version > 1) {
+        out.key("schema_version");
+        out.number(version);
     }
-    bool
-    nextMember(std::string &key)
-    {
-        Frame &f = frames.back();
-        const Json::Members &m = f.node->asObject();
-        if (f.next == m.size()) {
-            frames.pop_back();
-            return false;
+    out.key("points");
+    out.beginArray();
+    for (const auto &pt : r.points) {
+        out.beginObject();
+        out.key("label");
+        out.string(pt.label);
+        out.key("results");
+        out.beginObject();
+        for (const auto &[w, per_policy] : pt.suite) {
+            out.key(w);
+            out.beginObject();
+            for (const auto &[p, res] : per_policy) {
+                out.key(p);
+                putResult(out, res, traces);
+            }
+            out.endObject();
         }
-        key = m[f.next].first;
-        at = &m[f.next++].second;
-        return true;
+        out.endObject();
+        out.endObject();
     }
-    void
-    beginArray()
-    {
-        (void)at->asArray();
-        frames.push_back({at, 0});
-    }
-    bool
-    nextElement()
-    {
-        Frame &f = frames.back();
-        const std::vector<Json> &a = f.node->asArray();
-        if (f.next == a.size()) {
-            frames.pop_back();
-            return false;
+    out.endArray();
+    // Only when runs failed, so clean results (and the committed
+    // goldens) keep their exact historical shape.
+    if (!r.errors.empty()) {
+        out.key("errors");
+        out.beginArray();
+        for (const RunError &e : r.errors) {
+            out.beginObject();
+            out.key("index");
+            out.number(static_cast<double>(e.index));
+            for (std::size_t k = 1; k < kErrorKeys.size(); ++k) {
+                out.key(kErrorKeys[k]);
+                out.string(e.*kErrorStrings[k]);
+            }
+            out.endObject();
         }
-        at = &a[f.next++];
-        return true;
+        out.endArray();
     }
-
-    const Json *offset() const { return at; }
-    void seek(const Json *v) { at = v; }
-
-  private:
-    struct Frame
-    {
-        const Json *node;
-        std::size_t next; ///< the entry nextMember/nextElement steps to
-    };
-
-    const Json *at; ///< the value the next read takes
-    std::vector<Frame> frames;
-};
+    out.endObject();
+}
 
 /** Append an array of numbers to @p out. */
-template <typename In>
 void
-getNumbers(In &in, std::vector<double> &out)
+getNumbers(JsonReader &in, std::vector<double> &out)
 {
     in.beginArray();
     while (in.nextElement())
         out.push_back(in.readNumber());
 }
 
-/**
- * Read put()'s form of @p m from @p in, a JsonReader or a TreeReader;
- * the reader refuses a wrong type.
- */
-template <typename In, typename M>
+/** Read put()'s form of @p m from @p in; the reader refuses a wrong type. */
+template <typename M>
 void
-get(In &in, SimResult &r, const M &m)
+get(JsonReader &in, SimResult &r, const M &m)
 {
     if constexpr (std::is_same_v<M, BankRows>) {
         // Read after `bank_grid`, which sets the row width.
@@ -387,10 +382,11 @@ get(In &in, SimResult &r, const M &m)
     }
 }
 
-/** readResult(), on either reader. */
-template <typename In>
+} // namespace
+
 SimResult
-getResult(In &in, const std::string &where, std::optional<bool> traces)
+readResult(JsonReader &in, const std::string &where,
+           std::optional<bool> traces)
 {
     SimResult r;
     const char *key = nullptr; // the member being read, for diagnostics
@@ -399,7 +395,7 @@ getResult(In &in, const std::string &where, std::optional<bool> traces)
         // width `bank_grid` sets, so one that comes first is skipped,
         // and read from its offset once every member is in.
         std::bitset<32> seen; // table entries present, by position
-        std::optional<decltype(in.offset())> rows;
+        std::optional<std::size_t> rows;
         std::string name;
         in.beginObject();
         while (in.nextMember(name)) {
@@ -451,8 +447,6 @@ getResult(In &in, const std::string &where, std::optional<bool> traces)
     return r;
 }
 
-} // namespace
-
 const std::vector<std::string> &
 resultMemberKeys()
 {
@@ -479,20 +473,95 @@ writeResult(JsonWriter &out, const SimResult &r, bool traces)
     putResult(out, r, traces);
 }
 
-SimResult
-readResult(JsonReader &in, const std::string &where,
-           std::optional<bool> traces)
+std::size_t
+readRunIndex(JsonReader &in)
 {
-    return getResult(in, where, traces);
+    const double ix = in.peekType() == Json::Type::Number
+                          ? in.readNumber()
+                          : (in.skipValue(), -1.0);
+    if (!(ix >= 0.0 && ix <= 9007199254740992.0 && ix == std::floor(ix)))
+        fatal("json: member 'index' must be an integer within [0, 2^53]");
+    return static_cast<std::size_t>(ix);
 }
 
-SimResult
-simResultFromJson(const Json &j, const std::string &where,
-                  std::optional<bool> traces)
+namespace
 {
-    TreeReader in(j);
-    return getResult(in, where, traces);
+
+/** resultSchemaVersionOf() of a `schema_version` @p ver (0: no number). */
+int
+checkedVersion(double ver, int max_version)
+{
+    // Both checks precede the cast, which is undefined out of range.
+    if (ver != std::floor(ver) || ver < 1)
+        fatal("'schema_version' must be a positive integer");
+    if (ver > max_version) {
+        fatal("schema version " + Json::numberToString(ver) +
+              " is newer than this binary's " +
+              std::to_string(max_version) +
+              "; upgrade memtherm to read this file");
+    }
+    return static_cast<int>(ver);
 }
+
+/**
+ * Walk the object at @p in's position, its members in any order:
+ * @p read(k) reads the value of the member named @p keys[k]. Another
+ * member is refused, naming @p what; so is the absence of one whose
+ * bit is set in @p required.
+ */
+template <typename F>
+void
+readMembers(JsonReader &in, const char *what,
+            const std::vector<std::string> &keys, unsigned required, F &&read)
+{
+    std::string key;
+    in.beginObject();
+    while (in.nextMember(key)) {
+        const auto k = std::find(keys.begin(), keys.end(), key);
+        if (k == keys.end())
+            unknownMember(key, what, keys);
+        required &= ~(1u << (k - keys.begin()));
+        read(static_cast<std::size_t>(k - keys.begin()));
+    }
+    for (std::size_t k = 0; k < keys.size(); ++k)
+        if (required & (1u << k))
+            fatal("json: missing member '" + keys[k] + "'");
+}
+
+/** One element of a document's `points`. */
+void
+readPoint(JsonReader &in, ScenarioResults::Point &pt)
+{
+    static const std::vector<std::string> keys = {"label", "results"};
+    std::string w, p;
+    readMembers(in, "a point", keys, 0b11, [&](std::size_t k) {
+        if (k == 0)
+            return in.readString(pt.label);
+        in.beginObject();
+        while (in.nextMember(w)) {
+            auto &group = pt.suite[w];
+            in.beginObject();
+            while (in.nextMember(p))
+                group[p] = readResult(in, w + "/" + p);
+            if (group.empty())
+                fatal("workload '" + w + "' has no results");
+        }
+    });
+}
+
+/** One element of a document's `errors`. */
+void
+readError(JsonReader &in, RunError &e)
+{
+    readMembers(in, "an error", kErrorKeys, 0b11111, [&](std::size_t m) {
+        if (m == 0)
+            e.index = readRunIndex(in);
+        else
+            in.readString(e.*kErrorStrings[m]);
+    });
+}
+
+} // namespace
 
 int
 resultSchemaVersionOf(const Json &doc, const std::string &where,
@@ -501,110 +570,105 @@ resultSchemaVersionOf(const Json &doc, const std::string &where,
     const Json *v = doc.isObject() ? doc.find("schema_version") : nullptr;
     if (!v)
         return 1; // version-absent legacy file
-    // Both checks precede the cast, which is undefined out of range.
-    const double ver = v->isNumber() ? v->asNumber() : 0.0;
-    if (ver != std::floor(ver) || ver < 1)
-        fatal(where + ": 'schema_version' must be a positive integer");
-    if (ver > max_version) {
-        fatal(where + ": schema version " + Json::numberToString(ver) +
-              " is newer than this binary's " +
-              std::to_string(max_version) +
-              "; upgrade memtherm to read this file");
+    try {
+        return checkedVersion(v->isNumber() ? v->asNumber() : 0.0,
+                              max_version);
+    } catch (const FatalError &e) {
+        fatal(where, e);
     }
-    return static_cast<int>(ver);
 }
 
 Json
 toJson(const ScenarioResults &r, bool traces)
 {
-    // Stamped with the highest version among the members written, and
-    // not at all for the historical member set (kResultSchemaVersion).
-    int version = 1;
-    Json pts = Json::array();
-    for (const auto &pt : r.points) {
-        Json suite = Json::object();
-        for (const auto &[w, per_policy] : pt.suite) {
-            Json pw = Json::object();
-            for (const auto &[p, res] : per_policy) {
-                pw.set(p, toJson(res, traces));
-                forEachResultMember([&](const ResultDef &d, const auto &) {
-                    if (written(d, res, traces))
-                        version = std::max(version, d.version);
-                });
-            }
-            suite.set(w, std::move(pw));
-        }
-        Json p = Json::object();
-        p.set("label", pt.label);
-        p.set("results", std::move(suite));
-        pts.push(std::move(p));
-    }
-    Json j = Json::object();
-    j.set("scenario", r.scenario);
-    if (version > 1)
-        j.set("schema_version", version);
-    j.set("points", std::move(pts));
-    // Emitted only when runs failed, so clean results (and the
-    // committed goldens) keep their exact historical shape.
-    if (!r.errors.empty()) {
-        Json errs = Json::array();
-        for (const auto &e : r.errors) {
-            Json o = Json::object();
-            o.set("index", static_cast<std::uint64_t>(e.index));
-            o.set("point", e.point);
-            o.set("workload", e.workload);
-            o.set("policy", e.policy);
-            o.set("error", e.error);
-            errs.push(std::move(o));
-        }
-        j.set("errors", std::move(errs));
-    }
-    return j;
+    JsonBuilder b;
+    putDocument(b, r, traces);
+    return b.take();
+}
+
+std::string
+writeDocument(const ScenarioResults &r, bool traces)
+{
+    std::string text;
+    JsonWriter out(text, 2);
+    putDocument(out, r, traces);
+    text += '\n';
+    return text;
 }
 
 ScenarioResults
-scenarioResultsFromJson(const Json &doc, const std::string &where)
+readDocument(std::string_view text, const std::string &where)
 {
-    const Json *pts = doc.find("points");
-    if (!pts) {
+    static const std::vector<std::string> keys = {
+        "scenario", "schema_version", "points", "errors"};
+    JsonReader in(text);
+    ScenarioResults out;
+    std::string at = where; // what is being read, for diagnostics
+    unsigned seen = 0;      // bit k: member keys[k] met (bit 4: another)
+    std::optional<std::size_t> points; // read last, from this offset
+    std::optional<std::string> unknown; // the first member not allowed
+    const auto readArray = [&](std::size_t k) { // `points` or `errors`
+        in.beginArray();
+        for (std::size_t i = 0; in.nextElement(); ++i) {
+            at = where + ": " + keys[k] + "[" + std::to_string(i) + "]";
+            if (k == 2)
+                readPoint(in, out.points.emplace_back());
+            else
+                readError(in, out.errors.emplace_back());
+        }
+        at = where;
+    };
+    try {
+        if (in.peekType() == Json::Type::Object) {
+            in.beginObject();
+            for (std::string key; in.nextMember(key);) {
+                const std::size_t k = static_cast<std::size_t>(
+                    std::find(keys.begin(), keys.end(), key) - keys.begin());
+                if (k == 0) {
+                    in.readString(out.scenario);
+                } else if (k == 1) {
+                    // Version-absent files are legacy (v1) and read
+                    // unchanged; a newer binary's file is refused.
+                    (void)checkedVersion(
+                        in.peekType() == Json::Type::Number
+                            ? in.readNumber()
+                            : (in.skipValue(), 0.0),
+                        kResultSchemaVersion);
+                } else if (k == 2 && !(seen & 0b10)) {
+                    // No result is decoded before the version is known
+                    // to be readable: a `points` ahead of it (or of its
+                    // absence) is checked now and read at the end.
+                    points = in.offset();
+                    in.skipValue();
+                } else if (k < keys.size()) {
+                    readArray(k);
+                } else {
+                    if (!unknown)
+                        unknown = key;
+                    in.skipValue();
+                }
+                seen |= 1u << k;
+            }
+        } else {
+            in.skipValue();
+        }
+        in.finish();
+    } catch (const FatalError &e) {
+        fatal(at, e);
+    }
+    if (!(seen & 0b100)) {
         fatal(where + " does not look like memtherm results (expected an "
                       "object with a 'points' array; produce one with "
                       "`memtherm run -o`)");
     }
-    // Version-absent files are legacy (v1) and read unchanged; a
-    // document from a newer binary is refused rather than misread.
-    (void)resultSchemaVersionOf(doc, where);
-
-    ScenarioResults out;
-    std::string at = where; // what is being read, for diagnostics
     try {
-        checkMembers(doc, "the results",
-                     {"scenario", "schema_version", "points", "errors"});
-        out.scenario = doc.at("scenario").asString();
-        for (const Json &pj : pts->asArray()) {
-            at = where + ": points[" + std::to_string(out.points.size()) +
-                 "]";
-            checkMembers(pj, "a point", {"label", "results"});
-            ScenarioResults::Point &pt = out.points.emplace_back();
-            pt.label = pj.at("label").asString();
-            for (const auto &[w, group] : pj.at("results").asObject()) {
-                if (group.asObject().empty())
-                    fatal("workload '" + w + "' has no results");
-                for (const auto &[p, rj] : group.asObject())
-                    pt.suite[w][p] = simResultFromJson(rj, w + "/" + p);
-            }
-        }
-        if (const Json *errs = doc.find("errors")) {
-            for (const Json &e : errs->asArray()) {
-                at = where + ": errors[" +
-                     std::to_string(out.errors.size()) + "]";
-                checkMembers(e, "an error", {"index", "point", "workload",
-                                             "policy", "error"});
-                out.errors.push_back(
-                    {e.uintAt("index"), e.at("point").asString(),
-                     e.at("workload").asString(), e.at("policy").asString(),
-                     e.at("error").asString()});
-            }
+        if (unknown)
+            unknownMember(*unknown, "the results", keys);
+        if (!(seen & 0b1))
+            fatal("json: missing member 'scenario'");
+        if (points) {
+            in.seek(*points);
+            readArray(2);
         }
     } catch (const FatalError &e) {
         fatal(at, e);

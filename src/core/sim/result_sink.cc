@@ -1,7 +1,6 @@
 #include "core/sim/result_sink.hh"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <filesystem>
 #include <numeric>
@@ -343,12 +342,7 @@ readRecord(std::string_view line, const StreamScan &scan, bool keep_results)
     rec.failed = *type == "error";
     if (!rec.failed && *type != "result")
         fatal("unknown record type '" + *type + "'");
-    const double ix = at(index, "index").peekType() == Json::Type::Number
-                          ? in.readNumber()
-                          : -1.0;
-    if (!(ix >= 0.0 && ix <= 9007199254740992.0 && ix == std::floor(ix)))
-        fatal("json: member 'index' must be an integer within [0, 2^53]");
-    rec.index = static_cast<std::size_t>(ix);
+    rec.index = readRunIndex(at(index, "index"));
     if (rec.index >= scan.totalRuns) {
         fatal("run index " + std::to_string(rec.index) +
               " is out of range (grid has " +
@@ -424,6 +418,8 @@ scanStream(const std::string &path, bool keep_results)
         }
         scan.cleanSize += line.size() + 1;
     }
+    if (in.bad()) // a read failed: the path is a directory, say
+        fatal("stream: cannot open '" + path + "'");
     if (lineno == 0)
         fatal("stream '" + path + "' is empty");
     return scan;
@@ -741,13 +737,13 @@ runScenarioStream(const ScenarioSpec &spec, ExperimentEngine &engine,
     return stats;
 }
 
-MergedStream
-mergeStreams(const std::vector<std::string> &paths)
+MergedResults
+mergeStreamResults(const std::vector<std::string> &paths)
 {
     if (paths.empty())
         fatal("merge: no stream files given");
 
-    MergedStream out;
+    MergedResults out;
     std::vector<StreamScan> scans;
     scans.reserve(paths.size());
     std::optional<GridIndex> grid;
@@ -791,20 +787,28 @@ mergeStreams(const std::vector<std::string> &paths)
         }
     }
 
-    ScenarioResults doc = grid->document(out.spec.name);
+    out.traces = scans.front().traces;
+    out.results = grid->document(out.spec.name);
     for (std::size_t k = 0; k < out.totalRuns; ++k) {
         StreamRecord *rec = best[k];
         if (!rec)
             out.missingRuns.push_back(k);
         else if (rec->failed)
-            doc.errors.push_back({k, rec->point, rec->workload, rec->policy,
-                                  rec->error});
+            out.results.errors.push_back(
+                {k, rec->point, rec->workload, rec->policy, rec->error});
         else
-            grid->place(doc, k, std::move(rec->result));
+            grid->place(out.results, k, std::move(rec->result));
     }
-    out.results = toJson(doc, scans.front().traces);
-    out.errors = std::move(doc.errors);
     return out;
+}
+
+MergedStream
+mergeStreams(const std::vector<std::string> &paths)
+{
+    MergedResults m = mergeStreamResults(paths);
+    Json results = toJson(m.results, m.traces);
+    return {std::move(m.spec), m.totalRuns, std::move(results),
+            std::move(m.results.errors), std::move(m.missingRuns)};
 }
 
 OnlineAxisAggregator::OnlineAxisAggregator(std::string baseline_policy)

@@ -24,12 +24,13 @@
  *    inject faults, execute a subset of the global runs, and map the
  *    engine's indices back — so prefix sharing composes with streams,
  *    shards and resume alike.
- *  - mergeStreams() folds shard/resume streams back into the canonical
- *    results JSON, bit-identical to what an uninterrupted unsharded
- *    `memtherm run -o` writes. It owns no document format: records
- *    decode straight from their text through the result codec
- *    (core/sim/result_codec.hh) into a ScenarioResults, which
- *    toJson(ScenarioResults) writes.
+ *  - mergeStreamResults() folds shard/resume streams back into the
+ *    grid's ScenarioResults, whose document (writeDocument) is
+ *    bit-identical to what an uninterrupted unsharded `memtherm run -o`
+ *    writes. It owns no document format: records decode straight from
+ *    their text through the result codec (core/sim/result_codec.hh),
+ *    and `merge -o`, `run --stream -o` and `report` take the results
+ *    as they are (mergeStreams(), perfbench's forward, builds a tree).
  *  - OnlineAxisAggregator keeps `memtherm report` sweep summaries in
  *    bounded memory: per-point aggregates, not a full result vector.
  *
@@ -242,29 +243,45 @@ StreamRunStats runScenarioStream(const ScenarioSpec &spec,
                                  ExperimentEngine &engine,
                                  const StreamRunOptions &opts);
 
-/** mergeStreams() output: the canonical view of one or more streams. */
-struct MergedStream
+/** mergeStreamResults() output: the canonical view of one or more streams. */
+struct MergedResults
 {
     ScenarioSpec spec;
     std::size_t totalRuns = 0;
-    Json results; ///< canonical results JSON (`run -o` shape)
-    std::vector<RunError> errors;         ///< failure records, by index
+    bool traces = false;     ///< the streams' traces flag
+    ScenarioResults results; ///< errors: the failure records, by index
     std::vector<std::size_t> missingRuns; ///< indices with no record
 };
 
 /**
  * Fold one or more streams (shards of one grid, or one resumed stream)
- * into the canonical results document. Every stream's header must
- * fingerprint the same scenario (same spec hash, total, traces flag),
- * and the embedded spec must pass the scenario checks and span that
- * total (ScenarioSpec::pointLabels, which reads no trace) before
- * anything is sized by it. Records are slotted by global index into spec grid order
- * and written by toJson(ScenarioResults), so the output is
- * bit-identical to an uninterrupted unsharded `memtherm run -o` —
- * whatever order, interruption, or sharding produced the lines.
- * A result record wins over an error record for the same index (a
- * retry succeeded); duplicate results keep the first (they are
- * bit-identical by the engine's determinism guarantee).
+ * into the grid's results. Every stream's header must fingerprint the
+ * same scenario (same spec hash, total, traces flag), and the embedded
+ * spec must pass the scenario checks and span that total
+ * (ScenarioSpec::pointLabels, which reads no trace) before anything is
+ * sized by it. Records are slotted by global index into spec grid
+ * order, so writeDocument(results, traces) prints the bytes of an
+ * uninterrupted unsharded `memtherm run -o` — whatever order,
+ * interruption, or sharding produced the lines. A result record wins
+ * over an error record for the same index (a retry succeeded);
+ * duplicate results keep the first (they are bit-identical by the
+ * engine's determinism guarantee).
+ */
+MergedResults mergeStreamResults(const std::vector<std::string> &paths);
+
+/** mergeStreams() output: the merge with its results as a Json tree. */
+struct MergedStream
+{
+    ScenarioSpec spec;
+    std::size_t totalRuns = 0;
+    Json results; ///< toJson(ScenarioResults) of the merged results
+    std::vector<RunError> errors;         ///< failure records, by index
+    std::vector<std::size_t> missingRuns; ///< indices with no record
+};
+
+/**
+ * mergeStreamResults() with the results built into a Json tree: no
+ * caller outside perfbench, kept for it like runScenarioBatched().
  */
 MergedStream mergeStreams(const std::vector<std::string> &paths);
 

@@ -271,6 +271,60 @@ TEST(Json, EqualityIsDeep)
     EXPECT_EQ(Json::array().dump(0), "[]");
 }
 
+TEST(Json, DumpPrintsThePinnedBytes)
+{
+    // JsonWriter is the one printer: the compact and indented bytes of
+    // empty and nested containers, null, bools, escapes and numbers, as
+    // the tree printer it replaced wrote them.
+    const Json doc = Json::parse(
+        R"({"a": [], "b": {}, "c": [1, -2.5, [[]], {"d": null}], )"
+        R"("e": "x\"y\n", "f": true, "g": {"h": [false]}})");
+    EXPECT_EQ(doc.dump(0),
+              R"({"a": [], "b": {}, "c": [1, -2.5, [[]], {"d": null}], )"
+              R"("e": "x\"y\n", "f": true, "g": {"h": [false]}})");
+    EXPECT_EQ(doc.dump(2), R"({
+  "a": [],
+  "b": {},
+  "c": [
+    1,
+    -2.5,
+    [
+      []
+    ],
+    {
+      "d": null
+    }
+  ],
+  "e": "x\"y\n",
+  "f": true,
+  "g": {
+    "h": [
+      false
+    ]
+  }
+}
+)");
+    EXPECT_EQ(Json::array().dump(2), "[]\n");
+    // The same values handed to a writer, with no tree, print the same.
+    std::string text;
+    JsonWriter w(text, 2);
+    w.beginObject();
+    w.key("a");
+    w.beginArray();
+    w.endArray();
+    w.key("g");
+    w.beginObject();
+    w.key("h");
+    w.beginArray();
+    w.boolean(false);
+    w.null();
+    w.endArray();
+    w.endObject();
+    w.endObject();
+    EXPECT_EQ(text + "\n",
+              Json::parse(R"({"a": [], "g": {"h": [false, null]}})").dump(2));
+}
+
 TEST(Json, TypeMismatchesAreFatal)
 {
     Json j = Json::parse("[1]");

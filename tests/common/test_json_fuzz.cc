@@ -10,14 +10,17 @@
  *    or misparse — the CI sanitizer job runs this suite under
  *    ASan+UBSan with MEMTHERM_FUZZ_CASES=10000;
  *  - random SimResults and result documents round-trip through the
- *    result codec byte-identically, its text writer prints the tree's
- *    dump() bytes, and its text decoder agrees with the tree decoder it
- *    replaced (kept here as the oracle) on every mutated record;
+ *    result codec byte-identically, its text writers print the tree's
+ *    dump() bytes (a record's dump(0), a document's dump(2)), its text
+ *    decoder agrees with the tree decoder it replaced (kept here as the
+ *    oracle) on every mutated record, and a document read back with
+ *    its members shuffled decodes to the same results;
  *  - JsonReader::skipValue refuses exactly what Json::parse refuses,
  *    with the same diagnostic, over the JSON fuzz corpus;
- *  - a real stream, mutated record by record, and a mutated results
- *    document reach scanStream, mergeStreams and the document decoder,
- *    which may refuse them only with FatalError;
+ *  - a real stream, mutated record by record, and a results document,
+ *    mutated as a tree or damaged as text, reach scanStream,
+ *    mergeStreams and the document decoder, which may refuse them only
+ *    with FatalError;
  *  - `memtherm` command lines built from the option tables' own rows,
  *    then mutated, are refused by parseArgs only with FatalError, and
  *    every accepted one satisfies the options' invariants.
@@ -488,8 +491,9 @@ TEST(ResultCodecFuzz, RandomResultsRoundTripByteIdentically)
         const SimResult r = randomResult(rng);
         const std::string once = toJson(r, traces).dump(0);
         try {
-            const SimResult back =
-                simResultFromJson(Json::parse(once), "result", traces);
+            JsonReader in(once);
+            const SimResult back = readResult(in, "result", traces);
+            in.finish();
             EXPECT_EQ(toJson(back, traces).dump(0), once) << "case " << i;
         } catch (const FatalError &e) {
             FAIL() << "case " << i << ": " << e.what() << "\n" << once;
@@ -509,10 +513,7 @@ TEST(ResultCodecFuzz, RandomResultsRoundTripByteIdentically)
             doc.errors.push_back({rng.below(1ULL << 53), "p", "W1",
                                   "No-limit", randomString(rng, 20)});
         const std::string text = toJson(doc, traces).dump(2);
-        EXPECT_EQ(toJson(scenarioResultsFromJson(Json::parse(text), "doc"),
-                         traces)
-                      .dump(2),
-                  text)
+        EXPECT_EQ(writeDocument(readDocument(text, "doc"), traces), text)
             << "case " << i;
     }
 }
@@ -648,8 +649,8 @@ TEST(ResultCodecFuzz, MutatedStreamsAndDocumentsFailOnlyFatally)
         expectOnlyFatal(i, "scanStream (ids)",
                         [&] { scanStream(path, false); });
         expectOnlyFatal(i, "mergeStreams", [&] { mergeStreams({path}); });
-        expectOnlyFatal(i, "scenarioResultsFromJson", [&] {
-            scenarioResultsFromJson(mutateJson(doc, rng), "doc");
+        expectOnlyFatal(i, "readDocument", [&] {
+            readDocument(mutateJson(doc, rng).dump(2), "doc");
         });
     }
 }
@@ -723,7 +724,7 @@ TEST(ResultCodecFuzz, SkipValueRefusesExactlyWhatParseRefuses)
 }
 
 /**
- * The tree decoder that simResultFromJson was before the text decoder
+ * The tree decoder the result codec had before its text decoder
  * replaced it, kept as that decoder's oracle: a parsed result read
  * member by member in table order, any member order accepted.
  */
@@ -929,9 +930,9 @@ TEST(ResultCodecFuzz, DecodersAgreeWithTheReplacedTreeDecoder)
             rng.uniform() < 0.3 ? std::nullopt
                                 : std::optional(rng.uniform() < 0.5);
 
-        // The codec's get() table reads text (readResult) and parsed
-        // trees (simResultFromJson); both must agree with the oracle.
-        SimResult want, got, gotTree;
+        // The codec's get() table, reading text, must agree with the
+        // oracle.
+        SimResult want, got;
         const std::string oracle = outcome(
             [&] { want = tree::decode(Json::parse(text), traces); });
         const std::string decoded = outcome([&] {
@@ -939,26 +940,127 @@ TEST(ResultCodecFuzz, DecodersAgreeWithTheReplacedTreeDecoder)
             got = readResult(in, "result", traces);
             in.finish();
         });
-        const std::string fromTree = outcome([&] {
-            gotTree = simResultFromJson(Json::parse(text), "result", traces);
-        });
         ASSERT_EQ(decoded == "ok", oracle == "ok")
             << "case " << i << ": text decoder " << decoded
             << ", tree decoder " << oracle << "\n"
             << text.substr(0, 400);
-        ASSERT_EQ(fromTree == "ok", oracle == "ok")
-            << "case " << i << ": simResultFromJson " << fromTree
-            << ", tree decoder " << oracle << "\n"
-            << text.substr(0, 400);
         if (oracle == "ok") {
-            const std::string bytes = toJson(want, true).dump(0);
-            EXPECT_EQ(toJson(got, true).dump(0), bytes) << "case " << i;
-            EXPECT_EQ(toJson(gotTree, true).dump(0), bytes) << "case " << i;
-            for (const SimResult *r : {&got, &gotTree}) {
-                EXPECT_EQ(r->bankGridX, want.bankGridX) << "case " << i;
-                EXPECT_EQ(r->bankGridZ, want.bankGridZ) << "case " << i;
-            }
+            EXPECT_EQ(toJson(got, true).dump(0), toJson(want, true).dump(0))
+                << "case " << i;
+            EXPECT_EQ(got.bankGridX, want.bankGridX) << "case " << i;
+            EXPECT_EQ(got.bankGridZ, want.bankGridZ) << "case " << i;
         }
+    }
+}
+
+/**
+ * A results document: points with zero to two results each (with or
+ * without refresh arrays, a bank grid, traces; half the documents keep
+ * the v1 member set, so they carry no version stamp), and at times the
+ * `errors` of failed runs.
+ */
+ScenarioResults
+randomDocument(Rng &rng)
+{
+    const bool v1 = rng.uniform() < 0.5;
+    ScenarioResults doc;
+    doc.scenario = randomString(rng, 12);
+    for (std::size_t p = rng.below(3); p > 0; --p) {
+        ScenarioResults::Point &pt = doc.points.emplace_back();
+        pt.label = randomString(rng, 12);
+        for (std::size_t k = rng.below(3); k > 0; --k) {
+            SimResult r = randomAnyResult(rng);
+            if (v1 || rng.uniform() < 0.5) {
+                r.refreshBwLossPerDimm.clear();
+                r.refreshEnergyPerDimm.clear();
+            }
+            if (v1 || rng.uniform() < 0.5) {
+                r.bankGridX = r.bankGridZ = 0;
+                r.peakBankDramPerDimm.clear();
+            }
+            pt.suite[randomString(rng, 4)][randomString(rng, 4)] =
+                std::move(r);
+        }
+    }
+    for (std::size_t e = rng.uniform() < 0.4 ? 1 + rng.below(3) : 0; e > 0;
+         --e)
+        doc.errors.push_back({rng.below(1ULL << 53), randomString(rng, 6),
+                              randomString(rng, 4), randomString(rng, 4),
+                              randomString(rng, 20)});
+    return doc;
+}
+
+TEST(ResultCodecFuzz, DocumentWriterPrintsTheTreeDumpBytes)
+{
+    const std::size_t cases = fuzzCases();
+    Rng seed_stream(0xd0c5d0c5ULL);
+    std::size_t stamped = 0, unstamped = 0, failed = 0;
+    for (std::size_t i = 0; i < cases; ++i) {
+        Rng rng(seed_stream.next());
+        const bool traces = rng.uniform() < 0.5;
+        const ScenarioResults doc = randomDocument(rng);
+        const std::string text = writeDocument(doc, traces);
+        ASSERT_EQ(text, toJson(doc, traces).dump(2)) << "case " << i;
+        const bool stamp =
+            text.find("\n  \"schema_version\": ") != std::string::npos;
+        ++(stamp ? stamped : unstamped);
+        failed += !doc.errors.empty();
+    }
+    // Every shape the layout knows was printed.
+    EXPECT_GT(stamped, 0u);
+    EXPECT_GT(unstamped, 0u);
+    EXPECT_GT(failed, 0u);
+}
+
+TEST(ResultCodecFuzz, ShuffledDocumentsDecodeToTheSameResults)
+{
+    const std::size_t cases = fuzzCases();
+    Rng seed_stream(0x5bff1ed0ULL);
+    for (std::size_t i = 0; i < cases; ++i) {
+        Rng rng(seed_stream.next());
+        const bool traces = rng.uniform() < 0.5;
+        const ScenarioResults doc = randomDocument(rng);
+        const std::string text = writeDocument(doc, traces);
+        const std::string reordered =
+            shuffled(Json::parse(text), rng).dump(rng.below(3));
+        try {
+            EXPECT_EQ(writeDocument(readDocument(reordered, "doc"), traces),
+                      text)
+                << "case " << i;
+        } catch (const FatalError &e) {
+            FAIL() << "case " << i << ": " << e.what() << "\n"
+                   << reordered.substr(0, 400);
+        }
+    }
+}
+
+TEST(ResultCodecFuzz, MutatedDocumentTextFailsOnlyFatally)
+{
+    // Damage a document's text rather than its tree: truncations, junk
+    // characters, and a repeated member, each at a random position.
+    const std::size_t cases = fuzzCases();
+    Rng seed_stream(0x7e7d0c5eULL);
+    static const char junk[] = "{}[],:\"\\ 0-.e\x01";
+    for (std::size_t i = 0; i < cases; ++i) {
+        Rng rng(seed_stream.next());
+        std::string text = writeDocument(randomDocument(rng), rng.uniform() < 0.5);
+        switch (rng.below(3)) {
+          case 0:
+            text.resize(rng.below(text.size()));
+            break;
+          case 1:
+            for (std::size_t k = 1 + rng.below(4); k > 0; --k)
+                text[rng.below(text.size())] =
+                    junk[rng.below(sizeof(junk) - 1)];
+            break;
+          default: { // a member repeated right after an object opens
+            const std::size_t at = text.find('{', rng.below(text.size()));
+            if (at != std::string::npos)
+                text.insert(at + 1, "\"points\": [], \"label\": 1, ");
+          }
+        }
+        expectOnlyFatal(i, "readDocument",
+                        [&] { readDocument(text, "doc"); });
     }
 }
 

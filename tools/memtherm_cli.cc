@@ -21,6 +21,7 @@
 #include <fstream>
 #include <iostream>
 #include <map>
+#include <optional>
 #include <sstream>
 #include <string>
 #include <tuple>
@@ -172,26 +173,37 @@ jsonNear(const Json &a, const Json &b, double tol, const std::string &path,
 }
 
 /**
- * The --golden check of `run` and `merge`: compare @p results with the
- * reference document at @p golden_path within relative @p tol. The
- * first divergence goes to stderr; a match is announced on stdout
- * unless @p quiet. Returns the exit status: 1 on divergence, else 0.
+ * The -o and --golden of `run` and `merge`: print @p results' document
+ * once, write it to -o, and compare it, parsed, with the reference
+ * document at --golden within relative --tol. The first divergence
+ * goes to stderr; a write and a match are announced on stdout unless
+ * --quiet. Returns the exit status: 1 on divergence, else 0.
  */
 int
-checkGolden(const std::string &cmd, const Json &results,
-            const std::string &golden_path, double tol, bool quiet)
+writeResults(const std::string &cmd, const CliArgs &a,
+             const ScenarioResults &results, bool traces)
 {
-    Json golden = Json::load(golden_path);
-    (void)resultSchemaVersionOf(golden, cmd + ": '" + golden_path + "'");
+    if (a.out.empty() && a.golden.empty())
+        return 0;
+    const std::string text = writeDocument(results, traces);
+    if (!a.out.empty()) {
+        atomicWriteFile(a.out, text);
+        if (!a.quiet)
+            std::cout << "wrote " << a.out << '\n';
+    }
+    if (a.golden.empty())
+        return 0;
+    Json golden = Json::load(a.golden);
+    (void)resultSchemaVersionOf(golden, cmd + ": '" + a.golden + "'");
     std::string where, detail;
-    if (!jsonNear(results, golden, tol, "", where, detail)) {
-        std::cerr << cmd << ": results diverge from '" << golden_path
-                  << "' at " << where << ": " << detail << " (tol " << tol
+    if (!jsonNear(Json::parse(text), golden, a.tol, "", where, detail)) {
+        std::cerr << cmd << ": results diverge from '" << a.golden
+                  << "' at " << where << ": " << detail << " (tol " << a.tol
                   << ")\n";
         return 1;
     }
-    if (!quiet)
-        std::cout << "results match " << golden_path << " (tol " << tol
+    if (!a.quiet)
+        std::cout << "results match " << a.golden << " (tol " << a.tol
                   << ")\n";
     return 0;
 }
@@ -304,6 +316,16 @@ csvField(const std::string &s)
     return out;
 }
 
+/** `report`'s results document, decoded from the file's text. */
+ScenarioResults
+readResultsFile(const std::string &path)
+{
+    const std::optional<std::string> text = readFile(path);
+    if (!text)
+        fatal("json: cannot open '" + path + "' for reading");
+    return readDocument(*text, "memtherm report: '" + path + "'");
+}
+
 int
 cmdReport(const CliArgs &a)
 {
@@ -324,9 +346,9 @@ cmdReport(const CliArgs &a)
         fatal("memtherm report: more than one results file given "
               "(multiple inputs are only supported for JSONL streams)");
     }
-    const ScenarioResults results = scenarioResultsFromJson(
-        anyStream ? mergeStreams(inputs).results : Json::load(results_path),
-        "memtherm report: '" + results_path + "'");
+    const ScenarioResults results = anyStream
+                                        ? mergeStreamResults(inputs).results
+                                        : readResultsFile(results_path);
     const std::string &scenario = results.scenario;
 
     // Failed runs travel with the results ('errors', emitted by run and
@@ -525,7 +547,8 @@ cmdReport(const CliArgs &a)
 int
 cmdMerge(const CliArgs &a)
 {
-    MergedStream merged = mergeStreams(a.inputs);
+    const MergedResults merged = mergeStreamResults(a.inputs);
+    const std::vector<RunError> &errors = merged.results.errors;
 
     // An incomplete merge would masquerade as a (smaller) clean result;
     // name what is missing instead of emitting it.
@@ -551,23 +574,15 @@ cmdMerge(const CliArgs &a)
     if (!a.quiet) {
         std::cout << "merged " << a.inputs.size() << " stream(s): scenario '"
                   << merged.spec.name << "', " << merged.totalRuns
-                  << " run(s), " << merged.errors.size()
+                  << " run(s), " << errors.size()
                   << " failure record(s)\n";
     }
-    if (!a.out.empty()) {
-        merged.results.save(a.out);
-        if (!a.quiet)
-            std::cout << "wrote " << a.out << '\n';
-    }
-
-    int rc = a.golden.empty() ? 0
-                              : checkGolden("memtherm merge", merged.results,
-                                            a.golden, a.tol, a.quiet);
+    int rc = writeResults("memtherm merge", a, merged.results,
+                          merged.traces);
     // Printed after all regular output, so the intact results of the
     // rest of the grid are never hidden behind the failures.
-    if (!merged.errors.empty()) {
-        std::cerr << "memtherm merge: " << failureSummary(merged.errors)
-                  << '\n';
+    if (!errors.empty()) {
+        std::cerr << "memtherm merge: " << failureSummary(errors) << '\n';
         rc = 1;
     }
     return rc;
@@ -596,7 +611,7 @@ cmdRun(const CliArgs &a)
 
     ExperimentEngine engine(a.threads);
 
-    Json out; // the results document behind -o/--golden
+    int rc = 0; // the -o/--golden outcome
     std::vector<RunError> failures;
     if (!a.stream.empty()) {
         StreamRunOptions sopts;
@@ -620,8 +635,11 @@ cmdRun(const CliArgs &a)
         }
         // -o/--golden view the stream through the canonical merge, so
         // their bytes cannot differ from `memtherm merge` output.
-        if (!a.out.empty() || !a.golden.empty())
-            out = mergeStreams({a.stream}).results;
+        if (!a.out.empty() || !a.golden.empty()) {
+            const MergedResults merged = mergeStreamResults({a.stream});
+            rc = writeResults("memtherm run", a, merged.results,
+                              merged.traces);
+        }
         failures = std::move(stats.failures);
     } else {
         BatchStats batch_stats;
@@ -631,18 +649,9 @@ cmdRun(const CliArgs &a)
             printBatchStats(batch_stats);
             printSummary(results);
         }
-        out = toJson(results, a.traces);
+        rc = writeResults("memtherm run", a, results, a.traces);
         failures = std::move(results.errors);
     }
-
-    if (!a.out.empty()) {
-        out.save(a.out);
-        if (!a.quiet)
-            std::cout << "wrote " << a.out << '\n';
-    }
-    int rc = a.golden.empty() ? 0
-                              : checkGolden("memtherm run", out, a.golden,
-                                            a.tol, a.quiet);
     // Failures never hide completed work (everything above still ran and
     // wrote), but they must not exit 0 either.
     if (!failures.empty()) {
