@@ -182,6 +182,11 @@ JsonReader::expectType(Json::Type want)
 {
     const Json::Type have = peekType();
     if (have != want) {
+        // A malformed value is the grammar error Json::parse reports,
+        // not a type error: check the value before naming its type.
+        const std::size_t at = pos;
+        skipValue();
+        pos = at;
         fail(std::string("expected ") + typeName(want) + ", have " +
              typeName(have));
     }

@@ -211,7 +211,9 @@ class Json
  * reader). Every read skips leading whitespace first. Failures are
  * FatalError "json: <what> at line L:C", at the position Json::parse
  * reports for the same text: the same strict grammar, duplicate-member
- * refusal and nesting cap apply to values read and values skipped.
+ * refusal and nesting cap apply to values read and values skipped. A
+ * typed read of a value of another type checks the value first, so a
+ * malformed one fails as Json::parse fails on it, not as a type error.
  *
  * Reading an object:
  *

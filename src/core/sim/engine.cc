@@ -137,7 +137,7 @@ ExperimentEngine::runBatched(const std::vector<Run> &runs,
                "runBatched: classes do not cover every run");
 
     // Split classes into chunks of at most batch_width lanes. A chunk is
-    // the unit of dispatch: one pool task, one ThermalBatchState.
+    // the unit of dispatch: one pool task, one runBatch() call.
     struct Chunk
     {
         std::size_t first = 0;

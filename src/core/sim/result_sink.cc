@@ -290,7 +290,8 @@ namespace
  * is decoded only when @p keep_results, and otherwise skipped — still
  * checked as strictly as Json::parse would check it. Members may come
  * in any order; one needed before the member that says how to read it
- * (a `result` ahead of its `type`) is skipped and read at the end.
+ * (a `result` ahead of its `type`) is skipped and read at the end. A
+ * member of another name is refused.
  */
 StreamRecord
 readRecord(std::string_view line, const StreamScan &scan, bool keep_results)
@@ -323,8 +324,13 @@ readRecord(std::string_view line, const StreamScan &scan, bool keep_results)
             : key == "wall_s"   ? &wall
             : key == "result"   ? &result
                                 : nullptr;
-        if (slot)
-            *slot = in.offset();
+        // Refused, not dropped, as in a document: dropping would make
+        // merge lossy.
+        if (!slot)
+            fatal("scenario: unknown member '" + key +
+                  "' in a stream record (valid: type, index, point, "
+                  "workload, policy, wall_s, result, error)");
+        *slot = in.offset();
         in.skipValue();
     }
     in.finish();

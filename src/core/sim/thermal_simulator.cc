@@ -46,12 +46,11 @@ ThermalSimulator::ThermalSimulator(SimConfig c) : cfg(std::move(c))
     panicIfNot(cfg.nCores >= 1, "ThermalSimulator: need >= 1 core");
 }
 
-ThermalSimulator::Lane::Lane(const SimConfig &cfg, const Workload &mix,
-                             ThermalBatchState &state, int lane_index)
+ThermalSimulator::Lane::Lane(const SimConfig &cfg, const Workload &mix)
     : batch(mix, cfg.copiesPerApp, cfg.instrScale),
       ambient(cfg.ambient),
       mem(cfg.org, cfg.cooling, DimmPowerModel{}, ambient.temperature(),
-          cfg.trafficShares, state, lane_index, cfg.bankGrid),
+          cfg.trafficShares, cfg.bankGrid),
       sensorRng(cfg.sensorSeed),
       nextRotation(cfg.rotationSlice),
       nextTrace(cfg.traceSample)
@@ -89,14 +88,13 @@ ThermalSimulator::Lane::Lane(const SimConfig &cfg, const Workload &mix,
     live = !batch.done() && t < cfg.maxSimTime;
 }
 
-ThermalSimulator::Lane::Lane(const Lane &src, ThermalBatchState &state,
-                             int lane_index)
+ThermalSimulator::Lane::Lane(const Lane &src)
     : res(src.res),
       batch(src.batch),
       slot(src.slot),
       baseMpki(src.baseMpki),
       ambient(src.ambient),
-      mem(src.mem, state, lane_index),
+      mem(src.mem),
       sensorRng(src.sensorRng),
       action(src.action),
       reading(src.reading),
@@ -400,10 +398,6 @@ ThermalSimulator::runBatch(const Workload &mix,
     }
     reserveScratch(scratch);
 
-    ThermalBatchState state(static_cast<int>(n_pol),
-                            cfg.org.nDimmsPerChannel,
-                            cfg.bankGrid ? cfg.bankGrid->cells() : 0);
-
     /// One shared trajectory: a lane plus the policies riding on it.
     struct Group
     {
@@ -416,13 +410,12 @@ ThermalSimulator::runBatch(const Workload &mix,
     // that bound keeps references stable across mid-loop push_backs.
     groups.reserve(n_pol);
     {
-        Group g{Lane(cfg, mix, state, 0), {}};
+        Group g{Lane(cfg, mix), {}};
         g.members.resize(n_pol);
         for (std::size_t m = 0; m < n_pol; ++m)
             g.members[m] = m;
         groups.push_back(std::move(g));
     }
-    int next_lane = 1;
 
     BatchStats local;
     const Seconds eps = cfg.window * 1e-6;
@@ -435,7 +428,7 @@ ThermalSimulator::runBatch(const Workload &mix,
 
     // Depth first: each group runs to completion before the next one
     // starts. A fork appends groups that resume from the fork window on
-    // lanes of their own; groups never interact after a fork, so the
+    // copies of the lane; groups never interact after a fork, so the
     // order in which they run cannot change a result.
     for (std::size_t gi = 0; gi < groups.size(); ++gi) {
         Group &g = groups[gi];
@@ -468,11 +461,7 @@ ThermalSimulator::runBatch(const Workload &mix,
                 // each gets its own action applied: exactly what its
                 // members' from-scratch runs would have computed here.
                 for (std::size_t b = 1; b < uniq.size(); ++b) {
-                    panicIfNot(next_lane < static_cast<int>(n_pol),
-                               "runBatch: lane budget exceeded");
-                    groups.push_back(
-                        Group{Lane(g.lane, state, next_lane), {}});
-                    ++next_lane;
+                    groups.push_back(Group{Lane(g.lane), {}});
                     for (std::size_t i = 0; i < bucket.size(); ++i)
                         if (bucket[i] == b)
                             groups.back().members.push_back(g.members[i]);

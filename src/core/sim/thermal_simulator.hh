@@ -14,7 +14,7 @@
  * There is one window loop, runBatch(): one workload under K policies.
  * All K runs share the simulated prefix until the first DTM decision
  * where their policies' actions differ; at that window the shared lane
- * is forked (an exact state snapshot: thermal lane, ambient node,
+ * is forked (an exact state snapshot: thermal state, ambient node,
  * batch-job progress, sensor RNG position) and each fork later resumes
  * from that window on its own, so every run stays bit-identical to a
  * one-policy batch of its own. Policies that never diverge (common on
@@ -92,7 +92,7 @@ class ThermalSimulator
      *    calls.
      *    The ExperimentEngine keeps one per worker thread.
      *
-     * Per-run state (core job slots, thermal lanes, RNG) lives in Lane,
+     * Per-run state (core job slots, thermal state, RNG) lives in Lane,
      * not here, so lanes can be forked without touching the scratch.
      */
     struct Scratch
@@ -114,20 +114,28 @@ class ThermalSimulator
     /**
      * The complete mutable state of one in-flight run: everything a
      * window-step reads or writes that belongs to the run rather than to
-     * the shared scratch. runBatch() snapshots a run by copy-
-     * constructing a Lane onto a fresh lane of the same thermal state
-     * (the fork constructor), which is an exact double-copy — a forked
-     * lane continues bit-identically to the lane it forked from.
+     * the shared scratch. runBatch() forks a run by copying its Lane,
+     * an exact double-copy: the copy continues bit-identically to the
+     * lane it was copied from.
      */
     struct Lane
     {
-        /** Fresh run at t = 0 on lane @p lane_index of @p state. */
-        Lane(const SimConfig &cfg, const Workload &mix,
-             ThermalBatchState &state, int lane_index);
+        /** Fresh run at t = 0. */
+        Lane(const SimConfig &cfg, const Workload &mix);
 
-        /** Fork: exact snapshot of @p src continuing on @p lane_index
-         *  of @p state, which must be the state @p src's lane is in. */
-        Lane(const Lane &src, ThermalBatchState &state, int lane_index);
+        /** Fork: an exact snapshot of @p src. */
+        Lane(const Lane &src);
+
+        /** Lane(cfg, mix); exists only so perfbench builds unchanged
+         *  (ROADMAP item 1b deletes it). */
+        Lane(const SimConfig &cfg, const Workload &mix, ThermalBatchState &,
+             int)
+            : Lane(cfg, mix)
+        {
+        }
+
+        /** Lane(src); exists only so perfbench builds unchanged. */
+        Lane(const Lane &src, ThermalBatchState &, int) : Lane(src) {}
 
         Lane(Lane &&) = default;
         Lane &operator=(Lane &&) = default;
@@ -147,7 +155,7 @@ class ThermalSimulator
         std::vector<BatchJob::Instance *> slot; ///< per-core job slots
         std::vector<BaseMpki> baseMpki;         ///< per core slot
         AmbientModel ambient;
-        MemoryThermalModel mem; ///< view over one state lane
+        MemoryThermalModel mem;
         Rng sensorRng;
         DtmAction action;
         ThermalReading reading;

@@ -32,50 +32,13 @@ MemoryThermalModel::MemoryThermalModel(const MemoryOrgConfig &org,
                                        std::optional<BankGridConfig>
                                            bank_grid)
     : orgCfg(org), pwr(power), cool(cooling),
-      shares(std::move(traffic_shares)), ownedState(nullptr), st(nullptr),
-      laneIdx(0)
+      shares(std::move(traffic_shares)),
+      st(org.nDimmsPerChannel, bank_grid ? bank_grid->cells() : 0)
 {
     checkOrgAndShares(orgCfg, shares);
     if (bank_grid)
         grid = BankOverlay::of(*bank_grid, orgCfg.nDimmsPerChannel);
-    ownedState = std::make_unique<ThermalBatchState>(
-        1, orgCfg.nDimmsPerChannel, bank_grid ? bank_grid->cells() : 0);
-    st = ownedState.get();
-    st->initLane(0, cool.tauAmb, cool.tauDram, t0);
-}
-
-MemoryThermalModel::MemoryThermalModel(const MemoryOrgConfig &org,
-                                       const CoolingConfig &cooling,
-                                       const DimmPowerModel &power,
-                                       Celsius t0,
-                                       std::vector<double> traffic_shares,
-                                       ThermalBatchState &state, int lane,
-                                       std::optional<BankGridConfig>
-                                           bank_grid)
-    : orgCfg(org), pwr(power), cool(cooling),
-      shares(std::move(traffic_shares)), ownedState(nullptr), st(&state),
-      laneIdx(lane)
-{
-    checkOrgAndShares(orgCfg, shares);
-    if (bank_grid)
-        grid = BankOverlay::of(*bank_grid, orgCfg.nDimmsPerChannel);
-    panicIfNot(state.dimms() == orgCfg.nDimmsPerChannel,
-               "MemoryThermalModel: batch state chain length mismatch");
-    panicIfNot(state.bankCells() == (bank_grid ? bank_grid->cells() : 0),
-               "MemoryThermalModel: batch state bank cell mismatch");
-    st->initLane(laneIdx, cool.tauAmb, cool.tauDram, t0);
-}
-
-MemoryThermalModel::MemoryThermalModel(const MemoryThermalModel &src,
-                                       ThermalBatchState &state, int lane)
-    : orgCfg(src.orgCfg), pwr(src.pwr), cool(src.cool), shares(src.shares),
-      refreshDram(src.refreshDram), grid(src.grid),
-      ownedState(nullptr), st(&state), laneIdx(lane)
-{
-    panicIfNot(src.st == &state,
-               "MemoryThermalModel: a fork must stay in its source's "
-               "batch state");
-    st->copyLane(laneIdx, src.laneIdx);
+    st.reset(cool.tauAmb, cool.tauDram, t0);
 }
 
 const std::vector<DimmPower> &
@@ -116,19 +79,15 @@ void
 MemoryThermalModel::stageAdvance(GBps total_read, GBps total_write,
                                  Celsius ambient, Seconds dt)
 {
-    st->ensureDecay(dt);
+    st.ensureDecay(dt);
     const auto &powers = channelPower(total_read, total_write);
-    double *sa = st->stableAmb(laneIdx);
-    double *sd = st->stableDram(laneIdx);
     for (std::size_t i = 0; i < powers.size(); ++i) {
-        sa[i] = stableAmbAt(ambient, powers[i]);
-        sd[i] = stableDramAt(ambient, powers[i]);
+        st.stableAmb[i] = stableAmbAt(ambient, powers[i]);
+        st.stableDram[i] = stableDramAt(ambient, powers[i]);
     }
-    if (grid) {
-        double *sb = st->stableBankSpread(laneIdx);
+    if (grid)
         for (std::size_t i = 0; i < powers.size(); ++i)
-            sb[i] = stableSpreadAt(powers[i]);
-    }
+            st.stableSpread[i] = stableSpreadAt(powers[i]);
 }
 
 MemoryThermalSample
@@ -136,30 +95,23 @@ MemoryThermalModel::finishAdvance(Seconds dt)
 {
     MemoryThermalSample s;
     Watts channel_power = 0.0;
-    const double *amb = st->ambTemp(laneIdx);
-    const double *dram = st->dramTemp(laneIdx);
-    double *pa = st->peakAmb(laneIdx);
-    double *pd = st->peakDram(laneIdx);
-    double *e = st->energy(laneIdx);
     for (std::size_t i = 0; i < powerScratch.size(); ++i) {
-        s.hottestAmb = std::max(s.hottestAmb, amb[i]);
-        s.hottestDram = std::max(s.hottestDram, dram[i]);
-        pa[i] = std::max(pa[i], amb[i]);
-        pd[i] = std::max(pd[i], dram[i]);
-        e[i] += powerScratch[i].total() * dt;
+        s.hottestAmb = std::max(s.hottestAmb, st.amb[i]);
+        s.hottestDram = std::max(s.hottestDram, st.dram[i]);
+        st.peakAmb[i] = std::max(st.peakAmb[i], st.amb[i]);
+        st.peakDram[i] = std::max(st.peakDram[i], st.dram[i]);
+        st.energy[i] += powerScratch[i].total() * dt;
         channel_power += powerScratch[i].total();
     }
     if (grid) {
-        const double *v = st->bankSpread(laneIdx);
-        int *size = st->bankHullSize(laneIdx);
         const int *start = grid->slopeStart.data();
         for (int i = 0; i < orgCfg.nDimmsPerChannel; ++i)
-            size[i] = offerBankHullPoint(
-                st->bankHull(laneIdx, i), size[i],
+            st.hullSize[i] = offerBankHullPoint(
+                st.bankHull(i), st.hullSize[i],
                 grid->slopes.data() + start[i], start[i + 1] - start[i],
-                v[i], dram[i]);
+                st.spread[i], st.dram[i]);
     }
-    st->energyTime(laneIdx) += dt;
+    st.energyTime += dt;
     s.subsystemPower = channel_power * orgCfg.nChannels;
     return s;
 }
@@ -209,11 +161,9 @@ MemoryThermalSample
 MemoryThermalModel::current() const
 {
     MemoryThermalSample s;
-    const double *amb = st->ambTemp(laneIdx);
-    const double *dram = st->dramTemp(laneIdx);
     for (int i = 0; i < orgCfg.nDimmsPerChannel; ++i) {
-        s.hottestAmb = std::max(s.hottestAmb, amb[i]);
-        s.hottestDram = std::max(s.hottestDram, dram[i]);
+        s.hottestAmb = std::max(s.hottestAmb, st.amb[i]);
+        s.hottestDram = std::max(s.hottestDram, st.dram[i]);
     }
     return s;
 }
@@ -223,10 +173,8 @@ MemoryThermalModel::dimmTemps() const
 {
     std::vector<DimmTemps> out;
     out.reserve(static_cast<std::size_t>(orgCfg.nDimmsPerChannel));
-    const double *amb = st->ambTemp(laneIdx);
-    const double *dram = st->dramTemp(laneIdx);
     for (int i = 0; i < orgCfg.nDimmsPerChannel; ++i)
-        out.push_back({amb[i], dram[i]});
+        out.push_back({st.amb[i], st.dram[i]});
     return out;
 }
 
@@ -234,16 +182,8 @@ void
 MemoryThermalModel::currentPerDimm(std::vector<Celsius> &amb,
                                    std::vector<Celsius> &dram) const
 {
-    const std::size_t n =
-        static_cast<std::size_t>(orgCfg.nDimmsPerChannel);
-    amb.resize(n);
-    dram.resize(n);
-    const double *a = st->ambTemp(laneIdx);
-    const double *d = st->dramTemp(laneIdx);
-    for (std::size_t i = 0; i < n; ++i) {
-        amb[i] = a[i];
-        dram[i] = d[i];
-    }
+    amb.assign(st.amb.begin(), st.amb.end());
+    dram.assign(st.dram.begin(), st.dram.end());
 }
 
 double
@@ -278,10 +218,8 @@ MemoryThermalModel::dimmPeaks() const
 {
     std::vector<DimmTemps> out;
     out.reserve(static_cast<std::size_t>(orgCfg.nDimmsPerChannel));
-    const double *pa = st->peakAmb(laneIdx);
-    const double *pd = st->peakDram(laneIdx);
     for (int i = 0; i < orgCfg.nDimmsPerChannel; ++i)
-        out.push_back({pa[i], pd[i]});
+        out.push_back({st.peakAmb[i], st.peakDram[i]});
     return out;
 }
 
@@ -292,11 +230,10 @@ MemoryThermalModel::bankPeaks() const
         return {};
     const std::size_t cells =
         static_cast<std::size_t>(grid->config->cells());
-    const int *size = st->bankHullSize(laneIdx);
     std::vector<Celsius> out(grid->cellSlope.size());
     for (std::size_t c = 0; c < out.size(); ++c) {
         const int d = static_cast<int>(c / cells);
-        out[c] = bankHullPeak(st->bankHull(laneIdx, d), size[d],
+        out[c] = bankHullPeak(st.bankHull(d), st.hullSize[d],
                               grid->cellSlope[c]);
     }
     return out;
@@ -315,19 +252,16 @@ MemoryThermalModel::dimmAvgPower() const
     const std::size_t n =
         static_cast<std::size_t>(orgCfg.nDimmsPerChannel);
     std::vector<Watts> out(n, 0.0);
-    const Seconds elapsed = st->energyTime(laneIdx);
-    if (elapsed > 0.0) {
-        const double *e = st->energy(laneIdx);
+    if (st.energyTime > 0.0)
         for (std::size_t i = 0; i < n; ++i)
-            out[i] = e[i] / elapsed;
-    }
+            out[i] = st.energy[i] / st.energyTime;
     return out;
 }
 
 void
 MemoryThermalModel::reset(Celsius t)
 {
-    st->initLane(laneIdx, cool.tauAmb, cool.tauDram, t);
+    st.reset(cool.tauAmb, cool.tauDram, t);
 }
 
 void
@@ -335,25 +269,16 @@ MemoryThermalModel::resetToStable(GBps total_read, GBps total_write,
                                   Celsius ambient)
 {
     const auto &powers = channelPower(total_read, total_write);
-    double *amb = st->ambTemp(laneIdx);
-    double *dram = st->dramTemp(laneIdx);
-    double *pa = st->peakAmb(laneIdx);
-    double *pd = st->peakDram(laneIdx);
-    double *e = st->energy(laneIdx);
     for (std::size_t i = 0; i < powers.size(); ++i) {
-        amb[i] = stableAmbAt(ambient, powers[i]);
-        dram[i] = stableDramAt(ambient, powers[i]);
-        pa[i] = amb[i];
-        pd[i] = dram[i];
-        e[i] = 0.0;
+        st.amb[i] = st.peakAmb[i] = stableAmbAt(ambient, powers[i]);
+        st.dram[i] = st.peakDram[i] = stableDramAt(ambient, powers[i]);
+        st.energy[i] = 0.0;
     }
-    if (grid) {
-        double *v = st->bankSpread(laneIdx);
+    if (grid)
         for (std::size_t i = 0; i < powers.size(); ++i)
-            v[i] = stableSpreadAt(powers[i]);
-        st->restartBankHulls(laneIdx);
-    }
-    st->energyTime(laneIdx) = 0.0;
+            st.spread[i] = stableSpreadAt(powers[i]);
+    st.restartBankHulls();
+    st.energyTime = 0.0;
 }
 
 } // namespace memtherm

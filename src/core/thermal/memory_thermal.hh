@@ -11,15 +11,10 @@
  * accounting.
  *
  * The mutable thermal state (temperatures, peaks, energy accumulators)
- * lives in a ThermalBatchState — structure-of-arrays, one lane per run.
- * A model either owns a private single-lane state (a standalone model:
- * unit tests, calibration tables) or is a *view* over one lane of a
- * caller-owned multi-lane state (every simulator run), selected by
- * constructor. Both modes run the same arithmetic in the same order, so
- * a view lane is bit-identical to an owning model. The lane math —
- * initialization, the Eq. 3.5 step and the fork copy — is
- * ThermalBatchState's alone; a model is not copyable, it forks into
- * another lane of the state it views.
+ * is a ThermalState the model holds by value, so the model is a value
+ * too: a copy is an exact snapshot of the run's memory subsystem, the
+ * fork of the shared-prefix engine, and continues bit-identically to
+ * its source.
  */
 
 #ifndef MEMTHERM_CORE_THERMAL_MEMORY_THERMAL_HH
@@ -72,8 +67,6 @@ class MemoryThermalModel
 {
   public:
     /**
-     * Owning mode: the model allocates a private single-lane state.
-     *
      * @param org     channel/DIMM organization
      * @param cooling Table 3.2 column
      * @param power   per-DIMM power models
@@ -96,37 +89,6 @@ class MemoryThermalModel
                            std::nullopt);
 
     /**
-     * View mode: the model's thermal state is lane @p lane of the
-     * caller-owned @p state (whose dimms() must match the organization's
-     * chain length, and whose bankCells() must match the bank grid's
-     * cells — 0 when @p bank_grid is std::nullopt). The lane is
-     * (re)initialized to @p t0. The state must outlive the model; two
-     * models must not view one lane.
-     */
-    MemoryThermalModel(const MemoryOrgConfig &org,
-                       const CoolingConfig &cooling,
-                       const DimmPowerModel &power, Celsius t0,
-                       std::vector<double> traffic_shares,
-                       ThermalBatchState &state, int lane,
-                       std::optional<BankGridConfig> bank_grid =
-                           std::nullopt);
-
-    /**
-     * Fork: a view over lane @p lane of @p state that copies @p src's
-     * configuration, traffic shares and *current lane contents* exactly
-     * (ThermalBatchState::copyLane, the shared-prefix snapshot restore).
-     * The new lane continues bit-identically to @p src. @p src must view
-     * @p state itself (panics otherwise).
-     */
-    MemoryThermalModel(const MemoryThermalModel &src,
-                       ThermalBatchState &state, int lane);
-
-    MemoryThermalModel(const MemoryThermalModel &) = delete;
-    MemoryThermalModel &operator=(const MemoryThermalModel &) = delete;
-    MemoryThermalModel(MemoryThermalModel &&) = default;
-    MemoryThermalModel &operator=(MemoryThermalModel &&) = default;
-
-    /**
      * Advance all DIMM nodes by dt: stageAdvance() + commitStaged() +
      * finishAdvance() in one call. The simulator's window step calls
      * this; the three phases stay public for the per-layer benchmark,
@@ -142,16 +104,16 @@ class MemoryThermalModel
 
     /**
      * Phase 1 of a split advance: evaluate the power model and write
-     * each DIMM's stable-target temperatures into the lane's staging
-     * arrays (and refresh the batch decay memo for @p dt). No other
+     * each DIMM's stable-target temperatures into the state's staging
+     * arrays (and refresh the decay memo for @p dt). No other
      * power query may run on this model between stage and finish (they
      * share the power scratch).
      */
     void stageAdvance(GBps total_read, GBps total_write, Celsius ambient,
                       Seconds dt);
 
-    /** Phase 2: the temperature sweep over this lane. */
-    void commitStaged() { st->advanceLane(laneIdx); }
+    /** Phase 2: the temperature sweep. */
+    void commitStaged() { st.advance(); }
 
     /** Phase 3: fold peaks and energy; returns the step's sample. */
     MemoryThermalSample finishAdvance(Seconds dt);
@@ -218,7 +180,7 @@ class MemoryThermalModel
     /**
      * Per-DIMM peak temperatures since the last reset (index 0 nearest
      * the memory controller). advance() folds every step into the
-     * lane's peak arrays, so the hot loop never materializes a
+     * state's peak arrays, so the hot loop never materializes a
      * temperature vector; only this accessor does. Resets restart the
      * peaks from the reset temperatures.
      */
@@ -240,13 +202,13 @@ class MemoryThermalModel
      * Per-DIMM mean power on the representative channel since the last
      * reset (energy folded in by advance(), divided by the elapsed
      * time; all zeros before any advance). Like the peaks, the energy
-     * accumulators are lane state the hot loop updates in place — only
+     * accumulators are state the hot loop updates in place — only
      * this accessor materializes a vector.
      */
     std::vector<Watts> dimmAvgPower() const;
 
     /** Reset every node, peak and energy accumulator
-     *  (ThermalBatchState::initLane). */
+     *  (ThermalState::reset). */
     void reset(Celsius t);
 
     /**
@@ -262,8 +224,8 @@ class MemoryThermalModel
     const CoolingConfig &cooling() const { return cool; }
     /** Per-DIMM traffic shares; empty means uniform interleave. */
     const std::vector<double> &trafficShares() const { return shares; }
-    /** The lane this model's state occupies (0 in owning mode). */
-    int lane() const { return laneIdx; }
+    /** The run's thermal state. */
+    const ThermalState &state() const { return st; }
 
   private:
     /** Eq. 3.3: stable AMB temperature for a given operating point. */
@@ -305,12 +267,10 @@ class MemoryThermalModel
     std::vector<Watts> refreshDram;
 
     /// Bank-grid overlay constants (cell slopes), fixed for the run and
-    /// shared with its forks; null = lumped model, no bank state.
+    /// shared with its copies; null = lumped model, no bank state.
     std::shared_ptr<const BankOverlay> grid;
 
-    std::unique_ptr<ThermalBatchState> ownedState; ///< owning mode only
-    ThermalBatchState *st; ///< owned or caller-owned batch state
-    int laneIdx;           ///< this model's lane in *st
+    ThermalState st;
 
     /// Scratch for channelPower(): per-DIMM traffic and power, reused
     /// across steps (mutable: const queries share the scratch).

@@ -8,9 +8,12 @@
 
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <limits>
+#include <string>
 #include <type_traits>
 #include <utility>
+#include <vector>
 
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -332,6 +335,52 @@ TEST(Json, TypeMismatchesAreFatal)
     EXPECT_THROW(j.asString(), FatalError);
     EXPECT_THROW(j.at("x"), FatalError);
     EXPECT_THROW(Json("s").asNumber(), FatalError);
+}
+
+TEST(JsonReader, TypedReadOfAMalformedValueFailsAsParseDoes)
+{
+    // A value of the wrong type is checked before its type is named: a
+    // malformed one fails with Json::parse's message and position.
+    const std::vector<std::function<void(JsonReader &)>> reads = {
+        [](JsonReader &in) { (void)in.readNumber(); },
+        [](JsonReader &in) { (void)in.readBool(); },
+        [](JsonReader &in) { in.readNull(); },
+        [](JsonReader &in) { (void)in.readString(); },
+        [](JsonReader &in) { in.beginObject(); },
+        [](JsonReader &in) { in.beginArray(); },
+    };
+    const Json::Type types[] = {Json::Type::Number, Json::Type::Bool,
+                                Json::Type::Null,   Json::Type::String,
+                                Json::Type::Object, Json::Type::Array};
+    const auto message = [](auto &&f) -> std::string {
+        try {
+            f();
+        } catch (const FatalError &e) {
+            return e.what();
+        }
+        return "ok";
+    };
+    for (const std::string text :
+         {"01", "1.", "-", "1e+", "1e999", "tru", "fals", "nul", "\"ab",
+          "\"a\x01\"", "[1, 01]", "[1,]", "{\"a\": 01}",
+          "{\"a\": 1, \"a\": 2}", "{\"a\" 1}"}) {
+        const std::string want = message([&] { (void)Json::parse(text); });
+        ASSERT_NE(want, "ok") << text;
+        const Json::Type have = JsonReader(text).peekType();
+        for (std::size_t k = 0; k < reads.size(); ++k) {
+            if (types[k] == have)
+                continue;
+            JsonReader in(text);
+            EXPECT_EQ(message([&] { reads[k](in); }), want) << text;
+        }
+    }
+    // A well-formed value of the wrong type is a type error.
+    JsonReader in("{\"scenario\": 1}");
+    in.beginObject();
+    std::string key;
+    ASSERT_TRUE(in.nextMember(key));
+    EXPECT_EQ(message([&] { (void)in.readString(); }),
+              "fatal: json: expected string, have number at line 1:14");
 }
 
 TEST(Json, FileRoundTrip)

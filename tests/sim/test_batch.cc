@@ -1,7 +1,7 @@
 /**
  * @file
- * Tests for batched execution and shared-prefix caching: the
- * ThermalBatchState SoA container, fork-from-snapshot bit-identity for
+ * Tests for batched execution and shared-prefix caching: the one-run
+ * ThermalState and its Eq. 3.5 step, fork-from-snapshot bit-identity for
  * every registered policy family (including mid-run remap share state
  * and the sensor-noise RNG stream position), chunked engine execution,
  * failure isolation and the class contract, equivalence-class
@@ -97,113 +97,70 @@ expectIdentical(const SimResult &a, const SimResult &b)
     EXPECT_EQ(a.bwTrace.values(), b.bwTrace.values());
 }
 
-TEST(ThermalBatchState, InitAndLaneSlices)
+TEST(ThermalState, AdvanceMatchesExponentialStep)
 {
-    ThermalBatchState st(3, 4);
-    EXPECT_EQ(st.lanes(), 3);
-    EXPECT_EQ(st.dimms(), 4);
-    st.initLane(1, 10.0, 2.0, 42.0);
-    for (int i = 0; i < 4; ++i) {
-        EXPECT_EQ(st.ambTemp(1)[i], 42.0);
-        EXPECT_EQ(st.dramTemp(1)[i], 42.0);
-        EXPECT_EQ(st.peakAmb(1)[i], 42.0);
-        EXPECT_EQ(st.peakDram(1)[i], 42.0);
-        EXPECT_EQ(st.energy(1)[i], 0.0);
-    }
-    EXPECT_EQ(st.energyTime(1), 0.0);
-}
-
-TEST(ThermalBatchState, AdvanceMatchesExponentialStep)
-{
-    ThermalBatchState st(1, 2);
-    st.initLane(0, 10.0, 2.0, 50.0);
-    st.stableAmb(0)[0] = 90.0;
-    st.stableAmb(0)[1] = 70.0;
-    st.stableDram(0)[0] = 80.0;
-    st.stableDram(0)[1] = 60.0;
+    ThermalState st(2);
+    st.reset(10.0, 2.0, 50.0);
+    st.stableAmb = {90.0, 70.0};
+    st.stableDram = {80.0, 60.0};
     const Seconds dt = 0.5;
     st.ensureDecay(dt);
-    st.advanceLane(0);
+    st.advance();
     const double da = 1.0 - std::exp(-dt / 10.0);
     const double dd = 1.0 - std::exp(-dt / 2.0);
-    EXPECT_EQ(st.ambTemp(0)[0], 50.0 + (90.0 - 50.0) * da);
-    EXPECT_EQ(st.ambTemp(0)[1], 50.0 + (70.0 - 50.0) * da);
-    EXPECT_EQ(st.dramTemp(0)[0], 50.0 + (80.0 - 50.0) * dd);
-    EXPECT_EQ(st.dramTemp(0)[1], 50.0 + (60.0 - 50.0) * dd);
+    EXPECT_EQ(st.amb[0], 50.0 + (90.0 - 50.0) * da);
+    EXPECT_EQ(st.amb[1], 50.0 + (70.0 - 50.0) * da);
+    EXPECT_EQ(st.dram[0], 50.0 + (80.0 - 50.0) * dd);
+    EXPECT_EQ(st.dram[1], 50.0 + (60.0 - 50.0) * dd);
 }
 
-TEST(ThermalBatchState, ZeroStepIsIdentity)
+TEST(ThermalState, ZeroStepIsIdentity)
 {
-    ThermalBatchState st(1, 2, 3);
-    st.initLane(0, 50.0, 100.0, 75.0);
-    for (int i = 0; i < 2; ++i) {
-        st.stableAmb(0)[i] = 120.0;
-        st.stableDram(0)[i] = 120.0;
-    }
-    for (int i = 0; i < 2; ++i)
-        st.stableBankSpread(0)[i] = 120.0;
+    ThermalState st(2, 3);
+    st.reset(50.0, 100.0, 75.0);
+    st.stableAmb = st.stableDram = st.stableSpread = {120.0, 120.0};
     st.ensureDecay(0.0);
-    st.advanceLane(0);
+    st.advance();
     for (int i = 0; i < 2; ++i) {
-        EXPECT_EQ(st.ambTemp(0)[i], 75.0);
-        EXPECT_EQ(st.dramTemp(0)[i], 75.0);
+        EXPECT_EQ(st.amb[i], 75.0);
+        EXPECT_EQ(st.dram[i], 75.0);
         // Every cell, D + s·V, stays at 75 for any slope s.
-        EXPECT_EQ(st.bankSpread(0)[i], 0.0);
-        ASSERT_EQ(st.bankHullSize(0)[i], 1);
-        EXPECT_EQ(st.bankHull(0, i)->v, 0.0);
-        EXPECT_EQ(st.bankHull(0, i)->d, 75.0);
+        EXPECT_EQ(st.spread[i], 0.0);
+        ASSERT_EQ(st.hullSize[i], 1);
+        EXPECT_EQ(st.bankHull(i)->v, 0.0);
+        EXPECT_EQ(st.bankHull(i)->d, 75.0);
     }
 }
 
-TEST(ThermalBatchState, NeverOvershootsStable)
+TEST(ThermalState, NeverOvershootsStable)
 {
     // Heating toward 100 and cooling toward 60 from either side: every
     // step stays between the start and the target.
-    ThermalBatchState st(2, 1);
-    st.initLane(0, 50.0, 100.0, 40.0);
-    st.initLane(1, 50.0, 100.0, 110.0);
-    st.stableAmb(0)[0] = st.stableDram(0)[0] = 100.0;
-    st.stableAmb(1)[0] = st.stableDram(1)[0] = 60.0;
-    st.ensureDecay(1.0);
+    ThermalState heat(1), cool(1);
+    heat.reset(50.0, 100.0, 40.0);
+    cool.reset(50.0, 100.0, 110.0);
+    heat.stableAmb = heat.stableDram = {100.0};
+    cool.stableAmb = cool.stableDram = {60.0};
+    heat.ensureDecay(1.0);
+    cool.ensureDecay(1.0);
     for (int k = 0; k < 10000; ++k) {
-        st.advanceLane(0);
-        st.advanceLane(1);
-        EXPECT_LE(st.ambTemp(0)[0], 100.0 + 1e-9);
-        EXPECT_LE(st.dramTemp(0)[0], 100.0 + 1e-9);
-        EXPECT_GE(st.ambTemp(1)[0], 60.0 - 1e-9);
-        EXPECT_GE(st.dramTemp(1)[0], 60.0 - 1e-9);
+        heat.advance();
+        cool.advance();
+        EXPECT_LE(heat.amb[0], 100.0 + 1e-9);
+        EXPECT_LE(heat.dram[0], 100.0 + 1e-9);
+        EXPECT_GE(cool.amb[0], 60.0 - 1e-9);
+        EXPECT_GE(cool.dram[0], 60.0 - 1e-9);
     }
-    EXPECT_NEAR(st.ambTemp(0)[0], 100.0, 1e-9);
-    EXPECT_NEAR(st.dramTemp(1)[0], 60.0, 1e-9);
+    EXPECT_NEAR(heat.amb[0], 100.0, 1e-9);
+    EXPECT_NEAR(cool.dram[0], 60.0, 1e-9);
 }
 
-TEST(ThermalBatchState, CopyLaneIsExact)
+TEST(ThermalState, Panics)
 {
-    ThermalBatchState st(2, 3);
-    st.initLane(0, 5.0, 1.0, 33.0);
-    st.initLane(1, 5.0, 1.0, 0.0);
-    st.stableAmb(0)[0] = 61.0;
-    st.stableDram(0)[2] = 71.5;
-    st.energy(0)[1] = 123.25;
-    st.energyTime(0) = 7.0;
-    st.copyLane(1, 0);
-    for (int i = 0; i < 3; ++i) {
-        EXPECT_EQ(st.ambTemp(1)[i], st.ambTemp(0)[i]);
-        EXPECT_EQ(st.dramTemp(1)[i], st.dramTemp(0)[i]);
-        EXPECT_EQ(st.peakAmb(1)[i], st.peakAmb(0)[i]);
-        EXPECT_EQ(st.peakDram(1)[i], st.peakDram(0)[i]);
-        EXPECT_EQ(st.energy(1)[i], st.energy(0)[i]);
-    }
-    EXPECT_EQ(st.energyTime(1), 7.0);
-}
-
-TEST(ThermalBatchState, Panics)
-{
-    EXPECT_THROW(ThermalBatchState(0, 4), PanicError);
-    EXPECT_THROW(ThermalBatchState(1, 0), PanicError);
-    ThermalBatchState st(1, 2);
-    EXPECT_THROW(st.initLane(1, 1.0, 1.0, 0.0), PanicError);
-    EXPECT_THROW(st.initLane(0, 0.0, 1.0, 0.0), PanicError);
+    EXPECT_THROW(ThermalState(0), PanicError);
+    EXPECT_THROW(ThermalState(1, -1), PanicError);
+    ThermalState st(2);
+    EXPECT_THROW(st.reset(0.0, 1.0, 0.0), PanicError);
     EXPECT_THROW(st.ensureDecay(-1.0), PanicError);
 }
 

@@ -126,40 +126,38 @@ TEST(ClosedFormRcStep, OneLaneStepMatchesExponential)
         const Seconds dt = logUniform(rng, 1e-6, 1e4);
         const Celsius t0 = rng.uniform(20.0, 130.0);
 
-        ThermalBatchState st(2, dimms, cells);
-        const int lane = static_cast<int>(rng.below(2));
-        st.initLane(lane, tau_amb, tau_dram, t0);
+        ThermalState st(dimms, cells);
+        st.reset(tau_amb, tau_dram, t0);
         std::vector<double> amb_inf(dimms), dram_inf(dimms);
         std::vector<double> spread_inf(dimms);
         for (int i = 0; i < dimms; ++i) {
-            st.stableAmb(lane)[i] = amb_inf[i] = rng.uniform(20.0, 130.0);
-            st.stableDram(lane)[i] = dram_inf[i] = rng.uniform(20.0, 130.0);
+            st.stableAmb[i] = amb_inf[i] = rng.uniform(20.0, 130.0);
+            st.stableDram[i] = dram_inf[i] = rng.uniform(20.0, 130.0);
         }
         if (cells > 0)
             for (int i = 0; i < dimms; ++i)
-                st.stableBankSpread(lane)[i] = spread_inf[i] =
-                    rng.uniform(0.0, 40.0);
+                st.stableSpread[i] = spread_inf[i] = rng.uniform(0.0, 40.0);
         st.ensureDecay(dt);
-        st.advanceLane(lane);
+        st.advance();
 
         for (int i = 0; i < dimms; ++i) {
-            expectRelNear(st.ambTemp(lane)[i],
+            expectRelNear(st.amb[i],
                           closedFormStep(t0, amb_inf[i], dt, tau_amb));
-            expectRelNear(st.dramTemp(lane)[i],
+            expectRelNear(st.dram[i],
                           closedFormStep(t0, dram_inf[i], dt, tau_dram));
         }
         // The bank spread shares the DRAM node's time constant, from 0;
         // so a cell of slope s, D + s·V, takes the exact step from t0
         // towards its own target, dram_inf + s·spread_inf.
         for (int i = 0; i < dimms && cells > 0; ++i) {
-            const double v = st.bankSpread(lane)[i];
+            const double v = st.spread[i];
             // From 0, a 1 - exp(-dt / tau) near 0 carries rounding
             // relative to the target, not to V.
             EXPECT_NEAR(v, closedFormStep(0.0, spread_inf[i], dt, tau_dram),
                         1e-12 * spread_inf[i]);
             for (int c = 0; c < cells; ++c) {
                 const double s = rng.uniform(-1.0, 3.0);
-                expectRelNear(st.dramTemp(lane)[i] + s * v,
+                expectRelNear(st.dram[i] + s * v,
                               closedFormStep(t0, dram_inf[i] +
                                                      s * spread_inf[i],
                                              dt, tau_dram));

@@ -1125,6 +1125,42 @@ TEST(ResultStream, RecordTracesMustMatchTheHeaderFlag)
     EXPECT_NE(what.find("'traces'"), std::string::npos) << what;
 }
 
+TEST(ResultStream, UnknownRecordMemberIsRefused)
+{
+    // A member no record defines is refused, as in a document, not
+    // dropped: a merge would lose it.
+    std::vector<std::string> lines = tinyStreamLines("extra_src.jsonl");
+    ASSERT_EQ(lines.size(), 5u);
+    lines[2] = withMember(Json::parse(lines[2]), "extra_member", 1).dump(0);
+    const std::string path = writeLines("extra.jsonl", lines);
+    for (const bool keep : {false, true})
+        EXPECT_EQ(fatalOf([&] { scanStream(path, keep); }),
+                  "fatal: stream '" + path +
+                      "' line 3: scenario: unknown member 'extra_member' "
+                      "in a stream record (valid: type, index, point, "
+                      "workload, policy, wall_s, result, error)");
+    EXPECT_THROW(mergeStreamResults({path}), FatalError);
+}
+
+TEST(ResultSchema, MalformedNumberIsNotATypeError)
+{
+    // A typed member read checks the value before its type, so a
+    // malformed number reads as Json::parse reads it.
+    EXPECT_EQ(fatalOf([] { readDocument("{\"scenario\": 01}", "'doc'"); }),
+              "fatal: 'doc': json: invalid number at line 1:14");
+    std::vector<std::string> lines = tinyStreamLines("badnum_src.jsonl");
+    ASSERT_EQ(lines.size(), 5u);
+    const std::size_t at = lines[2].find("\"policy\": \"") + 10;
+    const std::size_t end = lines[2].find('"', at + 1) + 1;
+    lines[2] = lines[2].substr(0, at) + "01" + lines[2].substr(end);
+    const std::string path = writeLines("badnum.jsonl", lines);
+    for (const bool keep : {false, true})
+        EXPECT_EQ(fatalOf([&] { scanStream(path, keep); }),
+                  "fatal: stream '" + path +
+                      "' line 3: json: invalid number at line 1:" +
+                      std::to_string(at + 1));
+}
+
 TEST(ResultSchema, GoldensDecodeAndReencodeToTheirOwnBytes)
 {
     // No simulation: every committed golden read by the text decoder

@@ -212,11 +212,10 @@ TEST(BankOverlayOracle, PeaksMatchThePerCellIteration)
         Celsius ambient = t0;
         const std::string what = "trial " + std::to_string(trial);
 
-        ThermalBatchState state(2, org.nDimmsPerChannel, grid.cells());
         std::vector<Lane> lanes;
         lanes.reserve(2);
         lanes.push_back({MemoryThermalModel(org, cool, DimmPowerModel{}, t0,
-                                            {}, state, 0, grid),
+                                            {}, grid),
                          PerCellReference(org, cool, grid, t0)});
         if (rng.uniform() < 0.5) {
             lanes[0].model.resetToStable(6.0, 2.0, ambient);
@@ -227,8 +226,7 @@ TEST(BankOverlayOracle, PeaksMatchThePerCellIteration)
         const int fork_at = static_cast<int>(rng.below(windows));
         for (int t = 0; t < windows; ++t) {
             if (t == fork_at) {
-                lanes.push_back({MemoryThermalModel(lanes[0].model, state, 1),
-                                 lanes[0].ref});
+                lanes.push_back(lanes[0]);
             }
             if (rng.uniform() < 0.02) {
                 // A remap moves traffic between the DIMMs mid-run.
@@ -239,10 +237,9 @@ TEST(BankOverlayOracle, PeaksMatchThePerCellIteration)
             }
             for (Lane &l : lanes)
                 stepBoth(rng, l, refresh, ambient);
-            for (int lane = 0; lane < 2; ++lane)
-                for (int d = 0; d < org.nDimmsPerChannel; ++d)
-                    widest_hull = std::max(widest_hull,
-                                           state.bankHullSize(lane)[d]);
+            for (const Lane &l : lanes)
+                for (int size : l.model.state().hullSize)
+                    widest_hull = std::max(widest_hull, size);
         }
         expectPeaksMatch(lanes[0], kind, what);
         expectPeaksMatch(lanes[1], kind, what + " fork");

@@ -6,6 +6,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+
 #include "common/logging.hh"
 #include "core/thermal/memory_thermal.hh"
 
@@ -259,14 +261,12 @@ TEST(MemoryThermal, RemapToUniformBitIdenticalToFreshUniform)
     // shares on a fork carrying the same thermal state, and every
     // state-independent query bit-identical to a genuinely fresh
     // uniform model.
-    ThermalBatchState state(2, 4);
     MemoryThermalModel viaExplicit(MemoryOrgConfig{4, 4}, coolingAohs15(),
                                    DimmPowerModel{}, 50.0,
-                                   {0.5, 0.5 / 3, 0.5 / 3, 0.5 / 3},
-                                   state, 0);
+                                   {0.5, 0.5 / 3, 0.5 / 3, 0.5 / 3});
     viaExplicit.advance(12.0, 4.0, 50.0, 50.0);
 
-    MemoryThermalModel viaEmpty(viaExplicit, state, 1);
+    MemoryThermalModel viaEmpty = viaExplicit;
     viaExplicit.setTrafficShares({0.25, 0.25, 0.25, 0.25});
     viaEmpty.setTrafficShares({});
     for (int i = 0; i < 20; ++i) {
@@ -289,24 +289,79 @@ TEST(MemoryThermal, RemapToUniformBitIdenticalToFreshUniform)
               fresh.stableHottestDram(12.0, 4.0, 50.0));
 }
 
-TEST(MemoryThermal, ForkStaysInItsSourceState)
+/** Every reading a fork must carry over, in one vector. */
+std::vector<double>
+readings(const MemoryThermalModel &m)
 {
-    // A fork copies a lane within one ThermalBatchState; a source in
-    // any other state (or an owning model's private one) panics.
-    ThermalBatchState a(2, 4), b(2, 4);
-    MemoryThermalModel m(MemoryOrgConfig{4, 4}, coolingAohs15(),
-                         DimmPowerModel{}, 50.0, {}, a, 0);
-    m.advance(12.0, 4.0, 50.0, 5.0);
-    MemoryThermalModel fork(m, a, 1);
-    EXPECT_EQ(fork.lane(), 1);
-    auto x = m.dimmTemps(), y = fork.dimmTemps();
-    for (std::size_t i = 0; i < x.size(); ++i) {
-        EXPECT_EQ(x[i].amb, y[i].amb);
-        EXPECT_EQ(x[i].dram, y[i].dram);
+    std::vector<double> out;
+    for (const DimmTemps &t : m.dimmTemps())
+        out.insert(out.end(), {t.amb, t.dram});
+    for (const DimmTemps &t : m.dimmPeaks())
+        out.insert(out.end(), {t.amb, t.dram});
+    for (Watts w : m.dimmAvgPower())
+        out.push_back(w);
+    for (Celsius t : m.bankPeaks())
+        out.push_back(t);
+    return out;
+}
+
+TEST(MemoryThermal, ForkIsACopy)
+{
+    // A copy taken mid-run continues bit-identically to its source, and
+    // the two share no state afterwards.
+    BankGridConfig grid{4, 2, {0.3, 0.2, 0.1, 0.1, 0.1, 0.1, 0.05, 0.05}};
+    for (const std::optional<BankGridConfig> &g :
+         {std::optional<BankGridConfig>{}, std::optional(grid)}) {
+        MemoryThermalModel src(MemoryOrgConfig{2, 4}, coolingAohs15(),
+                               DimmPowerModel{}, 45.0,
+                               {0.55, 0.25, 0.12, 0.08}, g);
+        src.setRefreshDramPower({0.4, 0.3, 0.2, 0.1});
+        // Heavy traffic, then none under a hotter inlet: the heavy cells
+        // of the hottest DIMMs peak early and their light ones late, so
+        // those DIMMs' peak hulls hold more than one vertex when the
+        // copy is taken.
+        for (int i = 0; i < 60; ++i) {
+            const bool busy = i < 30;
+            src.advance(busy ? 16.0 : 0.0, busy ? 4.0 : 0.0,
+                        busy ? 40.0 : 60.0, 5.0);
+        }
+        if (g) {
+            const std::vector<int> &sizes = src.state().hullSize;
+            ASSERT_GT(*std::max_element(sizes.begin(), sizes.end()), 1);
+        }
+
+        MemoryThermalModel fork = src;
+        EXPECT_EQ(fork.trafficShares(), src.trafficShares());
+        EXPECT_EQ(fork.refreshDramPower(), src.refreshDramPower());
+        EXPECT_EQ(fork.bankGrid(), src.bankGrid());
+        ASSERT_EQ(readings(fork), readings(src));
+        for (int i = 0; i < 50; ++i) {
+            const GBps read = 4.0 + (i * 7) % 13;
+            const Celsius ambient = 40.0 + i % 9;
+            const Seconds dt = 0.01 * (1 + i % 5);
+            src.advance(read, 2.0, ambient, dt);
+            fork.advance(read, 2.0, ambient, dt);
+            ASSERT_EQ(readings(fork), readings(src)) << "step " << i;
+        }
+        const std::vector<double> before = readings(src);
+        EXPECT_EQ(before.size(), g ? 4u * 5 + 4 * 8 : 4u * 5);
+
+        // Only the copy moves: hotter traffic, new shares and refresh
+        // power, a reset to the stable point and a reset to a new
+        // temperature.
+        fork.setTrafficShares({0.25, 0.25, 0.25, 0.25});
+        fork.setRefreshDramPower({1.0, 1.0, 1.0, 1.0});
+        for (int i = 0; i < 20; ++i)
+            fork.advance(20.0, 8.0, 55.0, 0.05);
+        EXPECT_NE(readings(fork), before);
+        fork.resetToStable(20.0, 8.0, 55.0);
+        fork.reset(90.0);
+        EXPECT_EQ(readings(src), before);
+        EXPECT_EQ(src.trafficShares(),
+                  (std::vector<double>{0.55, 0.25, 0.12, 0.08}));
+        EXPECT_EQ(src.refreshDramPower(),
+                  (std::vector<Watts>{0.4, 0.3, 0.2, 0.1}));
     }
-    EXPECT_THROW(MemoryThermalModel(m, b, 1), PanicError);
-    auto owning = makeModel(coolingAohs15(), 50.0);
-    EXPECT_THROW(MemoryThermalModel(owning, a, 1), PanicError);
 }
 
 TEST(MemoryThermal, SetTrafficSharesValidates)
