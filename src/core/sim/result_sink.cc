@@ -9,6 +9,7 @@
 #include <utility>
 
 #include "common/logging.hh"
+#include "core/sim/registry.hh"
 
 namespace memtherm
 {
@@ -368,6 +369,19 @@ readRecord(std::string_view line, const StreamScan &scan, bool keep_results)
     return rec;
 }
 
+/** Refuse an unknown member of a stream header object @p j. */
+void
+checkHeaderMembers(const Json &j, const char *where,
+                   const std::vector<std::string> &allowed)
+{
+    if (!j.isObject())
+        return; // the typed reads below name the type error
+    for (const auto &[key, v] : j.asObject())
+        if (std::find(allowed.begin(), allowed.end(), key) == allowed.end())
+            fatal("unknown member '" + key + "' in " + where +
+                  " (valid: " + joinNames(allowed) + ")");
+}
+
 } // namespace
 
 StreamScan
@@ -398,6 +412,14 @@ scanStream(const std::string &path, bool keep_results)
                 const Json j = Json::parse(line);
                 if (j.at("type").asString() != "header")
                     fatal("first line must be the stream header");
+                // Refused, not dropped, as in a record or a document.
+                checkHeaderMembers(j, "the stream header",
+                                   {"type", "format", "schema_version",
+                                    "scenario", "spec_hash", "total_runs",
+                                    "shard", "traces", "spec"});
+                if (const Json *sh = j.find("shard"))
+                    checkHeaderMembers(*sh, "the stream header's shard",
+                                       {"index", "count"});
                 const std::uint64_t format = j.uintAt("format");
                 if (format != kStreamFormatVersion) {
                     fatal("member 'format' is " + std::to_string(format) +

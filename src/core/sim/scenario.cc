@@ -837,7 +837,10 @@ forEachAxis(F &&f)
                                 "thermal_model member and sweep",
               .dupNoun = "model", .sameAs = "thermal model"},
       &S::thermalModel, &S::sweepThermalModel,
-      [](const ThermalModelSpec &t) { return t.resolve().grid; },
+      // One payload per resolved value, shared by every point.
+      [](const ThermalModelSpec &t) {
+          return SharedBankGrid(t.resolve().grid);
+      },
       &C::bankGrid);
     f(AxisDef{.key = "trace",
               .platformReject = "platform scenarios use the testbed's "
@@ -1237,6 +1240,9 @@ ScenarioSpec::lowered(bool read_trace) const
     if (!trace.empty() && read_trace)
         traceRecords = loadTrace(trace);
     std::map<std::array<int, 3>, TraceProfile> traceProfiles;
+    // The decoded grids, one payload per (profile, grid shape): every
+    // run of those points shares it.
+    std::map<std::array<int, 4>, SharedBankGrid> tracedGrids;
 
     // The grid: an odometer over the sweep axes, last axis fastest. An
     // empty axis contributes one "keep the base value" slot.
@@ -1289,8 +1295,15 @@ ScenarioSpec::lowered(bool read_trace) const
                     warnIfSparse(*this, key, it->second);
             }
             cfg.trafficShares = it->second.dimmShares;
-            if (cfg.bankGrid)
-                cfg.bankGrid->weights = it->second.bankWeights;
+            if (cfg.bankGrid) {
+                const BankGridConfig &g = *cfg.bankGrid;
+                SharedBankGrid &traced =
+                    tracedGrids[{key[0], key[1], g.x, g.z}];
+                if (!traced)
+                    traced = BankGridConfig{g.x, g.z,
+                                            it->second.bankWeights};
+                cfg.bankGrid = traced;
+            }
         }
         // The window must resolve the decision period and the
         // scheduler slice, so the shortest of the three sets it.

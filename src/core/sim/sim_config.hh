@@ -54,10 +54,12 @@ struct SimConfig
     /// sweep axis; core/thermal/bank_grid.hh): an X x Z grid of bank
     /// cells per DIMM splitting the DIMM's DRAM power by heat-share
     /// weights, advanced alongside the lumped nodes and reported as
-    /// per-bank peak temperatures. std::nullopt (the default, and the
+    /// per-bank peak temperatures. Empty (the default, and the
     /// catalog's "lumped") keeps the paper's per-DIMM model —
-    /// bit-identical to builds that predate the grid.
-    std::optional<BankGridConfig> bankGrid;
+    /// bit-identical to builds that predate the grid. The grid is an
+    /// immutable shared payload (SharedBankGrid): copying a config
+    /// copies a pointer, and configs compare it by value.
+    SharedBankGrid bankGrid;
     DvfsTable dvfs = simulatedCmpDvfs();
     int nCores = 4;
 

@@ -113,6 +113,30 @@ ThermalSimulator::Lane::Lane(const Lane &src)
         s = batch.at(src.batch.indexOf(s));
 }
 
+double
+ThermalSimulator::PhaseTable::at(const BatchJob::Instance &inst)
+{
+    const auto in_use = rows.begin() + static_cast<std::ptrdiff_t>(used);
+    auto row = std::find_if(rows.begin(), in_use,
+                            [&](const Row &r) { return r.app == inst.app; });
+    if (row == in_use) {
+        if (used == rows.size())
+            rows.emplace_back().factor.reserve(kWindows);
+        row = rows.begin() + static_cast<std::ptrdiff_t>(used++);
+        row->app = inst.app;
+        row->factor.clear();
+    }
+    const std::size_t k = static_cast<std::size_t>(inst.windows);
+    if (k < row->factor.size())
+        return row->factor[k];
+    const double f = phaseFactor(*inst.app, inst.cpuTime);
+    // An instance at count k has read counts 0..k-1 before, so the row
+    // grows one count at a time.
+    if (k == row->factor.size() && k < kWindows)
+        row->factor.push_back(f);
+    return f;
+}
+
 void
 ThermalSimulator::reserveScratch(Scratch &scratch) const
 {
@@ -220,7 +244,7 @@ ThermalSimulator::windowStep(Lane &lane, Scratch &scratch) const
         if (base.app != inst->app || base.sharers != sharers[i])
             base = {inst->app, sharers[i],
                     mpkiAtSharers(app.cache, sharers[i])};
-        double mpki = base.mpki * phaseFactor(app, inst->cpuTime);
+        double mpki = base.mpki * scratch.phases.at(*inst);
         if (time_shared) {
             mpki += switchMpki(app.refillLines, app.nominalGips,
                                cfg.rotationSlice);
@@ -290,6 +314,7 @@ ThermalSimulator::windowStep(Lane &lane, Scratch &scratch) const
         double instrs = perf.ips[i] * dt * progress_scale;
         inst->remainingInstr -= instrs;
         inst->cpuTime += dt;
+        ++inst->windows;
         lane.res.totalInstr += instrs;
         lane.res.totalL2Misses += instrs * task_mpki[i] / 1000.0;
         sum_v_ipc += dv.volts * (perf.ips[i] / (fmax * 1e9));
@@ -397,6 +422,7 @@ ThermalSimulator::runBatch(const Workload &mix,
         p->reset();
     }
     reserveScratch(scratch);
+    scratch.phases.clear();
 
     /// One shared trajectory: a lane plus the policies riding on it.
     struct Group

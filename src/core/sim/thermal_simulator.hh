@@ -76,6 +76,38 @@ class ThermalSimulator
     explicit ThermalSimulator(SimConfig cfg);
 
     /**
+     * phaseFactor(app, cpuTime) by (app, windows), for one runBatch()
+     * call, its groups and its forks. An instance's cpuTime is the sum
+     * of `windows` window lengths, so every instance of an app at the
+     * same count reads the same factor: the table evaluates the
+     * std::sin once per (app, count), at first need, and returns the
+     * same double the call would. Its keys point at the call's apps, so
+     * runBatch() clears them first; the rows' storage stays in the
+     * Scratch for the next call. A row reserves kWindows counts once
+     * and never grows past them (later counts call phaseFactor), so the
+     * window loop stays allocation-free.
+     */
+    class PhaseTable
+    {
+      public:
+        static constexpr std::size_t kWindows = 4096;
+
+        /** Forget every key; keep the rows' storage. */
+        void clear() { used = 0; }
+
+        double at(const BatchJob::Instance &inst);
+
+      private:
+        struct Row
+        {
+            const AppDescriptor *app = nullptr;
+            std::vector<double> factor; ///< by window count
+        };
+        std::vector<Row> rows;
+        std::size_t used = 0; ///< rows [0, used) hold this call's apps
+    };
+
+    /**
      * Reusable working memory for runBatch().
      *
      * The window loop executes up to maxSimTime / window (potentially
@@ -85,9 +117,12 @@ class ThermalSimulator
      * tests/sim/test_alloc_free.cc pins it). Invariants:
      *  - the loop clears/refills each buffer every window and never reads
      *    a value left over from a previous window or a previous run, so a
-     *    Scratch may be reused across runs in any order;
-     *  - buffer capacity only grows (bounded by the core count), it is
-     *    never released between windows;
+     *    Scratch may be reused across runs in any order (`phases`, a cache
+     *    over the windows of one runBatch() call, is cleared when the
+     *    call starts);
+     *  - buffer capacity only grows (bounded by the core count, and
+     *    kWindows per app for `phases`), it is never released between
+     *    windows;
      *  - a Scratch must not be shared by two concurrent runBatch()
      *    calls.
      *    The ExperimentEngine keeps one per worker thread.
@@ -109,6 +144,7 @@ class ThermalSimulator
         std::vector<Celsius> refreshAmb;
         std::vector<Celsius> refreshDram;
         std::vector<Watts> refreshPower;
+        PhaseTable phases; ///< the call's phaseFactor table
     };
 
     /**

@@ -72,13 +72,13 @@ resolveBankCellWeights(const BankGridConfig &grid, int n_dimms)
     return out;
 }
 
-BankOverlay::BankOverlay(const BankGridConfig &g, int n_dimms)
-    : config(g), cellSlope(resolveBankCellWeights(g, n_dimms)),
-      slopeStart{0}
+BankOverlay::BankOverlay(SharedBankGrid g, int n_dimms)
+    : config(std::move(g)),
+      cellSlope(resolveBankCellWeights(*config, n_dimms)), slopeStart{0}
 {
     for (double &w : cellSlope)
         w -= 1.0;
-    const std::ptrdiff_t cells = g.cells();
+    const std::ptrdiff_t cells = config->cells();
     for (auto c = cellSlope.begin(); c != cellSlope.end(); c += cells) {
         const auto at = slopes.insert(slopes.end(), c, c + cells);
         std::sort(at, slopes.end());
@@ -88,10 +88,10 @@ BankOverlay::BankOverlay(const BankGridConfig &g, int n_dimms)
 }
 
 std::shared_ptr<const BankOverlay>
-BankOverlay::of(const BankGridConfig &g, int n_dimms)
+BankOverlay::of(const SharedBankGrid &g, int n_dimms)
 {
     thread_local std::shared_ptr<const BankOverlay> last;
-    if (!last || *last->config != g ||
+    if (!last || !(last->config == g) ||
         last->slopeStart.size() != static_cast<std::size_t>(n_dimms) + 1)
         last = std::make_shared<const BankOverlay>(g, n_dimms);
     return last;

@@ -49,6 +49,7 @@
 
 #include <memory>
 #include <optional>
+#include <utility>
 #include <vector>
 
 namespace memtherm
@@ -79,6 +80,52 @@ struct BankGridConfig
     bool operator==(const BankGridConfig &) const = default;
 
     int cells() const { return x * z; }
+};
+
+/**
+ * An immutable, shared bank grid: SimConfig::bankGrid and what
+ * MemoryThermalModel and BankOverlay hold. The payload (trace-decoded
+ * weights are DIMMs x cells doubles) is never written after it is
+ * built, so a copy costs a reference count: scenario lowering hands
+ * every run of a grid point, and every point of one (organization,
+ * grid), the same payload, and a lowered grid's memory follows its
+ * distinct grids, not its run count. Reads like
+ * std::optional<BankGridConfig>; equality is value equality, O(1) for
+ * handles of one payload. Nothing mutates through it: a changed grid
+ * is a new handle.
+ */
+class SharedBankGrid
+{
+  public:
+    /** The lumped model: no grid. */
+    SharedBankGrid() = default;
+    SharedBankGrid(BankGridConfig grid)
+        : p(std::make_shared<const BankGridConfig>(std::move(grid)))
+    {
+    }
+    SharedBankGrid(const std::optional<BankGridConfig> &grid)
+    {
+        if (grid)
+            p = std::make_shared<const BankGridConfig>(*grid);
+    }
+
+    bool has_value() const { return p != nullptr; }
+    explicit operator bool() const { return has_value(); }
+    const BankGridConfig &operator*() const { return *p; }
+    const BankGridConfig *operator->() const { return p.get(); }
+
+    /** The payload's address (null for the lumped model): handles with
+     *  the same one share their payload. */
+    const BankGridConfig *get() const { return p.get(); }
+
+    /** Value equality: the same payload, or equal grids. */
+    bool operator==(const SharedBankGrid &o) const
+    {
+        return p == o.p || (p && o.p && *p == *o.p);
+    }
+
+  private:
+    std::shared_ptr<const BankGridConfig> p;
 };
 
 /**
@@ -134,19 +181,21 @@ void smoothBankCells(const BankGridConfig &grid, const double *w,
  */
 struct BankOverlay
 {
-    BankOverlay(const BankGridConfig &grid, int n_dimms);
+    BankOverlay(SharedBankGrid grid, int n_dimms);
 
     /**
      * The overlay of @p grid over @p n_dimms DIMMs. Every run of a grid
      * point needs the same one, and building it (the weight smoothing
      * and a sort of each DIMM's slopes) costs more than a short run's
      * windows, so the last one built on the calling thread is reused
-     * while the grid and chain length stay equal.
+     * while the grid and chain length stay equal. A lowered grid's runs
+     * share their point's payload, so the check is a pointer compare;
+     * an equal grid in another payload still matches, by value.
      */
-    static std::shared_ptr<const BankOverlay> of(const BankGridConfig &grid,
+    static std::shared_ptr<const BankOverlay> of(const SharedBankGrid &grid,
                                                  int n_dimms);
 
-    std::optional<BankGridConfig> config; ///< always engaged
+    SharedBankGrid config; ///< always engaged
     /// Per-cell slope `w - 1` of the scaled weights
     /// (resolveBankCellWeights), row-major by DIMM; exactly 0 for every
     /// uniform cell.

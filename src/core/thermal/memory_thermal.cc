@@ -29,15 +29,16 @@ MemoryThermalModel::MemoryThermalModel(const MemoryOrgConfig &org,
                                        const DimmPowerModel &power,
                                        Celsius t0,
                                        std::vector<double> traffic_shares,
-                                       std::optional<BankGridConfig>
-                                           bank_grid)
+                                       const SharedBankGrid &bank_grid)
     : orgCfg(org), pwr(power), cool(cooling),
       shares(std::move(traffic_shares)),
-      st(org.nDimmsPerChannel, bank_grid ? bank_grid->cells() : 0)
+      grid(bank_grid ? BankOverlay::of(bank_grid, org.nDimmsPerChannel)
+                     : nullptr),
+      // Each DIMM's hull holds at most its distinct cell slopes.
+      st(org.nDimmsPerChannel,
+         grid ? grid->slopeStart : std::vector<int>{})
 {
     checkOrgAndShares(orgCfg, shares);
-    if (bank_grid)
-        grid = BankOverlay::of(*bank_grid, orgCfg.nDimmsPerChannel);
     st.reset(cool.tauAmb, cool.tauDram, t0);
 }
 
@@ -239,10 +240,10 @@ MemoryThermalModel::bankPeaks() const
     return out;
 }
 
-const std::optional<BankGridConfig> &
+const SharedBankGrid &
 MemoryThermalModel::bankGrid() const
 {
-    static const std::optional<BankGridConfig> lumped;
+    static const SharedBankGrid lumped;
     return grid ? grid->config : lumped;
 }
 

@@ -21,7 +21,6 @@
 #define MEMTHERM_CORE_THERMAL_MEMORY_THERMAL_HH
 
 #include <memory>
-#include <optional>
 #include <vector>
 
 #include "core/power/power_model.hh"
@@ -77,16 +76,16 @@ class MemoryThermalModel
      *        explicit uniform vector (each entry exactly 1/nDimms) is
      *        bit-identical to leaving it empty.
      * @param bank_grid optional per-bank thermal overlay
-     *        (core/thermal/bank_grid.hh); std::nullopt (the default)
-     *        selects the paper's lumped model and allocates no bank
-     *        state, keeping every pre-grid run bit-identical.
+     *        (core/thermal/bank_grid.hh), held by reference count, not
+     *        copied; empty (the default) selects the paper's lumped
+     *        model and allocates no bank state, keeping every pre-grid
+     *        run bit-identical.
      */
     MemoryThermalModel(const MemoryOrgConfig &org,
                        const CoolingConfig &cooling,
                        const DimmPowerModel &power, Celsius t0,
                        std::vector<double> traffic_shares = {},
-                       std::optional<BankGridConfig> bank_grid =
-                           std::nullopt);
+                       const SharedBankGrid &bank_grid = {});
 
     /**
      * Advance all DIMM nodes by dt: stageAdvance() + commitStaged() +
@@ -195,8 +194,8 @@ class MemoryThermalModel
      */
     std::vector<Celsius> bankPeaks() const;
 
-    /** The bank-grid overlay, or std::nullopt for the lumped model. */
-    const std::optional<BankGridConfig> &bankGrid() const;
+    /** The bank-grid overlay, or an empty handle for the lumped model. */
+    const SharedBankGrid &bankGrid() const;
 
     /**
      * Per-DIMM mean power on the representative channel since the last

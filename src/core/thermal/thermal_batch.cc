@@ -1,17 +1,17 @@
 #include "core/thermal/thermal_batch.hh"
 
 #include <cmath>
+#include <utility>
 
 #include "common/logging.hh"
 
 namespace memtherm
 {
 
-ThermalState::ThermalState(int dimms, int bank_cells)
-    : nBankCells(bank_cells)
+ThermalState::ThermalState(int dimms, std::vector<int> hull_start)
+    : hullStart(std::move(hull_start))
 {
     panicIfNot(dimms >= 1, "ThermalState: need >= 1 DIMM");
-    panicIfNot(bank_cells >= 0, "ThermalState: negative bank cells");
     const std::size_t n = static_cast<std::size_t>(dimms);
     amb.assign(n, 0.0);
     dram.assign(n, 0.0);
@@ -20,10 +20,15 @@ ThermalState::ThermalState(int dimms, int bank_cells)
     peakAmb.assign(n, 0.0);
     peakDram.assign(n, 0.0);
     energy.assign(n, 0.0);
-    if (bank_cells > 0) {
+    if (!hullStart.empty()) {
+        panicIfNot(hullStart.size() == n + 1 && hullStart[0] == 0,
+                   "ThermalState: one hull block per DIMM");
+        for (std::size_t d = 0; d < n; ++d)
+            panicIfNot(hullStart[d + 1] > hullStart[d],
+                       "ThermalState: empty hull block");
         spread.assign(n, 0.0);
         stableSpread.assign(n, 0.0);
-        hull.resize(n * static_cast<std::size_t>(bank_cells));
+        hull.resize(static_cast<std::size_t>(hullStart.back()));
         hullSize.assign(n, 0);
     }
 }

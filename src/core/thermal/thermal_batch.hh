@@ -23,8 +23,11 @@
  * A bank-grid state (core/thermal/bank_grid.hh) adds O(DIMMs) state, not
  * a cell array: each DIMM's spread V (a cell of slope s sits at
  * `D + s·V`), its staged target B, and the DIMM's peak hull of past
- * (V, D) points, stored in a block of one vertex per cell (the most
- * distinct slopes a DIMM can have), so the window loop never allocates.
+ * (V, D) points. A hull never holds more vertices than its DIMM has
+ * distinct cell slopes (offerBankHullPoint), so each DIMM's block is
+ * sized by that count (BankOverlay::slopeStart): the window loop never
+ * allocates, and a fork copies one vertex per distinct slope, not one
+ * per cell — a uniform grid's DIMM has one.
  */
 
 #ifndef MEMTHERM_CORE_THERMAL_THERMAL_BATCH_HH
@@ -46,13 +49,15 @@ struct ThermalState
 {
     /**
      * @param dimms DIMMs of the representative channel (>= 1)
-     * @param bank_cells bank-grid cells per DIMM, which bounds each
-     *        DIMM's peak hull; 0 (the default, and the lumped thermal
-     *        model) reserves no hull
+     * @param hull_start on a bank grid, DIMM d's peak hull holds
+     *        `hull_start[d + 1] - hull_start[d]` (>= 1) vertices, from
+     *        hull_start[0] = 0: a BankOverlay's slopeStart, one entry
+     *        per DIMM plus one. Empty (the default, and the lumped
+     *        thermal model) reserves no bank state.
      *
      * Every temperature starts at 0; reset() before advancing.
      */
-    explicit ThermalState(int dimms, int bank_cells = 0);
+    explicit ThermalState(int dimms, std::vector<int> hull_start = {});
 
     /**
      * Set the RC time constants and reset the temperatures, peaks and
@@ -84,14 +89,16 @@ struct ThermalState
      */
     void advance();
 
-    /** DIMM @p d's hull block, one vertex per bank cell. */
-    BankHullVertex *bankHull(int d)
-    {
-        return hull.data() + static_cast<std::size_t>(d) * nBankCells;
-    }
+    /** DIMM @p d's hull block, bankHullCapacity(d) vertices. */
+    BankHullVertex *bankHull(int d) { return hull.data() + hullStart[d]; }
     const BankHullVertex *bankHull(int d) const
     {
-        return hull.data() + static_cast<std::size_t>(d) * nBankCells;
+        return hull.data() + hullStart[d];
+    }
+    /** The most vertices DIMM @p d's hull may hold. */
+    int bankHullCapacity(int d) const
+    {
+        return hullStart[d + 1] - hullStart[d];
     }
 
     /// @name Per-DIMM fields, one entry per DIMM.
@@ -114,12 +121,12 @@ struct ThermalState
     /// @{
     std::vector<double> spread;       ///< bank spread V
     std::vector<double> stableSpread; ///< staged spread targets B
-    std::vector<BankHullVertex> hull; ///< one per bank cell per DIMM
+    std::vector<BankHullVertex> hull; ///< the DIMMs' blocks, in order
     std::vector<int> hullSize;        ///< vertices in use per DIMM
     /// @}
 
   private:
-    int nBankCells;
+    std::vector<int> hullStart; ///< DIMM d's block starts at hullStart[d]
     Seconds tauAmb = 1.0;
     Seconds tauDram = 1.0;
     double decayAmb = 0.0;

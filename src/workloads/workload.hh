@@ -49,6 +49,11 @@ class BatchJob
         const AppDescriptor *app = nullptr;
         double remainingInstr = 0.0;   ///< instructions left (absolute)
         Seconds cpuTime = 0.0;         ///< accumulated scheduled time
+        /// Windows scheduled so far. The simulator adds one window to
+        /// cpuTime per scheduled window, from 0, so two instances with
+        /// the same count hold the same cpuTime, bit for bit: its phase
+        /// table serves phaseFactor(app, cpuTime) by (app, windows).
+        int windows = 0;
     };
 
     /**

@@ -14,6 +14,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <bit>
 #include <charconv>
 #include <cmath>
@@ -21,6 +22,7 @@
 #include <cstdlib>
 #include <fstream>
 #include <functional>
+#include <map>
 #include <numeric>
 #include <sstream>
 #include <string>
@@ -851,6 +853,56 @@ TEST(TraceScenario, EveryPointMatchesItsDirectDecode)
     EXPECT_EQ(again.points[0].cfg.trafficShares,
               (std::vector<double>{1.0, 0.0, 0.0, 0.0}))
         << again.points[0].label;
+}
+
+/**
+ * lower() hands a traced grid's weights out as one shared payload per
+ * (organization, grid shape): every run of a point holds its point's
+ * payload, points that differ only off the decode (here the refresh
+ * axis) share one, and the 4x2 and 2x4 grids, which decode to the same
+ * weights, keep one each.
+ */
+TEST(TraceScenario, RunsAndPointsShareOneGridPayload)
+{
+    TraceGenConfig tg;
+    tg.pattern = TraceGenConfig::Pattern::Random;
+    tg.count = 1024;
+    tg.seed = 5;
+    TempTrace tmp(formatTrace(generateTrace(tg)));
+
+    ScenarioSpec s = ScenarioSpec::fromJson(Json::parse(R"({
+        "name": "payload", "workloads": ["W1", "W2"],
+        "policies": ["No-limit", "DTM-TS", "DTM-BW"],
+        "sweep": {
+          "memory_org": ["ch4_4x4", "2x4"],
+          "refresh": ["ddr2_2x", "aldram"],
+          "thermal_model": ["lumped", "bank_grid",
+                            {"grid_x": 2, "grid_z": 4}]}})"));
+    s.trace = tmp.path;
+    const LoweredScenario low = s.lower();
+    ASSERT_EQ(low.points.size(), 2u * 2u * 3u);
+
+    std::map<std::array<int, 3>, const BankGridConfig *> payloads;
+    for (const auto &pt : low.points) {
+        const SimConfig &cfg = pt.cfg;
+        ASSERT_EQ(pt.runs.size(), 6u);
+        for (const auto &r : pt.runs)
+            EXPECT_EQ(r.cfg.bankGrid.get(), cfg.bankGrid.get()) << pt.label;
+        if (!cfg.bankGrid)
+            continue;
+        const BankGridConfig *&shared =
+            payloads[{cfg.org.nChannels, cfg.bankGrid->x, cfg.bankGrid->z}];
+        if (!shared)
+            shared = cfg.bankGrid.get();
+        EXPECT_EQ(cfg.bankGrid.get(), shared) << pt.label;
+    }
+    // Two organizations x two shapes, with the same weights per
+    // organization in two payloads.
+    ASSERT_EQ(payloads.size(), 4u);
+    const BankGridConfig *wide = payloads[{4, 4, 2}];
+    const BankGridConfig *tall = payloads[{4, 2, 4}];
+    EXPECT_NE(wide, tall);
+    EXPECT_EQ(wide->weights, tall->weights);
 }
 
 } // namespace

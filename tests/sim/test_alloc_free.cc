@@ -4,7 +4,9 @@
  * state (ThermalSimulator::Scratch). A counting global operator new
  * measures ThermalSimulator::run at two simulated lengths: what a run
  * allocates once (lanes, results, trace growth) appears in both, so
- * the difference is what the extra windows allocate.
+ * the difference is what the extra windows allocate. It also weighs
+ * the bank-grid weights scenario lowering copies, by the bytes of
+ * allocations of the weights' exact size.
  *
  * This is a test binary of its own because it replaces the global
  * allocation functions. They forward to malloc/free, every non-aligned
@@ -14,6 +16,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <cstdio>
 #include <cstdlib>
 #include <new>
 #include <string>
@@ -21,17 +24,31 @@
 #include "common/rng.hh"
 #include "core/dtm/basic_policies.hh"
 #include "core/dtm/remap_policy.hh"
+#include "common/json.hh"
 #include "core/sim/experiment.hh"
+#include "core/sim/scenario.hh"
+#include "dram/trace.hh"
 
 namespace
 {
 
 std::atomic<std::size_t> allocations{0};
+/// Bytes allocated in blocks of exactly watchedSize bytes (0: none).
+std::atomic<std::size_t> watchedSize{0};
+std::atomic<std::size_t> watchedBytes{0};
+
+void
+count(std::size_t n)
+{
+    allocations.fetch_add(1, std::memory_order_relaxed);
+    if (n == watchedSize.load(std::memory_order_relaxed))
+        watchedBytes.fetch_add(n, std::memory_order_relaxed);
+}
 
 void *
 countedAlloc(std::size_t n)
 {
-    allocations.fetch_add(1, std::memory_order_relaxed);
+    count(n);
     if (void *p = std::malloc(n ? n : 1))
         return p;
     throw std::bad_alloc();
@@ -40,7 +57,7 @@ countedAlloc(std::size_t n)
 void *
 countedAllocNothrow(std::size_t n) noexcept
 {
-    allocations.fetch_add(1, std::memory_order_relaxed);
+    count(n);
     return std::malloc(n ? n : 1);
 }
 
@@ -181,6 +198,49 @@ TEST(AllocationFree, BankGridWindowsDoNotAllocate)
         EmergencyLevels({10.0, 20.0, 30.0, 300.0}, {10.0, 20.0, 30.0, 300.0}));
     expectNoPerWindowAllocation(cfg, {&remap});
     expectNoPerWindowAllocation(cfg, {&remap, &bw});
+}
+
+/** Bytes lower() allocates in blocks of exactly @p block bytes. */
+std::size_t
+blockBytesOfLowering(const ScenarioSpec &spec, std::size_t block)
+{
+    watchedSize = block;
+    const std::size_t before = watchedBytes.load();
+    const LoweredScenario low = spec.lower();
+    const std::size_t made = watchedBytes.load() - before;
+    watchedSize = 0;
+    EXPECT_EQ(low.points.size(), 2u);
+    return made;
+}
+
+TEST(AllocationFree, LoweredRunsShareTheirPointsGridWeights)
+{
+    // A traced 32x32 grid on the Table 4.1 organization: its weights
+    // are one 4 x 1024-double block per copy. Two refresh points share
+    // one payload; 16 runs per point must copy no more of it than 1.
+    TraceGenConfig tg;
+    tg.pattern = TraceGenConfig::Pattern::Random;
+    tg.count = 4096;
+    const std::string trace =
+        std::string(::testing::TempDir()) + "memtherm_alloc_free.trace";
+    saveTrace(trace, generateTrace(tg));
+
+    ScenarioSpec one = ScenarioSpec::fromJson(Json::parse(R"({
+        "name": "payload", "workloads": ["W1"], "policies": ["No-limit"],
+        "config": {"thermal_model": {"grid_x": 32, "grid_z": 32}},
+        "sweep": {"refresh": ["ddr2_2x", "aldram"]}})"));
+    one.trace = trace;
+    ScenarioSpec sixteen = one;
+    sixteen.workloads = {"W1", "W2", "W3", "W4"};
+    sixteen.policies = {"No-limit", "DTM-TS", "DTM-BW", "DTM-ACG"};
+
+    const std::size_t payload = 4 * 1024 * sizeof(double);
+    const std::size_t w1 = blockBytesOfLowering(one, payload);
+    const std::size_t w16 = blockBytesOfLowering(sixteen, payload);
+    std::remove(trace.c_str());
+    EXPECT_GE(w1, payload); // the weights are seen at all
+    EXPECT_LE(w16, w1 + payload)
+        << w1 << " weight bytes at 1 run per point, " << w16 << " at 16";
 }
 
 } // namespace

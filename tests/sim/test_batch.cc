@@ -116,7 +116,7 @@ TEST(ThermalState, AdvanceMatchesExponentialStep)
 
 TEST(ThermalState, ZeroStepIsIdentity)
 {
-    ThermalState st(2, 3);
+    ThermalState st(2, {0, 3, 6});
     st.reset(50.0, 100.0, 75.0);
     st.stableAmb = st.stableDram = st.stableSpread = {120.0, 120.0};
     st.ensureDecay(0.0);
@@ -158,7 +158,9 @@ TEST(ThermalState, NeverOvershootsStable)
 TEST(ThermalState, Panics)
 {
     EXPECT_THROW(ThermalState(0), PanicError);
-    EXPECT_THROW(ThermalState(1, -1), PanicError);
+    EXPECT_THROW(ThermalState(1, {0, 0}), PanicError);   // empty block
+    EXPECT_THROW(ThermalState(2, {0, 3}), PanicError);   // one per DIMM
+    EXPECT_THROW(ThermalState(1, {1, 3}), PanicError);   // from 0
     ThermalState st(2);
     EXPECT_THROW(st.reset(0.0, 1.0, 0.0), PanicError);
     EXPECT_THROW(st.ensureDecay(-1.0), PanicError);
@@ -423,6 +425,37 @@ TEST(RunBatched, MismatchedClassPanics)
     // Singleton classes may differ in anything.
     engine.runBatched(runs, {{0, 1}, {1, 1}}, 2, sink, nullptr);
     EXPECT_TRUE(sink.ok[0] && sink.ok[1]);
+}
+
+/**
+ * Config equality is value equality on the bank grid: a hand-built
+ * equal grid in a payload of its own still makes one class with a
+ * lowered run's, and a grid one weight apart does not.
+ */
+TEST(RunBatched, EqualGridsInSeparatePayloadsShareAClass)
+{
+    SimConfig cfg = makeCh4Config(coolingAohs15(), false);
+    cfg.copiesPerApp = 1;
+    const BankGridConfig grid{2, 2, {0.4, 0.3, 0.2, 0.1}};
+    cfg.bankGrid = grid;
+    auto runs = classRuns(cfg, workloadMix("W1"), {"No-limit", "DTM-TS"});
+    ASSERT_EQ(runs[0].cfg.bankGrid.get(), runs[1].cfg.bankGrid.get());
+    runs[1].cfg.bankGrid = BankGridConfig{grid};
+    EXPECT_NE(runs[0].cfg.bankGrid.get(), runs[1].cfg.bankGrid.get());
+    EXPECT_TRUE(runs[0].cfg == runs[1].cfg);
+
+    ExperimentEngine engine(1);
+    TestSink sink(2);
+    engine.runBatched(runs, {{0, 2}}, 2, sink, nullptr);
+    ASSERT_TRUE(sink.ok[0] && sink.ok[1]);
+    expectIdentical(sink.results[1], simulateAlone(runs[1]));
+
+    BankGridConfig other = grid;
+    other.weights[3] = 0.1 + 1e-12;
+    runs[1].cfg.bankGrid = other;
+    EXPECT_FALSE(runs[0].cfg == runs[1].cfg);
+    EXPECT_THROW(engine.runBatched(runs, {{0, 2}}, 2, sink, nullptr),
+                 PanicError);
 }
 
 /** lower() derives one class per (point, workload), policy-fastest. */

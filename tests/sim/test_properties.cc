@@ -126,7 +126,10 @@ TEST(ClosedFormRcStep, OneLaneStepMatchesExponential)
         const Seconds dt = logUniform(rng, 1e-6, 1e4);
         const Celsius t0 = rng.uniform(20.0, 130.0);
 
-        ThermalState st(dimms, cells);
+        std::vector<int> hull_start;
+        for (int d = 0; cells > 0 && d <= dimms; ++d)
+            hull_start.push_back(d * cells);
+        ThermalState st(dimms, hull_start);
         st.reset(tau_amb, tau_dram, t0);
         std::vector<double> amb_inf(dimms), dram_inf(dimms);
         std::vector<double> spread_inf(dimms);

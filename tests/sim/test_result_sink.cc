@@ -1142,6 +1142,35 @@ TEST(ResultStream, UnknownRecordMemberIsRefused)
     EXPECT_THROW(mergeStreamResults({path}), FatalError);
 }
 
+TEST(ResultStream, UnknownHeaderMemberIsRefused)
+{
+    // The header refuses what no writer emits, as records do; its shard
+    // object too.
+    std::vector<std::string> lines = tinyStreamLines("hdr_extra_src.jsonl");
+    const Json hdr = Json::parse(lines[0]);
+    lines[0] = withMember(hdr, "extra_header", 1).dump(0);
+    const std::string path = writeLines("hdr_extra.jsonl", lines);
+    for (const bool keep : {false, true})
+        EXPECT_EQ(fatalOf([&] { scanStream(path, keep); }),
+                  "fatal: stream '" + path +
+                      "' line 1: unknown member 'extra_header' in the "
+                      "stream header (valid: type, format, schema_version, "
+                      "scenario, spec_hash, total_runs, shard, traces, "
+                      "spec)");
+    EXPECT_THROW(mergeStreamResults({path}), FatalError);
+
+    Json sh = Json::object();
+    sh.set("index", 1);
+    sh.set("count", 1);
+    sh.set("offset", 0);
+    lines[0] = withMember(hdr, "shard", sh).dump(0);
+    const std::string sharded = writeLines("shard_extra.jsonl", lines);
+    EXPECT_EQ(fatalOf([&] { scanStream(sharded); }),
+              "fatal: stream '" + sharded +
+                  "' line 1: unknown member 'offset' in the stream "
+                  "header's shard (valid: index, count)");
+}
+
 TEST(ResultSchema, MalformedNumberIsNotATypeError)
 {
     // A typed member read checks the value before its type, so a

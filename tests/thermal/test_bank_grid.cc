@@ -462,6 +462,31 @@ TEST(BankGridScenario, CatalogAndSweepLowering)
     EXPECT_EQ(low.points[2].cfg.bankGrid->weights.size(), 4u);
 }
 
+/**
+ * An untraced grid resolves once per axis value: every point and run
+ * that uses it holds that one payload.
+ */
+TEST(BankGridScenario, PointsShareTheResolvedGrid)
+{
+    ScenarioSpec s = tinySpec();
+    s.policies = {"No-limit", "DTM-TS"};
+    s.sweepRefresh = {RefreshSpec{"ddr2_2x", {}}, RefreshSpec{"aldram", {}}};
+    s.sweepThermalModel = {ThermalModelSpec{"lumped", {}},
+                           ThermalModelSpec{"bank_grid", {}}};
+    const LoweredScenario low = s.lower();
+    ASSERT_EQ(low.points.size(), 4u);
+    const BankGridConfig *grid = low.points[1].cfg.bankGrid.get();
+    ASSERT_NE(grid, nullptr);
+    for (const auto &pt : low.points) {
+        const bool gridded = pt.label.find("bank_grid") != std::string::npos;
+        EXPECT_EQ(pt.cfg.bankGrid.get(), gridded ? grid : nullptr)
+            << pt.label;
+        for (const auto &r : pt.runs)
+            EXPECT_EQ(r.cfg.bankGrid.get(), pt.cfg.bankGrid.get())
+                << pt.label;
+    }
+}
+
 TEST(BankGridScenario, SpecValidationErrors)
 {
     auto expectFatal = [](const ThermalModelSpec &t,

@@ -364,6 +364,39 @@ TEST(MemoryThermal, ForkIsACopy)
     }
 }
 
+TEST(MemoryThermal, BankHullHoldsOneVertexPerDistinctSlope)
+{
+    // Each DIMM's hull block holds exactly its distinct cell slopes: one
+    // on a uniform grid, fewer than its cells where weights repeat.
+    const MemoryOrgConfig org{2, 3};
+    std::vector<double> per_dimm(3 * 8, 0.0);
+    per_dimm[0] = 1.0;                 // DIMM 0 all on one cell
+    for (int c = 8; c < 24; ++c)
+        per_dimm[c] = 1.0 / 8.0;       // DIMMs 1 and 2 uniform
+    for (const BankGridConfig &grid :
+         {BankGridConfig{4, 2, {}},
+          BankGridConfig{4, 2, {0.3, 0.2, 0.1, 0.1, 0.1, 0.1, 0.05, 0.05}},
+          BankGridConfig{8, 1, per_dimm}}) {
+        const MemoryThermalModel m(org, coolingAohs15(), DimmPowerModel{},
+                                   45.0, {}, grid);
+        const std::vector<double> w =
+            resolveBankCellWeights(grid, org.nDimmsPerChannel);
+        std::size_t total = 0;
+        for (int d = 0; d < org.nDimmsPerChannel; ++d) {
+            std::vector<double> block(w.begin() + d * grid.cells(),
+                                      w.begin() + (d + 1) * grid.cells());
+            std::sort(block.begin(), block.end());
+            const auto distinct = static_cast<int>(
+                std::unique(block.begin(), block.end()) - block.begin());
+            EXPECT_EQ(m.state().bankHullCapacity(d), distinct) << d;
+            total += static_cast<std::size_t>(distinct);
+        }
+        EXPECT_EQ(m.state().hull.size(), total);
+        EXPECT_LT(total, static_cast<std::size_t>(org.nDimmsPerChannel *
+                                                  grid.cells()));
+    }
+}
+
 TEST(MemoryThermal, SetTrafficSharesValidates)
 {
     auto m = makeModel(coolingAohs15(), 50.0);
