@@ -32,9 +32,10 @@ main()
     spec.workloads = {"W1"}; // swim, mgrid, applu, galgel (Table 4.2)
     spec.policies = {"No-limit", "DTM-TS", "DTM-ACG"};
 
-    // 2. Run it. The engine fans independent runs out over a thread
-    //    pool (size from MEMTHERM_THREADS, default: all hardware
-    //    threads); results are bit-identical to running them one by one.
+    // 2. Run it. The engine fans independent runs out over threads it
+    //    starts for the batch (count from MEMTHERM_THREADS, default: all
+    //    hardware threads); results are bit-identical to running them
+    //    one by one.
     ScenarioResults results = runScenario(spec);
     const SuiteResults &suite = results.points[0].suite;
     const SimResult &base = suite.at("W1").at("No-limit");

@@ -1,9 +1,12 @@
 #include "core/sim/engine.hh"
 
 #include <algorithm>
+#include <atomic>
 #include <chrono>
 #include <cstdlib>
 #include <exception>
+#include <mutex>
+#include <thread>
 
 #include "common/json.hh"
 #include "common/logging.hh"
@@ -24,65 +27,6 @@ ExperimentEngine::defaultThreads()
     }
     unsigned hw = std::thread::hardware_concurrency();
     return hw >= 1 ? static_cast<int>(hw) : 1;
-}
-
-ExperimentEngine::ExperimentEngine(int n_threads)
-    : nThreads(n_threads > 0 ? n_threads : defaultThreads())
-{
-    // One thread means "serial reference mode": runBatched() executes
-    // inline on the calling thread and no workers exist.
-    if (nThreads < 2)
-        return;
-    try {
-        for (int i = 0; i < nThreads; ++i)
-            workers.emplace_back([this] { workerLoop(); });
-    } catch (const std::exception &e) {
-        // A joinable thread must not be destroyed: stop the workers
-        // already started before reporting the count the host refused.
-        const std::size_t started = workers.size();
-        stop();
-        fatal("engine: cannot start " + std::to_string(nThreads) +
-              " worker threads (" + std::to_string(started) +
-              " started): " + e.what());
-    }
-}
-
-ExperimentEngine::~ExperimentEngine()
-{
-    stop();
-}
-
-void
-ExperimentEngine::stop()
-{
-    {
-        std::lock_guard<std::mutex> lock(mtx);
-        stopping = true;
-    }
-    wake.notify_all();
-    for (auto &w : workers)
-        w.join();
-    workers.clear();
-}
-
-void
-ExperimentEngine::workerLoop()
-{
-    // Worker-owned scratch: reused across every run this thread executes,
-    // so back-to-back runs stop allocating once the buffers are warm.
-    ThermalSimulator::Scratch scratch;
-    for (;;) {
-        Task task;
-        {
-            std::unique_lock<std::mutex> lock(mtx);
-            wake.wait(lock, [this] { return stopping || !queue.empty(); });
-            if (queue.empty())
-                return; // stopping and drained
-            task = std::move(queue.front());
-            queue.pop_front();
-        }
-        task(scratch);
-    }
 }
 
 std::unique_ptr<DtmPolicy>
@@ -137,7 +81,7 @@ ExperimentEngine::runBatched(const std::vector<Run> &runs,
                "runBatched: classes do not cover every run");
 
     // Split classes into chunks of at most batch_width lanes. A chunk is
-    // the unit of dispatch: one pool task, one runBatch() call.
+    // the unit of dispatch: one runBatch() call on one thread.
     struct Chunk
     {
         std::size_t first = 0;
@@ -157,8 +101,8 @@ ExperimentEngine::runBatched(const std::vector<Run> &runs,
     std::exception_ptr sink_error;
 
     // Serializes sink invocations (the RunSink contract) and guards
-    // sink_error and agg. In inline mode the calling thread is the only
-    // caller, but the lock is cheap and keeps one code path.
+    // sink_error and agg. On one thread the lock is uncontended, and it
+    // keeps one code path.
     std::mutex sink_mtx;
     BatchStats agg;
     auto deliver = [&](std::size_t i, SimResult &&r, double wall_s,
@@ -175,7 +119,8 @@ ExperimentEngine::runBatched(const std::vector<Run> &runs,
         }
     };
 
-    auto oneChunk = [&](const Chunk &ch, ThermalSimulator::Scratch &s) {
+    auto oneChunk = [&](const Chunk &ch, ThermalSimulator::Scratch &s,
+                        BatchStats &thread_stats) {
         const auto t0 = clock::now();
 
         // Build one policy per member; a failing build (unknown name,
@@ -222,43 +167,45 @@ ExperimentEngine::runBatched(const std::vector<Run> &runs,
         }
         for (std::size_t k = 0; k < idx.size(); ++k)
             deliver(idx[k], std::move(results[k]), share, nullptr);
-        if (stats) {
-            std::lock_guard<std::mutex> lock(sink_mtx);
-            agg.add(chunk_stats);
-        }
+        thread_stats.add(chunk_stats);
     };
 
-    if (workers.empty()) {
+    // Every thread of the call takes chunks, in order, from one index;
+    // it owns its scratch, reused across its chunks, and adds its counts
+    // once at the end (integers held in doubles: exact in any order).
+    std::atomic<std::size_t> next{0};
+    auto drain = [&] {
         ThermalSimulator::Scratch scratch;
-        for (const Chunk &ch : chunks)
-            oneChunk(ch, scratch);
-    } else {
-        // Completion state lives on this frame; `done` is guarded by
-        // done_mtx (not an atomic) so this call cannot observe the batch
-        // as finished before the last worker has released the mutex —
-        // i.e. before it is done touching done_cv/done_mtx. An atomic
-        // counter would let it return (and destroy these objects)
-        // between a worker's increment and its notify.
-        std::size_t done = 0;
-        std::mutex done_mtx;
-        std::condition_variable done_cv;
-        {
-            std::lock_guard<std::mutex> lock(mtx);
-            for (const Chunk &ch : chunks) {
-                queue.emplace_back([&, ch](ThermalSimulator::Scratch &s) {
-                    oneChunk(ch, s);
-                    std::lock_guard<std::mutex> dlock(done_mtx);
-                    if (++done == chunks.size())
-                        done_cv.notify_all();
-                });
-            }
+        BatchStats mine;
+        for (std::size_t c; (c = next.fetch_add(1)) < chunks.size();)
+            oneChunk(chunks[c], scratch, mine);
+        std::lock_guard<std::mutex> lock(sink_mtx);
+        agg.add(mine);
+    };
+
+    // The calling thread and min(threads, chunks) - 1 helpers; leaving
+    // the block joins the helpers (jthread), so none outlives the call.
+    const std::size_t workers =
+        std::min(static_cast<std::size_t>(nThreads), chunks.size());
+    std::string refused; // set when the host would not start a helper
+    {
+        std::vector<std::jthread> helpers;
+        try {
+            for (std::size_t h = 1; h < workers; ++h)
+                helpers.emplace_back(drain);
+        } catch (const std::exception &e) {
+            // Hand out no more chunks: the started helpers finish the
+            // ones they hold and are joined, then the call fails.
+            next.store(chunks.size());
+            refused = "engine: cannot start " + std::to_string(workers) +
+                      " worker threads (" +
+                      std::to_string(helpers.size() + 1) +
+                      " started): " + e.what();
         }
-        wake.notify_all();
-        {
-            std::unique_lock<std::mutex> lock(done_mtx);
-            done_cv.wait(lock, [&] { return done == chunks.size(); });
-        }
+        drain();
     }
+    if (!refused.empty())
+        fatal(refused);
 
     if (stats)
         stats->add(agg);

@@ -5,32 +5,28 @@
  * The paper's evaluation is a grid of independent (workload, policy,
  * configuration) simulations — each run owns its simulator, thermal
  * state, and sensor RNG stream, so runs never share mutable state and
- * the suite is embarrassingly parallel. The engine fans runs out over a
- * fixed-size thread pool and hands each result to a RunSink by input
- * index, so parallel and serial execution produce bit-identical
- * results. Grids reach it through the scenario layer (runScenario,
- * core/sim/scenario.hh).
+ * the suite is embarrassingly parallel. Each batch forks threads that
+ * take chunks of runs with the calling thread and joins them before it
+ * returns; each result goes to a RunSink by input index, so parallel
+ * and serial execution produce bit-identical results. Grids reach it
+ * through the scenario layer (runScenario, core/sim/scenario.hh).
  *
  * Thread count resolution (in priority order):
  *  1. the explicit constructor argument, when > 0;
  *  2. the MEMTHERM_THREADS environment variable, when set to >= 1;
  *  3. std::thread::hardware_concurrency().
- * A count of 1 runs every experiment inline on the calling thread (no
- * workers are spawned), which is the reference serial mode.
+ * A count of 1 runs every batch on the calling thread alone, the
+ * reference serial mode.
  */
 
 #ifndef MEMTHERM_CORE_SIM_ENGINE_HH
 #define MEMTHERM_CORE_SIM_ENGINE_HH
 
-#include <condition_variable>
 #include <cstddef>
-#include <deque>
 #include <exception>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "core/sim/experiment.hh"
@@ -81,7 +77,7 @@ class RunSink
 };
 
 /**
- * Fixed-size thread pool over independent simulation runs.
+ * Fork-join executor over independent simulation runs; a copyable value.
  *
  * Determinism: every run is seeded only by its own SimConfig (the
  * sensor RNG is constructed per run from cfg.sensorSeed) and every
@@ -115,13 +111,11 @@ class ExperimentEngine
     };
 
     /** @param n_threads 0 = resolve from MEMTHERM_THREADS / hardware */
-    explicit ExperimentEngine(int n_threads = 0);
-    ~ExperimentEngine();
+    explicit ExperimentEngine(int n_threads = 0)
+        : nThreads(n_threads > 0 ? n_threads : defaultThreads())
+    {}
 
-    ExperimentEngine(const ExperimentEngine &) = delete;
-    ExperimentEngine &operator=(const ExperimentEngine &) = delete;
-
-    /** Worker count this engine executes with (>= 1). */
+    /** Most threads a batch runs on, the caller included (>= 1). */
     int threads() const { return nThreads; }
 
     /** The thread count an ExperimentEngine(0) would use. */
@@ -149,6 +143,11 @@ class ExperimentEngine
      * simulation fails every run of the chunk (their shared state is
      * poisoned). @p stats, when non-null, accumulates the batch counters
      * across all chunks.
+     *
+     * The calling thread and min(threads(), chunks) - 1 helper threads
+     * take the chunks in order; the helpers are joined before the call
+     * returns. A host that refuses a helper fails the call (FatalError)
+     * once the started helpers finish the chunks they hold.
      */
     void runBatched(const std::vector<Run> &runs,
                     const std::vector<RunClass> &classes, int batch_width,
@@ -158,21 +157,9 @@ class ExperimentEngine
     void run(const std::vector<Run> &runs, RunSink &sink);
 
   private:
-    /// A pool task; the worker lends its reusable simulator scratch.
-    using Task = std::function<void(ThermalSimulator::Scratch &)>;
-
-    void workerLoop();
-    /// Stop and join every worker (after the queue drains).
-    void stop();
     static std::unique_ptr<DtmPolicy> makePolicy(const Run &r);
 
     int nThreads;
-    std::vector<std::thread> workers;
-
-    std::mutex mtx;
-    std::condition_variable wake;
-    std::deque<Task> queue;
-    bool stopping = false;
 };
 
 } // namespace memtherm

@@ -125,7 +125,8 @@ class ThermalSimulator
      *    windows;
      *  - a Scratch must not be shared by two concurrent runBatch()
      *    calls.
-     *    The ExperimentEngine keeps one per worker thread.
+     *    Each thread of an ExperimentEngine batch owns one for the
+     *    call.
      *
      * Per-run state (core job slots, thermal state, RNG) lives in Lane,
      * not here, so lanes can be forked without touching the scratch.

@@ -15,6 +15,8 @@
 #include "core/sim/experiment.hh"
 #include "core/sim/registry.hh"
 
+#include "../common/result_identity.hh"
+
 namespace memtherm
 {
 namespace
@@ -165,30 +167,6 @@ TEST(RemapPolicy, TsCompositionShutsDownAndMigrates)
 
 // ---- acceptance pins --------------------------------------------------
 
-/** Bit-exact SimResult comparison (scalars, traces, per-DIMM vectors). */
-void
-expectIdentical(const SimResult &a, const SimResult &b)
-{
-    EXPECT_EQ(a.runningTime, b.runningTime);
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.totalInstr, b.totalInstr);
-    EXPECT_EQ(a.totalReadGB, b.totalReadGB);
-    EXPECT_EQ(a.totalWriteGB, b.totalWriteGB);
-    EXPECT_EQ(a.totalL2Misses, b.totalL2Misses);
-    EXPECT_EQ(a.memEnergy, b.memEnergy);
-    EXPECT_EQ(a.cpuEnergy, b.cpuEnergy);
-    EXPECT_EQ(a.maxAmb, b.maxAmb);
-    EXPECT_EQ(a.maxDram, b.maxDram);
-    EXPECT_EQ(a.timeAboveAmbTdp, b.timeAboveAmbTdp);
-    EXPECT_EQ(a.timeAboveDramTdp, b.timeAboveDramTdp);
-    EXPECT_EQ(a.peakAmbPerDimm, b.peakAmbPerDimm);
-    EXPECT_EQ(a.peakDramPerDimm, b.peakDramPerDimm);
-    EXPECT_EQ(a.avgPowerPerDimm, b.avgPowerPerDimm);
-    EXPECT_EQ(a.ambTrace.values(), b.ambTrace.values());
-    EXPECT_EQ(a.dramTrace.values(), b.dramTrace.values());
-    EXPECT_EQ(a.bwTrace.values(), b.bwTrace.values());
-}
-
 SimResult
 runWith(const SimConfig &cfg, const std::string &policy_name)
 {
@@ -212,7 +190,7 @@ TEST(RemapPolicy, TsRemapBitIdenticalToTsWithoutEmergency)
     SimResult ts = runWith(cfg, "DTM-TS");
     SimResult both = runWith(cfg, "DTM-TS+remap");
     EXPECT_LT(ts.maxAmb, cfg.limits.ambTdp); // precondition: no emergency
-    expectIdentical(ts, both);
+    expectIdentical(ts, both, CompareNames::No);
 }
 
 TEST(RemapPolicy, RemapLowersHotDimmPeakOnHotDimm0)

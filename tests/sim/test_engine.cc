@@ -11,14 +11,20 @@
 #include <sys/resource.h>
 #include <unistd.h>
 
+#include <chrono>
 #include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <optional>
 #include <string>
+#include <thread>
+#include <vector>
 
 #include "common/logging.hh"
 #include "core/sim/engine.hh"
+
+#include "../common/result_identity.hh"
 
 namespace memtherm
 {
@@ -32,31 +38,6 @@ smallConfig()
     SimConfig cfg = makeCh4Config(coolingAohs15(), false);
     cfg.copiesPerApp = 2;
     return cfg;
-}
-
-/** Exact (bitwise) equality of two results, traces included. */
-void
-expectIdentical(const SimResult &a, const SimResult &b)
-{
-    EXPECT_EQ(a.workload, b.workload);
-    EXPECT_EQ(a.policy, b.policy);
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.runningTime, b.runningTime);
-    EXPECT_EQ(a.totalInstr, b.totalInstr);
-    EXPECT_EQ(a.totalReadGB, b.totalReadGB);
-    EXPECT_EQ(a.totalWriteGB, b.totalWriteGB);
-    EXPECT_EQ(a.totalL2Misses, b.totalL2Misses);
-    EXPECT_EQ(a.memEnergy, b.memEnergy);
-    EXPECT_EQ(a.cpuEnergy, b.cpuEnergy);
-    EXPECT_EQ(a.maxAmb, b.maxAmb);
-    EXPECT_EQ(a.maxDram, b.maxDram);
-    EXPECT_EQ(a.timeAboveAmbTdp, b.timeAboveAmbTdp);
-    EXPECT_EQ(a.timeAboveDramTdp, b.timeAboveDramTdp);
-    EXPECT_EQ(a.ambTrace.values(), b.ambTrace.values());
-    EXPECT_EQ(a.dramTrace.values(), b.dramTrace.values());
-    EXPECT_EQ(a.inletTrace.values(), b.inletTrace.values());
-    EXPECT_EQ(a.cpuPowerTrace.values(), b.cpuPowerTrace.values());
-    EXPECT_EQ(a.bwTrace.values(), b.bwTrace.values());
 }
 
 /** Records everything the engine hands it, for the sink-contract tests. */
@@ -140,24 +121,33 @@ TEST(ExperimentEngine, InvalidThreadCountsFallBackToHardware)
 
 /**
  * Cap the address space a little above what the process maps, so a few
- * workers start and the rest get no stack, then ask for 1000 threads.
- * Exits 3 on the FatalError, 0 if every thread started. (Unused under
- * ASan, whose shadow memory does not fit the cap.)
+ * helpers start and the rest get no stack, then run a batch that asks
+ * for 1000 threads: 1000 one-lane runs whose policy factory throws, so
+ * each chunk ends at once. Exits 3 on the FatalError, 0 if every thread
+ * started. (Unused under ASan, whose shadow memory does not fit the
+ * cap.)
  */
 [[noreturn, maybe_unused]] void
 startThreadsUnderAddressCap()
 {
+    const PolicyFactory refuse = [](const SimConfig &, const std::string &)
+        -> std::unique_ptr<DtmPolicy> { throw FatalError("no policy"); };
+    const std::vector<ExperimentEngine::Run> runs(
+        1000, {smallConfig(), workloadMix("W1"), "refused", refuse});
+    ExperimentEngine engine(1000);
+    RecordingSink sink;
+
     long pages = 0;
     std::ifstream("/proc/self/statm") >> pages;
     const rlim_t cap =
         static_cast<rlim_t>(pages * sysconf(_SC_PAGESIZE)) + (64 << 20);
     const rlimit limit{cap, cap};
     setrlimit(RLIMIT_AS, &limit);
-    // Destroying a condition variable that started workers still wait on
-    // can hang instead of aborting; end that case too.
+    // A join that never returns would hang the death test; end that case
+    // too.
     alarm(20);
     try {
-        ExperimentEngine engine(1000);
+        engine.run(runs, sink);
     } catch (const FatalError &e) {
         std::cerr << e.what() << std::endl;
         std::exit(3);
@@ -170,12 +160,101 @@ TEST(ExperimentEngine, UnstartableThreadCountIsFatalNotAnAbort)
 #ifdef __SANITIZE_ADDRESS__
     GTEST_SKIP() << "ASan maps more address space than the cap allows";
 #else
-    // The constructor must join the workers it started and report the
-    // count: destroying a joinable std::thread would abort instead.
+    // The batch must join the helpers it started and report the count:
+    // destroying a joinable std::thread would abort instead.
     EXPECT_EXIT(startThreadsUnderAddressCap(), ::testing::ExitedWithCode(3),
                 "engine: cannot start 1000 worker threads \\([0-9]+ "
                 "started\\)");
 #endif
+}
+
+/** The process's thread count (`Threads:` in /proc/self/status). */
+std::optional<int>
+processThreads()
+{
+    std::ifstream in("/proc/self/status");
+    for (std::string line; std::getline(in, line);)
+        if (line.rfind("Threads:", 0) == 0)
+            return std::stoi(line.substr(8));
+    return std::nullopt;
+}
+
+/**
+ * processThreads() once it holds still: a joined thread is counted until
+ * the kernel reaps it, a moment after the join returns.
+ */
+std::optional<int>
+settledThreads()
+{
+    std::optional<int> n = processThreads();
+    for (int tries = 0; tries < 1000; ++tries) {
+        std::this_thread::sleep_for(std::chrono::milliseconds(1));
+        const std::optional<int> again = processThreads();
+        if (again == n)
+            break;
+        n = again;
+    }
+    return n;
+}
+
+/** Records the process's thread count, and the thread, at each result. */
+class ThreadCountingSink : public RunSink
+{
+  public:
+    void onResult(std::size_t, SimResult &&, double) override
+    {
+        counts.push_back(processThreads().value_or(-1));
+        callers.push_back(std::this_thread::get_id());
+    }
+
+    void onFailure(std::size_t, std::exception_ptr) override
+    {
+        ADD_FAILURE() << "no run may fail";
+    }
+
+    std::vector<int> counts;
+    std::vector<std::thread::id> callers;
+};
+
+TEST(ExperimentEngine, ThreadsStartOnlyForABatchsChunks)
+{
+    // ThreadSanitizer starts a thread of its own with the first user
+    // thread; start one here so that it counts as idle.
+    std::thread([] {}).join();
+    const std::optional<int> idle = settledThreads();
+    if (!idle)
+        GTEST_SKIP() << "no Threads: line in /proc/self/status";
+    ASSERT_LE(*idle, 56); // so every count below stays <= 64
+
+    // Building the engine starts nothing; its threads belong to a batch.
+    ExperimentEngine engine(8);
+    EXPECT_EQ(processThreads(), idle);
+
+    // An empty run list has no chunk to start a thread for.
+    ThreadCountingSink none;
+    engine.run({}, none);
+    EXPECT_TRUE(none.counts.empty());
+    EXPECT_EQ(processThreads(), idle);
+
+    SimConfig cfg = smallConfig();
+    cfg.copiesPerApp = 1;
+    const Workload w1 = workloadMix("W1");
+
+    // One chunk runs on the calling thread alone.
+    ThreadCountingSink one;
+    engine.run({{cfg, w1, "No-limit", {}}}, one);
+    ASSERT_EQ(one.counts.size(), 1u);
+    EXPECT_EQ(one.counts[0], *idle);
+    EXPECT_EQ(one.callers[0], std::this_thread::get_id());
+
+    // Two chunks: the calling thread and at most one helper, gone once
+    // the call returns.
+    ThreadCountingSink two;
+    engine.run({{cfg, w1, "No-limit", {}}, {cfg, w1, "DTM-TS", {}}}, two);
+    ASSERT_EQ(two.counts.size(), 2u);
+    for (int n : two.counts)
+        EXPECT_LE(n, *idle + 1);
+    EXPECT_EQ(settledThreads(), idle);
 }
 
 TEST(ExperimentEngine, ParallelMatchesSerialBitExactly)
@@ -195,7 +274,7 @@ TEST(ExperimentEngine, ParallelMatchesSerialBitExactly)
         serial.push_back(
             sim.run(r.workload, *makeCh4Policy(r.policy, cfg.dtmInterval)));
 
-    // A pooled engine and a one-thread (inline) engine both agree.
+    // A four-thread engine and a one-thread engine both agree.
     for (int threads : {4, 1}) {
         ExperimentEngine engine(threads);
         std::vector<SimResult> got = runAll(engine, runs);
@@ -209,7 +288,7 @@ TEST(ExperimentEngine, ParallelMatchesSerialBitExactly)
 
 TEST(ExperimentEngine, ScratchReuseAcrossHeterogeneousRuns)
 {
-    // One worker executes both runs back to back with one Scratch; a
+    // One thread executes both runs back to back with one Scratch; a
     // fresh engine runs them in separate batches. Any cross-run leakage
     // through the scratch buffers would diverge.
     SimConfig cfg4 = smallConfig();

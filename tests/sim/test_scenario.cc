@@ -21,6 +21,8 @@
 #include "core/sim/scenario.hh"
 #include "testbed/platform.hh"
 
+#include "../common/result_identity.hh"
+
 #ifndef MEMTHERM_SOURCE_DIR
 #error "tests need MEMTHERM_SOURCE_DIR (set by CMakeLists.txt)"
 #endif
@@ -34,39 +36,6 @@ std::string
 scenarioPath(const std::string &file)
 {
     return std::string(MEMTHERM_SOURCE_DIR) + "/examples/scenarios/" + file;
-}
-
-/** Exact (bitwise) equality of two results, traces included. */
-void
-expectIdentical(const SimResult &a, const SimResult &b)
-{
-    EXPECT_EQ(a.workload, b.workload);
-    EXPECT_EQ(a.policy, b.policy);
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.runningTime, b.runningTime);
-    EXPECT_EQ(a.totalInstr, b.totalInstr);
-    EXPECT_EQ(a.totalReadGB, b.totalReadGB);
-    EXPECT_EQ(a.totalWriteGB, b.totalWriteGB);
-    EXPECT_EQ(a.totalL2Misses, b.totalL2Misses);
-    EXPECT_EQ(a.memEnergy, b.memEnergy);
-    EXPECT_EQ(a.cpuEnergy, b.cpuEnergy);
-    EXPECT_EQ(a.maxAmb, b.maxAmb);
-    EXPECT_EQ(a.maxDram, b.maxDram);
-    EXPECT_EQ(a.timeAboveAmbTdp, b.timeAboveAmbTdp);
-    EXPECT_EQ(a.timeAboveDramTdp, b.timeAboveDramTdp);
-    EXPECT_EQ(a.peakAmbPerDimm, b.peakAmbPerDimm);
-    EXPECT_EQ(a.peakDramPerDimm, b.peakDramPerDimm);
-    EXPECT_EQ(a.avgPowerPerDimm, b.avgPowerPerDimm);
-    EXPECT_EQ(a.refreshBwLossPerDimm, b.refreshBwLossPerDimm);
-    EXPECT_EQ(a.refreshEnergyPerDimm, b.refreshEnergyPerDimm);
-    EXPECT_EQ(a.bankGridX, b.bankGridX);
-    EXPECT_EQ(a.bankGridZ, b.bankGridZ);
-    EXPECT_EQ(a.peakBankDramPerDimm, b.peakBankDramPerDimm);
-    EXPECT_EQ(a.ambTrace.values(), b.ambTrace.values());
-    EXPECT_EQ(a.dramTrace.values(), b.dramTrace.values());
-    EXPECT_EQ(a.inletTrace.values(), b.inletTrace.values());
-    EXPECT_EQ(a.cpuPowerTrace.values(), b.cpuPowerTrace.values());
-    EXPECT_EQ(a.bwTrace.values(), b.bwTrace.values());
 }
 
 /**

@@ -37,6 +37,8 @@
 #include "core/thermal/bank_grid.hh"
 #include "core/thermal/memory_thermal.hh"
 
+#include "../common/result_identity.hh"
+
 namespace memtherm
 {
 namespace
@@ -55,32 +57,6 @@ randomWeights(Rng &rng, int n)
     for (double &v : w)
         v /= sum;
     return w;
-}
-
-/** Exact (bitwise) equality of two results, per-bank fields included. */
-void
-expectIdentical(const SimResult &a, const SimResult &b)
-{
-    EXPECT_EQ(a.workload, b.workload);
-    EXPECT_EQ(a.policy, b.policy);
-    EXPECT_EQ(a.completed, b.completed);
-    EXPECT_EQ(a.runningTime, b.runningTime);
-    EXPECT_EQ(a.totalInstr, b.totalInstr);
-    EXPECT_EQ(a.memEnergy, b.memEnergy);
-    EXPECT_EQ(a.cpuEnergy, b.cpuEnergy);
-    EXPECT_EQ(a.maxAmb, b.maxAmb);
-    EXPECT_EQ(a.maxDram, b.maxDram);
-    EXPECT_EQ(a.peakAmbPerDimm, b.peakAmbPerDimm);
-    EXPECT_EQ(a.peakDramPerDimm, b.peakDramPerDimm);
-    EXPECT_EQ(a.avgPowerPerDimm, b.avgPowerPerDimm);
-    EXPECT_EQ(a.refreshBwLossPerDimm, b.refreshBwLossPerDimm);
-    EXPECT_EQ(a.refreshEnergyPerDimm, b.refreshEnergyPerDimm);
-    EXPECT_EQ(a.bankGridX, b.bankGridX);
-    EXPECT_EQ(a.bankGridZ, b.bankGridZ);
-    EXPECT_EQ(a.peakBankDramPerDimm, b.peakBankDramPerDimm);
-    EXPECT_EQ(a.ambTrace.values(), b.ambTrace.values());
-    EXPECT_EQ(a.dramTrace.values(), b.dramTrace.values());
-    EXPECT_EQ(a.bwTrace.values(), b.bwTrace.values());
 }
 
 // --- primitive layer --------------------------------------------------

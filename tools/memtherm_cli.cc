@@ -338,10 +338,16 @@ cmdReport(const CliArgs &a)
     // come one at a time; streams may come in any number.
     const bool anyStream =
         std::any_of(inputs.begin(), inputs.end(), looksLikeStream);
-    for (const auto &p : inputs)
-        if (anyStream && !looksLikeStream(p))
-            fatal("memtherm report: cannot mix results JSON ('" + p +
-                  "') with JSONL streams in one report");
+    for (const auto &p : inputs) {
+        if (!anyStream || looksLikeStream(p))
+            continue;
+        // Not a stream: name an unreadable input (missing, a directory)
+        // as merge does, not as a results JSON.
+        if (!readFile(p))
+            fatal("stream: cannot open '" + p + "'");
+        fatal("memtherm report: cannot mix results JSON ('" + p +
+              "') with JSONL streams in one report");
+    }
     if (!anyStream && inputs.size() > 1) {
         fatal("memtherm report: more than one results file given "
               "(multiple inputs are only supported for JSONL streams)");
