@@ -1233,24 +1233,88 @@ ScenarioSpec::lowered(bool read_trace) const
         }
     }
 
-    // Load the trace once. Its profile depends only on a point's
-    // (channels, DIMMs per channel, bank cells), so each distinct triple
-    // decodes once below; the memo lives only for this call.
-    std::vector<TraceRecord> traceRecords;
-    if (!trace.empty() && read_trace)
-        traceRecords = loadTrace(trace);
-    std::map<std::array<int, 3>, TraceProfile> traceProfiles;
-    // The decoded grids, one payload per (profile, grid shape): every
-    // run of those points shares it.
-    std::map<std::array<int, 4>, SharedBankGrid> tracedGrids;
-
     // The grid: an odometer over the sweep axes, last axis fastest. An
     // empty axis contributes one "keep the base value" slot.
     std::vector<std::size_t> dim, ix(labels.size());
     for (const auto &l : labels)
         dim.push_back(std::max<std::size_t>(l.size(), 1));
+    // Advance the odometer; false on the carry out of axis 0 (done).
+    auto nextPoint = [&] {
+        for (std::size_t k = dim.size(); k > 0; --k) {
+            if (++ix[k - 1] < dim[k - 1])
+                return true;
+            ix[k - 1] = 0;
+        }
+        return false;
+    };
+    // The configuration at the odometer's point, in table order: the
+    // cooling entry (first) rebuilds the base configuration, and the
+    // organization precedes the traffic shape resolved for it.
+    auto pointConfig = [&] {
+        SimConfig cfg = plat ? plat->sim : SimConfig{};
+        for (const auto &[pos, resolved] : applies) {
+            for (const Resolved &r : resolved) {
+                if (r.org && *r.org != cfg.org)
+                    continue;
+                if (!r.sweep.empty())
+                    r.sweep[ix[pos - 1]](cfg);
+                else if (r.base)
+                    r.base(cfg);
+            }
+        }
+        return cfg;
+    };
+    auto geometryOf = [](const SimConfig &cfg) {
+        return std::array<int, 3>{cfg.org.nChannels,
+                                  cfg.org.nDimmsPerChannel,
+                                  cfg.bankGrid ? cfg.bankGrid->cells() : 0};
+    };
+
+    // A trace decodes against each point's organization and grid, and
+    // its profile depends only on (channels, DIMMs per channel, bank
+    // cells). So the points' configurations are resolved first, the
+    // trace is read once, and one decoder per distinct geometry folds
+    // its records as they stream past; the profiles live only for this
+    // call. A point that fails to resolve ends the collection: it fails
+    // again when the points are built, after the trace's own errors, as
+    // if the trace had been read first.
+    struct Decoded
+    {
+        TraceProfile profile;
+        bool used = false; ///< a point has taken it (and it was checked)
+    };
+    std::vector<SimConfig> tracedConfigs;
+    std::map<std::array<int, 3>, Decoded> traceProfiles;
+    const bool traced = !trace.empty() && read_trace;
+    if (traced) {
+        std::vector<std::array<int, 3>> geometries;
+        try {
+            do {
+                const auto g =
+                    geometryOf(tracedConfigs.emplace_back(pointConfig()));
+                if (std::find(geometries.begin(), geometries.end(), g) ==
+                    geometries.end())
+                    geometries.push_back(g);
+            } while (nextPoint());
+        } catch (const FatalError &) {
+        }
+        std::fill(ix.begin(), ix.end(), 0);
+        std::vector<TraceDecoder> decoders;
+        for (const auto &g : geometries)
+            decoders.emplace_back(g[0], g[1], g[2]);
+        scanTraceFile(trace, [&](std::span<const TraceRecord> batch) {
+            for (TraceDecoder &d : decoders)
+                d.add(batch);
+        });
+        for (std::size_t i = 0; i < geometries.size(); ++i)
+            traceProfiles[geometries[i]].profile = decoders[i].profile();
+    }
+    // The decoded grids, one payload per (profile, grid shape): every
+    // run of those points shares it.
+    std::map<std::array<int, 4>, SharedBankGrid> tracedGrids;
+
     std::size_t nRuns = 0;
-    for (;;) {
+    for (std::size_t p = 0;; ++p) {
         LoweredScenario::Point pt;
         for (std::size_t k = 0; k < labels.size(); ++k) {
             if (labels[k].empty())
@@ -1263,46 +1327,27 @@ ScenarioSpec::lowered(bool read_trace) const
         if (pt.label.empty())
             pt.label = "base";
 
-        // Table order: the cooling entry (first) rebuilds the base
-        // configuration, and the organization precedes the traffic
-        // shape resolved for it.
-        SimConfig cfg = plat ? plat->sim : SimConfig{};
-        for (const auto &[pos, resolved] : applies) {
-            for (const Resolved &r : resolved) {
-                if (r.org && *r.org != cfg.org)
-                    continue;
-                if (!r.sweep.empty())
-                    r.sweep[ix[pos - 1]](cfg);
-                else if (r.base)
-                    r.base(cfg);
-            }
-        }
+        SimConfig cfg = p < tracedConfigs.size()
+                            ? std::move(tracedConfigs[p])
+                            : pointConfig();
 
-        // A trace decodes against the point's organization and grid:
-        // per-DIMM shares always, per-bank heat weights when the
+        // Per-DIMM shares always, per-bank heat weights when the
         // bank-grid model is active at this point.
-        if (!traceRecords.empty()) {
-            const std::array<int, 3> key{
-                cfg.org.nChannels, cfg.org.nDimmsPerChannel,
-                cfg.bankGrid ? cfg.bankGrid->cells() : 0};
-            auto it = traceProfiles.find(key);
-            if (it == traceProfiles.end()) {
-                it = traceProfiles
-                         .emplace(key, decodeTrace(traceRecords, key[0],
-                                                   key[1], key[2]))
-                         .first;
-                if (key[2] > 0)
-                    warnIfSparse(*this, key, it->second);
-            }
-            cfg.trafficShares = it->second.dimmShares;
+        if (traced) {
+            const std::array<int, 3> key = geometryOf(cfg);
+            Decoded &decoded = traceProfiles.at(key);
+            if (!decoded.used && key[2] > 0)
+                warnIfSparse(*this, key, decoded.profile);
+            decoded.used = true;
+            cfg.trafficShares = decoded.profile.dimmShares;
             if (cfg.bankGrid) {
                 const BankGridConfig &g = *cfg.bankGrid;
-                SharedBankGrid &traced =
+                SharedBankGrid &shared =
                     tracedGrids[{key[0], key[1], g.x, g.z}];
-                if (!traced)
-                    traced = BankGridConfig{g.x, g.z,
-                                            it->second.bankWeights};
-                cfg.bankGrid = traced;
+                if (!shared)
+                    shared = BankGridConfig{g.x, g.z,
+                                            decoded.profile.bankWeights};
+                cfg.bankGrid = shared;
             }
         }
         // The window must resolve the decision period and the
@@ -1361,14 +1406,7 @@ ScenarioSpec::lowered(bool read_trace) const
         nRuns += pt.runs.size();
         out.points.push_back(std::move(pt));
 
-        // Advance the odometer; carry out of axis 0 means we are done.
-        std::size_t k = dim.size();
-        for (; k > 0; --k) {
-            if (++ix[k - 1] < dim[k - 1])
-                break;
-            ix[k - 1] = 0;
-        }
-        if (k == 0)
+        if (!nextPoint())
             break;
     }
     return out;

@@ -210,12 +210,13 @@ struct BankOverlay
  * One vertex of a DIMM's peak hull: a past (V, D) point and the index,
  * in the DIMM's ascending slope run, of the first slope it wins. It
  * wins every slope up to the next vertex's first (or the run's end).
+ * It has no initializers, so a hull's unused vertices stay unwritten.
  */
 struct BankHullVertex
 {
-    double v = 0.0;
-    double d = 0.0;
-    int first = 0;
+    double v;
+    double d;
+    int first;
 };
 
 /**

@@ -1,5 +1,6 @@
 #include "core/thermal/thermal_batch.hh"
 
+#include <algorithm>
 #include <cmath>
 #include <utility>
 
@@ -8,8 +9,41 @@
 namespace memtherm
 {
 
-ThermalState::ThermalState(int dimms, std::vector<int> hull_start)
+BankHullBlocks::BankHullBlocks(int dimms, std::vector<int> hull_start)
     : hullStart(std::move(hull_start))
+{
+    if (hullStart.empty())
+        return;
+    const std::size_t n = static_cast<std::size_t>(dimms);
+    panicIfNot(hullStart.size() == n + 1 && hullStart[0] == 0,
+               "ThermalState: one hull block per DIMM");
+    for (std::size_t d = 0; d < n; ++d)
+        panicIfNot(hullStart[d + 1] > hullStart[d],
+                   "ThermalState: empty hull block");
+    hull.reset(new BankHullVertex[hullCapacity()]);
+    hullSize.assign(n, 0);
+}
+
+BankHullBlocks::BankHullBlocks(const BankHullBlocks &o)
+    : hullSize(o.hullSize), hullStart(o.hullStart),
+      hull(o.hull ? new BankHullVertex[o.hullCapacity()] : nullptr)
+{
+    for (std::size_t d = 0; d < hullSize.size(); ++d) {
+        const int i = static_cast<int>(d);
+        std::copy_n(o.bankHull(i), hullSize[d], bankHull(i));
+    }
+}
+
+BankHullBlocks &
+BankHullBlocks::operator=(const BankHullBlocks &o)
+{
+    if (this != &o)
+        *this = BankHullBlocks(o);
+    return *this;
+}
+
+ThermalState::ThermalState(int dimms, std::vector<int> hull_start)
+    : BankHullBlocks(dimms, std::move(hull_start))
 {
     panicIfNot(dimms >= 1, "ThermalState: need >= 1 DIMM");
     const std::size_t n = static_cast<std::size_t>(dimms);
@@ -20,16 +54,9 @@ ThermalState::ThermalState(int dimms, std::vector<int> hull_start)
     peakAmb.assign(n, 0.0);
     peakDram.assign(n, 0.0);
     energy.assign(n, 0.0);
-    if (!hullStart.empty()) {
-        panicIfNot(hullStart.size() == n + 1 && hullStart[0] == 0,
-                   "ThermalState: one hull block per DIMM");
-        for (std::size_t d = 0; d < n; ++d)
-            panicIfNot(hullStart[d + 1] > hullStart[d],
-                       "ThermalState: empty hull block");
+    if (!hullSize.empty()) {
         spread.assign(n, 0.0);
         stableSpread.assign(n, 0.0);
-        hull.resize(static_cast<std::size_t>(hullStart.back()));
-        hullSize.assign(n, 0);
     }
 }
 

@@ -25,15 +25,18 @@
  * `D + s·V`), its staged target B, and the DIMM's peak hull of past
  * (V, D) points. A hull never holds more vertices than its DIMM has
  * distinct cell slopes (offerBankHullPoint), so each DIMM's block is
- * sized by that count (BankOverlay::slopeStart): the window loop never
- * allocates, and a fork copies one vertex per distinct slope, not one
- * per cell — a uniform grid's DIMM has one.
+ * sized by that count (BankOverlay::slopeStart), so the window loop
+ * never allocates. The blocks are left unwritten past each hull's
+ * vertex count, and a copy (a fork) copies only the vertices in use —
+ * a few per DIMM, however many distinct slopes a trace-decoded grid
+ * gives it.
  */
 
 #ifndef MEMTHERM_CORE_THERMAL_THERMAL_BATCH_HH
 #define MEMTHERM_CORE_THERMAL_THERMAL_BATCH_HH
 
 #include <cstddef>
+#include <memory>
 #include <vector>
 
 #include "common/units.hh"
@@ -43,9 +46,56 @@ namespace memtherm
 {
 
 /**
- * Per-DIMM thermal state of one run; the default copy is the fork.
+ * The DIMMs' peak hulls: DIMM d's block holds bankHullCapacity(d)
+ * vertices, of which hullSize[d] are in use. The blocks are allocated
+ * once and left unwritten past each hull's vertices, and a copy (a
+ * fork) copies only the vertices in use. Empty on the lumped model.
  */
-struct ThermalState
+class BankHullBlocks
+{
+  public:
+    /**
+     * No hull for an empty @p hull_start; else DIMM d's block holds
+     * `hull_start[d + 1] - hull_start[d]` (>= 1) vertices, from
+     * hull_start[0] = 0, one entry per DIMM plus one.
+     */
+    BankHullBlocks(int dimms, std::vector<int> hull_start);
+
+    BankHullBlocks(const BankHullBlocks &o);
+    BankHullBlocks &operator=(const BankHullBlocks &o);
+    BankHullBlocks(BankHullBlocks &&) noexcept = default;
+    BankHullBlocks &operator=(BankHullBlocks &&) noexcept = default;
+
+    /** DIMM @p d's hull block, bankHullCapacity(d) vertices. */
+    BankHullVertex *bankHull(int d) { return hull.get() + hullStart[d]; }
+    const BankHullVertex *bankHull(int d) const
+    {
+        return hull.get() + hullStart[d];
+    }
+    /** The most vertices DIMM @p d's hull may hold. */
+    int bankHullCapacity(int d) const
+    {
+        return hullStart[d + 1] - hullStart[d];
+    }
+    /** The vertices allocated for all the DIMMs' blocks. */
+    std::size_t
+    hullCapacity() const
+    {
+        return hullStart.empty() ? 0
+                                 : static_cast<std::size_t>(hullStart.back());
+    }
+
+    std::vector<int> hullSize; ///< vertices in use per DIMM
+
+  private:
+    std::vector<int> hullStart; ///< DIMM d's block starts at hullStart[d]
+    std::unique_ptr<BankHullVertex[]> hull; ///< the blocks, in DIMM order
+};
+
+/**
+ * Per-DIMM thermal state of one run; a copy is the fork.
+ */
+struct ThermalState : BankHullBlocks
 {
     /**
      * @param dimms DIMMs of the representative channel (>= 1)
@@ -89,18 +139,6 @@ struct ThermalState
      */
     void advance();
 
-    /** DIMM @p d's hull block, bankHullCapacity(d) vertices. */
-    BankHullVertex *bankHull(int d) { return hull.data() + hullStart[d]; }
-    const BankHullVertex *bankHull(int d) const
-    {
-        return hull.data() + hullStart[d];
-    }
-    /** The most vertices DIMM @p d's hull may hold. */
-    int bankHullCapacity(int d) const
-    {
-        return hullStart[d + 1] - hullStart[d];
-    }
-
     /// @name Per-DIMM fields, one entry per DIMM.
     /// @{
     std::vector<double> amb;        ///< AMB temperatures
@@ -117,16 +155,13 @@ struct ThermalState
     /// The spread and its staged target have one entry per DIMM; advance()
     /// steps the spread with the DRAM decay, since bank cells share the
     /// DRAM node's tau. DIMM d's hull is bankHull(d), of hullSize[d]
-    /// vertices.
+    /// vertices (BankHullBlocks).
     /// @{
     std::vector<double> spread;       ///< bank spread V
     std::vector<double> stableSpread; ///< staged spread targets B
-    std::vector<BankHullVertex> hull; ///< the DIMMs' blocks, in order
-    std::vector<int> hullSize;        ///< vertices in use per DIMM
     /// @}
 
   private:
-    std::vector<int> hullStart; ///< DIMM d's block starts at hullStart[d]
     Seconds tauAmb = 1.0;
     Seconds tauDram = 1.0;
     double decayAmb = 0.0;

@@ -25,12 +25,23 @@
  * tab, CR, VT or FF; a line holding only those is blank. Malformed
  * input is reported as a FatalError naming the file and line, never a
  * crash.
+ *
+ * One line scanner reads every trace, in one forward pass: each line is
+ * cut, classified and its numbers parsed in a single scan over a
+ * character-class table. scanTraceFile reads a file in fixed-size
+ * chunks and hands the records on in batches, so reading a trace keeps
+ * neither the file's text nor a record vector; loadTrace and parseTrace
+ * collect the same scan into a vector. A TraceDecoder folds records
+ * into one organization's profile as they stream past, so a scenario
+ * decodes every geometry it needs in the one pass over its trace.
  */
 
 #ifndef MEMTHERM_DRAM_TRACE_HH
 #define MEMTHERM_DRAM_TRACE_HH
 
 #include <cstdint>
+#include <functional>
+#include <span>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -51,13 +62,23 @@ struct TraceRecord
     bool operator==(const TraceRecord &) const = default;
 };
 
+/** Takes a trace's records in file order, one batch at a time. */
+using TraceBatchSink = std::function<void(std::span<const TraceRecord>)>;
+
 /**
- * Parse a trace file. FatalError (with file and line) on a missing or
- * version-incompatible header, malformed records, or an empty trace.
+ * Read the trace file at @p path in one forward pass, in fixed-size
+ * chunks, handing its records to @p sink in file order, a batch at a
+ * time. Memory is bounded by the chunk and the longest line, not by the
+ * trace's length. FatalError (with file and line) on a missing or
+ * version-incompatible header, malformed records, or an empty trace;
+ * records before a malformed line may already have been handed on.
  */
+void scanTraceFile(const std::string &path, const TraceBatchSink &sink);
+
+/** scanTraceFile's records, collected. */
 std::vector<TraceRecord> loadTrace(const std::string &path);
 
-/** Same parser over an in-memory document; @p name labels errors. */
+/** The same scan over an in-memory document; @p name labels errors. */
 std::vector<TraceRecord> parseTrace(const std::string &text,
                                     const std::string &name);
 
@@ -117,12 +138,45 @@ struct TraceProfile
 };
 
 /**
- * Decode a trace against an organization using the block-interleaved
- * address map (block = addr / block_size; channel = block % channels;
- * DIMM = block / channels % dimms; bank = block / (channels * dimms)
- * % bank_cells). Shares and weights are byte-weighted and aggregated
- * across channels (channels are thermally symmetric). FatalError on an
- * empty record list.
+ * Decodes a trace against one organization as its records stream past,
+ * using the block-interleaved address map (block = addr / block_size;
+ * channel = block % channels; DIMM = block / channels % dimms; bank =
+ * block / (channels * dimms) % bank_cells), exact for any divisor.
+ * Bytes are summed as doubles in record order, so the profile depends
+ * only on the records, not on how they were batched. Shares and weights
+ * are byte-weighted and aggregated across channels (channels are
+ * thermally symmetric). Several decoders fed from one scan decode
+ * several geometries in one pass: the cost is O(records × decoders).
+ */
+class TraceDecoder
+{
+  public:
+    /** FatalError on a bad organization or a zero block size. */
+    TraceDecoder(int n_channels, int n_dimms, int bank_cells,
+                 std::uint32_t block_size = 64);
+
+    /** Fold @p records, the next ones in trace order. */
+    void add(std::span<const TraceRecord> records);
+
+    /** The profile of every record added; FatalError if none was. */
+    TraceProfile profile() const;
+
+  private:
+    /// addr / (block_size * channels): the block's index on its channel.
+    std::uint64_t channelBlock_;
+    std::uint64_t dimms_;
+    std::uint64_t cells_; ///< 1 when bankCells_ is 0
+    int bankCells_;
+    std::vector<double> dimmBytes_;
+    std::vector<double> bankBytes_; ///< row-major by DIMM
+    double totalBytes_ = 0.0;
+    double readBytes_ = 0.0;
+    std::uint64_t records_ = 0;
+};
+
+/**
+ * One TraceDecoder's profile of @p records. FatalError on an empty
+ * record list, then as the decoder's constructor.
  */
 TraceProfile decodeTrace(const std::vector<TraceRecord> &records,
                          int n_channels, int n_dimms, int bank_cells,

@@ -24,6 +24,7 @@
 #include <functional>
 #include <map>
 #include <numeric>
+#include <span>
 #include <sstream>
 #include <string>
 #include <vector>
@@ -903,6 +904,283 @@ TEST(TraceScenario, RunsAndPointsShareOneGridPayload)
     const BankGridConfig *tall = payloads[{4, 2, 4}];
     EXPECT_NE(wide, tall);
     EXPECT_EQ(wide->weights, tall->weights);
+}
+
+/**
+ * The address map in its plain form, `/` and `%` as the header states
+ * it, kept as the decoder's reference: byte sums in record order, then
+ * the same normalization.
+ */
+TraceProfile
+oracleDecodeTrace(const std::vector<TraceRecord> &records, int n_channels,
+                  int n_dimms, int bank_cells, std::uint32_t block_size)
+{
+    const std::uint64_t nc = static_cast<std::uint64_t>(n_channels);
+    const std::uint64_t nd = static_cast<std::uint64_t>(n_dimms);
+    const std::uint64_t cells = static_cast<std::uint64_t>(bank_cells);
+    TraceProfile p;
+    p.dimmShares.assign(nd, 0.0);
+    std::vector<double> bank_bytes(nd * cells, 0.0);
+    double total = 0.0, read = 0.0;
+    for (const TraceRecord &r : records) {
+        const std::uint64_t block = r.addr / block_size;
+        const std::uint64_t dimm = block / nc % nd;
+        const double b = static_cast<double>(r.bytes);
+        p.dimmShares[dimm] += b;
+        if (cells > 0)
+            bank_bytes[dimm * cells + block / (nc * nd) % cells] += b;
+        total += b;
+        if (!r.write)
+            read += b;
+        ++p.records;
+    }
+    for (double &x : p.dimmShares)
+        x /= total;
+    p.readFraction = read / total;
+    if (cells > 0) {
+        p.bankWeights.assign(nd * cells, 0.0);
+        for (std::uint64_t d = 0; d < nd; ++d) {
+            double dimm_total = 0.0;
+            for (std::uint64_t c = 0; c < cells; ++c)
+                dimm_total += bank_bytes[d * cells + c];
+            for (std::uint64_t c = 0; c < cells; ++c)
+                p.bankWeights[d * cells + c] =
+                    dimm_total > 0.0 ? bank_bytes[d * cells + c] / dimm_total
+                                     : 1.0 / bank_cells;
+        }
+    }
+    return p;
+}
+
+/** Every member of two profiles bit-equal. */
+void
+expectSameProfile(const TraceProfile &got, const TraceProfile &want,
+                  const std::string &what)
+{
+    EXPECT_EQ(bitsOf(got.dimmShares), bitsOf(want.dimmShares)) << what;
+    EXPECT_EQ(bitsOf(got.bankWeights), bitsOf(want.bankWeights)) << what;
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(got.readFraction),
+              std::bit_cast<std::uint64_t>(want.readFraction))
+        << what;
+    EXPECT_EQ(got.records, want.records) << what;
+}
+
+/** Divisors the address map must get exactly right, powers of 2 or not. */
+const std::uint64_t kDivisors[] = {1,    2,    3,    5,   6,   7,    8,
+                                   12,   64,   100,  512, 1000, 4096};
+
+/** A random record: addresses anywhere up to 2^64, many near the top. */
+TraceRecord
+randomRecord(Rng &rng)
+{
+    TraceRecord r;
+    switch (rng.below(4)) {
+      case 0: r.addr = ~0ULL - rng.below(1 << 20); break;
+      case 1: r.addr = rng.below(1 << 24); break;
+      default: r.addr = rng.next();
+    }
+    r.bytes = rng.uniform() < 0.5
+                  ? 64
+                  : static_cast<std::uint32_t>(1 + rng.below(0xffffffffULL));
+    r.write = rng.uniform() < 0.4;
+    return r;
+}
+
+TEST(TraceDecodeOracle, DecoderMatchesThePlainDivisionOracle)
+{
+    Rng rng(0x0dec0de5ULL);
+    const std::uint32_t blocks[] = {1, 3, 7, 64, 100, 1000, 4096,
+                                    0xffffffffU};
+    for (std::size_t trial = 0; trial < 300; ++trial) {
+        std::vector<TraceRecord> records(1 + rng.below(2000));
+        for (TraceRecord &r : records)
+            r = randomRecord(rng);
+        auto pick = [&](std::uint64_t max) {
+            std::uint64_t v;
+            do
+                v = kDivisors[rng.below(std::size(kDivisors))];
+            while (v > max);
+            return static_cast<int>(v);
+        };
+        const int channels = pick(1000), dimms = pick(100),
+                  cells = rng.below(5) == 0 ? 0 : pick(1000);
+        const std::uint32_t block = blocks[rng.below(std::size(blocks))];
+        const std::string what = std::to_string(channels) + "x" +
+                                 std::to_string(dimms) + "x" +
+                                 std::to_string(cells) + " / " +
+                                 std::to_string(block);
+        expectSameProfile(
+            decodeTrace(records, channels, dimms, cells, block),
+            oracleDecodeTrace(records, channels, dimms, cells, block), what);
+    }
+}
+
+/**
+ * Lowering's shape: one scan feeding several decoders, in batches of
+ * any size, equals one decode per geometry.
+ */
+TEST(TraceDecodeOracle, OnePassOverSeveralGeometriesEqualsOnePassEach)
+{
+    Rng rng(0x5ca11ab1eULL);
+    for (int trial = 0; trial < 20; ++trial) {
+        std::vector<TraceRecord> records(1 + rng.below(5000));
+        for (TraceRecord &r : records)
+            r = randomRecord(rng);
+        const std::array<int, 3> geometries[] = {
+            {4, 4, 512}, {2, 4, 512}, {3, 5, 7}, {8, 2, 0}, {1, 6, 100},
+            {12, 1, 1000}};
+        std::vector<TraceDecoder> decoders;
+        for (const auto &g : geometries)
+            decoders.emplace_back(g[0], g[1], g[2]);
+        for (std::size_t at = 0; at < records.size();) {
+            const std::size_t n =
+                std::min<std::size_t>(1 + rng.below(700), records.size() - at);
+            for (TraceDecoder &d : decoders)
+                d.add(std::span(records).subspan(at, n));
+            at += n;
+        }
+        for (std::size_t i = 0; i < decoders.size(); ++i) {
+            const auto &g = geometries[i];
+            expectSameProfile(decoders[i].profile(),
+                              decodeTrace(records, g[0], g[1], g[2]),
+                              "geometry " + std::to_string(i));
+        }
+    }
+    expectFatalWith([] { (void)TraceDecoder(1, 1, 0).profile(); },
+                    "trace decode: no records");
+}
+
+/**
+ * The committed traced grid (tests/data/traced/traced_grid.json) over
+ * the trace its description generates: every point carries what a
+ * direct decode of the parsed trace gives for its geometry.
+ */
+TEST(TraceDecodeOracle, TracedGridPointsMatchTheParsedTracesDecode)
+{
+    TraceGenConfig tg; // trace gen --pattern random --count 256
+    tg.pattern = TraceGenConfig::Pattern::Random; // --max-addr 0x10000
+    tg.count = 256;                               // --seed 7
+    tg.maxAddr = 0x10000;                         // --read-pct 67
+    tg.seed = 7;
+    tg.readPct = 67.0;
+    const std::string text = formatTrace(generateTrace(tg));
+    TempTrace tmp(text);
+    ScenarioSpec s = ScenarioSpec::fromJson(Json::load(
+        std::string(MEMTHERM_SOURCE_DIR) + "/tests/data/traced/traced_grid.json"));
+    s.trace = tmp.path;
+    const LoweredScenario low = s.lower();
+    ASSERT_EQ(low.points.size(), 6u);
+    const std::vector<TraceRecord> records = parseTrace(text, tmp.path);
+    for (const auto &pt : low.points) {
+        const SimConfig &cfg = pt.cfg;
+        const TraceProfile direct = decodeTrace(
+            records, cfg.org.nChannels, cfg.org.nDimmsPerChannel,
+            cfg.bankGrid ? cfg.bankGrid->cells() : 0);
+        EXPECT_EQ(bitsOf(cfg.trafficShares), bitsOf(direct.dimmShares))
+            << pt.label;
+        EXPECT_EQ(cfg.bankGrid ? bitsOf(cfg.bankGrid->weights)
+                               : std::vector<std::uint64_t>{},
+                  bitsOf(direct.bankWeights))
+            << pt.label;
+    }
+}
+
+/**
+ * A file is read in fixed-size chunks: lines that straddle a chunk,
+ * lines longer than one, errors far past the first chunk and a last
+ * line without its newline must read as the whole text does.
+ */
+TEST(TraceFile, StreamedFileReadsAsTheWholeText)
+{
+    Rng rng(0xc4a2c4a2ULL);
+    std::vector<std::string> docs;
+    for (int trial = 0; trial < 12; ++trial) {
+        std::string doc = "#memtherm-trace v1\n";
+        const std::size_t lines = 5000 + rng.below(20000);
+        const std::size_t long_comment = rng.below(lines);
+        for (std::size_t i = 0; i < lines; ++i) {
+            if (i == long_comment) // longer than a chunk
+                doc += " \t# " + std::string(100000, 'c') + "\n";
+            switch (rng.below(40)) {
+              case 0: doc += "\n"; break;
+              case 1: doc += "# " + std::string(rng.below(100), 'c') + "\n"; break;
+              case 2: doc += "\r\n"; break;
+              default: {
+                  const TraceRecord r = randomRecord(rng);
+                  doc += formatTrace({r}).substr(19); // the record line
+              }
+            }
+        }
+        switch (trial % 4) {
+          case 1: // a malformed line late in the file
+              doc += "0x10 x 64\n";
+              break;
+          case 2: // a malformed line longer than a chunk
+              doc += "0x10" + std::string(100000, ' ') + "r\n";
+              break;
+          case 3: // no newline at the end
+              doc += "0x40 w 64";
+              break;
+        }
+        docs.push_back(doc);
+    }
+    docs.push_back("");
+    docs.push_back("#memtherm-trace v1");
+    docs.push_back("#memtherm-trace v1\n0x0 r 64");
+    docs.push_back("#memtherm-trace v1 " + std::string(70000, 'x') + "\n");
+
+    for (std::size_t i = 0; i < docs.size(); ++i) {
+        TempTrace tmp(docs[i]);
+        const Verdict whole = verdictOf(
+            [&](const std::string &t, const char *) {
+                return parseTrace(t, tmp.path);
+            },
+            docs[i]);
+        const Verdict streamed = verdictOf(
+            [&](const std::string &, const char *) {
+                return loadTrace(tmp.path);
+            },
+            docs[i]);
+        EXPECT_EQ(streamed.records, whole.records) << "doc " << i;
+        EXPECT_EQ(streamed.error, whole.error) << "doc " << i;
+        if (i < 12) {
+            EXPECT_EQ(whole.error.empty(), i % 4 == 0 || i % 4 == 3)
+                << whole.error;
+        }
+    }
+}
+
+/**
+ * pointLabels() (and merge's spec check) lower without the trace: a
+ * trace path that does not exist is never opened.
+ */
+TEST(TraceScenario, LabelsNeverOpenTheTrace)
+{
+    ScenarioSpec s = ScenarioSpec::fromJson(Json::parse(R"({
+        "name": "absent", "workloads": ["W1"], "policies": ["No-limit"],
+        "config": {"trace": "no/such/dir/absent.trace"},
+        "sweep": {"memory_org": ["ch4_4x4", "2x4"]}})"));
+    EXPECT_EQ(s.pointLabels(),
+              (std::vector<std::string>{"org=ch4_4x4", "org=2x4"}));
+    expectFatalWith([&] { (void)s.lower(); },
+                    "trace 'no/such/dir/absent.trace': cannot open file");
+}
+
+/**
+ * The trace is read after every point resolves, but its errors still
+ * come first: a spec with both a missing trace and an unknown swept
+ * cooling names the trace, as when the trace was read up front.
+ */
+TEST(TraceScenario, TraceErrorsPrecedePointErrors)
+{
+    TempTrace tmp("#memtherm-trace v1\n0x0 r 64\n");
+    ScenarioSpec s = ScenarioSpec::fromJson(Json::parse(R"({
+        "name": "both", "workloads": ["W1"], "policies": ["No-limit"],
+        "sweep": {"cooling": ["AOHS_1.5", "bogus"]}})"));
+    s.trace = tmp.path + ".missing";
+    expectFatalWith([&] { (void)s.lower(); }, "cannot open file");
+    s.trace = tmp.path;
+    expectFatalWith([&] { (void)s.lower(); }, "unknown cooling 'bogus'");
 }
 
 } // namespace

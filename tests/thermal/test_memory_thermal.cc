@@ -9,7 +9,9 @@
 #include <algorithm>
 
 #include "common/logging.hh"
+#include "common/rng.hh"
 #include "core/thermal/memory_thermal.hh"
+#include "dram/trace.hh"
 
 namespace memtherm
 {
@@ -364,6 +366,61 @@ TEST(MemoryThermal, ForkIsACopy)
     }
 }
 
+/**
+ * A trace-decoded grid gives each DIMM hundreds of distinct cell slopes,
+ * so its hull blocks are large while its hulls use a few vertices; a
+ * copy takes only those, and must still continue bit-identically.
+ */
+TEST(MemoryThermal, TraceDecodedForkContinuesBitIdentically)
+{
+    TraceGenConfig tg;
+    tg.pattern = TraceGenConfig::Pattern::Random;
+    tg.count = 65536;
+    tg.readPct = 67.0;
+    tg.seed = 3;
+    std::vector<TraceRecord> records = generateTrace(tg);
+    Rng rng(3); // transfer sizes of 64 B to 4 KiB
+    for (TraceRecord &r : records)
+        r.bytes = 64u << rng.below(7);
+    const MemoryOrgConfig org{2, 4};
+    const TraceProfile p = decodeTrace(records, org.nChannels,
+                                       org.nDimmsPerChannel, 32 * 16);
+    const SharedBankGrid grid = BankGridConfig{32, 16, p.bankWeights};
+    MemoryThermalModel src(org, coolingAohs15(), DimmPowerModel{}, 45.0,
+                           p.dimmShares, grid);
+    for (int d = 0; d < org.nDimmsPerChannel; ++d)
+        ASSERT_GE(src.state().bankHullCapacity(d), 256) << d;
+
+    // Bursts of heavy traffic between idle spells under a hotter inlet:
+    // heavy cells peak in the bursts and light ones in the spells.
+    const std::vector<int> &sizes = src.state().hullSize;
+    for (int i = 0; i < 400 && *std::max_element(sizes.begin(),
+                                                   sizes.end()) < 3;
+         ++i) {
+        const bool busy = i % 20 < 10;
+        src.advance(busy ? 16.0 - i % 7 : 0.0, busy ? 4.0 : 0.0,
+                    busy ? 40.0 : 60.0 + i % 5, 5.0);
+    }
+    ASSERT_GE(*std::max_element(sizes.begin(), sizes.end()), 3);
+
+    MemoryThermalModel fork = src;
+    MemoryThermalModel assigned(org, coolingAohs15(), DimmPowerModel{}, 45.0,
+                                p.dimmShares, BankGridConfig{4, 2, {}});
+    assigned = src;
+    ASSERT_EQ(readings(fork), readings(src));
+    ASSERT_EQ(readings(assigned), readings(src));
+    for (int i = 0; i < 200; ++i) {
+        const GBps read = i % 40 < 20 ? 4.0 + (i * 7) % 13 : 0.0;
+        const Celsius ambient = 40.0 + i % 17;
+        src.advance(read, 2.0, ambient, 0.5);
+        fork.advance(read, 2.0, ambient, 0.5);
+        assigned.advance(read, 2.0, ambient, 0.5);
+        ASSERT_EQ(readings(fork), readings(src)) << "step " << i;
+        ASSERT_EQ(readings(assigned), readings(src)) << "step " << i;
+    }
+    EXPECT_EQ(fork.state().hullSize, src.state().hullSize);
+}
+
 TEST(MemoryThermal, BankHullHoldsOneVertexPerDistinctSlope)
 {
     // Each DIMM's hull block holds exactly its distinct cell slopes: one
@@ -391,7 +448,7 @@ TEST(MemoryThermal, BankHullHoldsOneVertexPerDistinctSlope)
             EXPECT_EQ(m.state().bankHullCapacity(d), distinct) << d;
             total += static_cast<std::size_t>(distinct);
         }
-        EXPECT_EQ(m.state().hull.size(), total);
+        EXPECT_EQ(m.state().hullCapacity(), total);
         EXPECT_LT(total, static_cast<std::size_t>(org.nDimmsPerChannel *
                                                   grid.cells()));
     }
