@@ -380,17 +380,17 @@ refreshCatalog()
     return cat;
 }
 
-Catalog<ThermalModelConfig> &
+Catalog<SharedBankGrid> &
 thermalModelCatalog()
 {
-    static Catalog<ThermalModelConfig> cat(
+    static Catalog<SharedBankGrid> cat(
         {.keyword = "thermal_models",
          .noun = "thermal model",
          .hint = "{grid_x, grid_z[, bank_weights]} (inline per-DIMM bank "
                  "grid, e.g. {\"grid_x\": 4, \"grid_z\": 2})"},
         [](auto &c) {
-            c.add("lumped", ThermalModelConfig{});
-            c.add("bank_grid", ThermalModelConfig{BankGridConfig{}});
+            c.add("lumped", SharedBankGrid{});
+            c.add("bank_grid", SharedBankGrid{BankGridConfig{}});
         });
     return cat;
 }

@@ -345,14 +345,16 @@ Catalog<std::vector<double>, int> &trafficShapeCatalog();
 Catalog<RefreshModel> &refreshCatalog();
 
 /**
- * Thermal-model catalog: named resolutions for the `thermal_model`
- * scenario knob and sweep axis. "lumped" is the paper's per-DIMM model
- * (bit-identical to leaving the knob unset); "bank_grid" overlays the
- * default 4x2 per-bank diagnostic grid (core/thermal/bank_grid.hh) on
- * every DIMM. Scenario files can also give an inline
- * {grid_x, grid_z[, bank_weights]} object for grids the catalog lacks.
+ * Thermal-model catalog: named grids for the `thermal_model` scenario
+ * knob and sweep axis. "lumped" is the paper's per-DIMM model, the
+ * empty grid (bit-identical to leaving the knob unset); "bank_grid"
+ * overlays the default 4x2 per-bank diagnostic grid
+ * (core/thermal/bank_grid.hh) on every DIMM. Scenario files can also
+ * give an inline {grid_x, grid_z[, bank_weights]} object; sweeps
+ * compare resolved grids by value, so "bank_grid" and an equal inline
+ * object collide.
  */
-Catalog<ThermalModelConfig> &thermalModelCatalog();
+Catalog<SharedBankGrid> &thermalModelCatalog();
 
 /** Every catalog `memtherm list` knows, in usage order. */
 const std::vector<const CatalogBase *> &catalogListings();

@@ -523,7 +523,7 @@ struct InlineForm<std::optional<BankGridConfig>>
         "{grid_x, grid_z[, bank_weights]} object";
     static constexpr auto catalog = thermalModelCatalog;
 
-    static ThermalModelConfig
+    static SharedBankGrid
     check(const std::optional<BankGridConfig> &g, const std::string &what)
     {
         if (g->x < 1 || g->z < 1)
@@ -542,7 +542,7 @@ struct InlineForm<std::optional<BankGridConfig>>
         }
         if (!g->weights.empty())
             checkDistribution(g->weights, what + " bank weights");
-        return ThermalModelConfig{g};
+        return *g;
     }
 };
 
@@ -620,7 +620,7 @@ template struct CatalogOrInline<std::vector<double>, std::vector<double>,
                                 int>;
 template struct CatalogOrInline<std::vector<RefreshBand>, RefreshModel>;
 template struct CatalogOrInline<std::optional<BankGridConfig>,
-                                ThermalModelConfig>;
+                                SharedBankGrid>;
 
 namespace
 {
@@ -836,12 +836,8 @@ forEachAxis(F &&f)
                                 "real DIMMs at DIMM granularity; remove the "
                                 "thermal_model member and sweep",
               .dupNoun = "model", .sameAs = "thermal model"},
-      &S::thermalModel, &S::sweepThermalModel,
       // One payload per resolved value, shared by every point.
-      [](const ThermalModelSpec &t) {
-          return SharedBankGrid(t.resolve().grid);
-      },
-      &C::bankGrid);
+      &S::thermalModel, &S::sweepThermalModel, nullptr, &C::bankGrid);
     f(AxisDef{.key = "trace",
               .platformReject = "platform scenarios use the testbed's "
                                 "measured traffic distribution; remove the "

@@ -146,7 +146,7 @@ using TrafficShapeSpec =
     CatalogOrInline<std::vector<double>, std::vector<double>, int>;
 using RefreshSpec = CatalogOrInline<std::vector<RefreshBand>, RefreshModel>;
 using ThermalModelSpec =
-    CatalogOrInline<std::optional<BankGridConfig>, ThermalModelConfig>;
+    CatalogOrInline<std::optional<BankGridConfig>, SharedBankGrid>;
 
 /**
  * Declarative description of an experiment. Field defaults mirror the

@@ -72,29 +72,31 @@ resolveBankCellWeights(const BankGridConfig &grid, int n_dimms)
     return out;
 }
 
-BankOverlay::BankOverlay(SharedBankGrid g, int n_dimms)
-    : config(std::move(g)),
-      cellSlope(resolveBankCellWeights(*config, n_dimms)), slopeStart{0}
+const BankSlopes &
+SharedBankGrid::slopes() const
 {
-    for (double &w : cellSlope)
-        w -= 1.0;
-    const std::ptrdiff_t cells = config->cells();
-    for (auto c = cellSlope.begin(); c != cellSlope.end(); c += cells) {
-        const auto at = slopes.insert(slopes.end(), c, c + cells);
-        std::sort(at, slopes.end());
-        slopes.erase(std::unique(at, slopes.end()), slopes.end());
-        slopeStart.push_back(static_cast<int>(slopes.size()));
-    }
-}
-
-std::shared_ptr<const BankOverlay>
-BankOverlay::of(const SharedBankGrid &g, int n_dimms)
-{
-    thread_local std::shared_ptr<const BankOverlay> last;
-    if (!last || !(last->config == g) ||
-        last->slopeStart.size() != static_cast<std::size_t>(n_dimms) + 1)
-        last = std::make_shared<const BankOverlay>(g, n_dimms);
-    return last;
+    std::call_once(p->built, [&] {
+        const BankGridConfig &g = p->grid;
+        BankSlopes &s = p->slopes;
+        // One block for per-cell weights, one per DIMM for per-DIMM
+        // ones (resolveBankCellWeights refuses a grid below 1x1).
+        const int cells = std::max(g.cells(), 1);
+        const std::size_t blocks =
+            g.weights.size() / static_cast<std::size_t>(cells);
+        s.cell = resolveBankCellWeights(
+            g, blocks > 1 ? static_cast<int>(blocks) : 1);
+        for (double &w : s.cell)
+            w -= 1.0;
+        s.start = {0};
+        for (auto c = s.cell.begin(); c != s.cell.end(); c += cells) {
+            const auto at = s.distinct.insert(s.distinct.end(), c, c + cells);
+            std::sort(at, s.distinct.end());
+            s.distinct.erase(std::unique(at, s.distinct.end()),
+                             s.distinct.end());
+            s.start.push_back(static_cast<int>(s.distinct.size()));
+        }
+    });
+    return p->slopes;
 }
 
 int

@@ -48,7 +48,7 @@
 #define MEMTHERM_CORE_THERMAL_BANK_GRID_HH
 
 #include <memory>
-#include <optional>
+#include <mutex>
 #include <utility>
 #include <vector>
 
@@ -83,13 +83,33 @@ struct BankGridConfig
 };
 
 /**
- * An immutable, shared bank grid: SimConfig::bankGrid and what
- * MemoryThermalModel and BankOverlay hold. The payload (trace-decoded
- * weights are DIMMs x cells doubles) is never written after it is
- * built, so a copy costs a reference count: scenario lowering hands
- * every run of a grid point, and every point of one (organization,
- * grid), the same payload, and a lowered grid's memory follows its
- * distinct grids, not its run count. Reads like
+ * The constants a run derives from its grid's weights. The cells come
+ * in blocks: one block of cells() for per-cell weights (every DIMM
+ * alike), one per DIMM for per-DIMM weights.
+ */
+struct BankSlopes
+{
+    /// Per-cell slope `w - 1` of the scaled weights
+    /// (resolveBankCellWeights), block after block; exactly 0 for every
+    /// uniform cell.
+    std::vector<double> cell;
+    /// Each block's distinct cell slopes, ascending, block after block:
+    /// block b's run is [start[b], start[b + 1]).
+    std::vector<double> distinct;
+    std::vector<int> start;
+
+    /** The block DIMM @p d's cells read. */
+    int block(int d) const { return start.size() == 2 ? 0 : d; }
+};
+
+/**
+ * An immutable, shared bank grid: the resolved `thermal_model` value
+ * (empty for the lumped model), SimConfig::bankGrid and what
+ * MemoryThermalModel holds. Its payload carries the grid and the cell
+ * slopes every run of it reads. A copy costs a reference count:
+ * lowering hands every run of a grid point, and every point of one
+ * (organization, grid), the same payload, so a lowered grid's memory
+ * follows its distinct grids, not its run count. Reads like
  * std::optional<BankGridConfig>; equality is value equality, O(1) for
  * handles of one payload. Nothing mutates through it: a changed grid
  * is a new handle.
@@ -100,45 +120,42 @@ class SharedBankGrid
     /** The lumped model: no grid. */
     SharedBankGrid() = default;
     SharedBankGrid(BankGridConfig grid)
-        : p(std::make_shared<const BankGridConfig>(std::move(grid)))
+        : p(std::make_shared<const Payload>(std::move(grid)))
     {
-    }
-    SharedBankGrid(const std::optional<BankGridConfig> &grid)
-    {
-        if (grid)
-            p = std::make_shared<const BankGridConfig>(*grid);
     }
 
     bool has_value() const { return p != nullptr; }
     explicit operator bool() const { return has_value(); }
-    const BankGridConfig &operator*() const { return *p; }
-    const BankGridConfig *operator->() const { return p.get(); }
+    const BankGridConfig &operator*() const { return p->grid; }
+    const BankGridConfig *operator->() const { return &p->grid; }
 
     /** The payload's address (null for the lumped model): handles with
      *  the same one share their payload. */
-    const BankGridConfig *get() const { return p.get(); }
+    const BankGridConfig *get() const { return p ? &p->grid : nullptr; }
 
     /** Value equality: the same payload, or equal grids. */
     bool operator==(const SharedBankGrid &o) const
     {
-        return p == o.p || (p && o.p && *p == *o.p);
+        return p == o.p || (p && o.p && p->grid == o.p->grid);
     }
 
+    /**
+     * The grid's cell slopes, built by the first call on any handle of
+     * the payload (smoothing and sorting cost more than a short run's
+     * windows); every later call, from any thread, reads that build.
+     */
+    const BankSlopes &slopes() const;
+
   private:
-    std::shared_ptr<const BankGridConfig> p;
-};
+    struct Payload
+    {
+        explicit Payload(BankGridConfig g) : grid(std::move(g)) {}
 
-/**
- * A resolved `thermal_model` catalog entry: the lumped baseline
- * (std::nullopt — the catalog's "lumped" and the knob-unset default) or
- * a bank grid. Sweep-axis duplicate detection compares these resolved
- * values, so "bank_grid" and an equivalent inline object collide.
- */
-struct ThermalModelConfig
-{
-    std::optional<BankGridConfig> grid;
-
-    bool operator==(const ThermalModelConfig &) const = default;
+        BankGridConfig grid;
+        mutable std::once_flag built;
+        mutable BankSlopes slopes;
+    };
+    std::shared_ptr<const Payload> p;
 };
 
 /**
@@ -150,7 +167,7 @@ struct ThermalModelConfig
 inline constexpr double kBankLateralCoupling = 0.25;
 
 /**
- * The per-cell *scaled* heat weights MemoryThermalModel consumes:
+ * The per-cell *scaled* heat weights a grid's slopes come from:
  * n_dimms * grid.cells() entries, row-major by DIMM, each the cell's
  * weight times cells() (so a cell at scaled weight s sees s times the
  * DIMM's DRAM power in its stable target) after one lateral-coupling
@@ -174,37 +191,6 @@ std::vector<double> resolveBankCellWeights(const BankGridConfig &grid,
  */
 void smoothBankCells(const BankGridConfig &grid, const double *w,
                      double *out);
-
-/**
- * The per-run constants of a bank-grid overlay over an n_dimms chain,
- * fixed at construction and shared by a lane and its forks.
- */
-struct BankOverlay
-{
-    BankOverlay(SharedBankGrid grid, int n_dimms);
-
-    /**
-     * The overlay of @p grid over @p n_dimms DIMMs. Every run of a grid
-     * point needs the same one, and building it (the weight smoothing
-     * and a sort of each DIMM's slopes) costs more than a short run's
-     * windows, so the last one built on the calling thread is reused
-     * while the grid and chain length stay equal. A lowered grid's runs
-     * share their point's payload, so the check is a pointer compare;
-     * an equal grid in another payload still matches, by value.
-     */
-    static std::shared_ptr<const BankOverlay> of(const SharedBankGrid &grid,
-                                                 int n_dimms);
-
-    SharedBankGrid config; ///< always engaged
-    /// Per-cell slope `w - 1` of the scaled weights
-    /// (resolveBankCellWeights), row-major by DIMM; exactly 0 for every
-    /// uniform cell.
-    std::vector<double> cellSlope;
-    /// Each DIMM's distinct cell slopes, ascending, DIMM after DIMM:
-    /// DIMM d's run is [slopeStart[d], slopeStart[d + 1]).
-    std::vector<double> slopes;
-    std::vector<int> slopeStart;
-};
 
 /**
  * One vertex of a DIMM's peak hull: a past (V, D) point and the index,

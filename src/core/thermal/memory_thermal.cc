@@ -11,6 +11,24 @@ namespace memtherm
 namespace
 {
 
+/** Each DIMM's hull holds at most its block's distinct cell slopes. */
+std::vector<int>
+hullStarts(const SharedBankGrid &grid, int dimms)
+{
+    if (!grid)
+        return {};
+    const std::vector<int> &s = grid.slopes().start;
+    panicIfNot(s.size() == 2 || s.size() == dimms + 1u,
+               "bank grid weights must have cells() or nDimms*cells() "
+               "entries");
+    std::vector<int> out{0};
+    for (int d = 0; d < dimms; ++d) {
+        const int b = grid.slopes().block(d);
+        out.push_back(out.back() + s[b + 1] - s[b]);
+    }
+    return out;
+}
+
 void
 checkOrgAndShares(const MemoryOrgConfig &org,
                   const std::vector<double> &shares)
@@ -32,11 +50,8 @@ MemoryThermalModel::MemoryThermalModel(const MemoryOrgConfig &org,
                                        const SharedBankGrid &bank_grid)
     : orgCfg(org), pwr(power), cool(cooling),
       shares(std::move(traffic_shares)),
-      grid(bank_grid ? BankOverlay::of(bank_grid, org.nDimmsPerChannel)
-                     : nullptr),
-      // Each DIMM's hull holds at most its distinct cell slopes.
-      st(org.nDimmsPerChannel,
-         grid ? grid->slopeStart : std::vector<int>{})
+      grid(bank_grid),
+      st(org.nDimmsPerChannel, hullStarts(grid, org.nDimmsPerChannel))
 {
     checkOrgAndShares(orgCfg, shares);
     st.reset(cool.tauAmb, cool.tauDram, t0);
@@ -105,12 +120,14 @@ MemoryThermalModel::finishAdvance(Seconds dt)
         channel_power += powerScratch[i].total();
     }
     if (grid) {
-        const int *start = grid->slopeStart.data();
-        for (int i = 0; i < orgCfg.nDimmsPerChannel; ++i)
+        const BankSlopes &slopes = grid.slopes();
+        for (int i = 0; i < orgCfg.nDimmsPerChannel; ++i) {
+            const int *start = slopes.start.data() + slopes.block(i);
             st.hullSize[i] = offerBankHullPoint(
                 st.bankHull(i), st.hullSize[i],
-                grid->slopes.data() + start[i], start[i + 1] - start[i],
+                slopes.distinct.data() + start[0], start[1] - start[0],
                 st.spread[i], st.dram[i]);
+        }
     }
     st.energyTime += dt;
     s.subsystemPower = channel_power * orgCfg.nChannels;
@@ -229,22 +246,15 @@ MemoryThermalModel::bankPeaks() const
 {
     if (!grid)
         return {};
-    const std::size_t cells =
-        static_cast<std::size_t>(grid->config->cells());
-    std::vector<Celsius> out(grid->cellSlope.size());
+    const BankSlopes &slopes = grid.slopes();
+    const int cells = grid->cells();
+    std::vector<Celsius> out(orgCfg.nDimmsPerChannel * std::size_t(cells));
     for (std::size_t c = 0; c < out.size(); ++c) {
         const int d = static_cast<int>(c / cells);
-        out[c] = bankHullPeak(st.bankHull(d), st.hullSize[d],
-                              grid->cellSlope[c]);
+        const double slope = slopes.cell[slopes.block(d) * cells + c % cells];
+        out[c] = bankHullPeak(st.bankHull(d), st.hullSize[d], slope);
     }
     return out;
-}
-
-const SharedBankGrid &
-MemoryThermalModel::bankGrid() const
-{
-    static const SharedBankGrid lumped;
-    return grid ? grid->config : lumped;
 }
 
 std::vector<Watts>

@@ -20,7 +20,6 @@
 #ifndef MEMTHERM_CORE_THERMAL_MEMORY_THERMAL_HH
 #define MEMTHERM_CORE_THERMAL_MEMORY_THERMAL_HH
 
-#include <memory>
 #include <vector>
 
 #include "core/power/power_model.hh"
@@ -77,7 +76,8 @@ class MemoryThermalModel
      *        bit-identical to leaving it empty.
      * @param bank_grid optional per-bank thermal overlay
      *        (core/thermal/bank_grid.hh), held by reference count, not
-     *        copied; empty (the default) selects the paper's lumped
+     *        copied; its per-cell or per-DIMM weights must fit the
+     *        chain. Empty (the default) selects the paper's lumped
      *        model and allocates no bank state, keeping every pre-grid
      *        run bit-identical.
      */
@@ -194,8 +194,8 @@ class MemoryThermalModel
      */
     std::vector<Celsius> bankPeaks() const;
 
-    /** The bank-grid overlay, or an empty handle for the lumped model. */
-    const SharedBankGrid &bankGrid() const;
+    /** The bank grid, or an empty handle for the lumped model. */
+    const SharedBankGrid &bankGrid() const { return grid; }
 
     /**
      * Per-DIMM mean power on the representative channel since the last
@@ -265,9 +265,9 @@ class MemoryThermalModel
     /// channelPower(); empty = no refresh feedback.
     std::vector<Watts> refreshDram;
 
-    /// Bank-grid overlay constants (cell slopes), fixed for the run and
-    /// shared with its copies; null = lumped model, no bank state.
-    std::shared_ptr<const BankOverlay> grid;
+    /// The bank grid, whose payload carries the cell slopes; shared
+    /// with the run's copies. Empty = lumped model, no bank state.
+    SharedBankGrid grid;
 
     ThermalState st;
 

@@ -25,11 +25,11 @@
  * `D + s·V`), its staged target B, and the DIMM's peak hull of past
  * (V, D) points. A hull never holds more vertices than its DIMM has
  * distinct cell slopes (offerBankHullPoint), so each DIMM's block is
- * sized by that count (BankOverlay::slopeStart), so the window loop
- * never allocates. The blocks are left unwritten past each hull's
- * vertex count, and a copy (a fork) copies only the vertices in use —
- * a few per DIMM, however many distinct slopes a trace-decoded grid
- * gives it.
+ * sized by that count (its block's run in the grid's BankSlopes), and
+ * the window loop never allocates. The blocks are left unwritten past
+ * each hull's vertex count, and a copy (a fork) copies only the
+ * vertices in use — a few per DIMM, however many distinct slopes a
+ * trace-decoded grid gives it.
  */
 
 #ifndef MEMTHERM_CORE_THERMAL_THERMAL_BATCH_HH
@@ -101,9 +101,9 @@ struct ThermalState : BankHullBlocks
      * @param dimms DIMMs of the representative channel (>= 1)
      * @param hull_start on a bank grid, DIMM d's peak hull holds
      *        `hull_start[d + 1] - hull_start[d]` (>= 1) vertices, from
-     *        hull_start[0] = 0: a BankOverlay's slopeStart, one entry
-     *        per DIMM plus one. Empty (the default, and the lumped
-     *        thermal model) reserves no bank state.
+     *        hull_start[0] = 0, one entry per DIMM plus one (its
+     *        distinct cell slopes, BankSlopes). Empty (the default,
+     *        and the lumped thermal model) reserves no bank state.
      *
      * Every temperature starts at 0; reset() before advancing.
      */

@@ -7,6 +7,8 @@
  *  - under uniform per-bank traffic every bank cell is bit-identical to
  *    the lumped DRAM node, across organizations, traffic shapes and
  *    refresh models over seeded random inputs;
+ *  - a grid payload builds its cell slopes once, on first use, however
+ *    many models and threads use it;
  *  - the smoothing operator conserves the weight sum and fixes constant
  *    fields, so the grid's mean target tracks the lumped target for
  *    arbitrary random weight vectors (<= 1e-6 relative);
@@ -27,6 +29,7 @@
 #include <memory>
 #include <numeric>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/logging.hh"
@@ -178,6 +181,97 @@ TEST(BankGridPrimitives, Panics)
         resolveBankCellWeights(
             BankGridConfig{1, 2, {0.5, std::nan("")}}, 1),
         PanicError);
+}
+
+// --- payload layer ----------------------------------------------------
+
+MemoryThermalModel
+gridModel(const MemoryOrgConfig &org, const SharedBankGrid &grid)
+{
+    return MemoryThermalModel(org, coolingAohs15(), DimmPowerModel{}, 45.0,
+                              {}, grid);
+}
+
+/** The per-cell peaks of @p m after bursts of traffic. */
+std::vector<Celsius>
+peaksAfterBursts(MemoryThermalModel m)
+{
+    for (int i = 0; i < 200; ++i)
+        m.advance(i % 40 < 20 ? 16.0 : 0.0, 4.0, 40.0 + i % 9, 0.5);
+    return m.bankPeaks();
+}
+
+/**
+ * A payload builds its cell slopes once: models of it read that one
+ * build however they interleave with another payload's, per-cell
+ * weights make one block for every DIMM, and per-DIMM weights one
+ * block per DIMM.
+ */
+TEST(BankGridPayload, ModelsOfOnePayloadReadOneBuild)
+{
+    Rng rng(37);
+    const MemoryOrgConfig org{2, 4};
+    const SharedBankGrid a = BankGridConfig{32, 16, randomWeights(rng, 512)};
+    const SharedBankGrid b = BankGridConfig{16, 32, randomWeights(rng, 512)};
+    const MemoryThermalModel a1 = gridModel(org, a);
+    const MemoryThermalModel b1 = gridModel(org, b);
+    const MemoryThermalModel a2 = gridModel(org, a);
+    const BankSlopes &slopes = a1.bankGrid().slopes();
+    EXPECT_EQ(&a2.bankGrid().slopes(), &slopes);
+    EXPECT_EQ(a2.bankGrid().slopes().cell.data(), slopes.cell.data());
+    EXPECT_EQ(a2.bankGrid().slopes().distinct.data(),
+              slopes.distinct.data());
+    EXPECT_NE(&b1.bankGrid().slopes(), &slopes);
+    EXPECT_EQ(slopes.start.size(), 2u); // one block
+    EXPECT_EQ(slopes.cell.size(), 512u);
+
+    // An equal grid in its own payload builds equal slopes of its own.
+    const SharedBankGrid same = *a;
+    EXPECT_EQ(same, a);
+    EXPECT_NE(&same.slopes(), &slopes);
+    EXPECT_EQ(same.slopes().cell, slopes.cell);
+    EXPECT_EQ(peaksAfterBursts(gridModel(org, same)), peaksAfterBursts(a2));
+
+    std::vector<double> per_dimm;
+    for (int d = 0; d < org.nDimmsPerChannel; ++d) {
+        const std::vector<double> w = randomWeights(rng, 8);
+        per_dimm.insert(per_dimm.end(), w.begin(), w.end());
+    }
+    const SharedBankGrid traced = BankGridConfig{4, 2, per_dimm};
+    EXPECT_EQ(gridModel(org, traced).bankGrid().slopes().start.size(),
+              org.nDimmsPerChannel + 1u); // one block per DIMM
+}
+
+/**
+ * Four threads take a new payload's first use at once; the build runs
+ * once (ThreadSanitizer referees it) and every run's per-cell peaks
+ * are bit-identical to a run of its own payload.
+ */
+TEST(BankGridPayload, ConcurrentFirstUseBuildsOnce)
+{
+    Rng rng(38);
+    const MemoryOrgConfig org{4, 8};
+    const SharedBankGrid grid =
+        BankGridConfig{32, 16, randomWeights(rng, 512)};
+    constexpr int kThreads = 4;
+    std::vector<const BankSlopes *> read(kThreads);
+    std::vector<std::vector<Celsius>> peaks(kThreads);
+    {
+        std::vector<std::jthread> threads;
+        for (int t = 0; t < kThreads; ++t)
+            threads.emplace_back([&, t] {
+                MemoryThermalModel m = gridModel(org, grid);
+                read[t] = &m.bankGrid().slopes();
+                peaks[t] = peaksAfterBursts(std::move(m));
+            });
+    }
+    const std::vector<Celsius> alone =
+        peaksAfterBursts(gridModel(org, SharedBankGrid(*grid)));
+    ASSERT_EQ(alone.size(), 8u * 512);
+    for (int t = 0; t < kThreads; ++t) {
+        EXPECT_EQ(read[t], &grid.slopes()) << t;
+        EXPECT_EQ(peaks[t], alone) << t;
+    }
 }
 
 // --- simulator layer --------------------------------------------------
@@ -415,10 +509,10 @@ TEST(BankGridScenario, CatalogAndSweepLowering)
     // with "thermal=<label>" coordinates.
     EXPECT_EQ(thermalModelCatalog().names(),
               (std::vector<std::string>{"lumped", "bank_grid"}));
-    EXPECT_FALSE(thermalModelCatalog().get("lumped").grid.has_value());
-    ASSERT_TRUE(thermalModelCatalog().get("bank_grid").grid.has_value());
-    EXPECT_EQ(thermalModelCatalog().get("bank_grid").grid->x, 4);
-    EXPECT_EQ(thermalModelCatalog().get("bank_grid").grid->z, 2);
+    EXPECT_FALSE(thermalModelCatalog().get("lumped").has_value());
+    ASSERT_TRUE(thermalModelCatalog().get("bank_grid").has_value());
+    EXPECT_EQ(thermalModelCatalog().get("bank_grid")->x, 4);
+    EXPECT_EQ(thermalModelCatalog().get("bank_grid")->z, 2);
 
     ScenarioSpec s = tinySpec();
     ThermalModelSpec inline_grid;

@@ -10,6 +10,7 @@
  *    random windows, every per-cell peak of the model's `D + (w - 1)·V`
  *    overlay and its peak hull matches at 1e-12 relative, and uniform
  *    cells equal the lumped DRAM peak exactly;
+ *    one payload of per-cell weights matches on chains of every length;
  *  - Eq. 3.4's closed-form equilibrium under constant traffic, with A
  *    and B computed here from the cooling ψ values and the power model.
  */
@@ -247,6 +248,32 @@ TEST(BankOverlayOracle, PeaksMatchThePerCellIteration)
     // The traffic must leave points the hull keeps beside one another,
     // or the splice goes untested.
     EXPECT_GE(widest_hull, 4);
+}
+
+/**
+ * One payload of per-cell weights serves chains of every length: its
+ * models on 2-, 4- and 8-DIMM chains match the per-cell iteration over
+ * resolveBankCellWeights(grid, nDimms).
+ */
+TEST(BankOverlayOracle, OnePerCellPayloadServesEveryChainLength)
+{
+    Rng rng(20261020);
+    const BankGridConfig config{4, 2, weightsWithZeros(rng, 8)};
+    const SharedBankGrid grid = config;
+    const RefreshModel refresh = refreshCatalog().get("ddr2_2x");
+    for (int dimms : {2, 4, 8}) {
+        const MemoryOrgConfig org{16 / dimms, dimms};
+        const CoolingConfig cool = coolingAohs15();
+        const Celsius t0 = 45.0;
+        Celsius ambient = t0;
+        Lane l{MemoryThermalModel(org, cool, DimmPowerModel{}, t0, {}, grid),
+               PerCellReference(org, cool, config, t0)};
+        for (int t = 0; t < 500; ++t)
+            stepBoth(rng, l, refresh, ambient);
+        EXPECT_EQ(l.model.bankGrid().get(), grid.get());
+        expectPeaksMatch(l, Weights::WithZeros,
+                         std::to_string(dimms) + " DIMMs");
+    }
 }
 
 /** A DIMM's Eq. 3.4 terms: cell c of weight w targets a + w·b. */

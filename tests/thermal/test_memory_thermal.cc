@@ -312,8 +312,7 @@ TEST(MemoryThermal, ForkIsACopy)
     // A copy taken mid-run continues bit-identically to its source, and
     // the two share no state afterwards.
     BankGridConfig grid{4, 2, {0.3, 0.2, 0.1, 0.1, 0.1, 0.1, 0.05, 0.05}};
-    for (const std::optional<BankGridConfig> &g :
-         {std::optional<BankGridConfig>{}, std::optional(grid)}) {
+    for (const SharedBankGrid &g : {SharedBankGrid{}, SharedBankGrid(grid)}) {
         MemoryThermalModel src(MemoryOrgConfig{2, 4}, coolingAohs15(),
                                DimmPowerModel{}, 45.0,
                                {0.55, 0.25, 0.12, 0.08}, g);

@@ -99,8 +99,9 @@ numForDiag(double v)
 }
 
 /**
- * Recursive comparison with a relative tolerance on numbers; on the
- * first mismatch fills @p where / @p detail and returns false. Two NaNs
+ * Recursive comparison of results @p a with golden @p b, with a
+ * relative tolerance on numbers; on the first mismatch fills @p where /
+ * @p detail and returns false. Two NaNs
  * compare equal (a NaN golden entry means "NaN expected here", not a
  * mismatch) and infinities compare by sign.
  */
@@ -156,16 +157,19 @@ jsonNear(const Json &a, const Json &b, double tol, const std::string &path,
           return true;
       }
       case Json::Type::Object: {
-          const auto &ao = a.asObject(), &bo = b.asObject();
-          if (ao.size() != bo.size())
-              return miss("object size mismatch");
-          for (const auto &[k, v] : ao) {
-              const Json *bv = b.find(k);
-              if (!bv)
-                  return miss("missing member '" + k + "'");
-              if (!jsonNear(v, *bv, tol, path + "." + k, where, detail))
+          // A member on one side only is named, before any value.
+          for (const auto &[k, v] : a.asObject())
+              if (!b.find(k))
+                  return miss("member '" + k +
+                              "' is in the results but not the golden");
+          for (const auto &[k, v] : b.asObject())
+              if (!a.find(k))
+                  return miss("member '" + k +
+                              "' is in the golden but not the results");
+          for (const auto &[k, v] : a.asObject())
+              if (!jsonNear(v, *b.find(k), tol, path + "." + k, where,
+                            detail))
                   return false;
-          }
           return true;
       }
     }
