@@ -35,7 +35,9 @@ streamTask()
 
 /**
  * Time the allocation-free solvePerfWindow() overload the simulator's
- * window loop calls, reusing one WindowPerf across iterations.
+ * window loop calls, reusing one WindowPerf across iterations: every
+ * solve after the first starts from its own root, the warm path's floor
+ * (one demand pass there, then the fill).
  */
 void
 solveLoop(benchmark::State &state, const std::vector<CoreTask> &tasks,

@@ -46,8 +46,27 @@ ThermalSimulator::ThermalSimulator(SimConfig c) : cfg(std::move(c))
     panicIfNot(cfg.nCores >= 1, "ThermalSimulator: need >= 1 core");
 }
 
+ThermalSimulator::CoreSlots::CoreSlots(const SimConfig &cfg,
+                                       const Workload &mix)
+    : batch(mix, cfg.copiesPerApp, cfg.instrScale)
+{
+    slot.assign(static_cast<std::size_t>(cfg.nCores), nullptr);
+    for (auto &s : slot)
+        s = batch.nextPending();
+}
+
+ThermalSimulator::CoreSlots::CoreSlots(const CoreSlots &src)
+    : batch(src.batch), slot(src.slot)
+{
+    // slot holds pointers into src.batch's pool; rebase them onto the
+    // copied pool (same indices — the pools are element-wise copies).
+    for (auto &s : slot)
+        s = batch.at(src.batch.indexOf(s));
+}
+
 ThermalSimulator::Lane::Lane(const SimConfig &cfg, const Workload &mix)
-    : batch(mix, cfg.copiesPerApp, cfg.instrScale),
+    : CoreSlots(cfg, mix),
+      baseMpki(slot.size()),
       ambient(cfg.ambient),
       mem(cfg.org, cfg.cooling, DimmPowerModel{}, ambient.temperature(),
           cfg.trafficShares, cfg.bankGrid),
@@ -61,12 +80,6 @@ ThermalSimulator::Lane::Lane(const SimConfig &cfg, const Workload &mix)
     res.inletTrace = TimeSeries(cfg.traceSample);
     res.cpuPowerTrace = TimeSeries(cfg.traceSample);
     res.bwTrace = TimeSeries(cfg.traceSample);
-
-    // Core slots; round-robin dispatch from the batch queue.
-    slot.assign(static_cast<std::size_t>(cfg.nCores), nullptr);
-    for (auto &s : slot)
-        s = batch.nextPending();
-    baseMpki.resize(slot.size());
 
     // The machine idles long enough before the run for temperatures to
     // settle (the measurement protocol of Section 5.4.1). Refresh power
@@ -86,31 +99,6 @@ ThermalSimulator::Lane::Lane(const SimConfig &cfg, const Workload &mix)
     }
 
     live = !batch.done() && t < cfg.maxSimTime;
-}
-
-ThermalSimulator::Lane::Lane(const Lane &src)
-    : res(src.res),
-      batch(src.batch),
-      slot(src.slot),
-      baseMpki(src.baseMpki),
-      ambient(src.ambient),
-      mem(src.mem),
-      sensorRng(src.sensorRng),
-      action(src.action),
-      reading(src.reading),
-      remapBurstGb(src.remapBurstGb),
-      nextDtm(src.nextDtm),
-      nextRotation(src.nextRotation),
-      nextTrace(src.nextTrace),
-      rotation(src.rotation),
-      decided(src.decided),
-      t(src.t),
-      live(src.live)
-{
-    // slot holds pointers into src.batch's pool; rebase them onto the
-    // copied pool (same indices — the pools are element-wise copies).
-    for (auto &s : slot)
-        s = batch.at(src.batch.indexOf(s));
 }
 
 double
@@ -260,6 +248,9 @@ ThermalSimulator::windowStep(Lane &lane, Scratch &scratch) const
     }
 
     GBps cap = lane.action.memoryOn ? lane.action.bandwidthCap : 0.0;
+    // The solve starts from this lane's previous root; the scratch
+    // WindowPerf is shared by every lane of the call.
+    perf.latencyNs = lane.perfLatencyNs;
     if (cfg.refresh.empty()) {
         solvePerfWindow(tasks, dv.freq, fmax, cap, cfg.memPerf, perf);
     } else {
@@ -298,6 +289,7 @@ ThermalSimulator::windowStep(Lane &lane, Scratch &scratch) const
         lane.mem.setRefreshDramPower(scratch.refreshPower);
         solvePerfWindow(tasks, dv.freq, fmax, cap, derated, perf);
     }
+    lane.perfLatencyNs = perf.latencyNs;
 
     // DTM control overhead: a decision window loses dtmOverhead of
     // useful execution time (Table 4.1).
@@ -503,6 +495,7 @@ ThermalSimulator::runBatch(const Workload &mix,
             }
             windowStep(g.lane, scratch);
             local.simulatedWindows += 1.0;
+            local.demandPasses += scratch.perf.demandPasses;
             local.logicalWindows += static_cast<double>(g.members.size());
         }
 

@@ -48,6 +48,9 @@ struct BatchStats
     double logicalWindows = 0.0;   ///< window-steps credited to runs
     double simulatedWindows = 0.0; ///< window-steps actually computed
     std::size_t forks = 0;         ///< lane forks (policy divergences)
+    /// Level-1 demand passes over the simulated windows
+    /// (WindowPerf::demandPasses, the fill pass included).
+    double demandPasses = 0.0;
 
     /** Fraction of logical windows served by a shared prefix. */
     double
@@ -58,12 +61,21 @@ struct BatchStats
                    : 0.0;
     }
 
+    /** Mean demand passes of one level-1 solve (one per window). */
+    double
+    passesPerSolve() const
+    {
+        return simulatedWindows > 0.0 ? demandPasses / simulatedWindows
+                                      : 0.0;
+    }
+
     void
     add(const BatchStats &o)
     {
         logicalWindows += o.logicalWindows;
         simulatedWindows += o.simulatedWindows;
         forks += o.forks;
+        demandPasses += o.demandPasses;
     }
 };
 
@@ -149,19 +161,38 @@ class ThermalSimulator
     };
 
     /**
+     * A run's batch job and the core slots, which point into the job's
+     * pool. A copy rebases the slots onto the copied pool: it is the
+     * only hand-written part of a Lane copy.
+     */
+    struct CoreSlots
+    {
+        /** Fresh batch; round-robin dispatch fills every core slot. */
+        CoreSlots(const SimConfig &cfg, const Workload &mix);
+
+        CoreSlots(const CoreSlots &src);
+        CoreSlots(CoreSlots &&) = default;
+        CoreSlots &operator=(CoreSlots &&) = default;
+
+        BatchJob batch;
+        std::vector<BatchJob::Instance *> slot; ///< per-core job slots
+    };
+
+    /**
      * The complete mutable state of one in-flight run: everything a
      * window-step reads or writes that belongs to the run rather than to
      * the shared scratch. runBatch() forks a run by copying its Lane,
      * an exact double-copy: the copy continues bit-identically to the
-     * lane it was copied from.
+     * lane it was copied from. The copy is the members' own (CoreSlots
+     * rebases the slots), so a member added here is copied too.
      */
-    struct Lane
+    struct Lane : CoreSlots
     {
         /** Fresh run at t = 0. */
         Lane(const SimConfig &cfg, const Workload &mix);
 
-        /** Fork: an exact snapshot of @p src. */
-        Lane(const Lane &src);
+        /** Fork: an exact snapshot. */
+        Lane(const Lane &) = default;
 
         /** Lane(cfg, mix); exists only so perfbench builds unchanged
          *  (ROADMAP item 1b deletes it). */
@@ -188,9 +219,7 @@ class ThermalSimulator
         };
 
         SimResult res;
-        BatchJob batch;
-        std::vector<BatchJob::Instance *> slot; ///< per-core job slots
-        std::vector<BaseMpki> baseMpki;         ///< per core slot
+        std::vector<BaseMpki> baseMpki; ///< per core slot
         AmbientModel ambient;
         MemoryThermalModel mem;
         Rng sensorRng;
@@ -199,6 +228,9 @@ class ThermalSimulator
         /// Pending migration-cost traffic (GB) from a remap decision,
         /// spent in the window that applied it.
         double remapBurstGb = 0.0;
+        /// The previous window's level-1 root (WindowPerf::latencyNs),
+        /// the next solve's warm start; 0 starts it cold.
+        double perfLatencyNs = 0.0;
         Seconds nextDtm = 0.0;
         Seconds nextRotation = 0.0;
         Seconds nextTrace = 0.0;

@@ -18,7 +18,9 @@
  * the queue slack the latency implies, which is concave and nearly
  * linear, rather than on the fixed-point residual, which is flat and
  * badly conditioned once the utilization clamp holds (the saturated and
- * DTM-capped windows); see solvePerfWindow() in perf_model.cc.
+ * DTM-capped windows). The in-place solve starts from the previous
+ * window's root when it has one, and stops on a step bound whose square
+ * bounds the error; see solvePerfWindow() in perf_model.cc.
  */
 
 #ifndef MEMTHERM_CPU_PERF_MODEL_HH
@@ -65,6 +67,9 @@ struct WindowPerf
     GBps totalWrite = 0.0;
     double latencyNs = 0.0;         ///< effective memory latency used
     bool saturated = false;         ///< bandwidth constraint was binding
+    /// Passes over the tasks' demand the solve made, the final fill
+    /// included (0 for no tasks or a shut-down memory).
+    int demandPasses = 0;
 };
 
 /**
@@ -86,6 +91,13 @@ WindowPerf solvePerfWindow(const std::vector<CoreTask> &tasks, GHz freq,
  * @p out in place, reusing its vectors' capacity. The simulator's window
  * loop calls this once per window with a scratch WindowPerf so the
  * steady state does not touch the heap.
+ *
+ * @p out's latencyNs on entry is the warm start: when it lies above the
+ * idle latency and is finite (the previous window's root), Newton starts
+ * there instead of at the tangent start that needs a demand pass at the
+ * idle latency. A fresh WindowPerf (latencyNs 0) starts cold. The answer
+ * agrees with the cold start's to rounding, not bit for bit, so a caller
+ * that must reproduce a run passes the run's own previous root.
  */
 void solvePerfWindow(const std::vector<CoreTask> &tasks, GHz freq,
                      GHz fmax, GBps cap, const MemSystemPerf &mem,

@@ -10,6 +10,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <cstdio>
 #include <iterator>
 #include <limits>
 #include <string>
@@ -460,6 +461,104 @@ TEST(PerfModelOracle, ClampRegimeMatchesBisectionReference)
     }
     EXPECT_GE(clamp_roots, 500);
     EXPECT_GE(interior_roots, 500);
+}
+
+/** The largest relative difference of any output of @p got from @p want. */
+double
+worstRelDiff(const WindowPerf &got, const WindowPerf &want)
+{
+    auto rel = [](double a, double b) {
+        const double m = std::max(std::abs(a), std::abs(b));
+        return m > 0.0 ? std::abs(a - b) / m : 0.0;
+    };
+    double worst = std::max({rel(got.latencyNs, want.latencyNs),
+                             rel(got.totalRead, want.totalRead),
+                             rel(got.totalWrite, want.totalWrite)});
+    for (std::size_t i = 0; i < got.ips.size(); ++i)
+        worst = std::max({worst, rel(got.ips[i], want.ips[i]),
+                          rel(got.taskTraffic[i], want.taskTraffic[i])});
+    return worst;
+}
+
+/**
+ * Differential property for warm starts: the in-place solve starts
+ * Newton from the WindowPerf's latencyNs on entry (the window loop
+ * passes the run's previous root). From warm points at the root times
+ * (1 +- 1e-12 ... 1e-1), at the idle latency, below it, at +inf and at
+ * NaN, over three families (random, the clamp family of the test above,
+ * and near-idle demand, whose root sits within ~1e-5 of the idle
+ * latency), every output must match the bisection reference to 1e-12
+ * relative and decide `saturated` identically. The largest difference
+ * seen is printed; the solver's 1e-8 step bound was chosen from it.
+ */
+TEST(PerfModelOracle, WarmStartMatchesBisectionReference)
+{
+    const GHz fmax = 3.2;
+    const double rho_max = 0.9999;
+    const double caps[] = {kInf, 0.0, 1e-6, 0.5, 6.4, 19.2};
+    const double offsets[] = {1e-12, 1e-9, 1e-6, 1e-3, 1e-1};
+    Rng rng(0x3a7b5eedULL);
+    WindowPerf got;
+    WindowPerf want;
+    double worst = 0.0;
+    int clamp_roots = 0;
+    for (int n = 0; n < 3000; ++n) {
+        SCOPED_TRACE("case " + std::to_string(n));
+        const int family = n % 3; // random, clamp, near-idle
+        std::vector<CoreTask> tasks;
+        GHz freq = fmax;
+        GBps cap = 0.0;
+        MemSystemPerf mem;
+        do {
+            tasks.assign(family == 1 ? 6 + rng.below(3) : 1 + rng.below(8),
+                         CoreTask{});
+            for (auto &t : tasks) {
+                t.cpiCore = rng.uniform(0.3, 2.0);
+                t.mpki = family == 0   ? rng.uniform(0.0, 150.0)
+                         : family == 1 ? rng.uniform(20.0, 150.0)
+                                       : rng.uniform(0.0, 1e-3);
+                t.writeFrac = rng.uniform(0.0, 0.6);
+                t.specFrac = rng.uniform(0.0, 0.3);
+                t.mlpOverlap = family == 1 ? rng.uniform(0.97, 0.995)
+                                           : rng.uniform(0.0, 0.99);
+            }
+            freq = rng.uniform() < 0.5 ? fmax : rng.uniform(0.8, fmax);
+            cap = family == 1 ? rng.uniform(0.5, 1.0)
+                              : caps[rng.below(std::size(caps))];
+            mem = MemSystemPerf{};
+            if (rng.uniform() < 0.5) {
+                mem.peakBandwidth *= 1.0 - rng.uniform(0.0, 0.1);
+                mem.idleLatencyNs *= rng.uniform(0.85, 1.0);
+            }
+        } while (family == 1 &&
+                 !(utilizationAtIdle(tasks, freq, fmax, cap, mem) > rho_max));
+
+        const double l0 = mem.idleLatencyNs;
+        const double root =
+            bisectionReference(tasks, freq, fmax, cap, mem).latencyNs;
+        std::vector<double> warm = {l0, 0.5 * l0, 0.0, kInf,
+                                    std::numeric_limits<double>::quiet_NaN()};
+        if (std::isfinite(root))
+            for (double e : offsets) {
+                warm.push_back(root * (1.0 + e));
+                warm.push_back(root * (1.0 - e));
+            }
+        for (double w : warm) {
+            SCOPED_TRACE("warm start " + std::to_string(w));
+            got.latencyNs = w;
+            ASSERT_NO_FATAL_FAILURE(solveAgainstReference(
+                tasks, freq, fmax, cap, mem, got, want));
+            worst = std::max(worst, worstRelDiff(got, want));
+        }
+        const double l_clamp =
+            l0 * (1.0 + mem.queueFactor * rho_max / (1.0 - rho_max));
+        if (family == 1 && relNear("clamp", root, l_clamp))
+            ++clamp_roots;
+    }
+    EXPECT_GE(clamp_roots, 100);
+    std::printf("warm starts: largest relative difference from the "
+                "reference %.3g\n",
+                worst);
 }
 
 } // namespace

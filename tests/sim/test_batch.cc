@@ -611,5 +611,49 @@ TEST(Scenario, RunScenarioMatchesScalarOnEveryExample)
     }
 }
 
+/**
+ * The level-1 solve's work count. On ch4_baseline and policy_sweep at
+ * one copy, a solve averages at most 3.6 demand passes, the fill pass
+ * included: 3/4 of the 4.83 and 4.90 the cold-started solver made (a
+ * pass at the idle latency, 2.8 Newton iterations, the fill). Starting
+ * from the run's previous root, it makes 3.01 on both (gcc 12); the
+ * bound leaves room for FP contraction on other compilers.
+ */
+TEST(Scenario, WarmStartedSolvesMakeFewerDemandPasses)
+{
+    const std::string dir =
+        std::string(MEMTHERM_SOURCE_DIR) + "/examples/scenarios/";
+    ExperimentEngine engine(1);
+    for (const char *name : {"ch4_baseline", "policy_sweep"}) {
+        ScenarioSpec spec = ScenarioSpec::load(dir + name + ".json");
+        spec.copiesPerApp = 1;
+        spec.sweepCopies.clear();
+        BatchStats stats;
+        runScenario(spec, engine, &stats);
+        EXPECT_GT(stats.demandPasses, stats.simulatedWindows) << name;
+        EXPECT_LT(stats.passesPerSolve(), 3.6) << name;
+    }
+}
+
+/**
+ * A fork carries the run's previous level-1 root: a lane's copy holds
+ * the source's root, so the fork's next solve starts where the source's
+ * would. The whole-run pins above compare outputs, which a lost root
+ * moves only at rounding, if at all.
+ */
+TEST(RunBatch, ForkCopiesThePreviousLevel1Root)
+{
+    const SimConfig cfg = batchyConfig();
+    ThermalSimulator::Lane lane(cfg, workloadMix("W1"));
+    EXPECT_EQ(lane.perfLatencyNs, 0.0); // the first solve starts cold
+    lane.perfLatencyNs = 131.25;
+    const ThermalSimulator::Lane fork(lane);
+    EXPECT_EQ(fork.perfLatencyNs, 131.25);
+    ASSERT_EQ(fork.slot.size(), lane.slot.size());
+    for (std::size_t i = 0; i < lane.slot.size(); ++i)
+        EXPECT_EQ(fork.batch.indexOf(fork.slot[i]),
+                  lane.batch.indexOf(lane.slot[i]));
+}
+
 } // namespace
 } // namespace memtherm

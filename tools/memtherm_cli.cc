@@ -598,7 +598,10 @@ cmdMerge(const CliArgs &a)
     return rc;
 }
 
-/** The prefix-sharing line: what the shared-prefix cache bought. */
+/**
+ * The prefix-sharing line: what the shared-prefix cache bought, and the
+ * level-1 solve's mean work per simulated window.
+ */
 void
 printBatchStats(const BatchStats &stats)
 {
@@ -607,7 +610,9 @@ printBatchStats(const BatchStats &stats)
               << Json::numberToString(stats.logicalWindows)
               << " window(s) simulated, prefix hit rate "
               << Json::numberToString(stats.hitRate()) << ", "
-              << stats.forks << " fork(s)\n";
+              << stats.forks << " fork(s), "
+              << Json::numberToString(stats.passesPerSolve())
+              << " demand passes per solve\n";
 }
 
 int
